@@ -33,14 +33,24 @@ Two stages:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import (
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.segments import Segment
 from repro.core.service import Service
 from repro.core.slotindex import SlotIndex
-from repro.gpu.geometry import PartitionGeometry, PartitionLayout
+from repro.gpu.geometry import PartitionGeometry, PartitionLayout, get_geometry
 from repro.gpu.mig import MIG_GEOMETRY
 from repro.profiler.table import ProfileEntry
 
@@ -137,12 +147,13 @@ def states_from_placement(
 ) -> list[_GPUState]:
     """Rebuild allocator build-state from a live deployment map.
 
-    Shared by the SIII-F SLO-update path and failover: each plan's state
-    carries the plan's own geometry, so incremental re-planning on
-    MI300X or mixed placements replays the correct placement rules.
-    Segments of ``exclude_service`` are omitted (they are being re-planned).
+    The seed of the deployment manager's live allocator state and the
+    rebuild reference of every incremental re-plan (SLO updates,
+    failover): each plan's state carries the plan's own geometry, so
+    incremental re-planning on MI300X or mixed placements replays the
+    correct placement rules.  Segments of ``exclude_service`` are
+    omitted (they are being re-planned).
     """
-    from repro.gpu.geometry import get_geometry
 
     states: list[_GPUState] = []
     for plan in placement.gpus:
@@ -172,6 +183,273 @@ def states_from_placement(
             )
         states.append(state)
     return states
+
+
+def plan_from_state(state: _GPUState) -> GPUPlan:
+    """The deployment-map plan of one build state (rates unassigned)."""
+    plan = GPUPlan(gpu_id=state.gpu_id, geometry=state.geometry.name)
+    for seg, start in state.placed:
+        plan.segments.append(
+            PlacedSegment(
+                service_id=seg.service_id,
+                model=seg.model,
+                kind=state.geometry.kind,
+                gpcs=float(seg.instance_size),
+                batch_size=seg.batch_size,
+                num_processes=seg.num_processes,
+                capacity=seg.throughput,
+                latency_ms=seg.latency_ms,
+                sm_activity=seg.sm_activity,
+                start=start,
+                geometry=state.geometry.name,
+            )
+        )
+    return plan
+
+
+#: Order-key sections of a :class:`LiveFleet`.  Live GPUs take keys from
+#: a counter below ``_SPARE_KEYS``; a spare sits at ``_SPARE_KEYS +
+#: gpu_id`` (after every live GPU, in gpu-id order); a GPU opened during
+#: an operation sits at ``_FRESH_KEYS + n`` (after every spare) until
+#: :meth:`LiveFleet.commit` files it into the live section.
+_SPARE_KEYS = 1 << 48
+_FRESH_KEYS = 2 << 48
+
+
+class LiveFleet:
+    """The allocator build state as one persistent, order-keyed object.
+
+    Holds what :meth:`~repro.core.deployment.DeploymentManager.build_states`
+    rebuilds from a published placement — live GPUs in placement order,
+    then spares in gpu-id order, then the reserved ids of retired GPUs —
+    and keeps it, with its :class:`~repro.core.slotindex.SlotIndex`,
+    across operations.  Keys replace list positions: a GPU leaving the
+    order drops its key without shifting anyone else's, so incremental
+    operations cost O(touched GPUs) instead of a rebuild.
+
+    :meth:`commit` closes an operation the way the next rebuild would see
+    it: emptied GPUs leave the order (unless they are spares), and
+    drafted spares, then GPUs opened during the operation, join the end
+    of the live section.
+    """
+
+    def __init__(
+        self,
+        states: Iterable[_GPUState],
+        spares: Mapping[int, str],
+        retired: Mapping[int, str],
+    ) -> None:
+        self.index = SlotIndex()
+        #: retired GPUs (never in the order): gpu_id -> geometry name
+        self.retired: dict[int, str] = {}
+        self._key_of: dict[int, int] = {}
+        self._order: list[int] = []  # live keys, ascending
+        self._tail: set[int] = set()  # spare and fresh keys
+        self._next_live = 0
+        self._next_fresh = _FRESH_KEYS
+        self._ids: list[int] = []  # max-heap (negated) of held ids
+        # live keys at/below the default drain threshold
+        self._light: set[int] = set()
+        self._left: list[int] = []  # live gpu ids that left this operation
+        for state in states:
+            key = self._next_live
+            self._next_live += 1
+            self._register(key, state)
+            self._order.append(key)
+            self._track_light(key, state)
+        for gid in sorted(spares):
+            if gid not in self._key_of:
+                self.add_spare(gid, spares[gid])
+        for gid, name in retired.items():
+            self.retired[gid] = name
+            heapq.heappush(self._ids, -gid)
+        # An empty plan in the published map leaves the order at the
+        # first commit, exactly as the next rebuild would drop it.
+        self.index.touched = {
+            key for key in self._order if self[key].is_empty
+        }
+
+    # ------------------------------------------------------------------ #
+    # the allocator's view
+    # ------------------------------------------------------------------ #
+
+    def __getitem__(self, key: int) -> _GPUState:
+        return self.index.state(key)
+
+    def __iter__(self) -> Iterator[_GPUState]:
+        """Every registered state (not in first-fit order)."""
+        for key in self._order:
+            if key in self.index:
+                yield self.index.state(key)
+        for key in sorted(self._tail):
+            yield self.index.state(key)
+
+    def append(self, state: _GPUState) -> None:
+        """Register a GPU opened by ``ALLOCATION`` behind every spare."""
+        key = self._next_fresh
+        self._next_fresh += 1
+        self._register(key, state)
+        self._tail.add(key)
+
+    def next_gpu_id(self) -> int:
+        """One past the largest id held (live, spare, fresh or retired)."""
+        ids = self._ids
+        held = self._key_of
+        while ids and -ids[0] not in held and -ids[0] not in self.retired:
+            heapq.heappop(ids)
+        return (-ids[0] if ids else -1) + 1
+
+    def drain_order(self, threshold: int) -> list[int]:
+        """Keys the drain pass must visit, last first.
+
+        A GPU's load only drops where the operation touched it, so the
+        GPUs at/below ``threshold`` are the tracked light set plus the
+        touched ones; the pass re-checks each at its visit.
+        """
+        if threshold > OPTIMIZATION_GPC_THRESHOLD:  # not tracked
+            keys: Iterable[int] = list(self._order) + list(self._tail)
+        else:
+            keys = self._light | self.index.touched
+        return sorted((k for k in keys if k in self.index), reverse=True)
+
+    def compact_order(self) -> Iterator[int]:
+        """Every key, last first (the compaction cursor's walk)."""
+        yield from sorted(self._tail, reverse=True)
+        for key in reversed(self._order):
+            if key in self.index:
+                yield key
+
+    # ------------------------------------------------------------------ #
+    # deltas
+    # ------------------------------------------------------------------ #
+
+    def key_of(self, gpu_id: int) -> int:
+        """The order key of a GPU in the order (KeyError otherwise)."""
+        return self._key_of[gpu_id]
+
+    def remove_segments(self, gpu_id: int, service_id: str) -> None:
+        """Drop ``service_id``'s segments from one GPU, keeping the rest
+        in place (the state ``states_from_placement`` builds when it
+        excludes the service)."""
+        key = self._key_of[gpu_id]
+        state = self[key]
+        kept: list[tuple[Segment, int]] = []
+        for seg, start in state.placed:
+            if seg.service_id == service_id:
+                state.layout.remove(
+                    state.geometry.place(seg.instance_size, start)
+                )
+            else:
+                kept.append((seg, start))
+        state.placed[:] = kept
+        self.index.touch(key)
+
+    def retire(self, gpu_id: int, geometry: str) -> None:
+        """Take ``gpu_id`` out of the order and keep its id reserved."""
+        key = self._key_of.get(gpu_id)
+        if key is not None:
+            self._unregister(key)
+            if key < _SPARE_KEYS:
+                self._left.append(gpu_id)
+        self.retired[gpu_id] = geometry
+        heapq.heappush(self._ids, -gpu_id)
+
+    def add_spare(self, gpu_id: int, geometry: str) -> None:
+        """Register an empty known-good GPU in the spare section."""
+        self.retired.pop(gpu_id, None)
+        key = _SPARE_KEYS + gpu_id
+        self._register(
+            key, _GPUState(gpu_id=gpu_id, geometry=get_geometry(geometry))
+        )
+        self._tail.add(key)
+
+    def commit(self) -> tuple[list[int], list[int], list[int]]:
+        """Close an operation; ``(changed, left, drafted)`` gpu ids.
+
+        ``changed`` are live GPUs whose contents changed, ``left`` the
+        GPUs that left the order (emptied or retired), ``drafted`` the
+        spares that now host segments.
+        """
+        index = self.index
+        changed: list[int] = []
+        drafted: list[int] = []
+        left, self._left = self._left, []
+        promote: list[int] = []
+        for key in sorted(index.touched):
+            state = index.state(key)
+            if key >= _SPARE_KEYS:
+                if not state.is_empty:
+                    promote.append(key)
+                elif key >= _FRESH_KEYS:
+                    self._unregister(key)
+                continue
+            if state.is_empty:
+                self._unregister(key)
+                left.append(state.gpu_id)
+                continue
+            changed.append(state.gpu_id)
+            self._track_light(key, state)
+        for old in promote:  # spares in id order, then fresh GPUs
+            state = index.state(old)
+            key = self._next_live
+            self._next_live += 1
+            index.discard(old)
+            self._tail.discard(old)
+            index.add(key, state)
+            self._key_of[state.gpu_id] = key
+            self._order.append(key)
+            changed.append(state.gpu_id)
+            if old < _FRESH_KEYS:
+                drafted.append(state.gpu_id)
+            self._track_light(key, state)
+        if left:
+            self._order = [k for k in self._order if k in index]
+        index.touched.clear()
+        return changed, left, drafted
+
+    def live_keys(self) -> list[int]:
+        """Live-section keys in first-fit (= placement) order."""
+        return self._order
+
+    def states_in_order(self) -> list[_GPUState]:
+        """The committed state as ``build_states`` lays it out: live GPUs,
+        spares, then a blocked sentinel per retired id."""
+        states = [self[key] for key in self._order]
+        states += [self[key] for key in sorted(self._tail)]
+        states += [
+            _GPUState(
+                gpu_id=gid, geometry=get_geometry(self.retired[gid]),
+                blocked=True,
+            )
+            for gid in sorted(self.retired)
+            if gid not in self._key_of
+        ]
+        return states
+
+    def _register(self, key: int, state: _GPUState) -> None:
+        self.index.add(key, state)
+        self._key_of[state.gpu_id] = key
+        heapq.heappush(self._ids, -state.gpu_id)
+
+    def _unregister(self, key: int) -> None:
+        del self._key_of[self[key].gpu_id]
+        self.index.discard(key)
+        self._tail.discard(key)
+        self._light.discard(key)
+
+    def _track_light(self, key: int, state: _GPUState) -> None:
+        if (
+            not state.is_empty
+            and state.used_gpcs <= OPTIMIZATION_GPC_THRESHOLD
+        ):
+            self._light.add(key)
+        else:
+            self._light.discard(key)
+
+
+#: what the allocator's relocation and optimization passes operate on
+GPUOrder = Union[list[_GPUState], LiveFleet]
+GPUOrderT = TypeVar("GPUOrderT", list[_GPUState], LiveFleet)
 
 
 class SegmentAllocator:
@@ -210,10 +488,10 @@ class SegmentAllocator:
     def make_index(self, gpus: list[_GPUState]) -> Optional[SlotIndex]:
         """A slot index over ``gpus`` (None when running unindexed).
 
-        Incremental callers — the SIII-F SLO-update path and failover —
-        rebuild allocator state with :func:`states_from_placement` and
-        then index it once here, sharing the index across their
-        relocation and optimization calls.
+        The rebuild path of the incremental callers (SIII-F updates,
+        failover) indexes its rebuilt state once here, sharing the index
+        across relocation and optimization; their live path keeps a
+        persistent index in its :class:`LiveFleet` instead.
         """
         return SlotIndex(gpus) if self.indexed else None
 
@@ -246,12 +524,21 @@ class SegmentAllocator:
 
     def allocation_optimization(
         self,
-        gpus: list[_GPUState],
+        gpus: GPUOrderT,
         services: Sequence[Service],
         index: Optional[SlotIndex] = None,
-    ) -> list[_GPUState]:
-        """``ALLOCATIONOPTIMIZATION`` (Algorithm 2 lines 13-30)."""
-        if index is None and self.indexed:
+        hosted: Optional[Collection[str]] = None,
+    ) -> GPUOrderT:
+        """``ALLOCATIONOPTIMIZATION`` (Algorithm 2 lines 13-30).
+
+        ``hosted`` (every service with segments on ``gpus``) spares the
+        scan that would otherwise collect it.  Over a :class:`LiveFleet`
+        the drain pass visits only the GPUs its light set and touched
+        keys name — the only ones that can be at/below the threshold.
+        """
+        if isinstance(gpus, LiveFleet):
+            index = gpus.index
+        elif index is None and self.indexed:
             index = SlotIndex(gpus)
         by_id: dict[str, Service] = {s.id: s for s in services}
         # Optimization consults every hosted service's triplet array when
@@ -259,15 +546,23 @@ class SegmentAllocator:
         # ``services`` would otherwise surface as a bare KeyError deep in
         # the loop (reachable from every incremental caller: SLO updates,
         # failover).  Fail up front with names.
-        hosted = {seg.service_id for state in gpus for seg, _ in state.placed}
-        missing = sorted(hosted - by_id.keys())
+        if hosted is None:
+            hosted = {
+                seg.service_id for state in gpus for seg, _ in state.placed
+            }
+        missing = sorted(set(hosted) - by_id.keys())
         if missing:
             raise ValueError(
                 "placement hosts services missing from the `services` "
                 f"argument: {', '.join(missing)}"
             )
         freed_rate: dict[str, float] = {}
-        for pos in range(len(gpus) - 1, -1, -1):
+        order: Iterable[int] = (
+            gpus.drain_order(self.threshold)
+            if isinstance(gpus, LiveFleet)
+            else range(len(gpus) - 1, -1, -1)
+        )
+        for pos in order:
             state = gpus[pos]
             if state.is_empty or state.used_gpcs > self.threshold:
                 continue
@@ -302,7 +597,7 @@ class SegmentAllocator:
         return gpus
 
     def _compact(
-        self, gpus: list[_GPUState], index: Optional[SlotIndex] = None
+        self, gpus: GPUOrder, index: Optional[SlotIndex] = None
     ) -> None:
         """Pull small segments from the back into earlier GPUs' holes.
 
@@ -312,8 +607,19 @@ class SegmentAllocator:
         GPU moves there, so free capacity concentrates at the allocation
         frontier instead of lingering as external fragmentation (and a
         fully-drained tail GPU is released).
+
+        Indexed, the walk stops at the first GPU with no compactable hole
+        in front of it: moves only fill holes in front of the cursor, so
+        no GPU further forward could move anything either.
         """
-        for gi in range(len(gpus) - 1, 0, -1):
+        order: Iterable[int] = (
+            gpus.compact_order()
+            if isinstance(gpus, LiveFleet)
+            else range(len(gpus) - 1, 0, -1)
+        )
+        for gi in order:
+            if index is not None and not index.has_hole_below(gi):
+                break
             state = gpus[gi]
             for seg, start in sorted(state.placed, key=lambda p: p[0].instance_size):
                 if seg.instance_size > state.geometry.compact_max_size:
@@ -327,6 +633,7 @@ class SegmentAllocator:
                         )
                         index.touch(gi)
                     continue
+                assert isinstance(gpus, list)
                 for earlier in gpus[:gi]:
                     if (
                         earlier.try_place(seg) is not None
@@ -355,7 +662,7 @@ class SegmentAllocator:
     @staticmethod
     def _allocation(
         queues: dict[int, list[Segment]],
-        gpus: list[_GPUState],
+        gpus: GPUOrder,
         geometry: PartitionGeometry = MIG_GEOMETRY,
         index: Optional[SlotIndex] = None,
     ) -> None:
@@ -368,9 +675,13 @@ class SegmentAllocator:
         slot 0.  With ``index`` the probe is a candidate lookup instead of
         a linear scan; the winning GPU and slot are identical.
         """
+        if isinstance(gpus, LiveFleet):
+            index = gpus.index
+            next_gpu_id = gpus.next_gpu_id()
+        else:
+            next_gpu_id = max((g.gpu_id for g in gpus), default=-1) + 1
         if index is not None:
             index.sync()  # pick up GPUs appended since index construction
-        next_gpu_id = max((g.gpu_id for g in gpus), default=-1) + 1
         for size in sorted(queues, reverse=True):
             for seg in queues[size]:
                 if index is not None:
@@ -457,24 +768,6 @@ class SegmentAllocator:
         """
         placement = Placement(framework="parvagpu")
         for state in gpus:
-            if state.is_empty:
-                continue
-            plan = GPUPlan(gpu_id=state.gpu_id, geometry=state.geometry.name)
-            for seg, start in state.placed:
-                plan.segments.append(
-                    PlacedSegment(
-                        service_id=seg.service_id,
-                        model=seg.model,
-                        kind=state.geometry.kind,
-                        gpcs=float(seg.instance_size),
-                        batch_size=seg.batch_size,
-                        num_processes=seg.num_processes,
-                        capacity=seg.throughput,
-                        latency_ms=seg.latency_ms,
-                        sm_activity=seg.sm_activity,
-                        start=start,
-                        geometry=state.geometry.name,
-                    )
-                )
-            placement.gpus.append(plan)
+            if not state.is_empty:
+                placement.gpus.append(plan_from_state(state))
         return placement

@@ -9,30 +9,108 @@ reconfigured (the paper's reconfiguration-overhead argument).
 
 The manager also tracks **spare GPUs**: devices that are known-good but
 currently host nothing, e.g. a preempted spot GPU that came back
-(:meth:`~repro.core.failover.FailoverController.restore_gpu`).  Every
-incremental re-plan rebuilds its allocator state through
-:meth:`build_states`, which appends the spares as empty per-GPU states
-*after* the live GPUs — restored capacity is visible to the very next
-re-plan, but first-fit still prefers holes in the live fleet, so a spare
-is only drafted when no existing hole fits.
+(:meth:`~repro.core.failover.FailoverController.restore_gpu`), and
+**retired GPUs** whose ids stay reserved while they are down.  Both
+ledgers change only through manager methods.
+
+Incremental deltas (SLO/rate updates, departures, failover) have two
+entry points into one placement state, the full schedule being the
+third (:meth:`deploy`):
+
+- the **live state** (``fast_path=True``, the default): a
+  :class:`~repro.core.allocator.LiveFleet` plus the published placement's
+  per-GPU plans, a service->GPU map, the assigned rates and the cluster's
+  per-GPU instance specs.  It is built lazily from the placement on the
+  first delta after a full deploy and then updated in place: a delta
+  re-plans, re-rates, validates and diffs only the GPUs (and services) it
+  touched, and publishes a new :class:`Placement` whose ``gpus`` list
+  shares every untouched :class:`GPUPlan` (published plans are never
+  mutated — copy-on-write);
+- the **rebuild** (``fast_path=False``): :meth:`build_states` rebuilds
+  the allocator state from the current placement, spares appended as
+  empty GPUs after the live fleet and retired ids as blocked sentinels,
+  so restored capacity is drafted only when no hole in the live fleet
+  fits.  It is the naive reference the live state is replayed against,
+  and the fleet controller's per-interval check compares the two.
+
+:meth:`deploy` of any placement the live state did not produce (a full
+schedule, a restored checkpoint, an autoscaler epoch) takes the full
+cluster diff and drops the live state.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, ClassVar, Mapping, Optional, Sequence
 
 from repro.core.allocator import (
+    LiveFleet,
     SegmentAllocator,
     _GPUState,
+    plan_from_state,
     states_from_placement,
 )
 from repro.core.configurator import SegmentConfigurator
-from repro.core.placement import Placement
+from repro.core.placement import GPUPlan, Placement
 from repro.core.service import Service
-from repro.gpu.cluster import Cluster, ReconfigurationPlan
-from repro.gpu.geometry import PartitionGeometry
+from repro.gpu.cluster import Cluster, InstanceSpec, ReconfigurationPlan
+from repro.gpu.geometry import PartitionGeometry, get_geometry
 from repro.gpu.mig import MIG_GEOMETRY
 from repro.profiler.table import ProfileTable
+
+
+@dataclass
+class AllocatorStats:
+    """Deterministic work counters of the allocator state.
+
+    Sidecar-only (never fingerprinted); the fleet controller attaches
+    them to its registry as ``alloc_*`` families.
+    """
+
+    #: allocator states rebuilt from a placement
+    states_rebuilt: int = 0
+    #: GPUs those rebuilds created
+    gpus_rebuilt: int = 0
+    #: GPUs live deltas updated in place (changed or left the order)
+    gpus_touched: int = 0
+
+    OBS_FIELDS: ClassVar[dict[str, str]] = {
+        "states_rebuilt": "counter",
+        "gpus_rebuilt": "counter",
+        "gpus_touched": "counter",
+    }
+
+
+class LiveState:
+    """The persistent allocator state behind one published placement."""
+
+    def __init__(
+        self,
+        placement: Placement,
+        fleet: LiveFleet,
+        cluster: Cluster,
+    ) -> None:
+        self.placement = placement
+        self.fleet = fleet
+        #: gpu_id -> the published plan (shared with ``placement``)
+        self.plans: dict[int, GPUPlan] = {g.gpu_id: g for g in placement.gpus}
+        #: service -> ids of the GPUs hosting it
+        self.hosts: dict[str, set[int]] = {}
+        for g in placement.gpus:
+            for seg in g.segments:
+                self.hosts.setdefault(seg.service_id, set()).add(g.gpu_id)
+        #: the rates the published placement was routed with (None until
+        #: the first delta re-rates every service)
+        self.rates: Optional[dict[str, float]] = None
+        # gpu_id -> target specs of its running instances, in the
+        # cluster's instance order: the untouched part of every diff.
+        # The cluster mirrors the placement (it was deployed), so every
+        # instance is unchanged.
+        plan = cluster.plan_reconfiguration(placement.to_instance_specs())
+        self.cluster_specs: dict[int, list[InstanceSpec]] = {}
+        for spec in plan.unchanged:
+            self.cluster_specs.setdefault(spec.gpu_id, []).append(spec)
 
 
 class DeploymentManager:
@@ -55,14 +133,65 @@ class DeploymentManager:
             cluster if cluster is not None else Cluster(geometry=geometry)
         )
         self.current: Optional[Placement] = None
-        #: Known-good empty GPUs available to re-plans: gpu_id -> geometry
-        #: name.  Populated by ``FailoverController.restore_gpu``.
-        self.spare_gpus: dict[int, str] = {}
-        #: GPUs out of service (failed/preempted, not yet restored):
-        #: gpu_id -> geometry name.  Their ids stay reserved — a re-plan
-        #: must never hand a dead device's id to a fresh GPU, or a later
-        #: restore would collide with live capacity.
-        self.retired_gpus: dict[int, str] = {}
+        self.stats = AllocatorStats()
+        self._spares: dict[int, str] = {}
+        self._retired: dict[int, str] = {}
+        self._live: Optional[LiveState] = None
+
+    # ------------------------------------------------------------------ #
+    # GPU ledgers
+    # ------------------------------------------------------------------ #
+
+    @property
+    def spare_gpus(self) -> Mapping[int, str]:
+        """Known-good empty GPUs available to re-plans: gpu_id -> geometry
+        name.  Populated by ``FailoverController.restore_gpu``."""
+        return MappingProxyType(self._spares)
+
+    @property
+    def retired_gpus(self) -> Mapping[int, str]:
+        """GPUs out of service (failed/preempted, not yet restored):
+        gpu_id -> geometry name.  Their ids stay reserved — a re-plan
+        must never hand a dead device's id to a fresh GPU, or a later
+        restore would collide with live capacity."""
+        return MappingProxyType(self._retired)
+
+    def retire_gpu(self, gpu_id: int, geometry: str) -> None:
+        """Take a hosting GPU out of service, reserving its id."""
+        self._retired[gpu_id] = geometry
+        if self._live is not None:
+            self._live.fleet.retire(gpu_id, geometry)
+
+    def fail_spare(self, gpu_id: int) -> str:
+        """A spare GPU failed: move it to the retired ledger."""
+        geometry = self._spares.pop(gpu_id)
+        self.retire_gpu(gpu_id, geometry)
+        return geometry
+
+    def restore_retired(self, gpu_id: int) -> str:
+        """A retired GPU is back: register it as a spare."""
+        geometry = self._retired.pop(gpu_id)
+        self._spares[gpu_id] = geometry
+        if self._live is not None:
+            self._live.fleet.add_spare(gpu_id, geometry)
+        return geometry
+
+    def set_ledgers(
+        self, spares: Mapping[int, str], retired: Mapping[int, str]
+    ) -> None:
+        """Replace both ledgers (checkpoint restore, a full re-plan)."""
+        self._spares = dict(spares)
+        self._retired = dict(retired)
+        self._live = None
+
+    def hosts_segments(self, gpu_id: int) -> bool:
+        """Does ``gpu_id`` host segments in the current placement?"""
+        if self._live is not None and self._live.placement is self.current:
+            plan = self._live.plans.get(gpu_id)
+            return plan is not None and not plan.is_empty
+        return self.current is not None and any(
+            g.gpu_id == gpu_id and not g.is_empty for g in self.current.gpus
+        )
 
     # ------------------------------------------------------------------ #
     # initial deployment
@@ -73,24 +202,27 @@ class DeploymentManager:
 
         Returns the reconfiguration plan that was executed; its
         ``unchanged`` list is the set of instances that kept serving
-        throughout (the paper's shadow-process-free fast path).
+        throughout (the paper's shadow-process-free fast path).  The
+        live allocator state (if any) is dropped: the next incremental
+        delta rebuilds it from ``placement``.
         """
+        self._live = None
         placement.validate()
         plan = self.cluster.plan_reconfiguration(placement.to_instance_specs())
         self.cluster.execute(plan)
         self.current = placement
         # A spare that the re-plan drafted is spare no longer.
-        if self.spare_gpus:
+        if self._spares:
             occupied = {g.gpu_id for g in placement.gpus if not g.is_empty}
-            self.spare_gpus = {
+            self._spares = {
                 gid: name
-                for gid, name in self.spare_gpus.items()
+                for gid, name in self._spares.items()
                 if gid not in occupied
             }
         return plan
 
     # ------------------------------------------------------------------ #
-    # incremental allocator state
+    # incremental allocator state: the rebuild reference
     # ------------------------------------------------------------------ #
 
     def build_states(
@@ -100,7 +232,7 @@ class DeploymentManager:
     ) -> list[_GPUState]:
         """Allocator build-state of the live map, spares included.
 
-        The shared entry point of every incremental re-plan (SLO updates,
+        The rebuild reference of every incremental re-plan (SLO updates,
         failover, departures): per-GPU states are rebuilt from the current
         placement (each under its own geometry) and the registered spare
         GPUs are appended as empty states in gpu-id order, so restored
@@ -112,38 +244,197 @@ class DeploymentManager:
         allocator's fresh-GPU id counter above every dead device's id —
         so a later restore never collides with live capacity.
         """
-        from repro.gpu.geometry import get_geometry
-
         if self.current is None:
             raise RuntimeError("nothing deployed yet")
         states = states_from_placement(
             self.current, exclude_service=exclude_service, skip_gpu=skip_gpu
         )
         live = {s.gpu_id for s in states}
-        for gid in sorted(self.spare_gpus):
+        for gid in sorted(self._spares):
             if gid in live or gid == skip_gpu:
                 continue
             states.append(
-                _GPUState(gpu_id=gid, geometry=get_geometry(self.spare_gpus[gid]))
+                _GPUState(gpu_id=gid, geometry=get_geometry(self._spares[gid]))
             )
-        for gid in sorted(self.retired_gpus):
+        for gid in sorted(self._retired):
             if gid in live:
                 continue
             states.append(
                 _GPUState(
                     gpu_id=gid,
-                    geometry=get_geometry(self.retired_gpus[gid]),
+                    geometry=get_geometry(self._retired[gid]),
                     blocked=True,
                 )
             )
+        self.stats.states_rebuilt += 1
+        self.stats.gpus_rebuilt += len(states)
         return states
+
+    # ------------------------------------------------------------------ #
+    # incremental allocator state: the live state
+    # ------------------------------------------------------------------ #
+
+    def live_state(self) -> LiveState:
+        """The live state of the current placement, built on first use."""
+        if self.current is None:
+            raise RuntimeError("nothing deployed yet")
+        live = self._live
+        if live is None or live.placement is not self.current:
+            states = states_from_placement(self.current)
+            self.stats.states_rebuilt += 1
+            self.stats.gpus_rebuilt += len(states)
+            fleet = LiveFleet(states, self._spares, self._retired)
+            live = self._live = LiveState(self.current, fleet, self.cluster)
+        return live
+
+    def live_states(self) -> Optional[list[_GPUState]]:
+        """The live state in :meth:`build_states` order, or None if the
+        current placement has none (nothing incremental since a deploy)."""
+        live = self._live
+        if live is None or live.placement is not self.current:
+            return None
+        return live.fleet.states_in_order()
+
+    def apply_live(
+        self,
+        services: Sequence[Service],
+        delta: Callable[[LiveState], None],
+    ) -> tuple[Placement, ReconfigurationPlan]:
+        """Run ``delta`` on the live state, then publish and deploy.
+
+        A delta that raises drops the live state (the placement and the
+        cluster are untouched until publication), so the next delta
+        rebuilds it from the unchanged current placement.
+        """
+        live = self.live_state()
+        try:
+            delta(live)
+            changed, left, drafted = live.fleet.commit()
+            return self._publish(live, services, changed, left, drafted)
+        except BaseException:
+            self._live = None
+            raise
+
+    def _publish(
+        self,
+        live: LiveState,
+        services: Sequence[Service],
+        changed: list[int],
+        left: list[int],
+        drafted: list[int],
+    ) -> tuple[Placement, ReconfigurationPlan]:
+        """Publish a committed delta: plans, rates, scoped cluster diff.
+
+        Equal, byte for byte, to ``_to_placement`` + ``assign_rates`` +
+        :meth:`deploy` over the whole fleet: untouched GPUs keep their
+        plans, every service with a segment on a touched GPU (or a new
+        rate) is re-routed with the full placement-order summation, and
+        only touched GPUs are validated and diffed.
+        """
+        assert self.current is not None
+        fleet = live.fleet
+        plans = live.plans
+        rerate: set[str] = set()  # services whose routing may move
+        for gid in left:
+            old = plans.pop(gid, None)
+            for seg in old.segments if old is not None else ():
+                rerate.add(seg.service_id)
+                live.hosts[seg.service_id].discard(gid)
+        for gid in changed:
+            old = plans.get(gid)
+            before = {s.service_id for s in old.segments} if old else set()
+            plan = plans[gid] = plan_from_state(fleet[fleet.key_of(gid)])
+            after = {s.service_id for s in plan.segments}
+            for sid in before - after:
+                live.hosts[sid].discard(gid)
+            for sid in after - before:
+                live.hosts.setdefault(sid, set()).add(gid)
+            rerate |= before | after
+        for sid in rerate:
+            if not live.hosts[sid]:
+                del live.hosts[sid]
+
+        rates = {s.id: s.request_rate for s in services}
+        for sid in rates:
+            if sid not in live.hosts:
+                raise ValueError(f"no partitions for service {sid!r}")
+        previous = live.rates
+        rerate.update(
+            sid
+            for sid in live.hosts
+            if previous is None or previous.get(sid) != rates.get(sid)
+        )
+        live.rates = rates
+        # Re-route on private copies of every plan hosting a re-routed
+        # service, in placement order: assign_rates then sums each
+        # service's capacity exactly as over the whole map.  A hosted
+        # service without a rate carries rate 0, as on a rebuilt plan.
+        key_of = fleet.key_of
+        rerouted = sorted(
+            {gid for sid in rerate for gid in live.hosts.get(sid, ())},
+            key=key_of,
+        )
+        for gid in rerouted:
+            shared = plans[gid]
+            plans[gid] = GPUPlan(
+                gpu_id=gid,
+                segments=list(shared.segments),
+                geometry=shared.geometry,
+            )
+        Placement(
+            framework="", gpus=[plans[gid] for gid in rerouted]
+        ).assign_rates(
+            {
+                sid: rates.get(sid, 0.0)
+                for sid in sorted(rerate)
+                if sid in live.hosts
+            }
+        )
+
+        placement = Placement(
+            framework=self.current.framework,
+            gpus=[plans[fleet[key].gpu_id] for key in fleet.live_keys()],
+            rates_assigned=True,
+        )
+        for gid in changed:
+            plans[gid].validate()
+        scope = set(changed) | set(left)
+        target = Placement(
+            framework=placement.framework,
+            gpus=[plans[gid] for gid in sorted(changed, key=key_of)],
+        ).to_instance_specs()
+        plan = self.cluster.plan_reconfiguration(target, gpu_ids=scope)
+        kept: dict[int, list[InstanceSpec]] = {}
+        for spec in plan.unchanged:
+            kept.setdefault(spec.gpu_id, []).append(spec)
+        unchanged: list[InstanceSpec] = []
+        for gid in range(len(self.cluster)):
+            unchanged += (
+                kept.get(gid, []) if gid in scope
+                else live.cluster_specs.get(gid, [])
+            )
+        plan.unchanged = unchanged
+        for gid in scope:
+            live.cluster_specs[gid] = kept.get(gid, [])
+        for spec in plan.create:
+            live.cluster_specs.setdefault(spec.gpu_id, []).append(spec)
+
+        self.cluster.execute(plan)
+        self.current = live.placement = placement
+        for gid in drafted:
+            self._spares.pop(gid, None)
+        self.stats.gpus_touched += len(changed) + len(left)
+        return placement, plan
 
     # ------------------------------------------------------------------ #
     # service departure
     # ------------------------------------------------------------------ #
 
     def remove_service(
-        self, services: Sequence[Service], departed_id: str
+        self,
+        services: Sequence[Service],
+        departed_id: str,
+        fast_path: bool = True,
     ) -> tuple[Placement, ReconfigurationPlan]:
         """Tear down one service, leaving every other segment in place.
 
@@ -151,19 +442,29 @@ class DeploymentManager:
         excluded) — its rates are re-assigned over the surviving map.
         GPUs fully emptied by the departure are released (scale-in), not
         kept as spares: a spare records restored capacity, not a tenant
-        leaving.
+        leaving.  ``fast_path=False`` takes the rebuild reference.
         """
         if self.current is None:
             raise RuntimeError("nothing deployed yet")
-        if not self.current.segments_of(departed_id):
+        if not fast_path:
+            if not self.current.segments_of(departed_id):
+                raise ValueError(f"service {departed_id!r} hosts no segments")
+            gpus = self.build_states(exclude_service=departed_id)
+            allocator = SegmentAllocator(geometry=self.geometry)
+            placement = allocator._to_placement(gpus)
+            placement.framework = self.current.framework
+            placement.assign_rates({s.id: s.request_rate for s in services})
+            plan = self.deploy(placement)
+            return placement, plan
+
+        if departed_id not in self.live_state().hosts:
             raise ValueError(f"service {departed_id!r} hosts no segments")
-        gpus = self.build_states(exclude_service=departed_id)
-        allocator = SegmentAllocator(geometry=self.geometry)
-        placement = allocator._to_placement(gpus)
-        placement.framework = self.current.framework
-        placement.assign_rates({s.id: s.request_rate for s in services})
-        plan = self.deploy(placement)
-        return placement, plan
+
+        def depart(live: LiveState) -> None:
+            for gid in sorted(live.hosts[departed_id]):
+                live.fleet.remove_segments(gid, departed_id)
+
+        return self.apply_live(services, depart)
 
     # ------------------------------------------------------------------ #
     # SLO update (SIII-F)
@@ -185,7 +486,8 @@ class DeploymentManager:
         changed service's segments; the deployment map keeps every other
         service where it is; relocation + optimization run for the changed
         service's segments only.  ``fast_path=False`` re-plans on the
-        naive scans (identical placements, reference baseline).
+        naive scans over a rebuilt state (identical placements, reference
+        baseline).
         """
         if self.current is None:
             raise RuntimeError("nothing deployed yet")
@@ -201,15 +503,32 @@ class DeploymentManager:
         )
         configurator.configure([changed])
 
+        allocator = SegmentAllocator(
+            optimize=optimize, geometry=self.geometry, indexed=fast_path
+        )
+        if fast_path:
+
+            def replan(live: LiveState) -> None:
+                fleet = live.fleet
+                hosted = live.hosts.keys() | {changed.id}
+                for gid in sorted(live.hosts.get(changed.id, ())):
+                    fleet.remove_segments(gid, changed.id)
+                queues = allocator._new_queues(self.geometry.instance_sizes)
+                for seg in changed.segments():
+                    allocator._enqueue(queues, seg)
+                allocator._allocation(queues, fleet, self.geometry)
+                if optimize:
+                    allocator.allocation_optimization(
+                        fleet, list(services), hosted=hosted
+                    )
+
+            return self.apply_live(services, replan)
+
         # Rebuild allocator state from the current map (each plan under its
         # own geometry) plus any spare GPUs, minus the changed service's
         # segments; the slot index is rebuilt over the surviving states
         # once and shared by relocation and optimization.
         gpus: list[_GPUState] = self.build_states(exclude_service=changed.id)
-
-        allocator = SegmentAllocator(
-            optimize=optimize, geometry=self.geometry, indexed=fast_path
-        )
         index = allocator.make_index(gpus)
         queues = allocator._new_queues(self.geometry.instance_sizes)
         for seg in changed.segments():

@@ -7,24 +7,31 @@ services' lost segments are re-enqueued and relocated into the surviving
 map (growing the fleet only if no hole fits), while untouched services keep
 serving.
 
+On the fast path a failure is a delta on the deployment manager's live
+allocator state: the victim leaves the order, its segments are relocated
+and the optimization pass runs over the GPUs that can have changed, so
+recovery costs O(touched GPUs) rather than a rebuild of the fleet
+(``fast_path=False`` keeps the rebuild as the reference).
+
 Failures are not permanent: a preempted spot GPU that comes back (or a
 failed device that is repaired) rejoins the fleet through
 :meth:`FailoverController.restore_gpu`, which registers it as a *spare*
 with the :class:`~repro.core.deployment.DeploymentManager` — the next
-incremental re-plan sees the restored capacity as an empty GPU appended
-after the live fleet, so it is drafted exactly when no existing hole fits.
+incremental re-plan sees the restored capacity as an empty GPU after the
+live fleet, so it is drafted exactly when no existing hole fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.core.allocator import SegmentAllocator, _GPUState
-from repro.core.deployment import DeploymentManager
+from repro.core.allocator import GPUOrderT, SegmentAllocator
+from repro.core.deployment import DeploymentManager, LiveState
 from repro.core.placement import Placement
 from repro.core.segments import Segment
 from repro.core.service import Service
+from repro.core.slotindex import SlotIndex
 from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, price_plan
 from repro.profiler.table import ProfileTable
@@ -62,7 +69,7 @@ class FailoverController:
         self.fast_path = fast_path
 
     @property
-    def failed(self) -> dict[int, str]:
+    def failed(self) -> Mapping[int, str]:
         """GPUs currently out of the fleet: gpu_id -> geometry name.
 
         Shared with the deployment manager (``retired_gpus``), which
@@ -76,10 +83,16 @@ class FailoverController:
         self, gpu_id: int, services: Sequence[Service]
     ) -> FailoverResult:
         """Handle the loss of ``gpu_id``: relocate its segments elsewhere."""
-        current = self.manager.current
+        manager = self.manager
+        current = manager.current
         if current is None:
             raise RuntimeError("nothing deployed yet")
-        victim = next((g for g in current.gpus if g.gpu_id == gpu_id), None)
+        live = manager.live_state() if self.fast_path else None
+        victim = (
+            live.plans.get(gpu_id)
+            if live is not None
+            else next((g for g in current.gpus if g.gpu_id == gpu_id), None)
+        )
         if victim is None or victim.is_empty:
             raise ValueError(f"GPU {gpu_id} hosts no segments")
 
@@ -88,7 +101,11 @@ class FailoverController:
         # hosted service missing from ``services`` would surface deep in
         # Algorithm 2 as a bare KeyError.  Fail up front with names.
         known = {s.id for s in services}
-        hosted = {seg.service_id for _, seg in current.iter_segments()}
+        hosted = (
+            set(live.hosts)
+            if live is not None
+            else {seg.service_id for _, seg in current.iter_segments()}
+        )
         missing = sorted(hosted - known)
         if missing:
             raise ValueError(
@@ -116,33 +133,45 @@ class FailoverController:
             )
 
         # Retire the victim first: its id must stay reserved (a blocked
-        # sentinel in the build state) so relocation can neither place on
-        # the dead device nor hand its id to a fresh GPU.  Then rebuild
-        # allocator state from every *surviving* GPU (plus any registered
-        # spares), each under its own geometry, and index the survivors'
-        # free slots once.
-        self.manager.retired_gpus[gpu_id] = victim.geometry
-        gpus: list[_GPUState] = self.manager.build_states(skip_gpu=gpu_id)
-
+        # sentinel in the rebuilt state, a retired id in the live one) so
+        # relocation can neither place on the dead device nor hand its id
+        # to a fresh GPU.
+        manager.retire_gpu(gpu_id, victim.geometry)
         allocator = SegmentAllocator(
             optimize=self.optimize, geometry=victim_geometry,
             indexed=self.fast_path,
         )
-        index = allocator.make_index(gpus)
-        queues = allocator._new_queues(victim_geometry.instance_sizes)
-        for seg in lost_segments:
-            allocator._enqueue(queues, seg)
-        allocator._allocation(queues, gpus, victim_geometry, index=index)
-        if self.optimize:
-            gpus = allocator.allocation_optimization(
-                gpus, list(services), index=index
-            )
 
-        placement = allocator._to_placement(gpus)
-        placement.framework = current.framework
-        placement.assign_rates({s.id: s.request_rate for s in services})
+        def relocate(
+            gpus: GPUOrderT, index: Optional[SlotIndex]
+        ) -> GPUOrderT:
+            queues = allocator._new_queues(victim_geometry.instance_sizes)
+            for seg in lost_segments:
+                allocator._enqueue(queues, seg)
+            allocator._allocation(queues, gpus, victim_geometry, index=index)
+            if self.optimize:
+                gpus = allocator.allocation_optimization(
+                    gpus, list(services), index=index,
+                    hosted=hosted if live is not None else None,
+                )
+            return gpus
+
+        def recover(state: LiveState) -> None:
+            relocate(state.fleet, None)
+
         gpus_before = current.num_gpus
-        plan = self.manager.deploy(placement)
+        if live is not None:
+            placement, plan = manager.apply_live(services, recover)
+        else:
+            # The rebuild reference: allocator state from every surviving
+            # GPU (plus any registered spares), each under its own
+            # geometry, with the survivors' free slots indexed once.
+            gpus = manager.build_states(skip_gpu=gpu_id)
+            gpus = relocate(gpus, allocator.make_index(gpus))
+            placement = allocator._to_placement(gpus)
+            placement.framework = current.framework
+            placement.assign_rates({s.id: s.request_rate for s in services})
+            plan = manager.deploy(placement)
         return FailoverResult(
             failed_gpu=gpu_id,
             affected_services=tuple(sorted(lost)),
@@ -157,25 +186,18 @@ class FailoverController:
     def restore_gpu(self, gpu_id: int) -> str:
         """Return a failed/preempted GPU to the free pool.
 
-        The GPU re-registers as a spare with the deployment manager — the
-        incremental allocator state every re-plan builds includes spares
-        as empty GPUs, so the restored capacity is visible to the very
-        next re-plan without touching anything currently serving.
-        Returns the geometry name of the restored device.
+        The GPU re-registers as a spare with the deployment manager —
+        every re-plan's allocator state includes spares as empty GPUs, so
+        the restored capacity is visible to the very next re-plan without
+        touching anything currently serving.  Returns the geometry name
+        of the restored device.
         """
-        try:
-            geometry = self.failed.pop(gpu_id)
-        except KeyError:
-            raise ValueError(
-                f"GPU {gpu_id} is not registered as failed"
-            ) from None
-        current = self.manager.current
-        if current is not None and any(
-            g.gpu_id == gpu_id and not g.is_empty for g in current.gpus
-        ):  # pragma: no cover - registry corruption guard
+        if gpu_id not in self.failed:
+            raise ValueError(f"GPU {gpu_id} is not registered as failed")
+        if self.manager.hosts_segments(gpu_id):  # pragma: no cover
+            # registry corruption guard
             raise ValueError(f"GPU {gpu_id} is currently hosting segments")
-        self.manager.spare_gpus[gpu_id] = geometry
-        return geometry
+        return self.manager.restore_retired(gpu_id)
 
     def reset(self) -> None:
         """Forget failed/spare bookkeeping (after a from-scratch re-plan).
@@ -184,5 +206,4 @@ class FailoverController:
         against the old map are meaningless; callers that fall back to a
         full re-plan clear both registries.
         """
-        self.manager.retired_gpus.clear()
-        self.manager.spare_gpus.clear()
+        self.manager.set_ledgers({}, {})

@@ -7,12 +7,12 @@ invisible at the paper's 8-64 GPU scale, a wall for fleet-scale runs.
 
 :class:`SlotIndex` replaces the probe with a candidate lookup.  For every
 ``(geometry, instance size, preferred/fallback)`` key it keeps a min-heap
-of GPU *list positions* that may still host such an instance.  First-fit
+of GPU *order keys* that may still host such an instance.  First-fit
 identity is the design constraint, not an accident:
 
 - the heap minimum is exactly the first GPU the linear scan would reach,
-  because candidates are keyed by position in the allocator's GPU list
-  (the order the naive loop walks), not by GPU id;
+  because candidates are keyed by *order key* — the GPU's position in
+  the order the naive loop walks — not by GPU id;
 - the slot chosen within the winning GPU is ``_GPUState.first_free_slot``,
   the same preference-ordered probe ``try_place`` runs;
 - placing a segment only ever *shrinks* feasibility, so entries are never
@@ -20,11 +20,19 @@ identity is the design constraint, not an accident:
   lazily when a query finds them infeasible.  Capacity only *grows* on
   segment removal (``touch`` re-registers the GPU).
 
+An index built over a list (``SlotIndex(gpus)``) keys every GPU by its
+list position.  An index built empty is *keyed* by its owner instead:
+:class:`~repro.core.allocator.LiveFleet` registers GPUs under order keys
+that survive GPUs leaving the order (``add``/``discard``), which is what
+lets one index live across many incremental re-plans.  Entries of a
+discarded key go stale and are dropped lazily, exactly like infeasible
+ones.
+
 Both of Algorithm 2's probe orders are supported: ``ALLOCATION`` exhausts
 preferred slots across the whole fleet before trying any fallback slot
 (``interleave=False``), while the compaction pass tries preferred-then-
 fallback per GPU (``interleave=True``).  A ``limit`` bounds the search to
-positions below a cutoff, which is how compaction only looks at GPUs in
+keys below a cutoff, which is how compaction only looks at GPUs in
 front of the segment being moved.
 
 Amortized cost: each GPU is pushed O(sizes) times per capacity-growing
@@ -37,6 +45,8 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Optional
 
+from repro.gpu.geometry import get_geometry
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.allocator import _GPUState
     from repro.core.segments import Segment
@@ -46,18 +56,24 @@ _Key = tuple[str, int, bool]
 
 
 class SlotIndex:
-    """Candidate-GPU index over a (shared, append-only) ``_GPUState`` list.
+    """Candidate-GPU index over order-keyed ``_GPUState`` objects.
 
-    The allocator keeps appending to the same list object; ``sync`` picks
-    up the new tail.  Positions are stable because GPUs are never removed
-    from the list (empty states are dropped only at placement assembly).
+    ``SlotIndex(gpus)`` follows a (shared, append-only) list: ``sync``
+    registers the new tail under its list positions.  ``SlotIndex()``
+    starts empty and is maintained through ``add``/``discard``.  Either
+    way every key that changed — a placement landed on it, its capacity
+    grew, it was registered — is recorded in ``touched`` until the owner
+    clears it.
     """
 
-    def __init__(self, gpus: list["_GPUState"]) -> None:
+    def __init__(self, gpus: Optional[list["_GPUState"]] = None) -> None:
         self._gpus = gpus
+        self._states: dict[int, "_GPUState"] = {}
         self._heaps: dict[_Key, list[int]] = {}
         self._members: dict[_Key, set[int]] = {}
         self._known = 0
+        #: keys whose state changed since the owner last cleared the set
+        self.touched: set[int] = set()
         self.sync()
 
     # ------------------------------------------------------------------ #
@@ -65,15 +81,34 @@ class SlotIndex:
     # ------------------------------------------------------------------ #
 
     def sync(self) -> None:
-        """Register every GPU appended to the list since the last call."""
+        """Register every GPU appended to the followed list since the
+        last call (a no-op for a keyed index)."""
+        if self._gpus is None:
+            return
         while self._known < len(self._gpus):
-            self.touch(self._known)
+            self.add(self._known, self._gpus[self._known])
             self._known += 1
+
+    def add(self, key: int, state: "_GPUState") -> None:
+        """Register ``state`` under order ``key``."""
+        self._states[key] = state
+        self.touch(key)
+
+    def discard(self, key: int) -> None:
+        """Forget ``key``; its heap entries go stale and drop lazily."""
+        del self._states[key]
+        self.touched.discard(key)
+
+    def state(self, key: int) -> "_GPUState":
+        return self._states[key]
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._states
 
     def touch(self, pos: int) -> None:
         """Re-register ``pos`` after its free capacity may have *grown*.
 
-        Pushes the position into every key of the GPU's own geometry
+        Pushes the key into every key of the GPU's own geometry
         *without* probing feasibility: candidates are a superset, and
         ``first_candidate`` validates (and lazily discards) them at query
         time anyway.  Probing here would cost O(sizes x slots) per GPU on
@@ -81,7 +116,8 @@ class SlotIndex:
         never queries (a failover replan only places the victim's sizes).
         Idempotent; shrinking events need no call.
         """
-        state = self._gpus[pos]
+        self.touched.add(pos)
+        state = self._states[pos]
         if state.blocked:  # retired id sentinels never host anything
             return
         geometry = state.geometry
@@ -90,10 +126,11 @@ class SlotIndex:
                 self._push((geometry.name, size, fallback), pos)
 
     def rebuild(self) -> None:
-        """Drop everything and re-index the whole list from scratch."""
+        """Drop every candidate and re-index all registered GPUs."""
         self._heaps.clear()
         self._members.clear()
-        self._known = 0
+        for key in sorted(self._states):
+            self.touch(key)
         self.sync()
 
     def _push(self, key: _Key, pos: int) -> None:
@@ -113,20 +150,25 @@ class SlotIndex:
         fallback: bool = False,
         limit: Optional[int] = None,
     ) -> Optional[int]:
-        """Lowest GPU position that can host ``size`` right now, or None.
+        """Lowest GPU key that can host ``size`` right now, or None.
 
-        ``limit`` restricts the answer to positions strictly below it.
-        Infeasible heap heads are popped for good (feasibility only
-        returns via ``touch``); a feasible head at/beyond ``limit`` stays.
+        ``limit`` restricts the answer to keys strictly below it.
+        Infeasible (or discarded) heap heads are popped for good —
+        feasibility only returns via ``touch``/``add``; a feasible head
+        at/beyond ``limit`` stays.
         """
         key = (geometry_name, size, fallback)
         heap = self._heaps.get(key)
         if not heap:
             return None
         members = self._members[key]
+        states = self._states
         while heap:
             pos = heap[0]
-            if self._gpus[pos].has_free_slot(size, fallback=fallback):
+            state = states.get(pos)
+            if state is not None and state.has_free_slot(
+                size, fallback=fallback
+            ):
                 if limit is not None and pos >= limit:
                     return None
                 return pos
@@ -134,13 +176,28 @@ class SlotIndex:
             members.discard(pos)
         return None
 
+    def has_hole_below(self, limit: int) -> bool:
+        """Can any GPU keyed below ``limit`` take a compactable segment?
+
+        Compactable means no larger than its geometry's
+        ``compact_max_size`` — the segments compaction moves.  Holes in
+        front of a compaction cursor only ever shrink, so once this is
+        False it stays False for every smaller ``limit``.
+        """
+        for name, size, fallback in self._heaps:
+            if size > get_geometry(name).compact_max_size:
+                continue
+            if self.first_candidate(name, size, fallback, limit) is not None:
+                return True
+        return False
+
     def place(
         self,
         seg: "Segment",
         limit: Optional[int] = None,
         interleave: bool = False,
     ) -> Optional[int]:
-        """First-fit ``seg`` onto an existing GPU; its position, or None.
+        """First-fit ``seg`` onto an existing GPU; its key, or None.
 
         ``interleave=False`` replays ``ALLOCATION``'s order: any preferred
         slot anywhere beats every fallback slot.  ``interleave=True``
@@ -164,10 +221,11 @@ class SlotIndex:
                 use_fallback = True
         if pos is None:
             return None
-        start = self._gpus[pos].try_place(seg, fallback=use_fallback)
+        start = self._states[pos].try_place(seg, fallback=use_fallback)
         if start is None:  # pragma: no cover - candidates are validated
             raise RuntimeError(
                 f"slot index returned infeasible GPU {pos} for "
                 f"{seg.describe()}"
             )
+        self.touched.add(pos)
         return pos

@@ -140,7 +140,9 @@ class Cluster:
         return created
 
     def plan_reconfiguration(
-        self, target: Iterable[InstanceSpec]
+        self,
+        target: Iterable[InstanceSpec],
+        gpu_ids: Optional[Iterable[int]] = None,
     ) -> ReconfigurationPlan:
         """Diff running instances against ``target`` (SIII-F update path).
 
@@ -148,6 +150,11 @@ class Cluster:
         stay untouched; everything else is destroyed/created.  The paper
         keeps unchanged services live during reconfiguration, so minimizing
         the diff minimizes service disruption.
+
+        ``gpu_ids`` scopes the diff to those GPUs: only their running
+        instances are visited, and ``target`` must hold specs for those
+        GPUs only.  Instances match per GPU, so the scoped plan is the
+        full plan's restriction to the scope.
         """
         plan = ReconfigurationPlan()
         target = list(target)
@@ -156,7 +163,16 @@ class Cluster:
         for spec in target:
             running[(spec.gpu_id, spec.start, spec.size, spec.owner)] = spec
 
-        for g in self._gpus:
+        gpus: Iterable[GPU] = (
+            self._gpus
+            if gpu_ids is None
+            else [
+                self._gpus[gid]
+                for gid in sorted(set(gpu_ids))
+                if gid < len(self._gpus)
+            ]
+        )
+        for g in gpus:
             for inst in g.instances:
                 key = (g.gpu_id, inst.start, inst.size, inst.owner or "")
                 if key in running and key not in matched:

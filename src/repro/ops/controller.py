@@ -11,14 +11,19 @@ prices every transition with the reconfiguration cost model, and (when
 asked) measures each interval's serving quality with the simulation fast
 path.
 
+Incremental deltas update the deployment manager's persistent allocator
+state in place (O(touched GPUs) per event, see
+:mod:`repro.core.deployment`); a full re-schedule replaces it.
+
 Two identity checks guard every run:
 
 - **state round-trip** (always on with ``check=True``): after each
   interval the placement must survive
   ``build_states() -> _to_placement() -> assign_rates()`` byte-identically
   — incremental bookkeeping (spares, preserved GPU ids, partial updates)
-  cannot have corrupted the map — and the live cluster's instances must
-  mirror the map exactly;
+  cannot have corrupted the map — the manager's live allocator state
+  must equal that rebuild GPU for GPU, and the live cluster's instances
+  must mirror the map exactly;
 - **fast vs naive replay** (:func:`run_identity_checked`): the same
   timeline replayed from scratch on the naive reference machinery
   (unindexed allocator, unmemoized configurator, per-request event-driven
@@ -252,6 +257,7 @@ class FleetController:
         )
         self.shadows = ShadowBudget(spare_gpus=self.spare_shadow_gpus)
         self._eid_to_gpu = {}
+        self.obs.registry.attach("alloc", self.manager.stats)
 
     # ------------------------------------------------------------------ #
     # the re-entrant step API
@@ -391,13 +397,19 @@ class FleetController:
                 )
                 sp.args["path"] = record.path
             self._m_stage_wall.observe(sp.wall_s, stage="apply")
+            placement = self.manager.current
+            # One rendering of the unchanged map serves the check and the
+            # interval record.
+            fp: Optional[str] = None
             if run.check:
                 with self.obs.span("check", t_s=t, cat="interval") as sp:
-                    self._check_state(run.work)
+                    fp = placement.fingerprint()
+                    self._check_state(run.work, fp)
                 self._m_stage_wall.observe(sp.wall_s, stage="check")
-            placement = self.manager.current
             with self.obs.span("fingerprint", t_s=t, cat="interval") as sp:
-                record.fingerprint = _record_digest(placement.fingerprint())
+                if fp is None:
+                    fp = placement.fingerprint()
+                record.fingerprint = _record_digest(fp)
             self._m_stage_wall.observe(sp.wall_s, stage="fingerprint")
             if run.measure_s > 0 and run.steps % run.measure_every == 0:
                 with self.obs.span(
@@ -616,13 +628,9 @@ class FleetController:
         mgr_doc = state["manager"]
         if mgr_doc["placement"] is not None:
             self.manager.deploy(placement_from_doc(mgr_doc["placement"]))
-        self.manager.spare_gpus.clear()
-        self.manager.spare_gpus.update(
-            (int(gid), name) for gid, name in mgr_doc["spare_gpus"]
-        )
-        self.manager.retired_gpus.clear()
-        self.manager.retired_gpus.update(
-            (int(gid), name) for gid, name in mgr_doc["retired_gpus"]
+        self.manager.set_ledgers(
+            {int(gid): name for gid, name in mgr_doc["spare_gpus"]},
+            {int(gid): name for gid, name in mgr_doc["retired_gpus"]},
         )
         self._eid_to_gpu = {
             eid: int(gid) for eid, gid in state["eid_to_gpu"]
@@ -1010,7 +1018,9 @@ class FleetController:
         if isinstance(e, ServiceDeparture):
             if not self._apply_to_state(e, work, by_id):
                 return False, None, 0
-            _, plan = self.manager.remove_service(work, e.service_id)
+            _, plan = self.manager.remove_service(
+                work, e.service_id, fast_path=self.fast_path
+            )
             return True, price_plan(plan), plan.num_operations
         if isinstance(e, ServiceArrival):
             if not self._apply_to_state(e, work, by_id):
@@ -1093,8 +1103,7 @@ class FleetController:
                 # Still a real GPU loss — record it (zero lost capacity,
                 # zero relocation work) so restores find their failure
                 # and the report's failure tally matches the timeline.
-                geometry = self.manager.spare_gpus.pop(e.gpu_id)
-                self.failover.failed[e.gpu_id] = geometry
+                self.manager.fail_spare(e.gpu_id)
                 self._eid_to_gpu[e.event_id] = e.gpu_id
                 report.failures.append(
                     FailureRecord(
@@ -1133,7 +1142,7 @@ class FleetController:
             costs: list[ReconfigurationCost] = []
             ops = 0
             for gid in victims:
-                if gid not in self._occupied():
+                if not self.manager.hosts_segments(gid):
                     # an earlier victim's relocation drained this GPU;
                     # preempting idle hardware tears down nothing
                     continue
@@ -1158,12 +1167,17 @@ class FleetController:
     # identity checks & measurement
     # ------------------------------------------------------------------ #
 
-    def _check_state(self, work: Sequence[Service]) -> None:
-        """The per-interval round-trip + cluster-mirror identity check."""
+    def _check_state(self, work: Sequence[Service], fp: str) -> None:
+        """The per-interval round-trip + cluster-mirror identity check.
+
+        ``fp`` is the current placement's fingerprint.  The rebuild runs
+        over the whole fleet on every interval; the live allocator state
+        (when the last delta left one) must equal it GPU for GPU.
+        """
         placement = self.manager.current
-        fp = placement.fingerprint()
+        states = self.manager.build_states()
         rebuilt = SegmentAllocator(geometry=self.geometry)._to_placement(
-            self.manager.build_states()
+            states
         )
         rebuilt.framework = placement.framework
         rebuilt.assign_rates({s.id: s.request_rate for s in work})
@@ -1171,6 +1185,21 @@ class FleetController:
             raise OpsIdentityError(
                 "incremental placement does not survive the allocator-state "
                 "round trip (build_states -> _to_placement)"
+            )
+        live = self.manager.live_states()
+        if live is not None and not (
+            len(live) == len(states)
+            and all(
+                a.gpu_id == b.gpu_id
+                and a.geometry.name == b.geometry.name
+                and a.blocked == b.blocked
+                and a.placed == b.placed
+                for a, b in zip(live, states)
+            )
+        ):
+            raise OpsIdentityError(
+                "live allocator state diverged from its rebuild "
+                "(build_states)"
             )
         want = {
             (s.gpu_id, s.start, s.size, s.owner)

@@ -1,5 +1,7 @@
 """Integration tests for GPU-failure recovery."""
 
+import random
+
 import pytest
 
 from repro.core import DeploymentManager, ParvaGPU, Service
@@ -134,3 +136,39 @@ class TestFailover:
             assert r2.placement.total_capacity(svc.id) >= svc.request_rate * (
                 1 - 1e-9
             )
+
+    def test_published_placement_never_changes_under_its_holder(
+        self, profiles
+    ):
+        """Published plans are copy-on-write: every placement an earlier
+        delta returned stays byte-identical through later failures and
+        SLO updates, which share its untouched plans and re-route the
+        services on them (drains change a service's total capacity)."""
+        services = scenario_services("S3")
+        manager = DeploymentManager(profiles)
+        manager.deploy(ParvaGPU(profiles).schedule(services))
+        ctrl = FailoverController(profiles, manager)
+        rng = random.Random(0)
+        held = []
+        for _ in range(6):
+            if rng.random() < 0.5:
+                victim = rng.choice([g.gpu_id for g in manager.current.gpus])
+                placement = ctrl.fail_gpu(victim, services).placement
+            else:
+                svc = rng.choice(services)
+                factor = rng.choice([0.3, 0.7, 1.5, 2.5])
+                placement, _ = manager.update_slo(
+                    services, svc, new_rate=svc.request_rate * factor
+                )
+            held.append((placement, placement.fingerprint(), repr(placement)))
+        ctrl.restore_gpu(next(iter(ctrl.failed)))
+        manager.remove_service(services[:-1], services[-1].id)
+
+        for placement, fingerprint, text in held:
+            assert (placement.fingerprint(), repr(placement)) == (
+                fingerprint, text
+            )
+        assert any(  # consecutive maps share untouched plans
+            {id(g) for g in a.gpus} & {id(g) for g in b.gpus}
+            for (a, _, _), (b, _, _) in zip(held, held[1:])
+        )

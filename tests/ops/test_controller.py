@@ -420,3 +420,140 @@ class TestVerifyEverySampling:
                 services, (), horizon_s=10.0, verify_every=0,
                 profiles=profiles,
             )
+
+
+class TestLiveAllocatorState:
+    """Fast (live state) vs naive (rebuild per delta), edge case by case.
+
+    ``run_identity_checked`` pins every interval's placement fingerprint;
+    the fast replay's per-interval check also compares the live state
+    with its rebuild GPU for GPU.
+    """
+
+    @staticmethod
+    def identity(profiles, services, timeline, horizon_s, **kw):
+        fast, naive = run_identity_checked(
+            services, timeline, horizon_s=horizon_s, profiles=profiles, **kw
+        )
+        assert [r.reconfig_ops for r in fast.intervals] == [
+            r.reconfig_ops for r in naive.intervals
+        ]
+        return fast, naive
+
+    def test_several_events_at_one_instant(self, profiles, services):
+        timeline = [
+            GpuFailure(time_s=10.0, event_id="f0", draw=0.2),
+            GpuFailure(time_s=20.0, event_id="f1", draw=0.9),
+            GpuRecovery(time_s=20.0, ref="f0"),
+            SloChange(time_s=20.0, service_id="a", slo_latency_ms=400),
+            RateEpoch(time_s=20.0, service_id="b", rate=7000.0),
+            ServiceArrival(time_s=20.0, service_id="n", model="vgg-16",
+                           request_rate=300.0, slo_latency_ms=400.0),
+            ServiceDeparture(time_s=20.0, service_id="c"),
+        ]
+        fast, _ = self.identity(profiles, services, timeline, 40.0)
+        assert sum(fast.intervals[-1].events.values()) == 6
+
+    def test_failing_spare(self, profiles, services):
+        timeline = [
+            GpuFailure(time_s=10.0, event_id="f0", draw=0.0),
+            GpuRecovery(time_s=20.0, ref="f0"),  # gpu 0 is now a spare
+            GpuFailure(time_s=30.0, event_id="f1", gpu_id=0),
+            RateEpoch(time_s=40.0, service_id="b", rate=30000.0),
+            GpuRecovery(time_s=50.0, ref="f1"),
+            RateEpoch(time_s=60.0, service_id="b", rate=40000.0),
+        ]
+        fast, _ = self.identity(profiles, services, timeline, 80.0)
+        assert fast.failures[1].lost_capacity == 0.0
+
+    def test_wave_victim_drained_by_earlier_victim(self, profiles):
+        """A full wave over a fleet with departure holes: relocating an
+        early victim drains a later one, which the wave then skips."""
+        fleet = [
+            Service("s0", "vgg-16", slo_latency_ms=250, request_rate=300),
+            Service("s1", "vgg-16", slo_latency_ms=800, request_rate=3000),
+            Service("s2", "vgg-16", slo_latency_ms=150, request_rate=1500),
+            Service("s3", "bert-large", slo_latency_ms=800, request_rate=300),
+            Service("s4", "resnet-50", slo_latency_ms=250, request_rate=100),
+            Service("s5", "resnet-152", slo_latency_ms=800, request_rate=500),
+        ]
+        timeline = [
+            ServiceDeparture(time_s=1.0, service_id="s1"),
+            SpotPreemptionWave(time_s=9.0, event_id="w", fraction=1.0,
+                               draw=0.74),
+        ]
+        fast, _ = self.identity(profiles, fleet, timeline, 20.0)
+        occupied = fast.intervals[-2].num_gpus  # every one is a victim
+        preempted = [f for f in fast.failures if f.kind == "preemption"]
+        assert 0 < len(preempted) < occupied
+
+    def test_unknown_recovery_and_departure(self, profiles, services):
+        timeline = [
+            GpuFailure(time_s=10.0, event_id="f0", draw=0.999),  # top id
+            GpuRecovery(time_s=20.0, gpu_id=0),  # live, never failed
+            GpuRecovery(time_s=20.0, gpu_id=99),  # never existed
+            GpuRecovery(time_s=20.0, ref="nope"),
+            ServiceDeparture(time_s=30.0, service_id="ghost"),
+            RateEpoch(time_s=40.0, service_id="a", rate=6000.0),
+        ]
+        fast, _ = self.identity(profiles, services, timeline, 60.0)
+        assert [r.skipped for r in fast.intervals] == [0, 0, 3, 1, 0]
+
+    def test_restore_mid_run(self, profiles, services, tmp_path):
+        timeline = [
+            GpuFailure(time_s=10.0, event_id="f0", draw=0.3),
+            RateEpoch(time_s=20.0, service_id="a", rate=6000.0),
+            GpuRecovery(time_s=30.0, ref="f0"),
+            RateEpoch(time_s=40.0, service_id="b", rate=9000.0),
+            GpuFailure(time_s=50.0, event_id="f1", draw=0.6),
+        ]
+        path = tmp_path / "ckpt.json"
+        controller(profiles).run(
+            services, timeline, horizon_s=60.0, checkpoint_path=path,
+            max_steps=3,
+        )
+        resumed = controller(profiles).run(
+            services, timeline, horizon_s=60.0, resume=path
+        )
+        naive = controller(profiles, fast_path=False).run(
+            services, timeline, horizon_s=60.0
+        )
+        assert [r.fingerprint for r in resumed.intervals] == [
+            r.fingerprint for r in naive.intervals
+        ]
+
+    def test_work_counters(self, profiles, services):
+        """alloc_* counters: the check rebuilds once per interval, the
+        live state once per deploy, and deltas touch few GPUs."""
+        timeline = [
+            GpuFailure(time_s=10.0, event_id="f0", draw=0.3),
+            RateEpoch(time_s=20.0, service_id="a", rate=6000.0),
+            GpuRecovery(time_s=30.0, ref="f0"),
+        ]
+        ctrl = controller(profiles)
+        report = ctrl.run(services, timeline, horizon_s=60.0)
+        stats = ctrl.manager.stats
+        assert stats.states_rebuilt == len(report.intervals) + 1
+        assert 0 < stats.gpus_touched < stats.gpus_rebuilt
+        scraped = {
+            m.name: m for m in ctrl.obs.registry.collect()
+            if m.name.startswith("alloc_")
+        }
+        assert sorted(scraped) == [
+            "alloc_gpus_rebuilt", "alloc_gpus_touched", "alloc_states_rebuilt",
+        ]
+
+    def test_check_catches_live_state_divergence(self, profiles, services):
+        """The per-interval check compares the live state with its
+        rebuild even when the published placement is intact."""
+        from repro.ops import OpsIdentityError
+
+        ctrl = controller(profiles)
+        ctrl.begin(services, horizon_s=100.0)
+        ctrl.step(0.0)
+        ctrl.step(10.0, [GpuFailure(time_s=10.0, event_id="f0", draw=0.0)])
+        fleet = ctrl.manager.live_state().fleet
+        fleet[fleet.live_keys()[0]].blocked = True
+        with pytest.raises(OpsIdentityError, match="live allocator state"):
+            ctrl.step(20.0)
+        ctrl.finish()
