@@ -409,9 +409,12 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
     Every recorded fast/naive pair must agree on *every* interval's
     placement fingerprint and simulation stats fingerprint — the
     closed-loop analogue of the schedule and simulate identity checks.
-    With ``workers > 0`` every tier is additionally replayed through the
-    sharded parallel control plane and checked interval-for-interval
-    against the serial fast replay; any divergence is fatal.  At tiers
+    With ``workers > 0`` every tier is additionally replayed with that
+    many worker processes and checked interval-for-interval against the
+    ``workers=0`` fast replay; any divergence is fatal.  Both replays
+    run the same segment memo, so ``parallel_speedup`` measures process
+    fan-out only; ``memo_hit_rate`` records the memo's share of the
+    segments served.  At tiers
     past ``naive_cap`` (where the naive replay is skipped) this
     parallel-vs-serial identity is the recorded correctness check.
     """
@@ -437,7 +440,7 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             warmup_s=OPS_WARMUP_S,
             sim_seed=OPS_SEED,
         )
-        return report, time.perf_counter() - t0
+        return report, time.perf_counter() - t0, ctrl.segment_memo
 
     rows = []
     for tier in tiers:
@@ -445,7 +448,8 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
         measure = measure_s
         if measure is None:
             measure = OPS_MEASURE_10K if tier >= 10_000 else OPS_MEASURE_S
-        fast, fast_wall = replay(run, fast_path=True, measure=measure)
+        fast, fast_wall, memo = replay(run, fast_path=True, measure=measure)
+        served = memo.hits_total + memo.misses_total
         attainment = fast.slo_attainment(target=0.99)
         row = {
             "scenario": "OPS",
@@ -487,10 +491,14 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             "parallel_workers": None,
             "parallel_speedup": None,
             "parallel_identical": None,
+            # None when --ops-measure 0 disabled serving measurement
+            "memo_hit_rate": (
+                round(memo.hits_total / served, 4) if served else None
+            ),
             "report": fast.to_doc(),
         }
         if workers > 0:
-            par, par_wall = replay(
+            par, par_wall, _ = replay(
                 run, fast_path=True, measure=measure, workers=workers
             )
             row["parallel_wall_s"] = round(par_wall, 6)
@@ -505,7 +513,9 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
                 )
             row["parallel_identical"] = True
         if tier <= naive_cap:
-            naive, naive_wall = replay(run, fast_path=False, measure=measure)
+            naive, naive_wall, _ = replay(
+                run, fast_path=False, measure=measure
+            )
             row["naive_wall_s"] = round(naive_wall, 6)
             row["speedup"] = round(naive_wall / fast_wall, 2)
             try:

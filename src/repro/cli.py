@@ -737,9 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=0,
-        help="shard the per-interval serving measurement (and replan "
-        "triplet scoring) across N parallel workers; results are "
-        "bit-identical to the serial path (default: 0 = serial)",
+        help="process fan-out of the per-interval serving measurement "
+        "(and replan triplet scoring); the segment memo is on at every "
+        "count and results are bit-identical "
+        "(default: 0 = inline, memo on; N = N worker processes)",
     )
     p.add_argument(
         "--trace", default=None, metavar="FILE",
@@ -825,8 +826,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=0,
-        help="shard the per-interval serving measurement across N "
-        "parallel workers (default: 0 = serial)",
+        help="process fan-out of the per-interval serving measurement; "
+        "the segment memo is on at every count "
+        "(default: 0 = inline, memo on; N = N worker processes)",
     )
     _add_resilience_flags(p)
     p.set_defaults(func=_cmd_serve)
@@ -846,8 +848,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=0,
-        help="shard segment simulation across N parallel workers "
-        "(fast engine only; bit-identical to serial; default: 0)",
+        help="process fan-out of segment simulation (fast engine only; "
+        "bit-identical at every count; default: 0 = inline; "
+        "N = N worker processes)",
     )
     _add_geometry_flag(p)
     p.set_defaults(func=_cmd_simulate)

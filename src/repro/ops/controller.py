@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from repro.core.allocator import SegmentAllocator
 from repro.core.deployment import DeploymentManager
@@ -82,6 +82,10 @@ from repro.obs import ObsHub
 from repro.ops.report import FailureRecord, IntervalRecord, OpsReport
 from repro.parallel import FaultInjector, ShardHealth
 from repro.profiler.table import ProfileTable
+
+if TYPE_CHECKING:  # the shard module is imported when a run opens
+    from repro.sim.fastpath import SegmentMemo
+    from repro.sim.shard import ShardContext
 
 
 def _record_digest(canonical: str) -> str:
@@ -179,17 +183,20 @@ class FleetController:
         self.spare_shadow_gpus = spare_shadow_gpus
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        #: shard count for the parallel control plane: 0 keeps every
-        #: stage on the serial reference path; N >= 1 fans per-interval
-        #: serving measurement (and, for N > 1, replan triplet scoring)
-        #: across N shards with bit-identical results (repro.sim.shard)
+        #: process fan-out only: 0 simulates serving-measurement memo
+        #: misses inline; N >= 1 ships them (and, for N > 1, replan
+        #: triplet scoring) to N worker processes, with bit-identical
+        #: results (repro.sim.shard)
         self.workers = workers
         #: infrastructure fault-injection hook handed to the shard pool
         #: (tests and the resilience benchmark suite; None in production)
         self.fault_injector = fault_injector
-        #: the run-scoped ShardContext (pool + segment memo); live only
-        #: inside :meth:`run` when ``workers >= 1``
-        self._shard_ctx = None
+        #: the run-scoped ShardContext (segment memo + optional pool);
+        #: live only inside a run
+        self._shard_ctx: Optional["ShardContext"] = None
+        #: the current (else the last) run's segment memo; None on the
+        #: reference path (``fast_path=False``), which measures memo-free
+        self.segment_memo: Optional["SegmentMemo"] = None
         #: the last closed run's pool health (what the run survived)
         self.last_shard_health: Optional[ShardHealth] = None
         #: failure event_id -> the GPU id the draw resolved to
@@ -314,18 +321,7 @@ class FleetController:
         )
         self._pending_seq = 0
         self._eid_to_gpu = {}
-        if self.workers >= 1:
-            from repro.sim.shard import ShardContext
-
-            # One context for the whole run: the worker pool spawns once
-            # and the segment memo carries across intervals — an event
-            # only perturbs a handful of services, so most segments
-            # resolve from cache and only the changed ones are shipped.
-            self._shard_ctx = ShardContext(
-                self.workers, fault_injector=self.fault_injector,
-                obs=self.obs,
-            )
-            self.obs.registry.attach("shard", self._shard_ctx.pool.health)
+        self._open_shard_context()
         self._run = _RunState(
             work=work,
             by_id=by_id,
@@ -339,6 +335,29 @@ class FleetController:
             measure_every=measure_every,
         )
         return report
+
+    def _open_shard_context(self) -> None:
+        """The run's measurement engine, for :meth:`begin` and
+        :meth:`restore` alike: a segment memo whenever the fast path is
+        on, a shard pool only when ``workers >= 1``.
+
+        The memo carries across intervals (an event perturbs a handful
+        of services, so most segments resolve from cache).  It is not
+        checkpointed: a resumed run rewarms it, and a hit is
+        bit-identical to a fresh kernel run.
+        """
+        from repro.sim.shard import ShardContext
+
+        ctx = ShardContext(
+            self.workers, fault_injector=self.fault_injector, obs=self.obs,
+            memoize=self.fast_path,
+        )
+        if ctx.memo is not None:
+            self.obs.registry.attach("sim_memo", ctx.memo)
+        if ctx.pool is not None:
+            self.obs.registry.attach("shard", ctx.pool.health)
+        self.segment_memo = ctx.memo
+        self._shard_ctx = ctx
 
     def _require_run(self) -> _RunState:
         if self._run is None:
@@ -416,10 +435,7 @@ class FleetController:
                     "measure", t_s=t, cat="interval",
                     services=len(run.work), workers=self.workers,
                 ) as sp:
-                    self._measure(
-                        record, placement, run.work, run.measure_s,
-                        run.warmup_s, run.sim_seed, run.sim_fast,
-                    )
+                    sp.args.update(self._measure(record, placement, run))
                 self._m_stage_wall.observe(sp.wall_s, stage="measure")
             with self.obs.span("report", t_s=t, cat="interval") as sp:
                 record.duration_s = run.horizon_s - t
@@ -484,17 +500,20 @@ class FleetController:
         ``self.manager`` until the next :meth:`begin`.
         """
         run = self._require_run()
-        if self._shard_ctx is not None:
-            self.last_shard_health = self._shard_ctx.pool.health
-            self._shard_ctx.close()
+        ctx = self._shard_ctx
+        if ctx is not None:
+            if ctx.pool is not None:
+                self.last_shard_health = ctx.pool.health
+            ctx.close()
             self._shard_ctx = None
         self._run = None
         return run.report
 
     def shard_health(self) -> Optional[ShardHealth]:
         """The shard pool's survival counters — live during a sharded
-        run, the last run's afterwards, None on the serial path."""
-        if self._shard_ctx is not None:
+        run, the last run's afterwards, None without a pool
+        (``workers=0``)."""
+        if self._shard_ctx is not None and self._shard_ctx.pool is not None:
             return self._shard_ctx.pool.health
         return self.last_shard_health
 
@@ -643,14 +662,7 @@ class FleetController:
         report = report_from_doc(state["report"])
         # The report describes the *resumed* run from here on.
         report.workers = self.workers
-        if self.workers >= 1:
-            from repro.sim.shard import ShardContext
-
-            self._shard_ctx = ShardContext(
-                self.workers, fault_injector=self.fault_injector,
-                obs=self.obs,
-            )
-            self.obs.registry.attach("shard", self._shard_ctx.pool.health)
+        self._open_shard_context()
         self._run = _RunState(
             work=work,
             by_id=by_id,
@@ -893,11 +905,8 @@ class FleetController:
             for svc in work:
                 svc.request_rate = max(svc.request_rate, 1e-6)
                 svc.reset_plan()
-            if (
-                self._shard_ctx is not None
-                and self.workers > 1
-                and self.fast_path
-            ):
+            pool = self._shard_ctx.pool if self._shard_ctx else None
+            if pool is not None and self.workers > 1 and self.fast_path:
                 # Per-service triplet scoring is independent: fan the
                 # uncached TRIPLETDECISION keys across the shard pool
                 # and seed the memo caches before the serial schedule.
@@ -907,7 +916,7 @@ class FleetController:
                     self.profiles,
                     work,
                     self.scheduler.configurator.max_processes,
-                    self._shard_ctx.pool,
+                    pool,
                 )
             placement = self.scheduler.schedule(work)
             plan = self.manager.deploy(placement)
@@ -1215,26 +1224,22 @@ class FleetController:
             )
 
     def _measure(
-        self,
-        record: IntervalRecord,
-        placement: Placement,
-        work: Sequence[Service],
-        measure_s: float,
-        warmup_s: float,
-        sim_seed: int,
-        sim_fast: bool,
-    ) -> None:
+        self, record: IntervalRecord, placement: Placement, run: _RunState
+    ) -> dict[str, int]:
+        """Serve ``placement`` into ``record``; returns the measure
+        span's work counts (memo hits out of the segments served)."""
         from repro.sim.runner import measure_interval
 
+        ctx = self._shard_ctx if run.sim_fast else None
+        hits = ctx.memo_hits if ctx is not None else 0
         m = measure_interval(
             placement,
-            work,
-            measure_s=measure_s,
-            warmup_s=warmup_s,
-            seed=sim_seed,
-            fast_path=sim_fast,
-            workers=self.workers if sim_fast else 0,
-            shard_context=self._shard_ctx if sim_fast else None,
+            run.work,
+            measure_s=run.measure_s,
+            warmup_s=run.warmup_s,
+            seed=run.sim_seed,
+            fast_path=run.sim_fast,
+            shard_context=ctx,
         )
         record.compliance = m.compliance
         record.sim_fingerprint = _record_digest(m.fingerprint)
@@ -1242,6 +1247,10 @@ class FleetController:
         if m.per_service:
             record.worst_service = m.worst_service
             record.worst_service_compliance = m.worst_compliance
+        return {
+            "memo_hits": (ctx.memo_hits if ctx is not None else 0) - hits,
+            "segments": sum(len(g.segments) for g in placement.gpus),
+        }
 
 
 def assert_reports_identical(fast: OpsReport, naive: OpsReport) -> None:
@@ -1296,9 +1305,10 @@ def run_identity_checked(
     is O(requests) and can dominate large fleets' replay time).
 
     ``workers`` applies to the fast replay only — the naive reference
-    always runs serial, so a nonzero worker count additionally asserts
-    that the sharded parallel control plane matches the serial reference
-    machinery interval-for-interval.
+    always runs in-process and without a segment memo, so every interval
+    checks the memoized fast replay (at any worker count) against
+    memo-free measurement: the event-driven engine, or with
+    ``naive_sim=False`` the fast kernel run on every segment.
 
     ``verify_every=N`` samples the naive replay's *serving measurement*
     to every Nth interval — the event-driven simulator dominates big

@@ -125,7 +125,7 @@ class OpsReport:
     horizon_s: float
     geometry: str = "mig"
     fast_path: bool = True
-    #: shard count of the parallel control plane (0 = serial reference)
+    #: process fan-out of serving measurement (0 = inline, memo on)
     workers: int = 0
     intervals: list[IntervalRecord] = field(default_factory=list)
     failures: list[FailureRecord] = field(default_factory=list)

@@ -580,8 +580,9 @@ def replay_identity_checked(
     """Virtual-clock gateway replay vs the offline reference run.
 
     The gateway consumes ``timeline`` through the async loop (with
-    ``workers`` sharding its serving measurement); the reference is a
-    plain serial ``FleetController.run`` over the identical timeline.
+    ``workers`` setting its measurement's process fan-out); the
+    reference is a plain in-process ``FleetController.run`` over the
+    identical timeline.
     Every interval's placement and simulation fingerprints must match
     exactly or :class:`~repro.ops.controller.OpsIdentityError` is
     raised.  Returns ``(gateway_report, offline_report)``.

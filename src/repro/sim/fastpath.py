@@ -39,13 +39,20 @@ sums; busy SM-time on the numpy path) can differ in the last ulps
 because the engines sum in different orders; the identity check
 therefore pairs :meth:`SimulationReport.fingerprint` (exact fields) with
 :meth:`SimulationReport.close_to` (sums, at ``rtol=1e-9``).
+
+:func:`simulate_placement_fast` is the one fast orchestration at every
+worker count.  A :class:`SegmentMemo` held across calls resolves
+unchanged segments from cache; the misses run inline here or, when the
+caller's :class:`~repro.sim.shard.ShardContext` has a pool, in worker
+processes.  Either way one accumulation pass in placement order builds
+the report.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heappush, heappop
-from typing import Iterable
+from typing import TYPE_CHECKING, ClassVar, Iterable, Optional
 
 import numpy as np
 
@@ -56,6 +63,9 @@ from repro.models.zoo import get_model
 from repro.sim.arrivals import poisson_arrivals, uniform_arrivals
 from repro.sim.batching import BatchPolicy
 from repro.sim.metrics import ServiceStats, SimulationReport
+
+if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
+    from repro.sim.shard import ShardContext
 
 _INF = float("inf")
 
@@ -369,6 +379,58 @@ def _simulate_segment(
     return out
 
 
+def _simulate_row(
+    kernel: _SegmentKernel,
+    arrivals: np.ndarray,
+    warmup_s: float,
+    until: float,
+) -> tuple:
+    """One segment's result row — batches, violations, requests,
+    latency_sum_ms, latency_max_ms, busy_sm_s, steps — from the numpy
+    closed form where the regime allows, the per-batch kernel otherwise."""
+    res = _simulate_segment_vectorized(kernel, arrivals, warmup_s, until)
+    if res is None:
+        res = _simulate_segment(kernel, arrivals, warmup_s, until)
+    return (
+        res.batches,
+        res.violations,
+        res.requests,
+        res.latency_sum_ms,
+        res.latency_max_ms,
+        res.busy_sm_s,
+        res.steps,
+    )
+
+
+class SegmentMemo:
+    """Cross-call segment memo: kernel signature -> result row.
+
+    The key is a segment's full kernel signature (model, GPC share,
+    batch, processes, latency, SLO, registered SM count, offered rate)
+    plus the measurement window.  Every input the kernel reads is part
+    of the key and the kernel is a pure function of it, so a hit is
+    bit-identical to a fresh computation.  Only uniform arrivals are
+    memoizable: Poisson arrivals depend on the shared rng stream, always
+    re-simulate, and are not counted.
+
+    The counters are deterministic work counts (kernels simulated vs
+    memo hits), the same at every worker count; the fleet controller
+    attaches them to its registry as the ``sim_memo_*`` families.
+    """
+
+    OBS_FIELDS: ClassVar[dict[str, str]] = {
+        "hits_total": "counter",
+        "misses_total": "counter",
+    }
+
+    def __init__(self) -> None:
+        self.rows: dict[tuple, tuple] = {}
+        #: segments resolved from the memo
+        self.hits_total = 0
+        #: segments whose kernel had to be simulated
+        self.misses_total = 0
+
+
 def simulate_placement_fast(
     placement: Placement,
     services: Iterable[Service],
@@ -376,19 +438,26 @@ def simulate_placement_fast(
     warmup_s: float = 0.5,
     seed: int = 0,
     arrivals: str = "uniform",
+    context: Optional["ShardContext"] = None,
 ) -> SimulationReport:
     """Fast-path equivalent of :func:`repro.sim.runner.simulate_placement`.
 
-    Generates each segment's arrival array exactly as the event-driven
-    runner does (same shared rng, same segment order), then runs the
-    per-segment kernel — numpy-vectorized where the regime allows,
-    per-batch scalar otherwise.  ``report.events_processed`` counts
-    kernel steps (dispatches + completions) rather than heap events.
+    The one measurement engine, at every worker count.  It walks the
+    placement once in placement order, drawing Poisson arrivals from the
+    shared rng exactly as the event-driven runner does, and looks each
+    segment up in ``context``'s memo (if it has one).  The misses are
+    simulated inline, or shipped to the context's shard pool when it has
+    one.  A final pass accumulates every row in placement order, so the
+    report is bit-identical however each row was obtained.
+    ``report.events_processed`` counts kernel steps (dispatches +
+    completions) rather than heap events.
     """
     from repro.sim.runner import segment_key
 
     if duration_s <= warmup_s:
         raise ValueError("duration must exceed warmup")
+    if arrivals not in ("uniform", "poisson"):
+        raise ValueError(f"unknown arrival process {arrivals!r}")
     svc_by_id = {s.id: s for s in services}
     report = SimulationReport(duration_s=duration_s, warmup_s=warmup_s)
     for sid, svc in svc_by_id.items():
@@ -398,50 +467,97 @@ def simulate_placement_fast(
         report.completed[sid] = 0
 
     rng = np.random.default_rng(seed)
-    until = duration_s + 1.0
-    runs: list[tuple[str, PlacedSegment, np.ndarray]] = []
+    uniform = arrivals == "uniform"
+    #: (key, segment, slo_ms, times) in placement order; ``times`` is
+    #: None for uniform arrivals, a pure function of (rate, duration)
+    #: generated only for the segments actually simulated.
+    runs: list[tuple[str, PlacedSegment, float, Optional[np.ndarray]]] = []
     sm_counts: dict[str, int] = {}
-    busy: dict[str, float] = {}
     for gpu_id, seg in placement.iter_segments():
-        if seg.service_id not in svc_by_id:
+        svc = svc_by_id.get(seg.service_id)
+        if svc is None:
             raise ValueError(
                 f"placement references unknown service {seg.service_id!r}"
             )
         key = segment_key(gpu_id, seg.service_id, seg.start)
-        if arrivals == "poisson":
-            times = poisson_arrivals(seg.served_rate, duration_s, rng)
-        elif arrivals == "uniform":
-            times = uniform_arrivals(seg.served_rate, duration_s)
-        else:
-            raise ValueError(f"unknown arrival process {arrivals!r}")
-        runs.append((key, seg, times))
+        times = (
+            None if uniform
+            else poisson_arrivals(seg.served_rate, duration_s, rng)
+        )
+        runs.append((key, seg, svc.slo_latency_ms, times))
         # Last register wins, as in SMActivityTracker.register.
         sm_counts[key] = max(1, round(seg.sm_count))
-        busy.setdefault(key, 0.0)
 
-    steps = 0
-    for key, seg, times in runs:
-        kernel = _SegmentKernel.from_segment(
-            seg, svc_by_id[seg.service_id].slo_latency_ms,
-            sm_count=sm_counts[key],
+    memo = context.memo if context is not None and uniform else None
+    rows: list[Optional[tuple]] = [None] * len(runs)
+    misses: list[int] = []
+    miss_keys: list[tuple] = []
+    for i, (key, seg, slo_ms, _times) in enumerate(runs):
+        if memo is not None:
+            mk = (
+                seg.model,
+                seg.effective_gpcs,
+                seg.batch_size,
+                seg.num_processes,
+                seg.latency_ms,
+                slo_ms,
+                sm_counts[key],
+                seg.served_rate,
+                duration_s,
+                warmup_s,
+            )
+            row = memo.rows.get(mk)
+            if row is not None:
+                rows[i] = row
+                memo.hits_total += 1
+                continue
+            memo.misses_total += 1
+            miss_keys.append(mk)
+        misses.append(i)
+
+    until = duration_s + 1.0
+    if misses and context is not None and context.pool is not None:
+        shipped = context.run_shards(
+            [
+                (runs[i][1], runs[i][2], sm_counts[runs[i][0]], runs[i][3])
+                for i in misses
+            ],
+            arrivals, duration_s, warmup_s, until,
+            memo_hits=len(runs) - len(misses),
         )
-        res = _simulate_segment_vectorized(kernel, times, warmup_s, until)
-        if res is None:
-            res = _simulate_segment(kernel, times, warmup_s, until)
+        for i, row in zip(misses, shipped):
+            rows[i] = row
+    else:
+        for i in misses:
+            key, seg, slo_ms, times = runs[i]
+            kernel = _SegmentKernel.from_segment(
+                seg, slo_ms, sm_count=sm_counts[key]
+            )
+            if times is None:
+                times = uniform_arrivals(seg.served_rate, duration_s)
+            rows[i] = _simulate_row(kernel, times, warmup_s, until)
+    if memo is not None:
+        for i, mk in zip(misses, miss_keys):
+            memo.rows[mk] = rows[i]
+
+    busy = dict.fromkeys(sm_counts, 0.0)
+    steps = 0
+    for (key, seg, _slo, _times), row in zip(runs, rows):
+        batches, violations, requests, lat_sum, lat_max, busy_sm, n_steps = row
         st = report.services[seg.service_id]
-        st.batches += res.batches
-        st.violations += res.violations
-        st.requests += res.requests
-        st.latency_sum_ms += res.latency_sum_ms
-        if res.latency_max_ms > st.latency_max_ms:
-            st.latency_max_ms = res.latency_max_ms
-        report.completed[seg.service_id] += res.requests
-        busy[key] += res.busy_sm_s
-        steps += res.steps
+        st.batches += int(batches)
+        st.violations += int(violations)
+        st.requests += int(requests)
+        st.latency_sum_ms += lat_sum
+        if lat_max > st.latency_max_ms:
+            st.latency_max_ms = lat_max
+        report.completed[seg.service_id] += int(requests)
+        busy[key] += busy_sm
+        steps += int(n_steps)
     report.events_processed = steps
 
     window = duration_s - warmup_s
-    for key, _seg, _times in runs:
-        ratio = busy[key] / (sm_counts[key] * window) if window > 0 else 0.0
+    for key, busy_sm in busy.items():
+        ratio = busy_sm / (sm_counts[key] * window) if window > 0 else 0.0
         report.segment_activity[key] = min(1.0, ratio)
     return report

@@ -116,46 +116,40 @@ def simulate_placement(
     discrete-event engine as the naive reference (the perf harness checks
     the two against each other on every recorded run).
 
-    ``workers >= 1`` routes the fast path through the sharded parallel
-    executor (:mod:`repro.sim.shard`): segments partition into that many
-    contiguous shards whose results merge back in placement order, so
-    the report is bit-identical to the serial fast path for any worker
-    count (``workers=1`` runs the single shard inline).  A
-    ``shard_context`` (:class:`~repro.sim.shard.ShardContext`) reuses a
-    worker pool and cross-call segment memo between invocations — the
-    FleetController's per-interval measurement loop.  ``workers=0``
-    (default) is the serial reference; sharding requires the fast path.
+    The fast path is one engine at every worker count.  A
+    ``shard_context`` (:class:`~repro.sim.shard.ShardContext`) carries a
+    cross-call segment memo, so unchanged segments resolve from cache
+    (the FleetController's per-interval loop), plus a shard pool when
+    its ``workers >= 1``.  Without a context, ``workers`` alone sets the
+    process fan-out of this one call: ``0`` (default) simulates inline,
+    ``N >= 1`` across ``N`` contiguous shards whose results merge back
+    in placement order (``workers=1`` runs the single shard inline).
+    The report is bit-identical for every worker count and memo state.
+    Workers and contexts require the fast path.
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    if (workers >= 1 or shard_context is not None) and not fast_path:
-        raise ValueError(
-            "sharded parallel simulation requires the fast path "
-            "(the event-driven reference stays serial)"
-        )
-    if fast_path and (workers >= 1 or shard_context is not None):
-        from repro.sim.shard import simulate_placement_sharded
-
-        return simulate_placement_sharded(
-            placement,
-            services,
-            duration_s=duration_s,
-            warmup_s=warmup_s,
-            seed=seed,
-            arrivals=arrivals,
-            workers=max(1, workers),
-            context=shard_context,
-        )
     if fast_path:
         from repro.sim.fastpath import simulate_placement_fast
 
-        return simulate_placement_fast(
-            placement,
-            services,
-            duration_s=duration_s,
-            warmup_s=warmup_s,
-            seed=seed,
-            arrivals=arrivals,
+        if shard_context is not None or workers == 0:
+            return simulate_placement_fast(
+                placement, services, duration_s=duration_s,
+                warmup_s=warmup_s, seed=seed, arrivals=arrivals,
+                context=shard_context,
+            )
+        from repro.sim.shard import ShardContext
+
+        with ShardContext(workers, memoize=False) as ctx:
+            return simulate_placement_fast(
+                placement, services, duration_s=duration_s,
+                warmup_s=warmup_s, seed=seed, arrivals=arrivals,
+                context=ctx,
+            )
+    if workers >= 1 or shard_context is not None:
+        raise ValueError(
+            "sharded parallel simulation requires the fast path "
+            "(the event-driven reference stays serial)"
         )
     if duration_s <= warmup_s:
         raise ValueError("duration must exceed warmup")

@@ -1,11 +1,15 @@
-"""Sharded parallel execution of the simulation fast path.
+"""Process fan-out for the simulation fast path's memo misses.
 
-:func:`simulate_placement_sharded` produces a
-:class:`~repro.sim.metrics.SimulationReport` bit-identical to
-:func:`~repro.sim.fastpath.simulate_placement_fast` — same integer
-statistics, same float sums, same fingerprint — while fanning the
-per-segment kernels across :class:`~repro.parallel.ShardPool` workers.
-Three structural facts make that possible:
+:func:`~repro.sim.fastpath.simulate_placement_fast` is the one
+measurement engine: it resolves each segment from the run's
+:class:`~repro.sim.fastpath.SegmentMemo` and computes the misses.  A
+:class:`ShardContext` holds that memo beside an optional
+:class:`~repro.parallel.ShardPool`; ``workers`` sets only the process
+fan-out of the misses.  At ``workers=0`` they run inline in the calling
+process; at ``workers >= 1`` they fan out across the pool's workers
+(``workers=1`` runs the single shard inline through the pool's
+machinery).  The report is bit-identical either way, for three
+structural reasons:
 
 - **Segments are independent.**  Each per-segment kernel is a pure
   function of seven scalar parameters plus its arrival array; segments
@@ -14,10 +18,9 @@ Three structural facts make that possible:
   per-segment results.
 - **The merge is position-based.**  Shards are contiguous index blocks
   (:func:`~repro.parallel.partition`) and results scatter back into
-  their input slots before a single serial accumulation pass in
-  placement order — the exact order the serial fast path sums in, so
-  even order-sensitive float accumulations match bit-for-bit no matter
-  which worker finishes first.
+  their input slots before the engine's single accumulation pass in
+  placement order, so even order-sensitive float accumulations match
+  bit-for-bit no matter which worker finishes first.
 - **Shard payloads are columnar.**  A :class:`ShardJob` carries the
   kernel parameters as flat numpy arrays plus either per-segment rates
   (uniform arrivals regenerate in the worker —
@@ -27,34 +30,23 @@ Three structural facts make that possible:
   are therefore pre-generated before sharding).  Nothing heavier than
   strings and float64 buffers crosses the process boundary.
 
-The same purity argument yields the sharded path's cross-interval
-**segment memo**: a segment's result is a deterministic function of its
-kernel signature and offered rate, so a :class:`ShardContext` held open
-across a :class:`~repro.ops.controller.FleetController` run resolves
-unchanged segments from cache and ships only the (few) segments an
-event actually touched.  On small hosts this dedup — not core count —
-is where most of the parallel path's wall-clock win comes from; the
-serial path stays the untouched reference the identity checks compare
-against.
+A context held open across a :class:`~repro.ops.controller.FleetController`
+run keeps its memo warm from one interval to the next.  An event
+touches a handful of services, so most segments resolve from cache at
+any worker count, and only the changed ones are simulated or shipped.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.placement import PlacedSegment, Placement
-from repro.core.service import Service
+from repro.core.placement import PlacedSegment
 from repro.obs import ObsHub
 from repro.parallel import FaultInjector, ShardPool, partition
-from repro.sim.arrivals import poisson_arrivals, uniform_arrivals
-from repro.sim.fastpath import (
-    _SegmentKernel,
-    _simulate_segment,
-    _simulate_segment_vectorized,
-)
-from repro.sim.metrics import ServiceStats, SimulationReport
+from repro.sim.arrivals import uniform_arrivals
+from repro.sim.fastpath import SegmentMemo, _SegmentKernel, _simulate_row
 
 #: Per-segment result row: batches, violations, requests, latency_sum_ms,
 #: latency_max_ms, busy_sm_s, steps.  Counts are exact in float64 far
@@ -100,31 +92,22 @@ def _run_shard(job: ShardJob) -> np.ndarray:
             arr = uniform_arrivals(float(job.rates[i]), job.duration_s)
         else:
             arr = job.arrival_buf[job.offsets[i] : job.offsets[i + 1]]
-        res = _simulate_segment_vectorized(kernel, arr, job.warmup_s, job.until)
-        if res is None:
-            res = _simulate_segment(kernel, arr, job.warmup_s, job.until)
-        out[i] = (
-            res.batches,
-            res.violations,
-            res.requests,
-            res.latency_sum_ms,
-            res.latency_max_ms,
-            res.busy_sm_s,
-            res.steps,
-        )
+        out[i] = _simulate_row(kernel, arr, job.warmup_s, job.until)
     return out
 
 
-class ShardContext:
-    """Pool + cross-call segment memo, held open across a controller run.
+#: a ``(segment, slo_ms, sm_count, times)`` row :func:`_pack_job` packs
+_MissRow = tuple[PlacedSegment, float, int, Optional[np.ndarray]]
 
-    The memo maps a segment's full kernel signature (model, GPC share,
-    batch, processes, latency, SLO, registered SM count, offered rate)
-    plus the measurement window to its result row.  Every component that
-    determines the simulation outcome is part of the key, and the kernel
-    is a pure function of the key — a hit is bit-identical to a fresh
-    computation.  Only uniform arrivals are memoizable; Poisson arrivals
-    depend on the shared rng stream and always re-simulate.
+
+class ShardContext:
+    """A measurement run's engine state: the segment memo beside an
+    optional shard pool, held open across a controller run.
+
+    ``workers`` sets process fan-out only: ``0`` leaves memo misses to
+    the engine's inline loop (no pool); ``N >= 1`` ships them to an
+    ``N``-worker :class:`~repro.parallel.ShardPool`.  ``memoize=False``
+    drops the memo, which is how the reference controller measures.
     """
 
     def __init__(
@@ -133,23 +116,64 @@ class ShardContext:
         fault_injector: Optional["FaultInjector"] = None,
         job_timeout_s: Optional[float] = None,
         obs: Optional[ObsHub] = None,
+        memoize: bool = True,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         self.workers = workers
         self.obs = obs if obs is not None else ObsHub(enabled=False)
-        self.pool = ShardPool(
-            workers,
-            fault_injector=fault_injector,
-            job_timeout_s=job_timeout_s,
-            obs=self.obs,
+        self.memo: Optional[SegmentMemo] = SegmentMemo() if memoize else None
+        self.pool: Optional[ShardPool] = (
+            ShardPool(
+                workers,
+                fault_injector=fault_injector,
+                job_timeout_s=job_timeout_s,
+                obs=self.obs,
+            )
+            if workers >= 1
+            else None
         )
-        self.memo: dict[tuple, tuple] = {}
-        self.memo_hits = 0
-        self.memo_misses = 0
+
+    @property
+    def memo_hits(self) -> int:
+        return 0 if self.memo is None else self.memo.hits_total
+
+    @property
+    def memo_misses(self) -> int:
+        return 0 if self.memo is None else self.memo.misses_total
+
+    def run_shards(
+        self,
+        misses: list[_MissRow],
+        arrivals: str,
+        duration_s: float,
+        warmup_s: float,
+        until: float,
+        memo_hits: int,
+    ) -> list[tuple]:
+        """Simulate ``misses`` on the pool; result rows in input order."""
+        assert self.pool is not None, "run_shards needs a pool (workers >= 1)"
+        jobs = [
+            _pack_job(misses[start:stop], arrivals, duration_s, warmup_s, until)
+            for start, stop in partition(len(misses), self.workers)
+        ]
+        with self.obs.span(
+            "scatter", cat="shard",
+            shards=len(jobs), segments=len(misses), memo_hits=memo_hits,
+        ):
+            rows_per_shard = self.pool.run(_run_shard, jobs)
+        with self.obs.span("gather", cat="shard", shards=len(jobs)):
+            # Plain floats: float64 round-trips exactly, and report
+            # fields must not silently become numpy scalars.
+            return [
+                tuple(float(x) for x in row)
+                for rows in rows_per_shard
+                for row in rows
+            ]
 
     def close(self) -> None:
-        self.pool.close()
+        if self.pool is not None:
+            self.pool.close()
 
     def __enter__(self) -> "ShardContext":
         return self
@@ -159,7 +183,7 @@ class ShardContext:
 
 
 def _pack_job(
-    segs: list[tuple[PlacedSegment, float, int, Optional[np.ndarray]]],
+    segs: list[_MissRow],
     arrivals: str,
     duration_s: float,
     warmup_s: float,
@@ -201,166 +225,3 @@ def _pack_job(
         warmup_s=warmup_s,
         until=until,
     )
-
-
-def simulate_placement_sharded(
-    placement: Placement,
-    services: Iterable[Service],
-    duration_s: float = 2.0,
-    warmup_s: float = 0.5,
-    seed: int = 0,
-    arrivals: str = "uniform",
-    workers: int = 1,
-    context: Optional[ShardContext] = None,
-) -> SimulationReport:
-    """Sharded, memoized equivalent of ``simulate_placement_fast``.
-
-    ``workers`` is the shard count (1 runs the single shard inline —
-    same code path, no subprocess).  Passing a ``context`` reuses its
-    pool and segment memo across calls (the FleetController's
-    per-interval loop); otherwise an ephemeral context is created and
-    closed before returning.
-    """
-    from repro.sim.runner import segment_key
-
-    if duration_s <= warmup_s:
-        raise ValueError("duration must exceed warmup")
-    own_context = context is None
-    ctx = ShardContext(workers) if own_context else context
-    try:
-        return _simulate_sharded(
-            placement, services, duration_s, warmup_s, seed, arrivals, ctx,
-            segment_key,
-        )
-    finally:
-        if own_context:
-            ctx.close()
-
-
-def _simulate_sharded(
-    placement: Placement,
-    services: Iterable[Service],
-    duration_s: float,
-    warmup_s: float,
-    seed: int,
-    arrivals: str,
-    ctx: ShardContext,
-    segment_key: Callable[[int, str, Optional[int]], str],
-) -> SimulationReport:
-    svc_by_id = {s.id: s for s in services}
-    report = SimulationReport(duration_s=duration_s, warmup_s=warmup_s)
-    for sid, svc in svc_by_id.items():
-        report.services[sid] = ServiceStats(
-            service_id=sid, slo_ms=svc.slo_latency_ms
-        )
-        report.completed[sid] = 0
-
-    rng = np.random.default_rng(seed)
-    until = duration_s + 1.0
-    #: (key, segment, slo_ms, times) in placement order; ``times`` is
-    #: None for uniform arrivals (regenerated from the rate in-worker).
-    runs: list[tuple[str, PlacedSegment, float, Optional[np.ndarray]]] = []
-    sm_counts: dict[str, int] = {}
-    busy: dict[str, float] = {}
-    for gpu_id, seg in placement.iter_segments():
-        if seg.service_id not in svc_by_id:
-            raise ValueError(
-                f"placement references unknown service {seg.service_id!r}"
-            )
-        key = segment_key(gpu_id, seg.service_id, seg.start)
-        if arrivals == "poisson":
-            # The shared rng advances in placement order, exactly like
-            # the serial paths — generation cannot move into workers.
-            times = poisson_arrivals(seg.served_rate, duration_s, rng)
-        elif arrivals == "uniform":
-            times = None
-        else:
-            raise ValueError(f"unknown arrival process {arrivals!r}")
-        runs.append((key, seg, svc_by_id[seg.service_id].slo_latency_ms, times))
-        # Last register wins, as in SMActivityTracker.register.
-        sm_counts[key] = max(1, round(seg.sm_count))
-        busy.setdefault(key, 0.0)
-
-    memoizable = arrivals == "uniform"
-    results: list[Optional[tuple]] = [None] * len(runs)
-    memo_keys: list[Optional[tuple]] = [None] * len(runs)
-    miss_idx: list[int] = []
-    for i, (key, seg, slo_ms, _times) in enumerate(runs):
-        if memoizable:
-            mk = (
-                seg.model,
-                seg.effective_gpcs,
-                seg.batch_size,
-                seg.num_processes,
-                seg.latency_ms,
-                slo_ms,
-                sm_counts[key],
-                seg.served_rate,
-                duration_s,
-                warmup_s,
-            )
-            memo_keys[i] = mk
-            hit = ctx.memo.get(mk)
-            if hit is not None:
-                results[i] = hit
-                ctx.memo_hits += 1
-                continue
-            ctx.memo_misses += 1
-        miss_idx.append(i)
-
-    if miss_idx:
-        jobs = []
-        for start, stop in partition(len(miss_idx), ctx.workers):
-            block = [
-                (
-                    runs[j][1],
-                    runs[j][2],
-                    sm_counts[runs[j][0]],
-                    runs[j][3],
-                )
-                for j in miss_idx[start:stop]
-            ]
-            jobs.append(
-                _pack_job(block, arrivals, duration_s, warmup_s, until)
-            )
-        with ctx.obs.span(
-            "scatter", cat="shard",
-            shards=len(jobs), segments=len(miss_idx),
-            memo_hits=len(runs) - len(miss_idx),
-        ):
-            rows_per_shard = ctx.pool.run(_run_shard, jobs)
-        with ctx.obs.span("gather", cat="shard", shards=len(jobs)):
-            cursor = 0
-            for rows in rows_per_shard:
-                for row in rows:
-                    # Plain floats: float64 round-trips exactly, and
-                    # report fields must not silently become numpy
-                    # scalars.
-                    results[miss_idx[cursor]] = tuple(
-                        float(x) for x in row
-                    )
-                    cursor += 1
-
-    steps = 0
-    for i, (key, seg, slo_ms, _times) in enumerate(runs):
-        row = results[i]
-        if memoizable:
-            ctx.memo[memo_keys[i]] = row
-        batches, violations, requests, lat_sum, lat_max, busy_sm, n_steps = row
-        st = report.services[seg.service_id]
-        st.batches += int(batches)
-        st.violations += int(violations)
-        st.requests += int(requests)
-        st.latency_sum_ms += lat_sum
-        if lat_max > st.latency_max_ms:
-            st.latency_max_ms = lat_max
-        report.completed[seg.service_id] += int(requests)
-        busy[key] += busy_sm
-        steps += int(n_steps)
-    report.events_processed = steps
-
-    window = duration_s - warmup_s
-    for key, _seg, _slo, _times in runs:
-        ratio = busy[key] / (sm_counts[key] * window) if window > 0 else 0.0
-        report.segment_activity[key] = min(1.0, ratio)
-    return report
