@@ -20,8 +20,6 @@ Subcommands:
   timeline on the naive reference machinery and asserts fingerprint
   identity (``--verify-every N`` samples the reference's serving
   measurement to every Nth interval — the cheap smoke mode).
-  ``ops --live`` runs the same scenario through the live serve gateway
-  instead (scaled real time, scripted driver).
 - ``parvagpu serve --scenario S16 [--clock real|virtual]
   [--time-scale X] [--deadline B]`` — the live-serving gateway: stream
   the scenario's timeline through the async control loop, publish
@@ -260,27 +258,9 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_gateway_session(
-    scenario: str,
-    seed: int | None,
-    horizon: float | None,
-    *,
-    virtual: bool,
-    time_scale: float,
-    measure: float,
-    warmup: float,
-    deadline: float | None,
-    workers: int,
-    port: int,
-    no_status: bool,
-    use_stdin: bool,
-    record: str | None,
-    check_offline: bool,
-    journal_dir: str | None = None,
-    checkpoint: str | None = None,
-    checkpoint_every: int = 0,
-) -> int:
-    """One serve-gateway session (shared by ``serve`` and ``ops --live``)."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """One serve-gateway session: live on the monotonic clock, or a
+    deterministic virtual-clock replay."""
     import asyncio
 
     from repro.ops import FleetController, OpsIdentityError
@@ -296,35 +276,36 @@ def _run_gateway_session(
         stream_source,
     )
 
-    seed = seed if seed is not None else OPS_SEED
+    seed = args.seed if args.seed is not None else OPS_SEED
+    virtual = args.clock == "virtual"
     try:
-        run = ops_run(scenario, seed=seed)
+        run = ops_run(args.scenario, seed=seed)
         clock = (
             VirtualClock()
             if virtual
-            else MonotonicClock(time_scale=time_scale)
+            else MonotonicClock(time_scale=args.time_scale)
         )
-        horizon = horizon if horizon is not None else run.horizon_s
-        controller = FleetController(seed=seed, workers=workers)
+        horizon = args.horizon if args.horizon is not None else run.horizon_s
+        controller = FleetController(seed=seed, workers=args.workers)
         gateway = ServeGateway(
             controller,
             run.services,
             horizon,
             clock,
-            measure_s=measure,
-            warmup_s=warmup,
+            measure_s=args.measure,
+            warmup_s=args.warmup,
             sim_seed=seed,
-            deadline_budget_s=deadline,
+            deadline_budget_s=args.deadline,
             snapshot_every=0 if virtual else 1,
-            journal=None if journal_dir is None else Journal(journal_dir),
-            checkpoint_path=checkpoint,
-            checkpoint_every=checkpoint_every,
+            journal=None if args.journal is None else Journal(args.journal),
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
         )
     except (KeyError, ValueError) as exc:
         print(f"error: {_unquote(exc)}", file=sys.stderr)
         return 2
     driver = ScriptedDriver(e for e in run.timeline if e.time_s < horizon)
-    mode = "virtual replay" if virtual else f"live x{time_scale:g}"
+    mode = "virtual replay" if virtual else f"live x{args.time_scale:g}"
     print(
         f"{run.name}: {len(run.services)} services, "
         f"{len(driver.events)} scripted events over {horizon:g} s "
@@ -333,15 +314,15 @@ def _run_gateway_session(
 
     async def session():
         server = None
-        if not no_status and not virtual:
-            server = StatusServer(gateway, port=port)
+        if not args.no_status and not virtual:
+            server = StatusServer(gateway, port=args.port)
             await server.start()
             print(
                 f"status: http://127.0.0.1:{server.port}/report "
                 f"(and /health)"
             )
         try:
-            if use_stdin:
+            if args.stdin:
                 loop = asyncio.get_running_loop()
                 reader = asyncio.StreamReader()
                 protocol = asyncio.StreamReaderProtocol(reader)
@@ -379,14 +360,14 @@ def _run_gateway_session(
         js = gateway.journal.stats
         print(
             f"journal: {js.appends} events in {js.segments} segment(s), "
-            f"{js.fsyncs} fsyncs ({journal_dir})"
+            f"{js.fsyncs} fsyncs ({args.journal})"
         )
-    if checkpoint:
+    if args.checkpoint:
         print(
             f"checkpoints: {health.checkpoint_writes} written"
             + (f", {health.checkpoint_errors} failed"
                if health.checkpoint_errors else "")
-            + f" ({checkpoint})"
+            + f" ({args.checkpoint})"
         )
     if health.safe_mode:
         print(
@@ -406,17 +387,17 @@ def _run_gateway_session(
             f"compliance: mean {100 * report.mean_compliance:.2f}%, "
             f"min {100 * report.min_compliance:.2f}%"
         )
-    if record and not use_stdin:
-        with open(record, "w", encoding="utf-8") as fh:
+    if args.record and not args.stdin:
+        with open(args.record, "w", encoding="utf-8") as fh:
             for line in driver.recorded_jsonl():
                 fh.write(line + "\n")
-        print(f"recorded session: {record} ({len(driver.sent)} events)")
-    if check_offline:
-        recorded = tuple(driver.sent) if not use_stdin else run.timeline
+        print(f"recorded session: {args.record} ({len(driver.sent)} events)")
+    if args.check_offline:
+        recorded = tuple(driver.sent) if not args.stdin else run.timeline
         try:
             replay_identity_checked(
                 run.services, recorded, horizon,
-                measure_s=measure, warmup_s=warmup, sim_seed=seed,
+                measure_s=args.measure, warmup_s=args.warmup, sim_seed=seed,
                 seed=seed,
             )
         except OpsIdentityError as exc:
@@ -429,27 +410,6 @@ def _run_gateway_session(
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    return _run_gateway_session(
-        args.scenario,
-        args.seed,
-        args.horizon,
-        virtual=args.clock == "virtual",
-        time_scale=args.time_scale,
-        measure=args.measure,
-        warmup=args.warmup,
-        deadline=args.deadline,
-        workers=args.workers,
-        port=args.port,
-        no_status=args.no_status,
-        use_stdin=args.stdin,
-        record=args.record,
-        check_offline=args.check_offline,
-        journal_dir=args.journal,
-        checkpoint=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-    )
-
 
 def _cmd_ops(args: argparse.Namespace) -> int:
     from repro.ops import (
@@ -460,48 +420,15 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     )
     from repro.scenarios.ops import OPS_SEED, ops_run
 
-    if (args.trace or args.trace_jsonl) and (args.live or args.verify):
+    if (args.trace or args.trace_jsonl) and args.verify:
         print("error: --trace/--trace-jsonl export the offline replay's "
-              "span tree; they cannot be combined with --live or --verify",
+              "span tree; they cannot be combined with --verify",
               file=sys.stderr)
         return 2
-    if args.live:
-        if args.verify or args.engine != "fast":
-            print("error: --live is a serve-gateway session; it cannot be "
-                  "combined with --verify or --engine", file=sys.stderr)
-            return 2
-        if args.resume:
-            print("error: --resume replays an offline checkpoint; it cannot "
-                  "be combined with --live (journal replay covers live "
-                  "sessions)", file=sys.stderr)
-            return 2
-        return _run_gateway_session(
-            args.scenario,
-            args.seed,
-            args.horizon,
-            virtual=False,
-            time_scale=args.time_scale,
-            measure=args.measure,
-            warmup=args.warmup,
-            deadline=None,
-            workers=args.workers,
-            port=0,
-            no_status=False,
-            use_stdin=False,
-            record=None,
-            check_offline=False,
-            journal_dir=args.journal,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-        )
     if (args.resume or args.checkpoint or args.checkpoint_every) and args.verify:
         print("error: --verify replays the full timeline on the naive "
               "reference; it cannot be combined with checkpoint/resume",
               file=sys.stderr)
-        return 2
-    if args.journal:
-        print("error: --journal is a gateway-session flag (use --live or "
-              "the serve command)", file=sys.stderr)
         return 2
     if args.verify_every != 1 and not args.verify:
         print("error: --verify-every only applies with --verify",
@@ -638,12 +565,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
         help="checkpoint cadence in control-loop steps (0 = only where "
         "the session flushes on its own; requires --checkpoint)",
     )
-    parser.add_argument(
-        "--journal", default=None, metavar="DIR",
-        help="write-ahead journal directory: every admitted intake "
-        "event is persisted in wire format before use, so a crashed "
-        "gateway session can be replayed bit-identically",
-    )
 
 
 def _add_geometry_flag(parser: argparse.ArgumentParser) -> None:
@@ -723,17 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --verify: sample the reference replay's serving "
         "measurement to every Nth interval (placement fingerprints are "
         "still checked everywhere; default: 1 = the full contract)",
-    )
-    p.add_argument(
-        "--live", action="store_true",
-        help="run the scenario through the live serve gateway instead "
-        "of the offline replay (scaled real time, scripted driver, "
-        "local status endpoint)",
-    )
-    p.add_argument(
-        "--time-scale", type=float, default=60.0, dest="time_scale",
-        help="with --live: scenario seconds per real second "
-        "(default: %(default)s)",
     )
     p.add_argument(
         "--workers", type=int, default=0,
@@ -831,6 +741,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0 = inline, memo on; N = N worker processes)",
     )
     _add_resilience_flags(p)
+    p.add_argument(
+        "--journal", default=None, metavar="DIR",
+        help="write-ahead journal directory: every admitted intake "
+        "event is persisted in wire format before use, so a crashed "
+        "gateway session can be replayed bit-identically",
+    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("simulate", help="simulate serving a scenario")

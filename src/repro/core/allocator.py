@@ -42,7 +42,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    TypeVar,
     Union,
 )
 
@@ -219,13 +218,18 @@ _FRESH_KEYS = 2 << 48
 class LiveFleet:
     """The allocator build state as one persistent, order-keyed object.
 
-    Holds what :meth:`~repro.core.deployment.DeploymentManager.build_states`
+    The indexed allocator state: ``_GPUState``s under first-fit order
+    keys plus their :class:`~repro.core.slotindex.SlotIndex`.  A full
+    schedule starts from an empty fleet
+    (:meth:`SegmentAllocator.make_index`); the deployment manager's live
+    fleet holds what
+    :meth:`~repro.core.deployment.DeploymentManager.build_states`
     rebuilds from a published placement — live GPUs in placement order,
     then spares in gpu-id order, then the reserved ids of retired GPUs —
-    and keeps it, with its :class:`~repro.core.slotindex.SlotIndex`,
-    across operations.  Keys replace list positions: a GPU leaving the
-    order drops its key without shifting anyone else's, so incremental
-    operations cost O(touched GPUs) instead of a rebuild.
+    and keeps it across incremental operations.  Keys replace list
+    positions: a GPU leaving the order drops its key without shifting
+    anyone else's, so incremental operations cost O(touched GPUs)
+    instead of a rebuild.
 
     :meth:`commit` closes an operation the way the next rebuild would see
     it: emptied GPUs leave the order (unless they are spares), and
@@ -447,9 +451,10 @@ class LiveFleet:
             self._light.discard(key)
 
 
-#: what the allocator's relocation and optimization passes operate on
+#: what the allocator's relocation and optimization passes operate on: a
+#: :class:`LiveFleet` runs every first-fit through its slot index, a
+#: plain list runs the naive linear scan
 GPUOrder = Union[list[_GPUState], LiveFleet]
-GPUOrderT = TypeVar("GPUOrderT", list[_GPUState], LiveFleet)
 
 
 class SegmentAllocator:
@@ -459,12 +464,15 @@ class SegmentAllocator:
     Relocation only, Fig. 7's comparison point).  ``geometry`` selects the
     partition geometry the segments target (MIG by default).
 
-    ``indexed`` (default) routes every first-fit probe through a
-    :class:`~repro.core.slotindex.SlotIndex` instead of the linear GPU
-    scan.  Placements are byte-identical either way — the index is keyed
-    by GPU list position and probes slots in the same preference order —
-    so ``indexed=False`` exists only as the reference path for the
-    identity property test and the perf harness's naive baseline.
+    Every pass runs on the allocator state it is handed: a
+    :class:`LiveFleet` probes through its
+    :class:`~repro.core.slotindex.SlotIndex`, a ``list[_GPUState]`` runs
+    the linear GPU scan.  ``indexed`` (default) picks which one a full
+    schedule starts from (:meth:`make_index`).  Placements are
+    byte-identical either way — the index is keyed by first-fit order and
+    probes slots in the same preference order — so ``indexed=False``
+    exists only as the reference path for the identity property test and
+    the perf harness's naive baseline.
     """
 
     def __init__(
@@ -485,50 +493,41 @@ class SegmentAllocator:
     # public API
     # ------------------------------------------------------------------ #
 
-    def make_index(self, gpus: list[_GPUState]) -> Optional[SlotIndex]:
-        """A slot index over ``gpus`` (None when running unindexed).
+    def make_index(self) -> GPUOrder:
+        """An empty allocator state: a :class:`LiveFleet` when indexed,
+        a plain list (the naive scan) otherwise.
 
-        The rebuild path of the incremental callers (SIII-F updates,
-        failover) indexes its rebuilt state once here, sharing the index
-        across relocation and optimization; their live path keeps a
-        persistent index in its :class:`LiveFleet` instead.
+        The start of every full schedule; the incremental callers (SIII-F
+        updates, failover) start from the deployment manager's live fleet
+        or from its rebuilt list instead.
         """
-        return SlotIndex(gpus) if self.indexed else None
+        if self.indexed:
+            return LiveFleet((), {}, {})
+        return []
 
     def allocate(self, services: Sequence[Service]) -> Placement:
         """Full Algorithm 2: relocation, then optional optimization."""
-        gpus: list[_GPUState] = []
-        index = self.make_index(gpus)
-        self._relocate(services, gpus, index)
+        gpus = self.segment_relocation(services)
         if self.optimize:
-            gpus = self.allocation_optimization(gpus, services, index=index)
+            gpus = self.allocation_optimization(gpus, services)
         return self._to_placement(gpus)
 
-    def segment_relocation(self, services: Sequence[Service]) -> list[_GPUState]:
+    def segment_relocation(self, services: Sequence[Service]) -> GPUOrder:
         """``SEGMENTRELOCATION`` (Algorithm 2 lines 3-10)."""
-        gpus: list[_GPUState] = []
-        self._relocate(services, gpus, self.make_index(gpus))
-        return gpus
-
-    def _relocate(
-        self,
-        services: Sequence[Service],
-        gpus: list[_GPUState],
-        index: Optional[SlotIndex],
-    ) -> None:
+        gpus = self.make_index()
         queues = self._new_queues(self.geometry.instance_sizes)
         for svc in services:
             for seg in svc.segments():
                 self._enqueue(queues, seg)
-        self._allocation(queues, gpus, self.geometry, index=index)
+        self._allocation(queues, gpus, self.geometry)
+        return gpus
 
     def allocation_optimization(
         self,
-        gpus: GPUOrderT,
+        gpus: GPUOrder,
         services: Sequence[Service],
-        index: Optional[SlotIndex] = None,
         hosted: Optional[Collection[str]] = None,
-    ) -> GPUOrderT:
+    ) -> GPUOrder:
         """``ALLOCATIONOPTIMIZATION`` (Algorithm 2 lines 13-30).
 
         ``hosted`` (every service with segments on ``gpus``) spares the
@@ -536,10 +535,6 @@ class SegmentAllocator:
         the drain pass visits only the GPUs its light set and touched
         keys name — the only ones that can be at/below the threshold.
         """
-        if isinstance(gpus, LiveFleet):
-            index = gpus.index
-        elif index is None and self.indexed:
-            index = SlotIndex(gpus)
         by_id: dict[str, Service] = {s.id: s for s in services}
         # Optimization consults every hosted service's triplet array when
         # judging a drain candidate, so a hosted service absent from
@@ -590,15 +585,13 @@ class SegmentAllocator:
                 ):
                     freed_rate[svc.id] -= small.throughput
                     self._enqueue(queues, small)
-            if index is not None:
-                index.touch(pos)  # the drained GPU can host segments again
-            self._allocation(queues, gpus, self.geometry, index=index)
-        self._compact(gpus, index=index)
+            if isinstance(gpus, LiveFleet):
+                gpus.index.touch(pos)  # the drained GPU can host again
+            self._allocation(queues, gpus, self.geometry)
+        self._compact(gpus)
         return gpus
 
-    def _compact(
-        self, gpus: GPUOrder, index: Optional[SlotIndex] = None
-    ) -> None:
+    def _compact(self, gpus: GPUOrder) -> None:
         """Pull small segments from the back into earlier GPUs' holes.
 
         The final step of "reallocating them to empty spaces, starting from
@@ -612,6 +605,7 @@ class SegmentAllocator:
         in front of it: moves only fill holes in front of the cursor, so
         no GPU further forward could move anything either.
         """
+        index = gpus.index if isinstance(gpus, LiveFleet) else None
         order: Iterable[int] = (
             gpus.compact_order()
             if isinstance(gpus, LiveFleet)
@@ -664,24 +658,22 @@ class SegmentAllocator:
         queues: dict[int, list[Segment]],
         gpus: GPUOrder,
         geometry: PartitionGeometry = MIG_GEOMETRY,
-        index: Optional[SlotIndex] = None,
     ) -> None:
-        """Drain queues largest-size first onto the GPU list.
+        """Drain queues largest-size first onto the GPU order.
 
         Per segment: first-fit over every GPU's *preferred* slots, then over
         fallback slots, then a fresh GPU — so (on MIG) a size-2 only
         occupies the upper half (slots 4/5) once no lower-half position
         exists anywhere, and a size-3 never blocks slice 3 by sitting at
-        slot 0.  With ``index`` the probe is a candidate lookup instead of
-        a linear scan; the winning GPU and slot are identical.
+        slot 0.  On a :class:`LiveFleet` the probe is a slot-index lookup
+        instead of a linear scan; the winning GPU and slot are identical.
         """
+        index: Optional[SlotIndex] = None
         if isinstance(gpus, LiveFleet):
             index = gpus.index
             next_gpu_id = gpus.next_gpu_id()
         else:
             next_gpu_id = max((g.gpu_id for g in gpus), default=-1) + 1
-        if index is not None:
-            index.sync()  # pick up GPUs appended since index construction
         for size in sorted(queues, reverse=True):
             for seg in queues[size]:
                 if index is not None:
@@ -697,8 +689,6 @@ class SegmentAllocator:
                     state = _GPUState(gpu_id=next_gpu_id, geometry=geometry)
                     next_gpu_id += 1
                     gpus.append(state)
-                    if index is not None:
-                        index.sync()
                     if state.try_place(seg) is None:  # pragma: no cover
                         raise RuntimeError(
                             f"segment {seg.describe()} unplaceable on empty GPU"
@@ -759,7 +749,8 @@ class SegmentAllocator:
     # result assembly
     # ------------------------------------------------------------------ #
 
-    def _to_placement(self, gpus: Iterable[_GPUState]) -> Placement:
+    @staticmethod
+    def _to_placement(gpus: Iterable[_GPUState]) -> Placement:
         """Build the deployment map, *preserving* GPU ids.
 
         Ids are kept (not renumbered) so that incremental callers — the

@@ -26,12 +26,18 @@ third (:meth:`deploy`):
   touched, and publishes a new :class:`Placement` whose ``gpus`` list
   shares every untouched :class:`GPUPlan` (published plans are never
   mutated — copy-on-write);
-- the **rebuild** (``fast_path=False``): :meth:`build_states` rebuilds
-  the allocator state from the current placement, spares appended as
-  empty GPUs after the live fleet and retired ids as blocked sentinels,
-  so restored capacity is drafted only when no hole in the live fleet
-  fits.  It is the naive reference the live state is replayed against,
-  and the fleet controller's per-interval check compares the two.
+- the **rebuild** (``fast_path=False``): :meth:`apply_rebuilt` runs a
+  delta on the plain list :meth:`build_states` rebuilds from the current
+  placement — spares appended as empty GPUs after the live fleet and
+  retired ids as blocked sentinels, so restored capacity is drafted only
+  when no hole in the live fleet fits — then re-rates and deploys the
+  whole map.  It is the naive reference the live state is replayed
+  against, and the fleet controller's per-interval check compares the
+  two.
+
+A delta is written once, over a
+:data:`~repro.core.allocator.GPUOrder`: handed the live fleet it probes
+through the slot index, handed the rebuilt list it runs the naive scan.
 
 :meth:`deploy` of any placement the live state did not produce (a full
 schedule, a restored checkpoint, an autoscaler epoch) takes the full
@@ -42,9 +48,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, ClassVar, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Collection, Mapping, Optional, Sequence
 
 from repro.core.allocator import (
+    GPUOrder,
     LiveFleet,
     SegmentAllocator,
     _GPUState,
@@ -270,6 +277,26 @@ class DeploymentManager:
         self.stats.gpus_rebuilt += len(states)
         return states
 
+    def apply_rebuilt(
+        self,
+        services: Sequence[Service],
+        delta: Callable[[list[_GPUState]], None],
+        exclude_service: Optional[str] = None,
+        skip_gpu: Optional[int] = None,
+    ) -> tuple[Placement, ReconfigurationPlan]:
+        """Run ``delta`` on a rebuilt state, then assemble, re-rate and
+        deploy the whole map — the reference twin of :meth:`apply_live`.
+        """
+        gpus = self.build_states(
+            exclude_service=exclude_service, skip_gpu=skip_gpu
+        )
+        assert self.current is not None
+        delta(gpus)
+        placement = SegmentAllocator._to_placement(gpus)
+        placement.framework = self.current.framework
+        placement.assign_rates({s.id: s.request_rate for s in services})
+        return placement, self.deploy(placement)
+
     # ------------------------------------------------------------------ #
     # incremental allocator state: the live state
     # ------------------------------------------------------------------ #
@@ -449,13 +476,9 @@ class DeploymentManager:
         if not fast_path:
             if not self.current.segments_of(departed_id):
                 raise ValueError(f"service {departed_id!r} hosts no segments")
-            gpus = self.build_states(exclude_service=departed_id)
-            allocator = SegmentAllocator(geometry=self.geometry)
-            placement = allocator._to_placement(gpus)
-            placement.framework = self.current.framework
-            placement.assign_rates({s.id: s.request_rate for s in services})
-            plan = self.deploy(placement)
-            return placement, plan
+            return self.apply_rebuilt(
+                services, lambda gpus: None, exclude_service=departed_id
+            )
 
         if departed_id not in self.live_state().hosts:
             raise ValueError(f"service {departed_id!r} hosts no segments")
@@ -503,43 +526,28 @@ class DeploymentManager:
         )
         configurator.configure([changed])
 
-        allocator = SegmentAllocator(
-            optimize=optimize, geometry=self.geometry, indexed=fast_path
-        )
-        if fast_path:
+        allocator = SegmentAllocator(optimize=optimize, geometry=self.geometry)
 
-            def replan(live: LiveState) -> None:
-                fleet = live.fleet
-                hosted = live.hosts.keys() | {changed.id}
-                for gid in sorted(live.hosts.get(changed.id, ())):
-                    fleet.remove_segments(gid, changed.id)
-                queues = allocator._new_queues(self.geometry.instance_sizes)
-                for seg in changed.segments():
-                    allocator._enqueue(queues, seg)
-                allocator._allocation(queues, fleet, self.geometry)
-                if optimize:
-                    allocator.allocation_optimization(
-                        fleet, list(services), hosted=hosted
-                    )
+        def replan(
+            gpus: GPUOrder, hosted: Optional[Collection[str]] = None
+        ) -> None:
+            queues = allocator._new_queues(self.geometry.instance_sizes)
+            for seg in changed.segments():
+                allocator._enqueue(queues, seg)
+            allocator._allocation(queues, gpus, self.geometry)
+            if optimize:
+                allocator.allocation_optimization(
+                    gpus, list(services), hosted=hosted
+                )
 
-            return self.apply_live(services, replan)
-
-        # Rebuild allocator state from the current map (each plan under its
-        # own geometry) plus any spare GPUs, minus the changed service's
-        # segments; the slot index is rebuilt over the surviving states
-        # once and shared by relocation and optimization.
-        gpus: list[_GPUState] = self.build_states(exclude_service=changed.id)
-        index = allocator.make_index(gpus)
-        queues = allocator._new_queues(self.geometry.instance_sizes)
-        for seg in changed.segments():
-            allocator._enqueue(queues, seg)
-        allocator._allocation(queues, gpus, self.geometry, index=index)
-        if optimize:
-            gpus = allocator.allocation_optimization(
-                gpus, list(services), index=index
+        if not fast_path:
+            return self.apply_rebuilt(
+                services, replan, exclude_service=changed.id
             )
-        placement = allocator._to_placement(gpus)
-        placement.framework = self.current.framework
-        placement.assign_rates({s.id: s.request_rate for s in services})
-        plan = self.deploy(placement)
-        return placement, plan
+
+        def replan_live(live: LiveState) -> None:
+            for gid in sorted(live.hosts.get(changed.id, ())):
+                live.fleet.remove_segments(gid, changed.id)
+            replan(live.fleet, hosted=live.hosts.keys() | {changed.id})
+
+        return self.apply_live(services, replan_live)

@@ -24,14 +24,13 @@ live fleet, so it is drafted exactly when no existing hole fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from repro.core.allocator import GPUOrderT, SegmentAllocator
-from repro.core.deployment import DeploymentManager, LiveState
+from repro.core.allocator import GPUOrder, SegmentAllocator
+from repro.core.deployment import DeploymentManager
 from repro.core.placement import Placement
 from repro.core.segments import Segment
 from repro.core.service import Service
-from repro.core.slotindex import SlotIndex
 from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, price_plan
 from repro.profiler.table import ProfileTable
@@ -138,40 +137,32 @@ class FailoverController:
         # to a fresh GPU.
         manager.retire_gpu(gpu_id, victim.geometry)
         allocator = SegmentAllocator(
-            optimize=self.optimize, geometry=victim_geometry,
-            indexed=self.fast_path,
+            optimize=self.optimize, geometry=victim_geometry
         )
 
-        def relocate(
-            gpus: GPUOrderT, index: Optional[SlotIndex]
-        ) -> GPUOrderT:
+        def relocate(gpus: GPUOrder) -> None:
             queues = allocator._new_queues(victim_geometry.instance_sizes)
             for seg in lost_segments:
                 allocator._enqueue(queues, seg)
-            allocator._allocation(queues, gpus, victim_geometry, index=index)
+            allocator._allocation(queues, gpus, victim_geometry)
             if self.optimize:
-                gpus = allocator.allocation_optimization(
-                    gpus, list(services), index=index,
+                allocator.allocation_optimization(
+                    gpus, list(services),
                     hosted=hosted if live is not None else None,
                 )
-            return gpus
-
-        def recover(state: LiveState) -> None:
-            relocate(state.fleet, None)
 
         gpus_before = current.num_gpus
         if live is not None:
-            placement, plan = manager.apply_live(services, recover)
+            placement, plan = manager.apply_live(
+                services, lambda state: relocate(state.fleet)
+            )
         else:
             # The rebuild reference: allocator state from every surviving
             # GPU (plus any registered spares), each under its own
-            # geometry, with the survivors' free slots indexed once.
-            gpus = manager.build_states(skip_gpu=gpu_id)
-            gpus = relocate(gpus, allocator.make_index(gpus))
-            placement = allocator._to_placement(gpus)
-            placement.framework = current.framework
-            placement.assign_rates({s.id: s.request_rate for s in services})
-            plan = manager.deploy(placement)
+            # geometry.
+            placement, plan = manager.apply_rebuilt(
+                services, relocate, skip_gpu=gpu_id
+            )
         return FailoverResult(
             failed_gpu=gpu_id,
             affected_services=tuple(sorted(lost)),

@@ -20,13 +20,12 @@ identity is the design constraint, not an accident:
   lazily when a query finds them infeasible.  Capacity only *grows* on
   segment removal (``touch`` re-registers the GPU).
 
-An index built over a list (``SlotIndex(gpus)``) keys every GPU by its
-list position.  An index built empty is *keyed* by its owner instead:
-:class:`~repro.core.allocator.LiveFleet` registers GPUs under order keys
-that survive GPUs leaving the order (``add``/``discard``), which is what
-lets one index live across many incremental re-plans.  Entries of a
-discarded key go stale and are dropped lazily, exactly like infeasible
-ones.
+GPUs are registered under *order keys* chosen by the owner,
+:class:`~repro.core.allocator.LiveFleet` — the allocator state of a full
+schedule and of every incremental re-plan alike.  Keys survive GPUs
+leaving the order (``add``/``discard``), which is what lets one index
+live across many incremental re-plans.  Entries of a discarded key go
+stale and are dropped lazily, exactly like infeasible ones.
 
 Both of Algorithm 2's probe orders are supported: ``ALLOCATION`` exhausts
 preferred slots across the whole fleet before trying any fallback slot
@@ -58,36 +57,22 @@ _Key = tuple[str, int, bool]
 class SlotIndex:
     """Candidate-GPU index over order-keyed ``_GPUState`` objects.
 
-    ``SlotIndex(gpus)`` follows a (shared, append-only) list: ``sync``
-    registers the new tail under its list positions.  ``SlotIndex()``
-    starts empty and is maintained through ``add``/``discard``.  Either
-    way every key that changed — a placement landed on it, its capacity
-    grew, it was registered — is recorded in ``touched`` until the owner
-    clears it.
+    Starts empty and is maintained through ``add``/``discard``.  Every
+    key that changed — a placement landed on it, its capacity grew, it
+    was registered — is recorded in ``touched`` until the owner clears
+    it.
     """
 
-    def __init__(self, gpus: Optional[list["_GPUState"]] = None) -> None:
-        self._gpus = gpus
+    def __init__(self) -> None:
         self._states: dict[int, "_GPUState"] = {}
         self._heaps: dict[_Key, list[int]] = {}
         self._members: dict[_Key, set[int]] = {}
-        self._known = 0
         #: keys whose state changed since the owner last cleared the set
         self.touched: set[int] = set()
-        self.sync()
 
     # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #
-
-    def sync(self) -> None:
-        """Register every GPU appended to the followed list since the
-        last call (a no-op for a keyed index)."""
-        if self._gpus is None:
-            return
-        while self._known < len(self._gpus):
-            self.add(self._known, self._gpus[self._known])
-            self._known += 1
 
     def add(self, key: int, state: "_GPUState") -> None:
         """Register ``state`` under order ``key``."""
@@ -124,14 +109,6 @@ class SlotIndex:
         for size in geometry.instance_sizes:
             for fallback in (False, True):
                 self._push((geometry.name, size, fallback), pos)
-
-    def rebuild(self) -> None:
-        """Drop every candidate and re-index all registered GPUs."""
-        self._heaps.clear()
-        self._members.clear()
-        for key in sorted(self._states):
-            self.touch(key)
-        self.sync()
 
     def _push(self, key: _Key, pos: int) -> None:
         members = self._members.setdefault(key, set())

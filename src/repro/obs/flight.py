@@ -3,7 +3,10 @@
 A crashing control plane cannot be asked questions, so the hub keeps
 the last ``capacity`` observability entries — closed spans plus
 explicit decision notes (path choices, safe-mode entries, shard-pool
-degradations) — in a ring that costs one deque append per entry.  On a
+degradations) — in a ring that costs one deque append per entry: a
+closed span is kept as the :class:`Span` itself and rendered only when
+the ring is read, so no rendering happens inside the span that
+encloses it.  On a
 ``CheckpointError``, safe-mode entry, or shard-pool degradation the
 ring is dumped to a JSON document (and optionally a file referenced
 from the crash checkpoint) for post-mortem.
@@ -35,7 +38,9 @@ class FlightRecorder:
         self.dumps = 0
         self.last_dump: dict[str, object] | None = None
         self.last_dump_path: str | None = None
-        self._ring: deque[dict[str, object]] = deque(maxlen=capacity)
+        self._ring: deque[Union[Span, dict[str, object]]] = deque(
+            maxlen=capacity
+        )
 
     def note(
         self, kind: str, *, t_s: float = 0.0, **fields: object
@@ -49,10 +54,13 @@ class FlightRecorder:
         """Tracer sink: closed spans enter the ring automatically."""
         if not self.enabled:
             return
-        self._ring.append({"kind": "span", **span.to_doc()})
+        self._ring.append(span)
 
     def entries(self) -> list[dict[str, object]]:
-        return list(self._ring)
+        return [
+            {"kind": "span", **e.to_doc()} if isinstance(e, Span) else e
+            for e in self._ring
+        ]
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -74,7 +82,7 @@ class FlightRecorder:
             "format": FLIGHT_FORMAT,
             "version": FLIGHT_VERSION,
             "reason": reason,
-            "entries": list(self._ring),
+            "entries": self.entries(),
         }
         self.last_dump = doc
         self.last_dump_path = None

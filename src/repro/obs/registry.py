@@ -69,7 +69,7 @@ class Metric:
                 f"{self.name} expects labels {self.labelnames}, "
                 f"got {tuple(labels)}"
             )
-        return tuple(str(v) for v in labels.values())
+        return tuple(map(str, labels.values()))
 
     def samples(self) -> list[tuple[LabelKey, float]]:
         raise NotImplementedError

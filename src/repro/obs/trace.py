@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 import pathlib
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 _PathLike = Union[str, pathlib.Path]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One node of the decision-path tree."""
 
@@ -57,6 +57,59 @@ class Span:
 _DISABLED_SPAN = Span(-1, "disabled", "obs", 0.0, 0.0, -1)
 
 
+class _OpenSpan:
+    """The ``with`` handle :meth:`Tracer.span` returns.
+
+    A plain class rather than a generator-based context manager: spans
+    open and close on every interval of a live session, and the handle
+    keeps that bookkeeping to a few attribute reads.
+    """
+
+    __slots__ = ("_tracer", "_name", "_cat", "_t_s", "_args", "_span", "_w0")
+
+    def __init__(
+        self, tracer: "Tracer", name: str, cat: str, t_s: float | None,
+        args: dict[str, object],
+    ) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._cat = cat
+        self._t_s = t_s
+        self._args = args
+        self._span = _DISABLED_SPAN
+        self._w0 = 0.0
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        if not tracer.enabled:
+            return _DISABLED_SPAN
+        stack = tracer._stack
+        parent = stack[-1] if stack else -1
+        t_s = self._t_s
+        if t_s is None:
+            t_s = tracer.spans[parent].t0_s if parent >= 0 else 0.0
+        sp = self._span = Span(
+            len(tracer.spans), self._name, self._cat, t_s, t_s, parent,
+            args=self._args,
+        )
+        tracer.spans.append(sp)
+        stack.append(sp.seq)
+        if tracer._wall is not None:
+            self._w0 = tracer._wall()
+        return sp
+
+    def __exit__(self, *exc: object) -> None:
+        sp = self._span
+        if sp is _DISABLED_SPAN:
+            return
+        tracer = self._tracer
+        if tracer._wall is not None:
+            sp.wall_s = tracer._wall() - self._w0
+        tracer._stack.pop()
+        if tracer._sink is not None:
+            tracer._sink(sp)
+
+
 class Tracer:
     """Records spans in open order; exports JSONL and Chrome JSON."""
 
@@ -72,11 +125,10 @@ class Tracer:
         self._wall = wall
         self._sink = sink
 
-    @contextmanager
     def span(
         self, name: str, *, t_s: float | None = None, cat: str = "ops",
         **args: object,
-    ) -> Iterator[Span]:
+    ) -> AbstractContextManager[Span]:
         """Open a span; children opened inside nest under it.
 
         ``t_s`` is the deterministic scenario instant; ``None`` inherits
@@ -85,32 +137,7 @@ class Tracer:
         ``sp.t1_s`` inside the block to give the span scenario extent.
         The wall sidecar is measured on exit when a wall track exists.
         """
-        if not self.enabled:
-            yield _DISABLED_SPAN
-            return
-        parent = self._stack[-1] if self._stack else -1
-        if t_s is None:
-            t_s = self.spans[parent].t0_s if parent >= 0 else 0.0
-        sp = Span(
-            seq=len(self.spans),
-            name=name,
-            cat=cat,
-            t0_s=t_s,
-            t1_s=t_s,
-            parent=parent,
-            args=dict(args),
-        )
-        self.spans.append(sp)
-        self._stack.append(sp.seq)
-        w0 = self._wall() if self._wall is not None else 0.0
-        try:
-            yield sp
-        finally:
-            if self._wall is not None:
-                sp.wall_s = self._wall() - w0
-            self._stack.pop()
-            if self._sink is not None:
-                self._sink(sp)
+        return _OpenSpan(self, name, cat, t_s, args)
 
     def to_jsonl(self) -> list[str]:
         """One span per line, open order, keys sorted (byte-stable)."""

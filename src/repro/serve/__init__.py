@@ -10,7 +10,8 @@ the :class:`~repro.ops.report.OpsReport` while it grows:
   time behind one interface: a deterministic
   :class:`~repro.serve.clock.VirtualClock` for bit-identical replay and
   a :class:`~repro.serve.realclock.MonotonicClock` for live sessions
-  (the only serve module allowed to read the wall clock);
+  (the only serve module that reads the wall clock, through
+  :func:`repro.obs.wallclock.wall_seconds`);
 - :mod:`repro.serve.sources` — pluggable event sources (in-memory
   timelines, recorded JSONL sessions, line-delimited JSON streams) and
   the wire codec;

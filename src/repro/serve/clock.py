@@ -20,8 +20,9 @@ execution regime without touching the loop:
   reference.
 
 ``VirtualClock`` lives here; the real clock lives in
-:mod:`repro.serve.realclock`, the only serve module the repro-lint D002
-allowlist permits to read the wall clock.
+:mod:`repro.serve.realclock`, the only serve module that reads the wall
+clock — through :func:`repro.obs.wallclock.wall_seconds`, the one file
+the repro-lint D002 allowlist lets the control plane read it in.
 """
 
 from __future__ import annotations

@@ -164,8 +164,6 @@ class ServeGateway:
         measure_s: float = 0.0,
         warmup_s: float = 0.1,
         sim_seed: int = 0,
-        check: bool = True,
-        measure_every: int = 1,
         deadline_budget_s: Optional[float] = None,
         max_deferrals: int = 8,
         snapshot_every: int = 0,
@@ -190,8 +188,6 @@ class ServeGateway:
         self.measure_s = measure_s
         self.warmup_s = warmup_s
         self.sim_seed = sim_seed
-        self.check = check
-        self.measure_every = measure_every
         self.deadline_budget_s = deadline_budget_s
         self.max_deferrals = max_deferrals
         #: refresh the cached status snapshot every N steps (0 = only on
@@ -239,8 +235,6 @@ class ServeGateway:
             measure_s=self.measure_s,
             warmup_s=self.warmup_s,
             sim_seed=self.sim_seed,
-            check=self.check,
-            measure_every=self.measure_every,
         )
         feeder: Optional[asyncio.Task[None]] = None
         try:
@@ -534,8 +528,6 @@ def replay_gateway(
     measure_s: float = 0.0,
     warmup_s: float = 0.1,
     sim_seed: int = 0,
-    check: bool = True,
-    measure_every: int = 1,
     deadline_budget_s: Optional[float] = None,
     controller: Optional[FleetController] = None,
     **controller_kwargs: object,
@@ -558,8 +550,6 @@ def replay_gateway(
         measure_s=measure_s,
         warmup_s=warmup_s,
         sim_seed=sim_seed,
-        check=check,
-        measure_every=measure_every,
         deadline_budget_s=deadline_budget_s,
     )
     return asyncio.run(gateway.run(timeline_source(timeline)))

@@ -1,7 +1,8 @@
 """The live clock: scenario time backed by the monotonic wall clock.
 
-This is the **only** module in :mod:`repro.serve` allowed to read the
-wall clock (the repro-lint D002 allowlist names exactly this file).
+This is the **only** module in :mod:`repro.serve` that reads the wall
+clock, and it reads it through the repository's one wall-clock tap,
+:func:`repro.obs.wallclock.wall_seconds` (``time.monotonic()``).
 Everything else — the gateway loop, the intake queue, the deadline
 scheduler — takes time from the :class:`~repro.serve.clock.Clock`
 interface, so the identical code path replays deterministically under a
@@ -11,8 +12,8 @@ interface, so the identical code path replays deterministically under a
 from __future__ import annotations
 
 import asyncio
-import time
 
+from repro.obs.wallclock import wall_seconds
 from repro.serve.clock import Clock
 
 
@@ -30,10 +31,10 @@ class MonotonicClock(Clock):
         if time_scale <= 0:
             raise ValueError("time scale must be positive")
         self.time_scale = time_scale
-        self._origin = time.monotonic()
+        self._origin = wall_seconds()
 
     def now(self) -> float:
-        return (time.monotonic() - self._origin) * self.time_scale
+        return (wall_seconds() - self._origin) * self.time_scale
 
     async def sleep_until(self, t: float) -> None:
         delay = (t - self.now()) / self.time_scale
@@ -41,4 +42,4 @@ class MonotonicClock(Clock):
             await asyncio.sleep(delay)
 
     def work_seconds(self) -> float:
-        return time.monotonic()
+        return wall_seconds()

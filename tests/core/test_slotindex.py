@@ -1,9 +1,11 @@
 """Unit tests for the allocator's free-slot index.
 
-The index's contract: after any sequence of places, removals, drains, and
-GPU appends (with ``touch``/``sync`` at the capacity-growing events), a
-candidate query returns exactly the GPU the naive linear scan would pick
-— or None exactly when the scan finds nothing.
+The index's contract: after any sequence of places, removals, drains,
+GPU registrations and discards (with ``touch``/``add``/``discard`` at the
+capacity-changing events), a candidate query returns exactly the GPU the
+naive linear scan would pick — or None exactly when the scan finds
+nothing.  The tests key every GPU by its list position, the order the
+naive scan walks.
 """
 
 import random
@@ -33,37 +35,47 @@ def _segment(size, geometry=MIG, sid="svc"):
     )
 
 
-def _naive_first_fit(gpus, size, fallback, geometry, limit=None):
+def _naive_first_fit(gpus, size, fallback, geometry, limit=None, gone=()):
     """Reference: lowest list position with a feasible slot."""
     for pos, state in enumerate(gpus):
         if limit is not None and pos >= limit:
             break
-        if state.geometry.name != geometry.name:
+        if pos in gone or state.geometry.name != geometry.name:
             continue
         if state.has_free_slot(size, fallback=fallback):
             return pos
     return None
 
 
-def _assert_matches_naive(index, gpus, geometry):
+def _assert_matches_naive(index, gpus, geometry, gone=()):
     for size in geometry.instance_sizes:
         for fallback in (False, True):
             assert index.first_candidate(
                 geometry.name, size, fallback
-            ) == _naive_first_fit(gpus, size, fallback, geometry), (
+            ) == _naive_first_fit(
+                gpus, size, fallback, geometry, gone=gone
+            ), (
                 size,
                 fallback,
             )
 
 
+def _keyed(gpus):
+    """An index with every GPU registered under its list position."""
+    index = SlotIndex()
+    for pos, state in enumerate(gpus):
+        index.add(pos, state)
+    return index
+
+
 class TestSlotIndex:
     def test_empty_list_has_no_candidates(self):
-        index = SlotIndex([])
+        index = SlotIndex()
         assert index.first_candidate("mig", 1) is None
 
     def test_place_tracks_first_fit(self):
         gpus = [_GPUState(gpu_id=i) for i in range(3)]
-        index = SlotIndex(gpus)
+        index = _keyed(gpus)
         # Fill GPU 0 with a size-7, so size queries fall through to GPU 1.
         assert index.place(_segment(7)) == 0
         assert index.first_candidate("mig", 1) == 1
@@ -71,7 +83,7 @@ class TestSlotIndex:
 
     def test_remove_then_touch_restores_candidacy(self):
         gpus = [_GPUState(gpu_id=0), _GPUState(gpu_id=1)]
-        index = SlotIndex(gpus)
+        index = _keyed(gpus)
         index.place(_segment(7))
         assert index.first_candidate("mig", 7) == 1
         seg, start = gpus[0].placed[0]
@@ -81,18 +93,16 @@ class TestSlotIndex:
         assert index.first_candidate("mig", 7) == 0
         _assert_matches_naive(index, gpus, MIG)
 
-    def test_sync_registers_appended_gpus(self):
-        gpus = [_GPUState(gpu_id=0)]
-        index = SlotIndex(gpus)
+    def test_add_registers_new_gpus(self):
+        index = _keyed([_GPUState(gpu_id=0)])
         index.place(_segment(7))
         assert index.place(_segment(7)) is None  # fleet is full
-        gpus.append(_GPUState(gpu_id=1))
-        index.sync()
+        index.add(1, _GPUState(gpu_id=1))
         assert index.place(_segment(7)) == 1
 
     def test_limit_bounds_the_search(self):
         gpus = [_GPUState(gpu_id=i) for i in range(3)]
-        index = SlotIndex(gpus)
+        index = _keyed(gpus)
         index.place(_segment(7))  # occupies position 0
         assert index.first_candidate("mig", 1, limit=1) is None
         assert index.first_candidate("mig", 1, limit=2) == 1
@@ -103,46 +113,42 @@ class TestSlotIndex:
             _GPUState(gpu_id=0, geometry=MI300X),
             _GPUState(gpu_id=1, geometry=MIG),
         ]
-        index = SlotIndex(gpus)
+        index = _keyed(gpus)
         assert index.first_candidate("mig", 1) == 1
         assert index.place(_segment(1)) == 1
 
     def test_uniform_size_rule_reflected(self):
         """On MI300X, placing one size evicts the others' candidacy."""
         gpus = [_GPUState(gpu_id=0, geometry=MI300X)]
-        index = SlotIndex(gpus)
+        index = _keyed(gpus)
         assert index.place(_segment(2, geometry=MI300X)) == 0
         assert index.first_candidate("mi300x", 2) == 0  # three slots left
         assert index.first_candidate("mi300x", 4) is None  # mode is fixed
         _assert_matches_naive(index, gpus, MI300X)
 
-    def test_rebuild_matches_fresh_index(self):
-        gpus = [_GPUState(gpu_id=i) for i in range(4)]
-        index = SlotIndex(gpus)
-        for size in (7, 4, 3, 2, 1):
-            index.place(_segment(size))
-        index.rebuild()
-        _assert_matches_naive(index, gpus, MIG)
-
     @pytest.mark.parametrize("geometry", [MIG, MI300X], ids=lambda g: g.name)
     def test_randomized_operations_match_naive(self, geometry):
-        """Fuzz place/remove/drain/append; the index never drifts."""
+        """Fuzz place/remove/drain/append/discard; the index never drifts."""
         rng = random.Random(1234)
         gpus = []
-        index = SlotIndex(gpus)
+        gone = set()  # discarded positions, skipped by the naive scan
+        index = SlotIndex()
         for step in range(300):
             op = rng.random()
+            live = [pos for pos in range(len(gpus)) if pos not in gone]
             if op < 0.55:  # place a random size via the index
                 size = rng.choice(geometry.instance_sizes)
                 seg = _segment(size, geometry=geometry)
                 expected = _naive_first_fit(
-                    gpus, size, False, geometry
+                    gpus, size, False, geometry, gone=gone
                 )
                 if expected is None:
-                    expected = _naive_first_fit(gpus, size, True, geometry)
-                assert (index.place(seg) is not None) == (expected is not None)
-            elif op < 0.75 and gpus:  # remove a random placed segment
-                pos = rng.randrange(len(gpus))
+                    expected = _naive_first_fit(
+                        gpus, size, True, geometry, gone=gone
+                    )
+                assert index.place(seg) == expected
+            elif op < 0.72 and live:  # remove a random placed segment
+                pos = rng.choice(live)
                 if gpus[pos].placed:
                     seg, start = rng.choice(gpus[pos].placed)
                     gpus[pos].placed.remove((seg, start))
@@ -150,15 +156,19 @@ class TestSlotIndex:
                         geometry.place(seg.instance_size, start)
                     )
                     index.touch(pos)
-            elif op < 0.85 and gpus:  # drain a whole GPU
-                pos = rng.randrange(len(gpus))
+            elif op < 0.82 and live:  # drain a whole GPU
+                pos = rng.choice(live)
                 gpus[pos].free_all()
                 index.touch(pos)
-            else:  # append a fresh GPU
+            elif op < 0.85 and live:  # a GPU leaves the order
+                pos = rng.choice(live)
+                index.discard(pos)
+                gone.add(pos)
+            else:  # register a fresh GPU behind every other
                 gpus.append(
                     _GPUState(gpu_id=len(gpus), geometry=geometry)
                 )
-                index.sync()
+                index.add(len(gpus) - 1, gpus[-1])
             if step % 25 == 0:
-                _assert_matches_naive(index, gpus, geometry)
-        _assert_matches_naive(index, gpus, geometry)
+                _assert_matches_naive(index, gpus, geometry, gone=gone)
+        _assert_matches_naive(index, gpus, geometry, gone=gone)

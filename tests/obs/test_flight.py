@@ -33,6 +33,16 @@ class TestRing:
         assert entry["kind"] == "span"
         assert entry["name"] == "interval"
 
+    def test_dumped_span_entry_is_rendered_span(self):
+        fl = FlightRecorder()
+        span = Span(3, "apply", "ops", 2.0, 2.5, 0, wall_s=0.0125,
+                    args={"events": 2})
+        fl.note("decision", t_s=2.0)
+        fl.add_span(span)
+        doc = fl.dump("safe-mode")
+        assert doc["entries"][1] == {"kind": "span", **span.to_doc()}
+        assert fl.entries() == doc["entries"]
+
     def test_dump_document_shape(self, tmp_path):
         fl = FlightRecorder()
         fl.note("decision", t_s=4.0, path="full")

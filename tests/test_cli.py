@@ -207,19 +207,15 @@ class TestServeGateway:
         assert args.clock == "real"
         assert args.deadline == 0.25
 
-    def test_ops_live_runs_gateway_session(self, capsys):
-        assert (
-            main(["ops", "--scenario", "s12", "--live",
-                  "--horizon", "300", "--time-scale", "3000",
-                  "--measure", "0.05"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "live x3000" in out
-        assert "session:" in out
-
-    def test_ops_live_rejects_verify(self, capsys):
-        assert main(["ops", "--scenario", "s12", "--live", "--verify"]) == 2
-        assert "--live" in capsys.readouterr().err
+    def test_ops_has_no_gateway_session_flags(self, capsys):
+        """Live sessions are ``serve --clock real``; ``ops`` rejects the
+        gateway flags through argparse."""
+        for flags in (["--live"], ["--time-scale", "3000"],
+                      ["--journal", "j"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["ops", "--scenario", "s12", *flags])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_ops_verify_every_samples_reference(self, capsys):
         assert (
