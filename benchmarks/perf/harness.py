@@ -414,7 +414,8 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
     ``workers=0`` fast replay; any divergence is fatal.  Both replays
     run the same segment memo, so ``parallel_speedup`` measures process
     fan-out only; ``memo_hit_rate`` records the memo's share of the
-    segments served.  At tiers
+    segments served, and ``check_gpus_rebuilt`` the GPUs the state check
+    rebuilt over the fast replay.  At tiers
     past ``naive_cap`` (where the naive replay is skipped) this
     parallel-vs-serial identity is the recorded correctness check.
     """
@@ -440,7 +441,7 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             warmup_s=OPS_WARMUP_S,
             sim_seed=OPS_SEED,
         )
-        return report, time.perf_counter() - t0, ctrl.segment_memo
+        return report, time.perf_counter() - t0, ctrl
 
     rows = []
     for tier in tiers:
@@ -448,7 +449,8 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
         measure = measure_s
         if measure is None:
             measure = OPS_MEASURE_10K if tier >= 10_000 else OPS_MEASURE_S
-        fast, fast_wall, memo = replay(run, fast_path=True, measure=measure)
+        fast, fast_wall, ctrl = replay(run, fast_path=True, measure=measure)
+        memo = ctrl.segment_memo
         served = memo.hits_total + memo.misses_total
         attainment = fast.slo_attainment(target=0.99)
         row = {
@@ -495,6 +497,9 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             "memo_hit_rate": (
                 round(memo.hits_total / served, 4) if served else None
             ),
+            # GPUs the per-interval state check rebuilt over the run (a
+            # deterministic count: the fleet once, then changed GPUs only)
+            "check_gpus_rebuilt": ctrl.check_stats.gpus_rebuilt,
             "report": fast.to_doc(),
         }
         if workers > 0:

@@ -256,7 +256,20 @@ class DeploymentManager:
         states = states_from_placement(
             self.current, exclude_service=exclude_service, skip_gpu=skip_gpu
         )
-        live = {s.gpu_id for s in states}
+        states += self.ledger_states(
+            {s.gpu_id for s in states}, skip_gpu=skip_gpu
+        )
+        self.stats.states_rebuilt += 1
+        self.stats.gpus_rebuilt += len(states)
+        return states
+
+    def ledger_states(
+        self, live: Collection[int], skip_gpu: Optional[int] = None
+    ) -> list[_GPUState]:
+        """What :meth:`build_states` appends after the placement's GPUs
+        ``live``: an empty state per spare, then a blocked sentinel per
+        retired id, each in gpu-id order."""
+        states: list[_GPUState] = []
         for gid in sorted(self._spares):
             if gid in live or gid == skip_gpu:
                 continue
@@ -273,8 +286,6 @@ class DeploymentManager:
                     blocked=True,
                 )
             )
-        self.stats.states_rebuilt += 1
-        self.stats.gpus_rebuilt += len(states)
         return states
 
     def apply_rebuilt(

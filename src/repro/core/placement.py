@@ -99,6 +99,12 @@ class PlacedSegment:
         return clone
 
 
+if len(PlacedSegment.__dataclass_fields__) != 12:
+    raise AssertionError(
+        "PlacedSegment grew a field; extend GPUPlan.fingerprint() to cover it"
+    )
+
+
 @dataclass
 class GPUPlan:
     """All partitions assigned to one GPU."""
@@ -118,6 +124,20 @@ class GPUPlan:
     @property
     def is_empty(self) -> bool:
         return not self.segments
+
+    def fingerprint(self) -> str:
+        """This plan's line of :meth:`Placement.fingerprint`."""
+        # Direct f-string rendering instead of json.dumps over per-segment
+        # dicts: fingerprints are only ever *compared*, never parsed, and
+        # JSON encoding dominated fleet-scale identity checking.  Floats
+        # render via repr, so distinct values never collide.
+        return f"{self.gpu_id}|{self.geometry}" + "".join(
+            f";{s.service_id},{s.model},{s.kind},{s.gpcs!r},"
+            f"{s.batch_size},{s.num_processes},{s.capacity!r},"
+            f"{s.latency_ms!r},{s.sm_activity!r},{s.start},"
+            f"{s.served_rate!r},{s.geometry}"
+            for s in self.segments
+        )
 
     def validate(self) -> None:
         """Check partition legality / MPS quota on this GPU."""
@@ -220,27 +240,12 @@ class Placement:
         so two schedulers that produce the same map — e.g. the indexed
         and naive allocator paths — fingerprint identically.
         """
-        # Direct f-string rendering instead of json.dumps over per-segment
-        # dicts: fingerprints are only ever *compared*, never parsed, and
-        # JSON encoding dominated fleet-scale identity checking (several
-        # fingerprints per ops interval at 10k services).  Floats render
-        # via repr, so distinct values never collide.
-        if len(PlacedSegment.__dataclass_fields__) != 12:
-            raise AssertionError(
-                "PlacedSegment grew a field; extend fingerprint() to cover it"
-            )
-        return "\n".join(
-            f"{g.gpu_id}|{g.geometry}"
-            + "".join(
-                f";{s.service_id},{s.model},{s.kind},{s.gpcs!r},"
-                f"{s.batch_size},{s.num_processes},{s.capacity!r},"
-                f"{s.latency_ms!r},{s.sm_activity!r},{s.start},"
-                f"{s.served_rate!r},{s.geometry}"
-                for s in g.segments
-            )
-            for g in self.gpus
-            if not g.is_empty
-        )
+        return "\n".join(self.fingerprint_lines())
+
+    def fingerprint_lines(self) -> list[str]:
+        """:meth:`fingerprint` before the join: one
+        :meth:`GPUPlan.fingerprint` line per non-empty plan, in order."""
+        return [g.fingerprint() for g in self.gpus if g.segments]
 
     # ------------------------------------------------------------------ #
     # traffic assignment

@@ -21,7 +21,7 @@ defined exactly once.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Protocol
+from typing import Callable, Iterator, Mapping, Protocol
 
 #: Fixed bucket edges (seconds) shared by every duration histogram.
 #: Fixed edges keep expositions mergeable across runs and replays.
@@ -209,6 +209,7 @@ class MetricsRegistry:
         self.enabled = enabled
         self._families: dict[str, Metric] = {}
         self._attached: dict[str, _HasObsFields] = {}
+        self._before_collect: list[Callable[[], None]] = []
 
     def _family(
         self,
@@ -273,8 +274,20 @@ class MetricsRegistry:
             return
         self._attached[prefix] = obj
 
+    def on_collect(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` at the top of every :meth:`collect`.
+
+        Lets a hot path queue its updates and fold them into its families
+        at scrape time instead of on every call.
+        """
+        if not self.enabled:
+            return
+        self._before_collect.append(hook)
+
     def collect(self) -> Iterator[Metric]:
         """All families, sorted by name, attached snapshots included."""
+        for hook in self._before_collect:
+            hook()
         families = dict(self._families)
         for prefix, obj in self._attached.items():
             for fname, kind in obj.OBS_FIELDS.items():

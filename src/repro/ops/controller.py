@@ -23,7 +23,15 @@ Two identity checks guard every run:
   — incremental bookkeeping (spares, preserved GPU ids, partial updates)
   cannot have corrupted the map — the manager's live allocator state
   must equal that rebuild GPU for GPU, and the live cluster's instances
-  must mirror the map exactly;
+  must mirror the map exactly.  On the fast path the check is
+  incremental: a memo of the last verified interval (per GPU its
+  fingerprint line and rebuilt state) lets it rebuild only the GPUs
+  whose line changed and re-rate only the services whose shares may
+  have moved, while the live-state and cluster comparisons still cover
+  every GPU and instance.  A cold memo (after :meth:`begin` or
+  :meth:`restore`) or reordered GPUs run the full rebuild
+  (:meth:`_check_state`, the ``fast_path=False`` reference), which
+  seeds the memo; both raise on the same corrupted states;
 - **fast vs naive replay** (:func:`run_identity_checked`): the same
   timeline replayed from scratch on the naive reference machinery
   (unindexed allocator, unmemoized configurator, per-request event-driven
@@ -43,13 +51,27 @@ import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ClassVar,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
-from repro.core.allocator import SegmentAllocator
+from repro.core.allocator import (
+    SegmentAllocator,
+    _GPUState,
+    plan_from_state,
+    states_from_placement,
+)
 from repro.core.deployment import DeploymentManager
 from repro.core.failover import FailoverController
 from repro.core.parvagpu import ParvaGPU
-from repro.core.placement import Placement
+from repro.core.placement import GPUPlan, Placement
 from repro.core.service import Service
 from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, ShadowBudget, price_plan
@@ -78,7 +100,7 @@ from repro.ops.events import (
     SpotPreemptionWave,
     timeline_key,
 )
-from repro.obs import ObsHub
+from repro.obs import ObsHub, Span
 from repro.ops.report import FailureRecord, IntervalRecord, OpsReport
 from repro.parallel import FaultInjector, ShardHealth
 from repro.profiler.table import ProfileTable
@@ -112,6 +134,80 @@ class OutOfOrderEventError(ValueError):
     applied at — the two ways an unsorted input stream would silently
     corrupt a replay.
     """
+
+
+@dataclass
+class CheckStats:
+    """Deterministic work counters of the per-interval state check.
+
+    Sidecar-only (never fingerprinted); the fleet controller attaches
+    them to its registry as ``check_*`` families.
+    """
+
+    #: GPUs the check rebuilt from the placement (the whole fleet, spares
+    #: and retired sentinels included, on a full check)
+    gpus_rebuilt: int = 0
+    #: services whose proportional shares the check recomputed
+    services_rerated: int = 0
+    #: intervals checked by the full reference rather than the memo
+    full_fallbacks: int = 0
+
+    OBS_FIELDS: ClassVar[dict[str, str]] = {
+        "gpus_rebuilt": "counter",
+        "services_rerated": "counter",
+        "full_fallbacks": "counter",
+    }
+
+
+#: ``(gpu_id, start, size, owner)`` of one deployed instance, as the state
+#: check compares the map with the cluster
+_InstanceKey = tuple[int, Optional[int], int, str]
+
+
+def _instance_keys(state: _GPUState) -> Iterator[_InstanceKey]:
+    """The instances a rebuilt GPU state deploys, as the check keys them
+    (the per-GPU twin of :meth:`Placement.to_instance_specs`)."""
+    return (
+        (state.gpu_id, start, seg.instance_size, seg.service_id)
+        for seg, start in state.placed
+    )
+
+
+def _live_matches(
+    live: Sequence[_GPUState], states: Sequence[_GPUState]
+) -> bool:
+    """Whether the live allocator state equals ``states`` GPU for GPU."""
+    return len(live) == len(states) and all(
+        a.gpu_id == b.gpu_id
+        and a.geometry.name == b.geometry.name
+        and a.blocked == b.blocked
+        and a.placed == b.placed
+        for a, b in zip(live, states)
+    )
+
+
+@dataclass
+class _CheckMemo:
+    """The last interval the state check verified, per GPU.
+
+    For every GPU of the verified placement: its fingerprint line and
+    the ``_GPUState`` the check rebuilt from it (which also carries the
+    GPU's instance specs and services).  Built by the check itself —
+    never shared with the live fleet, so comparing the two stays a real
+    comparison.
+    """
+
+    #: gpu ids in placement order
+    order: list[int]
+    lines: dict[int, str]
+    states: dict[int, _GPUState]
+    #: every instance the map deploys
+    want: set[_InstanceKey]
+    #: the request rates the verified map was routed with
+    rates: dict[str, float]
+    #: service -> ids of the GPUs hosting it (built by the first
+    #: incremental check, keeping the cold check as cheap as the reference)
+    hosts: Optional[dict[str, set[int]]] = None
 
 
 @dataclass
@@ -243,6 +339,12 @@ class FleetController:
             "deterministic)",
             ("stage",),
         )
+        #: one ``(record, new failures, stage spans)`` per closed step,
+        #: folded into the ``ops_*`` families when the registry is
+        #: collected rather than on the decision path (each entry holds
+        #: only objects the report and the tracer keep anyway)
+        self._step_log: list[tuple[IntervalRecord, int, list[Span]]] = []
+        self.obs.registry.on_collect(self._fold_step_log)
         self._reset_deployment()
 
     def _reset_deployment(self) -> None:
@@ -265,6 +367,11 @@ class FleetController:
         self.shadows = ShadowBudget(spare_gpus=self.spare_shadow_gpus)
         self._eid_to_gpu = {}
         self.obs.registry.attach("alloc", self.manager.stats)
+        self.check_stats = CheckStats()
+        self.obs.registry.attach("check", self.check_stats)
+        #: the incremental state check's last verified interval (cold:
+        #: the next check runs the full reference)
+        self._check_memo: Optional[_CheckMemo] = None
 
     # ------------------------------------------------------------------ #
     # the re-entrant step API
@@ -415,43 +522,37 @@ class FleetController:
                     t, batch, run.work, run.by_id, run.report, run.pending
                 )
                 sp.args["path"] = record.path
-            self._m_stage_wall.observe(sp.wall_s, stage="apply")
+            stages = [sp]
             placement = self.manager.current
             # One rendering of the unchanged map serves the check and the
             # interval record.
             fp: Optional[str] = None
             if run.check:
                 with self.obs.span("check", t_s=t, cat="interval") as sp:
-                    fp = placement.fingerprint()
-                    self._check_state(run.work, fp)
-                self._m_stage_wall.observe(sp.wall_s, stage="check")
+                    lines = placement.fingerprint_lines()
+                    fp = "\n".join(lines)
+                    sp.args.update(self._verify_state(run.work, lines, fp))
+                stages.append(sp)
             with self.obs.span("fingerprint", t_s=t, cat="interval") as sp:
                 if fp is None:
                     fp = placement.fingerprint()
                 record.fingerprint = _record_digest(fp)
-            self._m_stage_wall.observe(sp.wall_s, stage="fingerprint")
+            stages.append(sp)
             if run.measure_s > 0 and run.steps % run.measure_every == 0:
                 with self.obs.span(
                     "measure", t_s=t, cat="interval",
                     services=len(run.work), workers=self.workers,
                 ) as sp:
                     sp.args.update(self._measure(record, placement, run))
-                self._m_stage_wall.observe(sp.wall_s, stage="measure")
+                stages.append(sp)
             with self.obs.span("report", t_s=t, cat="interval") as sp:
                 record.duration_s = run.horizon_s - t
                 run.report.intervals.append(record)
             interval_span.args["path"] = record.path
-        self._m_stage_wall.observe(interval_span.wall_s, stage="interval")
-        self._m_intervals.inc()
-        self._m_replans.inc(path=record.path)
-        for kind in sorted(record.events):
-            self._m_events.inc(record.events[kind], kind=kind)
+        stages.append(interval_span)
         new_failures = len(run.report.failures) - failures_before
-        if new_failures:
-            self._m_failures.inc(new_failures)
-        self._m_services.set(len(run.work))
-        self._m_gpus.set(record.num_gpus)
-        self._m_spares.set(record.spare_gpus)
+        if self.obs.enabled:
+            self._step_log.append((record, new_failures, stages))
         self.obs.note(
             "decision", t_s=t, step=run.steps, path=record.path,
             events=dict(record.events), skipped=record.skipped,
@@ -460,6 +561,25 @@ class FleetController:
         run.last_t = t
         run.steps += 1
         return record
+
+    def _fold_step_log(self) -> None:
+        """Fold the steps closed since the last collect into the
+        ``ops_*`` families, in step order."""
+        log, self._step_log = self._step_log, []
+        for record, new_failures, stages in log:
+            for sp in stages:
+                self._m_stage_wall.observe(sp.wall_s, stage=sp.name)
+            self._m_intervals.inc()
+            self._m_replans.inc(path=record.path)
+            for kind in sorted(record.events):
+                self._m_events.inc(record.events[kind], kind=kind)
+            if new_failures:
+                self._m_failures.inc(new_failures)
+        if log:
+            record = log[-1][0]
+            self._m_services.set(record.services)
+            self._m_gpus.set(record.num_gpus)
+            self._m_spares.set(record.spare_gpus)
 
     def pending_due(self, t: float) -> list[OpsEvent]:
         """Pop controller-scheduled events (wave restores) due at ``t``."""
@@ -1176,12 +1296,189 @@ class FleetController:
     # identity checks & measurement
     # ------------------------------------------------------------------ #
 
-    def _check_state(self, work: Sequence[Service], fp: str) -> None:
+    def _verify_state(
+        self, work: Sequence[Service], lines: list[str], fp: str
+    ) -> dict[str, int]:
+        """The interval's state check; returns the check span's counts.
+
+        The fast path checks incrementally against the memo of the last
+        verified interval (:meth:`_check_incremental`); a cold memo, a
+        structural change it cannot follow, and ``fast_path=False`` run
+        the full reference :meth:`_check_state`, whose by-products seed
+        the memo.  ``lines`` are the placement's fingerprint lines, ``fp``
+        their join.
+        """
+        memo, self._check_memo = self._check_memo, None  # kept if verified
+        counts = (
+            None if memo is None else self._check_incremental(memo, work, lines)
+        )
+        stats = self.check_stats
+        if counts is not None:
+            self._check_memo = memo
+            rebuilt, rerated = counts
+        else:
+            states, want = self._check_state(work, fp)
+            rates = {s.id: s.request_rate for s in work}
+            placement = self.manager.current
+            assert placement is not None
+            gpus = placement.gpus
+            order = [g.gpu_id for g in gpus]
+            if self.fast_path and len(lines) == len(gpus) == len(set(order)):
+                self._check_memo = _CheckMemo(
+                    order=order,
+                    lines=dict(zip(order, lines)),
+                    states=dict(zip(order, states)),
+                    want=want,
+                    rates=rates,
+                )
+            rebuilt, rerated = len(states), len(rates)
+            stats.full_fallbacks += 1
+        stats.gpus_rebuilt += rebuilt
+        stats.services_rerated += rerated
+        return {"gpus_rebuilt": rebuilt, "services_rerated": rerated,
+                "full": int(counts is None)}
+
+    def _check_incremental(
+        self, memo: _CheckMemo, work: Sequence[Service], lines: list[str]
+    ) -> Optional[tuple[int, int]]:
+        """:meth:`_check_state`'s verdict, re-verifying only what changed.
+
+        Only GPUs whose fingerprint line differs from the memo take the
+        ``states_from_placement -> plan_from_state`` round trip, and only
+        services on a changed or vanished GPU, with a new rate, or that
+        joined or left ``work`` get their shares recomputed — over all
+        their segments, in placement order, as ``assign_rates`` does.
+        The live-state and cluster-mirror comparisons still cover every
+        GPU and every instance.  Updates ``memo`` to this interval and
+        returns ``(GPUs rebuilt, services re-rated)``; raises as the
+        reference would; returns None, touching nothing, where only the
+        reference can decide: surviving GPUs changed relative order
+        (every share may sum in a new order), or the map holds an empty
+        plan or a repeated GPU id.
+        """
+        placement = self.manager.current
+        assert placement is not None
+        gpus = placement.gpus
+        order = [g.gpu_id for g in gpus]
+        pos = {gid: i for i, gid in enumerate(order)}
+        if not len(lines) == len(gpus) == len(pos):
+            return None
+        old_lines = memo.lines
+        if [gid for gid in order if gid in old_lines] != [
+            gid for gid in memo.order if gid in pos
+        ]:
+            return None
+        changed = [
+            gid for gid, line in zip(order, lines) if old_lines.get(gid) != line
+        ]
+        vanished = [gid for gid in memo.order if gid not in pos]
+
+        # 1. the allocator-state round trip, for the changed GPUs only
+        rebuilt = states_from_placement(
+            Placement(framework="", gpus=[gpus[pos[gid]] for gid in changed])
+        )
+
+        # 2. re-rate the services whose shares may have moved
+        rates = {s.id: s.request_rate for s in work}
+        hosts = memo.hosts
+        if hosts is None:
+            hosts = memo.hosts = {}
+            for gid in memo.order:
+                for seg, _ in memo.states[gid].placed:
+                    hosts.setdefault(seg.service_id, set()).add(gid)
+        # Identity, not ==: -0.0 == 0.0 and nan != nan, but an unchanged
+        # rate object is sure to route exactly as it did.
+        rerate = {
+            sid for sid, rate in rates.items() if memo.rates.get(sid) is not rate
+        }
+        rerate.update(sid for sid in memo.rates if sid not in rates)
+        dropped: list[_GPUState] = []
+        for gid in vanished + changed:
+            old = memo.states.pop(gid, None)
+            if old is not None:
+                dropped.append(old)
+                for seg, _ in old.placed:
+                    rerate.add(seg.service_id)
+                    hosts[seg.service_id].discard(gid)
+        for state in rebuilt:
+            memo.states[state.gpu_id] = state
+            for seg, _ in state.placed:
+                rerate.add(seg.service_id)
+                hosts.setdefault(seg.service_id, set()).add(state.gpu_id)
+        rerated = sorted(rerate)
+        for sid in rerated:
+            if sid in hosts and not hosts[sid]:
+                del hosts[sid]
+        changed_ids = set(changed)
+        plans: list[GPUPlan] = []
+        for gid in sorted(
+            {gid for sid in rerated for gid in hosts.get(sid, ())},
+            key=pos.__getitem__,
+        ):
+            if gid in changed_ids:
+                plans.append(plan_from_state(memo.states[gid]))
+                continue
+            # An unchanged line renders as its verified rebuild did: the
+            # other services keep their shares, and the re-rated ones
+            # restart from the rebuild's unrouted 0.0.
+            shared = gpus[pos[gid]]
+            plans.append(GPUPlan(
+                gpu_id=gid,
+                segments=[
+                    s.with_served_rate(0.0) if s.service_id in rerate else s
+                    for s in shared.segments
+                ],
+                geometry=shared.geometry,
+            ))
+        Placement(framework="", gpus=plans).assign_rates(
+            {sid: rates[sid] for sid in rerated if sid in rates}
+        )
+        if any(plan.fingerprint() != lines[pos[plan.gpu_id]] for plan in plans):
+            raise OpsIdentityError(
+                "incremental placement does not survive the allocator-state "
+                "round trip (build_states -> _to_placement)"
+            )
+
+        # 3. the live allocator state, every GPU
+        live = self.manager.live_states()
+        if live is not None:
+            states = [memo.states[gid] for gid in order]
+            states += self.manager.ledger_states(pos)
+            if not _live_matches(live, states):
+                raise OpsIdentityError(
+                    "live allocator state diverged from its rebuild "
+                    "(build_states)"
+                )
+
+        # 4. the cluster mirror, every instance
+        want = memo.want
+        for old in dropped:
+            want.difference_update(_instance_keys(old))
+        for state in rebuilt:
+            want.update(_instance_keys(state))
+        if want != self._cluster_instances():
+            raise OpsIdentityError(
+                "live cluster instances do not mirror the deployment map"
+            )
+
+        for gid in vanished:
+            del old_lines[gid]
+        for gid in changed:
+            old_lines[gid] = lines[pos[gid]]
+        memo.order = order
+        memo.rates = rates
+        return len(changed), len(rerated)
+
+    def _check_state(
+        self, work: Sequence[Service], fp: str
+    ) -> tuple[list[_GPUState], set[_InstanceKey]]:
         """The per-interval round-trip + cluster-mirror identity check.
 
         ``fp`` is the current placement's fingerprint.  The rebuild runs
         over the whole fleet on every interval; the live allocator state
-        (when the last delta left one) must equal it GPU for GPU.
+        (when the last delta left one) must equal it GPU for GPU.  The
+        full reference of :meth:`_check_incremental`: returns its
+        by-products, the rebuilt states and the deployed instances.
         """
         placement = self.manager.current
         states = self.manager.build_states()
@@ -1196,16 +1493,7 @@ class FleetController:
                 "round trip (build_states -> _to_placement)"
             )
         live = self.manager.live_states()
-        if live is not None and not (
-            len(live) == len(states)
-            and all(
-                a.gpu_id == b.gpu_id
-                and a.geometry.name == b.geometry.name
-                and a.blocked == b.blocked
-                and a.placed == b.placed
-                for a, b in zip(live, states)
-            )
-        ):
+        if live is not None and not _live_matches(live, states):
             raise OpsIdentityError(
                 "live allocator state diverged from its rebuild "
                 "(build_states)"
@@ -1214,14 +1502,19 @@ class FleetController:
             (s.gpu_id, s.start, s.size, s.owner)
             for s in placement.to_instance_specs()
         }
-        have = {
-            (g.gpu_id, inst.start, inst.size, inst.owner or "")
-            for g, inst in self.manager.cluster.instances()
-        }
-        if want != have:
+        if want != self._cluster_instances():
             raise OpsIdentityError(
                 "live cluster instances do not mirror the deployment map"
             )
+        return states, want
+
+    def _cluster_instances(self) -> set[_InstanceKey]:
+        """Every instance on the live cluster, keyed as the map's are."""
+        return {
+            (g.gpu_id, inst.placed.start, inst.placed.size, inst.owner or "")
+            for g in self.manager.cluster.gpus
+            for inst in g.instances
+        }
 
     def _measure(
         self, record: IntervalRecord, placement: Placement, run: _RunState

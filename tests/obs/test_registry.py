@@ -108,6 +108,23 @@ class TestAttach:
         by_name = {m.name: m for m in reg.collect()}
         assert by_name["pool_hits"].samples() == [((), 1.0)]
 
+    def test_on_collect_hooks_run_before_every_collect(self):
+        reg = MetricsRegistry()
+        c = reg.counter("queued_total")
+        queued = [2, 3]
+
+        def fold():
+            while queued:
+                c.inc(queued.pop(0))
+
+        reg.on_collect(fold)
+        assert reg.counter("queued_total").value() == 0.0
+        by_name = {m.name: m for m in reg.collect()}
+        assert by_name["queued_total"].samples() == [((), 5.0)]
+        queued.append(4)
+        by_name = {m.name: m for m in reg.collect()}
+        assert by_name["queued_total"].samples() == [((), 9.0)]
+
     def test_fields_doc_mirrors_the_spec(self):
         stats = _Stats()
         stats.hits = 3
@@ -127,8 +144,10 @@ class TestDisabled:
         assert g.value() == 0.0
         assert h.snapshot()[2] == 0.0
         reg.attach("pool", _Stats())
+        reg.on_collect(lambda: c.inc(1))
         names = [m.name for m in reg.collect()]
         assert "pool_hits" not in names
+        assert reg._before_collect == []
 
 
 class TestPrometheus:

@@ -1,0 +1,333 @@
+"""Differential verdict: the incremental state check vs the full reference.
+
+The fast path's per-interval check (``FleetController._check_incremental``)
+re-verifies only the GPUs and services that changed since the last
+verified interval; ``FleetController._check_state`` rebuilds the whole
+fleet.  Over generated timelines (the live-state property suite's
+generators) one corruption is injected right before a drawn interval's
+check, and every check of the run executes both on the same state: they
+must both pass, or both raise the same exception class.  Covered too: the
+first check after ``restore()`` (cold memo) and the first after a full
+re-plan (warm memo, replaced map).
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import tempfile
+from pathlib import Path
+from typing import Callable, Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.service import Service
+from repro.ops import FleetController
+from repro.ops.events import GpuFailure, ServiceArrival
+
+
+def _live_state_suite():
+    path = (
+        Path(__file__).resolve().parents[1]
+        / "property"
+        / "test_property_live_state.py"
+    )
+    spec = importlib.util.spec_from_file_location("_live_state_suite", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_suite = _live_state_suite()
+PROFILES, HORIZON_S = _suite.PROFILES, _suite.HORIZON_S
+fleets, raw_events, timeline_of = _suite.fleets, _suite.raw_events, _suite._timeline
+
+CORRUPTIONS = (
+    "capacity", "start", "served_rate", "stale-rate", "swap-gpus",
+    "flip-blocked", "drop-placed", "destroy-instance", "add-instance",
+    "drop-service",
+)
+
+
+def _segment(ctrl, pick):
+    segs = [s for g in ctrl.manager.current.gpus for s in g.segments]
+    return segs[pick % len(segs)]
+
+
+def corrupt(ctrl: FleetController, kind: str, pick: int) -> None:
+    """Corrupt the controller's state behind its back (one way)."""
+    placement = ctrl.manager.current
+    run = ctrl._run
+    if kind in ("capacity", "start", "served_rate"):
+        # in place, on a published (frozen) segment
+        seg = _segment(ctrl, pick)
+        value = {
+            "capacity": seg.capacity * 1.5,
+            "start": (seg.start + 1 + pick % 3) % 8,
+            "served_rate": seg.served_rate + 1.0,
+        }[kind]
+        object.__setattr__(seg, kind, value)
+    elif kind == "stale-rate":  # a rate changed without re-rating
+        svc = run.work[pick % len(run.work)]
+        svc.request_rate = svc.request_rate * 2.0 + 1.0
+    elif kind == "swap-gpus":
+        gpus = placement.gpus
+        if len(gpus) > 1:
+            i = pick % len(gpus)
+            j = (i + 1 + pick // len(gpus) % (len(gpus) - 1)) % len(gpus)
+            gpus[i], gpus[j] = gpus[j], gpus[i]
+    elif kind in ("flip-blocked", "drop-placed"):
+        fleet = ctrl.manager.live_state().fleet
+        keys = fleet.live_keys()
+        state = fleet[keys[pick % len(keys)]]
+        if kind == "flip-blocked":
+            state.blocked = not state.blocked
+        elif state.placed:
+            state.placed.pop(pick % len(state.placed))
+    elif kind == "destroy-instance":
+        found = list(ctrl.manager.cluster.instances())
+        gpu, inst = found[pick % len(found)]
+        gpu.destroy_instance(inst)
+    elif kind == "add-instance":
+        cluster = ctrl.manager.cluster
+        size = cluster.default_geometry.instance_sizes[0]
+        free = [g for g in cluster.gpus if g.feasible_starts(size)]
+        gpu = free[pick % len(free)] if free else cluster.add_gpu()
+        gpu.create_instance(size, gpu.feasible_starts(size)[0], owner="rogue")
+    elif kind == "drop-service":
+        svc = run.work.pop(pick % len(run.work))
+        del run.by_id[svc.id]
+    else:  # pragma: no cover
+        raise AssertionError(kind)
+
+
+def _outcome(fn: Callable[[], object]) -> Optional[BaseException]:
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the verdict is the class
+        return exc
+    return None
+
+
+Verdict = tuple[int, bool, bool, Optional[type], Optional[type]]
+
+
+def dual_checked(
+    ctrl: FleetController, corrupt_at: int, kind: str, pick: int
+) -> list[Verdict]:
+    """Make every check of ``ctrl`` run the full reference first, then its
+    own check, on the same state; the state is corrupted right before the
+    check of the run's step ``corrupt_at``.  Returns the verdict log:
+    ``(step, memo cold?, own check ran the full reference?, reference
+    exception class, own exception class)``."""
+    verdicts: list[Verdict] = []
+    own, reference = ctrl._verify_state, ctrl._check_state
+    fell_back: list[bool] = []
+
+    def counted(work, fp):
+        fell_back.append(True)
+        return reference(work, fp)
+
+    def both(work, lines, fp):
+        step = ctrl._run.steps
+        cold = ctrl._check_memo is None
+        if step == corrupt_at:
+            corrupt(ctrl, kind, pick)
+            lines = ctrl.manager.current.fingerprint_lines()
+            fp = "\n".join(lines)
+        ref = _outcome(lambda: reference(work, fp))
+        fell_back.clear()
+        counts: dict = {}
+        mine = _outcome(lambda: counts.update(own(work, lines, fp)))
+        verdicts.append((step, cold, bool(fell_back),
+                         type(ref) if ref else None,
+                         type(mine) if mine else None))
+        if mine is not None:
+            ctrl.raised_by_check = mine
+            raise mine
+        return counts
+
+    ctrl._verify_state = both
+    ctrl._check_state = counted
+    return verdicts
+
+
+def _assert_same_verdicts(verdicts, corrupt_at):
+    assert verdicts, "no interval was checked"
+    for step, cold, full, ref, mine in verdicts:
+        assert ref is mine, (
+            f"step {step} (corrupted at {corrupt_at}): reference "
+            f"{ref and ref.__name__} vs incremental {mine and mine.__name__}"
+        )
+        assert full or not cold, f"step {step}: a cold memo skipped the reference"
+
+
+def _ran_incremental(verdicts, corrupt_at) -> bool:
+    """Whether the corrupted interval's check ran the incremental path."""
+    return any(v[0] == corrupt_at and not v[2] for v in verdicts)
+
+
+def _steps_at_least(timeline) -> int:
+    """A lower bound on a run's steps: bootstrap + one per instant."""
+    return 1 + len({e.time_s for e in timeline if e.time_s < HORIZON_S})
+
+
+def _replay(ctrl, services, timeline, **kw):
+    try:
+        ctrl.run(services, timeline, HORIZON_S, **kw)
+    except Exception as exc:  # noqa: BLE001 - a raised check ends the run
+        if exc is not getattr(ctrl, "raised_by_check", None):
+            raise
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_incremental_check_matches_reference(kind):
+    """Corrupted after the bootstrap, so the memo is warm and the
+    corrupted interval runs the incremental path (a GPU swap aside)."""
+    incremental: list[bool] = []
+
+    @given(
+        fleets,
+        raw_events,
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.2, 1.0]),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def example(services, raw, at, pick, replan_fraction):
+        timeline = timeline_of(raw)
+        corrupt_at = 1 + at % (_steps_at_least(timeline) - 1)
+        ctrl = FleetController(PROFILES, full_replan_fraction=replan_fraction)
+        verdicts = dual_checked(ctrl, corrupt_at, kind, pick)
+        _replay(ctrl, services, timeline)
+        _assert_same_verdicts(verdicts, corrupt_at)
+        incremental.append(_ran_incremental(verdicts, corrupt_at))
+
+    example()
+    # The verdicts are only worth comparing where the incremental path ran:
+    # every corruption but a GPU swap leaves the memo usable, and a swap
+    # of two surviving GPUs must hand the interval to the reference.
+    if kind == "swap-gpus":
+        assert not all(incremental), "no swap reached the reference"
+    else:
+        assert all(incremental), (
+            f"{incremental.count(False)} of {len(incremental)} corrupted "
+            "intervals fell back to the reference"
+        )
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@given(
+    fleets,
+    raw_events,
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_first_check_after_restore_matches_reference(
+    kind, services, raw, at, pick
+):
+    """The first check of a restored run has a cold memo."""
+    timeline = timeline_of(raw)
+    kill_at = 1 + at % (_steps_at_least(timeline) - 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        FleetController(PROFILES).run(
+            services, timeline, HORIZON_S,
+            checkpoint_path=path, max_steps=kill_at,
+        )
+        ctrl = FleetController(PROFILES)
+        verdicts = dual_checked(ctrl, kill_at, kind, pick)
+        _replay(ctrl, services, timeline, resume=path)
+    _assert_same_verdicts(verdicts, kill_at)
+    assert verdicts[0][:3] == (kill_at, True, True)
+
+
+def _churn_burst():
+    """Three services, a failover at t=1, then a churn burst at t=2 that
+    exceeds the default re-plan fraction."""
+    services = [
+        Service(f"s{i}", model, slo_latency_ms=250.0, request_rate=900.0)
+        for i, model in enumerate(("resnet-50", "mobilenetv2", "vgg-16"))
+    ]
+    timeline = [GpuFailure(time_s=1.0, event_id="f0", draw=0.4)] + [
+        ServiceArrival(
+            time_s=2.0, service_id=f"n{k}", model="densenet-121",
+            request_rate=500.0 + 100.0 * k, slo_latency_ms=300.0,
+        )
+        for k in range(3)
+    ]
+    return services, timeline
+
+
+def test_churn_burst_is_a_full_replan():
+    services, timeline = _churn_burst()
+    report = FleetController(PROFILES).run(services, timeline, HORIZON_S)
+    assert [r.path for r in report.intervals] == [
+        "full", "incremental", "full",
+    ]
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_first_check_after_full_replan_matches_reference(kind):
+    """The memo is warm from step 1; step 2 replaces the map and its
+    state is corrupted right before the check."""
+    services, timeline = _churn_burst()
+    ctrl = FleetController(PROFILES)
+    verdicts = dual_checked(ctrl, 2, kind, pick=5)
+    _replay(ctrl, services, timeline)
+    _assert_same_verdicts(verdicts, 2)
+    assert [v[:3] for v in verdicts][:3] == [
+        (0, True, True), (1, False, False), (2, False, False),
+    ]
+
+
+def _warm(services):
+    """A controller one failover past bootstrap, its memo warm."""
+    ctrl = FleetController(PROFILES)
+    ctrl.begin(services, horizon_s=HORIZON_S)
+    ctrl.step(0.0)
+    ctrl.step(1.0, [GpuFailure(time_s=1.0, event_id="f0", draw=0.4)])
+    return ctrl
+
+
+def test_memo_never_aliases_the_live_fleet():
+    services, _ = _churn_burst()
+    ctrl = _warm(services)
+    memo = ctrl._check_memo
+    assert memo is not None and ctrl.check_stats.full_fallbacks == 1
+    live = ctrl.manager.live_states()
+    assert live is not None
+    live_ids = {id(s) for s in live} | {id(s.placed) for s in live}
+    mine = list(memo.states.values())
+    assert not live_ids & ({id(s) for s in mine} | {id(s.placed) for s in mine})
+
+
+def test_reordered_gpus_take_the_reference():
+    """Surviving GPUs that changed relative order re-sum every share in a
+    new order: the check hands the interval to the full reference."""
+    services = [
+        Service(f"s{i}", model, slo_latency_ms=250.0, request_rate=3000.0)
+        for i, model in enumerate(("resnet-50", "mobilenetv2", "vgg-16"))
+    ]
+    ctrl = _warm(services)
+    placement = ctrl.manager.current
+    gpus = placement.gpus
+    assert len(gpus) > 1
+    gpus[0], gpus[-1] = gpus[-1], gpus[0]
+    ctrl.manager.deploy(placement)  # drops the live state's order
+    ctrl.step(2.0)
+    assert ctrl.check_stats.full_fallbacks == 2
+    ctrl.step(3.0)  # the reference re-seeded the memo
+    assert ctrl.check_stats.full_fallbacks == 2
+    ctrl.finish()
+
+
+def test_reference_controller_runs_the_full_check_every_interval():
+    services, timeline = _churn_burst()
+    ctrl = FleetController(PROFILES, fast_path=False)
+    report = ctrl.run(services, timeline, HORIZON_S)
+    assert ctrl._check_memo is None
+    assert ctrl.check_stats.full_fallbacks == len(report.intervals)
+    assert ctrl.manager.stats.states_rebuilt >= len(report.intervals)

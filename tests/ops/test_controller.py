@@ -523,8 +523,9 @@ class TestLiveAllocatorState:
         ]
 
     def test_work_counters(self, profiles, services):
-        """alloc_* counters: the check rebuilds once per interval, the
-        live state once per deploy, and deltas touch few GPUs."""
+        """alloc_* and check_* counters: the check rebuilds the whole
+        fleet once (the cold bootstrap check) and afterwards only the
+        GPUs a delta changed; the live state is rebuilt once per deploy."""
         timeline = [
             GpuFailure(time_s=10.0, event_id="f0", draw=0.3),
             RateEpoch(time_s=20.0, service_id="a", rate=6000.0),
@@ -532,16 +533,74 @@ class TestLiveAllocatorState:
         ]
         ctrl = controller(profiles)
         report = ctrl.run(services, timeline, horizon_s=60.0)
+        assert [r.num_gpus for r in report.intervals] == [2, 2, 3, 3]
         stats = ctrl.manager.stats
-        assert stats.states_rebuilt == len(report.intervals) + 1
-        assert 0 < stats.gpus_touched < stats.gpus_rebuilt
+        # one build_states (the bootstrap check) + one live-state build
+        assert (stats.states_rebuilt, stats.gpus_rebuilt) == (2, 4)
+        assert stats.gpus_touched == 6
+        check = ctrl.check_stats
+        assert check.full_fallbacks == 1
+        # 2 bootstrap GPUs, then 2 (failover) + 3 (rate re-plan) changed
+        # GPUs; the recovery only turns a retired id into a spare
+        assert check.gpus_rebuilt == 2 + 2 + 3 + 0
+        assert check.services_rerated == 3 + 3 + 3 + 0
+        spans = [
+            sp.args for sp in ctrl.obs.tracer.spans if sp.name == "check"
+        ]
+        assert [a["gpus_rebuilt"] for a in spans] == [2, 2, 3, 0]
+        assert [a["full"] for a in spans] == [1, 0, 0, 0]
         scraped = {
             m.name: m for m in ctrl.obs.registry.collect()
-            if m.name.startswith("alloc_")
+            if m.name.startswith(("alloc_", "check_"))
         }
         assert sorted(scraped) == [
             "alloc_gpus_rebuilt", "alloc_gpus_touched", "alloc_states_rebuilt",
+            "check_full_fallbacks", "check_gpus_rebuilt",
+            "check_services_rerated",
         ]
+
+    def test_step_metrics_fold_in_at_collect(self, profiles, services):
+        """Steps queue their ``ops_*`` updates; a collect folds each
+        closed step in exactly once, in step order."""
+        timeline = [
+            GpuFailure(time_s=10.0, event_id="f0", draw=0.3),
+            RateEpoch(time_s=20.0, service_id="a", rate=6000.0),
+            RateEpoch(time_s=20.0, service_id="b", rate=3000.0),
+        ]
+        ctrl = controller(profiles)
+        report = ctrl.run(services, timeline, horizon_s=60.0)
+
+        def scrape():
+            return {
+                m.name: m for m in ctrl.obs.registry.collect()
+                if m.name.startswith("ops_")
+            }
+
+        first = scrape()
+        assert first["ops_intervals_total"].samples() == [((), 3.0)]
+        assert first["ops_events_applied_total"].samples() == [
+            (("GpuFailure",), 1.0), (("RateEpoch",), 2.0),
+        ]
+        assert first["ops_replans_total"].samples() == [
+            (("full",), 1.0), (("incremental",), 2.0),
+        ]
+        assert first["ops_failures_total"].samples() == [
+            ((), float(len(report.failures))),
+        ]
+        last = report.intervals[-1]
+        assert first["ops_fleet_gpus"].samples() == [((), last.num_gpus)]
+        assert first["ops_fleet_services"].samples() == [
+            ((), float(len(services))),
+        ]
+        # apply/check/fingerprint/interval once per step (no measurement)
+        assert first["ops_stage_wall_seconds"].samples() == [
+            ((stage,), 3.0)
+            for stage in ("apply", "check", "fingerprint", "interval")
+        ]
+        second = scrape()
+        assert {k: m.samples() for k, m in second.items()} == {
+            k: m.samples() for k, m in first.items()
+        }
 
     def test_check_catches_live_state_divergence(self, profiles, services):
         """The per-interval check compares the live state with its
@@ -555,5 +614,48 @@ class TestLiveAllocatorState:
         fleet = ctrl.manager.live_state().fleet
         fleet[fleet.live_keys()[0]].blocked = True
         with pytest.raises(OpsIdentityError, match="live allocator state"):
+            ctrl.step(20.0)
+        ctrl.finish()
+
+    def _failed_over(self, profiles, services):
+        """A controller one failover past its bootstrap."""
+        ctrl = controller(profiles)
+        ctrl.begin(services, horizon_s=100.0)
+        ctrl.step(0.0)
+        ctrl.step(10.0, [GpuFailure(time_s=10.0, event_id="f0", draw=0.0)])
+        return ctrl
+
+    def test_check_catches_unrated_work_rate(self, profiles, services):
+        """A rate changed in the run's services without re-rating the
+        map: the round trip routes the new rate and no longer matches."""
+        from repro.ops import OpsIdentityError
+
+        ctrl = self._failed_over(profiles, services)
+        ctrl._run.work[0].request_rate *= 2.0
+        with pytest.raises(OpsIdentityError, match="round trip"):
+            ctrl.step(20.0)
+        ctrl.finish()
+
+    def test_check_catches_rewritten_served_rate(self, profiles, services):
+        """A published segment's served rate replaced in place, on a GPU
+        no delta of the interval touches."""
+        from repro.ops import OpsIdentityError
+
+        ctrl = self._failed_over(profiles, services)
+        plan = ctrl.manager.current.gpus[-1]
+        seg = plan.segments[0]
+        plan.segments[0] = seg.with_served_rate(seg.served_rate + 1.0)
+        with pytest.raises(OpsIdentityError, match="round trip"):
+            ctrl.step(20.0)
+        ctrl.finish()
+
+    def test_check_catches_cluster_divergence(self, profiles, services):
+        """One cluster instance destroyed behind the manager's back."""
+        from repro.ops import OpsIdentityError
+
+        ctrl = self._failed_over(profiles, services)
+        gpu, inst = next(iter(ctrl.manager.cluster.instances()))
+        gpu.destroy_instance(inst)
+        with pytest.raises(OpsIdentityError, match="do not mirror"):
             ctrl.step(20.0)
         ctrl.finish()
