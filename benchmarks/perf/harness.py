@@ -414,8 +414,9 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
     ``workers=0`` fast replay; any divergence is fatal.  Both replays
     run the same segment memo, so ``parallel_speedup`` measures process
     fan-out only; ``memo_hit_rate`` records the memo's share of the
-    segments served, and ``check_gpus_rebuilt`` the GPUs the state check
-    rebuilt over the fast replay.  At tiers
+    segments served, ``check_gpus_rebuilt`` the GPUs the state check
+    rebuilt over the fast replay and ``check_lines_rendered`` the
+    fingerprint lines it rendered (cache misses).  At tiers
     past ``naive_cap`` (where the naive replay is skipped) this
     parallel-vs-serial identity is the recorded correctness check.
     """
@@ -500,6 +501,9 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             # GPUs the per-interval state check rebuilt over the run (a
             # deterministic count: the fleet once, then changed GPUs only)
             "check_gpus_rebuilt": ctrl.check_stats.gpus_rebuilt,
+            # fingerprint lines the check rendered (published plans cache
+            # theirs: changed plans plus the check's own round trips)
+            "check_lines_rendered": ctrl.check_stats.lines_rendered,
             "report": fast.to_doc(),
         }
         if workers > 0:

@@ -200,13 +200,13 @@ class Gpulet(Framework):
 
         placement = Placement(framework=self.name)
         for gpu_id, members in enumerate(gpus):
-            plan = GPUPlan(gpu_id=gpu_id)
+            segments: list[PlacedSegment] = []
             for idx, glet in enumerate(members):
                 partner = members[1 - idx] if len(members) == 2 else None
                 lat, capacity, activity = self._actual_point(
                     glet, glet.fraction, partner
                 )
-                plan.segments.append(
+                segments.append(
                     PlacedSegment(
                         service_id=glet.service.id,
                         model=glet.service.model,
@@ -220,7 +220,7 @@ class Gpulet(Framework):
                         served_rate=glet.rate_share,
                     )
                 )
-            placement.gpus.append(plan)
+            placement.gpus.append(GPUPlan(gpu_id, tuple(segments)))
         # Traffic was routed per-gpulet chunk above: the second partition of
         # a pair keeps only its chunk even though it owns all remaining
         # resources — that gap *is* gpulet's internal slack.

@@ -126,7 +126,7 @@ class GSlice(Framework):
             if not changed:
                 break
 
-        plan = GPUPlan(gpu_id=0)
+        segments: list[PlacedSegment] = []
         for svc in services:
             others = [(o, fractions[o.id]) for o in services if o.id != svc.id]
             t = self._measure(svc, fractions[svc.id], others)
@@ -136,7 +136,7 @@ class GSlice(Framework):
                     f"GPU ({svc.request_rate:.0f} req/s under "
                     f"{svc.effective_slo_ms:.0f} ms)"
                 )
-            plan.segments.append(
+            segments.append(
                 PlacedSegment(
                     service_id=svc.id,
                     model=svc.model,
@@ -149,4 +149,6 @@ class GSlice(Framework):
                     sm_activity=t.activity,
                 )
             )
-        return Placement(framework=self.name, gpus=[plan])
+        return Placement(
+            framework=self.name, gpus=[GPUPlan(0, tuple(segments))]
+        )

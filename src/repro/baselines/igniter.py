@@ -137,9 +137,9 @@ class IGniter(Framework):
 
         placement = Placement(framework=self.name)
         for gpu_id, members in enumerate(gpus):
-            plan = GPUPlan(gpu_id=gpu_id)
+            segments: list[PlacedSegment] = []
             for part in members:
-                plan.segments.append(
+                segments.append(
                     PlacedSegment(
                         service_id=part.service.id,
                         model=part.service.model,
@@ -152,5 +152,5 @@ class IGniter(Framework):
                         sm_activity=part.activity,
                     )
                 )
-            placement.gpus.append(plan)
+            placement.gpus.append(GPUPlan(gpu_id, tuple(segments)))
         return placement

@@ -146,10 +146,10 @@ class MigServing(Framework):
                     "mig-serving: no configuration makes progress"
                 )
 
-            plan = GPUPlan(gpu_id=gpu_id)
+            segments: list[PlacedSegment] = []
             for sid, size, start, e in best_assignment:
                 remaining[sid] -= e.throughput * DERATE
-                plan.segments.append(
+                segments.append(
                     PlacedSegment(
                         service_id=sid,
                         model=by_id[sid].model,
@@ -163,6 +163,6 @@ class MigServing(Framework):
                         start=start,
                     )
                 )
-            placement.gpus.append(plan)
+            placement.gpus.append(GPUPlan(gpu_id, tuple(segments)))
             gpu_id += 1
         return placement

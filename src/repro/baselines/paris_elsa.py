@@ -88,7 +88,7 @@ class ParisElsa(Framework):
         demands.sort(key=lambda d: d[1], reverse=True)
 
         layouts: list[MigLayout] = []
-        plans: list[GPUPlan] = []
+        segments: list[list[PlacedSegment]] = []  # per GPU
 
         def place(size: int) -> tuple[int, int]:
             for gpu_id, layout in enumerate(layouts):
@@ -100,13 +100,13 @@ class ParisElsa(Framework):
             start = legal_starts(size, extended=False)[0]
             layout.add(PlacedInstance(size, start))
             layouts.append(layout)
-            plans.append(GPUPlan(gpu_id=len(plans)))
+            segments.append([])
             return len(layouts) - 1, start
 
         for svc, size, entry, count in demands:
             for _ in range(count):
                 gpu_id, start = place(size)
-                plans[gpu_id].segments.append(
+                segments[gpu_id].append(
                     PlacedSegment(
                         service_id=svc.id,
                         model=svc.model,
@@ -120,4 +120,7 @@ class ParisElsa(Framework):
                         start=start,
                     )
                 )
-        return Placement(framework=self.name, gpus=plans)
+        return Placement(
+            framework=self.name,
+            gpus=[GPUPlan(i, tuple(segs)) for i, segs in enumerate(segments)],
+        )

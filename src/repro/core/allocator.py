@@ -73,7 +73,7 @@ SLOT_PREFERENCES: dict[int, tuple[int, ...]] = dict(
 SLOT_FALLBACKS: dict[int, tuple[int, ...]] = dict(MIG_GEOMETRY.slot_fallbacks)
 
 
-@dataclass
+@dataclass(slots=True)
 class _GPUState:
     """Mutable per-GPU build state during allocation.
 
@@ -186,13 +186,14 @@ def states_from_placement(
 
 def plan_from_state(state: _GPUState) -> GPUPlan:
     """The deployment-map plan of one build state (rates unassigned)."""
-    plan = GPUPlan(gpu_id=state.gpu_id, geometry=state.geometry.name)
-    for seg, start in state.placed:
-        plan.segments.append(
+    geometry = state.geometry
+    return GPUPlan(
+        state.gpu_id,
+        tuple(
             PlacedSegment(
                 service_id=seg.service_id,
                 model=seg.model,
-                kind=state.geometry.kind,
+                kind=geometry.kind,
                 gpcs=float(seg.instance_size),
                 batch_size=seg.batch_size,
                 num_processes=seg.num_processes,
@@ -200,10 +201,12 @@ def plan_from_state(state: _GPUState) -> GPUPlan:
                 latency_ms=seg.latency_ms,
                 sm_activity=seg.sm_activity,
                 start=start,
-                geometry=state.geometry.name,
+                geometry=geometry.name,
             )
-        )
-    return plan
+            for seg, start in state.placed
+        ),
+        geometry.name,
+    )
 
 
 #: Order-key sections of a :class:`LiveFleet`.  Live GPUs take keys from

@@ -24,8 +24,10 @@ third (:meth:`deploy`):
   first delta after a full deploy and then updated in place: a delta
   re-plans, re-rates, validates and diffs only the GPUs (and services) it
   touched, and publishes a new :class:`Placement` whose ``gpus`` list
-  shares every untouched :class:`GPUPlan` (published plans are never
-  mutated — copy-on-write);
+  shares every untouched :class:`GPUPlan` — and its cached fingerprint
+  line.  Plans are immutable by type, so publishing is copy-on-write by
+  construction: a touched GPU gets a new plan, and re-routing replaces
+  only the plans whose shares moved;
 - the **rebuild** (``fast_path=False``): :meth:`apply_rebuilt` runs a
   delta on the plain list :meth:`build_states` rebuilds from the current
   placement — spares appended as empty GPUs after the live fleet and
@@ -403,31 +405,25 @@ class DeploymentManager:
             if previous is None or previous.get(sid) != rates.get(sid)
         )
         live.rates = rates
-        # Re-route on private copies of every plan hosting a re-routed
-        # service, in placement order: assign_rates then sums each
-        # service's capacity exactly as over the whole map.  A hosted
+        # Re-route every plan hosting a re-routed service, in placement
+        # order: assign_rates then sums each service's capacity exactly
+        # as over the whole map, and replaces only the plans whose
+        # shares moved (the others keep their cached lines).  A hosted
         # service without a rate carries rate 0, as on a rebuilt plan.
         key_of = fleet.key_of
         rerouted = sorted(
             {gid for sid in rerate for gid in live.hosts.get(sid, ())},
             key=key_of,
         )
-        for gid in rerouted:
-            shared = plans[gid]
-            plans[gid] = GPUPlan(
-                gpu_id=gid,
-                segments=list(shared.segments),
-                geometry=shared.geometry,
-            )
-        Placement(
-            framework="", gpus=[plans[gid] for gid in rerouted]
-        ).assign_rates(
+        routed = Placement(framework="", gpus=[plans[gid] for gid in rerouted])
+        routed.assign_rates(
             {
                 sid: rates.get(sid, 0.0)
                 for sid in sorted(rerate)
                 if sid in live.hosts
             }
         )
+        plans.update(zip(rerouted, routed.gpus))
 
         placement = Placement(
             framework=self.current.framework,

@@ -268,8 +268,7 @@ class HeterogeneousParvaGPU:
             for plan in placement.gpus:
                 if plan.is_empty:
                     continue
-                plan.gpu_id += offset
-                merged.gpus.append(plan)
+                merged.gpus.append(plan.renumbered(plan.gpu_id + offset))
             if merged.gpus:
                 offset = max(p.gpu_id for p in merged.gpus) + 1
         return merged

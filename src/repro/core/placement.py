@@ -15,12 +15,30 @@ exist:
 Every segment and GPU plan additionally carries the *name* of the
 partition geometry it was scheduled against (default ``"mig"``), which is
 how heterogeneous placements keep A100 and MI300X devices apart.
+
+Segments and plans are immutable: :class:`PlacedSegment` is tuple-backed
+(no field can be set, not even through ``object.__setattr__``) and
+:class:`GPUPlan` is a frozen dataclass over a tuple of them.  A plan
+therefore renders its fingerprint line at most once and caches it, and
+everything that changes a GPU (:meth:`Placement.add`,
+:meth:`Placement.drop_empty_gpus`, :meth:`Placement.assign_rates`)
+replaces its plan instead — so a placement's fingerprint costs one
+render per *new* plan plus a join.  The one mutable part is the
+:class:`Placement` itself (its ``gpus`` list and metadata).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Optional
+from typing import (
+    Any,
+    Iterable,
+    Iterator,
+    Literal,
+    NamedTuple,
+    Optional,
+    Self,
+)
 
 from repro.gpu.geometry import PartitionLayout, get_geometry
 from repro.gpu.cluster import InstanceSpec
@@ -29,10 +47,7 @@ from repro.gpu.mig import SMS_PER_GPC
 PartitionKind = Literal["mig", "mps", "xcd"]
 
 
-@dataclass(frozen=True)
-class PlacedSegment:
-    """One partition of one service pinned to a GPU."""
-
+class _SegmentFields(NamedTuple):
     service_id: str
     model: str
     kind: PartitionKind
@@ -46,19 +61,51 @@ class PlacedSegment:
     served_rate: float = 0.0  #: requests/s actually routed here
     geometry: str = "mig"  #: partition-geometry registry name
 
-    def __post_init__(self) -> None:
-        if self.kind in ("mig", "xcd"):
-            if self.start is None:
-                raise ValueError(f"{self.kind} partitions need a start slot")
-            if abs(self.gpcs - round(self.gpcs)) > 1e-9:
-                raise ValueError(
-                    f"{self.kind} partitions have integral slice sizes"
-                )
-        limit = get_geometry(self.geometry).num_slices
-        if self.gpcs <= 0 or self.gpcs > limit:
-            raise ValueError(f"partition size {self.gpcs} outside (0, {limit}]")
-        if self.capacity <= 0:
+
+class PlacedSegment(_SegmentFields):
+    """One partition of one service pinned to a GPU.
+
+    Tuple-backed and immutable: no field can be set, not even through
+    ``object.__setattr__``, so a published plan's segments are exactly
+    what its cached fingerprint line rendered.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        service_id: str,
+        model: str,
+        kind: PartitionKind,
+        gpcs: float,
+        batch_size: int,
+        num_processes: int,
+        capacity: float,
+        latency_ms: float,
+        sm_activity: float,
+        start: Optional[int] = None,
+        served_rate: float = 0.0,
+        geometry: str = "mig",
+    ) -> "PlacedSegment":
+        if kind in ("mig", "xcd"):
+            if start is None:
+                raise ValueError(f"{kind} partitions need a start slot")
+            if abs(gpcs - round(gpcs)) > 1e-9:
+                raise ValueError(f"{kind} partitions have integral slice sizes")
+        limit = get_geometry(geometry).num_slices
+        if gpcs <= 0 or gpcs > limit:
+            raise ValueError(f"partition size {gpcs} outside (0, {limit}]")
+        if capacity <= 0:
             raise ValueError("partition capacity must be positive")
+        return tuple.__new__(cls, (
+            service_id, model, kind, gpcs, batch_size, num_processes,
+            capacity, latency_ms, sm_activity, start, served_rate, geometry,
+        ))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Self:
+        # namedtuple's _make (and so _replace) skips __new__: validate
+        return cls(*iterable)
 
     @property
     def sm_count(self) -> float:
@@ -86,32 +133,41 @@ class PlacedSegment:
         return min(1.0, self.served_rate / self.capacity)
 
     def with_served_rate(self, rate: float) -> "PlacedSegment":
-        # __dict__-level clone: assign_rates calls this once per segment
-        # per re-plan, and both dataclasses.replace() and the generated
-        # frozen __init__ (object.__setattr__ per field + __post_init__
-        # revalidation of fields that cannot have changed) are measurable
-        # at fleet scale.  served_rate is the only field that differs and
-        # __post_init__ never constrains it.
-        clone = object.__new__(PlacedSegment)
-        d = clone.__dict__
-        d.update(self.__dict__)
-        d["served_rate"] = rate
-        return clone
+        # assign_rates calls this once per re-routed segment: served_rate
+        # is the only field that differs and no validation reads it, so
+        # the copy skips __new__.
+        return tuple.__new__(PlacedSegment, self[:10] + (rate, self[11]))
 
 
-if len(PlacedSegment.__dataclass_fields__) != 12:
+#: one segment's part of a fingerprint line, one conversion per field in
+#: field order (the segment *is* the argument tuple); floats render via
+#: repr, so distinct values never collide
+_SEGMENT_LINE = ";%s,%s,%s,%r,%s,%s,%r,%r,%r,%s,%r,%s"
+
+if len(PlacedSegment._fields) != _SEGMENT_LINE.count("%"):
     raise AssertionError(
-        "PlacedSegment grew a field; extend GPUPlan.fingerprint() to cover it"
+        "PlacedSegment grew a field; extend _SEGMENT_LINE to cover it"
     )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class GPUPlan:
-    """All partitions assigned to one GPU."""
+    """All partitions assigned to one GPU.
+
+    Frozen, so its fingerprint line is rendered at most once and cached
+    on the plan; every change to a GPU's partitions is a new plan.
+    """
 
     gpu_id: int
-    segments: list[PlacedSegment] = field(default_factory=list)
+    segments: tuple[PlacedSegment, ...] = ()
     geometry: str = "mig"  #: partition-geometry registry name of the device
+    _line: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if type(self.segments) is not tuple:
+            object.__setattr__(self, "segments", tuple(self.segments))
 
     @property
     def used_gpcs(self) -> float:
@@ -125,19 +181,23 @@ class GPUPlan:
     def is_empty(self) -> bool:
         return not self.segments
 
+    def renumbered(self, gpu_id: int) -> "GPUPlan":
+        """This plan under another GPU id (itself if the id is unchanged)."""
+        if gpu_id == self.gpu_id:
+            return self
+        return GPUPlan(gpu_id, self.segments, self.geometry)
+
     def fingerprint(self) -> str:
         """This plan's line of :meth:`Placement.fingerprint`."""
-        # Direct f-string rendering instead of json.dumps over per-segment
-        # dicts: fingerprints are only ever *compared*, never parsed, and
-        # JSON encoding dominated fleet-scale identity checking.  Floats
-        # render via repr, so distinct values never collide.
-        return f"{self.gpu_id}|{self.geometry}" + "".join(
-            f";{s.service_id},{s.model},{s.kind},{s.gpcs!r},"
-            f"{s.batch_size},{s.num_processes},{s.capacity!r},"
-            f"{s.latency_ms!r},{s.sm_activity!r},{s.start},"
-            f"{s.served_rate!r},{s.geometry}"
-            for s in self.segments
-        )
+        line = self._line
+        if line is None:
+            # Direct %-formatting instead of json.dumps over per-segment
+            # dicts: fingerprints are only ever *compared*, never parsed.
+            line = f"{self.gpu_id}|{self.geometry}" + "".join(
+                map(_SEGMENT_LINE.__mod__, self.segments)
+            )
+            object.__setattr__(self, "_line", line)
+        return line
 
     def validate(self) -> None:
         """Check partition legality / MPS quota on this GPU."""
@@ -179,21 +239,19 @@ class Placement:
 
     def add(self, gpu_id: int, segment: PlacedSegment) -> None:
         plan = self.gpu(gpu_id)
-        if plan.is_empty:
-            plan.geometry = segment.geometry
-        elif segment.geometry != plan.geometry:
+        if not plan.is_empty and segment.geometry != plan.geometry:
             raise ValueError(
                 f"GPU {gpu_id} is {plan.geometry}; cannot add a "
                 f"{segment.geometry} segment"
             )
-        plan.segments.append(segment)
+        self.gpus[gpu_id] = GPUPlan(
+            gpu_id, plan.segments + (segment,), segment.geometry
+        )
 
     def drop_empty_gpus(self) -> None:
         """Renumber away trailing/interior empty GPUs."""
         live = [g for g in self.gpus if not g.is_empty]
-        for new_id, plan in enumerate(live):
-            plan.gpu_id = new_id
-        self.gpus = live
+        self.gpus = [plan.renumbered(i) for i, plan in enumerate(live)]
 
     # ------------------------------------------------------------------ #
     # queries
@@ -240,12 +298,23 @@ class Placement:
         so two schedulers that produce the same map — e.g. the indexed
         and naive allocator paths — fingerprint identically.
         """
-        return "\n".join(self.fingerprint_lines())
+        return "\n".join(self.render_lines()[0])
 
-    def fingerprint_lines(self) -> list[str]:
-        """:meth:`fingerprint` before the join: one
-        :meth:`GPUPlan.fingerprint` line per non-empty plan, in order."""
-        return [g.fingerprint() for g in self.gpus if g.segments]
+    def render_lines(self) -> tuple[list[str], int]:
+        """:meth:`fingerprint` before the join — one
+        :meth:`GPUPlan.fingerprint` line per non-empty plan, in order —
+        and how many of those lines were rendered now (cache misses):
+        every other plan returns the line it cached."""
+        lines: list[str] = []
+        rendered = 0
+        for g in self.gpus:
+            if g.segments:
+                line = g._line
+                if line is None:
+                    line = g.fingerprint()
+                    rendered += 1
+                lines.append(line)
+        return lines, rendered
 
     # ------------------------------------------------------------------ #
     # traffic assignment
@@ -255,6 +324,9 @@ class Placement:
         self, rates: dict[str, float], policy: str = "proportional"
     ) -> None:
         """Distribute each service's request rate over its partitions.
+
+        Replaces every plan whose segments it re-routes; a plan whose
+        served rates all stay put is kept as the same object.
 
         ``"proportional"`` (default) spreads the rate according to
         capacity, which is the steady state of a least-loaded router and
@@ -266,41 +338,47 @@ class Placement:
         # One pass over the map groups partitions by service; the old
         # per-service rescan was O(services x segments) and dominated
         # fleet-scale scheduling wall-clock.
-        refs_by_service: dict[str, list[tuple[GPUPlan, int]]] = {}
-        for g in self.gpus:
-            for i, s in enumerate(g.segments):
-                refs_by_service.setdefault(s.service_id, []).append((g, i))
+        gpus = self.gpus
+        refs_by_service: dict[str, list[tuple[int, int, PlacedSegment]]] = {}
+        for gi, g in enumerate(gpus):
+            for si, s in enumerate(g.segments):
+                refs_by_service.setdefault(s.service_id, []).append((gi, si, s))
+        # plan position -> its segments, copied on a plan's first re-route
+        routed: dict[int, list[PlacedSegment]] = {}
         for service_id, rate in rates.items():
             refs = refs_by_service.get(service_id, [])
             if not refs:
                 raise ValueError(f"no partitions for service {service_id!r}")
             if policy == "proportional":
-                total = sum(g.segments[i].capacity for g, i in refs)
-                for g, i in refs:
-                    s = g.segments[i]
+                total = sum(s.capacity for _, _, s in refs)
+                for gi, si, s in refs:
                     share = rate * s.capacity / total
                     if s.served_rate != share:  # skip the no-op copy
-                        g.segments[i] = s.with_served_rate(share)
+                        segs = routed.get(gi)
+                        if segs is None:
+                            segs = routed[gi] = list(gpus[gi].segments)
+                        segs[si] = s.with_served_rate(share)
             elif policy == "fill":
-                refs.sort(
-                    key=lambda ref: ref[0].segments[ref[1]].capacity
-                    / ref[0].segments[ref[1]].gpcs,
-                    reverse=True,
-                )
+                refs.sort(key=lambda r: r[2].capacity / r[2].gpcs, reverse=True)
                 remaining = rate
-                for g, i in refs:
-                    s = g.segments[i]
+                for gi, si, s in refs:
                     share = min(s.capacity, remaining)
-                    g.segments[i] = s.with_served_rate(share)
+                    segs = routed.setdefault(gi, list(gpus[gi].segments))
+                    segs[si] = s.with_served_rate(share)
                     remaining -= share
                 if remaining > 1e-6:
                     # Demand beyond planned capacity: overload the largest
                     # partition (the simulator will show the violations).
-                    g, i = refs[0]
-                    s = g.segments[i]
-                    g.segments[i] = s.with_served_rate(s.served_rate + remaining)
+                    gi, si, _ = refs[0]
+                    s = routed[gi][si]
+                    routed[gi][si] = s.with_served_rate(s.served_rate + remaining)
             else:
                 raise ValueError(f"unknown routing policy {policy!r}")
+        # One new plan per re-routed GPU; every other plan (and its cached
+        # line) stays the same object.
+        for gi, segs in routed.items():
+            g = gpus[gi]
+            gpus[gi] = GPUPlan(g.gpu_id, tuple(segs), g.geometry)
         self.rates_assigned = True
 
     # ------------------------------------------------------------------ #

@@ -9,17 +9,14 @@ MI300X segment carries the XCD geometry (sizes 1/2/4/8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Any, Iterable, NamedTuple, Self
 
 from repro.gpu.geometry import PartitionGeometry
 from repro.gpu.mig import MIG_GEOMETRY
 from repro.profiler.table import ProfileEntry
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One GPU segment as decided by the Segment Configurator."""
-
+class _SegmentFields(NamedTuple):
     service_id: str
     model: str
     instance_size: int  #: slices: 1, 2, 3, 4 or 7 on MIG; 1, 2, 4, 8 on MI300X
@@ -28,17 +25,48 @@ class Segment:
     throughput: float  #: profiled aggregate requests/s
     latency_ms: float  #: profiled per-batch latency
     sm_activity: float  #: profiled SM activity at full load
-    geometry: PartitionGeometry = field(default=MIG_GEOMETRY, compare=False)
+    geometry: PartitionGeometry = MIG_GEOMETRY
 
-    def __post_init__(self) -> None:
-        if self.instance_size not in self.geometry.instance_sizes:
+
+class Segment(_SegmentFields):
+    """One GPU segment as decided by the Segment Configurator.
+
+    Tuple-backed and immutable, so comparing two allocator states
+    compares their segments as plain tuples.  Geometries are registry
+    singletons, so the ``geometry`` field compares by identity.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        service_id: str,
+        model: str,
+        instance_size: int,
+        batch_size: int,
+        num_processes: int,
+        throughput: float,
+        latency_ms: float,
+        sm_activity: float,
+        geometry: PartitionGeometry = MIG_GEOMETRY,
+    ) -> "Segment":
+        if instance_size not in geometry.instance_sizes:
             raise ValueError(
-                f"no {self.geometry.name} instance of size {self.instance_size}"
+                f"no {geometry.name} instance of size {instance_size}"
             )
-        if self.batch_size < 1 or self.num_processes < 1:
+        if batch_size < 1 or num_processes < 1:
             raise ValueError("batch size and process count must be >= 1")
-        if self.throughput <= 0:
+        if throughput <= 0:
             raise ValueError("segment throughput must be positive")
+        return tuple.__new__(cls, (
+            service_id, model, instance_size, batch_size, num_processes,
+            throughput, latency_ms, sm_activity, geometry,
+        ))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Self:
+        # namedtuple's _make (and so _replace) skips __new__: validate
+        return cls(*iterable)
 
     @property
     def triplet(self) -> tuple[int, int, int]:

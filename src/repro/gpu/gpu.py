@@ -11,6 +11,7 @@ where the paper specifies it.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -33,13 +34,22 @@ from repro.gpu.slices import (
 SMS_PER_GPU = SMS_PER_GPC * NUM_SLICES
 
 
+#: ``(gpu_id, start, size, owner)`` of one instance (an unowned
+#: instance's owner is ``""``), as deployment maps key their instances
+InstanceKey = tuple[int, int, int, str]
+
+
 class GPUError(RuntimeError):
     """Raised on illegal instance operations."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
-    """A live partition instance on a specific GPU."""
+    """A live partition instance on a specific GPU.
+
+    Frozen: where it sits and who owns it are fixed for its lifetime, so
+    the GPU's instance keys stay exact between create and destroy.
+    """
 
     placed: PlacedPartition
     owner: Optional[str] = None  #: service id occupying the instance
@@ -47,7 +57,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         if self.mps is None:
-            self.mps = MPSContext()
+            object.__setattr__(self, "mps", MPSContext())
 
     @property
     def size(self) -> int:
@@ -65,6 +75,8 @@ class Instance:
 class GPU:
     """One partitionable GPU (MIG-enabled A100-class by default)."""
 
+    __slots__ = ("gpu_id", "geometry", "instance_keys", "_layout", "_instances")
+
     def __init__(
         self, gpu_id: int, geometry: PartitionGeometry = MIG_GEOMETRY
     ) -> None:
@@ -72,6 +84,9 @@ class GPU:
         self.geometry = geometry
         self._layout = PartitionLayout(geometry)
         self._instances: list[Instance] = []
+        #: every instance's key, sorted; maintained on create and destroy
+        #: (read it, never assign it)
+        self.instance_keys: tuple[InstanceKey, ...] = ()
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -80,6 +95,9 @@ class GPU:
     @property
     def instances(self) -> tuple[Instance, ...]:
         return tuple(self._instances)
+
+    def _key(self, inst: Instance) -> InstanceKey:
+        return (self.gpu_id, inst.start, inst.size, inst.owner or "")
 
     @property
     def layout(self) -> PartitionLayout:
@@ -154,6 +172,9 @@ class GPU:
         self._layout.add(placed)
         inst = Instance(placed=placed, owner=owner)
         self._instances.append(inst)
+        keys, key = self.instance_keys, self._key(inst)
+        i = bisect(keys, key)
+        self.instance_keys = keys[:i] + (key,) + keys[i:]
         return inst
 
     def destroy_instance(self, inst: Instance) -> None:
@@ -164,6 +185,9 @@ class GPU:
             raise GPUError(
                 f"instance {inst.placed} does not live on GPU {self.gpu_id}"
             ) from None
+        keys = self.instance_keys
+        i = keys.index(self._key(inst))
+        self.instance_keys = keys[:i] + keys[i + 1:]
         inst.mps.terminate_all()
         self._layout.remove(inst.placed)
 

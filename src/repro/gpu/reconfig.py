@@ -39,14 +39,31 @@ class ReconfigurationCost:
     total_work_s: float  #: serial MIG/MPS operation time
     downtime_s: Mapping[str, float]  #: per-service serving gap (no shadows)
     shadow_gpus: int  #: spare GPUs needed for a zero-downtime swap
+    #: the non-zero entries of ``downtime_s`` (derived when not given)
+    disrupted_s: Mapping[str, float] = field(  # type: ignore[assignment]
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.disrupted_s is None:
+            object.__setattr__(
+                self,
+                "disrupted_s",
+                {sid: d for sid, d in self.downtime_s.items() if d},
+            )
 
     @property
     def max_downtime_s(self) -> float:
-        return max(self.downtime_s.values(), default=0.0)
+        return max(self.disrupted_s.values(), default=0.0)
+
+    @property
+    def downtime_total_s(self) -> float:
+        """Summed per-service downtime; ``0.0`` (a float) when quiet."""
+        return sum(self.disrupted_s.values(), 0.0)
 
     @property
     def disrupted_services(self) -> tuple[str, ...]:
-        return tuple(sorted(s for s, d in self.downtime_s.items() if d > 0))
+        return tuple(sorted(s for s, d in self.disrupted_s.items() if d > 0))
 
     @classmethod
     def combine(cls, costs: "Sequence[ReconfigurationCost]") -> "ReconfigurationCost":
@@ -57,14 +74,21 @@ class ReconfigurationCost:
         spares are released before the next begins.  The single home of
         this arithmetic — the autoscaler's per-epoch batches and the
         fleet controller's per-interval batches both combine here.
+
+        O(disrupted services): only the non-zero downtime entries are
+        summed (in cost order, so each sum is bit-identical to one over
+        every entry), and the result lists only those, sorted by service.
         """
+        summed: dict[str, float] = {}
+        for c in costs:
+            for sid, d in c.disrupted_s.items():
+                summed[sid] = summed[sid] + d if sid in summed else d
+        downtime = {sid: summed[sid] for sid in sorted(summed)}
         return cls(
             total_work_s=sum(c.total_work_s for c in costs),
-            downtime_s={
-                sid: sum(c.downtime_s.get(sid, 0.0) for c in costs)
-                for sid in sorted({k for c in costs for k in c.downtime_s})
-            },
+            downtime_s=downtime,
             shadow_gpus=max((c.shadow_gpus for c in costs), default=0),
+            disrupted_s=downtime,
         )
 
 
@@ -91,6 +115,7 @@ def price_plan(
         cost = create_cost_s + process_cost_s * spec.num_processes
         downtime[spec.owner] = downtime.get(spec.owner, 0.0) + cost
         total += cost
+    disrupted = {sid: d for sid, d in downtime.items() if d}
     for spec in plan.unchanged:
         downtime.setdefault(spec.owner, 0.0)
 
@@ -116,6 +141,7 @@ def price_plan(
         total_work_s=total,
         downtime_s=downtime,
         shadow_gpus=shadow_gpus,
+        disrupted_s=disrupted,
     )
 
 

@@ -162,37 +162,11 @@ def service_from_doc(doc: Mapping[str, Any]) -> Service:
 
 
 def _segment_to_doc(seg: PlacedSegment) -> dict[str, Any]:
-    return {
-        "service_id": seg.service_id,
-        "model": seg.model,
-        "kind": seg.kind,
-        "gpcs": seg.gpcs,
-        "batch_size": seg.batch_size,
-        "num_processes": seg.num_processes,
-        "capacity": seg.capacity,
-        "latency_ms": seg.latency_ms,
-        "sm_activity": seg.sm_activity,
-        "start": seg.start,
-        "served_rate": seg.served_rate,
-        "geometry": seg.geometry,
-    }
+    return seg._asdict()
 
 
 def _segment_from_doc(doc: Mapping[str, Any]) -> PlacedSegment:
-    return PlacedSegment(
-        service_id=doc["service_id"],
-        model=doc["model"],
-        kind=doc["kind"],
-        gpcs=doc["gpcs"],
-        batch_size=doc["batch_size"],
-        num_processes=doc["num_processes"],
-        capacity=doc["capacity"],
-        latency_ms=doc["latency_ms"],
-        sm_activity=doc["sm_activity"],
-        start=doc["start"],
-        served_rate=doc["served_rate"],
-        geometry=doc["geometry"],
-    )
+    return PlacedSegment(*(doc[name] for name in PlacedSegment._fields))
 
 
 def placement_to_doc(placement: Placement) -> dict[str, Any]:
@@ -217,7 +191,7 @@ def placement_from_doc(doc: Mapping[str, Any]) -> Placement:
         GPUPlan(
             gpu_id=g["gpu_id"],
             geometry=g["geometry"],
-            segments=[_segment_from_doc(s) for s in g["segments"]],
+            segments=tuple(_segment_from_doc(s) for s in g["segments"]),
         )
         for g in doc["gpus"]
     ]

@@ -24,12 +24,15 @@ Two identity checks guard every run:
   cannot have corrupted the map — the manager's live allocator state
   must equal that rebuild GPU for GPU, and the live cluster's instances
   must mirror the map exactly.  On the fast path the check is
-  incremental: a memo of the last verified interval (per GPU its
-  fingerprint line and rebuilt state) lets it rebuild only the GPUs
-  whose line changed and re-rate only the services whose shares may
-  have moved, while the live-state and cluster comparisons still cover
-  every GPU and instance.  A cold memo (after :meth:`begin` or
-  :meth:`restore`) or reordered GPUs run the full rebuild
+  incremental: published plans are immutable and cache their
+  fingerprint lines, so rendering the map costs O(changed plans), and a
+  memo of the last verified interval (per GPU its line and rebuilt
+  state) lets it rebuild only the GPUs whose line changed and re-rate
+  only the services whose shares may have moved.  The live-state and
+  cluster comparisons still cover every GPU and instance, as C-level
+  compares of small tuples (tuple-backed allocator segments, the
+  instance keys each cluster GPU maintains).  A cold memo (after
+  :meth:`begin` or :meth:`restore`) or reordered GPUs run the full rebuild
   (:meth:`_check_state`, the ``fast_path=False`` reference), which
   seeds the memo; both raise on the same corrupted states;
 - **fast vs naive replay** (:func:`run_identity_checked`): the same
@@ -56,7 +59,6 @@ from typing import (
     Any,
     ClassVar,
     Iterable,
-    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -74,6 +76,7 @@ from repro.core.parvagpu import ParvaGPU
 from repro.core.placement import GPUPlan, Placement
 from repro.core.service import Service
 from repro.gpu.geometry import get_geometry
+from repro.gpu.gpu import InstanceKey
 from repro.gpu.reconfig import ReconfigurationCost, ShadowBudget, price_plan
 from repro.ops.checkpoint import (
     CheckpointError,
@@ -151,32 +154,39 @@ class CheckStats:
     services_rerated: int = 0
     #: intervals checked by the full reference rather than the memo
     full_fallbacks: int = 0
+    #: fingerprint lines the check rendered (cache misses: changed
+    #: published plans plus the check's own round-trip plans)
+    lines_rendered: int = 0
 
     OBS_FIELDS: ClassVar[dict[str, str]] = {
         "gpus_rebuilt": "counter",
         "services_rerated": "counter",
         "full_fallbacks": "counter",
+        "lines_rendered": "counter",
     }
 
 
-#: ``(gpu_id, start, size, owner)`` of one deployed instance, as the state
-#: check compares the map with the cluster
-_InstanceKey = tuple[int, Optional[int], int, str]
+#: gpu_id -> the sorted keys of its instances, for every GPU hosting
+#: one: how the state check compares the map with the cluster
+_InstanceMap = dict[int, tuple[InstanceKey, ...]]
 
 
-def _instance_keys(state: _GPUState) -> Iterator[_InstanceKey]:
+def _instance_keys(state: _GPUState) -> tuple[InstanceKey, ...]:
     """The instances a rebuilt GPU state deploys, as the check keys them
     (the per-GPU twin of :meth:`Placement.to_instance_specs`)."""
-    return (
+    return tuple(sorted(
         (state.gpu_id, start, seg.instance_size, seg.service_id)
         for seg, start in state.placed
-    )
+    ))
 
 
 def _live_matches(
     live: Sequence[_GPUState], states: Sequence[_GPUState]
 ) -> bool:
-    """Whether the live allocator state equals ``states`` GPU for GPU."""
+    """Whether the live allocator state equals ``states`` GPU for GPU.
+
+    ``placed`` lists hold ``(Segment, start)`` pairs of tuples, so each
+    GPU's segments compare as C-level tuple compares."""
     return len(live) == len(states) and all(
         a.gpu_id == b.gpu_id
         and a.geometry.name == b.geometry.name
@@ -201,8 +211,8 @@ class _CheckMemo:
     order: list[int]
     lines: dict[int, str]
     states: dict[int, _GPUState]
-    #: every instance the map deploys
-    want: set[_InstanceKey]
+    #: every instance the map deploys, per GPU
+    want: _InstanceMap
     #: the request rates the verified map was routed with
     rates: dict[str, float]
     #: service -> ids of the GPUs hosting it (built by the first
@@ -526,16 +536,17 @@ class FleetController:
             placement = self.manager.current
             # One rendering of the unchanged map serves the check and the
             # interval record.
-            fp: Optional[str] = None
+            lines: Optional[list[str]] = None
             if run.check:
                 with self.obs.span("check", t_s=t, cat="interval") as sp:
-                    lines = placement.fingerprint_lines()
-                    fp = "\n".join(lines)
-                    sp.args.update(self._verify_state(run.work, lines, fp))
+                    lines, counts = self._verify_state(run.work)
+                    sp.args.update(counts)
                 stages.append(sp)
             with self.obs.span("fingerprint", t_s=t, cat="interval") as sp:
-                if fp is None:
-                    fp = placement.fingerprint()
+                fp = (
+                    placement.fingerprint() if lines is None
+                    else "\n".join(lines)
+                )
                 record.fingerprint = _record_digest(fp)
             stages.append(sp)
             if run.measure_s > 0 and run.steps % run.measure_every == 0:
@@ -1091,7 +1102,7 @@ class FleetController:
             reconfig_ops=ops,
             reconfig_work_s=total.total_work_s,
             max_downtime_s=total.max_downtime_s,
-            downtime_total_s=sum(total.downtime_s.values()),
+            downtime_total_s=total.downtime_total_s,
             zero_downtime=self.shadows.admit(t, total),
         )
 
@@ -1297,17 +1308,22 @@ class FleetController:
     # ------------------------------------------------------------------ #
 
     def _verify_state(
-        self, work: Sequence[Service], lines: list[str], fp: str
-    ) -> dict[str, int]:
-        """The interval's state check; returns the check span's counts.
+        self, work: Sequence[Service]
+    ) -> tuple[list[str], dict[str, int]]:
+        """The interval's state check: returns the placement's fingerprint
+        lines and the check span's counts.
 
         The fast path checks incrementally against the memo of the last
         verified interval (:meth:`_check_incremental`); a cold memo, a
         structural change it cannot follow, and ``fast_path=False`` run
         the full reference :meth:`_check_state`, whose by-products seed
-        the memo.  ``lines`` are the placement's fingerprint lines, ``fp``
-        their join.
+        the memo.  Published plans cache their lines, so the render costs
+        O(changed plans); ``lines_rendered`` counts the lines the check
+        rendered (cache misses), its own round-trip plans included.
         """
+        placement = self.manager.current
+        assert placement is not None
+        lines, rendered = placement.render_lines()
         memo, self._check_memo = self._check_memo, None  # kept if verified
         counts = (
             None if memo is None else self._check_incremental(memo, work, lines)
@@ -1315,12 +1331,10 @@ class FleetController:
         stats = self.check_stats
         if counts is not None:
             self._check_memo = memo
-            rebuilt, rerated = counts
+            rebuilt, rerated, own = counts
         else:
-            states, want = self._check_state(work, fp)
+            states, want, own = self._check_state(work, lines)
             rates = {s.id: s.request_rate for s in work}
-            placement = self.manager.current
-            assert placement is not None
             gpus = placement.gpus
             order = [g.gpu_id for g in gpus]
             if self.fast_path and len(lines) == len(gpus) == len(set(order)):
@@ -1333,14 +1347,18 @@ class FleetController:
                 )
             rebuilt, rerated = len(states), len(rates)
             stats.full_fallbacks += 1
+        rendered += own
         stats.gpus_rebuilt += rebuilt
         stats.services_rerated += rerated
-        return {"gpus_rebuilt": rebuilt, "services_rerated": rerated,
-                "full": int(counts is None)}
+        stats.lines_rendered += rendered
+        return lines, {
+            "gpus_rebuilt": rebuilt, "services_rerated": rerated,
+            "lines_rendered": rendered, "full": int(counts is None),
+        }
 
     def _check_incremental(
         self, memo: _CheckMemo, work: Sequence[Service], lines: list[str]
-    ) -> Optional[tuple[int, int]]:
+    ) -> Optional[tuple[int, int, int]]:
         """:meth:`_check_state`'s verdict, re-verifying only what changed.
 
         Only GPUs whose fingerprint line differs from the memo take the
@@ -1350,7 +1368,8 @@ class FleetController:
         their segments, in placement order, as ``assign_rates`` does.
         The live-state and cluster-mirror comparisons still cover every
         GPU and every instance.  Updates ``memo`` to this interval and
-        returns ``(GPUs rebuilt, services re-rated)``; raises as the
+        returns ``(GPUs rebuilt, services re-rated, lines rendered)``;
+        raises as the
         reference would; returns None, touching nothing, where only the
         reference can decide: surviving GPUs changed relative order
         (every share may sum in a new order), or the map holds an empty
@@ -1392,11 +1411,9 @@ class FleetController:
             sid for sid, rate in rates.items() if memo.rates.get(sid) is not rate
         }
         rerate.update(sid for sid in memo.rates if sid not in rates)
-        dropped: list[_GPUState] = []
         for gid in vanished + changed:
             old = memo.states.pop(gid, None)
             if old is not None:
-                dropped.append(old)
                 for seg, _ in old.placed:
                     rerate.add(seg.service_id)
                     hosts[seg.service_id].discard(gid)
@@ -1423,17 +1440,21 @@ class FleetController:
             # restart from the rebuild's unrouted 0.0.
             shared = gpus[pos[gid]]
             plans.append(GPUPlan(
-                gpu_id=gid,
-                segments=[
+                gid,
+                tuple(
                     s.with_served_rate(0.0) if s.service_id in rerate else s
                     for s in shared.segments
-                ],
-                geometry=shared.geometry,
+                ),
+                shared.geometry,
             ))
-        Placement(framework="", gpus=plans).assign_rates(
+        routed = Placement(framework="", gpus=plans)
+        routed.assign_rates(
             {sid: rates[sid] for sid in rerated if sid in rates}
         )
-        if any(plan.fingerprint() != lines[pos[plan.gpu_id]] for plan in plans):
+        if any(
+            plan.fingerprint() != lines[pos[plan.gpu_id]]
+            for plan in routed.gpus
+        ):
             raise OpsIdentityError(
                 "incremental placement does not survive the allocator-state "
                 "round trip (build_states -> _to_placement)"
@@ -1452,10 +1473,10 @@ class FleetController:
 
         # 4. the cluster mirror, every instance
         want = memo.want
-        for old in dropped:
-            want.difference_update(_instance_keys(old))
+        for gid in vanished:
+            want.pop(gid, None)
         for state in rebuilt:
-            want.update(_instance_keys(state))
+            want[state.gpu_id] = _instance_keys(state)
         if want != self._cluster_instances():
             raise OpsIdentityError(
                 "live cluster instances do not mirror the deployment map"
@@ -1467,18 +1488,21 @@ class FleetController:
             old_lines[gid] = lines[pos[gid]]
         memo.order = order
         memo.rates = rates
-        return len(changed), len(rerated)
+        return len(changed), len(rerated), len(routed.gpus)
 
     def _check_state(
-        self, work: Sequence[Service], fp: str
-    ) -> tuple[list[_GPUState], set[_InstanceKey]]:
+        self, work: Sequence[Service], lines: list[str]
+    ) -> tuple[list[_GPUState], _InstanceMap, int]:
         """The per-interval round-trip + cluster-mirror identity check.
 
-        ``fp`` is the current placement's fingerprint.  The rebuild runs
+        ``lines`` are the current placement's fingerprint lines; the
+        rebuilt map's plans are fresh, so its lines render from scratch
+        and a stale cached line cannot pass.  The rebuild runs
         over the whole fleet on every interval; the live allocator state
         (when the last delta left one) must equal it GPU for GPU.  The
         full reference of :meth:`_check_incremental`: returns its
-        by-products, the rebuilt states and the deployed instances.
+        by-products, the rebuilt states and the deployed instances, and
+        the number of lines it rendered.
         """
         placement = self.manager.current
         states = self.manager.build_states()
@@ -1487,7 +1511,8 @@ class FleetController:
         )
         rebuilt.framework = placement.framework
         rebuilt.assign_rates({s.id: s.request_rate for s in work})
-        if rebuilt.fingerprint() != fp:
+        rebuilt_lines, rendered = rebuilt.render_lines()
+        if rebuilt_lines != lines:
             raise OpsIdentityError(
                 "incremental placement does not survive the allocator-state "
                 "round trip (build_states -> _to_placement)"
@@ -1498,22 +1523,25 @@ class FleetController:
                 "live allocator state diverged from its rebuild "
                 "(build_states)"
             )
-        want = {
-            (s.gpu_id, s.start, s.size, s.owner)
-            for s in placement.to_instance_specs()
-        }
+        keys: dict[int, set[InstanceKey]] = {}
+        for s in placement.to_instance_specs():
+            keys.setdefault(s.gpu_id, set()).add(
+                (s.gpu_id, s.start, s.size, s.owner)
+            )
+        want = {gid: tuple(sorted(k)) for gid, k in keys.items()}
         if want != self._cluster_instances():
             raise OpsIdentityError(
                 "live cluster instances do not mirror the deployment map"
             )
-        return states, want
+        return states, want, rendered
 
-    def _cluster_instances(self) -> set[_InstanceKey]:
-        """Every instance on the live cluster, keyed as the map's are."""
+    def _cluster_instances(self) -> _InstanceMap:
+        """Every instance on the live cluster, keyed as the map's are: a
+        fresh map over the sorted keys each GPU maintains."""
         return {
-            (g.gpu_id, inst.placed.start, inst.placed.size, inst.owner or "")
+            g.gpu_id: g.instance_keys
             for g in self.manager.cluster.gpus
-            for inst in g.instances
+            if g.instance_keys
         }
 
     def _measure(

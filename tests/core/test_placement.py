@@ -2,7 +2,14 @@
 
 import pytest
 
+from repro.baselines import make_framework
+from repro.core.hetero import GeometryPool, HeterogeneousParvaGPU
+from repro.core.parvagpu import ParvaGPU
 from repro.core.placement import GPUPlan, PlacedSegment, Placement
+from repro.gpu.geometry import get_geometry
+from repro.ops.checkpoint import placement_from_doc, placement_to_doc
+from repro.profiler import profile_workloads
+from repro.scenarios import scenario_services
 
 
 def mig_seg(sid="a", gpcs=2.0, start=0, capacity=100.0, **kw):
@@ -172,3 +179,126 @@ class TestInstanceSpecs:
         p.add(0, mps_seg())
         with pytest.raises(ValueError):
             p.to_instance_specs()
+
+
+def _render(plan: GPUPlan) -> str:
+    """A fresh rendering of one plan's fingerprint line (the format)."""
+    return f"{plan.gpu_id}|{plan.geometry}" + "".join(
+        f";{s.service_id},{s.model},{s.kind},{s.gpcs!r},"
+        f"{s.batch_size},{s.num_processes},{s.capacity!r},"
+        f"{s.latency_ms!r},{s.sm_activity!r},{s.start},"
+        f"{s.served_rate!r},{s.geometry}"
+        for s in plan.segments
+    )
+
+
+class TestImmutablePlans:
+    def test_segment_rejects_mutation(self):
+        seg = mig_seg()
+        for name in PlacedSegment._fields:
+            with pytest.raises(AttributeError):
+                setattr(seg, name, 1)
+            with pytest.raises(AttributeError):
+                object.__setattr__(seg, name, 1)
+        with pytest.raises(AttributeError):
+            seg.note = "extra"  # no instance dict either
+
+    def test_segment_copies_revalidate(self):
+        with pytest.raises(ValueError):
+            mig_seg()._replace(capacity=0.0)
+        assert mig_seg().with_served_rate(5.0) == mig_seg(served_rate=5.0)
+
+    def test_plan_rejects_mutation(self):
+        plan = GPUPlan(0, [mig_seg()])
+        assert type(plan.segments) is tuple
+        with pytest.raises(AttributeError):
+            plan.segments = ()
+        with pytest.raises(AttributeError):
+            plan.gpu_id = 1
+        with pytest.raises(TypeError):
+            plan.segments[0] = mig_seg(sid="b")
+        with pytest.raises(AttributeError):
+            plan.segments.append(mig_seg(sid="b"))
+
+    def test_line_rendered_once_and_cached(self):
+        plan = GPUPlan(3, [mig_seg(), mig_seg(sid="b", start=2)])
+        line = plan.fingerprint()
+        assert plan.fingerprint() is line
+        assert line == _render(plan)
+        assert repr(plan) == repr(GPUPlan(3, plan.segments))  # cache hidden
+        assert plan == GPUPlan(3, plan.segments)
+        fresh = GPUPlan(5, [mig_seg()])
+        p = Placement(framework="t", gpus=[plan, GPUPlan(4), fresh])
+        assert p.render_lines() == ([line, _render(fresh)], 1)  # empty skipped
+        assert p.render_lines() == ([line, _render(fresh)], 0)
+
+    def test_assign_rates_keeps_untouched_plans(self):
+        p = Placement(framework="t")
+        p.add(0, mig_seg(sid="a", gpcs=4.0, start=0, capacity=300.0))
+        p.add(1, mig_seg(sid="b", gpcs=4.0, start=0, capacity=200.0))
+        p.add(2, mig_seg(sid="a", gpcs=2.0, start=0, capacity=100.0))
+        p.assign_rates({"a": 100.0, "b": 50.0})
+        before = list(p.gpus)
+        p.assign_rates({"a": 120.0, "b": 50.0})  # only "a" moves
+        assert p.gpus[1] is before[1]
+        assert p.gpus[0] is not before[0] and p.gpus[2] is not before[2]
+        assert before[0].segments[0].served_rate == pytest.approx(75.0)
+        assert p.gpus[0].segments[0].served_rate == pytest.approx(90.0)
+        same = list(p.gpus)
+        p.assign_rates({"a": 120.0, "b": 50.0})  # nothing moves
+        assert all(a is b for a, b in zip(p.gpus, same))
+
+    def test_add_replaces_the_plan(self):
+        p = Placement(framework="t")
+        a, b = mig_seg(sid="a", gpcs=4.0, start=0), mig_seg(sid="b", start=4)
+        p.add(0, a)
+        first = p.gpus[0]
+        p.add(0, b)
+        assert first.segments == (a,)
+        assert p.gpus[0].segments == (a, b)
+        with pytest.raises(ValueError):
+            p.add(0, mig_seg(sid="c", start=6, geometry="mi300x"))
+        assert p.gpus[0].segments == (a, b)
+
+    def test_drop_empty_renumbers_by_new_plans(self):
+        p = Placement(framework="t")
+        p.add(0, mig_seg(sid="a"))
+        p.add(2, mig_seg(sid="b"))
+        kept, moved = p.gpus[0], p.gpus[2]
+        p.drop_empty_gpus()
+        assert p.gpus[0] is kept
+        assert (p.gpus[1].gpu_id, p.gpus[1].segments) == (1, moved.segments)
+        assert moved.gpu_id == 2
+
+
+@pytest.fixture(scope="module")
+def placements(profiles):
+    """Placements from every scheduler, the hetero merge and a
+    checkpoint round trip, each with its lines already rendered once."""
+    services = scenario_services("S1")
+    out = {"parvagpu": ParvaGPU(profiles).schedule(services)}
+    for name in ("gpulet", "igniter", "mig-serving", "gslice", "paris-elsa"):
+        out[name] = make_framework(name, profiles).schedule(services)
+    mi300x = get_geometry("mi300x")
+    out["hetero"] = HeterogeneousParvaGPU([
+        GeometryPool(get_geometry("mig"), profiles),
+        GeometryPool(mi300x, profile_workloads(geometry=mi300x)),
+    ]).schedule(scenario_services("S7"))
+    out["checkpoint"] = placement_from_doc(placement_to_doc(out["parvagpu"]))
+    for placement in out.values():
+        placement.fingerprint()
+    return out
+
+
+@pytest.mark.parametrize("source", [
+    "parvagpu", "gpulet", "igniter", "mig-serving", "gslice", "paris-elsa",
+    "hetero", "checkpoint",
+])
+def test_cached_line_equals_fresh_render(placements, source):
+    placement = placements[source]
+    assert placement.gpus
+    for plan in placement.gpus:
+        assert plan.fingerprint() == _render(plan)
+    assert placement.fingerprint() == "\n".join(
+        _render(g) for g in placement.gpus if g.segments
+    )

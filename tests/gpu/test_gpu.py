@@ -98,6 +98,20 @@ class TestQueries:
         assert snap == ((0, 2, "a"), (4, 3, "b"))
         hash(snap)
 
+    def test_instance_keys_follow_create_and_destroy(self):
+        gpu = GPU(3)
+        b = gpu.create_instance(3, 4, owner="b")
+        gpu.create_instance(2, 0, owner="a")
+        c = gpu.create_instance(1, 2)
+        assert gpu.instance_keys == ((3, 0, 2, "a"), (3, 2, 1, ""), (3, 4, 3, "b"))
+        gpu.destroy_instance(b)
+        gpu.destroy_instance(c)
+        assert gpu.instance_keys == ((3, 0, 2, "a"),)
+        gpu.destroy_all()
+        assert gpu.instance_keys == ()
+        with pytest.raises(AttributeError):
+            b.owner = "x"  # an instance's key fields are frozen
+
     def test_can_place_any_start(self):
         gpu = GPU(0)
         gpu.create_instance(4, 0)

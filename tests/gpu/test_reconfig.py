@@ -112,3 +112,65 @@ class TestCombine:
         for costs in ([a, b], [b, a]):
             combined = ReconfigurationCost.combine(costs)
             assert list(combined.downtime_s) == sorted(combined.downtime_s)
+
+
+def _full_combine(costs):
+    """The per-service sums over every entry, zeros included: the
+    arithmetic ``combine`` had before it skipped zero entries."""
+    return {
+        sid: sum(c.downtime_s.get(sid, 0.0) for c in costs)
+        for sid in sorted({k for c in costs for k in c.downtime_s})
+    }
+
+
+def _priced_costs():
+    """Three priced re-plans of one deployed cluster: each keeps some
+    instances (zero-downtime entries) and disrupts others."""
+    cluster = Cluster()
+    running = [
+        spec(0, 4, 0, "a"), spec(0, 3, 4, "b"), spec(1, 2, 0, "c", procs=2),
+        spec(1, 1, 2, "d", procs=3), spec(2, 7, 0, "e"),
+    ]
+    cluster.execute(cluster.plan_reconfiguration(running))
+    targets = [
+        running[:2] + [spec(1, 2, 4, "c", procs=2)] + running[3:],
+        [running[0], spec(2, 3, 4, "b"), running[2], spec(1, 1, 3, "d", 3)],
+        running,  # a quiet re-plan: everything unchanged
+    ]
+    return [
+        price_plan(
+            cluster.plan_reconfiguration(target),
+            destroy_cost_s=0.1, create_cost_s=0.7, process_cost_s=0.3,
+        )
+        for target in targets
+    ]
+
+
+class TestCombineDisruptedOnly:
+    def test_price_plan_keeps_zero_entries(self):
+        costs = _priced_costs()
+        assert costs[0].downtime_s["a"] == 0.0
+        assert costs[2].downtime_s == {s: 0.0 for s in "abcde"}
+
+    def test_matches_the_full_sum_on_nonzero_entries(self):
+        costs = _priced_costs()
+        new = ReconfigurationCost.combine(costs)
+        old = _full_combine(costs)
+        assert new.downtime_s == {k: v for k, v in old.items() if v}
+        # bit-identical sums, in the same (sorted) order
+        assert list(new.downtime_s) == [k for k, v in old.items() if v]
+        assert [v.hex() for v in new.downtime_s.values()] == [
+            old[k].hex() for k in new.downtime_s
+        ]
+        assert new.downtime_total_s.hex() == sum(old.values()).hex()
+        assert new.max_downtime_s == max(old.values())
+        assert new.disrupted_services == tuple(
+            k for k, v in old.items() if v > 0
+        )
+        assert new.total_work_s == sum(c.total_work_s for c in costs)
+
+    def test_quiet_total_is_a_float(self):
+        quiet = ReconfigurationCost.combine(_priced_costs()[2:])
+        assert quiet.downtime_s == {}
+        assert repr(quiet.downtime_total_s) == "0.0"
+        assert repr(ReconfigurationCost.combine([]).downtime_total_s) == "0.0"

@@ -8,7 +8,9 @@ generators) one corruption is injected right before a drawn interval's
 check, and every check of the run executes both on the same state: they
 must both pass, or both raise the same exception class.  Covered too: the
 first check after ``restore()`` (cold memo) and the first after a full
-re-plan (warm memo, replaced map).
+re-plan (warm memo, replaced map).  Published segments are immutable, so
+the in-place kinds assert that the write raises, and ``replace-plan``
+swaps an untouched GPU's plan for one with an altered segment instead.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.placement import GPUPlan
 from repro.core.service import Service
 from repro.ops import FleetController
 from repro.ops.events import GpuFailure, ServiceArrival
@@ -44,10 +47,11 @@ PROFILES, HORIZON_S = _suite.PROFILES, _suite.HORIZON_S
 fleets, raw_events, timeline_of = _suite.fleets, _suite.raw_events, _suite._timeline
 
 CORRUPTIONS = (
-    "capacity", "start", "served_rate", "stale-rate", "swap-gpus",
-    "flip-blocked", "drop-placed", "destroy-instance", "add-instance",
-    "drop-service",
+    "capacity", "start", "served_rate", "replace-plan", "stale-rate",
+    "swap-gpus", "flip-blocked", "drop-placed", "destroy-instance",
+    "add-instance", "drop-service",
 )
+SEGMENT_FIELDS = ("capacity", "start", "served_rate")
 
 
 def _segment(ctrl, pick):
@@ -55,19 +59,40 @@ def _segment(ctrl, pick):
     return segs[pick % len(segs)]
 
 
+def _altered(seg, field: str, pick: int):
+    value = {
+        "capacity": seg.capacity * 1.5,
+        "start": (seg.start + 1 + pick % 3) % 8,
+        "served_rate": seg.served_rate + 1.0,
+    }[field]
+    return field, value
+
+
 def corrupt(ctrl: FleetController, kind: str, pick: int) -> None:
     """Corrupt the controller's state behind its back (one way)."""
     placement = ctrl.manager.current
     run = ctrl._run
-    if kind in ("capacity", "start", "served_rate"):
-        # in place, on a published (frozen) segment
+    if kind in SEGMENT_FIELDS:
+        # in place, on a published segment: immutable by type
         seg = _segment(ctrl, pick)
-        value = {
-            "capacity": seg.capacity * 1.5,
-            "start": (seg.start + 1 + pick % 3) % 8,
-            "served_rate": seg.served_rate + 1.0,
-        }[kind]
-        object.__setattr__(seg, kind, value)
+        with pytest.raises(AttributeError):
+            object.__setattr__(seg, *_altered(seg, kind, pick))
+    elif kind == "replace-plan":
+        # a plan with one altered segment, at the same position, on a GPU
+        # whose line the last verified interval already holds
+        memo = ctrl._check_memo
+        gpus = placement.gpus
+        untouched = [
+            i for i, g in enumerate(gpus)
+            if memo is not None and memo.lines.get(g.gpu_id) == g.fingerprint()
+        ] or list(range(len(gpus)))
+        i = untouched[pick % len(untouched)]
+        plan = gpus[i]
+        segs = list(plan.segments)
+        j = pick % len(segs)
+        field, value = _altered(segs[j], SEGMENT_FIELDS[pick % 3], pick)
+        segs[j] = segs[j]._replace(**{field: value})
+        gpus[i] = GPUPlan(plan.gpu_id, tuple(segs), plan.geometry)
     elif kind == "stale-rate":  # a rate changed without re-rating
         svc = run.work[pick % len(run.work)]
         svc.request_rate = svc.request_rate * 2.0 + 1.0
@@ -125,28 +150,27 @@ def dual_checked(
     own, reference = ctrl._verify_state, ctrl._check_state
     fell_back: list[bool] = []
 
-    def counted(work, fp):
+    def counted(work, lines):
         fell_back.append(True)
-        return reference(work, fp)
+        return reference(work, lines)
 
-    def both(work, lines, fp):
+    def both(work):
         step = ctrl._run.steps
         cold = ctrl._check_memo is None
         if step == corrupt_at:
             corrupt(ctrl, kind, pick)
-            lines = ctrl.manager.current.fingerprint_lines()
-            fp = "\n".join(lines)
-        ref = _outcome(lambda: reference(work, fp))
+        lines, _ = ctrl.manager.current.render_lines()
+        ref = _outcome(lambda: reference(work, lines))
         fell_back.clear()
-        counts: dict = {}
-        mine = _outcome(lambda: counts.update(own(work, lines, fp)))
+        result: list = []
+        mine = _outcome(lambda: result.append(own(work)))
         verdicts.append((step, cold, bool(fell_back),
                          type(ref) if ref else None,
                          type(mine) if mine else None))
         if mine is not None:
             ctrl.raised_by_check = mine
             raise mine
-        return counts
+        return result[0]
 
     ctrl._verify_state = both
     ctrl._check_state = counted

@@ -63,6 +63,7 @@ class TestBootstrapAndRates:
         rec = report.intervals[0]
         assert rec.reconfig_work_s > 0
         assert rec.downtime_total_s == 0.0
+        assert repr(rec.downtime_total_s) == "0.0"  # a float, not int 0
         assert rec.zero_downtime
         assert report.total_downtime_s == 0.0
 
@@ -544,10 +545,15 @@ class TestLiveAllocatorState:
         # GPUs; the recovery only turns a retired id into a spare
         assert check.gpus_rebuilt == 2 + 2 + 3 + 0
         assert check.services_rerated == 3 + 3 + 3 + 0
+        # lines rendered (cache misses): each changed published plan once,
+        # plus the check's own round-trip plans; the recovery interval
+        # reads every line from its plan's cache
+        assert check.lines_rendered == 4 + 4 + 6 + 0
         spans = [
             sp.args for sp in ctrl.obs.tracer.spans if sp.name == "check"
         ]
         assert [a["gpus_rebuilt"] for a in spans] == [2, 2, 3, 0]
+        assert [a["lines_rendered"] for a in spans] == [4, 4, 6, 0]
         assert [a["full"] for a in spans] == [1, 0, 0, 0]
         scraped = {
             m.name: m for m in ctrl.obs.registry.collect()
@@ -556,7 +562,7 @@ class TestLiveAllocatorState:
         assert sorted(scraped) == [
             "alloc_gpus_rebuilt", "alloc_gpus_touched", "alloc_states_rebuilt",
             "check_full_fallbacks", "check_gpus_rebuilt",
-            "check_services_rerated",
+            "check_lines_rendered", "check_services_rerated",
         ]
 
     def test_step_metrics_fold_in_at_collect(self, profiles, services):
@@ -637,14 +643,22 @@ class TestLiveAllocatorState:
         ctrl.finish()
 
     def test_check_catches_rewritten_served_rate(self, profiles, services):
-        """A published segment's served rate replaced in place, on a GPU
-        no delta of the interval touches."""
+        """A published plan replaced by one whose first segment carries
+        another served rate, on a GPU no delta of the interval touches.
+        Plans are immutable, so the old in-place rewrite raises."""
+        from repro.core.placement import GPUPlan
         from repro.ops import OpsIdentityError
 
         ctrl = self._failed_over(profiles, services)
-        plan = ctrl.manager.current.gpus[-1]
+        gpus = ctrl.manager.current.gpus
+        plan = gpus[-1]
         seg = plan.segments[0]
-        plan.segments[0] = seg.with_served_rate(seg.served_rate + 1.0)
+        rewritten = seg.with_served_rate(seg.served_rate + 1.0)
+        with pytest.raises(TypeError):
+            plan.segments[0] = rewritten
+        gpus[-1] = GPUPlan(
+            plan.gpu_id, (rewritten,) + plan.segments[1:], plan.geometry
+        )
         with pytest.raises(OpsIdentityError, match="round trip"):
             ctrl.step(20.0)
         ctrl.finish()
