@@ -500,10 +500,10 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             ),
             # GPUs the per-interval state check rebuilt over the run (a
             # deterministic count: the fleet once, then changed GPUs only)
-            "check_gpus_rebuilt": ctrl.check_stats.gpus_rebuilt,
+            "check_gpus_rebuilt": ctrl.verifier.stats.gpus_rebuilt,
             # fingerprint lines the check rendered (published plans cache
             # theirs: changed plans plus the check's own round trips)
-            "check_lines_rendered": ctrl.check_stats.lines_rendered,
+            "check_lines_rendered": ctrl.verifier.stats.lines_rendered,
             "report": fast.to_doc(),
         }
         if workers > 0:

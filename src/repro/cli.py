@@ -13,13 +13,12 @@ Subcommands:
   report SLO compliance.
 - ``parvagpu scenarios`` — list every registered scenario (S1-S14) with
   service counts, models, total load, and supported geometries.
-- ``parvagpu ops --scenario s13 [--verify] [--verify-every N]`` — drive
-  a fleet-operations scenario (failures, preemption waves, churn, SLO
+- ``parvagpu ops --scenario s13 [--verify]`` — drive a
+  fleet-operations scenario (failures, preemption waves, churn, SLO
   renegotiation) through the closed-loop FleetController and report what
   tenants experienced; ``--verify`` additionally replays the identical
   timeline on the naive reference machinery and asserts fingerprint
-  identity (``--verify-every N`` samples the reference's serving
-  measurement to every Nth interval — the cheap smoke mode).
+  identity.
 - ``parvagpu serve --scenario S16 [--clock real|virtual]
   [--time-scale X] [--deadline B]`` — the live-serving gateway: stream
   the scenario's timeline through the async control loop, publish
@@ -430,10 +429,6 @@ def _cmd_ops(args: argparse.Namespace) -> int:
               "reference; it cannot be combined with checkpoint/resume",
               file=sys.stderr)
         return 2
-    if args.verify_every != 1 and not args.verify:
-        print("error: --verify-every only applies with --verify",
-              file=sys.stderr)
-        return 2
     if args.verify and args.engine != "fast":
         # --verify runs *both* engines and compares them; a user-chosen
         # engine would be silently meaningless there.
@@ -458,8 +453,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         if args.verify:
             report, _ = run_identity_checked(
                 run.services, run.timeline, horizon,
-                seed=seed, workers=args.workers,
-                verify_every=args.verify_every, **kwargs,
+                seed=seed, workers=args.workers, **kwargs,
             )
         else:
             ctrl = FleetController(
@@ -640,16 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
         "assert per-interval fingerprint identity",
     )
     p.add_argument(
-        "--verify-every", type=int, default=1, dest="verify_every",
-        help="with --verify: sample the reference replay's serving "
-        "measurement to every Nth interval (placement fingerprints are "
-        "still checked everywhere; default: 1 = the full contract)",
-    )
-    p.add_argument(
         "--workers", type=int, default=0,
-        help="process fan-out of the per-interval serving measurement "
-        "(and replan triplet scoring); the segment memo is on at every "
-        "count and results are bit-identical "
+        help="process fan-out of the per-interval serving measurement; "
+        "the segment memo is on at every count and results are "
+        "bit-identical "
         "(default: 0 = inline, memo on; N = N worker processes)",
     )
     p.add_argument(

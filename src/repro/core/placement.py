@@ -29,6 +29,7 @@ render per *new* plan plus a join.  The one mutable part is the
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -60,6 +61,17 @@ class _SegmentFields(NamedTuple):
     start: Optional[int] = None  #: slice start slot; None for MPS
     served_rate: float = 0.0  #: requests/s actually routed here
     geometry: str = "mig"  #: partition-geometry registry name
+
+
+def _require_int(name: str, value: Any) -> None:
+    """Reject a slot or count that is not an integer (the string ``"4"``
+    would render the same fingerprint line as ``4``)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"segment {name} must be an integer, not {value!r}"
+        ) from None
 
 
 class PlacedSegment(_SegmentFields):
@@ -97,6 +109,10 @@ class PlacedSegment(_SegmentFields):
             raise ValueError(f"partition size {gpcs} outside (0, {limit}]")
         if capacity <= 0:
             raise ValueError("partition capacity must be positive")
+        _require_int("batch_size", batch_size)
+        _require_int("num_processes", num_processes)
+        if start is not None:
+            _require_int("start", start)
         return tuple.__new__(cls, (
             service_id, model, kind, gpcs, batch_size, num_processes,
             capacity, latency_ms, sm_activity, start, served_rate, geometry,

@@ -20,6 +20,9 @@ controller's GPU loss, the SLO-update path — into one operable system:
 - :mod:`repro.ops.controller` — the
   :class:`~repro.ops.controller.FleetController` that consumes the
   stream through the cheapest correct path and identity-checks itself;
+- :mod:`repro.ops.verify` — the
+  :class:`~repro.ops.verify.StateVerifier`, the controller's
+  per-interval state check;
 - :mod:`repro.ops.report` — the :class:`~repro.ops.report.OpsReport` of
   what tenants actually experienced.
 

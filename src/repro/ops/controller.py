@@ -18,23 +18,10 @@ state in place (O(touched GPUs) per event, see
 Two identity checks guard every run:
 
 - **state round-trip** (always on with ``check=True``): after each
-  interval the placement must survive
-  ``build_states() -> _to_placement() -> assign_rates()`` byte-identically
-  — incremental bookkeeping (spares, preserved GPU ids, partial updates)
-  cannot have corrupted the map — the manager's live allocator state
-  must equal that rebuild GPU for GPU, and the live cluster's instances
-  must mirror the map exactly.  On the fast path the check is
-  incremental: published plans are immutable and cache their
-  fingerprint lines, so rendering the map costs O(changed plans), and a
-  memo of the last verified interval (per GPU its line and rebuilt
-  state) lets it rebuild only the GPUs whose line changed and re-rate
-  only the services whose shares may have moved.  The live-state and
-  cluster comparisons still cover every GPU and instance, as C-level
-  compares of small tuples (tuple-backed allocator segments, the
-  instance keys each cluster GPU maintains).  A cold memo (after
-  :meth:`begin` or :meth:`restore`) or reordered GPUs run the full rebuild
-  (:meth:`_check_state`, the ``fast_path=False`` reference), which
-  seeds the memo; both raise on the same corrupted states;
+  interval the placement must survive the allocator-state round trip
+  and mirror the live allocator state and cluster exactly — the
+  :class:`~repro.ops.verify.StateVerifier`, incremental on the fast
+  path, rebuilt (cold) at every :meth:`begin` and :meth:`restore`;
 - **fast vs naive replay** (:func:`run_identity_checked`): the same
   timeline replayed from scratch on the naive reference machinery
   (unindexed allocator, unmemoized configurator, per-request event-driven
@@ -57,26 +44,19 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
-    ClassVar,
     Iterable,
     Mapping,
     Optional,
     Sequence,
 )
 
-from repro.core.allocator import (
-    SegmentAllocator,
-    _GPUState,
-    plan_from_state,
-    states_from_placement,
-)
 from repro.core.deployment import DeploymentManager
 from repro.core.failover import FailoverController
 from repro.core.parvagpu import ParvaGPU
-from repro.core.placement import GPUPlan, Placement
+from repro.core.placement import Placement
 from repro.core.service import Service
+from repro.gpu.cluster import ReconfigurationPlan
 from repro.gpu.geometry import get_geometry
-from repro.gpu.gpu import InstanceKey
 from repro.gpu.reconfig import ReconfigurationCost, ShadowBudget, price_plan
 from repro.ops.checkpoint import (
     CheckpointError,
@@ -105,6 +85,7 @@ from repro.ops.events import (
 )
 from repro.obs import ObsHub, Span
 from repro.ops.report import FailureRecord, IntervalRecord, OpsReport
+from repro.ops.verify import OpsIdentityError, StateVerifier
 from repro.parallel import FaultInjector, ShardHealth
 from repro.profiler.table import ProfileTable
 
@@ -125,8 +106,18 @@ def _record_digest(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class OpsIdentityError(RuntimeError):
-    """An identity check failed: incremental state diverged from reference."""
+def _refuse_mismatches(
+    what: str, stored: Mapping[str, Any], wanted: Mapping[str, Any]
+) -> None:
+    """Raise :class:`CheckpointError` (prefixed ``what``) naming every
+    field whose ``stored`` value differs from the ``wanted`` one."""
+    mismatched = [
+        f"{name} (checkpoint {stored.get(name)!r} != {value!r})"
+        for name, value in wanted.items()
+        if stored.get(name) != value
+    ]
+    if mismatched:
+        raise CheckpointError(f"{what}: " + ", ".join(mismatched))
 
 
 class OutOfOrderEventError(ValueError):
@@ -139,85 +130,12 @@ class OutOfOrderEventError(ValueError):
     """
 
 
-@dataclass
-class CheckStats:
-    """Deterministic work counters of the per-interval state check.
-
-    Sidecar-only (never fingerprinted); the fleet controller attaches
-    them to its registry as ``check_*`` families.
-    """
-
-    #: GPUs the check rebuilt from the placement (the whole fleet, spares
-    #: and retired sentinels included, on a full check)
-    gpus_rebuilt: int = 0
-    #: services whose proportional shares the check recomputed
-    services_rerated: int = 0
-    #: intervals checked by the full reference rather than the memo
-    full_fallbacks: int = 0
-    #: fingerprint lines the check rendered (cache misses: changed
-    #: published plans plus the check's own round-trip plans)
-    lines_rendered: int = 0
-
-    OBS_FIELDS: ClassVar[dict[str, str]] = {
-        "gpus_rebuilt": "counter",
-        "services_rerated": "counter",
-        "full_fallbacks": "counter",
-        "lines_rendered": "counter",
-    }
-
-
-#: gpu_id -> the sorted keys of its instances, for every GPU hosting
-#: one: how the state check compares the map with the cluster
-_InstanceMap = dict[int, tuple[InstanceKey, ...]]
-
-
-def _instance_keys(state: _GPUState) -> tuple[InstanceKey, ...]:
-    """The instances a rebuilt GPU state deploys, as the check keys them
-    (the per-GPU twin of :meth:`Placement.to_instance_specs`)."""
-    return tuple(sorted(
-        (state.gpu_id, start, seg.instance_size, seg.service_id)
-        for seg, start in state.placed
-    ))
-
-
-def _live_matches(
-    live: Sequence[_GPUState], states: Sequence[_GPUState]
-) -> bool:
-    """Whether the live allocator state equals ``states`` GPU for GPU.
-
-    ``placed`` lists hold ``(Segment, start)`` pairs of tuples, so each
-    GPU's segments compare as C-level tuple compares."""
-    return len(live) == len(states) and all(
-        a.gpu_id == b.gpu_id
-        and a.geometry.name == b.geometry.name
-        and a.blocked == b.blocked
-        and a.placed == b.placed
-        for a, b in zip(live, states)
-    )
-
-
-@dataclass
-class _CheckMemo:
-    """The last interval the state check verified, per GPU.
-
-    For every GPU of the verified placement: its fingerprint line and
-    the ``_GPUState`` the check rebuilt from it (which also carries the
-    GPU's instance specs and services).  Built by the check itself —
-    never shared with the live fleet, so comparing the two stays a real
-    comparison.
-    """
-
-    #: gpu ids in placement order
-    order: list[int]
-    lines: dict[int, str]
-    states: dict[int, _GPUState]
-    #: every instance the map deploys, per GPU
-    want: _InstanceMap
-    #: the request rates the verified map was routed with
-    rates: dict[str, float]
-    #: service -> ids of the GPUs hosting it (built by the first
-    #: incremental check, keeping the cold check as cheap as the reference)
-    hosts: Optional[dict[str, set[int]]] = None
+#: the run-document fields :meth:`FleetController.checkpoint` writes;
+#: :meth:`FleetController.restore` refuses a run document with any other
+_RUN_DOC_FIELDS = frozenset({
+    "horizon_s", "measure_s", "warmup_s", "sim_seed", "sim_fast", "check",
+    "last_t", "steps", "services", "pending",
+})
 
 
 @dataclass
@@ -233,9 +151,6 @@ class _RunState:
     sim_seed: int
     sim_fast: bool
     check: bool
-    #: serve every Nth interval only (1 = every interval; the
-    #: ``--verify-every`` sampling knob for expensive dual replays)
-    measure_every: int
     #: controller-scheduled events (wave restores): (key, seq, event)
     pending: list[tuple[tuple[float, int, str], int, OpsEvent]] = field(
         default_factory=list
@@ -289,10 +204,9 @@ class FleetController:
         self.spare_shadow_gpus = spare_shadow_gpus
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        #: process fan-out only: 0 simulates serving-measurement memo
-        #: misses inline; N >= 1 ships them (and, for N > 1, replan
-        #: triplet scoring) to N worker processes, with bit-identical
-        #: results (repro.sim.shard)
+        #: serving-measurement fan-out only: 0 simulates memo misses
+        #: inline; N >= 1 ships them to N worker processes, with
+        #: bit-identical results (repro.sim.shard)
         self.workers = workers
         #: infrastructure fault-injection hook handed to the shard pool
         #: (tests and the resilience benchmark suite; None in production)
@@ -377,11 +291,10 @@ class FleetController:
         self.shadows = ShadowBudget(spare_gpus=self.spare_shadow_gpus)
         self._eid_to_gpu = {}
         self.obs.registry.attach("alloc", self.manager.stats)
-        self.check_stats = CheckStats()
-        self.obs.registry.attach("check", self.check_stats)
-        #: the incremental state check's last verified interval (cold:
-        #: the next check runs the full reference)
-        self._check_memo: Optional[_CheckMemo] = None
+        #: the per-interval state check (cold: its first check runs the
+        #: full reference)
+        self.verifier = StateVerifier(self.manager, fast_path=self.fast_path)
+        self.obs.registry.attach("check", self.verifier.stats)
 
     # ------------------------------------------------------------------ #
     # the re-entrant step API
@@ -396,14 +309,12 @@ class FleetController:
         sim_seed: int = 0,
         sim_fast_path: Optional[bool] = None,
         check: bool = True,
-        measure_every: int = 1,
     ) -> OpsReport:
         """Open a run: fresh deployment state, an empty report, no steps.
 
         The returned :class:`OpsReport` is *live* — :meth:`step` appends
         to it in place, so a long-running caller (the serve gateway) can
-        snapshot it between steps.  ``measure_every`` samples serving
-        measurement to every Nth interval (1 = every interval).
+        snapshot it between steps.
         """
         if self._run is not None:
             raise RuntimeError(
@@ -411,8 +322,6 @@ class FleetController:
             )
         if horizon_s <= 0:
             raise ValueError("horizon must be positive")
-        if measure_every < 1:
-            raise ValueError("measure_every must be >= 1")
         self._reset_deployment()
         sim_fast = self.fast_path if sim_fast_path is None else sim_fast_path
         # Private copies: the run rewrites rates/SLOs/plan state, and
@@ -449,7 +358,6 @@ class FleetController:
             sim_seed=sim_seed,
             sim_fast=sim_fast,
             check=check,
-            measure_every=measure_every,
         )
         return report
 
@@ -539,7 +447,7 @@ class FleetController:
             lines: Optional[list[str]] = None
             if run.check:
                 with self.obs.span("check", t_s=t, cat="interval") as sp:
-                    lines, counts = self._verify_state(run.work)
+                    lines, counts = self.verifier.verify(run.work)
                     sp.args.update(counts)
                 stages.append(sp)
             with self.obs.span("fingerprint", t_s=t, cat="interval") as sp:
@@ -549,7 +457,7 @@ class FleetController:
                 )
                 record.fingerprint = _record_digest(fp)
             stages.append(sp)
-            if run.measure_s > 0 and run.steps % run.measure_every == 0:
+            if run.measure_s > 0:
                 with self.obs.span(
                     "measure", t_s=t, cat="interval",
                     services=len(run.work), workers=self.workers,
@@ -652,20 +560,10 @@ class FleetController:
     # checkpoint / restore
     # ------------------------------------------------------------------ #
 
-    #: controller configuration a checkpoint must match to be restorable
-    #: (``workers`` is deliberately absent: results are worker-count-
-    #: invariant, so a resumed run may shard differently)
-    _CONFIG_FIELDS = (
-        "geometry",
-        "seed",
-        "fast_path",
-        "use_mps",
-        "optimize",
-        "full_replan_fraction",
-        "spare_shadow_gpus",
-    )
-
     def _config_doc(self) -> dict[str, Any]:
+        """The configuration a checkpoint must match to be restorable
+        (``workers`` is deliberately absent: results are worker-count-
+        invariant, so a resumed run may shard differently)."""
         return {
             "geometry": self.geometry.name,
             "seed": self.seed,
@@ -711,7 +609,6 @@ class FleetController:
                 "sim_seed": run.sim_seed,
                 "sim_fast": run.sim_fast,
                 "check": run.check,
-                "measure_every": run.measure_every,
                 "last_t": run.last_t,
                 "steps": run.steps,
                 "services": [service_to_doc(s) for s in run.work],
@@ -756,28 +653,37 @@ class FleetController:
             raise CheckpointError(
                 f"not a fleet-controller checkpoint: kind={state.get('kind')!r}"
             )
-        config = state["config"]
-        mine = self._config_doc()
-        mismatched = [
-            f"{name} (checkpoint {config.get(name)!r} != controller "
-            f"{mine[name]!r})"
-            for name in self._CONFIG_FIELDS
-            if config.get(name) != mine[name]
-        ]
-        if mismatched:
-            raise CheckpointError(
-                "checkpoint was taken under a different controller "
-                "configuration: " + ", ".join(mismatched)
-            )
+        _refuse_mismatches(
+            "checkpoint was taken under a different controller "
+            "configuration",
+            state["config"],
+            self._config_doc(),
+        )
         run_doc = state["run"]
-        self._reset_deployment()
+        unknown = sorted(set(run_doc) - _RUN_DOC_FIELDS)
+        if unknown:
+            # e.g. a sampling knob an older build wrote: resuming without
+            # it would silently change what the run measures
+            raise CheckpointError(
+                "checkpoint run carries fields this build does not read: "
+                + ", ".join(unknown)
+            )
         work = [service_from_doc(d) for d in run_doc["services"]]
         by_id = {s.id: s for s in work}
         if len(by_id) != len(work):
             raise CheckpointError("checkpoint carries duplicate service ids")
         mgr_doc = state["manager"]
+        placement = None
         if mgr_doc["placement"] is not None:
-            self.manager.deploy(placement_from_doc(mgr_doc["placement"]))
+            try:
+                placement = placement_from_doc(mgr_doc["placement"])
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"checkpoint carries an invalid placement: {exc}"
+                ) from exc
+        self._reset_deployment()
+        if placement is not None:
+            self.manager.deploy(placement)
         self.manager.set_ledgers(
             {int(gid): name for gid, name in mgr_doc["spare_gpus"]},
             {int(gid): name for gid, name in mgr_doc["retired_gpus"]},
@@ -804,7 +710,6 @@ class FleetController:
             sim_seed=run_doc["sim_seed"],
             sim_fast=run_doc["sim_fast"],
             check=run_doc["check"],
-            measure_every=run_doc["measure_every"],
             pending=pending,
             last_t=run_doc["last_t"],
             steps=run_doc["steps"],
@@ -825,7 +730,6 @@ class FleetController:
         sim_seed: int = 0,
         sim_fast_path: Optional[bool] = None,
         check: bool = True,
-        measure_every: int = 1,
         *,
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str | Path] = None,
@@ -834,9 +738,9 @@ class FleetController:
     ) -> OpsReport:
         """Drive ``services`` through ``timeline`` until ``horizon_s``.
 
-        With ``measure_s > 0`` every ``measure_every``-th interval's
-        deployment is *served* for that long (after ``warmup_s`` of
-        warmup) and per-tenant SLO compliance is recorded.
+        With ``measure_s > 0`` every interval's deployment is *served*
+        for that long (after ``warmup_s`` of warmup) and per-tenant SLO
+        compliance is recorded.
         ``sim_fast_path`` defaults to the controller's own ``fast_path``,
         so a naive-reference replay also exercises the event-driven
         simulation engine.
@@ -874,7 +778,6 @@ class FleetController:
                         else sim_fast_path
                     ),
                     check=check,
-                    measure_every=measure_every,
                     timeline_sha=digest,
                 )
                 report = self.restore(state)
@@ -892,7 +795,6 @@ class FleetController:
                 sim_seed=sim_seed,
                 sim_fast_path=sim_fast_path,
                 check=check,
-                measure_every=measure_every,
             )
             si = 0
             # the bootstrap interval exists even on an empty timeline
@@ -956,30 +858,21 @@ class FleetController:
         sim_seed: int,
         sim_fast: bool,
         check: bool,
-        measure_every: int,
         timeline_sha: str,
     ) -> None:
         """Resuming under different run parameters would diverge silently."""
-        run_doc = state.get("run", {})
-        wanted = {
-            "horizon_s": horizon_s,
-            "measure_s": measure_s,
-            "warmup_s": warmup_s,
-            "sim_seed": sim_seed,
-            "sim_fast": sim_fast,
-            "check": check,
-            "measure_every": measure_every,
-        }
-        mismatched = [
-            f"{name} (checkpoint {run_doc.get(name)!r} != {value!r})"
-            for name, value in wanted.items()
-            if run_doc.get(name) != value
-        ]
-        if mismatched:
-            raise CheckpointError(
-                "resume parameters differ from the checkpointed run: "
-                + ", ".join(mismatched)
-            )
+        _refuse_mismatches(
+            "resume parameters differ from the checkpointed run",
+            state.get("run", {}),
+            {
+                "horizon_s": horizon_s,
+                "measure_s": measure_s,
+                "warmup_s": warmup_s,
+                "sim_seed": sim_seed,
+                "sim_fast": sim_fast,
+                "check": check,
+            },
+        )
         stored_sha = state.get("timeline_sha")
         if stored_sha is not None and stored_sha != timeline_sha:
             raise CheckpointError(
@@ -1004,7 +897,6 @@ class FleetController:
         skipped = 0
         costs: list[ReconfigurationCost] = []
         ops = 0
-        path = "incremental"
 
         def count(e: OpsEvent) -> None:
             counts[e.kind] = counts.get(e.kind, 0) + 1
@@ -1020,35 +912,24 @@ class FleetController:
             if isinstance(e, (GpuRecovery, GpuFailure, SpotPreemptionWave))
         ]
 
-        structural = sum(
-            1
-            for e in service_events
-            if isinstance(e, (ServiceDeparture, ServiceArrival))
-        )
         bootstrap = self.manager.current is None
-        if bootstrap or structural > self.full_replan_fraction * max(1, len(work)):
-            # The delta demands a full re-plan: fold every service-level
-            # event into the fleet state, then schedule from scratch.
-            path = "full"
-            for e in service_events:
-                skipped += 0 if self._apply_to_state(e, work, by_id) else 1
-                count(e)
+        full = self.would_full_replan(service_events)
+        for e in service_events:
+            applied, plan = self._apply_service_event(
+                e, work, by_id, replan=not full
+            )
+            if not applied:
+                skipped += 1
+            if plan is not None:
+                costs.append(price_plan(plan))
+                ops += plan.num_operations
+            count(e)
+        if full:
+            # The delta demands a full re-plan: every service-level event
+            # is folded into the fleet state; schedule from scratch.
             for svc in work:
                 svc.request_rate = max(svc.request_rate, 1e-6)
                 svc.reset_plan()
-            pool = self._shard_ctx.pool if self._shard_ctx else None
-            if pool is not None and self.workers > 1 and self.fast_path:
-                # Per-service triplet scoring is independent: fan the
-                # uncached TRIPLETDECISION keys across the shard pool
-                # and seed the memo caches before the serial schedule.
-                from repro.parallel import warm_triplet_decisions
-
-                warm_triplet_decisions(
-                    self.profiles,
-                    work,
-                    self.scheduler.configurator.max_processes,
-                    pool,
-                )
             placement = self.scheduler.schedule(work)
             plan = self.manager.deploy(placement)
             cost = price_plan(plan)
@@ -1069,15 +950,6 @@ class FleetController:
             # against the old map are meaningless now.
             self.failover.reset()
             self._eid_to_gpu.clear()
-        else:
-            for e in service_events:
-                applied, cost, n = self._apply_incremental(e, work, by_id)
-                if not applied:
-                    skipped += 1
-                if cost is not None:
-                    costs.append(cost)
-                    ops += n
-                count(e)
 
         for e in gpu_events:
             applied, applied_costs, n = self._apply_gpu_event(
@@ -1093,7 +965,7 @@ class FleetController:
         return IntervalRecord(
             time_s=t,
             duration_s=0.0,  # filled by the run loop
-            path=path,
+            path="full" if full else "incremental",
             events=counts,
             skipped=skipped,
             services=len(work),
@@ -1106,19 +978,23 @@ class FleetController:
             zero_downtime=self.shadows.admit(t, total),
         )
 
-    def _apply_to_state(
-        self, e: OpsEvent, work: list[Service], by_id: dict[str, Service]
-    ) -> bool:
-        """Fold one service-level event into the fleet state (no re-plan)."""
-        if isinstance(e, ServiceDeparture):
-            svc = by_id.pop(e.service_id, None)
-            if svc is None:
-                return False
-            work.remove(svc)
-            return True
+    def _apply_service_event(
+        self,
+        e: ServiceArrival | ServiceDeparture | SloChange | RateEpoch,
+        work: list[Service],
+        by_id: dict[str, Service],
+        replan: bool,
+    ) -> tuple[bool, Optional[ReconfigurationPlan]]:
+        """Fold one service-level event into the fleet state; with
+        ``replan``, also re-plan it through the SIII-F incremental path.
+
+        Returns whether the event applied, and the re-plan's transition
+        (None when nothing was re-planned: no ``replan``, or an SLO or
+        rate the service already has)."""
+        svc = by_id.get(e.service_id)
         if isinstance(e, ServiceArrival):
-            if e.service_id in by_id:
-                return False
+            if svc is not None:
+                return False, None
             svc = Service(
                 id=e.service_id,
                 model=e.model,
@@ -1127,66 +1003,38 @@ class FleetController:
             )
             work.append(svc)
             by_id[svc.id] = svc
-            return True
-        if isinstance(e, SloChange):
-            svc = by_id.get(e.service_id)
-            if svc is None:
-                return False
+        elif svc is None:
+            return False, None
+        elif isinstance(e, ServiceDeparture):
+            work.remove(svc)
+            del by_id[svc.id]
+            if not replan:
+                return True, None
+            _, plan = self.manager.remove_service(
+                work, svc.id, fast_path=self.fast_path
+            )
+            return True, plan
+        elif isinstance(e, SloChange):
+            if replan and svc.slo_latency_ms == e.slo_latency_ms:
+                return True, None
             svc.slo_latency_ms = e.slo_latency_ms
-            return True
-        if isinstance(e, RateEpoch):
-            svc = by_id.get(e.service_id)
-            if svc is None:
-                return False
-            svc.request_rate = max(e.rate, 1e-6)
-            return True
-        raise TypeError(f"not a service-level event: {e!r}")  # pragma: no cover
-
-    def _apply_incremental(
-        self, e: OpsEvent, work: list[Service], by_id: dict[str, Service]
-    ) -> tuple[bool, Optional[ReconfigurationCost], int]:
-        """One service-level event through the SIII-F incremental path."""
-        kw = dict(
+        elif isinstance(e, RateEpoch):
+            rate = max(e.rate, 1e-6)
+            if replan and svc.request_rate == rate:
+                return True, None
+            svc.request_rate = rate
+        else:  # pragma: no cover
+            raise TypeError(f"not a service-level event: {e!r}")
+        if not replan:
+            return True, None
+        _, plan = self.manager.update_slo(
+            work,
+            svc,
             use_mps=self.scheduler.use_mps,
             optimize=self.scheduler.optimize,
             fast_path=self.fast_path,
         )
-        # Departures/arrivals mutate the fleet state through the same
-        # code path the full-replan branch uses; SLO/rate changes are
-        # applied by update_slo itself (the old value is needed first
-        # for the no-op check).
-        if isinstance(e, ServiceDeparture):
-            if not self._apply_to_state(e, work, by_id):
-                return False, None, 0
-            _, plan = self.manager.remove_service(
-                work, e.service_id, fast_path=self.fast_path
-            )
-            return True, price_plan(plan), plan.num_operations
-        if isinstance(e, ServiceArrival):
-            if not self._apply_to_state(e, work, by_id):
-                return False, None, 0
-            _, plan = self.manager.update_slo(work, by_id[e.service_id], **kw)
-            return True, price_plan(plan), plan.num_operations
-        if isinstance(e, SloChange):
-            svc = by_id.get(e.service_id)
-            if svc is None:
-                return False, None, 0
-            if svc.slo_latency_ms == e.slo_latency_ms:
-                return True, None, 0
-            _, plan = self.manager.update_slo(
-                work, svc, new_slo_ms=e.slo_latency_ms, **kw
-            )
-            return True, price_plan(plan), plan.num_operations
-        if isinstance(e, RateEpoch):
-            svc = by_id.get(e.service_id)
-            if svc is None:
-                return False, None, 0
-            rate = max(e.rate, 1e-6)
-            if svc.request_rate == rate:
-                return True, None, 0
-            _, plan = self.manager.update_slo(work, svc, new_rate=rate, **kw)
-            return True, price_plan(plan), plan.num_operations
-        raise TypeError(f"not a service-level event: {e!r}")  # pragma: no cover
+        return True, plan
 
     def _occupied(self) -> list[int]:
         current = self.manager.current
@@ -1304,245 +1152,8 @@ class FleetController:
         raise TypeError(f"not a GPU-level event: {e!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------ #
-    # identity checks & measurement
+    # measurement
     # ------------------------------------------------------------------ #
-
-    def _verify_state(
-        self, work: Sequence[Service]
-    ) -> tuple[list[str], dict[str, int]]:
-        """The interval's state check: returns the placement's fingerprint
-        lines and the check span's counts.
-
-        The fast path checks incrementally against the memo of the last
-        verified interval (:meth:`_check_incremental`); a cold memo, a
-        structural change it cannot follow, and ``fast_path=False`` run
-        the full reference :meth:`_check_state`, whose by-products seed
-        the memo.  Published plans cache their lines, so the render costs
-        O(changed plans); ``lines_rendered`` counts the lines the check
-        rendered (cache misses), its own round-trip plans included.
-        """
-        placement = self.manager.current
-        assert placement is not None
-        lines, rendered = placement.render_lines()
-        memo, self._check_memo = self._check_memo, None  # kept if verified
-        counts = (
-            None if memo is None else self._check_incremental(memo, work, lines)
-        )
-        stats = self.check_stats
-        if counts is not None:
-            self._check_memo = memo
-            rebuilt, rerated, own = counts
-        else:
-            states, want, own = self._check_state(work, lines)
-            rates = {s.id: s.request_rate for s in work}
-            gpus = placement.gpus
-            order = [g.gpu_id for g in gpus]
-            if self.fast_path and len(lines) == len(gpus) == len(set(order)):
-                self._check_memo = _CheckMemo(
-                    order=order,
-                    lines=dict(zip(order, lines)),
-                    states=dict(zip(order, states)),
-                    want=want,
-                    rates=rates,
-                )
-            rebuilt, rerated = len(states), len(rates)
-            stats.full_fallbacks += 1
-        rendered += own
-        stats.gpus_rebuilt += rebuilt
-        stats.services_rerated += rerated
-        stats.lines_rendered += rendered
-        return lines, {
-            "gpus_rebuilt": rebuilt, "services_rerated": rerated,
-            "lines_rendered": rendered, "full": int(counts is None),
-        }
-
-    def _check_incremental(
-        self, memo: _CheckMemo, work: Sequence[Service], lines: list[str]
-    ) -> Optional[tuple[int, int, int]]:
-        """:meth:`_check_state`'s verdict, re-verifying only what changed.
-
-        Only GPUs whose fingerprint line differs from the memo take the
-        ``states_from_placement -> plan_from_state`` round trip, and only
-        services on a changed or vanished GPU, with a new rate, or that
-        joined or left ``work`` get their shares recomputed — over all
-        their segments, in placement order, as ``assign_rates`` does.
-        The live-state and cluster-mirror comparisons still cover every
-        GPU and every instance.  Updates ``memo`` to this interval and
-        returns ``(GPUs rebuilt, services re-rated, lines rendered)``;
-        raises as the
-        reference would; returns None, touching nothing, where only the
-        reference can decide: surviving GPUs changed relative order
-        (every share may sum in a new order), or the map holds an empty
-        plan or a repeated GPU id.
-        """
-        placement = self.manager.current
-        assert placement is not None
-        gpus = placement.gpus
-        order = [g.gpu_id for g in gpus]
-        pos = {gid: i for i, gid in enumerate(order)}
-        if not len(lines) == len(gpus) == len(pos):
-            return None
-        old_lines = memo.lines
-        if [gid for gid in order if gid in old_lines] != [
-            gid for gid in memo.order if gid in pos
-        ]:
-            return None
-        changed = [
-            gid for gid, line in zip(order, lines) if old_lines.get(gid) != line
-        ]
-        vanished = [gid for gid in memo.order if gid not in pos]
-
-        # 1. the allocator-state round trip, for the changed GPUs only
-        rebuilt = states_from_placement(
-            Placement(framework="", gpus=[gpus[pos[gid]] for gid in changed])
-        )
-
-        # 2. re-rate the services whose shares may have moved
-        rates = {s.id: s.request_rate for s in work}
-        hosts = memo.hosts
-        if hosts is None:
-            hosts = memo.hosts = {}
-            for gid in memo.order:
-                for seg, _ in memo.states[gid].placed:
-                    hosts.setdefault(seg.service_id, set()).add(gid)
-        # Identity, not ==: -0.0 == 0.0 and nan != nan, but an unchanged
-        # rate object is sure to route exactly as it did.
-        rerate = {
-            sid for sid, rate in rates.items() if memo.rates.get(sid) is not rate
-        }
-        rerate.update(sid for sid in memo.rates if sid not in rates)
-        for gid in vanished + changed:
-            old = memo.states.pop(gid, None)
-            if old is not None:
-                for seg, _ in old.placed:
-                    rerate.add(seg.service_id)
-                    hosts[seg.service_id].discard(gid)
-        for state in rebuilt:
-            memo.states[state.gpu_id] = state
-            for seg, _ in state.placed:
-                rerate.add(seg.service_id)
-                hosts.setdefault(seg.service_id, set()).add(state.gpu_id)
-        rerated = sorted(rerate)
-        for sid in rerated:
-            if sid in hosts and not hosts[sid]:
-                del hosts[sid]
-        changed_ids = set(changed)
-        plans: list[GPUPlan] = []
-        for gid in sorted(
-            {gid for sid in rerated for gid in hosts.get(sid, ())},
-            key=pos.__getitem__,
-        ):
-            if gid in changed_ids:
-                plans.append(plan_from_state(memo.states[gid]))
-                continue
-            # An unchanged line renders as its verified rebuild did: the
-            # other services keep their shares, and the re-rated ones
-            # restart from the rebuild's unrouted 0.0.
-            shared = gpus[pos[gid]]
-            plans.append(GPUPlan(
-                gid,
-                tuple(
-                    s.with_served_rate(0.0) if s.service_id in rerate else s
-                    for s in shared.segments
-                ),
-                shared.geometry,
-            ))
-        routed = Placement(framework="", gpus=plans)
-        routed.assign_rates(
-            {sid: rates[sid] for sid in rerated if sid in rates}
-        )
-        if any(
-            plan.fingerprint() != lines[pos[plan.gpu_id]]
-            for plan in routed.gpus
-        ):
-            raise OpsIdentityError(
-                "incremental placement does not survive the allocator-state "
-                "round trip (build_states -> _to_placement)"
-            )
-
-        # 3. the live allocator state, every GPU
-        live = self.manager.live_states()
-        if live is not None:
-            states = [memo.states[gid] for gid in order]
-            states += self.manager.ledger_states(pos)
-            if not _live_matches(live, states):
-                raise OpsIdentityError(
-                    "live allocator state diverged from its rebuild "
-                    "(build_states)"
-                )
-
-        # 4. the cluster mirror, every instance
-        want = memo.want
-        for gid in vanished:
-            want.pop(gid, None)
-        for state in rebuilt:
-            want[state.gpu_id] = _instance_keys(state)
-        if want != self._cluster_instances():
-            raise OpsIdentityError(
-                "live cluster instances do not mirror the deployment map"
-            )
-
-        for gid in vanished:
-            del old_lines[gid]
-        for gid in changed:
-            old_lines[gid] = lines[pos[gid]]
-        memo.order = order
-        memo.rates = rates
-        return len(changed), len(rerated), len(routed.gpus)
-
-    def _check_state(
-        self, work: Sequence[Service], lines: list[str]
-    ) -> tuple[list[_GPUState], _InstanceMap, int]:
-        """The per-interval round-trip + cluster-mirror identity check.
-
-        ``lines`` are the current placement's fingerprint lines; the
-        rebuilt map's plans are fresh, so its lines render from scratch
-        and a stale cached line cannot pass.  The rebuild runs
-        over the whole fleet on every interval; the live allocator state
-        (when the last delta left one) must equal it GPU for GPU.  The
-        full reference of :meth:`_check_incremental`: returns its
-        by-products, the rebuilt states and the deployed instances, and
-        the number of lines it rendered.
-        """
-        placement = self.manager.current
-        states = self.manager.build_states()
-        rebuilt = SegmentAllocator(geometry=self.geometry)._to_placement(
-            states
-        )
-        rebuilt.framework = placement.framework
-        rebuilt.assign_rates({s.id: s.request_rate for s in work})
-        rebuilt_lines, rendered = rebuilt.render_lines()
-        if rebuilt_lines != lines:
-            raise OpsIdentityError(
-                "incremental placement does not survive the allocator-state "
-                "round trip (build_states -> _to_placement)"
-            )
-        live = self.manager.live_states()
-        if live is not None and not _live_matches(live, states):
-            raise OpsIdentityError(
-                "live allocator state diverged from its rebuild "
-                "(build_states)"
-            )
-        keys: dict[int, set[InstanceKey]] = {}
-        for s in placement.to_instance_specs():
-            keys.setdefault(s.gpu_id, set()).add(
-                (s.gpu_id, s.start, s.size, s.owner)
-            )
-        want = {gid: tuple(sorted(k)) for gid, k in keys.items()}
-        if want != self._cluster_instances():
-            raise OpsIdentityError(
-                "live cluster instances do not mirror the deployment map"
-            )
-        return states, want, rendered
-
-    def _cluster_instances(self) -> _InstanceMap:
-        """Every instance on the live cluster, keyed as the map's are: a
-        fresh map over the sorted keys each GPU maintains."""
-        return {
-            g.gpu_id: g.instance_keys
-            for g in self.manager.cluster.gpus
-            if g.instance_keys
-        }
 
     def _measure(
         self, record: IntervalRecord, placement: Placement, run: _RunState
@@ -1592,13 +1203,7 @@ def assert_reports_identical(fast: OpsReport, naive: OpsReport) -> None:
             raise OpsIdentityError(
                 f"placement fingerprints diverge at t={a.time_s}"
             )
-        # Intervals one side skipped (``measure_every`` sampling) carry
-        # no stats fingerprint; the contract binds the measured pairs.
-        if (
-            a.sim_fingerprint is not None
-            and b.sim_fingerprint is not None
-            and a.sim_fingerprint != b.sim_fingerprint
-        ):
+        if a.sim_fingerprint != b.sim_fingerprint:
             raise OpsIdentityError(
                 f"simulation fingerprints diverge at t={a.time_s}"
             )
@@ -1611,9 +1216,7 @@ def run_identity_checked(
     measure_s: float = 0.0,
     warmup_s: float = 0.1,
     sim_seed: int = 0,
-    naive_sim: bool = True,
     workers: int = 0,
-    verify_every: int = 1,
     **controller_kwargs: object,
 ) -> tuple[OpsReport, OpsReport]:
     """Replay one timeline on the fast path *and* the naive reference.
@@ -1621,27 +1224,15 @@ def run_identity_checked(
     Both controllers consume the identical timeline from scratch; every
     interval's placement fingerprint — and, when serving is measured, its
     simulation stats fingerprint — must match exactly, or
-    :class:`OpsIdentityError` is raised.  ``naive_sim=False`` keeps the
-    reference replay on the simulation fast path (the event-driven engine
-    is O(requests) and can dominate large fleets' replay time).
+    :class:`OpsIdentityError` is raised.
 
     ``workers`` applies to the fast replay only — the naive reference
-    always runs in-process and without a segment memo, so every interval
-    checks the memoized fast replay (at any worker count) against
-    memo-free measurement: the event-driven engine, or with
-    ``naive_sim=False`` the fast kernel run on every segment.
-
-    ``verify_every=N`` samples the naive replay's *serving measurement*
-    to every Nth interval — the event-driven simulator dominates big
-    dual replays, so sampling buys a cheap smoke mode.  Placement
-    fingerprints are still checked at every interval; simulation
-    fingerprints at the sampled ones.  ``N=1`` (the default) is the full
-    contract, byte-identical to what this function always did.
+    always runs in-process, without a segment memo, on the event-driven
+    engine, so every interval checks the memoized fast replay (at any
+    worker count) against memo-free measurement.
 
     Returns ``(fast_report, naive_report)``.
     """
-    if verify_every < 1:
-        raise ValueError("verify_every must be >= 1")
     timeline = tuple(timeline)
     fast = FleetController(
         fast_path=True, workers=workers, **controller_kwargs
@@ -1652,8 +1243,6 @@ def run_identity_checked(
     naive = FleetController(fast_path=False, **controller_kwargs).run(
         services, timeline, horizon_s,
         measure_s=measure_s, warmup_s=warmup_s, sim_seed=sim_seed,
-        sim_fast_path=None if naive_sim else True,
-        measure_every=verify_every,
     )
     assert_reports_identical(fast, naive)
     return fast, naive

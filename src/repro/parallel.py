@@ -1,10 +1,10 @@
 """Deterministic process fan-out for the sharded control plane.
 
-Fleet-scale work in this repository (per-interval serving measurement,
-replan triplet scoring) is embarrassingly parallel: the unit tasks are
-pure functions of picklable inputs, and every consumer merges results by
-*input position*, never by completion order.  This module holds the
-shared fan-out plumbing:
+Fleet-scale per-interval serving measurement is embarrassingly
+parallel: the unit tasks are pure functions of picklable inputs, and
+every consumer merges results by *input position*, never by completion
+order.  This module holds the fan-out plumbing (the controller's
+``workers`` sets the measurement fan-out and nothing else):
 
 - :func:`partition` — contiguous, near-even index blocks.  Contiguity is
   what keeps sharded merges trivially order-independent: block ``k``
@@ -16,13 +16,6 @@ shared fan-out plumbing:
   identical pack/execute/unpack code path, so single-shard runs exercise
   the sharded machinery without any subprocess (and tests can cover the
   shard/merge logic cheaply).
-- :func:`warm_triplet_decisions` — the replan-side fan-out: distinct
-  uncached ``TRIPLETDECISION`` keys are scored by workers against a
-  pickled copy of each profile table and the resulting operating-point
-  *identities* are seeded back into the parent's memo caches
-  (:meth:`~repro.profiler.table.ProfileTable.seed_triplet_decision`).
-  ``best_triplets`` is a pure function of the table, so a worker's
-  decision is bit-identical to one the parent would have computed.
 
 Determinism contract: workers never share state, never consume random
 draws, and never influence result order — a sharded run is bit-identical
@@ -57,8 +50,6 @@ from typing import (
     Any,
     Callable,
     ClassVar,
-    Iterable,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -390,65 +381,3 @@ class ShardPool:
 def _cancel_all(futures: Sequence[Future[Any]]) -> int:
     """Cancel every not-yet-running future; returns how many were stopped."""
     return sum(1 for f in futures if f.cancel())
-
-
-# --------------------------------------------------------------------- #
-# replan fan-out: parallel TRIPLETDECISION scoring
-# --------------------------------------------------------------------- #
-
-
-def _score_triplets(job: tuple[Any, Sequence[tuple[float, int]]]) -> list[tuple]:
-    """Worker: score TRIPLETDECISION keys against a pickled profile table.
-
-    Returns, per ``(slo_ms, max_processes)`` key, the chosen operating
-    points as ``(instance_size, (size, batch, procs))`` identity pairs in
-    decision-scan order — identities, not entries, so the parent re-binds
-    them to its own table objects.
-    """
-    table, keys = job
-    out = []
-    for slo_ms, max_processes in keys:
-        best = table.best_triplets(slo_ms, max_processes, memoize=False)
-        out.append(tuple((size, e.triplet) for size, e in best.items()))
-    return out
-
-
-def warm_triplet_decisions(
-    profiles: Mapping[str, Any],
-    services: Iterable[Any],
-    max_processes: int,
-    pool: ShardPool,
-) -> int:
-    """Fan uncached replan triplet decisions across the pool.
-
-    Collects every ``(model, effective SLO)`` a full replan over
-    ``services`` would score, drops the ones already memoized, ships one
-    job per model (the table pickles with the job, so correctness never
-    depends on workers rebuilding identical profiles), and seeds the
-    parent's caches from the returned identities.  Returns the number of
-    decisions warmed.
-    """
-    wanted: dict[str, set[float]] = {}
-    for svc in services:
-        table = profiles.get(svc.model)
-        if table is None:
-            continue
-        slo = svc.effective_slo_ms
-        if not table.has_triplet_decision(slo, max_processes):
-            wanted.setdefault(svc.model, set()).add(slo)
-    if not wanted:
-        return 0
-    models = sorted(wanted)
-    jobs = [(profiles[m], sorted(wanted[m])) for m in models]
-    payloads = [
-        (table, [(slo, max_processes) for slo in slos])
-        for table, slos in jobs
-    ]
-    warmed = 0
-    for model, (_, slos), decisions in zip(
-        models, jobs, pool.run(_score_triplets, payloads)
-    ):
-        for slo, triplets in zip(slos, decisions):
-            profiles[model].seed_triplet_decision(slo, max_processes, triplets)
-            warmed += 1
-    return warmed

@@ -82,38 +82,6 @@ class ProfileTable:
         """Points of one instance size, in insertion order (pre-indexed)."""
         return list(self._by_size.get(instance_size, ()))
 
-    def has_triplet_decision(self, slo_ms: float, max_processes: int) -> bool:
-        """Whether a TRIPLETDECISION result is already memoized."""
-        return (slo_ms, max_processes) in self._triplet_cache
-
-    def seed_triplet_decision(
-        self,
-        slo_ms: float,
-        max_processes: int,
-        triplets: Iterable[tuple[int, tuple[int, int, int]]],
-    ) -> None:
-        """Install a TRIPLETDECISION result computed elsewhere.
-
-        ``triplets`` is ``(instance_size, (size, batch, procs))`` pairs
-        in decision-scan order — operating-point *identities*, as a
-        shard worker returns them after scoring a pickled copy of this
-        table (:func:`repro.parallel.warm_triplet_decisions`).  Each
-        identity must resolve against this table; the seeded cache entry
-        is then indistinguishable from one :meth:`best_triplets` would
-        have memoized itself, because the decision is a pure function of
-        the table's contents.
-        """
-        best: dict[int, ProfileEntry] = {}
-        for size, tri in triplets:
-            entry = self._by_triplet.get(tuple(tri))
-            if entry is None:
-                raise ValueError(
-                    f"cannot seed {self.model!r}: operating point "
-                    f"{tuple(tri)} is not in this table"
-                )
-            best[size] = entry
-        self._triplet_cache[(slo_ms, max_processes)] = best
-
     def clear_caches(self) -> None:
         """Drop memoized triplet decisions (pure cache; results identical).
 

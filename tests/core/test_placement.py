@@ -65,6 +65,20 @@ class TestPlacedSegment:
         with pytest.raises(ValueError):
             mig_seg(capacity=0.0)
 
+    def test_integer_fields_reject_look_alikes(self):
+        """``"4"`` and ``4.0`` would render a slot or count that reads
+        like the integer's (``"4"`` prints exactly as ``4``)."""
+        assert mig_seg(start=4).start == 4
+        for bad in ("4", 4.0):
+            with pytest.raises(TypeError, match="start"):
+                mig_seg(start=bad)
+            with pytest.raises(TypeError, match="batch_size"):
+                mig_seg(batch_size=bad)
+            with pytest.raises(TypeError, match="num_processes"):
+                mps_seg(num_processes=bad)
+        with pytest.raises(TypeError, match="start"):
+            mig_seg()._replace(start="4")
+
     def test_load_fraction_clamped(self):
         s = mig_seg(capacity=100.0).with_served_rate(150.0)
         assert s.load_fraction == 1.0

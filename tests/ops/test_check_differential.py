@@ -1,16 +1,17 @@
 """Differential verdict: the incremental state check vs the full reference.
 
-The fast path's per-interval check (``FleetController._check_incremental``)
-re-verifies only the GPUs and services that changed since the last
-verified interval; ``FleetController._check_state`` rebuilds the whole
-fleet.  Over generated timelines (the live-state property suite's
-generators) one corruption is injected right before a drawn interval's
-check, and every check of the run executes both on the same state: they
-must both pass, or both raise the same exception class.  Covered too: the
-first check after ``restore()`` (cold memo) and the first after a full
-re-plan (warm memo, replaced map).  Published segments are immutable, so
-the in-place kinds assert that the write raises, and ``replace-plan``
-swaps an untouched GPU's plan for one with an altered segment instead.
+A fast-path :class:`~repro.ops.verify.StateVerifier` re-verifies only the
+GPUs and services that changed since the last verified interval; one
+built with ``fast_path=False`` rebuilds the whole fleet every interval.
+The controller runs with its own check off, and after every step both
+verifiers check its deployment, on the same state.  Over generated
+timelines (the live-state property suite's generators) one corruption is
+injected right before a drawn interval's check: the two must both pass,
+or both raise the same exception class.  Covered too: the first check
+after ``restore()`` (cold memo) and the first after a full re-plan (warm
+memo, replaced map).  Published segments are immutable, so the in-place
+kinds assert that the write raises, and ``replace-plan`` swaps an
+untouched GPU's plan for one with an altered segment instead.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.placement import GPUPlan
 from repro.core.service import Service
 from repro.ops import FleetController
 from repro.ops.events import GpuFailure, ServiceArrival
+from repro.ops.verify import StateVerifier
 
 
 def _live_state_suite():
@@ -68,8 +70,9 @@ def _altered(seg, field: str, pick: int):
     return field, value
 
 
-def corrupt(ctrl: FleetController, kind: str, pick: int) -> None:
-    """Corrupt the controller's state behind its back (one way)."""
+def corrupt(ctrl: FleetController, memo, kind: str, pick: int) -> None:
+    """Corrupt the controller's state behind its back (one way); ``memo``
+    is the verifier's last verified interval."""
     placement = ctrl.manager.current
     run = ctrl._run
     if kind in SEGMENT_FIELDS:
@@ -80,7 +83,6 @@ def corrupt(ctrl: FleetController, kind: str, pick: int) -> None:
     elif kind == "replace-plan":
         # a plan with one altered segment, at the same position, on a GPU
         # whose line the last verified interval already holds
-        memo = ctrl._check_memo
         gpus = placement.gpus
         untouched = [
             i for i, g in enumerate(gpus)
@@ -141,39 +143,43 @@ Verdict = tuple[int, bool, bool, Optional[type], Optional[type]]
 def dual_checked(
     ctrl: FleetController, corrupt_at: int, kind: str, pick: int
 ) -> list[Verdict]:
-    """Make every check of ``ctrl`` run the full reference first, then its
-    own check, on the same state; the state is corrupted right before the
-    check of the run's step ``corrupt_at``.  Returns the verdict log:
-    ``(step, memo cold?, own check ran the full reference?, reference
-    exception class, own exception class)``."""
+    """Check every step of ``ctrl``'s next run (which runs with
+    ``check=False``) with the full reference, then the fast-path verifier
+    under test, on the same state; the state is corrupted right before
+    the check of step ``corrupt_at``, and the first check that raises ends
+    the run.  Returns the verdict log: ``(step, memo cold?, fast verifier
+    ran the full reference?, reference exception class, fast verifier
+    exception class)``."""
     verdicts: list[Verdict] = []
-    own, reference = ctrl._verify_state, ctrl._check_state
-    fell_back: list[bool] = []
+    verifiers: list[StateVerifier] = []
+    step = ctrl.step
 
-    def counted(work, lines):
-        fell_back.append(True)
-        return reference(work, lines)
-
-    def both(work):
-        step = ctrl._run.steps
-        cold = ctrl._check_memo is None
-        if step == corrupt_at:
-            corrupt(ctrl, kind, pick)
-        lines, _ = ctrl.manager.current.render_lines()
-        ref = _outcome(lambda: reference(work, lines))
-        fell_back.clear()
-        result: list = []
-        mine = _outcome(lambda: result.append(own(work)))
-        verdicts.append((step, cold, bool(fell_back),
+    def checked_step(t, events=()):
+        record = step(t, events)
+        if not verifiers or verifiers[0].manager is not ctrl.manager:
+            # a run (begin or restore) starts on a fresh manager
+            verifiers[:] = [
+                StateVerifier(ctrl.manager, fast_path=False),
+                StateVerifier(ctrl.manager),
+            ]
+        reference, fast = verifiers
+        n = ctrl._run.steps - 1
+        work = ctrl._run.work
+        cold = fast.memo is None
+        fallbacks = fast.stats.full_fallbacks
+        if n == corrupt_at:
+            corrupt(ctrl, fast.memo, kind, pick)
+        ref = _outcome(lambda: reference.verify(work))
+        mine = _outcome(lambda: fast.verify(work))
+        verdicts.append((n, cold, fast.stats.full_fallbacks > fallbacks,
                          type(ref) if ref else None,
                          type(mine) if mine else None))
         if mine is not None:
             ctrl.raised_by_check = mine
             raise mine
-        return result[0]
+        return record
 
-    ctrl._verify_state = both
-    ctrl._check_state = counted
+    ctrl.step = checked_step
     return verdicts
 
 
@@ -199,7 +205,7 @@ def _steps_at_least(timeline) -> int:
 
 def _replay(ctrl, services, timeline, **kw):
     try:
-        ctrl.run(services, timeline, HORIZON_S, **kw)
+        ctrl.run(services, timeline, HORIZON_S, check=False, **kw)
     except Exception as exc:  # noqa: BLE001 - a raised check ends the run
         if exc is not getattr(ctrl, "raised_by_check", None):
             raise
@@ -258,7 +264,7 @@ def test_first_check_after_restore_matches_reference(
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.json"
         FleetController(PROFILES).run(
-            services, timeline, HORIZON_S,
+            services, timeline, HORIZON_S, check=False,
             checkpoint_path=path, max_steps=kill_at,
         )
         ctrl = FleetController(PROFILES)
@@ -319,8 +325,8 @@ def _warm(services):
 def test_memo_never_aliases_the_live_fleet():
     services, _ = _churn_burst()
     ctrl = _warm(services)
-    memo = ctrl._check_memo
-    assert memo is not None and ctrl.check_stats.full_fallbacks == 1
+    memo = ctrl.verifier.memo
+    assert memo is not None and ctrl.verifier.stats.full_fallbacks == 1
     live = ctrl.manager.live_states()
     assert live is not None
     live_ids = {id(s) for s in live} | {id(s.placed) for s in live}
@@ -342,9 +348,9 @@ def test_reordered_gpus_take_the_reference():
     gpus[0], gpus[-1] = gpus[-1], gpus[0]
     ctrl.manager.deploy(placement)  # drops the live state's order
     ctrl.step(2.0)
-    assert ctrl.check_stats.full_fallbacks == 2
+    assert ctrl.verifier.stats.full_fallbacks == 2
     ctrl.step(3.0)  # the reference re-seeded the memo
-    assert ctrl.check_stats.full_fallbacks == 2
+    assert ctrl.verifier.stats.full_fallbacks == 2
     ctrl.finish()
 
 
@@ -352,6 +358,6 @@ def test_reference_controller_runs_the_full_check_every_interval():
     services, timeline = _churn_burst()
     ctrl = FleetController(PROFILES, fast_path=False)
     report = ctrl.run(services, timeline, HORIZON_S)
-    assert ctrl._check_memo is None
-    assert ctrl.check_stats.full_fallbacks == len(report.intervals)
+    assert ctrl.verifier.memo is None
+    assert ctrl.verifier.stats.full_fallbacks == len(report.intervals)
     assert ctrl.manager.stats.states_rebuilt >= len(report.intervals)

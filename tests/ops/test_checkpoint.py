@@ -165,6 +165,35 @@ class TestResumeValidation:
                 resume=checkpoint_path,
             )
 
+    def test_string_start_is_refused(self, checkpoint_path, workload):
+        """A ``"4"`` start renders the same fingerprint line as ``4``:
+        the restore refuses it and deploys nothing."""
+        state = read_checkpoint(checkpoint_path)
+        seg = next(
+            s for g in state["manager"]["placement"]["gpus"]
+            for s in g["segments"] if s["start"] == 4
+        )
+        seg["start"] = "4"
+        ctrl = controller()
+        with pytest.raises(CheckpointError, match="start"):
+            ctrl.run(
+                workload.services, workload.timeline, workload.horizon_s,
+                measure_s=MEASURE_S, sim_seed=SIM_SEED, resume=state,
+            )
+        assert ctrl.manager.current is None
+        with pytest.raises(RuntimeError, match="no active run"):
+            ctrl.step(workload.horizon_s / 2)
+
+    def test_unknown_run_field_is_refused(self, checkpoint_path):
+        """Older builds could sample serving measurement (``measure_every``
+        N > 1): this build does not read the knob, so it refuses it."""
+        state = read_checkpoint(checkpoint_path)
+        controller().restore(dict(state))
+        for value in (3, 1):
+            state["run"]["measure_every"] = value
+            with pytest.raises(CheckpointError, match="measure_every"):
+                controller().restore(state)
+
     def test_timeline_mismatch_is_refused(self, checkpoint_path, workload):
         shorter = [e for e in workload.timeline][:-2]
         with pytest.raises(CheckpointError, match="timeline"):

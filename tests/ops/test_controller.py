@@ -137,6 +137,49 @@ class TestChurn:
         assert ctrl.manager.current.total_capacity("b") >= 4000 * (1 - 1e-9)
 
 
+def churn(t, arrivals, departures):
+    return [
+        ServiceArrival(time_s=t, service_id=f"new-{i}", model="mobilenetv2",
+                       request_rate=300.0, slo_latency_ms=200.0)
+        for i in range(arrivals)
+    ] + [
+        ServiceDeparture(time_s=t, service_id=sid)
+        for sid in "abcd"[:departures]
+    ]
+
+
+#: case -> (step instant, batch, full re-plan?); four services and
+#: full_replan_fraction=0.5 put the threshold at 2 structural events
+REPLAN_CASES = {
+    "bootstrap": (0.0, [], True),
+    "bootstrap-with-arrival": (0.0, churn(0.0, 1, 0), True),
+    "below-threshold": (10.0, churn(10.0, 1, 0), False),
+    "at-threshold": (10.0, churn(10.0, 1, 1) + [
+        RateEpoch(time_s=10.0, service_id="c", rate=3000.0),
+        SloChange(time_s=10.0, service_id="d", slo_latency_ms=500.0),
+    ], False),
+    "above-threshold": (10.0, churn(10.0, 2, 1), True),
+    "gpu-only": (10.0, [GpuFailure(time_s=10.0, event_id="f0", draw=0.3)],
+                 False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAN_CASES))
+def test_would_full_replan_is_the_step_path(profiles, services, case):
+    """The gateway's predicate is exactly the branch ``step`` takes."""
+    t, batch, expected = REPLAN_CASES[case]
+    ctrl = controller(profiles, full_replan_fraction=0.5)
+    ctrl.begin(services + [
+        Service("d", "vgg-16", slo_latency_ms=300, request_rate=500),
+    ], horizon_s=60.0)
+    if t > 0.0:
+        ctrl.step(0.0)
+    predicted = ctrl.would_full_replan(batch)
+    assert predicted is expected
+    assert predicted == (ctrl.step(t, batch).path == "full")
+    ctrl.finish()
+
+
 class TestFailuresAndSpares:
     def test_failure_restores_capacity(self, profiles, services):
         timeline = [GpuFailure(time_s=30.0, event_id="f0", draw=0.0)]
@@ -375,54 +418,6 @@ class TestStepApiOrdering:
         assert manual.to_doc() == offline.to_doc()
 
 
-class TestVerifyEverySampling:
-    """--verify-every N: sampled dual-replay smoke mode."""
-
-    def timeline(self):
-        return merge_timeline(
-            [GpuFailure(time_s=20.0, event_id="f0", draw=0.4)],
-            [RateEpoch(time_s=40.0, service_id="a", rate=6000.0)],
-            [RateEpoch(time_s=60.0, service_id="b", rate=2000.0)],
-            [GpuRecovery(time_s=80.0, ref="f0")],
-        )
-
-    def test_default_is_the_full_contract(self, profiles, services):
-        """N=1 is byte-identical to what run_identity_checked always
-        did: the naive reference measures every interval."""
-        kwargs = dict(
-            services=services, timeline=self.timeline(), horizon_s=100.0,
-            measure_s=0.2, profiles=profiles,
-        )
-        fast_a, naive_a = run_identity_checked(**kwargs)
-        fast_b, naive_b = run_identity_checked(verify_every=1, **kwargs)
-        assert fast_a.to_doc() == fast_b.to_doc()
-        assert naive_a.to_doc() == naive_b.to_doc()
-        assert all(r.sim_fingerprint for r in naive_a.intervals)
-
-    def test_sampling_skips_reference_measurement(self, profiles, services):
-        fast, naive = run_identity_checked(
-            services, self.timeline(), horizon_s=100.0, measure_s=0.2,
-            verify_every=3, profiles=profiles,
-        )
-        # the fast replay still measures everywhere...
-        assert all(r.sim_fingerprint for r in fast.intervals)
-        # ...the reference only at sampled steps (1 of 3 here), and the
-        # sampled ones still matched or the call would have raised
-        measured = [bool(r.sim_fingerprint) for r in naive.intervals]
-        assert measured == [True, False, False, True, False]
-        # placement identity was checked at *every* interval regardless
-        assert [r.fingerprint for r in fast.intervals] == [
-            r.fingerprint for r in naive.intervals
-        ]
-
-    def test_verify_every_validation(self, profiles, services):
-        with pytest.raises(ValueError, match="verify_every"):
-            run_identity_checked(
-                services, (), horizon_s=10.0, verify_every=0,
-                profiles=profiles,
-            )
-
-
 class TestLiveAllocatorState:
     """Fast (live state) vs naive (rebuild per delta), edge case by case.
 
@@ -539,7 +534,7 @@ class TestLiveAllocatorState:
         # one build_states (the bootstrap check) + one live-state build
         assert (stats.states_rebuilt, stats.gpus_rebuilt) == (2, 4)
         assert stats.gpus_touched == 6
-        check = ctrl.check_stats
+        check = ctrl.verifier.stats
         assert check.full_fallbacks == 1
         # 2 bootstrap GPUs, then 2 (failover) + 3 (rate re-plan) changed
         # GPUs; the recovery only turns a retired id into a spare

@@ -114,8 +114,9 @@ class TestDefaultController:
         assert all(sp.args["memo_hits"] == 0 for sp in measure_spans(reference))
 
     def test_reference_on_fast_sim_measures_memo_free(self, profiles, services):
-        """``run_identity_checked(naive_sim=False)``'s reference replay:
-        the fast kernel, but no run-scoped memo to hit."""
+        """A reference controller (``fast_path=False``) serving on the
+        fast kernel (``sim_fast_path=True``) has no run-scoped memo to
+        hit."""
         fast = measured_run(FleetController(profiles), services)
         reference = FleetController(profiles, fast_path=False)
         naive = reference.run(

@@ -216,18 +216,3 @@ class TestServeGateway:
                 main(["ops", "--scenario", "s12", *flags])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_ops_verify_every_samples_reference(self, capsys):
-        assert (
-            main(["ops", "--scenario", "s12", "--horizon", "3000",
-                  "--measure", "0.1", "--verify",
-                  "--verify-every", "4"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "fast-vs-naive replay" in out
-
-    def test_ops_verify_every_requires_verify(self, capsys):
-        assert (
-            main(["ops", "--scenario", "s12", "--verify-every", "3"]) == 2
-        )
-        assert "--verify-every" in capsys.readouterr().err
