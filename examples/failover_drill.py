@@ -35,13 +35,14 @@ def main() -> None:
     print("lost capacity     : " + ", ".join(
         f"{sid} -{rate:.0f} req/s" for sid, rate in result.lost_capacity.items()
     ))
-    print(f"fleet             : {result.gpus_before} -> {result.gpus_after} GPUs")
+    print(f"fleet             : {placement.num_gpus} -> "
+          f"{result.placement.num_gpus} GPUs")
     print(f"recovery MIG work : {result.cost.total_work_s:.1f} s serial")
     print(f"worst downtime    : {result.cost.max_downtime_s:.1f} s "
           f"({len(result.cost.disrupted_services)} services disrupted, "
           f"0 s with {result.cost.shadow_gpus} shadow GPU(s))")
     untouched = sorted(
-        sid for sid, d in result.cost.downtime_s.items() if d == 0.0
+        s.id for s in services if s.id not in result.cost.downtime_s
     )
     print(f"kept serving      : {', '.join(untouched)}")
     print(

@@ -44,7 +44,8 @@ def main() -> None:
         f"\nafter SLO update ({changed.id}: 220 ms -> 110 ms, 900 -> 2700 req/s):"
     )
     print(f"  GPUs: {new_placement.num_gpus}")
-    print(f"  instances untouched (kept serving): {len(reconfig.unchanged)}")
+    kept = len(plan.create) - len(reconfig.destroy)
+    print(f"  instances untouched (kept serving): {kept}")
     print(f"  MIG operations: {len(reconfig.destroy)} destroy + {len(reconfig.create)} create")
     for p in new_placement.gpus:
         print(

@@ -124,6 +124,9 @@ class Autoscaler:
 
         report = ScalingReport()
         previous_rates: dict[str, float] = {}
+        # Instances on the cluster: each plan keeps all but the ones it
+        # destroys, so a step's kept count needs no survivor list.
+        running = sum(1 for _ in self.manager.cluster.instances())
         for t in epoch_boundaries(traces):
             if horizon_s is not None and t >= horizon_s:
                 break
@@ -147,7 +150,8 @@ class Autoscaler:
                 plan = self.manager.deploy(placement)
                 costs = [price_plan(plan)]
                 ops = plan.num_operations
-                unchanged = len(plan.unchanged)
+                unchanged = running - len(plan.destroy)
+                running = unchanged + len(plan.create)
             else:
                 # Subsequent epochs: the SIII-F incremental path — only
                 # services whose rate moved are re-planned and relocated;
@@ -170,8 +174,10 @@ class Autoscaler:
                     costs.append(price_plan(plan))
                     ops += plan.num_operations
                     # Accumulate: with several rates moving in one epoch,
-                    # each re-plan reports its own untouched instances.
-                    unchanged += len(plan.unchanged)
+                    # each re-plan counts its own untouched instances.
+                    kept = running - len(plan.destroy)
+                    unchanged += kept
+                    running = kept + len(plan.create)
 
             total_cost = ReconfigurationCost.combine(costs)
             compliance = None

@@ -19,15 +19,15 @@ third (:meth:`deploy`):
 
 - the **live state** (``fast_path=True``, the default): a
   :class:`~repro.core.allocator.LiveFleet` plus the published placement's
-  per-GPU plans, a service->GPU map, the assigned rates and the cluster's
-  per-GPU instance specs.  It is built lazily from the placement on the
-  first delta after a full deploy and then updated in place: a delta
-  re-plans, re-rates, validates and diffs only the GPUs (and services) it
-  touched, and publishes a new :class:`Placement` whose ``gpus`` list
-  shares every untouched :class:`GPUPlan` — and its cached fingerprint
-  line.  Plans are immutable by type, so publishing is copy-on-write by
-  construction: a touched GPU gets a new plan, and re-routing replaces
-  only the plans whose shares moved;
+  per-GPU plans, a service->GPU map and the assigned rates.  It is built
+  lazily from the placement on the first delta after a full deploy and
+  then updated in place: a delta re-plans, re-rates, validates and diffs
+  only the GPUs (and services) it touched, and publishes a new
+  :class:`Placement` whose ``gpus`` list shares every untouched
+  :class:`GPUPlan` — and its cached fingerprint line.  Plans are
+  immutable by type, so publishing is copy-on-write by construction: a
+  touched GPU gets a new plan, and re-routing replaces only the plans
+  whose shares moved;
 - the **rebuild** (``fast_path=False``): :meth:`apply_rebuilt` runs a
   delta on the plain list :meth:`build_states` rebuilds from the current
   placement — spares appended as empty GPUs after the live fleet and
@@ -63,7 +63,7 @@ from repro.core.allocator import (
 from repro.core.configurator import SegmentConfigurator
 from repro.core.placement import GPUPlan, Placement
 from repro.core.service import Service
-from repro.gpu.cluster import Cluster, InstanceSpec, ReconfigurationPlan
+from repro.gpu.cluster import Cluster, ReconfigurationPlan
 from repro.gpu.geometry import PartitionGeometry, get_geometry
 from repro.gpu.mig import MIG_GEOMETRY
 from repro.profiler.table import ProfileTable
@@ -94,12 +94,7 @@ class AllocatorStats:
 class LiveState:
     """The persistent allocator state behind one published placement."""
 
-    def __init__(
-        self,
-        placement: Placement,
-        fleet: LiveFleet,
-        cluster: Cluster,
-    ) -> None:
+    def __init__(self, placement: Placement, fleet: LiveFleet) -> None:
         self.placement = placement
         self.fleet = fleet
         #: gpu_id -> the published plan (shared with ``placement``)
@@ -112,14 +107,6 @@ class LiveState:
         #: the rates the published placement was routed with (None until
         #: the first delta re-rates every service)
         self.rates: Optional[dict[str, float]] = None
-        # gpu_id -> target specs of its running instances, in the
-        # cluster's instance order: the untouched part of every diff.
-        # The cluster mirrors the placement (it was deployed), so every
-        # instance is unchanged.
-        plan = cluster.plan_reconfiguration(placement.to_instance_specs())
-        self.cluster_specs: dict[int, list[InstanceSpec]] = {}
-        for spec in plan.unchanged:
-            self.cluster_specs.setdefault(spec.gpu_id, []).append(spec)
 
 
 class DeploymentManager:
@@ -209,11 +196,11 @@ class DeploymentManager:
     def deploy(self, placement: Placement) -> ReconfigurationPlan:
         """Reconfigure the cluster to host ``placement``.
 
-        Returns the reconfiguration plan that was executed; its
-        ``unchanged`` list is the set of instances that kept serving
-        throughout (the paper's shadow-process-free fast path).  The
-        live allocator state (if any) is dropped: the next incremental
-        delta rebuilds it from ``placement``.
+        Returns the reconfiguration plan that was executed; every running
+        instance it does not destroy kept serving throughout (the paper's
+        shadow-process-free fast path).  The live allocator state (if
+        any) is dropped: the next incremental delta rebuilds it from
+        ``placement``.
         """
         self._live = None
         placement.validate()
@@ -324,7 +311,7 @@ class DeploymentManager:
             self.stats.states_rebuilt += 1
             self.stats.gpus_rebuilt += len(states)
             fleet = LiveFleet(states, self._spares, self._retired)
-            live = self._live = LiveState(self.current, fleet, self.cluster)
+            live = self._live = LiveState(self.current, fleet)
         return live
 
     def live_states(self) -> Optional[list[_GPUState]]:
@@ -432,27 +419,13 @@ class DeploymentManager:
         )
         for gid in changed:
             plans[gid].validate()
-        scope = set(changed) | set(left)
         target = Placement(
             framework=placement.framework,
             gpus=[plans[gid] for gid in sorted(changed, key=key_of)],
         ).to_instance_specs()
-        plan = self.cluster.plan_reconfiguration(target, gpu_ids=scope)
-        kept: dict[int, list[InstanceSpec]] = {}
-        for spec in plan.unchanged:
-            kept.setdefault(spec.gpu_id, []).append(spec)
-        unchanged: list[InstanceSpec] = []
-        for gid in range(len(self.cluster)):
-            unchanged += (
-                kept.get(gid, []) if gid in scope
-                else live.cluster_specs.get(gid, [])
-            )
-        plan.unchanged = unchanged
-        for gid in scope:
-            live.cluster_specs[gid] = kept.get(gid, [])
-        for spec in plan.create:
-            live.cluster_specs.setdefault(spec.gpu_id, []).append(spec)
-
+        plan = self.cluster.plan_reconfiguration(
+            target, gpu_ids=set(changed) | set(left)
+        )
         self.cluster.execute(plan)
         self.current = live.placement = placement
         for gid in drafted:

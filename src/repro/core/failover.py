@@ -45,8 +45,6 @@ class FailoverResult:
     lost_capacity: Mapping[str, float]  #: requests/s lost per service
     placement: Placement  #: the recovered deployment map
     cost: ReconfigurationCost
-    gpus_before: int
-    gpus_after: int
     reconfig_ops: int = 0  #: MIG/MPS create+destroy operations executed
 
 
@@ -151,7 +149,6 @@ class FailoverController:
                     hosted=hosted if live is not None else None,
                 )
 
-        gpus_before = current.num_gpus
         if live is not None:
             placement, plan = manager.apply_live(
                 services, lambda state: relocate(state.fleet)
@@ -169,8 +166,6 @@ class FailoverController:
             lost_capacity=lost,
             placement=placement,
             cost=price_plan(plan),
-            gpus_before=gpus_before,
-            gpus_after=placement.num_gpus,
             reconfig_ops=plan.num_operations,
         )
 

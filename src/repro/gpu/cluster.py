@@ -36,11 +36,11 @@ class InstanceSpec:
 
 @dataclass
 class ReconfigurationPlan:
-    """Diff between the running state and a target allocation map."""
+    """Diff between the running state and a target allocation map:
+    every running instance it does not destroy keeps serving."""
 
     destroy: list[tuple[int, tuple[int, int, str]]] = field(default_factory=list)
     create: list[InstanceSpec] = field(default_factory=list)
-    unchanged: list[InstanceSpec] = field(default_factory=list)
 
     @property
     def num_operations(self) -> int:
@@ -158,10 +158,8 @@ class Cluster:
         """
         plan = ReconfigurationPlan()
         target = list(target)
-        running: dict[tuple[int, int, int, str], InstanceSpec] = {}
+        wanted = {(s.gpu_id, s.start, s.size, s.owner) for s in target}
         matched: set[tuple[int, int, int, str]] = set()
-        for spec in target:
-            running[(spec.gpu_id, spec.start, spec.size, spec.owner)] = spec
 
         gpus: Iterable[GPU] = (
             self._gpus
@@ -175,9 +173,8 @@ class Cluster:
         for g in gpus:
             for inst in g.instances:
                 key = (g.gpu_id, inst.start, inst.size, inst.owner or "")
-                if key in running and key not in matched:
+                if key in wanted and key not in matched:
                     matched.add(key)
-                    plan.unchanged.append(running[key])
                 else:
                     plan.destroy.append(
                         (g.gpu_id, (inst.start, inst.size, inst.owner or ""))

@@ -34,36 +34,25 @@ PROCESS_LAUNCH_COST_S = 2.0
 
 @dataclass(frozen=True)
 class ReconfigurationCost:
-    """Priced reconfiguration: total work and per-service downtime."""
+    """Priced reconfiguration: total work and per-service downtime
+    (disrupted services only; an untouched service has no entry)."""
 
     total_work_s: float  #: serial MIG/MPS operation time
     downtime_s: Mapping[str, float]  #: per-service serving gap (no shadows)
     shadow_gpus: int  #: spare GPUs needed for a zero-downtime swap
-    #: the non-zero entries of ``downtime_s`` (derived when not given)
-    disrupted_s: Mapping[str, float] = field(  # type: ignore[assignment]
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.disrupted_s is None:
-            object.__setattr__(
-                self,
-                "disrupted_s",
-                {sid: d for sid, d in self.downtime_s.items() if d},
-            )
 
     @property
     def max_downtime_s(self) -> float:
-        return max(self.disrupted_s.values(), default=0.0)
+        return max(self.downtime_s.values(), default=0.0)
 
     @property
     def downtime_total_s(self) -> float:
         """Summed per-service downtime; ``0.0`` (a float) when quiet."""
-        return sum(self.disrupted_s.values(), 0.0)
+        return sum(self.downtime_s.values(), 0.0)
 
     @property
     def disrupted_services(self) -> tuple[str, ...]:
-        return tuple(sorted(s for s, d in self.disrupted_s.items() if d > 0))
+        return tuple(sorted(s for s, d in self.downtime_s.items() if d > 0))
 
     @classmethod
     def combine(cls, costs: "Sequence[ReconfigurationCost]") -> "ReconfigurationCost":
@@ -75,20 +64,17 @@ class ReconfigurationCost:
         this arithmetic — the autoscaler's per-epoch batches and the
         fleet controller's per-interval batches both combine here.
 
-        O(disrupted services): only the non-zero downtime entries are
-        summed (in cost order, so each sum is bit-identical to one over
-        every entry), and the result lists only those, sorted by service.
+        O(disrupted services): each service's downtime is summed in cost
+        order, and the result lists the services sorted.
         """
         summed: dict[str, float] = {}
         for c in costs:
-            for sid, d in c.disrupted_s.items():
+            for sid, d in c.downtime_s.items():
                 summed[sid] = summed[sid] + d if sid in summed else d
-        downtime = {sid: summed[sid] for sid in sorted(summed)}
         return cls(
             total_work_s=sum(c.total_work_s for c in costs),
-            downtime_s=downtime,
+            downtime_s={sid: summed[sid] for sid in sorted(summed)},
             shadow_gpus=max((c.shadow_gpus for c in costs), default=0),
-            disrupted_s=downtime,
         )
 
 
@@ -103,8 +89,9 @@ def price_plan(
     Downtime accrues per service: each destroyed instance interrupts its
     owner until the replacement instance (and its processes) are up; the
     per-service downtime is the sum of its own operations, since GPU
-    reconfiguration on one device serializes.  Unchanged instances cost
-    nothing — the SIII-F argument for minimizing the diff.
+    reconfiguration on one device serializes.  Instances outside the
+    diff cost nothing and get no entry — the SIII-F argument for
+    minimizing the diff.
     """
     downtime: dict[str, float] = {}
     total = 0.0
@@ -115,9 +102,6 @@ def price_plan(
         cost = create_cost_s + process_cost_s * spec.num_processes
         downtime[spec.owner] = downtime.get(spec.owner, 0.0) + cost
         total += cost
-    disrupted = {sid: d for sid, d in downtime.items() if d}
-    for spec in plan.unchanged:
-        downtime.setdefault(spec.owner, 0.0)
 
     # A zero-downtime swap shadows every disrupted service's *new* segments
     # on spare GPUs; the spare count is the slice-weight of created
@@ -139,9 +123,8 @@ def price_plan(
 
     return ReconfigurationCost(
         total_work_s=total,
-        downtime_s=downtime,
+        downtime_s={sid: d for sid, d in downtime.items() if d},
         shadow_gpus=shadow_gpus,
-        disrupted_s=disrupted,
     )
 
 

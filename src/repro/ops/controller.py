@@ -60,8 +60,6 @@ from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, ShadowBudget, price_plan
 from repro.ops.checkpoint import (
     CheckpointError,
-    event_doc,
-    event_from_wire_doc,
     placement_from_doc,
     placement_to_doc,
     report_from_doc,
@@ -81,6 +79,8 @@ from repro.ops.events import (
     ServiceDeparture,
     SloChange,
     SpotPreemptionWave,
+    event_from_doc,
+    event_to_doc,
     timeline_key,
 )
 from repro.obs import ObsHub, Span
@@ -613,7 +613,7 @@ class FleetController:
                 "steps": run.steps,
                 "services": [service_to_doc(s) for s in run.work],
                 "pending": [
-                    {"seq": seq, "event": event_doc(ev)}
+                    {"seq": seq, "event": event_to_doc(ev)}
                     for _key, seq, ev in sorted(run.pending)
                 ],
             },
@@ -694,7 +694,7 @@ class FleetController:
         self._pending_seq = int(state["pending_seq"])
         pending: list[tuple[tuple[float, int, str], int, OpsEvent]] = []
         for entry in run_doc["pending"]:
-            ev = event_from_wire_doc(entry["event"])
+            ev = event_from_doc(entry["event"])
             heappush(pending, (timeline_key(ev), int(entry["seq"]), ev))
         report = report_from_doc(state["report"])
         # The report describes the *resumed* run from here on.

@@ -21,12 +21,19 @@ it against the GPUs occupied *at that moment* (``occupied[int(draw *
 len(occupied))]``), which keeps victim selection deterministic without
 coupling generators to placements.  A :class:`GpuRecovery` references the
 failure it undoes via the failure's ``event_id``.
+
+The wire codec lives here too (:func:`event_to_doc`/:func:`event_from_doc`).
+Decoding raises :class:`ValueError` for anything that is not an event,
+including a wrong-typed value (a ``bool`` is not a number) and the NaN
+that Python's :mod:`json` accepts, which every validator rejects.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,7 @@ class OpsEvent:
     PRIORITY = 50
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
+        if not self.time_s >= 0:  # NaN fails too
             raise ValueError("event time must be non-negative")
 
     @property
@@ -86,7 +93,7 @@ class ServiceArrival(OpsEvent):
         super().__post_init__()
         if not self.service_id or not self.model:
             raise ValueError("arrival needs a service id and model")
-        if self.request_rate <= 0 or self.slo_latency_ms <= 0:
+        if not (self.request_rate > 0 and self.slo_latency_ms > 0):
             raise ValueError("arrival rate and SLO must be positive")
 
     @property
@@ -107,7 +114,7 @@ class SloChange(OpsEvent):
         super().__post_init__()
         if not self.service_id:
             raise ValueError("SLO change needs a service id")
-        if self.slo_latency_ms <= 0:
+        if not self.slo_latency_ms > 0:
             raise ValueError("renegotiated SLO must be positive")
 
     @property
@@ -128,7 +135,7 @@ class RateEpoch(OpsEvent):
         super().__post_init__()
         if not self.service_id:
             raise ValueError("rate epoch needs a service id")
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise ValueError("rate must be non-negative")
 
     @property
@@ -203,7 +210,7 @@ class SpotPreemptionWave(OpsEvent):
             raise ValueError("preempted fraction must be in (0, 1]")
         if not 0.0 <= self.draw < 1.0:
             raise ValueError("draw must be in [0, 1)")
-        if self.restore_delay_s is not None and self.restore_delay_s <= 0:
+        if self.restore_delay_s is not None and not self.restore_delay_s > 0:
             raise ValueError("restore delay must be positive")
 
     @property
@@ -221,3 +228,62 @@ def merge_timeline(*streams: Iterable[OpsEvent]) -> tuple[OpsEvent, ...]:
     events = [e for stream in streams for e in stream]
     events.sort(key=timeline_key)
     return tuple(events)
+
+
+#: ``"kind"`` discriminator -> event class (the full event vocabulary).
+EVENT_TYPES: dict[str, type[OpsEvent]] = {
+    cls.__name__: cls
+    for cls in (
+        ServiceDeparture,
+        ServiceArrival,
+        SloChange,
+        RateEpoch,
+        GpuRecovery,
+        GpuFailure,
+        SpotPreemptionWave,
+    )
+}
+
+
+def _wire_types(hint: object) -> tuple[type, ...]:
+    """The JSON value types a field annotation accepts: an int is a
+    float, and ``Optional[T]`` adds ``None``."""
+    if args := typing.get_args(hint):
+        return tuple(t for arg in args for t in _wire_types(arg))
+    return (int, float) if hint is float else (typing.cast(type, hint),)
+
+
+#: kind -> field -> accepted value types
+_FIELD_TYPES: dict[str, dict[str, tuple[type, ...]]] = {
+    kind: {f: _wire_types(h) for f, h in typing.get_type_hints(cls).items()}
+    for kind, cls in EVENT_TYPES.items()
+}
+
+
+def event_to_doc(event: OpsEvent) -> dict[str, object]:
+    """One event as a JSON-ready dict (dataclass fields + ``kind``)."""
+    if type(event).__name__ not in EVENT_TYPES:
+        raise TypeError(f"not a wire-format event type: {event!r}")
+    doc: dict[str, object] = {"kind": event.kind}
+    doc.update(dataclasses.asdict(event))
+    return doc
+
+
+def event_from_doc(doc: Mapping[str, object]) -> OpsEvent:
+    """Rebuild an event from its wire dict (inverse of
+    :func:`event_to_doc`); anything else raises :class:`ValueError`."""
+    fields = dict(doc)
+    kind = fields.pop("kind", None)
+    if not isinstance(kind, str) or kind not in EVENT_TYPES:
+        raise ValueError(f"unknown event kind {kind!r}")
+    cls = EVENT_TYPES[kind]
+    types = _FIELD_TYPES[kind]
+    unknown = sorted(k for k in fields if k not in types)
+    if unknown:
+        raise ValueError(f"{kind} does not accept fields {unknown}")
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, types[name]):
+            raise ValueError(f"{kind}.{name} has the wrong type: {value!r}")
+    if "time_s" not in fields:
+        raise ValueError(f"{kind} needs a time_s")
+    return cls(**fields)  # type: ignore[arg-type]

@@ -13,66 +13,25 @@ A *source* is an async iterator of :class:`~repro.ops.events.OpsEvent`
 The wire format is one JSON object per line: the event's dataclass
 fields plus a ``"kind"`` discriminator naming the event type, keys
 sorted — so a recorded session is diffable and byte-stable.  The codec
-round-trips exactly (``event_from_doc(event_to_doc(e)) == e``), which is
-what lets a live session be recorded and replayed bit-identically under
-the virtual clock.
+(:mod:`repro.ops.events`, re-exported here) round-trips exactly
+(``event_from_doc(event_to_doc(e)) == e``), which is what lets a live
+session be recorded and replayed bit-identically under the virtual clock.
+A line that is not an event — bad JSON, an unknown kind or field, a
+wrong-typed or NaN value — raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 from typing import AsyncIterator, Callable, Iterable, Optional
 
-from repro.ops.events import (
-    GpuFailure,
-    GpuRecovery,
+from repro.ops.events import (  # the codec, re-exported
+    EVENT_TYPES,
     OpsEvent,
-    RateEpoch,
-    ServiceArrival,
-    ServiceDeparture,
-    SloChange,
-    SpotPreemptionWave,
+    event_from_doc,
+    event_to_doc,
 )
-
-#: ``"kind"`` discriminator -> event class (the full event vocabulary).
-EVENT_TYPES: dict[str, type[OpsEvent]] = {
-    cls.__name__: cls
-    for cls in (
-        ServiceDeparture,
-        ServiceArrival,
-        SloChange,
-        RateEpoch,
-        GpuRecovery,
-        GpuFailure,
-        SpotPreemptionWave,
-    )
-}
-
-
-def event_to_doc(event: OpsEvent) -> dict[str, object]:
-    """One event as a JSON-ready dict (dataclass fields + ``kind``)."""
-    if type(event).__name__ not in EVENT_TYPES:
-        raise TypeError(f"not a wire-format event type: {event!r}")
-    doc: dict[str, object] = {"kind": event.kind}
-    doc.update(dataclasses.asdict(event))
-    return doc
-
-
-def event_from_doc(doc: dict[str, object]) -> OpsEvent:
-    """Rebuild an event from its wire dict (inverse of
-    :func:`event_to_doc`)."""
-    fields = dict(doc)
-    kind = fields.pop("kind", None)
-    if not isinstance(kind, str) or kind not in EVENT_TYPES:
-        raise ValueError(f"unknown event kind {kind!r}")
-    cls = EVENT_TYPES[kind]
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(k for k in fields if k not in allowed)
-    if unknown:
-        raise ValueError(f"{kind} does not accept fields {unknown}")
-    return cls(**fields)  # type: ignore[arg-type]
 
 
 def encode_event(event: OpsEvent) -> str:

@@ -116,10 +116,18 @@ class TestAutoscaler:
             svc.reset_plan()
         manager = DeploymentManager(profiles)
         manager.deploy(ParvaGPU(profiles).schedule(work))
+
+        def running():
+            return {
+                (g.gpu_id, i.start, i.size, i.owner)
+                for g, i in manager.cluster.instances()
+            }
+
         expected = 0
         for sid, new_rate in (("a", 6000.0), ("b", 8000.0)):
-            _, plan = manager.update_slo(work, by_id[sid], new_rate=new_rate)
-            expected += len(plan.unchanged)
+            before = running()
+            manager.update_slo(work, by_id[sid], new_rate=new_rate)
+            expected += len(before & running())
         assert expected > 0
         assert surge_step.unchanged_instances == expected
 

@@ -35,7 +35,7 @@ class TestFailover:
         assert result.failed_gpu == 0
         assert result.affected_services
         assert all(v > 0 for v in result.lost_capacity.values())
-        assert result.gpus_before == placement.num_gpus
+        assert result.reconfig_ops > 0
         result.placement.validate()
 
     def test_untouched_services_keep_instances(self, profiles, deployed):

@@ -61,16 +61,17 @@ class TestReconfiguration:
         c.apply_specs(target)
         plan = c.plan_reconfiguration(target)
         assert plan.is_noop
-        assert len(plan.unchanged) == 1
+        c.execute(plan)
+        assert c.gpu(0).snapshot() == ((0, 4, "a"),)
 
     def test_changed_service_replanned(self):
         c = Cluster()
         c.apply_specs([spec(0, 4, 0, "a"), spec(0, 3, 4, "b")])
         # 'a' moves to a size-2; 'b' stays.
         plan = c.plan_reconfiguration([spec(0, 2, 0, "a"), spec(0, 3, 4, "b")])
-        assert len(plan.unchanged) == 1
-        assert len(plan.destroy) == 1
-        assert len(plan.create) == 1
+        # The plan is exactly its diff: 'b' is in neither list.
+        assert plan.destroy == [(0, (0, 4, "a"))]
+        assert plan.create == [spec(0, 2, 0, "a")]
         assert plan.num_operations == 2
 
     def test_execute_applies_diff(self):

@@ -39,12 +39,10 @@ class TestPricePlan:
         assert price_plan(plan).total_work_s == pytest.approx(DESTROY_COST_S)
 
     def test_unchanged_services_have_zero_downtime(self):
-        plan = ReconfigurationPlan(
-            create=[spec(0, 2, 0, "a")],
-            unchanged=[spec(1, 3, 4, "b")],
-        )
+        # A plan is its diff: a service outside it gets no entry.
+        plan = ReconfigurationPlan(create=[spec(0, 2, 0, "a")])
         cost = price_plan(plan)
-        assert cost.downtime_s["b"] == 0.0
+        assert "b" not in cost.downtime_s
         assert cost.disrupted_services == ("a",)
 
     def test_shadow_gpus_round_up(self):
@@ -61,7 +59,7 @@ class TestPricePlan:
         )
         cost = price_plan(plan)
         assert cost.downtime_s["a"] > 0
-        assert cost.downtime_s["b"] == 0.0
+        assert "b" not in cost.downtime_s
 
 
 class TestShadowBudget:
@@ -115,17 +113,18 @@ class TestCombine:
 
 
 def _full_combine(costs):
-    """The per-service sums over every entry, zeros included: the
-    arithmetic ``combine`` had before it skipped zero entries."""
+    """The per-service sums over every service of ``_priced_costs``'s
+    cluster, zeros included: the arithmetic ``combine`` had when
+    ``price_plan`` wrote a zero entry for every untouched instance."""
     return {
         sid: sum(c.downtime_s.get(sid, 0.0) for c in costs)
-        for sid in sorted({k for c in costs for k in c.downtime_s})
+        for sid in "abcde"
     }
 
 
 def _priced_costs():
     """Three priced re-plans of one deployed cluster: each keeps some
-    instances (zero-downtime entries) and disrupts others."""
+    instances (no downtime entry) and disrupts others."""
     cluster = Cluster()
     running = [
         spec(0, 4, 0, "a"), spec(0, 3, 4, "b"), spec(1, 2, 0, "c", procs=2),
@@ -147,10 +146,15 @@ def _priced_costs():
 
 
 class TestCombineDisruptedOnly:
-    def test_price_plan_keeps_zero_entries(self):
+    def test_price_plan_writes_no_zero_entries(self):
         costs = _priced_costs()
-        assert costs[0].downtime_s["a"] == 0.0
-        assert costs[2].downtime_s == {s: 0.0 for s in "abcde"}
+        assert "a" not in costs[0].downtime_s
+        assert all(d > 0 for c in costs for d in c.downtime_s.values())
+        assert costs[2].downtime_s == {}
+        free_teardown = price_plan(
+            ReconfigurationPlan(destroy=[(0, (0, 2, "a"))]), destroy_cost_s=0.0
+        )
+        assert free_teardown.downtime_s == {}
 
     def test_matches_the_full_sum_on_nonzero_entries(self):
         costs = _priced_costs()

@@ -7,7 +7,8 @@ state from the placement on every delta.  Over generated timelines —
 every event type, several events per instant, failing spares, waves,
 recoveries of GPUs that never failed, departures of unknown ids, and a
 checkpoint restore in the middle of the run — both must publish
-fingerprint-identical placements at every interval.  The fast replays
+fingerprint-identical placements, with identically priced
+reconfigurations, at every interval.  The fast replays
 run with the per-interval check on, which also compares the live state
 with its rebuild GPU for GPU.
 """
@@ -137,9 +138,15 @@ def test_live_state_matches_rebuild(services, raw, replan_fraction):
         PROFILES, fast_path=False, full_replan_fraction=replan_fraction
     ).run(services, timeline, HORIZON_S)
     assert_reports_identical(fast, naive)
-    assert [r.reconfig_ops for r in fast.intervals] == [
-        r.reconfig_ops for r in naive.intervals
-    ]
+
+    def pricing(report):
+        return [
+            (r.reconfig_ops, r.reconfig_work_s, r.max_downtime_s,
+             r.downtime_total_s, r.zero_downtime)
+            for r in report.intervals
+        ]
+
+    assert pricing(fast) == pricing(naive)
 
 
 @given(fleets, raw_events, st.integers(min_value=1, max_value=6))
@@ -217,10 +224,9 @@ def test_update_slo_on_mixed_placement(params, updates):
                 # take the id of an emptied device of the other geometry.
                 outcomes.append(repr(exc))
             else:
-                outcomes.append((
-                    placement.fingerprint(), plan.num_operations,
-                    len(plan.unchanged),
-                ))
+                outcomes.append(
+                    (placement.fingerprint(), plan.destroy, plan.create)
+                )
         assert outcomes[0] == outcomes[1]
         if isinstance(outcomes[0], str):
             return
@@ -233,8 +239,9 @@ def test_update_slo_on_mixed_placement(params, updates):
 
 
 def test_autoscaler_unchanged_instances_match_rebuild():
-    """The autoscaler reports ``len(plan.unchanged)``: the live state's
-    scoped diff must keep that list complete."""
+    """The autoscaler counts the instances each plan keeps from the
+    running count and ``plan.destroy``: the live state's scoped diff must
+    destroy exactly what the full diff does."""
     services = [
         _service("a", "resnet-50", 250.0, 2000.0),
         _service("b", "mobilenetv2", 150.0, 4000.0),

@@ -249,6 +249,38 @@ class TestPostEvents:
         assert gateway.health.injected_events == 0  # all-or-nothing
         assert gateway.health.rejected_events == 1
 
+    @pytest.mark.parametrize("bad", [
+        '{"kind":"RateEpoch","time_s":61,"service_id":"a","rate":"5"}',
+        '{"kind":"GpuRecovery","time_s":NaN,"gpu_id":1}',
+    ], ids=["wrong-type", "nan-time"])
+    def test_wrong_typed_or_nan_line_rejects_whole_batch(
+        self, profiles, services, bad
+    ):
+        async def scenario():
+            gateway, source, gate = self.live_session(profiles, services)
+            server = StatusServer(gateway)
+            await server.start()
+            run = asyncio.create_task(gateway.run(source()))
+            try:
+                good = encode_event(
+                    RateEpoch(time_s=60.0, service_id="a", rate=3000.0)
+                )
+                status, doc = await post(
+                    server.port, "/events", good + "\n" + bad + "\n"
+                )
+            finally:
+                gate.set()
+                # bounded: an admitted NaN time used to wedge the session
+                await asyncio.wait_for(run, timeout=30.0)
+                await server.stop()
+            return status, doc, gateway
+
+        status, doc, gateway = asyncio.run(scenario())
+        assert status == 400
+        assert "line 1" in doc["error"]
+        assert gateway.health.injected_events == 0  # all-or-nothing
+        assert gateway.health.rejected_events == 1
+
     def test_empty_body_rejected(self, profiles, services):
         async def scenario():
             gateway, source, gate = self.live_session(profiles, services)

@@ -40,6 +40,27 @@ SAMPLES = [
 ]
 
 
+#: lines the decoder must refuse: wrong-typed fields (a bool is not a
+#: number), a missing time, and NaN values, which Python's json accepts
+BAD = {
+    "str-rate": '{"kind":"RateEpoch","time_s":1,"service_id":"a","rate":"5"}',
+    "str-time": '{"kind":"RateEpoch","time_s":"1","service_id":"a","rate":5}',
+    "no-time": '{"kind":"RateEpoch","service_id":"a","rate":5}',
+    "bool-gpu": '{"kind":"GpuRecovery","time_s":1,"gpu_id":true}',
+    "float-gpu": '{"kind":"GpuRecovery","time_s":1,"gpu_id":1.5}',
+    "int-service": '{"kind":"ServiceDeparture","time_s":1,"service_id":7}',
+    "nan-time": '{"kind":"GpuRecovery","time_s":NaN,"gpu_id":1}',
+    "nan-rate": '{"kind":"RateEpoch","time_s":1,"service_id":"a","rate":NaN}',
+    "nan-slo": '{"kind":"SloChange","time_s":1,"service_id":"a",'
+               '"slo_latency_ms":NaN}',
+    "nan-arrival": '{"kind":"ServiceArrival","time_s":1,"service_id":"n",'
+                   '"model":"m","request_rate":NaN,"slo_latency_ms":100}',
+    "nan-delay": '{"kind":"SpotPreemptionWave","time_s":1,"event_id":"w",'
+                 '"fraction":0.5,"restore_delay_s":NaN}',
+}
+BAD_LINES = list(BAD.values())
+
+
 def collect(source):
     async def drain():
         return [e async for e in source]
@@ -101,6 +122,19 @@ class TestCodec:
             ))
 
 
+    @pytest.mark.parametrize("line", BAD_LINES, ids=list(BAD))
+    def test_wrong_typed_and_nan_fields_rejected(self, line):
+        with pytest.raises(ValueError):
+            decode_event(line)
+
+    def test_integral_numbers_still_decode(self):
+        """An int is a valid float field: ``time_s: 1`` stays accepted."""
+        event = decode_event(
+            '{"kind":"RateEpoch","time_s":1,"service_id":"a","rate":5}'
+        )
+        assert event == RateEpoch(time_s=1, service_id="a", rate=5)
+
+
 class TestSources:
     def test_timeline_source_preserves_order(self):
         assert collect(timeline_source(SAMPLES)) == SAMPLES
@@ -110,6 +144,33 @@ class TestSources:
         lines.insert(2, "")
         lines.insert(5, "   ")
         assert collect(jsonl_source(lines)) == SAMPLES
+
+    def test_degraded_intake_counts_bad_lines(self):
+        """With ``on_malformed`` set, every wrong-typed or NaN line is
+        counted and skipped, and the next good line still arrives."""
+        lines = []
+        for e, bad in zip(SAMPLES, BAD_LINES):
+            lines += [bad, encode_event(e)]
+        skipped = []
+        assert collect(
+            jsonl_source(lines, on_malformed=skipped.append)
+        ) == SAMPLES[:len(BAD_LINES)]
+        assert skipped == BAD_LINES[:len(SAMPLES)]
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            for line in lines:
+                reader.feed_data((line + "\n").encode())
+            reader.feed_eof()
+            return [
+                e async for e in stream_source(
+                    reader, on_malformed=skipped.append
+                )
+            ]
+
+        skipped.clear()
+        assert asyncio.run(scenario()) == SAMPLES[:len(BAD_LINES)]
+        assert skipped == BAD_LINES[:len(SAMPLES)]
 
     def test_stream_source_reads_until_eof(self):
         async def scenario():
