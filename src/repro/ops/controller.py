@@ -322,6 +322,13 @@ class FleetController:
             )
         if horizon_s <= 0:
             raise ValueError("horizon must be positive")
+        for name, value in (("measure_s", measure_s), ("warmup_s", warmup_s)):
+            # measure_s=0 means "do not measure"; a NaN, infinite or
+            # negative window would fail (or lie) at the first step
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
         self._reset_deployment()
         sim_fast = self.fast_path if sim_fast_path is None else sim_fast_path
         # Private copies: the run rewrites rates/SLOs/plan state, and
@@ -1159,7 +1166,8 @@ class FleetController:
         self, record: IntervalRecord, placement: Placement, run: _RunState
     ) -> dict[str, int]:
         """Serve ``placement`` into ``record``; returns the measure
-        span's work counts (memo hits out of the segments served)."""
+        span's work counts: memo hits and plans reused whole out of the
+        segments served."""
         from repro.sim.runner import measure_interval
 
         ctx = self._shard_ctx if run.sim_fast else None
@@ -1181,6 +1189,11 @@ class FleetController:
             record.worst_service_compliance = m.worst_compliance
         return {
             "memo_hits": (ctx.memo_hits if ctx is not None else 0) - hits,
+            "plans_reused": (
+                ctx.plans.reused
+                if ctx is not None and ctx.plans is not None
+                else 0
+            ),
             "segments": sum(len(g.segments) for g in placement.gpus),
         }
 

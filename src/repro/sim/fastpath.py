@@ -45,18 +45,25 @@ worker count.  A :class:`SegmentMemo` held across calls resolves
 unchanged segments from cache; the misses run inline here or, when the
 caller's :class:`~repro.sim.shard.ShardContext` has a pool, in worker
 processes.  Either way one accumulation pass in placement order builds
-the report.
+the report.  :class:`PlanMemo` sits one level above the segment memo:
+:func:`~repro.sim.runner.measure_interval` uses it to serve whole
+unchanged GPU plans from their last measurement, through the same
+lookup and miss path (:func:`_resolve_rows`) for the plans that did
+change.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from heapq import heappush, heappop
-from typing import TYPE_CHECKING, ClassVar, Iterable, Optional
+from typing import (
+    TYPE_CHECKING, ClassVar, Iterable, Mapping, NamedTuple, Optional,
+)
 
 import numpy as np
 
-from repro.core.placement import PlacedSegment, Placement
+from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.service import Service
 from repro.models.perf import PerfModel
 from repro.models.zoo import get_model
@@ -431,6 +438,93 @@ class SegmentMemo:
         self.misses_total = 0
 
 
+#: one segment to resolve: ``(segment, slo_ms, sm_count, times)``;
+#: ``times`` is None for uniform arrivals (regenerated where simulated)
+_SegmentRun = tuple[PlacedSegment, float, int, Optional[np.ndarray]]
+
+
+def _resolve_rows(
+    segs: list[_SegmentRun],
+    arrivals: str,
+    duration_s: float,
+    warmup_s: float,
+    context: Optional["ShardContext"],
+    reused: int = 0,
+) -> list[tuple]:
+    """Result rows of ``segs``, in order: the memo lookup and miss path.
+
+    Each segment is looked up in ``context``'s memo (uniform arrivals
+    only).  The misses are simulated inline, or shipped to the
+    context's shard pool when it has one.  Memo writes wait until every
+    miss is resolved, so the hit/miss counters do not depend on the
+    worker count.  ``reused`` counts segments the caller resolved
+    without a lookup; it only feeds the ``scatter`` span's hit count.
+    """
+    memo = None
+    if context is not None and arrivals == "uniform":
+        memo = context.memo
+    rows: list[Optional[tuple]] = [None] * len(segs)
+    misses: list[int] = []
+    miss_keys: list[tuple] = []
+    for i, (seg, slo_ms, sm_count, _times) in enumerate(segs):
+        if memo is not None:
+            mk = (
+                seg.model,
+                seg.effective_gpcs,
+                seg.batch_size,
+                seg.num_processes,
+                seg.latency_ms,
+                slo_ms,
+                sm_count,
+                seg.served_rate,
+                duration_s,
+                warmup_s,
+            )
+            row = memo.rows.get(mk)
+            if row is not None:
+                rows[i] = row
+                memo.hits_total += 1
+                continue
+            memo.misses_total += 1
+            miss_keys.append(mk)
+        misses.append(i)
+
+    until = duration_s + 1.0
+    if misses and context is not None and context.pool is not None:
+        shipped = context.run_shards(
+            [segs[i] for i in misses], arrivals, duration_s, warmup_s, until,
+            memo_hits=reused + len(segs) - len(misses),
+        )
+        for i, row in zip(misses, shipped):
+            rows[i] = row
+    else:
+        for i in misses:
+            seg, slo_ms, sm_count, times = segs[i]
+            kernel = _SegmentKernel.from_segment(
+                seg, slo_ms, sm_count=sm_count
+            )
+            if times is None:
+                times = uniform_arrivals(seg.served_rate, duration_s)
+            rows[i] = _simulate_row(kernel, times, warmup_s, until)
+    if memo is not None:
+        for i, mk in zip(misses, miss_keys):
+            memo.rows[mk] = rows[i]
+    return rows  # type: ignore[return-value]
+
+
+def _unknown_service(
+    placement: Placement, known: Mapping[str, object]
+) -> ValueError:
+    """The error for the first segment, in placement order, whose
+    service is not in ``known``."""
+    first = next(
+        seg.service_id
+        for _gpu_id, seg in placement.iter_segments()
+        if seg.service_id not in known
+    )
+    return ValueError(f"placement references unknown service {first!r}")
+
+
 def simulate_placement_fast(
     placement: Placement,
     services: Iterable[Service],
@@ -444,13 +538,12 @@ def simulate_placement_fast(
 
     The one measurement engine, at every worker count.  It walks the
     placement once in placement order, drawing Poisson arrivals from the
-    shared rng exactly as the event-driven runner does, and looks each
-    segment up in ``context``'s memo (if it has one).  The misses are
-    simulated inline, or shipped to the context's shard pool when it has
-    one.  A final pass accumulates every row in placement order, so the
-    report is bit-identical however each row was obtained.
-    ``report.events_processed`` counts kernel steps (dispatches +
-    completions) rather than heap events.
+    shared rng exactly as the event-driven runner does, and resolves
+    each segment through ``context``'s memo (if it has one) and miss
+    path (:func:`_resolve_rows`).  A final pass accumulates every row in
+    placement order, so the report is bit-identical however each row was
+    obtained.  ``report.events_processed`` counts kernel steps
+    (dispatches + completions) rather than heap events.
     """
     from repro.sim.runner import segment_key
 
@@ -476,9 +569,7 @@ def simulate_placement_fast(
     for gpu_id, seg in placement.iter_segments():
         svc = svc_by_id.get(seg.service_id)
         if svc is None:
-            raise ValueError(
-                f"placement references unknown service {seg.service_id!r}"
-            )
+            raise _unknown_service(placement, svc_by_id)
         key = segment_key(gpu_id, seg.service_id, seg.start)
         times = (
             None if uniform
@@ -488,57 +579,13 @@ def simulate_placement_fast(
         # Last register wins, as in SMActivityTracker.register.
         sm_counts[key] = max(1, round(seg.sm_count))
 
-    memo = context.memo if context is not None and uniform else None
-    rows: list[Optional[tuple]] = [None] * len(runs)
-    misses: list[int] = []
-    miss_keys: list[tuple] = []
-    for i, (key, seg, slo_ms, _times) in enumerate(runs):
-        if memo is not None:
-            mk = (
-                seg.model,
-                seg.effective_gpcs,
-                seg.batch_size,
-                seg.num_processes,
-                seg.latency_ms,
-                slo_ms,
-                sm_counts[key],
-                seg.served_rate,
-                duration_s,
-                warmup_s,
-            )
-            row = memo.rows.get(mk)
-            if row is not None:
-                rows[i] = row
-                memo.hits_total += 1
-                continue
-            memo.misses_total += 1
-            miss_keys.append(mk)
-        misses.append(i)
-
-    until = duration_s + 1.0
-    if misses and context is not None and context.pool is not None:
-        shipped = context.run_shards(
-            [
-                (runs[i][1], runs[i][2], sm_counts[runs[i][0]], runs[i][3])
-                for i in misses
-            ],
-            arrivals, duration_s, warmup_s, until,
-            memo_hits=len(runs) - len(misses),
-        )
-        for i, row in zip(misses, shipped):
-            rows[i] = row
-    else:
-        for i in misses:
-            key, seg, slo_ms, times = runs[i]
-            kernel = _SegmentKernel.from_segment(
-                seg, slo_ms, sm_count=sm_counts[key]
-            )
-            if times is None:
-                times = uniform_arrivals(seg.served_rate, duration_s)
-            rows[i] = _simulate_row(kernel, times, warmup_s, until)
-    if memo is not None:
-        for i, mk in zip(misses, miss_keys):
-            memo.rows[mk] = rows[i]
+    rows = _resolve_rows(
+        [
+            (seg, slo_ms, sm_counts[key], times)
+            for key, seg, slo_ms, times in runs
+        ],
+        arrivals, duration_s, warmup_s, context,
+    )
 
     busy = dict.fromkeys(sm_counts, 0.0)
     steps = 0
@@ -561,3 +608,270 @@ def simulate_placement_fast(
         ratio = busy_sm / (sm_counts[key] * window) if window > 0 else 0.0
         report.segment_activity[key] = min(1.0, ratio)
     return report
+
+
+class _PlanEntry(NamedTuple):
+    """What one GPU's last measured plan contributed."""
+
+    plan: GPUPlan
+    #: service id -> [batches, violations, requests, worst latency ms]
+    #: summed (max for the latency) over the plan's segments
+    contrib: dict[str, list]
+    #: the plan's sorted, JSON-encoded segment keys, comma-joined
+    keys: str
+
+
+class _ServiceEntry:
+    """One service's totals over the plans hosting it."""
+
+    __slots__ = ("slo_ms", "hosts", "batches", "violations", "compliance",
+                 "fragment")
+
+    def __init__(self, slo_ms: float) -> None:
+        #: the SLO the hosting plans were measured under
+        self.slo_ms = slo_ms
+        #: ids of the GPUs whose plans serve this service (insertion
+        #: ordered; used as a set)
+        self.hosts: dict[int, None] = {}
+        self.batches = 0
+        self.violations = 0
+        self.compliance = 1.0
+        #: this service's ``"sid": [...]`` entry of the fingerprint
+        self.fragment = ""
+
+
+class PlanMemo:
+    """Per-plan layer over the :class:`SegmentMemo`: serving measurement
+    in O(changed GPU plans).
+
+    A published :class:`~repro.core.placement.GPUPlan` is frozen, so a
+    GPU no delta touched keeps the *same plan object* from one interval
+    to the next.  For each GPU id the layer keeps the last measured plan,
+    its per-service integer contribution and its segment-key fragment of
+    the fingerprint; for each service its totals, compliance and
+    fingerprint fragment; and the fleet's running batch and violation
+    totals.  :meth:`measure` re-resolves a plan only when
+
+    - it is not the same object as last time,
+    - it hosts a service whose SLO changed (the SLO is in the kernel key
+      but not in the plan), or
+    - it hosts a service that has left (which raises the reference's
+      ``ValueError``).
+
+    Re-resolved plans go through the segment memo and miss path shared
+    with :func:`simulate_placement_fast`; only the services they touch
+    are re-aggregated.  Every segment on a reused plan counts as a memo
+    hit, which is what its lookup would have been, so the memo counters
+    equal a plain per-segment walk's.  A change of measurement window
+    resets the layer.
+
+    The layer holds one entry per live GPU id (a GPU that leaves the
+    placement is evicted) and one per live service, so unlike the
+    segment memo it does not grow over a run.  It is not checkpointed:
+    a resumed run rewarms it like the memo.
+    """
+
+    def __init__(self) -> None:
+        self._reset(None)
+
+    def _reset(self, window: Optional[tuple[float, float]]) -> None:
+        self.window = window
+        #: plans resolved whole from the layer by the last measure
+        self.reused = 0
+        self.gpus: dict[int, _PlanEntry] = {}
+        self.services: dict[str, _ServiceEntry] = {}
+        self.batches = 0
+        self.violations = 0
+        #: the fingerprint's joined segment and service parts; None when
+        #: a fragment or the key set changed since they were joined
+        self._segments: Optional[str] = None
+        self._services: Optional[str] = None
+
+    def measure(
+        self,
+        placement: Placement,
+        services: Iterable[Service],
+        duration_s: float,
+        warmup_s: float,
+        context: "ShardContext",
+    ) -> Optional[tuple[float, str, dict[str, float]]]:
+        """``(compliance, fingerprint, per-service compliance)`` of
+        serving ``placement`` under uniform arrivals: bit-identical to
+        the full report's ``overall_compliance``, ``fingerprint()`` and
+        per-service ``compliance`` (in ``services`` order).  Returns
+        None, and forgets everything, for a placement that lists one
+        GPU id twice; the caller then measures it whole.
+        """
+        from repro.sim.runner import segment_key
+
+        if duration_s <= warmup_s:
+            raise ValueError("duration must exceed warmup")
+        if (duration_s, warmup_s) != self.window:
+            self._reset((duration_s, warmup_s))
+        svc_by_id = {s.id: s for s in services}
+        known = self.services
+        gpus = self.gpus
+
+        # Services to re-aggregate, and GPUs whose plans must be
+        # re-resolved even if unchanged.
+        changed: dict[str, None] = {}
+        stale: dict[int, None] = {}
+        arrived: list[str] = []
+        retuned: list[tuple[_ServiceEntry, float]] = []
+        for sid, svc in svc_by_id.items():
+            entry = known.get(sid)
+            if entry is None:
+                arrived.append(sid)
+            elif entry.slo_ms != svc.slo_latency_ms:
+                retuned.append((entry, svc.slo_latency_ms))
+                stale.update(entry.hosts)
+        departed: list[str] = []
+        if len(svc_by_id) - len(arrived) != len(known):
+            departed = [sid for sid in known if sid not in svc_by_id]
+            for sid in departed:
+                stale.update(known[sid].hosts)
+
+        present: dict[int, None] = {}
+        resolve: list[GPUPlan] = []
+        reused_segments = 0
+        for plan in placement.gpus:
+            gid = plan.gpu_id
+            if gid in present:
+                self._reset(None)
+                return None
+            present[gid] = None
+            entry = gpus.get(gid)
+            if entry is not None and entry.plan is plan and gid not in stale:
+                reused_segments += len(plan.segments)
+            else:
+                resolve.append(plan)
+        gone = [gid for gid in gpus if gid not in present]
+
+        segs: list[_SegmentRun] = []
+        plan_keys: list[list[str]] = []
+        for plan in resolve:
+            gid = plan.gpu_id
+            keys = []
+            sm_counts: dict[str, int] = {}
+            for seg in plan.segments:
+                if seg.service_id not in svc_by_id:
+                    raise _unknown_service(placement, svc_by_id)
+                key = segment_key(gid, seg.service_id, seg.start)
+                keys.append(key)
+                # Last register wins, as in SMActivityTracker.register.
+                sm_counts[key] = max(1, round(seg.sm_count))
+            segs.extend(
+                (seg, svc_by_id[seg.service_id].slo_latency_ms,
+                 sm_counts[key], None)
+                for seg, key in zip(plan.segments, keys)
+            )
+            plan_keys.append(keys)
+
+        memo = context.memo
+        assert memo is not None, "the plan layer rides on the segment memo"
+        memo.hits_total += reused_segments
+        rows = _resolve_rows(
+            segs, "uniform", duration_s, warmup_s, context,
+            reused=reused_segments,
+        )
+        self.reused = len(placement.gpus) - len(resolve)
+
+        # Commit: service entries first, so every host update finds one.
+        for sid in arrived:
+            known[sid] = _ServiceEntry(svc_by_id[sid].slo_latency_ms)
+            changed[sid] = None
+        for entry, slo_ms in retuned:
+            entry.slo_ms = slo_ms
+        if arrived or departed:
+            self._services = None
+        for gid in gone:
+            old = gpus.pop(gid)
+            for sid in old.contrib:
+                del known[sid].hosts[gid]
+            changed.update(old.contrib)
+            if old.keys:
+                self._segments = None
+        it = iter(rows)
+        for plan, keys in zip(resolve, plan_keys):
+            gid = plan.gpu_id
+            contrib: dict[str, list] = {}
+            for seg in plan.segments:
+                batches, violations, requests, _sum, lat_max = next(it)[:5]
+                c = contrib.get(seg.service_id)
+                if c is None:
+                    c = contrib[seg.service_id] = [0, 0, 0, 0.0]
+                c[0] += int(batches)
+                c[1] += int(violations)
+                c[2] += int(requests)
+                if lat_max > c[3]:
+                    c[3] = lat_max
+            frag = ", ".join(map(json.dumps, sorted(dict.fromkeys(keys))))
+            old = gpus.get(gid)
+            if old is None:
+                self._segments = None
+            else:
+                for sid in old.contrib:
+                    del known[sid].hosts[gid]
+                changed.update(old.contrib)
+                if old.keys != frag:
+                    self._segments = None
+            for sid in contrib:
+                known[sid].hosts[gid] = None
+            changed.update(contrib)
+            gpus[gid] = _PlanEntry(plan, contrib, frag)
+        for sid in departed:
+            changed[sid] = None
+
+        for sid in changed:
+            entry = known[sid]
+            if sid not in svc_by_id:
+                self.batches -= entry.batches
+                self.violations -= entry.violations
+                del known[sid]
+                continue
+            batches = violations = requests = 0
+            worst = 0.0
+            for gid in entry.hosts:
+                c = gpus[gid].contrib[sid]
+                batches += c[0]
+                violations += c[1]
+                requests += c[2]
+                if c[3] > worst:
+                    worst = c[3]
+            self.batches += batches - entry.batches
+            self.violations += violations - entry.violations
+            entry.batches, entry.violations = batches, violations
+            entry.compliance = (
+                1.0 - violations / batches if batches else 1.0
+            )
+            frag = (
+                f"{json.dumps(sid)}: [{batches}, {violations}, {requests}, "
+                f"{requests}, {json.dumps(format(worst, '.17g'))}]"
+            )
+            if frag != entry.fragment:
+                entry.fragment = frag
+                self._services = None
+
+        # Segment keys "gpu{N}/..." sort in contiguous per-GPU blocks
+        # ordered by "{N}/", so the per-GPU fragments join in that order.
+        if self._segments is None:
+            self._segments = ", ".join(
+                gpus[gid].keys
+                for gid in sorted(gpus, key="{}/".format)
+                if gpus[gid].keys
+            )
+        if self._services is None:
+            self._services = ", ".join(
+                known[sid].fragment for sid in sorted(known)
+            )
+        fingerprint = (
+            f'{{"duration_s": {json.dumps(duration_s)}, '
+            f'"segments": [{self._segments}], '
+            f'"services": {{{self._services}}}, '
+            f'"warmup_s": {json.dumps(warmup_s)}}}'
+        )
+        compliance = (
+            1.0 - self.violations / self.batches if self.batches else 1.0
+        )
+        per_service = {sid: known[sid].compliance for sid in svc_by_id}
+        return compliance, fingerprint, per_service

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 import numpy as np
@@ -38,12 +38,17 @@ class IntervalMeasurement:
     fingerprint: str
     #: service id -> measured compliance, in simulator insertion order
     per_service: Mapping[str, float]
+    #: the least compliant service (the first in insertion order on a
+    #: tie), found once at construction; None without services
+    worst_service: Optional[str] = field(init=False, default=None)
 
-    @property
-    def worst_service(self) -> Optional[str]:
-        if not self.per_service:
-            return None
-        return min(self.per_service, key=lambda sid: self.per_service[sid])
+    def __post_init__(self) -> None:
+        if self.per_service:
+            object.__setattr__(
+                self,
+                "worst_service",
+                min(self.per_service, key=self.per_service.__getitem__),
+            )
 
     @property
     def worst_compliance(self) -> Optional[float]:
@@ -63,16 +68,30 @@ def measure_interval(
 ) -> IntervalMeasurement:
     """Serve ``placement`` for ``measure_s`` and distill interval stats.
 
-    A thin shim over :func:`simulate_placement` (warmup + measurement
-    window, same engine/sharding switches) that reduces the full
-    :class:`~repro.sim.metrics.SimulationReport` to the per-interval
-    record the control loops keep: overall + per-tenant compliance and
-    the stats fingerprint the identity checks compare.
+    Overall + per-tenant compliance and the stats fingerprint the
+    identity checks compare, as :func:`simulate_placement` (warmup +
+    measurement window, same engine/sharding switches) reports them.
+    With a memoizing ``shard_context`` on the fast path, the context's
+    per-plan layer (:class:`~repro.sim.fastpath.PlanMemo`) serves every
+    unchanged GPU plan from its last measurement, bit-identically; the
+    memo-free paths reduce the full report.
     """
+    duration_s = warmup_s + measure_s
+    if (
+        fast_path
+        and shard_context is not None
+        and shard_context.plans is not None
+    ):
+        services = list(services)
+        measured = shard_context.plans.measure(
+            placement, services, duration_s, warmup_s, shard_context
+        )
+        if measured is not None:
+            return IntervalMeasurement(*measured)
     sim = simulate_placement(
         placement,
         services,
-        duration_s=warmup_s + measure_s,
+        duration_s=duration_s,
         warmup_s=warmup_s,
         seed=seed,
         fast_path=fast_path,

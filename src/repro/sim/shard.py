@@ -42,11 +42,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.placement import PlacedSegment
 from repro.obs import ObsHub
 from repro.parallel import FaultInjector, ShardPool, partition
 from repro.sim.arrivals import uniform_arrivals
-from repro.sim.fastpath import SegmentMemo, _SegmentKernel, _simulate_row
+from repro.sim.fastpath import (
+    PlanMemo,
+    SegmentMemo,
+    _SegmentKernel,
+    _SegmentRun,
+    _simulate_row,
+)
 
 #: Per-segment result row: batches, violations, requests, latency_sum_ms,
 #: latency_max_ms, busy_sm_s, steps.  Counts are exact in float64 far
@@ -96,18 +101,16 @@ def _run_shard(job: ShardJob) -> np.ndarray:
     return out
 
 
-#: a ``(segment, slo_ms, sm_count, times)`` row :func:`_pack_job` packs
-_MissRow = tuple[PlacedSegment, float, int, Optional[np.ndarray]]
-
-
 class ShardContext:
-    """A measurement run's engine state: the segment memo beside an
-    optional shard pool, held open across a controller run.
+    """A measurement run's engine state: the segment memo and the
+    per-plan layer over it, beside an optional shard pool, held open
+    across a controller run.
 
     ``workers`` sets process fan-out only: ``0`` leaves memo misses to
     the engine's inline loop (no pool); ``N >= 1`` ships them to an
     ``N``-worker :class:`~repro.parallel.ShardPool`.  ``memoize=False``
-    drops the memo, which is how the reference controller measures.
+    drops the memo and the layer, which is how the reference controller
+    measures.
     """
 
     def __init__(
@@ -123,6 +126,8 @@ class ShardContext:
         self.workers = workers
         self.obs = obs if obs is not None else ObsHub(enabled=False)
         self.memo: Optional[SegmentMemo] = SegmentMemo() if memoize else None
+        #: :func:`~repro.sim.runner.measure_interval`'s per-plan layer
+        self.plans: Optional[PlanMemo] = PlanMemo() if memoize else None
         self.pool: Optional[ShardPool] = (
             ShardPool(
                 workers,
@@ -144,7 +149,7 @@ class ShardContext:
 
     def run_shards(
         self,
-        misses: list[_MissRow],
+        misses: list[_SegmentRun],
         arrivals: str,
         duration_s: float,
         warmup_s: float,
@@ -183,7 +188,7 @@ class ShardContext:
 
 
 def _pack_job(
-    segs: list[_MissRow],
+    segs: list[_SegmentRun],
     arrivals: str,
     duration_s: float,
     warmup_s: float,

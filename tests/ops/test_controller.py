@@ -400,6 +400,39 @@ class TestStepApiOrdering:
             ctrl.step(100.0)
         ctrl.finish()
 
+    @pytest.mark.parametrize(
+        "measure_s, warmup_s",
+        [
+            (float("nan"), 0.1),
+            (float("inf"), 0.1),
+            (-0.2, 0.1),
+            (0.2, -0.5),
+            (0.2, float("nan")),
+            (0.2, float("inf")),
+        ],
+        ids=[
+            "measure-nan", "measure-inf", "measure-negative",
+            "warmup-negative", "warmup-nan", "warmup-inf",
+        ],
+    )
+    def test_begin_refuses_a_window_it_cannot_honour(
+        self, profiles, measure_s, warmup_s
+    ):
+        """A NaN, infinite or negative window fails at ``begin``, not at
+        the first step (or, for a negative warmup, by recording
+        compliance from zero requests)."""
+        ctrl = controller(profiles)
+        one = [Service("a", "resnet-50", slo_latency_ms=250, request_rate=500)]
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            ctrl.begin(
+                one, horizon_s=100.0, measure_s=measure_s, warmup_s=warmup_s
+            )
+        # nothing was opened: a valid run can begin on the same controller
+        ctrl.begin(one, horizon_s=100.0, measure_s=0.0, warmup_s=0.0)
+        ctrl.step(0.0)
+        report = ctrl.finish()
+        assert report.intervals[0].compliance is None
+
     def test_begin_step_finish_matches_run(self, profiles, services):
         """Driving the step API by hand is the run loop, bit for bit."""
         timeline = merge_timeline(

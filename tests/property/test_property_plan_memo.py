@@ -1,0 +1,239 @@
+"""Property: the per-plan measurement layer equals memo-free measurement.
+
+``measure_interval`` on a memoizing :class:`~repro.sim.shard.ShardContext`
+serves every GPU plan it measured before, unchanged, from the context's
+:class:`~repro.sim.fastpath.PlanMemo`, and re-resolves only the changed
+ones.  Over generated sequences of placements, driven through one
+context, every interval must equal the memo-free reference (the
+event-driven engine) in compliance, stats fingerprint, the per-service
+compliance items *and their order*, and the worst service; and the
+context's memo counters must equal a plain per-segment memo walk's.
+
+The sequences cover the layer's invalidation rules: the same
+``Placement`` object re-measured after only a service's SLO changed,
+arrivals and departures, rate changes, a GPU failure renumbered away by
+``drop_empty_gpus``, a change of measurement window on the same
+context, and a departed service still placed (both must raise the same
+``ValueError``).  Contexts run at workers 0 and 2.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.parvagpu import ParvaGPU
+from repro.core.placement import GPUPlan, Placement
+from repro.core.service import Service
+from repro.profiler import profile_workloads
+from repro.sim import measure_interval, simulate_placement_fast
+from repro.sim.shard import ShardContext
+
+PROFILES = profile_workloads()
+SCHEDULER = ParvaGPU(PROFILES)
+MODELS = ("resnet-50", "mobilenetv2", "densenet-121", "inceptionv3")
+SLOS = (150.0, 250.0, 400.0, 800.0)
+RATES = (300.0, 1500.0, 4000.0)
+#: (measure_s, warmup_s) windows a sequence switches between
+WINDOWS = ((0.1, 0.05), (0.15, 0.05))
+
+fleets = st.lists(
+    st.tuples(
+        st.sampled_from(MODELS), st.sampled_from(SLOS), st.sampled_from(RATES)
+    ),
+    min_size=2,
+    max_size=6,
+)
+ops = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "slo", "rate", "arrive", "depart", "fail", "window", "ghost",
+            "reorder",
+        ]),
+        st.integers(min_value=0, max_value=11),
+        st.sampled_from([0.5, 1.0, 1.7]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _republish(placement, gpus):
+    """A new published placement over ``gpus`` (plans are shared)."""
+    return Placement(
+        framework=placement.framework, gpus=list(gpus),
+        rates_assigned=placement.rates_assigned,
+    )
+
+
+def _without(plan, sid):
+    return GPUPlan(
+        plan.gpu_id,
+        tuple(s for s in plan.segments if s.service_id != sid),
+        plan.geometry,
+    )
+
+
+def _rescaled(plan, factor):
+    return GPUPlan(
+        plan.gpu_id,
+        tuple(s.with_served_rate(s.served_rate * factor)
+              for s in plan.segments),
+        plan.geometry,
+    )
+
+
+def _measure(placement, services, window, ctx):
+    """The layer's measurement, or the error it raised."""
+    measure_s, warmup_s = window
+    try:
+        return measure_interval(
+            placement, services, measure_s=measure_s, warmup_s=warmup_s,
+            shard_context=ctx,
+        )
+    except ValueError as exc:
+        return repr(exc)
+
+
+def _reference(placement, services, window):
+    measure_s, warmup_s = window
+    try:
+        return measure_interval(
+            placement, services, measure_s=measure_s, warmup_s=warmup_s,
+            fast_path=False,
+        )
+    except ValueError as exc:
+        return repr(exc)
+
+
+def _walk(placement, services, window, ctx):
+    """A plain per-segment memo walk, for the counters only."""
+    measure_s, warmup_s = window
+    try:
+        simulate_placement_fast(
+            placement, services, duration_s=measure_s + warmup_s,
+            warmup_s=warmup_s, context=ctx,
+        )
+    except ValueError:
+        pass
+
+
+def _same(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.compliance == want.compliance
+    assert got.fingerprint == want.fingerprint
+    assert list(got.per_service.items()) == list(want.per_service.items())
+    assert got.worst_service == want.worst_service
+    assert got.worst_compliance == want.worst_compliance
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@given(cells=fleets, steps=ops)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_plan_layer_matches_memo_free_reference(workers, cells, steps):
+    services = [
+        Service(f"s{i}", model, slo_latency_ms=slo, request_rate=rate)
+        for i, (model, slo, rate) in enumerate(cells)
+    ]
+    placement = SCHEDULER.schedule(services)
+    window = WINDOWS[0]
+    arrivals = 0
+    with ShardContext(workers) as ctx, ShardContext(0) as walk:
+
+        def check():
+            _same(
+                _measure(placement, services, window, ctx),
+                _reference(placement, services, window),
+            )
+            _walk(placement, services, window, walk)
+            assert (ctx.memo_hits, ctx.memo_misses) == (
+                walk.memo_hits, walk.memo_misses
+            )
+
+        check()
+        for kind, a, factor in steps:
+            gpus = placement.gpus
+            if kind == "slo":  # the same Placement object is re-measured
+                svc = services[a % len(services)]
+                svc.slo_latency_ms = SLOS[(SLOS.index(svc.slo_latency_ms) + 1)
+                                          % len(SLOS)]
+            elif kind == "rate" and gpus:
+                i = a % len(gpus)
+                placement = _republish(
+                    placement,
+                    gpus[:i] + [_rescaled(gpus[i], factor)] + gpus[i + 1:],
+                )
+            elif kind == "arrive":
+                arrivals += 1
+                svc = Service(
+                    f"n{arrivals}", MODELS[a % len(MODELS)],
+                    slo_latency_ms=SLOS[a % len(SLOS)],
+                    request_rate=RATES[a % len(RATES)],
+                )
+                services.append(svc)
+                own = SCHEDULER.schedule([svc]).gpus
+                placement = _republish(placement, gpus + [
+                    plan.renumbered(len(gpus) + k)
+                    for k, plan in enumerate(own)
+                ])
+            elif kind == "depart" and len(services) > 1:
+                sid = services.pop(a % len(services)).id
+                placement = _republish(placement, [
+                    _without(plan, sid)
+                    if any(s.service_id == sid for s in plan.segments)
+                    else plan
+                    for plan in gpus
+                ])
+            elif kind == "fail" and gpus:
+                i = a % len(gpus)
+                placement = _republish(
+                    placement,
+                    gpus[:i] + [GPUPlan(i, (), gpus[i].geometry)]
+                    + gpus[i + 1:],
+                )
+                placement.drop_empty_gpus()
+            elif kind == "window":
+                window = WINDOWS[(WINDOWS.index(window) + 1) % len(WINDOWS)]
+            elif kind == "ghost":  # departed, but still placed
+                placed = [s for s in services
+                          if any(seg.service_id == s.id
+                                 for _, seg in placement.iter_segments())]
+                if placed:
+                    ghost = placed[a % len(placed)]
+                    services.remove(ghost)
+                    check()  # both raise the same ValueError
+                    services.append(ghost)
+            elif kind == "reorder":
+                k = a % len(services)
+                services[:] = services[k:] + services[:k]
+            check()
+
+
+def test_unchanged_plans_are_reused_whole():
+    """The layer really serves unchanged plans from cache: all of them
+    on a re-measure, all but the SLO-changed service's hosts after an
+    SLO change, and none after a window change."""
+    services = [
+        Service(f"s{i}", model, slo_latency_ms=250.0, request_rate=4000.0)
+        for i, model in enumerate(MODELS)
+    ]
+    placement = SCHEDULER.schedule(services)
+    hosts = {
+        gpu_id for gpu_id, seg in placement.iter_segments()
+        if seg.service_id == "s0"
+    }
+    assert 0 < len(hosts) < len(placement.gpus)
+    with ShardContext(0) as ctx:
+
+        def reused(window=WINDOWS[0]):
+            got = _measure(placement, services, window, ctx)
+            _same(got, _reference(placement, services, window))
+            return ctx.plans.reused
+
+        assert reused() == 0
+        assert reused() == len(placement.gpus)
+        services[0].slo_latency_ms = 400.0
+        assert reused() == len(placement.gpus) - len(hosts)
+        assert reused(WINDOWS[1]) == 0
+        assert reused(WINDOWS[1]) == len(placement.gpus)
