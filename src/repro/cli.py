@@ -172,21 +172,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     try:
         services, placement = _schedule(args)
+        report = simulate_placement(
+            placement,
+            services,
+            duration_s=args.duration,
+            seed=args.seed,
+            arrivals=args.arrivals,
+            fast_path=args.engine == "fast",
+            workers=args.workers,
+        )
     except (InfeasibleScheduleError, InfeasibleServiceError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
     except (KeyError, ValueError) as exc:
         print(f"error: {_unquote(exc)}", file=sys.stderr)
         return 2
-    report = simulate_placement(
-        placement,
-        services,
-        duration_s=args.duration,
-        seed=args.seed,
-        arrivals=args.arrivals,
-        fast_path=args.engine == "fast",
-        workers=args.workers,
-    )
     unit = "steps" if args.engine == "fast" else "events"
     print(
         f"{placement.framework} on {args.scenario}: "

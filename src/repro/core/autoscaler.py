@@ -90,7 +90,6 @@ class Autoscaler:
         traces: Sequence[RateTrace],
         horizon_s: Optional[float] = None,
         measure_s: float = 0.0,
-        sim_fast_path: bool = True,
         sim_seed: int = 0,
     ) -> ScalingReport:
         """Walk every epoch boundary, re-scheduling where rates changed.
@@ -98,11 +97,12 @@ class Autoscaler:
         With ``measure_s > 0`` every step's deployment is additionally
         *served*: the simulator replays ``measure_s`` seconds of the
         epoch's traffic against the placement and records the measured
-        SLO compliance on the step.  ``sim_fast_path`` selects the
+        SLO compliance on the step, on the scheduler's ``fast_path``: the
         batch-granularity simulation kernel (default) or the per-request
         event-driven reference — without the fast path, measuring a
         fleet-scale trace run is impractical.
         """
+        fast_path = getattr(self.scheduler, "fast_path", True)
         # Work on private copies: a trace run rewrites request rates and
         # Algorithm-1 plan state epoch after epoch, and callers reasonably
         # reuse their Service objects for a second experiment afterwards.
@@ -169,7 +169,7 @@ class Autoscaler:
                         new_rate=max(rates[sid], 1e-6),
                         use_mps=self.scheduler.use_mps,
                         optimize=self.scheduler.optimize,
-                        fast_path=getattr(self.scheduler, "fast_path", True),
+                        fast_path=fast_path,
                     )
                     costs.append(price_plan(plan))
                     ops += plan.num_operations
@@ -190,7 +190,7 @@ class Autoscaler:
                     duration_s=measure_s,
                     warmup_s=0.0,
                     seed=sim_seed,
-                    fast_path=sim_fast_path,
+                    fast_path=fast_path,
                 )
                 compliance = sim.overall_compliance
             report.steps.append(

@@ -421,10 +421,3 @@ class Placement:
                 )
             )
         return specs
-
-
-def merge_gpu_plans(framework: str, plans: Iterable[GPUPlan]) -> Placement:
-    """Assemble a placement from per-GPU plans (renumbering empties away)."""
-    p = Placement(framework=framework, gpus=list(plans))
-    p.drop_empty_gpus()
-    return p

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.gpu.slices import popcount, range_mask, slice_indices
+from repro.gpu.slices import range_mask, slice_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,11 +382,6 @@ class PartitionLayout:
                 if self.can_add(size, start, extended=extended):
                     return False
         return True
-
-    def free_slice_count(self) -> int:
-        return self.geometry.num_slices - popcount(
-            self._mask, num_slices=self.geometry.num_slices
-        )
 
     def __len__(self) -> int:
         return len(self._instances)

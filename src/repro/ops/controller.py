@@ -130,12 +130,15 @@ class OutOfOrderEventError(ValueError):
     """
 
 
+#: the run parameters :meth:`FleetController.begin` takes, which a
+#: checkpoint stores and a resume must repeat exactly
+_RUN_PARAMS = ("horizon_s", "measure_s", "warmup_s", "sim_seed", "check")
+
 #: the run-document fields :meth:`FleetController.checkpoint` writes;
 #: :meth:`FleetController.restore` refuses a run document with any other
-_RUN_DOC_FIELDS = frozenset({
-    "horizon_s", "measure_s", "warmup_s", "sim_seed", "sim_fast", "check",
-    "last_t", "steps", "services", "pending",
-})
+_RUN_DOC_FIELDS = frozenset(
+    _RUN_PARAMS + ("last_t", "steps", "services", "pending")
+)
 
 
 @dataclass
@@ -149,7 +152,6 @@ class _RunState:
     measure_s: float
     warmup_s: float
     sim_seed: int
-    sim_fast: bool
     check: bool
     #: controller-scheduled events (wave restores): (key, seq, event)
     pending: list[tuple[tuple[float, int, str], int, OpsEvent]] = field(
@@ -204,6 +206,11 @@ class FleetController:
         self.spare_shadow_gpus = spare_shadow_gpus
         if workers < 0:
             raise ValueError("workers must be >= 0")
+        if workers and not fast_path:
+            raise ValueError(
+                "workers requires the fast path (the naive reference "
+                "measures serially on the event engine)"
+            )
         #: serving-measurement fan-out only: 0 simulates memo misses
         #: inline; N >= 1 ships them to N worker processes, with
         #: bit-identical results (repro.sim.shard)
@@ -211,11 +218,12 @@ class FleetController:
         #: infrastructure fault-injection hook handed to the shard pool
         #: (tests and the resilience benchmark suite; None in production)
         self.fault_injector = fault_injector
-        #: the run-scoped ShardContext (segment memo + optional pool);
-        #: live only inside a run
+        #: the run-scoped ShardContext (segment memo + plan layer +
+        #: optional pool); live only inside a fast run
         self._shard_ctx: Optional["ShardContext"] = None
         #: the current (else the last) run's segment memo; None on the
-        #: reference path (``fast_path=False``), which measures memo-free
+        #: reference path (``fast_path=False``), which measures on the
+        #: event engine
         self.segment_memo: Optional["SegmentMemo"] = None
         #: the last closed run's pool health (what the run survived)
         self.last_shard_health: Optional[ShardHealth] = None
@@ -307,7 +315,6 @@ class FleetController:
         measure_s: float = 0.0,
         warmup_s: float = 0.1,
         sim_seed: int = 0,
-        sim_fast_path: Optional[bool] = None,
         check: bool = True,
     ) -> OpsReport:
         """Open a run: fresh deployment state, an empty report, no steps.
@@ -320,8 +327,10 @@ class FleetController:
             raise RuntimeError(
                 "a run is already active on this controller; call finish()"
             )
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(horizon_s) and horizon_s > 0):
+            raise ValueError(
+                f"horizon must be positive and finite, got {horizon_s!r}"
+            )
         for name, value in (("measure_s", measure_s), ("warmup_s", warmup_s)):
             # measure_s=0 means "do not measure"; a NaN, infinite or
             # negative window would fail (or lie) at the first step
@@ -330,7 +339,6 @@ class FleetController:
                     f"{name} must be finite and >= 0, got {value!r}"
                 )
         self._reset_deployment()
-        sim_fast = self.fast_path if sim_fast_path is None else sim_fast_path
         # Private copies: the run rewrites rates/SLOs/plan state, and
         # callers reasonably reuse their Service objects afterwards.
         work = [
@@ -363,29 +371,31 @@ class FleetController:
             measure_s=measure_s,
             warmup_s=warmup_s,
             sim_seed=sim_seed,
-            sim_fast=sim_fast,
             check=check,
         )
         return report
 
     def _open_shard_context(self) -> None:
         """The run's measurement engine, for :meth:`begin` and
-        :meth:`restore` alike: a segment memo whenever the fast path is
-        on, a shard pool only when ``workers >= 1``.
+        :meth:`restore` alike: on the fast path a context with the
+        segment memo and plan layer, plus a shard pool only when
+        ``workers >= 1``; on the reference path none (the event engine
+        measures).
 
         The memo carries across intervals (an event perturbs a handful
         of services, so most segments resolve from cache).  It is not
         checkpointed: a resumed run rewarms it, and a hit is
         bit-identical to a fresh kernel run.
         """
+        if not self.fast_path:
+            self.segment_memo = self._shard_ctx = None
+            return
         from repro.sim.shard import ShardContext
 
         ctx = ShardContext(
             self.workers, fault_injector=self.fault_injector, obs=self.obs,
-            memoize=self.fast_path,
         )
-        if ctx.memo is not None:
-            self.obs.registry.attach("sim_memo", ctx.memo)
+        self.obs.registry.attach("sim_memo", ctx.memo)
         if ctx.pool is not None:
             self.obs.registry.attach("shard", ctx.pool.health)
         self.segment_memo = ctx.memo
@@ -610,12 +620,7 @@ class FleetController:
             "pending_seq": self._pending_seq,
             "eid_to_gpu": sorted(self._eid_to_gpu.items()),
             "run": {
-                "horizon_s": run.horizon_s,
-                "measure_s": run.measure_s,
-                "warmup_s": run.warmup_s,
-                "sim_seed": run.sim_seed,
-                "sim_fast": run.sim_fast,
-                "check": run.check,
+                **{name: getattr(run, name) for name in _RUN_PARAMS},
                 "last_t": run.last_t,
                 "steps": run.steps,
                 "services": [service_to_doc(s) for s in run.work],
@@ -666,7 +671,15 @@ class FleetController:
             state["config"],
             self._config_doc(),
         )
-        run_doc = state["run"]
+        run_doc = dict(state["run"])
+        # Older builds wrote the serving engine as its own switch; this
+        # build serves on the controller's path, so only a match resumes.
+        legacy = run_doc.pop("sim_fast", self.fast_path)
+        if legacy != self.fast_path:
+            raise CheckpointError(
+                f"checkpoint run measured with sim_fast={legacy!r}; this "
+                f"controller measures with fast_path={self.fast_path!r}"
+            )
         unknown = sorted(set(run_doc) - _RUN_DOC_FIELDS)
         if unknown:
             # e.g. a sampling knob an older build wrote: resuming without
@@ -711,12 +724,7 @@ class FleetController:
             work=work,
             by_id=by_id,
             report=report,
-            horizon_s=run_doc["horizon_s"],
-            measure_s=run_doc["measure_s"],
-            warmup_s=run_doc["warmup_s"],
-            sim_seed=run_doc["sim_seed"],
-            sim_fast=run_doc["sim_fast"],
-            check=run_doc["check"],
+            **{name: run_doc[name] for name in _RUN_PARAMS},
             pending=pending,
             last_t=run_doc["last_t"],
             steps=run_doc["steps"],
@@ -735,7 +743,6 @@ class FleetController:
         measure_s: float = 0.0,
         warmup_s: float = 0.1,
         sim_seed: int = 0,
-        sim_fast_path: Optional[bool] = None,
         check: bool = True,
         *,
         checkpoint_every: int = 0,
@@ -747,10 +754,9 @@ class FleetController:
 
         With ``measure_s > 0`` every interval's deployment is *served*
         for that long (after ``warmup_s`` of warmup) and per-tenant SLO
-        compliance is recorded.
-        ``sim_fast_path`` defaults to the controller's own ``fast_path``,
-        so a naive-reference replay also exercises the event-driven
-        simulation engine.
+        compliance is recorded, on the controller's own path: a fast
+        controller through its run's memo, a naive reference on the
+        event-driven simulation engine.
 
         Crash resilience: ``checkpoint_path`` (with ``checkpoint_every=N``)
         writes an atomic checkpoint after every Nth interval boundary, and
@@ -770,23 +776,14 @@ class FleetController:
             (e for e in timeline if e.time_s < horizon_s), key=timeline_key
         )
         digest = timeline_digest(static)
+        params: dict[str, Any] = dict(
+            horizon_s=horizon_s, measure_s=measure_s, warmup_s=warmup_s,
+            sim_seed=sim_seed, check=check,
+        )
         if resume is not None:
             try:
                 state = resolve_resume(resume)
-                self._check_resume_args(
-                    state,
-                    horizon_s=horizon_s,
-                    measure_s=measure_s,
-                    warmup_s=warmup_s,
-                    sim_seed=sim_seed,
-                    sim_fast=(
-                        self.fast_path
-                        if sim_fast_path is None
-                        else sim_fast_path
-                    ),
-                    check=check,
-                    timeline_sha=digest,
-                )
+                self._check_resume_args(state, params, digest)
                 report = self.restore(state)
             except CheckpointError:
                 self.obs.dump_flight("checkpoint-error")
@@ -794,15 +791,7 @@ class FleetController:
             si = int(state["cursor"])
             t = self._next_instant(static, si)
         else:
-            report = self.begin(
-                services,
-                horizon_s,
-                measure_s=measure_s,
-                warmup_s=warmup_s,
-                sim_seed=sim_seed,
-                sim_fast_path=sim_fast_path,
-                check=check,
-            )
+            report = self.begin(services, **params)
             si = 0
             # the bootstrap interval exists even on an empty timeline
             t = 0.0
@@ -858,27 +847,15 @@ class FleetController:
     @staticmethod
     def _check_resume_args(
         state: Mapping[str, Any],
-        *,
-        horizon_s: float,
-        measure_s: float,
-        warmup_s: float,
-        sim_seed: int,
-        sim_fast: bool,
-        check: bool,
+        params: Mapping[str, Any],
         timeline_sha: str,
     ) -> None:
-        """Resuming under different run parameters would diverge silently."""
+        """Resuming under different run parameters (``params``, one per
+        :data:`_RUN_PARAMS` name) would diverge silently."""
         _refuse_mismatches(
             "resume parameters differ from the checkpointed run",
             state.get("run", {}),
-            {
-                "horizon_s": horizon_s,
-                "measure_s": measure_s,
-                "warmup_s": warmup_s,
-                "sim_seed": sim_seed,
-                "sim_fast": sim_fast,
-                "check": check,
-            },
+            params,
         )
         stored_sha = state.get("timeline_sha")
         if stored_sha is not None and stored_sha != timeline_sha:
@@ -1170,7 +1147,7 @@ class FleetController:
         segments served."""
         from repro.sim.runner import measure_interval
 
-        ctx = self._shard_ctx if run.sim_fast else None
+        ctx = self._shard_ctx
         hits = ctx.memo_hits if ctx is not None else 0
         m = measure_interval(
             placement,
@@ -1178,7 +1155,6 @@ class FleetController:
             measure_s=run.measure_s,
             warmup_s=run.warmup_s,
             seed=run.sim_seed,
-            fast_path=run.sim_fast,
             shard_context=ctx,
         )
         record.compliance = m.compliance
@@ -1189,11 +1165,7 @@ class FleetController:
             record.worst_service_compliance = m.worst_compliance
         return {
             "memo_hits": (ctx.memo_hits if ctx is not None else 0) - hits,
-            "plans_reused": (
-                ctx.plans.reused
-                if ctx is not None and ctx.plans is not None
-                else 0
-            ),
+            "plans_reused": ctx.plans.reused if ctx is not None else 0,
             "segments": sum(len(g.segments) for g in placement.gpus),
         }
 

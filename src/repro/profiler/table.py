@@ -82,15 +82,6 @@ class ProfileTable:
         """Points of one instance size, in insertion order (pre-indexed)."""
         return list(self._by_size.get(instance_size, ()))
 
-    def clear_caches(self) -> None:
-        """Drop memoized triplet decisions (pure cache; results identical).
-
-        Cache hygiene for long-lived processes: profiles are produced
-        once and reused (SIII-C), so the cache otherwise only grows with
-        the set of distinct (SLO, max-processes) keys ever scheduled.
-        """
-        self._triplet_cache.clear()
-
     def best_triplets(
         self, slo_ms: float, max_processes: int, memoize: bool = True
     ) -> dict[int, ProfileEntry]:

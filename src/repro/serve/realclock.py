@@ -12,6 +12,7 @@ interface, so the identical code path replays deterministically under a
 from __future__ import annotations
 
 import asyncio
+import math
 
 from repro.obs.wallclock import wall_seconds
 from repro.serve.clock import Clock
@@ -28,8 +29,10 @@ class MonotonicClock(Clock):
     is_virtual = False
 
     def __init__(self, time_scale: float = 1.0) -> None:
-        if time_scale <= 0:
-            raise ValueError("time scale must be positive")
+        if not (math.isfinite(time_scale) and time_scale > 0):
+            raise ValueError(
+                f"time scale must be positive and finite, got {time_scale!r}"
+            )
         self.time_scale = time_scale
         self._origin = wall_seconds()
 

@@ -69,7 +69,7 @@ from repro.models.perf import PerfModel
 from repro.models.zoo import get_model
 from repro.sim.arrivals import poisson_arrivals, uniform_arrivals
 from repro.sim.batching import BatchPolicy
-from repro.sim.metrics import ServiceStats, SimulationReport
+from repro.sim.metrics import ServiceStats, SimulationReport, check_window
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
     from repro.sim.shard import ShardContext
@@ -539,7 +539,7 @@ def simulate_placement_fast(
     The one measurement engine, at every worker count.  It walks the
     placement once in placement order, drawing Poisson arrivals from the
     shared rng exactly as the event-driven runner does, and resolves
-    each segment through ``context``'s memo (if it has one) and miss
+    each segment through ``context``'s memo (when given) and miss
     path (:func:`_resolve_rows`).  A final pass accumulates every row in
     placement order, so the report is bit-identical however each row was
     obtained.  ``report.events_processed`` counts kernel steps
@@ -547,8 +547,7 @@ def simulate_placement_fast(
     """
     from repro.sim.runner import segment_key
 
-    if duration_s <= warmup_s:
-        raise ValueError("duration must exceed warmup")
+    check_window(duration_s, warmup_s)
     if arrivals not in ("uniform", "poisson"):
         raise ValueError(f"unknown arrival process {arrivals!r}")
     svc_by_id = {s.id: s for s in services}
@@ -704,8 +703,7 @@ class PlanMemo:
         """
         from repro.sim.runner import segment_key
 
-        if duration_s <= warmup_s:
-            raise ValueError("duration must exceed warmup")
+        check_window(duration_s, warmup_s)
         if (duration_s, warmup_s) != self.window:
             self._reset((duration_s, warmup_s))
         svc_by_id = {s.id: s for s in services}
@@ -767,9 +765,7 @@ class PlanMemo:
             )
             plan_keys.append(keys)
 
-        memo = context.memo
-        assert memo is not None, "the plan layer rides on the segment memo"
-        memo.hits_total += reused_segments
+        context.memo.hits_total += reused_segments
         rows = _resolve_rows(
             segs, "uniform", duration_s, warmup_s, context,
             reused=reused_segments,

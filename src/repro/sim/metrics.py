@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class BatchRecord:
@@ -45,6 +43,18 @@ class ServiceStats:
     @property
     def mean_latency_ms(self) -> float:
         return self.latency_sum_ms / self.requests if self.requests else 0.0
+
+
+def check_window(duration_s: float, warmup_s: float) -> None:
+    """Refuse a measurement window no engine can serve: ``duration_s``
+    (warmup included) must be finite and exceed a finite ``warmup_s >= 0``."""
+    if not (math.isfinite(warmup_s) and warmup_s >= 0):
+        raise ValueError(f"warmup must be finite and >= 0, got {warmup_s!r}")
+    if not (math.isfinite(duration_s) and duration_s > warmup_s):
+        raise ValueError(
+            f"duration must be finite and exceed warmup ({warmup_s!r} s), "
+            f"got {duration_s!r}"
+        )
 
 
 @dataclass
@@ -145,10 +155,3 @@ class SimulationReport:
             )
             for sid, st in sorted(self.services.items())
         ]
-
-
-def percentile_latency(records: list[BatchRecord], q: float) -> float:
-    """q-th percentile of per-batch worst-request latency (ms)."""
-    if not records:
-        return 0.0
-    return float(np.percentile([r.max_request_latency_ms for r in records], q))

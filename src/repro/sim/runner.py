@@ -12,7 +12,9 @@ from repro.core.service import Service
 from repro.gpu.telemetry import SMActivityTracker
 from repro.sim.arrivals import poisson_arrivals, uniform_arrivals
 from repro.sim.engine import EventQueue
-from repro.sim.metrics import BatchRecord, ServiceStats, SimulationReport
+from repro.sim.metrics import (
+    BatchRecord, ServiceStats, SimulationReport, check_window,
+)
 from repro.sim.server import SegmentServer
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
@@ -62,42 +64,38 @@ def measure_interval(
     measure_s: float,
     warmup_s: float = 0.1,
     seed: int = 0,
-    fast_path: bool = True,
-    workers: int = 0,
     shard_context: Optional["ShardContext"] = None,
 ) -> IntervalMeasurement:
     """Serve ``placement`` for ``measure_s`` and distill interval stats.
 
     Overall + per-tenant compliance and the stats fingerprint the
     identity checks compare, as :func:`simulate_placement` (warmup +
-    measurement window, same engine/sharding switches) reports them.
-    With a memoizing ``shard_context`` on the fast path, the context's
-    per-plan layer (:class:`~repro.sim.fastpath.PlanMemo`) serves every
-    unchanged GPU plan from its last measurement, bit-identically; the
-    memo-free paths reduce the full report.
+    measurement window) reports them.  With a ``shard_context`` the
+    context's per-plan layer (:class:`~repro.sim.fastpath.PlanMemo`)
+    serves every unchanged GPU plan from its last measurement,
+    bit-identically, and a placement that lists one GPU id twice falls
+    back to the context's memoized segment walk.  Without one, the
+    event-driven reference engine serves the whole placement.
     """
     duration_s = warmup_s + measure_s
-    if (
-        fast_path
-        and shard_context is not None
-        and shard_context.plans is not None
-    ):
+    if shard_context is None:
+        sim = simulate_placement(
+            placement, services, duration_s=duration_s, warmup_s=warmup_s,
+            seed=seed, fast_path=False,
+        )
+    else:
+        from repro.sim.fastpath import simulate_placement_fast
+
         services = list(services)
         measured = shard_context.plans.measure(
             placement, services, duration_s, warmup_s, shard_context
         )
         if measured is not None:
             return IntervalMeasurement(*measured)
-    sim = simulate_placement(
-        placement,
-        services,
-        duration_s=duration_s,
-        warmup_s=warmup_s,
-        seed=seed,
-        fast_path=fast_path,
-        workers=workers,
-        shard_context=shard_context,
-    )
+        sim = simulate_placement_fast(
+            placement, services, duration_s=duration_s, warmup_s=warmup_s,
+            seed=seed, context=shard_context,
+        )
     return IntervalMeasurement(
         compliance=sim.overall_compliance,
         fingerprint=sim.fingerprint(),
@@ -116,7 +114,6 @@ def simulate_placement(
     arrivals: str = "uniform",
     fast_path: bool = True,
     workers: int = 0,
-    shard_context: Optional["ShardContext"] = None,
 ) -> SimulationReport:
     """Drive ``placement`` with request traffic and measure serving quality.
 
@@ -135,43 +132,37 @@ def simulate_placement(
     discrete-event engine as the naive reference (the perf harness checks
     the two against each other on every recorded run).
 
-    The fast path is one engine at every worker count.  A
-    ``shard_context`` (:class:`~repro.sim.shard.ShardContext`) carries a
-    cross-call segment memo, so unchanged segments resolve from cache
-    (the FleetController's per-interval loop), plus a shard pool when
-    its ``workers >= 1``.  Without a context, ``workers`` alone sets the
-    process fan-out of this one call: ``0`` (default) simulates inline,
-    ``N >= 1`` across ``N`` contiguous shards whose results merge back
-    in placement order (``workers=1`` runs the single shard inline).
-    The report is bit-identical for every worker count and memo state.
-    Workers and contexts require the fast path.
+    ``workers`` sets the fast path's process fan-out for this one call:
+    ``0`` (default) simulates inline, ``N >= 1`` opens a
+    :class:`~repro.sim.shard.ShardContext` whose ``N`` contiguous shards
+    merge back in placement order (``workers=1`` runs the single shard
+    inline).  The report is bit-identical for every worker count.
+    Workers require the fast path.
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
     if fast_path:
         from repro.sim.fastpath import simulate_placement_fast
 
-        if shard_context is not None or workers == 0:
+        if workers == 0:
             return simulate_placement_fast(
                 placement, services, duration_s=duration_s,
                 warmup_s=warmup_s, seed=seed, arrivals=arrivals,
-                context=shard_context,
             )
         from repro.sim.shard import ShardContext
 
-        with ShardContext(workers, memoize=False) as ctx:
+        with ShardContext(workers) as ctx:
             return simulate_placement_fast(
                 placement, services, duration_s=duration_s,
                 warmup_s=warmup_s, seed=seed, arrivals=arrivals,
                 context=ctx,
             )
-    if workers >= 1 or shard_context is not None:
+    if workers >= 1:
         raise ValueError(
             "sharded parallel simulation requires the fast path "
             "(the event-driven reference stays serial)"
         )
-    if duration_s <= warmup_s:
-        raise ValueError("duration must exceed warmup")
+    check_window(duration_s, warmup_s)
     svc_by_id = {s.id: s for s in services}
     events = EventQueue()
     tracker = SMActivityTracker(window_start=warmup_s)

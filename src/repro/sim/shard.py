@@ -102,50 +102,41 @@ def _run_shard(job: ShardJob) -> np.ndarray:
 
 
 class ShardContext:
-    """A measurement run's engine state: the segment memo and the
+    """A fast measurement run's engine state: the segment memo and the
     per-plan layer over it, beside an optional shard pool, held open
     across a controller run.
 
     ``workers`` sets process fan-out only: ``0`` leaves memo misses to
     the engine's inline loop (no pool); ``N >= 1`` ships them to an
-    ``N``-worker :class:`~repro.parallel.ShardPool`.  ``memoize=False``
-    drops the memo and the layer, which is how the reference controller
-    measures.
+    ``N``-worker :class:`~repro.parallel.ShardPool`.
     """
 
     def __init__(
         self,
         workers: int,
         fault_injector: Optional["FaultInjector"] = None,
-        job_timeout_s: Optional[float] = None,
         obs: Optional[ObsHub] = None,
-        memoize: bool = True,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers
         self.obs = obs if obs is not None else ObsHub(enabled=False)
-        self.memo: Optional[SegmentMemo] = SegmentMemo() if memoize else None
+        self.memo = SegmentMemo()
         #: :func:`~repro.sim.runner.measure_interval`'s per-plan layer
-        self.plans: Optional[PlanMemo] = PlanMemo() if memoize else None
+        self.plans = PlanMemo()
         self.pool: Optional[ShardPool] = (
-            ShardPool(
-                workers,
-                fault_injector=fault_injector,
-                job_timeout_s=job_timeout_s,
-                obs=self.obs,
-            )
+            ShardPool(workers, fault_injector=fault_injector, obs=self.obs)
             if workers >= 1
             else None
         )
 
     @property
     def memo_hits(self) -> int:
-        return 0 if self.memo is None else self.memo.hits_total
+        return self.memo.hits_total
 
     @property
     def memo_misses(self) -> int:
-        return 0 if self.memo is None else self.memo.misses_total
+        return self.memo.misses_total
 
     def run_shards(
         self,

@@ -194,6 +194,31 @@ class TestResumeValidation:
             with pytest.raises(CheckpointError, match="measure_every"):
                 controller().restore(state)
 
+    def test_legacy_sim_fast_matching_fast_path_resumes(
+        self, checkpoint_path, workload, reference
+    ):
+        """Older builds stored the serving engine as ``sim_fast``; one
+        equal to the controller's ``fast_path`` resumes bit-identically."""
+        state = read_checkpoint(checkpoint_path)
+        state["run"]["sim_fast"] = True
+        resumed = controller().run(
+            workload.services, workload.timeline, workload.horizon_s,
+            measure_s=MEASURE_S, sim_seed=SIM_SEED, resume=state,
+        )
+        assert_reports_identical(resumed, reference)
+        assert resumed.to_doc() == reference.to_doc()
+
+    def test_legacy_sim_fast_mismatch_is_refused(self, checkpoint_path):
+        state = read_checkpoint(checkpoint_path)
+        state["run"]["sim_fast"] = False
+        with pytest.raises(CheckpointError, match="sim_fast"):
+            controller().restore(state)
+        naive = read_checkpoint(checkpoint_path)
+        naive["config"]["fast_path"] = False
+        naive["run"]["sim_fast"] = True
+        with pytest.raises(CheckpointError, match="sim_fast"):
+            FleetController(seed=SEED, fast_path=False).restore(naive)
+
     def test_timeline_mismatch_is_refused(self, checkpoint_path, workload):
         shorter = [e for e in workload.timeline][:-2]
         with pytest.raises(CheckpointError, match="timeline"):

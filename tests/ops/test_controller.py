@@ -433,6 +433,24 @@ class TestStepApiOrdering:
         report = ctrl.finish()
         assert report.intervals[0].compliance is None
 
+    @pytest.mark.parametrize(
+        "horizon_s", [float("nan"), float("inf"), 0.0, -1.0],
+        ids=["nan", "inf", "zero", "negative"],
+    )
+    def test_begin_refuses_a_horizon_it_cannot_end(self, profiles, horizon_s):
+        """A NaN horizon would report NaN GPU-hours and an infinite one
+        would run the whole timeline, then report infinite GPU-hours."""
+        ctrl = controller(profiles)
+        one = [Service("a", "resnet-50", slo_latency_ms=250, request_rate=500)]
+        with pytest.raises(ValueError, match="positive and finite"):
+            ctrl.begin(one, horizon_s=horizon_s)
+
+    def test_reference_refuses_workers(self, profiles):
+        """The naive reference measures serially on the event engine,
+        so a worker count would be recorded for a fan-out never run."""
+        with pytest.raises(ValueError, match="fast path"):
+            controller(profiles, fast_path=False, workers=2)
+
     def test_begin_step_finish_matches_run(self, profiles, services):
         """Driving the step API by hand is the run loop, bit for bit."""
         timeline = merge_timeline(

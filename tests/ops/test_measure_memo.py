@@ -113,19 +113,6 @@ class TestDefaultController:
         assert scraped(reference) == {}
         assert all(sp.args["memo_hits"] == 0 for sp in measure_spans(reference))
 
-    def test_reference_on_fast_sim_measures_memo_free(self, profiles, services):
-        """A reference controller (``fast_path=False``) serving on the
-        fast kernel (``sim_fast_path=True``) has no run-scoped memo to
-        hit."""
-        fast = measured_run(FleetController(profiles), services)
-        reference = FleetController(profiles, fast_path=False)
-        naive = reference.run(
-            services, TIMELINE, HORIZON_S, measure_s=MEASURE_S,
-            sim_seed=SIM_SEED, sim_fast_path=True,
-        )
-        assert_reports_identical(fast, naive)
-        assert all(sp.args["memo_hits"] == 0 for sp in measure_spans(reference))
-
 
 class TestResumeRewarmsMemo:
     def test_kill_and_resume_at_workers_0(self, tmp_path):

@@ -22,7 +22,7 @@ from repro.core.service import Service
 from repro.gpu.geometry import get_geometry
 from repro.profiler import profile_workloads
 from repro.scenarios.fleet import fleet_services
-from repro.sim import simulate_placement
+from repro.sim import simulate_placement, simulate_placement_fast
 from repro.sim.shard import ShardContext
 
 SHARD_COUNTS = sorted({1, 2, 7, os.cpu_count() or 1})
@@ -155,14 +155,14 @@ def test_context_reuse_keeps_identity():
         placement, services, duration_s=1.0, warmup_s=0.2, seed=3
     )
     with ShardContext(workers=2) as ctx:
-        first = simulate_placement(
+        first = simulate_placement_fast(
             placement, services, duration_s=1.0, warmup_s=0.2, seed=3,
-            shard_context=ctx,
+            context=ctx,
         )
         assert ctx.memo_misses > 0
-        again = simulate_placement(
+        again = simulate_placement_fast(
             placement, services, duration_s=1.0, warmup_s=0.2, seed=3,
-            shard_context=ctx,
+            context=ctx,
         )
         assert ctx.memo_hits > 0
     assert_bit_identical(first, serial)

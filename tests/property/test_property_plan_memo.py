@@ -99,7 +99,6 @@ def _reference(placement, services, window):
     try:
         return measure_interval(
             placement, services, measure_s=measure_s, warmup_s=warmup_s,
-            fast_path=False,
         )
     except ValueError as exc:
         return repr(exc)

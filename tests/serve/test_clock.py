@@ -62,10 +62,10 @@ class TestMonotonicClock:
         assert not MonotonicClock().is_virtual
 
     def test_time_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MonotonicClock(time_scale=0.0)
-        with pytest.raises(ValueError):
-            MonotonicClock(time_scale=-2.0)
+        # a NaN scale would make now() NaN, so a session ran unpaced
+        for scale in (0.0, -2.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                MonotonicClock(time_scale=scale)
 
     def test_now_starts_near_zero_and_advances(self):
         clock = MonotonicClock(time_scale=1000.0)

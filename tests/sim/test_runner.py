@@ -5,7 +5,8 @@ import pytest
 from repro.core.parvagpu import ParvaGPU
 from repro.core.placement import PlacedSegment, Placement
 from repro.core.service import Service
-from repro.sim import simulate_placement
+from repro.sim import measure_interval, simulate_placement
+from repro.sim.shard import ShardContext
 
 
 def toy_placement(capacity=500.0, served=400.0, batch=8, procs=2, lat=20.0):
@@ -86,6 +87,35 @@ class TestRunner:
         with pytest.raises(ValueError):
             simulate_placement(
                 toy_placement(), [toy_service()], duration_s=0.2, warmup_s=0.5
+            )
+
+    @pytest.mark.parametrize(
+        "duration_s, warmup_s",
+        [
+            (float("nan"), 0.5),
+            (float("inf"), 0.5),
+            (0.5, 0.5),
+            (2.0, float("nan")),
+            (2.0, float("inf")),
+            (2.0, -0.5),
+        ],
+        ids=["duration-nan", "duration-inf", "duration-at-warmup",
+             "warmup-nan", "warmup-inf", "warmup-negative"],
+    )
+    def test_every_engine_refuses_a_bad_window(self, duration_s, warmup_s):
+        """The event engine, the fast kernel and the per-plan layer share
+        one window check: finite duration > finite warmup >= 0."""
+        args = (toy_placement(), [toy_service()])
+        for fast_path in (True, False):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_placement(
+                    *args, duration_s=duration_s, warmup_s=warmup_s,
+                    fast_path=fast_path,
+                )
+        with ShardContext(0) as ctx, pytest.raises(ValueError, match="finite"):
+            measure_interval(
+                *args, measure_s=duration_s - warmup_s, warmup_s=warmup_s,
+                shard_context=ctx,
             )
 
     def test_unknown_service_rejected(self):

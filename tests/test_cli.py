@@ -74,8 +74,30 @@ class TestCommands:
         assert "unknown ops scenario" in capsys.readouterr().err
 
     def test_ops_bad_horizon_is_clean_error(self, capsys):
-        assert main(["ops", "--scenario", "s12", "--horizon", "0"]) == 2
-        assert "horizon must be positive" in capsys.readouterr().err
+        for horizon in ("0", "nan", "inf"):
+            assert main(["ops", "--scenario", "s12", "--horizon", horizon,
+                         "--measure", "0"]) == 2
+            assert "horizon must be positive and finite" in (
+                capsys.readouterr().err
+            )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--workers", "-1"], "workers must be >= 0"),
+            (["--duration", "0.1"], "exceed warmup"),
+            (["--duration", "inf"], "exceed warmup"),
+            (["--duration", "nan"], "exceed warmup"),
+            (["--engine", "event", "--duration", "nan"], "exceed warmup"),
+        ],
+        ids=["workers-negative", "duration-within-warmup", "duration-inf",
+             "duration-nan", "event-duration-nan"],
+    )
+    def test_simulate_bad_window_is_clean_error(self, capsys, argv, message):
+        assert main(["simulate", "--scenario", "S1", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     def test_ops_engine_conflicts_with_verify(self, capsys):
         assert (
@@ -195,10 +217,14 @@ class TestServeGateway:
         assert "unknown ops scenario" in capsys.readouterr().err
 
     def test_serve_bad_time_scale(self, capsys):
-        assert (
-            main(["serve", "--scenario", "s12", "--time-scale", "0"]) == 2
-        )
-        assert "time scale" in capsys.readouterr().err
+        for scale in ("0", "nan"):
+            assert (
+                main(["serve", "--scenario", "s12", "--time-scale", scale])
+                == 2
+            )
+            assert "time scale must be positive and finite" in (
+                capsys.readouterr().err
+            )
 
     def test_serve_default_scenario_is_s16(self):
         parser = build_parser()
