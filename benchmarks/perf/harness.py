@@ -415,8 +415,10 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
     run the same segment memo, so ``parallel_speedup`` measures process
     fan-out only; ``memo_hit_rate`` records the memo's share of the
     segments served, ``check_gpus_rebuilt`` the GPUs the state check
-    rebuilt over the fast replay and ``check_lines_rendered`` the
-    fingerprint lines it rendered (cache misses).  At tiers
+    rebuilt over the fast replay, ``check_live_compared`` the live
+    allocator states it compared element-wise and
+    ``check_lines_rendered`` the fingerprint lines it rendered (cache
+    misses).  At tiers
     past ``naive_cap`` (where the naive replay is skipped) this
     parallel-vs-serial identity is the recorded correctness check.
     """
@@ -501,6 +503,9 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             # GPUs the per-interval state check rebuilt over the run (a
             # deterministic count: the fleet once, then changed GPUs only)
             "check_gpus_rebuilt": ctrl.verifier.stats.gpus_rebuilt,
+            # live allocator states it compared element-wise (the fleet
+            # once, then only states that are not the objects it verified)
+            "check_live_compared": ctrl.verifier.stats.live_compared,
             # fingerprint lines the check rendered (published plans cache
             # theirs: changed plans plus the check's own round trips)
             "check_lines_rendered": ctrl.verifier.stats.lines_rendered,

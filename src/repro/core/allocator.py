@@ -34,12 +34,15 @@ Two stages:
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
-    Collection,
+    ClassVar,
     Iterable,
     Iterator,
     Mapping,
+    NamedTuple,
+    NoReturn,
     Optional,
     Sequence,
     Union,
@@ -47,7 +50,7 @@ from typing import (
 
 from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.segments import Segment
-from repro.core.service import Service
+from repro.core.service import Service, Services, service_index
 from repro.core.slotindex import SlotIndex
 from repro.gpu.geometry import PartitionGeometry, PartitionLayout, get_geometry
 from repro.gpu.mig import MIG_GEOMETRY
@@ -83,6 +86,12 @@ class _GPUState:
     ``first_free_slot``), it stays empty so placement assembly drops it,
     but its presence keeps the allocator's fresh-GPU id counter above
     the dead device's id.
+
+    A :class:`LiveFleet` freezes every state it commits (:meth:`freeze`)
+    and replaces a frozen state by its :meth:`thawed` copy before the
+    first write of a later operation: copy-on-write, so a committed
+    state object never changes and the state check can skip one it
+    already verified by identity.
     """
 
     gpu_id: int
@@ -91,9 +100,25 @@ class _GPUState:
     placed: list[tuple[Segment, int]] = field(default_factory=list)
     blocked: bool = False
 
+    #: set on committed states (see :meth:`freeze`)
+    frozen: ClassVar[bool] = False
+
     def __post_init__(self) -> None:
         if self.layout is None:
             self.layout = PartitionLayout(self.geometry)
+
+    def freeze(self) -> None:
+        """Make this state immutable in place: every attribute write and
+        every ``placed`` mutation raises from now on."""
+        self.placed = _FrozenPlaced(self.placed)
+        self.__class__ = _FrozenGPUState
+
+    def thawed(self) -> "_GPUState":
+        """A mutable copy (the layout copied, ``placed`` a fresh list)."""
+        return _GPUState(
+            self.gpu_id, self.geometry, self.layout.copy(),
+            list(self.placed), self.blocked,
+        )
 
     @property
     def used_gpcs(self) -> int:
@@ -137,6 +162,31 @@ class _GPUState:
         self.placed.clear()
         self.layout = PartitionLayout(self.geometry)
         return segs
+
+
+def _refuse_write(*_args: object, **_kwargs: object) -> NoReturn:
+    raise AttributeError(
+        "a committed allocator state is frozen; write to the copy "
+        "SlotIndex.writable returns"
+    )
+
+
+class _FrozenPlaced(list[tuple[Segment, int]]):
+    """A frozen state's ``placed``: equal to the list it copies, and
+    every mutator raises."""
+
+    __slots__ = ()
+    append = extend = insert = pop = remove = clear = _refuse_write
+    sort = reverse = __setitem__ = __delitem__ = _refuse_write
+    __iadd__ = __imul__ = _refuse_write
+
+
+class _FrozenGPUState(_GPUState):
+    """A committed :class:`_GPUState` (see :meth:`_GPUState.freeze`)."""
+
+    __slots__ = ()
+    frozen = True
+    __setattr__ = try_place = free_all = _refuse_write  # type: ignore[assignment]
 
 
 def states_from_placement(
@@ -209,6 +259,20 @@ def plan_from_state(state: _GPUState) -> GPUPlan:
     )
 
 
+class Commit(NamedTuple):
+    """What :meth:`LiveFleet.commit` closed, as gpu ids."""
+
+    #: live GPUs whose contents changed (the joining ones last, in the
+    #: order they joined the live section)
+    changed: list[int]
+    #: GPUs that left the order (emptied or retired)
+    left: list[int]
+    #: spares that now host segments
+    drafted: list[int]
+    #: the positions the leaving GPUs held in the live section, last first
+    left_at: list[int]
+
+
 #: Order-key sections of a :class:`LiveFleet`.  Live GPUs take keys from
 #: a counter below ``_SPARE_KEYS``; a spare sits at ``_SPARE_KEYS +
 #: gpu_id`` (after every live GPU, in gpu-id order); a GPU opened during
@@ -237,7 +301,9 @@ class LiveFleet:
     :meth:`commit` closes an operation the way the next rebuild would see
     it: emptied GPUs leave the order (unless they are spares), and
     drafted spares, then GPUs opened during the operation, join the end
-    of the live section.
+    of the live section.  Every committed state is frozen; an operation
+    writes through :meth:`SlotIndex.writable`, which swaps a frozen state
+    for its thawed copy on the first write.
     """
 
     def __init__(
@@ -247,8 +313,9 @@ class LiveFleet:
         retired: Mapping[int, str],
     ) -> None:
         self.index = SlotIndex()
-        #: retired GPUs (never in the order): gpu_id -> geometry name
-        self.retired: dict[int, str] = {}
+        #: retired GPUs (never in the order): gpu_id -> the frozen blocked
+        #: sentinel :meth:`states_in_order` lists for it
+        self.retired: dict[int, _GPUState] = {}
         self._key_of: dict[int, int] = {}
         self._order: list[int] = []  # live keys, ascending
         self._tail: set[int] = set()  # spare and fresh keys
@@ -258,9 +325,11 @@ class LiveFleet:
         # live keys at/below the default drain threshold
         self._light: set[int] = set()
         self._left: list[int] = []  # live gpu ids that left this operation
+        self._gone: list[int] = []  # ... and their keys
         for state in states:
             key = self._next_live
             self._next_live += 1
+            state.freeze()
             self._register(key, state)
             self._order.append(key)
             self._track_light(key, state)
@@ -268,8 +337,7 @@ class LiveFleet:
             if gid not in self._key_of:
                 self.add_spare(gid, spares[gid])
         for gid, name in retired.items():
-            self.retired[gid] = name
-            heapq.heappush(self._ids, -gid)
+            self._reserve(gid, name)
         # An empty plan in the published map leaves the order at the
         # first commit, exactly as the next rebuild would drop it.
         self.index.touched = {
@@ -339,7 +407,7 @@ class LiveFleet:
         in place (the state ``states_from_placement`` builds when it
         excludes the service)."""
         key = self._key_of[gpu_id]
-        state = self[key]
+        state = self.index.writable(key)
         kept: list[tuple[Segment, int]] = []
         for seg, start in state.placed:
             if seg.service_id == service_id:
@@ -358,29 +426,31 @@ class LiveFleet:
             self._unregister(key)
             if key < _SPARE_KEYS:
                 self._left.append(gpu_id)
-        self.retired[gpu_id] = geometry
-        heapq.heappush(self._ids, -gpu_id)
+                self._gone.append(key)
+        self._reserve(gpu_id, geometry)
 
     def add_spare(self, gpu_id: int, geometry: str) -> None:
         """Register an empty known-good GPU in the spare section."""
         self.retired.pop(gpu_id, None)
         key = _SPARE_KEYS + gpu_id
-        self._register(
-            key, _GPUState(gpu_id=gpu_id, geometry=get_geometry(geometry))
-        )
+        state = _GPUState(gpu_id=gpu_id, geometry=get_geometry(geometry))
+        state.freeze()
+        self._register(key, state)
         self._tail.add(key)
 
-    def commit(self) -> tuple[list[int], list[int], list[int]]:
-        """Close an operation; ``(changed, left, drafted)`` gpu ids.
+    def commit(self) -> Commit:
+        """Close an operation: the GPUs it changed, left and drafted.
 
-        ``changed`` are live GPUs whose contents changed, ``left`` the
-        GPUs that left the order (emptied or retired), ``drafted`` the
-        spares that now host segments.
+        Every state the operation touched that stays registered is
+        frozen.  The live section keeps its order: the GPUs that left are
+        deleted at their positions (``Commit.left_at``), the joining ones
+        appended at its end.
         """
         index = self.index
         changed: list[int] = []
         drafted: list[int] = []
         left, self._left = self._left, []
+        gone, self._gone = self._gone, []
         promote: list[int] = []
         for key in sorted(index.touched):
             state = index.state(key)
@@ -389,49 +459,70 @@ class LiveFleet:
                     promote.append(key)
                 elif key >= _FRESH_KEYS:
                     self._unregister(key)
+                elif not state.frozen:  # a spare drafted, then drained
+                    state.freeze()
                 continue
             if state.is_empty:
                 self._unregister(key)
                 left.append(state.gpu_id)
+                gone.append(key)
                 continue
+            if not state.frozen:
+                state.freeze()
             changed.append(state.gpu_id)
             self._track_light(key, state)
+        order = self._order
+        left_at = sorted(
+            (bisect_left(order, key) for key in gone), reverse=True
+        )
+        for i in left_at:
+            del order[i]
         for old in promote:  # spares in id order, then fresh GPUs
             state = index.state(old)
             key = self._next_live
             self._next_live += 1
             index.discard(old)
             self._tail.discard(old)
+            if not state.frozen:
+                state.freeze()
             index.add(key, state)
             self._key_of[state.gpu_id] = key
-            self._order.append(key)
+            order.append(key)
             changed.append(state.gpu_id)
             if old < _FRESH_KEYS:
                 drafted.append(state.gpu_id)
             self._track_light(key, state)
-        if left:
-            self._order = [k for k in self._order if k in index]
         index.touched.clear()
-        return changed, left, drafted
+        return Commit(changed, left, drafted, left_at)
 
     def live_keys(self) -> list[int]:
         """Live-section keys in first-fit (= placement) order."""
         return self._order
 
+    def position(self, gpu_id: int) -> int:
+        """The index of a live GPU in the live section."""
+        return bisect_left(self._order, self._key_of[gpu_id])
+
     def states_in_order(self) -> list[_GPUState]:
         """The committed state as ``build_states`` lays it out: live GPUs,
         spares, then a blocked sentinel per retired id."""
-        states = [self[key] for key in self._order]
-        states += [self[key] for key in sorted(self._tail)]
+        index = self.index
+        states = index.states(self._order)
+        states += index.states(sorted(self._tail))
         states += [
-            _GPUState(
-                gpu_id=gid, geometry=get_geometry(self.retired[gid]),
-                blocked=True,
-            )
-            for gid in sorted(self.retired)
+            sentinel
+            for gid, sentinel in sorted(self.retired.items())
             if gid not in self._key_of
         ]
         return states
+
+    def _reserve(self, gpu_id: int, geometry: str) -> None:
+        sentinel = _GPUState(
+            gpu_id=gpu_id, geometry=get_geometry(geometry), blocked=True
+        )
+        sentinel.freeze()
+        self.retired[gpu_id] = sentinel
+        heapq.heappush(self._ids, -gpu_id)
 
     def _register(self, key: int, state: _GPUState) -> None:
         self.index.add(key, state)
@@ -458,6 +549,23 @@ class LiveFleet:
 #: :class:`LiveFleet` runs every first-fit through its slot index, a
 #: plain list runs the naive linear scan
 GPUOrder = Union[list[_GPUState], LiveFleet]
+
+
+def _missing_services(
+    gpus: GPUOrder, by_id: Mapping[str, Service]
+) -> ValueError:
+    """The error for a placement hosting services ``by_id`` lacks (a
+    bare KeyError deep in Algorithm 2 otherwise), naming all of them."""
+    missing = sorted({
+        seg.service_id
+        for state in gpus
+        for seg, _ in state.placed
+        if seg.service_id not in by_id
+    })
+    return ValueError(
+        "placement hosts services missing from the `services` "
+        f"argument: {', '.join(missing)}"
+    )
 
 
 class SegmentAllocator:
@@ -526,34 +634,18 @@ class SegmentAllocator:
         return gpus
 
     def allocation_optimization(
-        self,
-        gpus: GPUOrder,
-        services: Sequence[Service],
-        hosted: Optional[Collection[str]] = None,
+        self, gpus: GPUOrder, services: Services
     ) -> GPUOrder:
         """``ALLOCATIONOPTIMIZATION`` (Algorithm 2 lines 13-30).
 
-        ``hosted`` (every service with segments on ``gpus``) spares the
-        scan that would otherwise collect it.  Over a :class:`LiveFleet`
-        the drain pass visits only the GPUs its light set and touched
-        keys name — the only ones that can be at/below the threshold.
+        Over a :class:`LiveFleet` the drain pass visits only the GPUs its
+        light set and touched keys name — the only ones that can be
+        at/below the threshold.  ``services`` is looked up by id (see
+        :func:`~repro.core.service.service_index`); a drain candidate
+        hosting a service it lacks raises a ValueError naming every
+        hosted service it lacks.
         """
-        by_id: dict[str, Service] = {s.id: s for s in services}
-        # Optimization consults every hosted service's triplet array when
-        # judging a drain candidate, so a hosted service absent from
-        # ``services`` would otherwise surface as a bare KeyError deep in
-        # the loop (reachable from every incremental caller: SLO updates,
-        # failover).  Fail up front with names.
-        if hosted is None:
-            hosted = {
-                seg.service_id for state in gpus for seg, _ in state.placed
-            }
-        missing = sorted(set(hosted) - by_id.keys())
-        if missing:
-            raise ValueError(
-                "placement hosts services missing from the `services` "
-                f"argument: {', '.join(missing)}"
-            )
+        by_id = service_index(services)
         freed_rate: dict[str, float] = {}
         order: Iterable[int] = (
             gpus.drain_order(self.threshold)
@@ -570,26 +662,26 @@ class SegmentAllocator:
                 # would re-cover its load with segments carrying the wrong
                 # geometry's profiled throughput.  Leave it untouched.
                 continue
-            splittable = [
-                seg
-                for seg, _ in state.placed
-                if self._small_triplets(
-                    by_id[seg.service_id], self.geometry.small_sizes
-                )
-            ]
-            if len(splittable) != len(state.placed):
+            try:
+                owners = [by_id[seg.service_id] for seg, _ in state.placed]
+            except KeyError:
+                raise _missing_services(gpus, by_id) from None
+            if not all(
+                self._small_triplets(svc, self.geometry.small_sizes)
+                for svc in owners
+            ):
                 continue  # some service cannot be expressed as small segments
             queues = self._new_queues(self.geometry.instance_sizes)
-            for seg in state.free_all():
-                svc = by_id[seg.service_id]
+            if isinstance(gpus, LiveFleet):
+                state = gpus.index.writable(pos)
+                gpus.index.touch(pos)  # the drained GPU can host again
+            for seg, svc in zip(state.free_all(), owners):
                 freed_rate[svc.id] = freed_rate.get(svc.id, 0.0) + seg.throughput
                 for small in self._small_segments(
                     svc, freed_rate[svc.id], self.geometry
                 ):
                     freed_rate[svc.id] -= small.throughput
                     self._enqueue(queues, small)
-            if isinstance(gpus, LiveFleet):
-                gpus.index.touch(pos)  # the drained GPU can host again
             self._allocation(queues, gpus, self.geometry)
         self._compact(gpus)
         return gpus
@@ -624,6 +716,7 @@ class SegmentAllocator:
                 if index is not None:
                     moved = index.place(seg, limit=gi, interleave=True)
                     if moved is not None:
+                        state = index.writable(gi)
                         state.placed.remove((seg, start))
                         state.layout.remove(
                             state.geometry.place(seg.instance_size, start)

@@ -19,15 +19,16 @@ third (:meth:`deploy`):
 
 - the **live state** (``fast_path=True``, the default): a
   :class:`~repro.core.allocator.LiveFleet` plus the published placement's
-  per-GPU plans, a service->GPU map and the assigned rates.  It is built
-  lazily from the placement on the first delta after a full deploy and
-  then updated in place: a delta re-plans, re-rates, validates and diffs
-  only the GPUs (and services) it touched, and publishes a new
-  :class:`Placement` whose ``gpus`` list shares every untouched
-  :class:`GPUPlan` — and its cached fingerprint line.  Plans are
-  immutable by type, so publishing is copy-on-write by construction: a
-  touched GPU gets a new plan, and re-routing replaces only the plans
-  whose shares moved;
+  per-GPU plans (by id and in order), a service->GPU map and the ids of
+  the occupied GPUs.  It is built lazily from the placement on the first
+  delta after a full deploy and then updated in place: a delta re-plans,
+  re-rates, validates and diffs only the GPUs (and services) it touched,
+  and publishes a new :class:`Placement` whose ``gpus`` list shares every
+  untouched :class:`GPUPlan` — and its cached fingerprint line.  Plans
+  are immutable by type, so publishing is copy-on-write by construction:
+  a touched GPU gets a new plan, and re-routing replaces only the plans
+  whose shares moved.  The fleet's committed per-GPU states are frozen
+  the same way;
 - the **rebuild** (``fast_path=False``): :meth:`apply_rebuilt` runs a
   delta on the plain list :meth:`build_states` rebuilds from the current
   placement — spares appended as empty GPUs after the live fleet and
@@ -48,11 +49,13 @@ cluster diff and drops the live state.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, ClassVar, Collection, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Collection, Mapping, Optional
 
 from repro.core.allocator import (
+    Commit,
     GPUOrder,
     LiveFleet,
     SegmentAllocator,
@@ -62,7 +65,7 @@ from repro.core.allocator import (
 )
 from repro.core.configurator import SegmentConfigurator
 from repro.core.placement import GPUPlan, Placement
-from repro.core.service import Service
+from repro.core.service import Service, Services, service_index
 from repro.gpu.cluster import Cluster, ReconfigurationPlan
 from repro.gpu.geometry import PartitionGeometry, get_geometry
 from repro.gpu.mig import MIG_GEOMETRY
@@ -99,14 +102,18 @@ class LiveState:
         self.fleet = fleet
         #: gpu_id -> the published plan (shared with ``placement``)
         self.plans: dict[int, GPUPlan] = {g.gpu_id: g for g in placement.gpus}
+        #: the published plans in the fleet's live order (the published
+        #: placement holds a copy, so nothing outside edits this one)
+        self.gpus: list[GPUPlan] = list(placement.gpus)
+        #: ids of the GPUs hosting segments, ascending
+        self.occupied: list[int] = sorted(
+            g.gpu_id for g in placement.gpus if not g.is_empty
+        )
         #: service -> ids of the GPUs hosting it
         self.hosts: dict[str, set[int]] = {}
         for g in placement.gpus:
             for seg in g.segments:
                 self.hosts.setdefault(seg.service_id, set()).add(g.gpu_id)
-        #: the rates the published placement was routed with (None until
-        #: the first delta re-rates every service)
-        self.rates: Optional[dict[str, float]] = None
 
 
 class DeploymentManager:
@@ -188,6 +195,27 @@ class DeploymentManager:
         return self.current is not None and any(
             g.gpu_id == gpu_id and not g.is_empty for g in self.current.gpus
         )
+
+    def occupied_gpus(self) -> list[int]:
+        """Ids of the GPUs hosting segments in the current placement,
+        ascending: a copy of the list the live state maintains, a recount
+        without one."""
+        live = self._live
+        if live is not None and live.placement is self.current:
+            return list(live.occupied)
+        if self.current is None:
+            return []
+        return sorted(g.gpu_id for g in self.current.gpus if not g.is_empty)
+
+    @property
+    def num_gpus(self) -> int:
+        """GPUs hosting segments in the current placement (0 before the
+        first deploy); maintained by the live state, counted without
+        one."""
+        live = self._live
+        if live is not None and live.placement is self.current:
+            return len(live.occupied)
+        return 0 if self.current is None else self.current.num_gpus
 
     # ------------------------------------------------------------------ #
     # initial deployment
@@ -279,7 +307,7 @@ class DeploymentManager:
 
     def apply_rebuilt(
         self,
-        services: Sequence[Service],
+        services: Services,
         delta: Callable[[list[_GPUState]], None],
         exclude_service: Optional[str] = None,
         skip_gpu: Optional[int] = None,
@@ -294,7 +322,10 @@ class DeploymentManager:
         delta(gpus)
         placement = SegmentAllocator._to_placement(gpus)
         placement.framework = self.current.framework
-        placement.assign_rates({s.id: s.request_rate for s in services})
+        placement.assign_rates({
+            sid: s.request_rate
+            for sid, s in service_index(services).items()
+        })
         return placement, self.deploy(placement)
 
     # ------------------------------------------------------------------ #
@@ -324,7 +355,7 @@ class DeploymentManager:
 
     def apply_live(
         self,
-        services: Sequence[Service],
+        services: Services,
         delta: Callable[[LiveState], None],
     ) -> tuple[Placement, ReconfigurationPlan]:
         """Run ``delta`` on the live state, then publish and deploy.
@@ -336,62 +367,66 @@ class DeploymentManager:
         live = self.live_state()
         try:
             delta(live)
-            changed, left, drafted = live.fleet.commit()
-            return self._publish(live, services, changed, left, drafted)
+            return self._publish(live, services, live.fleet.commit())
         except BaseException:
             self._live = None
             raise
 
     def _publish(
-        self,
-        live: LiveState,
-        services: Sequence[Service],
-        changed: list[int],
-        left: list[int],
-        drafted: list[int],
+        self, live: LiveState, services: Services, commit: Commit
     ) -> tuple[Placement, ReconfigurationPlan]:
         """Publish a committed delta: plans, rates, scoped cluster diff.
 
         Equal, byte for byte, to ``_to_placement`` + ``assign_rates`` +
-        :meth:`deploy` over the whole fleet: untouched GPUs keep their
-        plans, every service with a segment on a touched GPU (or a new
-        rate) is re-routed with the full placement-order summation, and
-        only touched GPUs are validated and diffed.
+        :meth:`deploy` over the whole fleet, in O(what the delta
+        touched): untouched GPUs keep their plans, every service with a
+        segment on a touched GPU is re-routed at its current rate with
+        the full placement-order summation, the plan list is patched at
+        the positions that changed, and only touched GPUs are validated
+        and diffed.  A delta re-plans every service whose rate it
+        changes, so the services it did not touch kept the rates they
+        were routed with (a rate changed behind the manager's back is
+        what the fleet controller's state check reports as stale).
         """
         assert self.current is not None
         fleet = live.fleet
         plans = live.plans
+        hosts = live.hosts
+        occupied = live.occupied
+        changed = commit.changed
         rerate: set[str] = set()  # services whose routing may move
-        for gid in left:
+        for gid in commit.left:
             old = plans.pop(gid, None)
-            for seg in old.segments if old is not None else ():
+            if old is None or old.is_empty:
+                continue
+            del occupied[bisect_left(occupied, gid)]
+            for seg in old.segments:
                 rerate.add(seg.service_id)
-                live.hosts[seg.service_id].discard(gid)
+                hosts[seg.service_id].discard(gid)
         for gid in changed:
             old = plans.get(gid)
-            before = {s.service_id for s in old.segments} if old else set()
+            if old is None or old.is_empty:
+                insort(occupied, gid)
+                before: set[str] = set()
+            else:
+                before = {s.service_id for s in old.segments}
             plan = plans[gid] = plan_from_state(fleet[fleet.key_of(gid)])
             after = {s.service_id for s in plan.segments}
             for sid in before - after:
-                live.hosts[sid].discard(gid)
+                hosts[sid].discard(gid)
             for sid in after - before:
-                live.hosts.setdefault(sid, set()).add(gid)
+                hosts.setdefault(sid, set()).add(gid)
             rerate |= before | after
+        by_id = service_index(services)
+        emptied = []
         for sid in rerate:
-            if not live.hosts[sid]:
-                del live.hosts[sid]
+            if not hosts[sid]:
+                del hosts[sid]
+                emptied.append(sid)
+        lost = sorted(sid for sid in emptied if sid in by_id)
+        if lost:
+            raise ValueError(f"no partitions for service {lost[0]!r}")
 
-        rates = {s.id: s.request_rate for s in services}
-        for sid in rates:
-            if sid not in live.hosts:
-                raise ValueError(f"no partitions for service {sid!r}")
-        previous = live.rates
-        rerate.update(
-            sid
-            for sid in live.hosts
-            if previous is None or previous.get(sid) != rates.get(sid)
-        )
-        live.rates = rates
         # Re-route every plan hosting a re-routed service, in placement
         # order: assign_rates then sums each service's capacity exactly
         # as over the whole map, and replaces only the plans whose
@@ -399,22 +434,32 @@ class DeploymentManager:
         # service without a rate carries rate 0, as on a rebuilt plan.
         key_of = fleet.key_of
         rerouted = sorted(
-            {gid for sid in rerate for gid in live.hosts.get(sid, ())},
+            {gid for sid in rerate for gid in hosts.get(sid, ())},
             key=key_of,
         )
         routed = Placement(framework="", gpus=[plans[gid] for gid in rerouted])
-        routed.assign_rates(
-            {
-                sid: rates.get(sid, 0.0)
-                for sid in sorted(rerate)
-                if sid in live.hosts
-            }
-        )
+        rates: dict[str, float] = {}
+        for sid in sorted(rerate):
+            if sid in hosts:
+                svc = by_id.get(sid)
+                rates[sid] = 0.0 if svc is None else svc.request_rate
+        routed.assign_rates(rates)
         plans.update(zip(rerouted, routed.gpus))
 
+        # The live section kept its order: drop the GPUs that left at
+        # their positions, append the joining ones, then patch every
+        # GPU whose plan is new.
+        gpus = live.gpus
+        for i in commit.left_at:
+            del gpus[i]
+        joined = len(fleet.live_keys()) - len(gpus)
+        gpus += [plans[gid] for gid in changed[len(changed) - joined:]]
+        position = fleet.position
+        for gid in set(changed).union(rerouted):
+            gpus[position(gid)] = plans[gid]
         placement = Placement(
             framework=self.current.framework,
-            gpus=[plans[fleet[key].gpu_id] for key in fleet.live_keys()],
+            gpus=list(gpus),
             rates_assigned=True,
         )
         for gid in changed:
@@ -424,13 +469,13 @@ class DeploymentManager:
             gpus=[plans[gid] for gid in sorted(changed, key=key_of)],
         ).to_instance_specs()
         plan = self.cluster.plan_reconfiguration(
-            target, gpu_ids=set(changed) | set(left)
+            target, gpu_ids=set(changed).union(commit.left)
         )
         self.cluster.execute(plan)
         self.current = live.placement = placement
-        for gid in drafted:
+        for gid in commit.drafted:
             self._spares.pop(gid, None)
-        self.stats.gpus_touched += len(changed) + len(left)
+        self.stats.gpus_touched += len(changed) + len(commit.left)
         return placement, plan
 
     # ------------------------------------------------------------------ #
@@ -439,7 +484,7 @@ class DeploymentManager:
 
     def remove_service(
         self,
-        services: Sequence[Service],
+        services: Services,
         departed_id: str,
         fast_path: bool = True,
     ) -> tuple[Placement, ReconfigurationPlan]:
@@ -475,7 +520,7 @@ class DeploymentManager:
 
     def update_slo(
         self,
-        services: Sequence[Service],
+        services: Services,
         changed: Service,
         new_slo_ms: Optional[float] = None,
         new_rate: Optional[float] = None,
@@ -507,27 +552,24 @@ class DeploymentManager:
         configurator.configure([changed])
 
         allocator = SegmentAllocator(optimize=optimize, geometry=self.geometry)
+        by_id = service_index(services)
 
-        def replan(
-            gpus: GPUOrder, hosted: Optional[Collection[str]] = None
-        ) -> None:
+        def replan(gpus: GPUOrder) -> None:
             queues = allocator._new_queues(self.geometry.instance_sizes)
             for seg in changed.segments():
                 allocator._enqueue(queues, seg)
             allocator._allocation(queues, gpus, self.geometry)
             if optimize:
-                allocator.allocation_optimization(
-                    gpus, list(services), hosted=hosted
-                )
+                allocator.allocation_optimization(gpus, by_id)
 
         if not fast_path:
             return self.apply_rebuilt(
-                services, replan, exclude_service=changed.id
+                by_id, replan, exclude_service=changed.id
             )
 
         def replan_live(live: LiveState) -> None:
             for gid in sorted(live.hosts.get(changed.id, ())):
                 live.fleet.remove_segments(gid, changed.id)
-            replan(live.fleet, hosted=live.hosts.keys() | {changed.id})
+            replan(live.fleet)
 
-        return self.apply_live(services, replan_live)
+        return self.apply_live(by_id, replan_live)

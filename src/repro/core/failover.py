@@ -24,13 +24,13 @@ live fleet, so it is drafted exactly when no existing hole fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.allocator import GPUOrder, SegmentAllocator
 from repro.core.deployment import DeploymentManager
 from repro.core.placement import Placement
 from repro.core.segments import Segment
-from repro.core.service import Service
+from repro.core.service import Services, service_index
 from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, price_plan
 from repro.profiler.table import ProfileTable
@@ -76,10 +76,12 @@ class FailoverController:
         """
         return self.manager.retired_gpus
 
-    def fail_gpu(
-        self, gpu_id: int, services: Sequence[Service]
-    ) -> FailoverResult:
-        """Handle the loss of ``gpu_id``: relocate its segments elsewhere."""
+    def fail_gpu(self, gpu_id: int, services: Services) -> FailoverResult:
+        """Handle the loss of ``gpu_id``: relocate its segments elsewhere.
+
+        ``services`` is looked up by id (pass a mapping to skip indexing
+        a sequence, see :func:`~repro.core.service.service_index`).
+        """
         manager = self.manager
         current = manager.current
         if current is None:
@@ -93,17 +95,16 @@ class FailoverController:
         if victim is None or victim.is_empty:
             raise ValueError(f"GPU {gpu_id} hosts no segments")
 
-        # Recovery re-plans *every* hosted service's capacity accounting
-        # (allocation optimization splits survivors' segments too), so a
-        # hosted service missing from ``services`` would surface deep in
-        # Algorithm 2 as a bare KeyError.  Fail up front with names.
-        known = {s.id for s in services}
-        hosted = (
-            set(live.hosts)
-            if live is not None
-            else {seg.service_id for _, seg in current.iter_segments()}
-        )
-        missing = sorted(hosted - known)
+        # The victim's services are re-planned whatever else moves, so one
+        # missing from ``services`` fails up front, with names, before
+        # anything is retired (a survivor's lookup in allocation
+        # optimization raises its own named error).
+        by_id = service_index(services)
+        missing = sorted({
+            seg.service_id
+            for seg in victim.segments
+            if seg.service_id not in by_id
+        })
         if missing:
             raise ValueError(
                 "deployment hosts services missing from the `services` "
@@ -144,21 +145,18 @@ class FailoverController:
                 allocator._enqueue(queues, seg)
             allocator._allocation(queues, gpus, victim_geometry)
             if self.optimize:
-                allocator.allocation_optimization(
-                    gpus, list(services),
-                    hosted=hosted if live is not None else None,
-                )
+                allocator.allocation_optimization(gpus, by_id)
 
         if live is not None:
             placement, plan = manager.apply_live(
-                services, lambda state: relocate(state.fleet)
+                by_id, lambda state: relocate(state.fleet)
             )
         else:
             # The rebuild reference: allocator state from every surviving
             # GPU (plus any registered spares), each under its own
             # geometry.
             placement, plan = manager.apply_rebuilt(
-                services, relocate, skip_gpu=gpu_id
+                by_id, relocate, skip_gpu=gpu_id
             )
         return FailoverResult(
             failed_gpu=gpu_id,

@@ -13,8 +13,9 @@ and queueing delay at serving time.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING, Union
 
 from repro.models.zoo import ModelSpec, get_model
 
@@ -90,3 +91,17 @@ class Service:
         self.opt_seg = None
         self.num_opt_seg = 0
         self.last_seg = None
+
+
+#: the services an incremental re-plan reads: a sequence, or a mapping
+#: keyed by service id
+Services = Union[Sequence[Service], Mapping[str, Service]]
+
+
+def service_index(services: Services) -> Mapping[str, Service]:
+    """``services`` keyed by id.  A mapping is used as it is, so a caller
+    that keeps one (the fleet controller) pays O(1) per lookup; a
+    sequence is indexed here, in O(services)."""
+    if isinstance(services, Mapping):
+        return services
+    return {s.id: s for s in services}

@@ -42,7 +42,7 @@ G GPUs runs in O((S + G) log G) heap work instead of O(S x G) probes.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.gpu.geometry import get_geometry
 
@@ -86,6 +86,18 @@ class SlotIndex:
 
     def state(self, key: int) -> "_GPUState":
         return self._states[key]
+
+    def states(self, keys: Iterable[int]) -> list["_GPUState"]:
+        """The states under ``keys``, in order."""
+        return list(map(self._states.__getitem__, keys))
+
+    def writable(self, key: int) -> "_GPUState":
+        """The state under ``key``, ready for a write: a frozen
+        (committed) state is first replaced by its thawed copy."""
+        state = self._states[key]
+        if state.frozen:
+            state = self._states[key] = state.thawed()
+        return state
 
     def __contains__(self, key: int) -> bool:
         return key in self._states
@@ -198,7 +210,7 @@ class SlotIndex:
                 use_fallback = True
         if pos is None:
             return None
-        start = self._states[pos].try_place(seg, fallback=use_fallback)
+        start = self.writable(pos).try_place(seg, fallback=use_fallback)
         if start is None:  # pragma: no cover - candidates are validated
             raise RuntimeError(
                 f"slot index returned infeasible GPU {pos} for "

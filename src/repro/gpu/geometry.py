@@ -362,6 +362,15 @@ class PartitionLayout:
             self._mask |= other.mask
         self._sizes = None
 
+    def copy(self) -> "PartitionLayout":
+        """An independent layout holding the same instances."""
+        clone = object.__new__(type(self))
+        clone.geometry = self.geometry
+        clone._instances = list(self._instances)
+        clone._mask = self._mask
+        clone._sizes = self._sizes
+        return clone
+
     def sizes(self) -> tuple[int, ...]:
         """Instance sizes in this layout, descending (cached; can_add and
         the coexistence rule call this on every feasibility probe)."""

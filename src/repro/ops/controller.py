@@ -54,7 +54,11 @@ from repro.core.deployment import DeploymentManager
 from repro.core.failover import FailoverController
 from repro.core.parvagpu import ParvaGPU
 from repro.core.placement import Placement
-from repro.core.service import Service
+from repro.core.service import (
+    DEFAULT_SLO_FACTOR,
+    InfeasibleServiceError,
+    Service,
+)
 from repro.gpu.cluster import ReconfigurationPlan
 from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, ShadowBudget, price_plan
@@ -536,7 +540,8 @@ class FleetController:
         The serve gateway's deadline scheduler asks this *before*
         committing to a step, so it can defer an expensive full re-plan
         past a blown budget; the predicate is exactly the branch
-        :meth:`step` takes.
+        :meth:`step` takes.  An arrival the step would refuse (see
+        :meth:`_apply_service_event`) does not count.
         """
         run = self._require_run()
         if self.manager.current is None:
@@ -544,7 +549,9 @@ class FleetController:
         structural = sum(
             1
             for e in events
-            if isinstance(e, (ServiceDeparture, ServiceArrival))
+            if isinstance(e, ServiceDeparture)
+            or isinstance(e, ServiceArrival)
+            and self._plannable(e.model, e.slo_latency_ms)
         )
         return structural > self.full_replan_fraction * max(1, len(run.work))
 
@@ -937,7 +944,7 @@ class FleetController:
 
         for e in gpu_events:
             applied, applied_costs, n = self._apply_gpu_event(
-                t, e, work, report, pending
+                t, e, by_id, report, pending
             )
             if not applied:
                 skipped += 1
@@ -953,7 +960,7 @@ class FleetController:
             events=counts,
             skipped=skipped,
             services=len(work),
-            num_gpus=self.manager.current.num_gpus,
+            num_gpus=self.manager.num_gpus,
             spare_gpus=len(self.manager.spare_gpus),
             reconfig_ops=ops,
             reconfig_work_s=total.total_work_s,
@@ -974,10 +981,15 @@ class FleetController:
 
         Returns whether the event applied, and the re-plan's transition
         (None when nothing was re-planned: no ``replan``, or an SLO or
-        rate the service already has)."""
+        rate the service already has).  An arrival of a model nobody
+        profiled, or an arrival or SLO change no operating point can
+        meet, is refused: it counts as skipped and leaves the service,
+        ``work`` and the placement as they were."""
         svc = by_id.get(e.service_id)
         if isinstance(e, ServiceArrival):
             if svc is not None:
+                return False, None
+            if not self._plannable(e.model, e.slo_latency_ms):
                 return False, None
             svc = Service(
                 id=e.service_id,
@@ -995,12 +1007,16 @@ class FleetController:
             if not replan:
                 return True, None
             _, plan = self.manager.remove_service(
-                work, svc.id, fast_path=self.fast_path
+                by_id, svc.id, fast_path=self.fast_path
             )
             return True, plan
         elif isinstance(e, SloChange):
             if replan and svc.slo_latency_ms == e.slo_latency_ms:
                 return True, None
+            if not self._plannable(
+                svc.model, e.slo_latency_ms, svc.slo_factor
+            ):
+                return False, None
             svc.slo_latency_ms = e.slo_latency_ms
         elif isinstance(e, RateEpoch):
             rate = max(e.rate, 1e-6)
@@ -1012,7 +1028,7 @@ class FleetController:
         if not replan:
             return True, None
         _, plan = self.manager.update_slo(
-            work,
+            by_id,
             svc,
             use_mps=self.scheduler.use_mps,
             optimize=self.scheduler.optimize,
@@ -1020,11 +1036,25 @@ class FleetController:
         )
         return True, plan
 
-    def _occupied(self) -> list[int]:
-        current = self.manager.current
-        if current is None:
-            return []
-        return sorted(g.gpu_id for g in current.gpus if not g.is_empty)
+    def _plannable(
+        self,
+        model: str,
+        slo_latency_ms: float,
+        slo_factor: float = DEFAULT_SLO_FACTOR,
+    ) -> bool:
+        """Whether the Segment Configurator can plan a service of
+        ``model`` under ``slo_latency_ms``: the model is known and
+        profiled, and some operating point meets the SLO (the request
+        rate never decides that)."""
+        try:
+            probe = Service(
+                id=model, model=model, slo_latency_ms=slo_latency_ms,
+                request_rate=1.0, slo_factor=slo_factor,
+            )
+            self.scheduler.configurator.triplet_decision(probe)
+        except (KeyError, InfeasibleServiceError):
+            return False
+        return True
 
     def _fail_one(
         self,
@@ -1032,10 +1062,10 @@ class FleetController:
         gpu_id: int,
         kind: str,
         event_id: str,
-        work: list[Service],
+        by_id: dict[str, Service],
         report: OpsReport,
     ) -> tuple[ReconfigurationCost, int]:
-        result = self.failover.fail_gpu(gpu_id, work)
+        result = self.failover.fail_gpu(gpu_id, by_id)
         report.failures.append(
             FailureRecord(
                 time_s=t,
@@ -1054,7 +1084,7 @@ class FleetController:
         self,
         t: float,
         e: OpsEvent,
-        work: list[Service],
+        by_id: dict[str, Service],
         report: OpsReport,
         pending: list,
     ) -> tuple[bool, list[ReconfigurationCost], int]:
@@ -1090,20 +1120,22 @@ class FleetController:
                     )
                 )
                 return True, [], 0
-            occupied = self._occupied()
-            if not occupied:
-                return False, [], 0
             if e.gpu_id is not None:
-                if e.gpu_id not in occupied:
+                if not self.manager.hosts_segments(e.gpu_id):
                     return False, [], 0
                 gid = e.gpu_id
             else:
+                occupied = self.manager.occupied_gpus()
+                if not occupied:
+                    return False, [], 0
                 gid = occupied[int(e.draw * len(occupied))]
-            cost, ops = self._fail_one(t, gid, "failure", e.event_id, work, report)
+            cost, ops = self._fail_one(
+                t, gid, "failure", e.event_id, by_id, report
+            )
             self._eid_to_gpu[e.event_id] = gid
             return True, [cost], ops
         if isinstance(e, SpotPreemptionWave):
-            occupied = self._occupied()
+            occupied = self.manager.occupied_gpus()
             if not occupied:
                 return False, [], 0
             count = min(
@@ -1119,7 +1151,7 @@ class FleetController:
                     # preempting idle hardware tears down nothing
                     continue
                 cost, n = self._fail_one(
-                    t, gid, "preemption", f"{e.event_id}/{gid}", work, report
+                    t, gid, "preemption", f"{e.event_id}/{gid}", by_id, report
                 )
                 costs.append(cost)
                 ops += n

@@ -123,14 +123,37 @@ class TestAllocationOptimization:
     def test_hosted_service_missing_from_argument(self, profiles, make_service):
         """A placed service absent from ``services`` must be a named
         ValueError, not a bare KeyError mid-optimization (reachable from
-        the SLO-update and failover incremental paths)."""
+        the SLO-update and failover incremental paths).  The guard fires
+        where the drain pass looks the service up, so the ghost sits
+        alone on a light GPU."""
         import pytest
 
         svc = configured(profiles, make_service, sid="present", rate=4000.0)
         ghost = configured(profiles, make_service, sid="ghost", rate=500.0)
         allocator = SegmentAllocator(optimize=True)
-        gpus = allocator.segment_relocation([svc, ghost])
+        gpus = allocator.segment_relocation([ghost])
         with pytest.raises(ValueError, match="ghost"):
+            allocator.allocation_optimization(gpus, [svc])
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_drained_service_missing_from_argument_is_named(
+        self, profiles, make_service, indexed
+    ):
+        """The drain pass looks up every service on a light GPU; one
+        missing from ``services`` raises the named ValueError, with every
+        missing name, on the slot index and on the naive scan alike."""
+        svc = configured(profiles, make_service, sid="present", rate=4000.0)
+        ghosts = [
+            configured(profiles, make_service, sid=sid, rate=100.0)
+            for sid in ("ghost-a", "ghost-b")
+        ]
+        allocator = SegmentAllocator(optimize=True, indexed=indexed)
+        gpus = allocator.segment_relocation(ghosts)  # one light GPU
+        with pytest.raises(
+            ValueError,
+            match="placement hosts services missing from the `services` "
+            "argument: ghost-a, ghost-b",
+        ):
             allocator.allocation_optimization(gpus, [svc])
 
     def test_optimization_preserves_capacity(self, profiles, make_service):

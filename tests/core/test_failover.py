@@ -61,13 +61,34 @@ class TestFailover:
     def test_hosted_service_missing_from_argument(self, profiles, deployed):
         """Regression: a hosted service absent from ``services`` used to
         surface as a bare KeyError deep inside allocation optimization;
-        it must be a ValueError naming the missing service id."""
+        it must be a ValueError naming the missing service id.  The
+        up-front guard covers the failed GPU's services."""
         services, placement, manager = deployed
         ctrl = FailoverController(profiles, manager)
-        dropped = services[-1]
+        victims = {seg.service_id for seg in placement.gpus[0].segments}
+        dropped = [s for s in services if s.id in victims][-1]
         subset = [s for s in services if s.id != dropped.id]
         with pytest.raises(ValueError, match=dropped.id):
             ctrl.fail_gpu(0, subset)
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_victim_service_missing_from_argument_is_named(
+        self, profiles, deployed, fast_path
+    ):
+        """Every service on the failed GPU must be in ``services``: each
+        missing one is named in one ValueError, before anything moves."""
+        services, placement, manager = deployed
+        victims = sorted({s.service_id for s in placement.gpus[0].segments})
+        subset = [s for s in services if s.id not in victims[:2]]
+        ctrl = FailoverController(profiles, manager, fast_path=fast_path)
+        with pytest.raises(
+            ValueError,
+            match="deployment hosts services missing from the `services` "
+            f"argument: {victims[0]}, {victims[1]}$",
+        ):
+            ctrl.fail_gpu(0, subset)
+        assert manager.current is placement
+        assert not manager.retired_gpus
 
     def test_restore_unknown_gpu_rejected(self, profiles, deployed):
         services, placement, manager = deployed

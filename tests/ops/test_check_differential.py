@@ -11,7 +11,11 @@ or both raise the same exception class.  Covered too: the first check
 after ``restore()`` (cold memo) and the first after a full re-plan (warm
 memo, replaced map).  Published segments are immutable, so the in-place
 kinds assert that the write raises, and ``replace-plan`` swaps an
-untouched GPU's plan for one with an altered segment instead.
+untouched GPU's plan for one with an altered segment instead.  Committed
+live allocator states are frozen too: ``flip-blocked`` and
+``drop-placed`` assert that the write to one raises, then make it
+through ``SlotIndex.writable`` — a copy-on-write that no commit
+published.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def corrupt(ctrl: FleetController, memo, kind: str, pick: int) -> None:
         gpus = placement.gpus
         untouched = [
             i for i, g in enumerate(gpus)
-            if memo is not None and memo.lines.get(g.gpu_id) == g.fingerprint()
+            if memo is not None and memo.plans.get(g.gpu_id) is g
         ] or list(range(len(gpus)))
         i = untouched[pick % len(untouched)]
         plan = gpus[i]
@@ -107,11 +111,17 @@ def corrupt(ctrl: FleetController, memo, kind: str, pick: int) -> None:
     elif kind in ("flip-blocked", "drop-placed"):
         fleet = ctrl.manager.live_state().fleet
         keys = fleet.live_keys()
-        state = fleet[keys[pick % len(keys)]]
-        if kind == "flip-blocked":
-            state.blocked = not state.blocked
-        elif state.placed:
-            state.placed.pop(pick % len(state.placed))
+        key = keys[pick % len(keys)]
+
+        def write(state) -> None:
+            if kind == "flip-blocked":
+                state.blocked = not state.blocked
+            else:
+                state.placed.pop(pick % len(state.placed))
+
+        with pytest.raises(AttributeError):  # committed states are frozen
+            write(fleet[key])
+        write(fleet.index.writable(key))  # its thawed copy takes the write
     elif kind == "destroy-instance":
         found = list(ctrl.manager.cluster.instances())
         gpu, inst = found[pick % len(found)]

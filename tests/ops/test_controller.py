@@ -113,6 +113,52 @@ class TestChurn:
         report = controller(profiles).run(services, timeline, horizon_s=20.0)
         assert report.intervals[1].skipped == 4
 
+    @pytest.mark.parametrize("replan_fraction", [1.0, 0.2])
+    def test_unplannable_events_are_refused(
+        self, profiles, services, replan_fraction
+    ):
+        """An SLO no operating point meets, an arrival of a model nobody
+        profiled and an arrival with such an SLO are skipped, mid-run, on
+        the incremental path and inside a full re-plan (fraction 0.2: the
+        valid arrival alone exceeds it), leaving the service, the fleet
+        and the placement as they were — fast and reference alike.
+        Refused arrivals do not count towards a full re-plan."""
+        refused = [
+            SloChange(time_s=20.0, service_id="b", slo_latency_ms=0.5),
+            ServiceArrival(time_s=20.0, service_id="x", model="nope",
+                           request_rate=10.0, slo_latency_ms=100.0),
+            ServiceArrival(time_s=20.0, service_id="y", model="vgg-16",
+                           request_rate=10.0, slo_latency_ms=0.5),
+        ]
+        timeline = [
+            GpuFailure(time_s=10.0, event_id="f0", draw=0.5),
+            *refused,
+            ServiceArrival(time_s=20.0, service_id="n", model="resnet-50",
+                           request_rate=300.0, slo_latency_ms=300.0),
+            RateEpoch(time_s=30.0, service_id="b", rate=5000.0),
+        ]
+        fast, naive = run_identity_checked(
+            services, timeline, horizon_s=60.0, profiles=profiles,
+            full_replan_fraction=replan_fraction,
+        )
+        for report in (fast, naive):
+            step = report.intervals[2]
+            assert step.skipped == len(refused)
+            assert step.path == ("full" if replan_fraction < 1 else
+                                 "incremental")
+            assert step.services == 4
+            assert [r.skipped for r in report.intervals] == [0, 0, 3, 0]
+        ctrl = controller(profiles, full_replan_fraction=replan_fraction)
+        ctrl.begin(services, horizon_s=60.0)
+        ctrl.step(0.0)
+        before = ctrl.manager.current
+        record = ctrl.step(20.0, refused)
+        assert record.skipped == len(refused)
+        assert ctrl.manager.current is before
+        assert [s.id for s in ctrl._run.work] == ["a", "b", "c"]
+        assert ctrl._run.by_id["b"].slo_latency_ms == 150
+        ctrl.finish()
+
     def test_churn_burst_triggers_full_replan(self, profiles, services):
         timeline = [
             ServiceArrival(time_s=30.0, service_id=f"new-{i}",
@@ -608,8 +654,41 @@ class TestLiveAllocatorState:
         assert sorted(scraped) == [
             "alloc_gpus_rebuilt", "alloc_gpus_touched", "alloc_states_rebuilt",
             "check_full_fallbacks", "check_gpus_rebuilt",
-            "check_lines_rendered", "check_services_rerated",
+            "check_lines_rendered", "check_live_compared",
+            "check_services_rerated",
         ]
+
+    def test_check_compares_only_changed_live_states(self, profiles):
+        """On a 100+ GPU fleet, the check of a single-failure interval
+        compares element-wise no more live states than the GPUs the
+        failure changed — given a new plan or taken out — (the rest are
+        the frozen objects it verified last); the reference verifier
+        compares the whole fleet."""
+        from repro.ops.verify import StateVerifier
+        from repro.scenarios.fleet import fleet_services
+
+        ctrl = controller(profiles)
+        ctrl.begin(fleet_services(200), horizon_s=100.0)
+        ctrl.step(0.0)
+        assert ctrl.manager.num_gpus >= 100
+        # the first failure builds the live state: all of it is new
+        ctrl.step(1.0, [GpuFailure(time_s=1.0, event_id="f0", draw=0.5)])
+        for k, draw in enumerate((0.1, 0.7, 0.3)):
+            before = {g.gpu_id: g for g in ctrl.manager.current.gpus}
+            compared = ctrl.verifier.stats.live_compared
+            ctrl.step(2.0 + k, [
+                GpuFailure(time_s=2.0 + k, event_id=f"f{k + 1}", draw=draw),
+            ])
+            after = {g.gpu_id: g for g in ctrl.manager.current.gpus}
+            changed = len(before.keys() - after.keys()) + sum(
+                before.get(gid) is not plan for gid, plan in after.items()
+            )
+            assert 0 < ctrl.verifier.stats.live_compared - compared <= changed
+        reference = StateVerifier(ctrl.manager, fast_path=False)
+        reference.verify(ctrl._run.work)
+        live = ctrl.manager.live_states()
+        assert reference.stats.live_compared == len(live) > 100
+        ctrl.finish()
 
     def test_step_metrics_fold_in_at_collect(self, profiles, services):
         """Steps queue their ``ops_*`` updates; a collect folds each
@@ -656,7 +735,9 @@ class TestLiveAllocatorState:
 
     def test_check_catches_live_state_divergence(self, profiles, services):
         """The per-interval check compares the live state with its
-        rebuild even when the published placement is intact."""
+        rebuild even when the published placement is intact.  Committed
+        states are frozen, so the divergence is a write through
+        ``writable`` that no commit published."""
         from repro.ops import OpsIdentityError
 
         ctrl = controller(profiles)
@@ -664,9 +745,42 @@ class TestLiveAllocatorState:
         ctrl.step(0.0)
         ctrl.step(10.0, [GpuFailure(time_s=10.0, event_id="f0", draw=0.0)])
         fleet = ctrl.manager.live_state().fleet
-        fleet[fleet.live_keys()[0]].blocked = True
+        key = fleet.live_keys()[0]
+        with pytest.raises(AttributeError, match="frozen"):
+            fleet[key].blocked = True
+        fleet.index.writable(key).blocked = True
         with pytest.raises(OpsIdentityError, match="live allocator state"):
             ctrl.step(20.0)
+        ctrl.finish()
+
+    @pytest.mark.parametrize("which", ["spare", "retired"])
+    def test_check_catches_ledger_divergence(self, profiles, services, which):
+        """The spares and retired sentinels after the live GPUs are
+        checked too: one that no longer matches the manager's ledger
+        fails the check though the placement is intact."""
+        from repro.ops import OpsIdentityError
+
+        ctrl = controller(profiles)
+        ctrl.begin(services, horizon_s=100.0)
+        ctrl.step(0.0)
+        ctrl.step(10.0, [
+            GpuFailure(time_s=10.0, event_id="f0", draw=0.0),
+            GpuFailure(time_s=10.0, event_id="f1", draw=0.0),
+        ])
+        ctrl.step(20.0, [GpuRecovery(time_s=20.0, ref="f0")])
+        ctrl.step(30.0)  # verified with one spare and one retired id
+        manager = ctrl.manager
+        fleet = manager.live_state().fleet
+        if which == "spare":
+            (gid,) = manager.spare_gpus
+            fleet.index.writable(fleet.key_of(gid)).blocked = True
+        else:
+            (gid,) = manager.retired_gpus
+            sentinel = fleet.retired[gid].thawed()
+            sentinel.blocked = False
+            fleet.retired[gid] = sentinel
+        with pytest.raises(OpsIdentityError, match="live allocator state"):
+            ctrl.step(40.0)
         ctrl.finish()
 
     def _failed_over(self, profiles, services):

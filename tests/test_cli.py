@@ -1,5 +1,10 @@
 """Tests for the ``parvagpu`` CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -225,6 +230,31 @@ class TestServeGateway:
             assert "time scale must be positive and finite" in (
                 capsys.readouterr().err
             )
+
+    def test_serve_stdin_session_survives_refused_events(self):
+        """Wire lines the decoder accepts but the fleet cannot honour (an
+        SLO no operating point meets, a model nobody profiled) are
+        skipped events, not a dead session; a malformed line ends the
+        intake cleanly."""
+        lines = [
+            '{"kind": "RateEpoch", "time_s": 1.0, "service_id": '
+            '"bert-large", "rate": 120.0}',
+            '{"kind": "SloChange", "time_s": 5.0, "service_id": '
+            '"bert-large", "slo_latency_ms": 0.5}',
+            '{"kind": "ServiceArrival", "time_s": 6.0, "service_id": "x1", '
+            '"model": "nope", "slo_latency_ms": 100.0, "request_rate": 10.0}',
+            "not json",
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--scenario", "S16",
+             "--stdin", "--clock", "virtual", "--no-status", "--measure", "0"],
+            input="\n".join(lines) + "\n", capture_output=True, text=True,
+            timeout=600, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "3 events applied" in proc.stdout
 
     def test_serve_default_scenario_is_s16(self):
         parser = build_parser()
