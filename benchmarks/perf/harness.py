@@ -36,8 +36,8 @@ Two suites, selected with ``--suite``:
 
 - ``serve``: the live-serving gateway tier.  Replays an S12 slice and
   the full S16 flash-crowd session through the virtual-clock
-  ``ServeGateway`` at workers 0/1/2, asserting per-interval fingerprint
-  identity against the offline FleetController (any divergence is
+  ``ServeGateway``, asserting per-interval fingerprint identity against
+  the offline FleetController (any divergence is
   fatal), then streams S16 live — 100 services through the scripted
   driver on a scaled monotonic clock — recording per-event reaction
   latency (p50/p95/p99) and verifying the recorded session's virtual
@@ -46,15 +46,11 @@ Two suites, selected with ``--suite``:
 - ``resilience``: the crash-resilience tier.  For each ops tier the
   run is (a) checkpointed every ``RESILIENCE_CKPT_EVERY`` intervals
   and compared against the uncheckpointed wall-clock (write overhead),
-  (b) killed at an interval boundary and resumed from the checkpoint —
-  the resumed report must be **bit-identical** to the uninterrupted
-  one — and (c) replayed on the sharded control plane while a seeded
-  ``FaultPlan`` kills worker processes mid-measurement, asserting the
-  recovered parallel replay still matches the serial reference
-  interval-for-interval.  Two scenario specials ride along: the full
-  S13 degraded week killed/resumed *twice* (chained resume), and an
-  S15 chaos-week prefix with worker crashes at 10k services.  Results
-  land in ``BENCH_resilience.json``.
+  and (b) killed at an interval boundary and resumed from the
+  checkpoint — the resumed report must be **bit-identical** to the
+  uninterrupted one.  One scenario special rides along: the full S13
+  degraded week killed/resumed *twice* (chained resume).  Results land
+  in ``BENCH_resilience.json``.
 
 - ``obs``: the observability-overhead tier.  Each ops tier is replayed
   twice — once with the observability plane on (the default
@@ -141,31 +137,24 @@ SIM_WARMUP_S = 0.25
 #: interval is served for OPS_MEASURE_S simulated seconds.  The 10_000
 #: tier replays the S15 chaos week (``ops_run("S15")``) instead of the
 #: synthetic one-day bench and serves each interval for OPS_MEASURE_10K
-#: simulated seconds — long enough that serving measurement (the stage
-#: the sharded control plane accelerates) dominates the replay, which is
-#: exactly the regime the 10k fleet operates in.
+#: simulated seconds — long enough that serving measurement dominates
+#: the replay, which is exactly the regime the 10k fleet operates in.
 OPS_TIERS = (100, 1000, 10_000)
 OPS_MEASURE_S = 0.25
 OPS_MEASURE_10K = 6.0
 OPS_WARMUP_S = 0.1
-OPS_WORKERS = 2
 
 #: The serve suite: (scenario, horizon cap) slices for the virtual-clock
-#: identity replays, the shard counts the gateway is checked at, and the
-#: live S16 session's clock compression / deadline budget.
+#: identity replays, and the live S16 session's clock compression /
+#: deadline budget.
 SERVE_SLICES = (("S12", 3 * 3600.0), ("S16", None))
 SERVE_MEASURE_S = 0.25
-SERVE_WORKERS = (1, 2)
 SERVE_TIME_SCALE = 600.0
 SERVE_DEADLINE_S = 0.25
 
-#: The resilience suite: ops tiers run with checkpoint/kill/resume and
-#: with seeded worker-crash injection on the sharded control plane.
+#: The resilience suite: ops tiers run with checkpoint/kill/resume.
 #: Checkpoints land every RESILIENCE_CKPT_EVERY intervals (the overhead
-#: the committed BENCH holds under 5% at the 1000-service tier); the
-#: S15 special replays a chaos-week *prefix* (the full week is a
-#: 17-minute serial run) at a lighter measurement than the ops suite's
-#: 10k tier — crash recovery, not throughput, is what it checks.
+#: the committed BENCH holds under 5% at the 1000-service tier).
 RESILIENCE_TIERS = (100, 1000)
 RESILIENCE_CKPT_EVERY = 5
 #: Base and checkpointed walls are best-of-N: replays are deterministic,
@@ -173,9 +162,6 @@ RESILIENCE_CKPT_EVERY = 5
 #: noise, and at sub-10 s scales that noise dwarfs the real checkpoint
 #: overhead being measured.
 RESILIENCE_REPEATS = 3
-RESILIENCE_CRASHES = 3
-RESILIENCE_S15_HORIZON = 86_400.0
-RESILIENCE_S15_MEASURE = 1.0
 
 #: The obs suite: ops tiers replayed with the observability plane on
 #: vs off.  Best-of-N for the same reason as the resilience suite —
@@ -402,25 +388,20 @@ def run_million_request_replay():
     return row
 
 
-def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
+def run_ops_sweep(tiers, naive_cap, measure_s=None):
     """The ops tiers: a simulated day of fleet operations per fleet size
     (the 10_000 tier replays the S15 chaos week instead).
 
     Every recorded fast/naive pair must agree on *every* interval's
     placement fingerprint and simulation stats fingerprint — the
     closed-loop analogue of the schedule and simulate identity checks.
-    With ``workers > 0`` every tier is additionally replayed with that
-    many worker processes and checked interval-for-interval against the
-    ``workers=0`` fast replay; any divergence is fatal.  Both replays
-    run the same segment memo, so ``parallel_speedup`` measures process
-    fan-out only; ``memo_hit_rate`` records the memo's share of the
-    segments served, ``check_gpus_rebuilt`` the GPUs the state check
-    rebuilt over the fast replay, ``check_live_compared`` the live
-    allocator states it compared element-wise and
-    ``check_lines_rendered`` the fingerprint lines it rendered (cache
-    misses).  At tiers
-    past ``naive_cap`` (where the naive replay is skipped) this
-    parallel-vs-serial identity is the recorded correctness check.
+    ``memo_hit_rate`` records the memo's share of the segments served,
+    ``memo_misses`` the segments simulated and ``memo_closed_form`` the
+    misses the numpy closed form resolved (the rest ran per batch);
+    ``check_gpus_rebuilt`` the GPUs the state check rebuilt over the
+    fast replay, ``check_live_compared`` the live allocator states it
+    compared element-wise and ``check_lines_rendered`` the fingerprint
+    lines it rendered (cache misses).
     """
     from repro.ops import FleetController, OpsIdentityError
     from repro.ops.controller import assert_reports_identical
@@ -431,10 +412,8 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             return ops_run("S15")
         return bench_ops_run(tier)
 
-    def replay(run, fast_path, measure, workers=0):
-        ctrl = FleetController(
-            fast_path=fast_path, seed=OPS_SEED, workers=workers
-        )
+    def replay(run, fast_path, measure):
+        ctrl = FleetController(fast_path=fast_path, seed=OPS_SEED)
         t0 = time.perf_counter()
         report = ctrl.run(
             run.services,
@@ -492,14 +471,14 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             "naive_wall_s": None,
             "speedup": None,
             "identical": None,
-            "parallel_wall_s": None,
-            "parallel_workers": None,
-            "parallel_speedup": None,
-            "parallel_identical": None,
             # None when --ops-measure 0 disabled serving measurement
             "memo_hit_rate": (
                 round(memo.hits_total / served, 4) if served else None
             ),
+            # deterministic work counts: segments simulated, and how many
+            # of them the closed form resolved without the per-batch kernel
+            "memo_misses": memo.misses_total,
+            "memo_closed_form": memo.closed_form_total,
             # GPUs the per-interval state check rebuilt over the run (a
             # deterministic count: the fleet once, then changed GPUs only)
             "check_gpus_rebuilt": ctrl.verifier.stats.gpus_rebuilt,
@@ -511,21 +490,6 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
             "check_lines_rendered": ctrl.verifier.stats.lines_rendered,
             "report": fast.to_doc(),
         }
-        if workers > 0:
-            par, par_wall, _ = replay(
-                run, fast_path=True, measure=measure, workers=workers
-            )
-            row["parallel_wall_s"] = round(par_wall, 6)
-            row["parallel_workers"] = workers
-            row["parallel_speedup"] = round(fast_wall / par_wall, 2)
-            try:
-                assert_reports_identical(par, fast)
-            except OpsIdentityError as exc:
-                raise SystemExit(
-                    f"FATAL: sharded (x{workers}) and serial ops replays "
-                    f"differ for {tier} services: {exc}"
-                )
-            row["parallel_identical"] = True
         if tier <= naive_cap:
             naive, naive_wall, _ = replay(
                 run, fast_path=False, measure=measure
@@ -544,12 +508,6 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
         speedup = (
             f"{row['speedup']}x vs naive" if row["speedup"] else "naive skipped"
         )
-        parallel = (
-            f"sharded x{workers} {row['parallel_wall_s']:.2f} s, "
-            f"{row['parallel_speedup']}x, identical;  "
-            if row["parallel_identical"]
-            else ""
-        )
         compliance = (
             f"compliance {100 * row['mean_compliance']:6.2f}%  "
             if row["mean_compliance"] is not None
@@ -558,20 +516,19 @@ def run_ops_sweep(tiers, naive_cap, measure_s=None, workers=OPS_WORKERS):
         print(
             f"  OPS n={tier:<5} {row['fast_wall_s']:8.2f} s  "
             f"{row['intervals']:>3} intervals  {row['failures']:>3} failures "
-            f"({row['restored']} restored)  {compliance}({parallel}{speedup})"
+            f"({row['restored']} restored)  {compliance}({speedup})"
         )
     return rows
 
 
-def run_serve_sweep(workers_list=SERVE_WORKERS):
+def run_serve_sweep():
     """The serve identity tier: virtual-clock gateway vs offline replay.
 
     For each slice (an S12 prefix and the full S16 flash-crowd session)
     the offline ``FleetController.run`` report is the reference; the
     ``ServeGateway`` then replays the identical timeline under the
-    deterministic virtual clock — serial and at every shard count in
-    ``workers_list`` — and every interval's placement and simulation
-    fingerprints must match.  Any divergence is fatal: the gateway's
+    deterministic virtual clock, and every interval's placement and
+    simulation fingerprints must match.  Any divergence is fatal: the gateway's
     whole claim is that going live costs zero reproducibility.
     """
     from repro.ops import FleetController, OpsIdentityError
@@ -610,39 +567,30 @@ def run_serve_sweep(workers_list=SERVE_WORKERS):
                 else round(offline.mean_compliance, 6)
             ),
             "offline_wall_s": round(offline_wall, 6),
-            "replays": [],
         }
-        for w in (0, *workers_list):
-            t0 = time.perf_counter()
-            report = replay_gateway(
-                run.services,
-                run.timeline,
-                horizon,
-                measure_s=SERVE_MEASURE_S,
-                warmup_s=OPS_WARMUP_S,
-                sim_seed=OPS_SEED,
-                deadline_budget_s=SERVE_DEADLINE_S,
-                seed=OPS_SEED,
-                workers=w,
-            )
-            wall = time.perf_counter() - t0
-            try:
-                assert_reports_identical(report, offline)
-            except OpsIdentityError as exc:
-                raise SystemExit(
-                    f"FATAL: virtual-clock gateway replay (workers={w}) "
-                    f"diverges from the offline controller on {run.name}: "
-                    f"{exc}"
-                )
-            row["replays"].append(
-                {"workers": w, "wall_s": round(wall, 6), "identical": True}
-            )
-        # the serial gateway replay is the baseline-checked wall-clock
-        row["gateway_wall_s"] = row["replays"][0]["wall_s"]
-        rows.append(row)
-        walls = "  ".join(
-            f"x{r['workers']} {r['wall_s']:.2f}s" for r in row["replays"]
+        t0 = time.perf_counter()
+        report = replay_gateway(
+            run.services,
+            run.timeline,
+            horizon,
+            measure_s=SERVE_MEASURE_S,
+            warmup_s=OPS_WARMUP_S,
+            sim_seed=OPS_SEED,
+            deadline_budget_s=SERVE_DEADLINE_S,
+            seed=OPS_SEED,
         )
+        wall = time.perf_counter() - t0
+        try:
+            assert_reports_identical(report, offline)
+        except OpsIdentityError as exc:
+            raise SystemExit(
+                f"FATAL: virtual-clock gateway replay diverges from the "
+                f"offline controller on {run.name}: {exc}"
+            )
+        # the gateway replay is the baseline-checked wall-clock
+        row["gateway_wall_s"] = round(wall, 6)
+        row["identical"] = True
+        rows.append(row)
         compliance = (
             f"compliance {100 * row['mean_compliance']:6.2f}%  "
             if row["mean_compliance"] is not None
@@ -651,7 +599,7 @@ def run_serve_sweep(workers_list=SERVE_WORKERS):
         print(
             f"  SERVE {run.name:<4} {row['intervals']:>3} intervals "
             f"{events:>4} events  {compliance}offline "
-            f"{offline_wall:6.2f}s  gateway {walls}  (all identical)"
+            f"{offline_wall:6.2f}s  gateway {wall:.2f}s  (identical)"
         )
     return rows
 
@@ -741,16 +689,12 @@ def run_serve_live(time_scale=SERVE_TIME_SCALE):
     return doc
 
 
-def _resilience_replay(run, *, measure, workers=0, fault_injector=None,
-                       horizon=None, **run_kwargs):
+def _resilience_replay(run, *, measure, horizon=None, **run_kwargs):
     """One timed FleetController replay for the resilience suite."""
     from repro.ops import FleetController
     from repro.scenarios.ops import OPS_SEED
 
-    ctrl = FleetController(
-        fast_path=True, seed=OPS_SEED, workers=workers,
-        fault_injector=fault_injector,
-    )
+    ctrl = FleetController(fast_path=True, seed=OPS_SEED)
     t0 = time.perf_counter()
     report = ctrl.run(
         run.services,
@@ -762,21 +706,6 @@ def _resilience_replay(run, *, measure, workers=0, fault_injector=None,
         **run_kwargs,
     )
     return ctrl, report, time.perf_counter() - t0
-
-
-def _crash_plan(workers, crashes=RESILIENCE_CRASHES):
-    """A seeded worker-crash plan whose sites can actually fire.
-
-    ``max_index`` is pinned to the shard count so every sampled site
-    names a job position a ``workers``-wide batch really dispatches.
-    """
-    from repro.resilience import FaultPlan
-    from repro.scenarios.ops import OPS_SEED
-
-    return FaultPlan(
-        seed=OPS_SEED, worker_crashes=crashes,
-        max_batch=6, max_index=max(1, workers),
-    ).injector()
 
 
 def _kill_resume(run, base, *, measure, kill_at, ckpt_path, resume_from=None,
@@ -804,13 +733,11 @@ def _kill_resume(run, base, *, measure, kill_at, ckpt_path, resume_from=None,
     return resumed, kill_wall, resume_wall
 
 
-def run_resilience_sweep(tiers, workers=OPS_WORKERS):
-    """Per-tier checkpoint overhead, kill/resume identity, and seeded
-    worker-crash recovery on the sharded control plane."""
+def run_resilience_sweep(tiers):
+    """Per-tier checkpoint overhead and kill/resume identity."""
     import os
     import tempfile
 
-    from repro.ops import OpsIdentityError
     from repro.ops.controller import assert_reports_identical
     from repro.scenarios.ops import bench_ops_run
 
@@ -843,28 +770,6 @@ def run_resilience_sweep(tiers, workers=OPS_WORKERS):
             _, kill_wall, resume_wall = _kill_resume(
                 run, base, measure=measure, kill_at=kill_at, ckpt_path=ck,
             )
-        # (c) worker crashes mid-measurement on the sharded replay
-        wctrl, crashed, crash_wall = _resilience_replay(
-            run, measure=measure, workers=workers,
-            fault_injector=_crash_plan(workers),
-        )
-        try:
-            assert_reports_identical(crashed, base)
-        except OpsIdentityError as exc:
-            raise SystemExit(
-                f"FATAL: crash-recovered sharded replay diverged at "
-                f"{tier} services: {exc}"
-            )
-        health = wctrl.shard_health()
-        if health is None or health.worker_crashes == 0:
-            raise SystemExit(
-                f"FATAL: the fault plan injected no worker crash at "
-                f"{tier} services — the recovery path went unexercised"
-            )
-        _, parallel_clean, clean_wall = _resilience_replay(
-            run, measure=measure, workers=workers,
-        )
-        assert_reports_identical(parallel_clean, base)
         overhead = (ckpt_wall - base_wall) / base_wall
         row = {
             "scenario": "RESILIENCE",
@@ -883,22 +788,12 @@ def run_resilience_sweep(tiers, workers=OPS_WORKERS):
             "killed_wall_s": round(kill_wall, 6),
             "resume_wall_s": round(resume_wall, 6),
             "resume_identical": True,
-            "crash_workers": workers,
-            "crashed_wall_s": round(crash_wall, 6),
-            "parallel_clean_wall_s": round(clean_wall, 6),
-            "degraded_slowdown": round(crash_wall / clean_wall, 2),
-            "parallel_identical": True,
-            "shard_health": health.to_doc(),
         }
         rows.append(row)
         print(
             f"  RES n={tier:<5} base {base_wall:7.2f} s  ckpt overhead "
             f"{row['checkpoint_overhead_pct']:+5.2f}%  kill@{kill_at} "
-            f"resume {resume_wall:6.2f} s identical;  "
-            f"{health.worker_crashes} worker crashes "
-            f"({health.pool_rebuilds} rebuilds, "
-            f"{health.degradations} degradations) recovered identical "
-            f"x{row['degraded_slowdown']:.2f}"
+            f"resume {resume_wall:6.2f} s identical"
         )
     return rows
 
@@ -954,55 +849,6 @@ def run_resilience_s13():
             for at, kw, rw in walls
         ],
         "chained_resume_identical": True,
-    }
-
-
-def run_resilience_s15(horizon_s=RESILIENCE_S15_HORIZON, workers=OPS_WORKERS):
-    """Worker crashes mid-chaos-week at 10k services (truncated prefix)."""
-    from repro.ops import OpsIdentityError
-    from repro.ops.controller import assert_reports_identical
-    from repro.scenarios.ops import ops_run
-
-    run = ops_run("S15")
-    horizon = min(horizon_s, run.horizon_s)
-    measure = RESILIENCE_S15_MEASURE
-    _, base, base_wall = _resilience_replay(
-        run, measure=measure, horizon=horizon,
-    )
-    wctrl, crashed, crash_wall = _resilience_replay(
-        run, measure=measure, horizon=horizon, workers=workers,
-        fault_injector=_crash_plan(workers),
-    )
-    try:
-        assert_reports_identical(crashed, base)
-    except OpsIdentityError as exc:
-        raise SystemExit(
-            f"FATAL: S15 crash-recovered sharded replay diverged: {exc}"
-        )
-    health = wctrl.shard_health()
-    if health is None or health.worker_crashes == 0:
-        raise SystemExit(
-            "FATAL: the S15 fault plan injected no worker crash — the "
-            "recovery path went unexercised"
-        )
-    print(
-        f"  RES S15   prefix {horizon / 3600:g} h of "
-        f"{run.horizon_s / 3600:g} h, {len(base.intervals)} intervals: "
-        f"{health.worker_crashes} worker crashes recovered, "
-        f"parallel identical (serial {base_wall:.2f} s, crashed "
-        f"x{workers} {crash_wall:.2f} s)"
-    )
-    return {
-        "run": run.name,
-        "horizon_s": horizon,
-        "measure_s": measure,
-        "intervals": len(base.intervals),
-        "services": len(run.services),
-        "crash_workers": workers,
-        "serial_wall_s": round(base_wall, 6),
-        "crashed_wall_s": round(crash_wall, 6),
-        "parallel_identical": True,
-        "shard_health": health.to_doc(),
     }
 
 
@@ -1124,8 +970,8 @@ def main(argv=None):
         "a simulated day of failures/preemptions/churn with the "
         "closed-loop FleetController; serve: virtual-clock gateway "
         "identity replays plus a live S16 session with reaction-latency "
-        "percentiles; resilience: checkpoint/kill/resume bit-identity, "
-        "checkpoint overhead, and seeded worker-crash recovery; obs: "
+        "percentiles; resilience: checkpoint/kill/resume bit-identity "
+        "and checkpoint overhead; obs: "
         "observability-plane overhead, obs-on vs obs-off replays with "
         "bit-identity (default: %(default)s)",
     )
@@ -1190,11 +1036,6 @@ def main(argv=None):
         f"{OPS_MEASURE_S} per tier, {OPS_MEASURE_10K} at the 10k tier)",
     )
     parser.add_argument(
-        "--workers", type=int, default=OPS_WORKERS,
-        help="shard count for the parallel ops replay recorded next to "
-        "the serial one (0 disables it; default: %(default)s)",
-    )
-    parser.add_argument(
         "--skip-live", action="store_true",
         help="serve suite: skip the wall-clock live S16 session and "
         "record only the virtual-clock identity replays",
@@ -1213,12 +1054,6 @@ def main(argv=None):
         "--obs-budget", type=float, default=None,
         help="obs suite: fail when any tier's observability overhead "
         "exceeds this percentage (default: record only)",
-    )
-    parser.add_argument(
-        "--s15-horizon", type=float, default=RESILIENCE_S15_HORIZON,
-        help="resilience suite: chaos-week prefix replayed for the 10k "
-        "worker-crash special, in scenario seconds (0 skips it; "
-        "default: %(default)s)",
     )
     args = parser.parse_args(argv)
 
@@ -1279,7 +1114,7 @@ def main(argv=None):
         )
         print(
             f"ops sweep: tiers={tiers} measure={measure} "
-            f"workers={args.workers} (a simulated day of failures + "
+            f"(a simulated day of failures + "
             f"preemptions + churn each; the 10k tier replays the S15 "
             f"chaos week)"
         )
@@ -1287,7 +1122,6 @@ def main(argv=None):
             tiers,
             args.naive_cap,
             measure_s=args.ops_measure,
-            workers=args.workers,
         )
         doc["ops"] = rows
         section, field = "ops", "fast_wall_s"
@@ -1297,7 +1131,7 @@ def main(argv=None):
             for name, cap in SERVE_SLICES
         )
         print(
-            f"serve sweep: slices=({slices}) workers={SERVE_WORKERS} "
+            f"serve sweep: slices=({slices}) "
             f"deadline={SERVE_DEADLINE_S}s (virtual-clock identity vs the "
             f"offline FleetController, then a live S16 session)"
         )
@@ -1311,20 +1145,13 @@ def main(argv=None):
         section, field = "serve", "gateway_wall_s"
     elif args.suite == "resilience":
         print(
-            f"resilience sweep: tiers={tiers} workers={args.workers} "
+            f"resilience sweep: tiers={tiers} "
             f"ckpt_every={RESILIENCE_CKPT_EVERY} (checkpoint overhead + "
-            f"kill/resume bit-identity + seeded worker-crash recovery)"
+            f"kill/resume bit-identity)"
         )
-        rows = run_resilience_sweep(tiers, workers=args.workers)
+        rows = run_resilience_sweep(tiers)
         doc["resilience"] = rows
         doc["s13_kill_resume"] = None if args.skip_s13 else run_resilience_s13()
-        doc["s15_worker_crash"] = (
-            None
-            if args.s15_horizon <= 0
-            else run_resilience_s15(
-                horizon_s=args.s15_horizon, workers=args.workers
-            )
-        )
         section, field = "resilience", "base_wall_s"
     elif args.suite == "obs":
         print(

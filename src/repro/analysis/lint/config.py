@@ -43,7 +43,6 @@ DEFAULT_IDENTITY_MODULES: tuple[str, ...] = (
     "src/repro/scenarios/*",
     "src/repro/profiler/*",
     "src/repro/models/*",
-    "src/repro/parallel.py",
     "src/repro/serve/*",
     "src/repro/resilience/*",
     "src/repro/obs/*",

@@ -25,7 +25,7 @@ D004  Order-sensitive float accumulation (``sum()`` or ``+=`` loops)
       reproducible even within one process.
 D005  Un-picklable shard payloads: lambdas or locally-defined
       functions handed to executor/pool submission APIs
-      (``ShardPool.run``, ``submit``, ``map`` ...).
+      (a pool's ``run``, ``submit``, ``map`` ...).
 D006  Fast-path parity: a function accepting a ``fast_path`` /
       ``indexed`` / ``workers`` switch must actually branch on it —
       otherwise the naive/serial reference path the identity checks

@@ -167,9 +167,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.workers and args.engine != "fast":
-        print("error: --workers requires the fast engine", file=sys.stderr)
-        return 2
     try:
         services, placement = _schedule(args)
         report = simulate_placement(
@@ -179,7 +176,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             arrivals=args.arrivals,
             fast_path=args.engine == "fast",
-            workers=args.workers,
         )
     except (InfeasibleScheduleError, InfeasibleServiceError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -285,7 +281,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else MonotonicClock(time_scale=args.time_scale)
         )
         horizon = args.horizon if args.horizon is not None else run.horizon_s
-        controller = FleetController(seed=seed, workers=args.workers)
+        controller = FleetController(seed=seed)
         gateway = ServeGateway(
             controller,
             run.services,
@@ -435,10 +431,6 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         print("error: --engine cannot be combined with --verify "
               "(the verification replay runs both engines)", file=sys.stderr)
         return 2
-    if args.workers and args.engine != "fast":
-        print("error: --workers requires the fast engine (the naive "
-              "reference stays serial)", file=sys.stderr)
-        return 2
     seed = args.seed if args.seed is not None else OPS_SEED
     try:
         run = ops_run(args.scenario, seed=seed)
@@ -453,13 +445,10 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         if args.verify:
             report, _ = run_identity_checked(
                 run.services, run.timeline, horizon,
-                seed=seed, workers=args.workers, **kwargs,
+                seed=seed, **kwargs,
             )
         else:
-            ctrl = FleetController(
-                fast_path=args.engine == "fast", seed=seed,
-                workers=args.workers,
-            )
+            ctrl = FleetController(fast_path=args.engine == "fast", seed=seed)
             # a bare --checkpoint means "checkpoint every interval"
             ckpt_every = args.checkpoint_every or (1 if args.checkpoint else 0)
             report = ctrl.run(
@@ -482,12 +471,9 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         return 2
 
     timeline_events = sum(1 for e in run.timeline if e.time_s < horizon)
-    sharding = (
-        f", sharded control plane x{report.workers}" if report.workers else ""
-    )
     print(
         f"{run.name}: {len(run.services)} services, "
-        f"{timeline_events} timeline events over {horizon:g} s{sharding}"
+        f"{timeline_events} timeline events over {horizon:g} s"
     )
     for r in report.intervals:
         events = " ".join(f"{k}x{v}" for k, v in sorted(r.events.items()))
@@ -634,13 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         "assert per-interval fingerprint identity",
     )
     p.add_argument(
-        "--workers", type=int, default=0,
-        help="process fan-out of the per-interval serving measurement; "
-        "the segment memo is on at every count and results are "
-        "bit-identical "
-        "(default: 0 = inline, memo on; N = N worker processes)",
-    )
-    p.add_argument(
         "--trace", default=None, metavar="FILE",
         help="export the run's decision-path span tree as Chrome "
         "trace_event JSON (loadable in Perfetto / chrome://tracing); "
@@ -722,12 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gateway and assert per-interval fingerprint identity against "
         "the offline FleetController",
     )
-    p.add_argument(
-        "--workers", type=int, default=0,
-        help="process fan-out of the per-interval serving measurement; "
-        "the segment memo is on at every count "
-        "(default: 0 = inline, memo on; N = N worker processes)",
-    )
     _add_resilience_flags(p)
     p.add_argument(
         "--journal", default=None, metavar="DIR",
@@ -749,12 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="fast",
         help="simulation engine: the batch-granularity fast path (default) "
         "or the per-request discrete-event reference",
-    )
-    p.add_argument(
-        "--workers", type=int, default=0,
-        help="process fan-out of segment simulation (fast engine only; "
-        "bit-identical at every count; default: 0 = inline; "
-        "N = N worker processes)",
     )
     _add_geometry_flag(p)
     p.set_defaults(func=_cmd_simulate)

@@ -5,15 +5,15 @@ never perturbs the identity contract*:
 
 - :mod:`repro.obs.registry` — counters, gauges, histograms with fixed
   bucket edges, plus attachment of existing stats objects
-  (``GatewayHealth``, ``ShardHealth``, ``JournalStats``) behind their
+  (``GatewayHealth``, ``SegmentMemo``, ``JournalStats``) behind their
   plain-attribute APIs;
 - :mod:`repro.obs.trace` — structured spans over the per-interval
   decision path, exported as JSONL and Chrome ``trace_event`` JSON
   (``parvagpu ops --trace out.json``, Perfetto-loadable), span trees
   byte-identical across replays under ``VirtualClock``;
 - :mod:`repro.obs.flight` — a bounded ring of recent spans and
-  decisions, dumped automatically on ``CheckpointError``, safe-mode
-  entry, or shard-pool degradation;
+  decisions, dumped automatically on ``CheckpointError`` or safe-mode
+  entry;
 - :mod:`repro.obs.prometheus` — the ``GET /metrics`` text exposition;
 - :mod:`repro.obs.wallclock` — the package's only wall-clock read
   (D002-allowlisted); everywhere else time is a scenario instant or a

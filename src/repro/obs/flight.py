@@ -2,14 +2,13 @@
 
 A crashing control plane cannot be asked questions, so the hub keeps
 the last ``capacity`` observability entries — closed spans plus
-explicit decision notes (path choices, safe-mode entries, shard-pool
-degradations) — in a ring that costs one deque append per entry: a
-closed span is kept as the :class:`Span` itself and rendered only when
-the ring is read, so no rendering happens inside the span that
-encloses it.  On a
-``CheckpointError``, safe-mode entry, or shard-pool degradation the
-ring is dumped to a JSON document (and optionally a file referenced
-from the crash checkpoint) for post-mortem.
+explicit decision notes (path choices, safe-mode entries) — in a ring
+that costs one deque append per entry: a closed span is kept as the
+:class:`Span` itself and rendered only when the ring is read, so no
+rendering happens inside the span that encloses it.  On a
+``CheckpointError`` or safe-mode entry the ring is dumped to a JSON
+document (and optionally a file referenced from the crash checkpoint)
+for post-mortem.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ state, and no module here reads the wall clock (durations arrive as
 values observed by callers, see :mod:`repro.obs.wallclock`).
 
 Besides push-style families the registry can *attach* an existing
-stats object (``GatewayHealth``, ``ShardHealth``, ``JournalStats``):
+stats object (``GatewayHealth``, ``SegmentMemo``, ``JournalStats``):
 the object keeps its plain-attribute API (``health.steps += 1`` stays
 an attribute increment) and declares an ``OBS_FIELDS`` spec mapping
 each attribute to a metric kind; :meth:`MetricsRegistry.collect`
@@ -268,7 +268,7 @@ class MetricsRegistry:
         The object keeps its attribute API; :meth:`collect` snapshots
         the fields as ``<prefix>_<field>`` families on demand.
         Re-attaching a prefix replaces the previous object (a reentrant
-        controller attaches each run's fresh shard pool).
+        controller attaches each run's fresh segment memo).
         """
         if not self.enabled:
             return

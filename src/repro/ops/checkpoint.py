@@ -9,7 +9,7 @@ timeline cursor — as one JSON document.  Restoring it and continuing
 the run is **bit-identical** to never having stopped: every value that
 feeds a fingerprint round-trips exactly (JSON floats serialize via
 ``repr`` and parse back to the same IEEE-754 double), and everything
-that is *derived* (triplet memos, the shard segment memo, slot indexes)
+that is *derived* (triplet memos, the segment memo, slot indexes)
 is deliberately left out and rewarmed, because a memo hit is by
 construction bit-identical to a fresh computation.
 
@@ -292,18 +292,19 @@ def report_to_doc(report: OpsReport) -> dict[str, Any]:
         "horizon_s": report.horizon_s,
         "geometry": report.geometry,
         "fast_path": report.fast_path,
-        "workers": report.workers,
         "intervals": [_interval_to_doc(r) for r in report.intervals],
         "failures": [_failure_to_doc(r) for r in report.failures],
     }
 
 
 def report_from_doc(doc: Mapping[str, Any]) -> OpsReport:
+    """The report :func:`report_to_doc` wrote.  A ``workers`` key (the
+    process fan-out older checkpoints recorded) is ignored: no result
+    ever depended on it."""
     return OpsReport(
         horizon_s=doc["horizon_s"],
         geometry=doc["geometry"],
         fast_path=doc["fast_path"],
-        workers=doc["workers"],
         intervals=[_interval_from_doc(r) for r in doc["intervals"]],
         failures=[_failure_from_doc(r) for r in doc["failures"]],
     )

@@ -90,7 +90,6 @@ from repro.ops.events import (
 from repro.obs import ObsHub, Span
 from repro.ops.report import FailureRecord, IntervalRecord, OpsReport
 from repro.ops.verify import OpsIdentityError, StateVerifier
-from repro.parallel import FaultInjector, ShardHealth
 from repro.profiler.table import ProfileTable
 
 if TYPE_CHECKING:  # the shard module is imported when a run opens
@@ -178,8 +177,6 @@ class FleetController:
         seed: int = 0,
         spare_shadow_gpus: int = 4,
         full_replan_fraction: float = 0.5,
-        workers: int = 0,
-        fault_injector: Optional["FaultInjector"] = None,
         obs: Optional[ObsHub] = None,
     ) -> None:
         geo = get_geometry(geometry)
@@ -208,29 +205,13 @@ class FleetController:
             fast_path=fast_path,
         )
         self.spare_shadow_gpus = spare_shadow_gpus
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        if workers and not fast_path:
-            raise ValueError(
-                "workers requires the fast path (the naive reference "
-                "measures serially on the event engine)"
-            )
-        #: serving-measurement fan-out only: 0 simulates memo misses
-        #: inline; N >= 1 ships them to N worker processes, with
-        #: bit-identical results (repro.sim.shard)
-        self.workers = workers
-        #: infrastructure fault-injection hook handed to the shard pool
-        #: (tests and the resilience benchmark suite; None in production)
-        self.fault_injector = fault_injector
-        #: the run-scoped ShardContext (segment memo + plan layer +
-        #: optional pool); live only inside a fast run
+        #: the run-scoped ShardContext (segment memo + plan layer);
+        #: live only inside a fast run
         self._shard_ctx: Optional["ShardContext"] = None
         #: the current (else the last) run's segment memo; None on the
         #: reference path (``fast_path=False``), which measures on the
         #: event engine
         self.segment_memo: Optional["SegmentMemo"] = None
-        #: the last closed run's pool health (what the run survived)
-        self.last_shard_health: Optional[ShardHealth] = None
         #: failure event_id -> the GPU id the draw resolved to
         self._eid_to_gpu: dict[str, int] = {}
         #: the active begin()/step()/finish() cycle, if any
@@ -362,7 +343,6 @@ class FleetController:
             horizon_s=horizon_s,
             geometry=self.geometry.name,
             fast_path=self.fast_path,
-            workers=self.workers,
         )
         self._pending_seq = 0
         self._eid_to_gpu = {}
@@ -382,9 +362,8 @@ class FleetController:
     def _open_shard_context(self) -> None:
         """The run's measurement engine, for :meth:`begin` and
         :meth:`restore` alike: on the fast path a context with the
-        segment memo and plan layer, plus a shard pool only when
-        ``workers >= 1``; on the reference path none (the event engine
-        measures).
+        segment memo and plan layer; on the reference path none (the
+        event engine measures).
 
         The memo carries across intervals (an event perturbs a handful
         of services, so most segments resolve from cache).  It is not
@@ -396,12 +375,8 @@ class FleetController:
             return
         from repro.sim.shard import ShardContext
 
-        ctx = ShardContext(
-            self.workers, fault_injector=self.fault_injector, obs=self.obs,
-        )
+        ctx = ShardContext()
         self.obs.registry.attach("sim_memo", ctx.memo)
-        if ctx.pool is not None:
-            self.obs.registry.attach("shard", ctx.pool.health)
         self.segment_memo = ctx.memo
         self._shard_ctx = ctx
 
@@ -481,7 +456,7 @@ class FleetController:
             if run.measure_s > 0:
                 with self.obs.span(
                     "measure", t_s=t, cat="interval",
-                    services=len(run.work), workers=self.workers,
+                    services=len(run.work),
                 ) as sp:
                     sp.args.update(self._measure(record, placement, run))
                 stages.append(sp)
@@ -563,31 +538,16 @@ class FleetController:
         ``self.manager`` until the next :meth:`begin`.
         """
         run = self._require_run()
-        ctx = self._shard_ctx
-        if ctx is not None:
-            if ctx.pool is not None:
-                self.last_shard_health = ctx.pool.health
-            ctx.close()
-            self._shard_ctx = None
+        self._shard_ctx = None
         self._run = None
         return run.report
-
-    def shard_health(self) -> Optional[ShardHealth]:
-        """The shard pool's survival counters — live during a sharded
-        run, the last run's afterwards, None without a pool
-        (``workers=0``)."""
-        if self._shard_ctx is not None and self._shard_ctx.pool is not None:
-            return self._shard_ctx.pool.health
-        return self.last_shard_health
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore
     # ------------------------------------------------------------------ #
 
     def _config_doc(self) -> dict[str, Any]:
-        """The configuration a checkpoint must match to be restorable
-        (``workers`` is deliberately absent: results are worker-count-
-        invariant, so a resumed run may shard differently)."""
+        """The configuration a checkpoint must match to be restorable."""
         return {
             "geometry": self.geometry.name,
             "seed": self.seed,
@@ -656,7 +616,6 @@ class FleetController:
         controller exactly (geometry, seed, path flags, replan fraction,
         shadow budget) — anything less would diverge silently; a
         mismatch raises :class:`~repro.ops.checkpoint.CheckpointError`.
-        ``workers`` may differ: sharding is bit-identical at any width.
 
         Restore order matters: the placement is re-deployed onto a
         fresh cluster first (``deploy`` prunes drafted spares), *then*
@@ -724,8 +683,6 @@ class FleetController:
             ev = event_from_doc(entry["event"])
             heappush(pending, (timeline_key(ev), int(entry["seq"]), ev))
         report = report_from_doc(state["report"])
-        # The report describes the *resumed* run from here on.
-        report.workers = self.workers
         self._open_shard_context()
         self._run = _RunState(
             work=work,
@@ -1175,12 +1132,15 @@ class FleetController:
         self, record: IntervalRecord, placement: Placement, run: _RunState
     ) -> dict[str, int]:
         """Serve ``placement`` into ``record``; returns the measure
-        span's work counts: memo hits and plans reused whole out of the
-        segments served."""
+        span's work counts: memo hits, misses the closed form resolved
+        and plans reused whole out of the segments served."""
         from repro.sim.runner import measure_interval
 
         ctx = self._shard_ctx
-        hits = ctx.memo_hits if ctx is not None else 0
+        memo = ctx.memo if ctx is not None else None
+        before = (0, 0) if memo is None else (
+            memo.hits_total, memo.closed_form_total
+        )
         m = measure_interval(
             placement,
             run.work,
@@ -1195,8 +1155,12 @@ class FleetController:
         if m.per_service:
             record.worst_service = m.worst_service
             record.worst_service_compliance = m.worst_compliance
+        after = (0, 0) if memo is None else (
+            memo.hits_total, memo.closed_form_total
+        )
         return {
-            "memo_hits": (ctx.memo_hits if ctx is not None else 0) - hits,
+            "memo_hits": after[0] - before[0],
+            "closed_form": after[1] - before[1],
             "plans_reused": ctx.plans.reused if ctx is not None else 0,
             "segments": sum(len(g.segments) for g in placement.gpus),
         }
@@ -1233,7 +1197,6 @@ def run_identity_checked(
     measure_s: float = 0.0,
     warmup_s: float = 0.1,
     sim_seed: int = 0,
-    workers: int = 0,
     **controller_kwargs: object,
 ) -> tuple[OpsReport, OpsReport]:
     """Replay one timeline on the fast path *and* the naive reference.
@@ -1243,17 +1206,14 @@ def run_identity_checked(
     simulation stats fingerprint — must match exactly, or
     :class:`OpsIdentityError` is raised.
 
-    ``workers`` applies to the fast replay only — the naive reference
-    always runs in-process, without a segment memo, on the event-driven
-    engine, so every interval checks the memoized fast replay (at any
-    worker count) against memo-free measurement.
+    The naive reference runs without a segment memo on the event-driven
+    engine, so every interval checks the memoized fast replay against
+    memo-free measurement.
 
     Returns ``(fast_report, naive_report)``.
     """
     timeline = tuple(timeline)
-    fast = FleetController(
-        fast_path=True, workers=workers, **controller_kwargs
-    ).run(
+    fast = FleetController(fast_path=True, **controller_kwargs).run(
         services, timeline, horizon_s,
         measure_s=measure_s, warmup_s=warmup_s, sim_seed=sim_seed,
     )

@@ -125,8 +125,6 @@ class OpsReport:
     horizon_s: float
     geometry: str = "mig"
     fast_path: bool = True
-    #: process fan-out of serving measurement (0 = inline, memo on)
-    workers: int = 0
     intervals: list[IntervalRecord] = field(default_factory=list)
     failures: list[FailureRecord] = field(default_factory=list)
 
@@ -232,7 +230,6 @@ class OpsReport:
             "horizon_s": self.horizon_s,
             "geometry": self.geometry,
             "fast_path": self.fast_path,
-            "workers": self.workers,
             "intervals": [r.to_doc() for r in self.intervals],
             "failures": [f.to_doc() for f in self.failures],
             "gpu_hours": round(self.gpu_hours, 3),

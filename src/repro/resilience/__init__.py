@@ -1,14 +1,12 @@
 """Infrastructure fault injection for the crash-resilient control plane.
 
-Everything the resilience layer claims to survive — worker death, hung
-jobs, torn journal writes, corrupted checkpoints, stalling sources — is
-injectable on purpose from here, seeded and deterministic, so the
-recovery paths are *exercised* in CI rather than trusted.
+Everything the resilience layer claims to survive — torn journal
+writes, corrupted checkpoints, stalling sources — is injectable on
+purpose from here, seeded and deterministic, so the recovery paths are
+*exercised* in CI rather than trusted.
 """
 
 from repro.resilience.faults import (
-    FaultPlan,
-    WorkerFaultInjector,
     corrupt_journal,
     flip_bit,
     stalling_source_factory,
@@ -17,8 +15,6 @@ from repro.resilience.faults import (
 )
 
 __all__ = [
-    "FaultPlan",
-    "WorkerFaultInjector",
     "corrupt_journal",
     "flip_bit",
     "stalling_source_factory",

@@ -2,15 +2,9 @@
 
 The determinism contract makes resilience claims cheap to *verify*
 (recovered must be bit-identical to uninterrupted), but only if the
-failure paths actually run.  This module injects the five infrastructure
+failure paths actually run.  This module injects the infrastructure
 faults the control plane claims to survive:
 
-- **worker aborts** — :class:`WorkerFaultInjector` rides into shard-pool
-  worker processes (it implements :class:`repro.parallel.FaultInjector`)
-  and ``os._exit``\\ s designated jobs on their first attempt, forcing
-  the ``BrokenProcessPool`` → rebuild → retry ladder;
-- **job delays** — the same hook sleeps designated jobs past a pool's
-  per-job timeout, forcing the hung-worker path;
 - **journal truncation/corruption** — :func:`truncate_journal` tears the
   final write off a segment (the crash-mid-append case recovery must
   tolerate), :func:`corrupt_journal` flips a bit mid-segment (which
@@ -29,77 +23,8 @@ from __future__ import annotations
 
 import os
 import random
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, AsyncIterator, Callable, Sequence
-
-
-@dataclass(frozen=True)
-class WorkerFaultInjector:
-    """Picklable pre-job hook killing/delaying designated jobs once.
-
-    ``crash_jobs`` and ``delay_jobs`` are ``(batch, index)`` pairs —
-    the shard pool's monotonically increasing dispatch counter plus the
-    job's position within the batch.  Faults fire only on ``attempt 0``
-    (the first execution), so the post-recovery retry deterministically
-    succeeds; process kills fire only ``in_worker`` (never in the
-    parent, which the inline recovery floor runs in).
-    """
-
-    crash_jobs: tuple[tuple[int, int], ...] = ()
-    delay_jobs: tuple[tuple[int, int], ...] = ()
-    delay_s: float = 0.0
-    exit_code: int = 43
-
-    def before(
-        self, batch: int, attempt: int, index: int, in_worker: bool
-    ) -> None:
-        if attempt != 0:
-            return
-        if (batch, index) in self.delay_jobs:
-            time.sleep(self.delay_s)
-        if in_worker and (batch, index) in self.crash_jobs:
-            os._exit(self.exit_code)
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A seeded draw over the worker-fault space.
-
-    ``worker_crashes`` jobs are killed and ``job_delays`` jobs slept for
-    ``delay_s``, at ``(batch, index)`` sites sampled without replacement
-    from ``range(max_batch) x range(max_index)``.  Sites beyond what a
-    run actually dispatches are harmless no-ops, which is what lets a
-    property fuzz draw plans independently of the workload's shape.
-    """
-
-    seed: int = 0
-    worker_crashes: int = 0
-    job_delays: int = 0
-    delay_s: float = 0.0
-    max_batch: int = 8
-    max_index: int = 4
-
-    def injector(self) -> WorkerFaultInjector:
-        rng = random.Random(f"faultplan:{self.seed}")
-        space = [
-            (b, i)
-            for b in range(self.max_batch)
-            for i in range(self.max_index)
-        ]
-        crashes = tuple(
-            sorted(rng.sample(space, min(self.worker_crashes, len(space))))
-        )
-        taken = set(crashes)
-        remaining = [p for p in space if p not in taken]
-        delays = tuple(
-            sorted(rng.sample(remaining, min(self.job_delays, len(remaining))))
-        )
-        return WorkerFaultInjector(
-            crash_jobs=crashes, delay_jobs=delays, delay_s=self.delay_s
-        )
-
 
 # --------------------------------------------------------------------- #
 # file faults: checkpoints and journal segments

@@ -159,13 +159,13 @@ def _s14_run(seed: int) -> OpsRun:
 
 
 def _s15_run(seed: int) -> OpsRun:
-    """The 10k-service chaos week the sharded control plane exists for.
+    """The 10k-service chaos week: the control plane at fleet scale.
 
     Event density is deliberately low relative to the fleet size — a
     fleet-level failure every ~12 h, one preemption wave per day, single
     -digit churn and renegotiations — so the timeline stays at dozens of
     instants over the week and per-interval serving measurement (the
-    shardable stage) dominates the replay.
+    bootstrap's cold measurement above all) dominates the replay.
     """
     services = _base_services("S15")
     timeline = merge_timeline(
@@ -363,9 +363,8 @@ OPS_SCENARIOS: dict[str, Scenario] = {
         description=(
             f"10k-service chaos week: {S15_FLEET_SIZE} services through "
             f"7 simulated days of MTBF failures, daily preemption waves, "
-            f"churn and renegotiations — the sharded control plane's "
-            f"target workload (ops_run('S15', workers=N via the "
-            f"FleetController))"
+            f"churn and renegotiations — the fleet-scale control-plane "
+            f"workload (ops_run('S15'))"
         ),
         loads=fleet_loads(S15_FLEET_SIZE, seed=OPS_SEED),
     ),

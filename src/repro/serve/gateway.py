@@ -494,13 +494,10 @@ class ServeGateway:
         return self._cached_snapshot
 
     def health_doc(self) -> dict[str, object]:
-        """The full health surface: gateway, shard pool, and journal."""
+        """The full health surface: gateway and journal."""
         doc = self.health.to_doc()
         if self._source_error is not None:
             doc["source_error"] = self._source_error
-        shard = self.controller.shard_health()
-        if shard is not None:
-            doc["shard_pool"] = shard.to_doc()
         if self.journal is not None:
             doc["journal"] = self.journal.stats.to_doc()
         return doc
@@ -563,16 +560,14 @@ def replay_identity_checked(
     measure_s: float = 0.0,
     warmup_s: float = 0.1,
     sim_seed: int = 0,
-    workers: int = 0,
     deadline_budget_s: Optional[float] = None,
     **controller_kwargs: object,
 ) -> tuple[OpsReport, OpsReport]:
     """Virtual-clock gateway replay vs the offline reference run.
 
-    The gateway consumes ``timeline`` through the async loop (with
-    ``workers`` setting its measurement's process fan-out); the
-    reference is a plain in-process ``FleetController.run`` over the
-    identical timeline.
+    The gateway consumes ``timeline`` through the async loop; the
+    reference is a plain ``FleetController.run`` over the identical
+    timeline.
     Every interval's placement and simulation fingerprints must match
     exactly or :class:`~repro.ops.controller.OpsIdentityError` is
     raised.  Returns ``(gateway_report, offline_report)``.
@@ -586,7 +581,6 @@ def replay_identity_checked(
         warmup_s=warmup_s,
         sim_seed=sim_seed,
         deadline_budget_s=deadline_budget_s,
-        workers=workers,
         **controller_kwargs,
     )
     offline = FleetController(**controller_kwargs).run(

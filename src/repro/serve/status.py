@@ -10,11 +10,10 @@ reads the wall clock):
   request is O(1) and reads are bounded-stale, never torn);
 - ``GET /health`` — the full degradation surface
   (:meth:`~repro.serve.gateway.ServeGateway.health_doc`): gateway
-  counters plus shard-pool recovery health plus journal stats, rebuilt
-  per request;
+  counters plus journal stats, rebuilt per request;
 - ``GET /metrics`` — the Prometheus text exposition (format 0.0.4) of
   the session's :class:`~repro.obs.registry.MetricsRegistry`: every
-  controller family plus the attached gateway/shard/journal counters,
+  controller family plus the attached gateway/memo/journal counters,
   rendered byte-deterministically per scrape;
 - ``POST /events`` — submit events in the canonical wire format (one
   JSON object per line, as :func:`~repro.serve.sources.encode_event`

@@ -25,9 +25,18 @@ per-segment kernel:
   :class:`~repro.sim.metrics.BatchRecord` callback per batch.
 
 For arrival arrays where every full batch fills before its flush
-deadline and every batch completes before the next one dispatches (the
-uniform-arrival unsaturated regime), dispatch and completion times
-vectorise in numpy outright — no Python loop at all.
+deadline, every fill finds a free process and any trailing partial
+batch flushes on time (the uniform-arrival unsaturated regime),
+dispatch and completion times vectorise in numpy
+(:func:`_simulate_segment_vectorized`): dispatches sit at the fill
+instants, and when batches overlap — MPS processes pipelining batches
+within one instance — each batch's concurrency is the fixed point of a
+count over the computed completions.  Saturated segments (a fill that
+finds every process busy, as in most Poisson bursts), flushes that fire
+before a batch fills and overlapping segments too short to repay the
+fixed-point iteration (:data:`_CLOSED_FORM_MIN_BATCHES`) run on the
+per-batch kernel (:func:`_simulate_segment`), which stays the
+reference.
 
 The kernel replicates the event engine's semantics decision-for-decision
 (same dispatch times, batch compositions, concurrencies, warmup gating
@@ -40,16 +49,14 @@ because the engines sum in different orders; the identity check
 therefore pairs :meth:`SimulationReport.fingerprint` (exact fields) with
 :meth:`SimulationReport.close_to` (sums, at ``rtol=1e-9``).
 
-:func:`simulate_placement_fast` is the one fast orchestration at every
-worker count.  A :class:`SegmentMemo` held across calls resolves
-unchanged segments from cache; the misses run inline here or, when the
-caller's :class:`~repro.sim.shard.ShardContext` has a pool, in worker
-processes.  Either way one accumulation pass in placement order builds
-the report.  :class:`PlanMemo` sits one level above the segment memo:
-:func:`~repro.sim.runner.measure_interval` uses it to serve whole
-unchanged GPU plans from their last measurement, through the same
-lookup and miss path (:func:`_resolve_rows`) for the plans that did
-change.
+:func:`simulate_placement_fast` is the one fast orchestration.  A
+:class:`SegmentMemo` held across calls resolves unchanged segments from
+cache and the misses run inline; one accumulation pass in placement
+order builds the report.  :class:`PlanMemo` sits one level above the
+segment memo: :func:`~repro.sim.runner.measure_interval` uses it to
+serve whole unchanged GPU plans from their last measurement, through
+the same lookup and miss path (:func:`_resolve_rows`) for the plans
+that did change.
 """
 
 from __future__ import annotations
@@ -57,9 +64,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from heapq import heappush, heappop
-from typing import (
-    TYPE_CHECKING, ClassVar, Iterable, Mapping, NamedTuple, Optional,
-)
+from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,9 +75,6 @@ from repro.models.zoo import get_model
 from repro.sim.arrivals import poisson_arrivals, uniform_arrivals
 from repro.sim.batching import BatchPolicy
 from repro.sim.metrics import ServiceStats, SimulationReport, check_window
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
-    from repro.sim.shard import ShardContext
 
 _INF = float("inf")
 
@@ -103,14 +105,11 @@ class _SegmentResult:
 class _SegmentKernel:
     """Derived per-segment quantities, mirroring ``SegmentServer.__init__``.
 
-    Built from seven scalar parameters rather than a
-    :class:`PlacedSegment` so shard workers (:mod:`repro.sim.shard`) can
-    rebuild bit-identical kernels from columnar numpy buffers without
-    pickling placement objects; :meth:`from_segment` derives the
-    parameters exactly as the serial path always did.  The latency/busy
-    caches memoize the perf-model evaluations the event engine performs
-    per dispatch; the model is pure, so cached values are bit-identical
-    to fresh calls.
+    Built from seven scalar parameters (tests build kernels directly);
+    :meth:`from_segment` derives them from a :class:`PlacedSegment`.  The
+    latency/busy caches memoize the perf-model evaluations the event
+    engine performs per dispatch; the model is pure, so cached values are
+    bit-identical to fresh calls.
     """
 
     def __init__(
@@ -148,7 +147,7 @@ class _SegmentKernel:
         slo_ms: float,
         sm_count: int | None = None,
     ) -> "_SegmentKernel":
-        """Kernel parameters as the serial fast path derives them.
+        """Kernel parameters as the fast path derives them.
 
         ``sm_count`` overrides the segment's own compute-unit count with
         the activity tracker's registered value (last register wins when
@@ -192,56 +191,101 @@ class _SegmentKernel:
         return out
 
 
+#: Full batches a segment needs before the closed form may solve
+#: overlapping batches: below it the per-batch kernel is cheaper than the
+#: fixed-point iteration (crossover table in docs/architecture.md).
+_CLOSED_FORM_MIN_BATCHES = 32
+
+#: fixed-point rounds before the closed form leaves a segment to the
+#: per-batch kernel
+_CLOSED_FORM_ROUNDS = 8
+
+
 def _simulate_segment_vectorized(
     kernel: _SegmentKernel,
     arrivals: np.ndarray,
     warmup_s: float,
     until: float,
 ) -> _SegmentResult | None:
-    """Numpy closed form for the fill-dominated concurrency-1 regime.
+    """Numpy closed form for the fill-dominated regime.
 
-    Valid when (checked on the actual float arrays): every full batch
-    fills before its head's flush deadline, every batch completes
-    strictly before the next one dispatches (so executor concurrency is
-    pinned at 1 and a free process always exists), and the trailing
-    partial batch — if any — collects all its requests before its own
-    flush deadline.  Uniform arrivals in the unsaturated regime satisfy
-    this by construction; the check admits any arrival array that does.
-    Returns ``None`` when the regime does not apply.
+    Every full batch ``k`` dispatches at its fill instant
+    ``A[k*b + b-1]`` and completes at ``dispatch + latency(b, c_k)``,
+    where ``c_k`` is 1 plus the number of earlier batches still running
+    at the fill (a completion exactly at a fill is still running:
+    arrivals run first).  Valid when (checked on the actual float
+    arrays): every full batch fills before its head's flush deadline,
+    no completion finds a waiting head overdue, every fill finds a free
+    process, and the trailing partial batch — if any — collects all its
+    requests before its own flush deadline and finds a free process
+    there.  Overlapping batches (MPS pipelining) need a fixed-point
+    solve of ``c`` and are tried only for segments of at least
+    :data:`_CLOSED_FORM_MIN_BATCHES` full batches.  Returns ``None``
+    when the regime does not apply.
     """
     batch = kernel.batch_size
+    procs = kernel.num_processes
     n = len(arrivals)
     if n == 0:
         return _SegmentResult()
+    if float(arrivals[-1]) > until:
+        return None  # the run stops before some batch fills
     full = n // batch
     rest = n - full * batch
-    flush_wait_s = kernel.policy.flush_wait_ms / 1e3
+    flush_wait_ms = kernel.policy.flush_wait_ms
+    flush_wait_s = flush_wait_ms / 1e3
 
     heads = arrivals[: full * batch : batch]
     dispatches = arrivals[batch - 1 : full * batch : batch]
-    if full and not np.all(dispatches <= heads + flush_wait_s):
+    if full and not (dispatches <= heads + flush_wait_s).all():
         return None  # a flush would fire before some batch fills
     exec_s = kernel.latency_ms(batch, 1) / 1e3 if full else 0.0
     completions = dispatches + exec_s
-    if full > 1 and not np.all(completions[:-1] < dispatches[1:]):
-        return None  # batches overlap: concurrency exceeds 1
+    ordered = completions  # sorted: concurrency 1 keeps fill order
+    if full > 1 and not (completions[:-1] < dispatches[1:]).all():
+        # Batches overlap: concurrency exceeds 1 somewhere.
+        if full < _CLOSED_FORM_MIN_BATCHES:
+            return None
+        # Latency grows with concurrency, so concurrency-1 completions
+        # are lower bounds: when batch k-procs still runs at fill k, so
+        # do the procs-1 batches dispatched after it.
+        if (completions[:-procs] >= dispatches[procs:]).any():
+            return None  # some fill finds no free process
+        solved = _pipelined_completions(kernel, dispatches, completions)
+        if solved is None:
+            return None
+        completions, ordered = solved
+    if flush_wait_ms > 0 and not (
+        (dispatches - heads) * 1e3 < flush_wait_ms
+    ).all():
+        # A completion before a fill could pass the per-batch kernel's
+        # float overdue test and flush the batch early; only a fill
+        # within ulps of its flush deadline leaves room for that.
+        return None
 
-    tail = None  # (dispatch_time, completion_time, size, concurrency)
+    tail = None  # (dispatch_time, completion_time, size)
     if rest:
         head = float(arrivals[full * batch])
         deadline = kernel.policy.flush_deadline(head)
         if float(arrivals[-1]) > deadline:
             return None  # the tail spans several flush windows
-        in_flight = bool(full) and float(completions[-1]) > deadline
-        if in_flight and kernel.num_processes == 1:
-            return None  # tail would dispatch at the completion instead
-        concurrency = 2 if in_flight else 1
+        running = 0
+        if full and float(ordered[-1]) >= head:
+            # Completions while the tail waits: batches still running at
+            # the last fill, so at most `procs` of them.
+            for done in ordered[np.searchsorted(ordered, head):].tolist():
+                if done == deadline or (
+                    done < deadline and (done - head) * 1e3 >= flush_wait_ms
+                ):
+                    return None  # a completion would dispatch the tail
+                running += done > deadline
+        if running >= procs:
+            return None  # tail would dispatch at a completion instead
         if deadline <= until:
             tail = (
                 deadline,
-                deadline + kernel.latency_ms(rest, concurrency) / 1e3,
+                deadline + kernel.latency_ms(rest, running + 1) / 1e3,
                 rest,
-                concurrency,
             )
 
     out = _SegmentResult()
@@ -258,7 +302,7 @@ def _simulate_segment_vectorized(
         out.busy_sm_s = kernel.busy_sm_s(batch) * busy_dispatches
         out.steps = full + int(np.count_nonzero(completions <= until))
     if tail is not None:
-        t_disp, t_comp, size, _ = tail
+        t_disp, t_comp, size = tail
         out.steps += 1
         if t_disp >= warmup_s:
             out.busy_sm_s += kernel.busy_sm_s(size)
@@ -273,6 +317,43 @@ def _simulate_segment_vectorized(
                 if worst_ms > out.latency_max_ms:
                     out.latency_max_ms = worst_ms
     return out
+
+
+def _pipelined_completions(
+    kernel: _SegmentKernel,
+    dispatches: np.ndarray,
+    completions: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Completions of full batches dispatched at ``dispatches`` with up
+    to ``num_processes`` in flight, solved from the concurrency-1
+    ``completions``, and the same completions sorted; None when some
+    fill finds no free process or the solve does not settle within
+    :data:`_CLOSED_FORM_ROUNDS` rounds.
+
+    The concurrencies are a fixed point: ``c_k - 1`` counts earlier
+    completions at or after fill ``k``.  No later batch completes
+    before fill ``k``, so that count is ``k`` minus the completions
+    strictly before it.  ``c_k`` depends only on earlier batches, so the
+    fixed point is unique and equals the per-batch kernel's sequence.
+    """
+    procs = kernel.num_processes
+    exec_s = np.array([
+        kernel.latency_ms(kernel.batch_size, c) / 1e3
+        for c in range(1, procs + 1)
+    ])
+    earlier = np.arange(len(dispatches))
+    running = np.zeros(len(dispatches), dtype=np.intp)
+    ordered = completions  # concurrency-1 completions are in fill order
+    for _ in range(_CLOSED_FORM_ROUNDS):
+        found = earlier - np.searchsorted(ordered, dispatches)
+        if (found == running).all():
+            return completions, ordered
+        if found.max() >= procs:
+            return None  # some fill finds no free process
+        running = found
+        completions = dispatches + exec_s[running]
+        ordered = np.sort(completions)
+    return None
 
 
 def _simulate_segment(
@@ -386,29 +467,6 @@ def _simulate_segment(
     return out
 
 
-def _simulate_row(
-    kernel: _SegmentKernel,
-    arrivals: np.ndarray,
-    warmup_s: float,
-    until: float,
-) -> tuple:
-    """One segment's result row — batches, violations, requests,
-    latency_sum_ms, latency_max_ms, busy_sm_s, steps — from the numpy
-    closed form where the regime allows, the per-batch kernel otherwise."""
-    res = _simulate_segment_vectorized(kernel, arrivals, warmup_s, until)
-    if res is None:
-        res = _simulate_segment(kernel, arrivals, warmup_s, until)
-    return (
-        res.batches,
-        res.violations,
-        res.requests,
-        res.latency_sum_ms,
-        res.latency_max_ms,
-        res.busy_sm_s,
-        res.steps,
-    )
-
-
 class SegmentMemo:
     """Cross-call segment memo: kernel signature -> result row.
 
@@ -421,13 +479,15 @@ class SegmentMemo:
     re-simulate, and are not counted.
 
     The counters are deterministic work counts (kernels simulated vs
-    memo hits), the same at every worker count; the fleet controller
-    attaches them to its registry as the ``sim_memo_*`` families.
+    memo hits, and the misses the numpy closed form resolved without
+    the per-batch kernel); the fleet controller attaches them to its
+    registry as the ``sim_memo_*`` families.
     """
 
     OBS_FIELDS: ClassVar[dict[str, str]] = {
         "hits_total": "counter",
         "misses_total": "counter",
+        "closed_form_total": "counter",
     }
 
     def __init__(self) -> None:
@@ -436,6 +496,8 @@ class SegmentMemo:
         self.hits_total = 0
         #: segments whose kernel had to be simulated
         self.misses_total = 0
+        #: misses the closed form resolved (the rest ran per batch)
+        self.closed_form_total = 0
 
 
 #: one segment to resolve: ``(segment, slo_ms, sm_count, times)``;
@@ -448,25 +510,23 @@ def _resolve_rows(
     arrivals: str,
     duration_s: float,
     warmup_s: float,
-    context: Optional["ShardContext"],
-    reused: int = 0,
+    memo: Optional[SegmentMemo],
 ) -> list[tuple]:
     """Result rows of ``segs``, in order: the memo lookup and miss path.
 
-    Each segment is looked up in ``context``'s memo (uniform arrivals
-    only).  The misses are simulated inline, or shipped to the
-    context's shard pool when it has one.  Memo writes wait until every
-    miss is resolved, so the hit/miss counters do not depend on the
-    worker count.  ``reused`` counts segments the caller resolved
-    without a lookup; it only feeds the ``scatter`` span's hit count.
+    Each segment is looked up in ``memo`` (uniform arrivals only); a
+    miss is simulated by the numpy closed form where its regime applies,
+    by the per-batch kernel otherwise.  A row is batches, violations,
+    requests, latency_sum_ms, latency_max_ms, busy_sm_s, steps.  Memo
+    writes wait until every segment is looked up, so a signature repeated
+    within one call counts one miss per occurrence.
     """
-    memo = None
-    if context is not None and arrivals == "uniform":
-        memo = context.memo
-    rows: list[Optional[tuple]] = [None] * len(segs)
-    misses: list[int] = []
-    miss_keys: list[tuple] = []
-    for i, (seg, slo_ms, sm_count, _times) in enumerate(segs):
+    if arrivals != "uniform":
+        memo = None
+    until = duration_s + 1.0
+    rows: list[tuple] = []
+    computed: list[tuple[tuple, tuple]] = []
+    for seg, slo_ms, sm_count, times in segs:
         if memo is not None:
             mk = (
                 seg.model,
@@ -482,34 +542,33 @@ def _resolve_rows(
             )
             row = memo.rows.get(mk)
             if row is not None:
-                rows[i] = row
+                rows.append(row)
                 memo.hits_total += 1
                 continue
             memo.misses_total += 1
-            miss_keys.append(mk)
-        misses.append(i)
-
-    until = duration_s + 1.0
-    if misses and context is not None and context.pool is not None:
-        shipped = context.run_shards(
-            [segs[i] for i in misses], arrivals, duration_s, warmup_s, until,
-            memo_hits=reused + len(segs) - len(misses),
+        kernel = _SegmentKernel.from_segment(seg, slo_ms, sm_count=sm_count)
+        if times is None:
+            times = uniform_arrivals(seg.served_rate, duration_s)
+        res = _simulate_segment_vectorized(kernel, times, warmup_s, until)
+        if res is None:
+            res = _simulate_segment(kernel, times, warmup_s, until)
+        elif memo is not None:
+            memo.closed_form_total += 1
+        row = (
+            res.batches,
+            res.violations,
+            res.requests,
+            res.latency_sum_ms,
+            res.latency_max_ms,
+            res.busy_sm_s,
+            res.steps,
         )
-        for i, row in zip(misses, shipped):
-            rows[i] = row
-    else:
-        for i in misses:
-            seg, slo_ms, sm_count, times = segs[i]
-            kernel = _SegmentKernel.from_segment(
-                seg, slo_ms, sm_count=sm_count
-            )
-            if times is None:
-                times = uniform_arrivals(seg.served_rate, duration_s)
-            rows[i] = _simulate_row(kernel, times, warmup_s, until)
+        if memo is not None:
+            computed.append((mk, row))
+        rows.append(row)
     if memo is not None:
-        for i, mk in zip(misses, miss_keys):
-            memo.rows[mk] = rows[i]
-    return rows  # type: ignore[return-value]
+        memo.rows.update(computed)
+    return rows
 
 
 def _unknown_service(
@@ -532,18 +591,18 @@ def simulate_placement_fast(
     warmup_s: float = 0.5,
     seed: int = 0,
     arrivals: str = "uniform",
-    context: Optional["ShardContext"] = None,
+    memo: Optional[SegmentMemo] = None,
 ) -> SimulationReport:
     """Fast-path equivalent of :func:`repro.sim.runner.simulate_placement`.
 
-    The one measurement engine, at every worker count.  It walks the
-    placement once in placement order, drawing Poisson arrivals from the
-    shared rng exactly as the event-driven runner does, and resolves
-    each segment through ``context``'s memo (when given) and miss
-    path (:func:`_resolve_rows`).  A final pass accumulates every row in
-    placement order, so the report is bit-identical however each row was
-    obtained.  ``report.events_processed`` counts kernel steps
-    (dispatches + completions) rather than heap events.
+    The one measurement engine.  It walks the placement once in
+    placement order, drawing Poisson arrivals from the shared rng exactly
+    as the event-driven runner does, and resolves each segment through
+    ``memo`` (when given) and the miss path (:func:`_resolve_rows`).  A
+    final pass accumulates every row in placement order, so the report
+    is bit-identical however each row was obtained.
+    ``report.events_processed`` counts kernel steps (dispatches +
+    completions) rather than heap events.
     """
     from repro.sim.runner import segment_key
 
@@ -583,7 +642,7 @@ def simulate_placement_fast(
             (seg, slo_ms, sm_counts[key], times)
             for key, seg, slo_ms, times in runs
         ],
-        arrivals, duration_s, warmup_s, context,
+        arrivals, duration_s, warmup_s, memo,
     )
 
     busy = dict.fromkeys(sm_counts, 0.0)
@@ -692,7 +751,7 @@ class PlanMemo:
         services: Iterable[Service],
         duration_s: float,
         warmup_s: float,
-        context: "ShardContext",
+        memo: SegmentMemo,
     ) -> Optional[tuple[float, str, dict[str, float]]]:
         """``(compliance, fingerprint, per-service compliance)`` of
         serving ``placement`` under uniform arrivals: bit-identical to
@@ -765,11 +824,8 @@ class PlanMemo:
             )
             plan_keys.append(keys)
 
-        context.memo.hits_total += reused_segments
-        rows = _resolve_rows(
-            segs, "uniform", duration_s, warmup_s, context,
-            reused=reused_segments,
-        )
+        memo.hits_total += reused_segments
+        rows = _resolve_rows(segs, "uniform", duration_s, warmup_s, memo)
         self.reused = len(placement.gpus) - len(resolve)
 
         # Commit: service entries first, so every host update finds one.

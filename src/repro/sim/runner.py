@@ -88,13 +88,13 @@ def measure_interval(
 
         services = list(services)
         measured = shard_context.plans.measure(
-            placement, services, duration_s, warmup_s, shard_context
+            placement, services, duration_s, warmup_s, shard_context.memo
         )
         if measured is not None:
             return IntervalMeasurement(*measured)
         sim = simulate_placement_fast(
             placement, services, duration_s=duration_s, warmup_s=warmup_s,
-            seed=seed, context=shard_context,
+            seed=seed, memo=shard_context.memo,
         )
     return IntervalMeasurement(
         compliance=sim.overall_compliance,
@@ -113,7 +113,6 @@ def simulate_placement(
     seed: int = 0,
     arrivals: str = "uniform",
     fast_path: bool = True,
-    workers: int = 0,
 ) -> SimulationReport:
     """Drive ``placement`` with request traffic and measure serving quality.
 
@@ -131,36 +130,13 @@ def simulate_placement(
     fewer iteration steps.  ``fast_path=False`` keeps the per-request
     discrete-event engine as the naive reference (the perf harness checks
     the two against each other on every recorded run).
-
-    ``workers`` sets the fast path's process fan-out for this one call:
-    ``0`` (default) simulates inline, ``N >= 1`` opens a
-    :class:`~repro.sim.shard.ShardContext` whose ``N`` contiguous shards
-    merge back in placement order (``workers=1`` runs the single shard
-    inline).  The report is bit-identical for every worker count.
-    Workers require the fast path.
     """
-    if workers < 0:
-        raise ValueError("workers must be >= 0")
     if fast_path:
         from repro.sim.fastpath import simulate_placement_fast
 
-        if workers == 0:
-            return simulate_placement_fast(
-                placement, services, duration_s=duration_s,
-                warmup_s=warmup_s, seed=seed, arrivals=arrivals,
-            )
-        from repro.sim.shard import ShardContext
-
-        with ShardContext(workers) as ctx:
-            return simulate_placement_fast(
-                placement, services, duration_s=duration_s,
-                warmup_s=warmup_s, seed=seed, arrivals=arrivals,
-                context=ctx,
-            )
-    if workers >= 1:
-        raise ValueError(
-            "sharded parallel simulation requires the fast path "
-            "(the event-driven reference stays serial)"
+        return simulate_placement_fast(
+            placement, services, duration_s=duration_s, warmup_s=warmup_s,
+            seed=seed, arrivals=arrivals,
         )
     check_window(duration_s, warmup_s)
     svc_by_id = {s.id: s for s in services}

@@ -300,7 +300,7 @@ class TestD006:
 
     def test_unused_workers_switch(self):
         src = (
-            "def simulate(placement, workers=4):\n"
+            "def simulate(placement, workers: int = 4):\n"
             "    return _sharded(placement)\n"
         )
         assert codes(src, PLAIN) == ["D006"]

@@ -1,9 +1,8 @@
 """The flight recorder: ring bound, dump triggers, crash breadcrumbs.
 
-Dumps must fire automatically on the three degradation signals the
-control plane defines — checkpoint failure, gateway safe-mode entry,
-and shard-pool degradation — and the recorder itself must never turn a
-degradation into a crash.
+Dumps must fire automatically on the two degradation signals the
+control plane defines — checkpoint failure and gateway safe-mode entry
+— and the recorder itself must never turn a degradation into a crash.
 """
 
 import asyncio
@@ -14,7 +13,6 @@ import pytest
 from repro.core.service import Service
 from repro.obs import FlightRecorder, ObsHub, Span
 from repro.ops import CheckpointError, FleetController
-from repro.parallel import ShardPool
 from repro.serve import ServeGateway, VirtualClock
 
 
@@ -127,32 +125,3 @@ class TestCheckpointErrorDump:
         # no dump happened: the breadcrumb is present but empty
         assert doc["flight_dump"] is None
         ctrl.finish()
-
-
-class _AlwaysCrash:
-    def before(self, batch, attempt, index, in_worker):
-        if in_worker:
-            import os
-
-            os._exit(43)
-
-
-# must be module-level to pickle into workers
-def _square(x):
-    return x * x
-
-
-class TestDegradationDump:
-    def test_shard_degradation_dumps_flight(self):
-        hub = ObsHub()
-        with ShardPool(
-            2, fault_injector=_AlwaysCrash(), max_attempts=1,
-            backoff_s=0.0, obs=hub,
-        ) as pool:
-            assert pool.run(_square, [1, 2, 3]) == [1, 4, 9]
-        assert pool.health.degradations >= 1
-        assert hub.flight.dumps >= 1
-        assert hub.flight.last_dump["reason"] == "shard-degradation"
-        kinds = {e["kind"] for e in hub.flight.last_dump["entries"]}
-        assert "shard-degradation" in kinds
-        assert "worker-crash" in kinds

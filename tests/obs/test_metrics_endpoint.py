@@ -40,8 +40,7 @@ async def fetch(port, path):
 
 def run_gateway(profiles, services):
     gateway = ServeGateway(
-        # workers=1: inline shard path, so shard_* health attaches too
-        FleetController(profiles, workers=1), services, 100.0,
+        FleetController(profiles), services, 100.0,
         VirtualClock(), measure_s=0.1,
     )
     events = [RateEpoch(time_s=30.0, service_id="a", rate=6000.0)]
@@ -65,11 +64,12 @@ class TestMetricsEndpoint:
         assert status == 200
         assert headers["content-type"] == PROMETHEUS_CONTENT_TYPE
         text = body.decode("utf-8")
-        # controller counters, attached gateway/shard health, and the
-        # intake histogram must all be on the one scrape surface
+        # controller counters, attached gateway health and memo counts,
+        # and the intake histogram must all be on the one scrape surface
         assert "# TYPE ops_intervals_total counter\n" in text
         assert "# TYPE gateway_steps counter\n" in text
-        assert "# TYPE shard_batches counter\n" in text
+        assert "# TYPE sim_memo_closed_form_total counter\n" in text
+        assert "shard_" not in text
         assert 'ops_events_applied_total{kind="RateEpoch"} 1\n' in text
 
     def test_scrape_matches_health_doc(self, profiles, services):

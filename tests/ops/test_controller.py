@@ -491,12 +491,6 @@ class TestStepApiOrdering:
         with pytest.raises(ValueError, match="positive and finite"):
             ctrl.begin(one, horizon_s=horizon_s)
 
-    def test_reference_refuses_workers(self, profiles):
-        """The naive reference measures serially on the event engine,
-        so a worker count would be recorded for a fan-out never run."""
-        with pytest.raises(ValueError, match="fast path"):
-            controller(profiles, fast_path=False, workers=2)
-
     def test_begin_step_finish_matches_run(self, profiles, services):
         """Driving the step API by hand is the run loop, bit for bit."""
         timeline = merge_timeline(
@@ -649,13 +643,15 @@ class TestLiveAllocatorState:
         assert [a["full"] for a in spans] == [1, 0, 0, 0]
         scraped = {
             m.name: m for m in ctrl.obs.registry.collect()
-            if m.name.startswith(("alloc_", "check_"))
+            if m.name.startswith(("alloc_", "check_", "sim_memo_"))
         }
         assert sorted(scraped) == [
             "alloc_gpus_rebuilt", "alloc_gpus_touched", "alloc_states_rebuilt",
             "check_full_fallbacks", "check_gpus_rebuilt",
             "check_lines_rendered", "check_live_compared",
             "check_services_rerated",
+            "sim_memo_closed_form_total", "sim_memo_hits_total",
+            "sim_memo_misses_total",
         ]
 
     def test_check_compares_only_changed_live_states(self, profiles):

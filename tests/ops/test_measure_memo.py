@@ -1,12 +1,10 @@
-"""The controller's one measurement engine: the segment memo is on at
-every worker count, and ``workers`` only sets process fan-out.
+"""The controller's one measurement engine: an inline segment memo.
 
 The contract under test: a fast-path controller keeps one segment memo
-per run whatever its ``workers``, the memo's work counters are exact and
-identical across worker counts and with observability on or off, the
-default controller (``workers=0``) hits the memo without ever creating
-a shard pool, and every report stays bit-identical to the memo-free
-reference replay.
+per run, the memo's work counters (hits, misses, and the misses the
+closed form resolved) are exact and identical with observability on or
+off, the default controller hits the memo, and every report stays
+bit-identical to the memo-free reference replay.
 """
 
 import pytest
@@ -61,31 +59,39 @@ def scraped(ctrl):
 class TestWorkCounters:
     def test_counts_are_exact_and_worker_invariant(self, profiles, services):
         counts = set()
-        for workers in (0, 1, 2):
-            for obs in (ObsHub(), ObsHub(enabled=False)):
-                ctrl = FleetController(profiles, workers=workers, obs=obs)
-                measured_run(ctrl, services)
-                memo = ctrl.segment_memo
-                counts.add((memo.hits_total, memo.misses_total))
-                if obs.enabled:
-                    spans = measure_spans(ctrl)
-                    served = sum(sp.args["segments"] for sp in spans)
-                    assert memo.hits_total == sum(
-                        sp.args["memo_hits"] for sp in spans
-                    )
-                    assert memo.hits_total + memo.misses_total == served
-                    # the bootstrap interval starts from an empty memo
-                    assert spans[0].args["memo_hits"] == 0
-                    assert memo.misses_total >= spans[0].args["segments"]
-                    assert scraped(ctrl) == {
-                        "sim_memo_hits_total": [((), memo.hits_total)],
-                        "sim_memo_misses_total": [((), memo.misses_total)],
-                    }
-                else:
-                    assert scraped(ctrl) == {}
+        for obs in (ObsHub(), ObsHub(enabled=False)):
+            ctrl = FleetController(profiles, obs=obs)
+            measured_run(ctrl, services)
+            memo = ctrl.segment_memo
+            counts.add(
+                (memo.hits_total, memo.misses_total, memo.closed_form_total)
+            )
+            if obs.enabled:
+                spans = measure_spans(ctrl)
+                served = sum(sp.args["segments"] for sp in spans)
+                assert memo.hits_total == sum(
+                    sp.args["memo_hits"] for sp in spans
+                )
+                assert memo.closed_form_total == sum(
+                    sp.args["closed_form"] for sp in spans
+                )
+                assert memo.hits_total + memo.misses_total == served
+                # the bootstrap interval starts from an empty memo
+                assert spans[0].args["memo_hits"] == 0
+                assert memo.misses_total >= spans[0].args["segments"]
+                assert scraped(ctrl) == {
+                    "sim_memo_closed_form_total": [
+                        ((), memo.closed_form_total)
+                    ],
+                    "sim_memo_hits_total": [((), memo.hits_total)],
+                    "sim_memo_misses_total": [((), memo.misses_total)],
+                }
+            else:
+                assert scraped(ctrl) == {}
         assert len(counts) == 1
-        (hits, misses), = counts
+        (hits, misses, closed), = counts
         assert hits > 0 and misses > 0
+        assert 0 < closed <= misses
 
 
 class TestDefaultController:
@@ -93,19 +99,12 @@ class TestDefaultController:
         ctrl = FleetController()
         report = measured_run(ctrl, services)
         assert len(report.intervals) >= 3
-        assert ctrl.shard_health() is None
         hits = [sp.args["memo_hits"] for sp in measure_spans(ctrl)]
         assert len(hits) == len(report.intervals)
         assert hits[0] == 0
         assert all(h > 0 for h in hits[1:])
 
         profiles = ctrl.profiles
-        for workers in (1, 2):
-            sharded = FleetController(profiles, workers=workers)
-            assert_reports_identical(
-                measured_run(sharded, services), report
-            )
-            assert sharded.shard_health() is not None
         reference = FleetController(profiles, fast_path=False)
         naive = measured_run(reference, services)
         assert_reports_identical(report, naive)
@@ -136,7 +135,6 @@ class TestResumeRewarmsMemo:
         resumed = full_run(ctrl, resume=path)
         assert_reports_identical(resumed, reference)
         assert resumed.to_doc() == reference.to_doc()
-        assert ctrl.shard_health() is None
         hits = [sp.args["memo_hits"] for sp in measure_spans(ctrl)]
         assert hits[0] == 0  # the first resumed interval starts cold
         assert sum(hits[1:]) > 0

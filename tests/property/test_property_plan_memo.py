@@ -14,10 +14,10 @@ The sequences cover the layer's invalidation rules: the same
 arrivals and departures, rate changes, a GPU failure renumbered away by
 ``drop_empty_gpus``, a change of measurement window on the same
 context, and a departed service still placed (both must raise the same
-``ValueError``).  Contexts run at workers 0 and 2.
+``ValueError``).  A context reused across plain placement walks is
+bit-identical too, float sums included.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,10 +110,15 @@ def _walk(placement, services, window, ctx):
     try:
         simulate_placement_fast(
             placement, services, duration_s=measure_s + warmup_s,
-            warmup_s=warmup_s, context=ctx,
+            warmup_s=warmup_s, memo=ctx.memo,
         )
     except ValueError:
         pass
+
+
+def counts(ctx):
+    memo = ctx.memo
+    return memo.hits_total, memo.misses_total, memo.closed_form_total
 
 
 def _same(got, want):
@@ -127,10 +132,9 @@ def _same(got, want):
     assert got.worst_compliance == want.worst_compliance
 
 
-@pytest.mark.parametrize("workers", [0, 2])
 @given(cells=fleets, steps=ops)
 @settings(max_examples=25, deadline=None, derandomize=True)
-def test_plan_layer_matches_memo_free_reference(workers, cells, steps):
+def test_plan_layer_matches_memo_free_reference(cells, steps):
     services = [
         Service(f"s{i}", model, slo_latency_ms=slo, request_rate=rate)
         for i, (model, slo, rate) in enumerate(cells)
@@ -138,75 +142,73 @@ def test_plan_layer_matches_memo_free_reference(workers, cells, steps):
     placement = SCHEDULER.schedule(services)
     window = WINDOWS[0]
     arrivals = 0
-    with ShardContext(workers) as ctx, ShardContext(0) as walk:
+    ctx, walk = ShardContext(), ShardContext()
 
-        def check():
-            _same(
-                _measure(placement, services, window, ctx),
-                _reference(placement, services, window),
-            )
-            _walk(placement, services, window, walk)
-            assert (ctx.memo_hits, ctx.memo_misses) == (
-                walk.memo_hits, walk.memo_misses
-            )
+    def check():
+        _same(
+            _measure(placement, services, window, ctx),
+            _reference(placement, services, window),
+        )
+        _walk(placement, services, window, walk)
+        assert counts(ctx) == counts(walk)
 
+    check()
+    for kind, a, factor in steps:
+        gpus = placement.gpus
+        if kind == "slo":  # the same Placement object is re-measured
+            svc = services[a % len(services)]
+            svc.slo_latency_ms = SLOS[(SLOS.index(svc.slo_latency_ms) + 1)
+                                      % len(SLOS)]
+        elif kind == "rate" and gpus:
+            i = a % len(gpus)
+            placement = _republish(
+                placement,
+                gpus[:i] + [_rescaled(gpus[i], factor)] + gpus[i + 1:],
+            )
+        elif kind == "arrive":
+            arrivals += 1
+            svc = Service(
+                f"n{arrivals}", MODELS[a % len(MODELS)],
+                slo_latency_ms=SLOS[a % len(SLOS)],
+                request_rate=RATES[a % len(RATES)],
+            )
+            services.append(svc)
+            own = SCHEDULER.schedule([svc]).gpus
+            placement = _republish(placement, gpus + [
+                plan.renumbered(len(gpus) + k)
+                for k, plan in enumerate(own)
+            ])
+        elif kind == "depart" and len(services) > 1:
+            sid = services.pop(a % len(services)).id
+            placement = _republish(placement, [
+                _without(plan, sid)
+                if any(s.service_id == sid for s in plan.segments)
+                else plan
+                for plan in gpus
+            ])
+        elif kind == "fail" and gpus:
+            i = a % len(gpus)
+            placement = _republish(
+                placement,
+                gpus[:i] + [GPUPlan(i, (), gpus[i].geometry)]
+                + gpus[i + 1:],
+            )
+            placement.drop_empty_gpus()
+        elif kind == "window":
+            window = WINDOWS[(WINDOWS.index(window) + 1) % len(WINDOWS)]
+        elif kind == "ghost":  # departed, but still placed
+            placed = [s for s in services
+                      if any(seg.service_id == s.id
+                             for _, seg in placement.iter_segments())]
+            if placed:
+                ghost = placed[a % len(placed)]
+                services.remove(ghost)
+                check()  # both raise the same ValueError
+                services.append(ghost)
+        elif kind == "reorder":
+            k = a % len(services)
+            services[:] = services[k:] + services[:k]
         check()
-        for kind, a, factor in steps:
-            gpus = placement.gpus
-            if kind == "slo":  # the same Placement object is re-measured
-                svc = services[a % len(services)]
-                svc.slo_latency_ms = SLOS[(SLOS.index(svc.slo_latency_ms) + 1)
-                                          % len(SLOS)]
-            elif kind == "rate" and gpus:
-                i = a % len(gpus)
-                placement = _republish(
-                    placement,
-                    gpus[:i] + [_rescaled(gpus[i], factor)] + gpus[i + 1:],
-                )
-            elif kind == "arrive":
-                arrivals += 1
-                svc = Service(
-                    f"n{arrivals}", MODELS[a % len(MODELS)],
-                    slo_latency_ms=SLOS[a % len(SLOS)],
-                    request_rate=RATES[a % len(RATES)],
-                )
-                services.append(svc)
-                own = SCHEDULER.schedule([svc]).gpus
-                placement = _republish(placement, gpus + [
-                    plan.renumbered(len(gpus) + k)
-                    for k, plan in enumerate(own)
-                ])
-            elif kind == "depart" and len(services) > 1:
-                sid = services.pop(a % len(services)).id
-                placement = _republish(placement, [
-                    _without(plan, sid)
-                    if any(s.service_id == sid for s in plan.segments)
-                    else plan
-                    for plan in gpus
-                ])
-            elif kind == "fail" and gpus:
-                i = a % len(gpus)
-                placement = _republish(
-                    placement,
-                    gpus[:i] + [GPUPlan(i, (), gpus[i].geometry)]
-                    + gpus[i + 1:],
-                )
-                placement.drop_empty_gpus()
-            elif kind == "window":
-                window = WINDOWS[(WINDOWS.index(window) + 1) % len(WINDOWS)]
-            elif kind == "ghost":  # departed, but still placed
-                placed = [s for s in services
-                          if any(seg.service_id == s.id
-                                 for _, seg in placement.iter_segments())]
-                if placed:
-                    ghost = placed[a % len(placed)]
-                    services.remove(ghost)
-                    check()  # both raise the same ValueError
-                    services.append(ghost)
-            elif kind == "reorder":
-                k = a % len(services)
-                services[:] = services[k:] + services[:k]
-            check()
 
 
 def test_unchanged_plans_are_reused_whole():
@@ -223,16 +225,46 @@ def test_unchanged_plans_are_reused_whole():
         if seg.service_id == "s0"
     }
     assert 0 < len(hosts) < len(placement.gpus)
-    with ShardContext(0) as ctx:
+    ctx = ShardContext()
 
-        def reused(window=WINDOWS[0]):
-            got = _measure(placement, services, window, ctx)
-            _same(got, _reference(placement, services, window))
-            return ctx.plans.reused
+    def reused(window=WINDOWS[0]):
+        got = _measure(placement, services, window, ctx)
+        _same(got, _reference(placement, services, window))
+        return ctx.plans.reused
 
-        assert reused() == 0
-        assert reused() == len(placement.gpus)
-        services[0].slo_latency_ms = 400.0
-        assert reused() == len(placement.gpus) - len(hosts)
-        assert reused(WINDOWS[1]) == 0
-        assert reused(WINDOWS[1]) == len(placement.gpus)
+    assert reused() == 0
+    assert reused() == len(placement.gpus)
+    services[0].slo_latency_ms = 400.0
+    assert reused() == len(placement.gpus) - len(hosts)
+    assert reused(WINDOWS[1]) == 0
+    assert reused(WINDOWS[1]) == len(placement.gpus)
+
+
+def test_context_reuse_keeps_identity():
+    """A reused ShardContext (the controller's usage: a cross-call memo)
+    returns reports bit-identical to the reference on repeated calls —
+    memo hits included, float sums exactly."""
+    services = [
+        Service(f"s{i}", model, slo_latency_ms=slo, request_rate=rate)
+        for i, (model, slo, rate) in enumerate(
+            zip(MODELS, SLOS, RATES + (2500.0,))
+        )
+    ]
+    placement = SCHEDULER.schedule(services)
+    kwargs = dict(duration_s=1.0, warmup_s=0.2, seed=3)
+    serial = simulate_placement_fast(placement, services, **kwargs)
+    ctx = ShardContext()
+    first = simulate_placement_fast(
+        placement, services, memo=ctx.memo, **kwargs
+    )
+    assert ctx.memo.misses_total > 0
+    again = simulate_placement_fast(
+        placement, services, memo=ctx.memo, **kwargs
+    )
+    assert ctx.memo.hits_total == ctx.memo.misses_total
+    for got in (first, again):
+        assert got.fingerprint() == serial.fingerprint()
+        assert got.services == serial.services  # every float exactly
+        assert got.completed == serial.completed
+        assert got.segment_activity == serial.segment_activity
+        assert got.events_processed == serial.events_processed

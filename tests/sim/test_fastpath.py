@@ -168,26 +168,38 @@ class TestVectorizedPath:
     def test_vectorizes_uniform_unsaturated(self):
         from repro.sim.arrivals import uniform_arrivals
 
-        kernel = self.kernel(batch=8, procs=1, served=200.0)
-        times = uniform_arrivals(200.0, 2.0)
-        vec = _simulate_segment_vectorized(kernel, times, 0.5, 3.0)
-        assert vec is not None  # the regime applies
-        scalar = _simulate_segment(kernel, times, 0.5, 3.0)
-        assert (vec.batches, vec.violations, vec.requests) == (
-            scalar.batches, scalar.violations, scalar.requests
-        )
-        assert vec.latency_max_ms == scalar.latency_max_ms
-        assert vec.latency_sum_ms == pytest.approx(
-            scalar.latency_sum_ms, rel=1e-12
-        )
-        assert vec.busy_sm_s == pytest.approx(scalar.busy_sm_s, rel=1e-12)
+        # (procs, rate): one process never overlaps; two and three MPS
+        # processes pipeline batches (a batch dispatches while the last
+        # one still runs) without ever running out of processes.
+        for procs, rate in ((1, 200.0), (2, 500.0), (3, 800.0)):
+            kernel = self.kernel(batch=8, procs=procs, served=rate)
+            times = uniform_arrivals(rate, 2.0)
+            fills = times[7::8]
+            overlap = fills[:-1] + kernel.latency_ms(8, 1) / 1e3 >= fills[1:]
+            assert overlap.any() == (procs > 1)
+            vec = _simulate_segment_vectorized(kernel, times, 0.5, 3.0)
+            assert vec is not None  # the regime applies
+            scalar = _simulate_segment(kernel, times, 0.5, 3.0)
+            assert (vec.batches, vec.violations, vec.requests, vec.steps) == (
+                scalar.batches, scalar.violations, scalar.requests,
+                scalar.steps,
+            )
+            assert vec.latency_max_ms == scalar.latency_max_ms
+            assert vec.latency_sum_ms == pytest.approx(
+                scalar.latency_sum_ms, rel=1e-12
+            )
+            assert vec.busy_sm_s == pytest.approx(scalar.busy_sm_s, rel=1e-12)
 
     def test_declines_saturated(self):
         from repro.sim.arrivals import uniform_arrivals
 
-        kernel = self.kernel(batch=8, procs=1, served=1500.0)
-        times = uniform_arrivals(1500.0, 1.0)
-        assert _simulate_segment_vectorized(kernel, times, 0.25, 2.0) is None
+        # Fills arrive faster than `procs` batches complete: some fill
+        # finds every process busy, which only the per-batch kernel models.
+        for procs, rate in ((1, 1500.0), (2, 1000.0), (3, 1000.0)):
+            kernel = self.kernel(batch=8, procs=procs, served=rate)
+            times = uniform_arrivals(rate, 1.0)
+            vec = _simulate_segment_vectorized(kernel, times, 0.25, 2.0)
+            assert vec is None
 
     def test_empty_arrivals(self):
         kernel = self.kernel()

@@ -89,14 +89,13 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--workers", "-1"], "workers must be >= 0"),
             (["--duration", "0.1"], "exceed warmup"),
             (["--duration", "inf"], "exceed warmup"),
             (["--duration", "nan"], "exceed warmup"),
             (["--engine", "event", "--duration", "nan"], "exceed warmup"),
         ],
-        ids=["workers-negative", "duration-within-warmup", "duration-inf",
-             "duration-nan", "event-duration-nan"],
+        ids=["duration-within-warmup", "duration-inf", "duration-nan",
+             "event-duration-nan"],
     )
     def test_simulate_bad_window_is_clean_error(self, capsys, argv, message):
         assert main(["simulate", "--scenario", "S1", *argv]) == 2
@@ -129,47 +128,6 @@ class TestCommands:
         assert "fast-vs-naive replay" in out
         assert "compliance: mean" in out
         assert "fleet: peak" in out
-
-    def test_ops_workers_threads_through(self, capsys):
-        assert (
-            main(["ops", "--scenario", "s12", "--horizon", "3000",
-                  "--measure", "0.1", "--workers", "2"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "sharded control plane x2" in out
-        assert "identity: state round-trip" in out
-
-    def test_ops_workers_with_verify(self, capsys):
-        """--verify --workers N: the sharded fast replay must match the
-        serial naive reference interval-for-interval."""
-        assert (
-            main(["ops", "--scenario", "s12", "--horizon", "3000",
-                  "--measure", "0.1", "--verify", "--workers", "2"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "sharded control plane x2" in out
-        assert "fast-vs-naive replay" in out
-
-    def test_ops_workers_requires_fast_engine(self, capsys):
-        assert (
-            main(["ops", "--scenario", "s12", "--engine", "naive",
-                  "--workers", "2"]) == 2
-        )
-        assert "--workers requires the fast engine" in capsys.readouterr().err
-
-    def test_simulate_workers_threads_through(self, capsys):
-        assert (
-            main(["simulate", "--scenario", "S1", "--duration", "1.0",
-                  "--workers", "2"]) == 0
-        )
-        assert "SLO compliance" in capsys.readouterr().out
-
-    def test_simulate_workers_requires_fast_engine(self, capsys):
-        assert (
-            main(["simulate", "--scenario", "S1", "--engine", "event",
-                  "--workers", "2"]) == 2
-        )
-        assert "--workers requires the fast engine" in capsys.readouterr().err
 
     def test_experiment_module_main(self, capsys):
         from repro.experiments.__main__ import main as exp_main
