@@ -91,7 +91,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.autoscaler import Autoscaler  # noqa: E402
 from repro.core.hetero import make_mixed_scheduler  # noqa: E402
 from repro.core.parvagpu import ParvaGPU  # noqa: E402
 from repro.gpu.geometry import get_geometry  # noqa: E402
@@ -235,27 +234,58 @@ def run_fleet_sweep(tiers, geometries, naive_cap):
     return rows
 
 
-def run_autoscaler_trace(num_services, epochs, measure_s=0.0):
-    """The S10 pass: a diurnal fleet through the SIII-F incremental path.
+def run_autoscaler_trace(num_services, epochs, naive_cap, measure_s=0.0):
+    """The S10 pass: a diurnal fleet's rate epochs through the
+    FleetController's SIII-F incremental path.
 
-    With ``measure_s > 0`` every epoch's deployment is additionally
-    served for that long in the simulation fast path and the mean
-    measured SLO compliance is recorded.
+    With ``measure_s > 0`` every interval's deployment is additionally
+    served for that long and the mean measured SLO compliance is
+    recorded.  Up to ``naive_cap`` services the timeline is replayed on
+    the naive reference too (``run_identity_checked``) and any interval
+    whose placement or simulation fingerprint diverges is fatal;
+    ``wall_s`` then covers both replays.
     """
+    from repro.ops import FleetController, OpsIdentityError, run_identity_checked
+    from repro.ops.chaos import rate_epochs
+
     services = fleet_services(num_services)
-    traces = fleet_traces(services, epochs=epochs)
-    scaler = Autoscaler(profile_workloads())
+    # one day: the period of fleet_traces' diurnal curves
+    horizon_s = 86_400.0
+    timeline = rate_epochs(
+        fleet_traces(services, epochs=epochs), horizon_s
+    )
+    profiles = profile_workloads()
+    identical = None
     t0 = time.perf_counter()
-    report = scaler.run(services, traces, measure_s=measure_s)
+    if num_services <= naive_cap:
+        try:
+            report, _ = run_identity_checked(
+                services, timeline, horizon_s, measure_s=measure_s,
+                warmup_s=0.0, profiles=profiles,
+            )
+        except OpsIdentityError as exc:
+            raise SystemExit(
+                f"FATAL: fast and naive S10 replays differ for "
+                f"{num_services} services: {exc}"
+            )
+        identical = True
+    else:
+        report = FleetController(profiles).run(
+            services, timeline, horizon_s, measure_s=measure_s, warmup_s=0.0
+        )
     wall = time.perf_counter() - t0
+    steps = len(report.intervals)
     row = {
         "scenario": "S10",
         "services": num_services,
         "trace_epochs": epochs,
-        "steps": len(report.steps),
+        "steps": steps,
         "wall_s": round(wall, 6),
+        "identical": identical,
         "peak_gpus": report.peak_gpus,
-        "mean_gpus": round(report.mean_gpus, 2),
+        "mean_gpus": round(
+            sum(r.num_gpus for r in report.intervals) / steps, 2
+        ),
         "reconfig_ops": report.total_reconfig_ops,
         "measure_s": measure_s,
         "mean_compliance": (
@@ -269,10 +299,11 @@ def run_autoscaler_trace(num_services, epochs, measure_s=0.0):
         if report.mean_compliance is not None
         else ""
     )
+    checked = "identity-checked" if identical else "naive skipped"
     print(
         f"  S10 {num_services} services x {epochs} epochs: "
-        f"{wall:.2f} s, {len(report.steps)} steps, "
-        f"peak {report.peak_gpus} GPUs{compliance}"
+        f"{wall:.2f} s, {steps} steps, "
+        f"peak {report.peak_gpus} GPUs{compliance} ({checked})"
     )
     return row
 
@@ -1102,7 +1133,9 @@ def main(argv=None):
             None
             if args.skip_autoscaler
             else run_autoscaler_trace(
-                args.autoscaler_services, args.autoscaler_epochs
+                args.autoscaler_services,
+                args.autoscaler_epochs,
+                args.naive_cap,
             )
         )
         section, field = "fleets", "indexed_wall_s"
@@ -1176,6 +1209,7 @@ def main(argv=None):
             else run_autoscaler_trace(
                 args.autoscaler_services,
                 args.autoscaler_epochs,
+                args.naive_cap,
                 measure_s=args.autoscaler_measure,
             )
         )

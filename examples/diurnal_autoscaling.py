@@ -2,16 +2,21 @@
 """Trace-driven autoscaling over a simulated day.
 
 Three services ride a diurnal load curve (one with an afternoon flash
-surge).  The autoscaler re-runs ParvaGPU at every epoch where rates moved,
-deploys incrementally (unchanged services stay live), and prices every
-transition with the SIII-F shadow-process cost model.
+surge).  Every trace epoch becomes a rate event on the fleet controller's
+timeline: the bootstrap schedules the fleet once, each later instant
+re-plans only the services whose rate moved (unchanged services stay
+live), and every transition is priced with the SIII-F shadow-process cost
+model.
 
 Run:  python examples/diurnal_autoscaling.py
 """
 
 from repro import Service, profile_workloads
-from repro.core.autoscaler import Autoscaler
+from repro.ops import FleetController
+from repro.ops.chaos import rate_epochs
 from repro.sim.traces import diurnal_trace, surge_trace
+
+DAY_S = 86_400.0
 
 
 def main() -> None:
@@ -29,27 +34,28 @@ def main() -> None:
                     surge_start_s=43_200, surge_end_s=57_600),
     ]
 
-    autoscaler = Autoscaler(profiles, spare_gpus=2)
-    report = autoscaler.run(services, traces)
+    controller = FleetController(profiles, spare_shadow_gpus=2)
+    report = controller.run(services, rate_epochs(traces, DAY_S), DAY_S)
 
     print(f"{'hour':>5} {'GPUs':>5} {'reconfig ops':>13} "
-          f"{'kept live':>10} {'downtime':>9} {'shadowed':>9}")
-    for step in report.steps:
+          f"{'downtime':>9} {'shadowed':>9}")
+    for interval in report.intervals:
         print(
-            f"{step.time_s / 3600:>5.1f} {step.num_gpus:>5} "
-            f"{step.reconfig_ops:>13} {step.unchanged_instances:>10} "
-            f"{step.cost.max_downtime_s:>8.1f}s "
-            f"{'yes' if step.zero_downtime else 'NO':>9}"
+            f"{interval.time_s / 3600:>5.1f} {interval.num_gpus:>5} "
+            f"{interval.reconfig_ops:>13} "
+            f"{interval.max_downtime_s:>8.1f}s "
+            f"{'yes' if interval.zero_downtime else 'NO':>9}"
         )
+    mean_gpus = report.gpu_hours * 3600 / DAY_S
     print(
-        f"\npeak fleet {report.peak_gpus} GPUs, mean {report.mean_gpus:.1f}, "
+        f"\npeak fleet {report.peak_gpus} GPUs, mean {mean_gpus:.1f}, "
         f"{report.total_reconfig_ops} MIG operations across the day, "
-        f"shadow-GPU peak {autoscaler.shadows.peak_used}"
+        f"shadow-GPU peak {controller.shadows.peak_used}"
     )
     print(
         "Provisioning for the peak alone would rent "
         f"{report.peak_gpus} GPUs all day; trace-driven rescheduling "
-        f"averages {report.mean_gpus:.1f}."
+        f"averages {mean_gpus:.1f}."
     )
 
 

@@ -43,8 +43,8 @@ A delta is written once, over a
 through the slot index, handed the rebuilt list it runs the naive scan.
 
 :meth:`deploy` of any placement the live state did not produce (a full
-schedule, a restored checkpoint, an autoscaler epoch) takes the full
-cluster diff and drops the live state.
+schedule, a restored checkpoint) takes the full cluster diff and drops
+the live state.
 """
 
 from __future__ import annotations

@@ -61,8 +61,8 @@ class ReconfigurationCost:
         Work and per-service downtime sum (the operations serialize);
         shadow demand is the *max* concurrent need, since each swap's
         spares are released before the next begins.  The single home of
-        this arithmetic — the autoscaler's per-epoch batches and the
-        fleet controller's per-interval batches both combine here.
+        this arithmetic: the fleet controller's per-interval batches
+        combine here.
 
         O(disrupted services): each service's downtime is summed in cost
         order, and the result lists the services sorted.

@@ -2,7 +2,7 @@
 
 The paper's SIII-F deployment story exists because real clusters are
 never static.  This package turns the repo's three independent
-disturbance mechanisms — the autoscaler's rate epochs, the failover
+disturbance mechanisms — rate traces, the failover
 controller's GPU loss, the SLO-update path — into one operable system:
 
 - :mod:`repro.ops.events` — typed timeline events

@@ -91,8 +91,8 @@ class ProfileTable:
 
         The result is memoized per ``(slo_ms, max_processes)`` — services
         sharing a model and an effective SLO re-derive identical
-        ``opt_tri_array``s, so fleet-scale re-scheduling (the autoscaler
-        re-running every epoch) hits the cache instead of rescanning the
+        ``opt_tri_array``s, so fleet-scale re-scheduling (a full re-plan
+        of thousands of services) hits the cache instead of rescanning the
         table.  The cache is invalidated when a point is added, and
         callers get a fresh dict so mutating it never poisons the cache.
         """

@@ -14,7 +14,7 @@ exact same fleet.
 ``S9`` is the 1000-service fleet used by the registry; the perf harness
 sweeps :data:`FLEET_TIERS` (100/1000/5000) around it.  ``S10`` pairs a
 fleet with per-service diurnal rate traces (phase-shifted so the fleet's
-load moves as a wave, not in lockstep) and drives the autoscaler.
+load moves as a wave, not in lockstep) for the fleet controller.
 ``S11`` is the S9 fleet at :data:`S11_RATE_SCALE` x request rates — a
 serving replay whose traffic exceeds a million requests, the workload
 the batch-granularity simulation fast path exists for.
@@ -40,7 +40,7 @@ FLEET_SEED = 20240731
 S9_FLEET_SIZE = 1000
 
 #: Services / trace epochs in the registered S10 scenario: large enough
-#: to exercise fleet-scale re-planning, small enough that the autoscaler
+#: to exercise fleet-scale re-planning, small enough that the controller
 #: (one incremental re-plan per changed service per epoch) stays tractable
 #: in the opt-in perf harness.
 S10_FLEET_SIZE = 200
@@ -136,9 +136,8 @@ def fleet_traces(
     """Phase-shifted diurnal traces, one per service.
 
     Random phases spread the services over the day (tenants in different
-    time zones), so every epoch boundary moves *some* rates — the
-    autoscaler's incremental path is exercised instead of the full
-    re-schedule a synchronized fleet would trigger.
+    time zones), so every epoch boundary moves *some* rates, each
+    re-planned on the controller's incremental path.
     """
     rng = random.Random(f"{seed}:{len(services)}:{epochs}")
     return [

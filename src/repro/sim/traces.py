@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,7 @@ class RateTrace:
         """The trace's rate at absolute time ``t`` (seconds).
 
         An epoch's start is inclusive: ``rate_at(e.start_s)`` is already
-        ``e.rate``.  Binary search over the precomputed starts — this is
-        called per service per autoscaler step, which a linear epoch scan
-        made O(epochs) on long diurnal traces.
+        ``e.rate``.  Binary search over the precomputed starts.
         """
         if t < 0:
             raise ValueError("time must be non-negative")
@@ -121,9 +118,3 @@ def surge_trace(
             Epoch(surge_end_s, base_rate),
         ),
     )
-
-
-def epoch_boundaries(traces: Sequence[RateTrace]) -> tuple[float, ...]:
-    """All distinct epoch start times across a trace set, sorted."""
-    times = {e.start_s for trace in traces for e in trace.epochs}
-    return tuple(sorted(times))

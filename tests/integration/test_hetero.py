@@ -7,9 +7,15 @@ invariant that the default MIG path is untouched by the refactor.
 
 import pytest
 
-from repro.core.hetero import GeometryPool, HeterogeneousParvaGPU
+from repro.core.hetero import (
+    GeometryPool,
+    HeterogeneousParvaGPU,
+    make_mixed_scheduler,
+)
 from repro.core.parvagpu import ParvaGPU
+from repro.core.service import Service
 from repro.gpu.geometry import get_geometry
+from repro.gpu.reconfig import price_plan
 from repro.profiler import profile_workloads
 from repro.scenarios import scenario_services
 from repro.sim import simulate_placement
@@ -137,6 +143,77 @@ class TestMI300XDeployment:
         assert new_placement.geometries() == ("mi300x",)
         # untouched services keep serving (the SIII-F argument)
         assert len(plan.destroy) < running
+
+
+class TestMixedGeometryRateUpdates:
+    """SIII-F rate updates on a MIG + MI300X deployment.
+
+    At these SLOs Eq.-2 pool assignment puts resnet-50@250ms on MI300X
+    and mobilenetv2@150ms on MIG, so moving the mobilenet's rate
+    re-plans on the MIG pool while the MI300X-resident service keeps
+    serving untouched (re-planned services land on the manager's
+    profile geometry, MIG).
+    """
+
+    @pytest.fixture()
+    def deployed(self, profiles):
+        from repro.core.deployment import DeploymentManager
+
+        services = [
+            Service("a", "resnet-50", slo_latency_ms=250, request_rate=2000),
+            Service("b", "mobilenetv2", slo_latency_ms=150, request_rate=4000),
+        ]
+        manager = DeploymentManager(profiles)
+        manager.deploy(make_mixed_scheduler().schedule(services))
+        return services, manager
+
+    def test_surge_grows_and_ebb_shrinks_mixed_fleet(self, deployed):
+        services, manager = deployed
+        gpus = [manager.current.num_gpus]
+        for rate in (16000.0, 4000.0):
+            placement, plan = manager.update_slo(
+                services, services[1], new_rate=rate
+            )
+            gpus.append(placement.num_gpus)
+            # the MI300X-resident service was never re-planned
+            assert price_plan(plan).downtime_s.get("a", 0.0) == 0.0
+        placement.validate()
+        assert set(placement.geometries()) == {"mig", "mi300x"}
+        assert gpus[1] > gpus[0]
+        assert gpus[2] < gpus[1]
+        for svc in services:
+            capacity = placement.total_capacity(svc.id)
+            assert capacity >= svc.request_rate * (1 - 1e-9), svc.id
+
+    def test_untouched_pool_keeps_instances(self, deployed):
+        services, manager = deployed
+        placement, _ = manager.update_slo(
+            services, services[1], new_rate=12000.0
+        )
+        amd_plans = [g for g in placement.gpus if g.geometry == "mi300x"]
+        assert amd_plans, "resnet-50 should live on the MI300X pool"
+        assert all(
+            seg.service_id == "a" for g in amd_plans for seg in g.segments
+        )
+
+    def test_measured_compliance_across_geometries(self, deployed):
+        """The simulator serves the merged heterogeneous placement
+        directly, before and after a re-plan."""
+        services, manager = deployed
+        compliance = [
+            simulate_placement(
+                manager.current, services, duration_s=0.4, warmup_s=0.0
+            ).overall_compliance
+        ]
+        placement, _ = manager.update_slo(
+            services, services[1], new_rate=5200.0
+        )
+        compliance.append(
+            simulate_placement(
+                placement, services, duration_s=0.4, warmup_s=0.0
+            ).overall_compliance
+        )
+        assert sum(compliance) / len(compliance) > 0.95
 
 
 class TestMigPathUnchanged:

@@ -38,6 +38,8 @@ class TestBootstrapAndRates:
         assert rec.path == "full"
         assert rec.duration_s == 100.0
         assert rec.num_gpus > 0
+        # serving measurement is off by default
+        assert rec.compliance is None and report.mean_compliance is None
 
     def test_surge_grows_and_shrinks_fleet(self, profiles, services):
         timeline = rate_epochs(

@@ -19,13 +19,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.autoscaler import Autoscaler
 from repro.core.deployment import DeploymentManager
 from repro.core.hetero import make_mixed_scheduler
-from repro.core.parvagpu import ParvaGPU
 from repro.core.service import Service
 from repro.gpu.gpu import GPUError
 from repro.ops import FleetController, assert_reports_identical
+from repro.ops.chaos import rate_epochs
 from repro.ops.events import (
     GpuFailure,
     GpuRecovery,
@@ -238,10 +237,10 @@ def test_update_slo_on_mixed_placement(params, updates):
         ]
 
 
-def test_autoscaler_unchanged_instances_match_rebuild():
-    """The autoscaler counts the instances each plan keeps from the
-    running count and ``plan.destroy``: the live state's scoped diff must
-    destroy exactly what the full diff does."""
+def test_rate_epoch_run_matches_rebuild():
+    """Trace-driven autoscaling — ``rate_epochs`` through the controller
+    — re-plans and prices every interval identically on the live state
+    and on the rebuild reference."""
     services = [
         _service("a", "resnet-50", 250.0, 2000.0),
         _service("b", "mobilenetv2", 150.0, 4000.0),
@@ -254,16 +253,18 @@ def test_autoscaler_unchanged_instances_match_rebuild():
         diurnal_trace("c", base_rate=1500, amplitude=0.4, epochs=4,
                       phase=1.0),
     ]
-    reports = [
-        Autoscaler(
-            PROFILES, scheduler=ParvaGPU(PROFILES, fast_path=fast_path)
-        ).run(services, traces)
+    horizon_s = 86_400.0
+    fast, naive = (
+        FleetController(PROFILES, fast_path=fast_path).run(
+            services, rate_epochs(traces, horizon_s), horizon_s
+        )
         for fast_path in (True, False)
-    ]
-    fast, naive = ([
-        (s.time_s, s.num_gpus, s.reconfig_ops, s.unchanged_instances,
-         s.cost)
-        for s in report.steps
-    ] for report in reports)
-    assert fast == naive
-    assert any(step[3] for step in fast[1:])
+    )
+    assert_reports_identical(fast, naive)
+    fast_steps, naive_steps = ([
+        (r.num_gpus, r.reconfig_ops, r.reconfig_work_s, r.max_downtime_s,
+         r.downtime_total_s)
+        for r in report.intervals
+    ] for report in (fast, naive))
+    assert fast_steps == naive_steps
+    assert any(step[1] for step in fast_steps[1:])

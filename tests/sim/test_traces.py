@@ -6,7 +6,6 @@ from repro.sim.traces import (
     Epoch,
     RateTrace,
     diurnal_trace,
-    epoch_boundaries,
     surge_trace,
 )
 
@@ -107,8 +106,3 @@ class TestGenerators:
     def test_surge_validation(self):
         with pytest.raises(ValueError):
             surge_trace("svc", 100.0, 2.0, 20.0, 10.0)
-
-    def test_epoch_boundaries_union(self):
-        a = RateTrace("a", (Epoch(0.0, 1.0), Epoch(10.0, 2.0)))
-        b = RateTrace("b", (Epoch(0.0, 1.0), Epoch(5.0, 2.0), Epoch(10.0, 1.0)))
-        assert epoch_boundaries([a, b]) == (0.0, 5.0, 10.0)
