@@ -92,9 +92,8 @@ from repro.ops.report import FailureRecord, IntervalRecord, OpsReport
 from repro.ops.verify import OpsIdentityError, StateVerifier
 from repro.profiler.table import ProfileTable
 
-if TYPE_CHECKING:  # the shard module is imported when a run opens
-    from repro.sim.fastpath import SegmentMemo
-    from repro.sim.shard import ShardContext
+if TYPE_CHECKING:  # the measurement engine is imported when a run opens
+    from repro.sim.fastpath import PlanMemo, SegmentMemo
 
 
 def _record_digest(canonical: str) -> str:
@@ -205,9 +204,9 @@ class FleetController:
             fast_path=fast_path,
         )
         self.spare_shadow_gpus = spare_shadow_gpus
-        #: the run-scoped ShardContext (segment memo + plan layer);
-        #: live only inside a fast run
-        self._shard_ctx: Optional["ShardContext"] = None
+        #: the run-scoped per-plan layer and its segment memo; live
+        #: only inside a fast run
+        self._plans: Optional["PlanMemo"] = None
         #: the current (else the last) run's segment memo; None on the
         #: reference path (``fast_path=False``), which measures on the
         #: event engine
@@ -346,7 +345,7 @@ class FleetController:
         )
         self._pending_seq = 0
         self._eid_to_gpu = {}
-        self._open_shard_context()
+        self._open_plan_memo()
         self._run = _RunState(
             work=work,
             by_id=by_id,
@@ -359,11 +358,11 @@ class FleetController:
         )
         return report
 
-    def _open_shard_context(self) -> None:
+    def _open_plan_memo(self) -> None:
         """The run's measurement engine, for :meth:`begin` and
-        :meth:`restore` alike: on the fast path a context with the
-        segment memo and plan layer; on the reference path none (the
-        event engine measures).
+        :meth:`restore` alike: on the fast path a per-plan layer over a
+        segment memo; on the reference path none (the event engine
+        measures).
 
         The memo carries across intervals (an event perturbs a handful
         of services, so most segments resolve from cache).  It is not
@@ -371,14 +370,14 @@ class FleetController:
         bit-identical to a fresh kernel run.
         """
         if not self.fast_path:
-            self.segment_memo = self._shard_ctx = None
+            self.segment_memo = self._plans = None
             return
-        from repro.sim.shard import ShardContext
+        from repro.sim.fastpath import PlanMemo
 
-        ctx = ShardContext()
-        self.obs.registry.attach("sim_memo", ctx.memo)
-        self.segment_memo = ctx.memo
-        self._shard_ctx = ctx
+        plans = PlanMemo()
+        self.obs.registry.attach("sim_memo", plans.memo)
+        self.segment_memo = plans.memo
+        self._plans = plans
 
     def _require_run(self) -> _RunState:
         if self._run is None:
@@ -538,7 +537,7 @@ class FleetController:
         ``self.manager`` until the next :meth:`begin`.
         """
         run = self._require_run()
-        self._shard_ctx = None
+        self._plans = None
         self._run = None
         return run.report
 
@@ -683,7 +682,7 @@ class FleetController:
             ev = event_from_doc(entry["event"])
             heappush(pending, (timeline_key(ev), int(entry["seq"]), ev))
         report = report_from_doc(state["report"])
-        self._open_shard_context()
+        self._open_plan_memo()
         self._run = _RunState(
             work=work,
             by_id=by_id,
@@ -1136,8 +1135,8 @@ class FleetController:
         and plans reused whole out of the segments served."""
         from repro.sim.runner import measure_interval
 
-        ctx = self._shard_ctx
-        memo = ctx.memo if ctx is not None else None
+        plans = self._plans
+        memo = plans.memo if plans is not None else None
         before = (0, 0) if memo is None else (
             memo.hits_total, memo.closed_form_total
         )
@@ -1147,7 +1146,7 @@ class FleetController:
             measure_s=run.measure_s,
             warmup_s=run.warmup_s,
             seed=run.sim_seed,
-            shard_context=ctx,
+            plans=plans,
         )
         record.compliance = m.compliance
         record.sim_fingerprint = _record_digest(m.fingerprint)
@@ -1161,7 +1160,7 @@ class FleetController:
         return {
             "memo_hits": after[0] - before[0],
             "closed_form": after[1] - before[1],
-            "plans_reused": ctx.plans.reused if ctx is not None else 0,
+            "plans_reused": plans.reused if plans is not None else 0,
             "segments": sum(len(g.segments) for g in placement.gpus),
         }
 

@@ -723,13 +723,17 @@ class PlanMemo:
     equal a plain per-segment walk's.  A change of measurement window
     resets the layer.
 
-    The layer holds one entry per live GPU id (a GPU that leaves the
-    placement is evicted) and one per live service, so unlike the
-    segment memo it does not grow over a run.  It is not checkpointed:
-    a resumed run rewarms it like the memo.
+    The layer owns the segment memo below it (:attr:`memo`).  Held open
+    across a :class:`~repro.ops.controller.FleetController` run, both
+    stay warm from one interval to the next.  The layer holds one entry
+    per live GPU id (a GPU that leaves the placement is evicted) and one
+    per live service, so unlike the segment memo it does not grow over a
+    run.  Neither is checkpointed: a resumed run rewarms them.
     """
 
     def __init__(self) -> None:
+        #: the segment memo below the layer; a window change keeps it
+        self.memo = SegmentMemo()
         self._reset(None)
 
     def _reset(self, window: Optional[tuple[float, float]]) -> None:
@@ -751,7 +755,6 @@ class PlanMemo:
         services: Iterable[Service],
         duration_s: float,
         warmup_s: float,
-        memo: SegmentMemo,
     ) -> Optional[tuple[float, str, dict[str, float]]]:
         """``(compliance, fingerprint, per-service compliance)`` of
         serving ``placement`` under uniform arrivals: bit-identical to
@@ -824,8 +827,10 @@ class PlanMemo:
             )
             plan_keys.append(keys)
 
-        memo.hits_total += reused_segments
-        rows = _resolve_rows(segs, "uniform", duration_s, warmup_s, memo)
+        self.memo.hits_total += reused_segments
+        rows = _resolve_rows(
+            segs, "uniform", duration_s, warmup_s, self.memo
+        )
         self.reused = len(placement.gpus) - len(resolve)
 
         # Commit: service entries first, so every host update finds one.

@@ -18,7 +18,7 @@ from repro.sim.metrics import (
 from repro.sim.server import SegmentServer
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
-    from repro.sim.shard import ShardContext
+    from repro.sim.fastpath import PlanMemo
 
 
 def segment_key(gpu_id: int, service_id: str, start: Optional[int]) -> str:
@@ -64,21 +64,21 @@ def measure_interval(
     measure_s: float,
     warmup_s: float = 0.1,
     seed: int = 0,
-    shard_context: Optional["ShardContext"] = None,
+    plans: Optional["PlanMemo"] = None,
 ) -> IntervalMeasurement:
     """Serve ``placement`` for ``measure_s`` and distill interval stats.
 
     Overall + per-tenant compliance and the stats fingerprint the
     identity checks compare, as :func:`simulate_placement` (warmup +
-    measurement window) reports them.  With a ``shard_context`` the
-    context's per-plan layer (:class:`~repro.sim.fastpath.PlanMemo`)
-    serves every unchanged GPU plan from its last measurement,
-    bit-identically, and a placement that lists one GPU id twice falls
-    back to the context's memoized segment walk.  Without one, the
-    event-driven reference engine serves the whole placement.
+    measurement window) reports them.  With ``plans`` (a
+    :class:`~repro.sim.fastpath.PlanMemo`) every unchanged GPU plan is
+    served from its last measurement, bit-identically, and a placement
+    that lists one GPU id twice falls back to a walk over the layer's
+    segment memo.  Without it, the event-driven reference engine serves
+    the whole placement.
     """
     duration_s = warmup_s + measure_s
-    if shard_context is None:
+    if plans is None:
         sim = simulate_placement(
             placement, services, duration_s=duration_s, warmup_s=warmup_s,
             seed=seed, fast_path=False,
@@ -87,14 +87,12 @@ def measure_interval(
         from repro.sim.fastpath import simulate_placement_fast
 
         services = list(services)
-        measured = shard_context.plans.measure(
-            placement, services, duration_s, warmup_s, shard_context.memo
-        )
+        measured = plans.measure(placement, services, duration_s, warmup_s)
         if measured is not None:
             return IntervalMeasurement(*measured)
         sim = simulate_placement_fast(
             placement, services, duration_s=duration_s, warmup_s=warmup_s,
-            seed=seed, memo=shard_context.memo,
+            seed=seed, memo=plans.memo,
         )
     return IntervalMeasurement(
         compliance=sim.overall_compliance,

@@ -104,7 +104,7 @@ class TestConfig:
 
     def test_repo_config_routes_this_repo(self):
         config = load_config(root=REPO_ROOT)
-        assert config.is_identity_module(REPO_ROOT / "src/repro/sim/shard.py")
+        assert config.is_identity_module(REPO_ROOT / "src/repro/sim/fastpath.py")
         assert config.wallclock_allowed(REPO_ROOT / "src/repro/cli.py")
         assert not config.wallclock_allowed(REPO_ROOT / "src/repro/sim/engine.py")
 

@@ -1,20 +1,20 @@
 """Property: the per-plan measurement layer equals memo-free measurement.
 
-``measure_interval`` on a memoizing :class:`~repro.sim.shard.ShardContext`
-serves every GPU plan it measured before, unchanged, from the context's
-:class:`~repro.sim.fastpath.PlanMemo`, and re-resolves only the changed
-ones.  Over generated sequences of placements, driven through one
-context, every interval must equal the memo-free reference (the
-event-driven engine) in compliance, stats fingerprint, the per-service
-compliance items *and their order*, and the worst service; and the
-context's memo counters must equal a plain per-segment memo walk's.
+``measure_interval`` on a :class:`~repro.sim.fastpath.PlanMemo` serves
+every GPU plan it measured before, unchanged, from the layer, and
+re-resolves only the changed ones.  Over generated sequences of
+placements, driven through one layer, every interval must equal the
+memo-free reference (the event-driven engine) in compliance, stats
+fingerprint, the per-service compliance items *and their order*, and the
+worst service; and the layer's memo counters must equal a plain
+per-segment memo walk's.
 
 The sequences cover the layer's invalidation rules: the same
 ``Placement`` object re-measured after only a service's SLO changed,
 arrivals and departures, rate changes, a GPU failure renumbered away by
-``drop_empty_gpus``, a change of measurement window on the same
-context, and a departed service still placed (both must raise the same
-``ValueError``).  A context reused across plain placement walks is
+``drop_empty_gpus``, a change of measurement window on the same layer,
+and a departed service still placed (both must raise the same
+``ValueError``).  A segment memo reused across plain placement walks is
 bit-identical too, float sums included.
 """
 
@@ -26,7 +26,7 @@ from repro.core.placement import GPUPlan, Placement
 from repro.core.service import Service
 from repro.profiler import profile_workloads
 from repro.sim import measure_interval, simulate_placement_fast
-from repro.sim.shard import ShardContext
+from repro.sim.fastpath import PlanMemo
 
 PROFILES = profile_workloads()
 SCHEDULER = ParvaGPU(PROFILES)
@@ -88,7 +88,7 @@ def _measure(placement, services, window, ctx):
     try:
         return measure_interval(
             placement, services, measure_s=measure_s, warmup_s=warmup_s,
-            shard_context=ctx,
+            plans=ctx,
         )
     except ValueError as exc:
         return repr(exc)
@@ -142,7 +142,7 @@ def test_plan_layer_matches_memo_free_reference(cells, steps):
     placement = SCHEDULER.schedule(services)
     window = WINDOWS[0]
     arrivals = 0
-    ctx, walk = ShardContext(), ShardContext()
+    ctx, walk = PlanMemo(), PlanMemo()
 
     def check():
         _same(
@@ -225,12 +225,12 @@ def test_unchanged_plans_are_reused_whole():
         if seg.service_id == "s0"
     }
     assert 0 < len(hosts) < len(placement.gpus)
-    ctx = ShardContext()
+    ctx = PlanMemo()
 
     def reused(window=WINDOWS[0]):
         got = _measure(placement, services, window, ctx)
         _same(got, _reference(placement, services, window))
-        return ctx.plans.reused
+        return ctx.reused
 
     assert reused() == 0
     assert reused() == len(placement.gpus)
@@ -241,7 +241,7 @@ def test_unchanged_plans_are_reused_whole():
 
 
 def test_context_reuse_keeps_identity():
-    """A reused ShardContext (the controller's usage: a cross-call memo)
+    """A reused segment memo (the controller's usage: a cross-call memo)
     returns reports bit-identical to the reference on repeated calls —
     memo hits included, float sums exactly."""
     services = [
@@ -253,7 +253,7 @@ def test_context_reuse_keeps_identity():
     placement = SCHEDULER.schedule(services)
     kwargs = dict(duration_s=1.0, warmup_s=0.2, seed=3)
     serial = simulate_placement_fast(placement, services, **kwargs)
-    ctx = ShardContext()
+    ctx = PlanMemo()
     first = simulate_placement_fast(
         placement, services, memo=ctx.memo, **kwargs
     )

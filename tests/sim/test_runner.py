@@ -6,7 +6,7 @@ from repro.core.parvagpu import ParvaGPU
 from repro.core.placement import PlacedSegment, Placement
 from repro.core.service import Service
 from repro.sim import measure_interval, simulate_placement
-from repro.sim.shard import ShardContext
+from repro.sim.fastpath import PlanMemo
 
 
 def toy_placement(capacity=500.0, served=400.0, batch=8, procs=2, lat=20.0):
@@ -115,7 +115,7 @@ class TestRunner:
         with pytest.raises(ValueError, match="finite"):
             measure_interval(
                 *args, measure_s=duration_s - warmup_s, warmup_s=warmup_s,
-                shard_context=ShardContext(),
+                plans=PlanMemo(),
             )
 
     def test_unknown_service_rejected(self):
