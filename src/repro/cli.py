@@ -22,8 +22,9 @@ Subcommands:
 - ``parvagpu serve --scenario S16 [--clock real|virtual]
   [--time-scale X] [--deadline B]`` — the live-serving gateway: stream
   the scenario's timeline through the async control loop, publish
-  status over local HTTP, optionally record the session and verify the
-  virtual replay against the offline controller (``--check-offline``).
+  status over local HTTP, optionally journal the session
+  (``--journal DIR``) and verify the journal's virtual replay against
+  the offline controller (``--check-offline``).
 
 ``--geometry`` selects the partition geometry of the fleet: ``mig`` (the
 paper's A100 fleet, default), any other registered geometry name (e.g.
@@ -267,10 +268,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeGateway,
         StatusServer,
         VirtualClock,
+        journal_segments,
+        read_journal,
         replay_identity_checked,
         stream_source,
     )
 
+    if args.check_offline and args.journal is None:
+        print("error: --check-offline replays the session's journal; "
+              "it requires --journal DIR", file=sys.stderr)
+        return 2
+    if args.check_offline and journal_segments(args.journal):
+        print(f"error: --check-offline replays the whole journal, but "
+              f"{args.journal} already holds segments from an earlier "
+              f"session; use an empty directory", file=sys.stderr)
+        return 2
     seed = args.seed if args.seed is not None else OPS_SEED
     virtual = args.clock == "virtual"
     try:
@@ -293,18 +305,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             deadline_budget_s=args.deadline,
             snapshot_every=0 if virtual else 1,
             journal=None if args.journal is None else Journal(args.journal),
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
         )
     except (KeyError, ValueError) as exc:
         print(f"error: {_unquote(exc)}", file=sys.stderr)
         return 2
     driver = ScriptedDriver(e for e in run.timeline if e.time_s < horizon)
     mode = "virtual replay" if virtual else f"live x{args.time_scale:g}"
+    source_name = (
+        "events from stdin" if args.stdin
+        else f"{len(driver.events)} scripted events"
+    )
     print(
-        f"{run.name}: {len(run.services)} services, "
-        f"{len(driver.events)} scripted events over {horizon:g} s "
-        f"({mode})"
+        f"{run.name}: {len(run.services)} services, {source_name} "
+        f"over {horizon:g} s ({mode})"
     )
 
     async def session():
@@ -357,18 +370,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"journal: {js.appends} events in {js.segments} segment(s), "
             f"{js.fsyncs} fsyncs ({args.journal})"
         )
-    if args.checkpoint:
-        print(
-            f"checkpoints: {health.checkpoint_writes} written"
-            + (f", {health.checkpoint_errors} failed"
-               if health.checkpoint_errors else "")
-            + f" ({args.checkpoint})"
-        )
     if health.safe_mode:
         print(
             "SAFE MODE: the intake source failed for good "
             f"({gateway.health_doc().get('source_error')}); the session "
-            "drained admitted events and flushed a final checkpoint",
+            "drained admitted events"
+            + (" and closed the journal" if gateway.journal else ""),
             file=sys.stderr,
         )
     if health.reactions_s:
@@ -382,16 +389,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"compliance: mean {100 * report.mean_compliance:.2f}%, "
             f"min {100 * report.min_compliance:.2f}%"
         )
-    if args.record and not args.stdin:
-        with open(args.record, "w", encoding="utf-8") as fh:
-            for line in driver.recorded_jsonl():
-                fh.write(line + "\n")
-        print(f"recorded session: {args.record} ({len(driver.sent)} events)")
     if args.check_offline:
-        recorded = tuple(driver.sent) if not args.stdin else run.timeline
+        journaled = read_journal(args.journal).events
         try:
             replay_identity_checked(
-                run.services, recorded, horizon,
+                run.services, journaled, horizon,
                 measure_s=args.measure, warmup_s=args.warmup, sim_seed=seed,
                 seed=seed,
             )
@@ -399,8 +401,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"IDENTITY CHECK FAILED: {exc}", file=sys.stderr)
             return 1
         print(
-            "identity: virtual-clock replay of the session matches the "
-            "offline FleetController on every interval"
+            f"identity: virtual-clock replay of the {len(journaled)} "
+            "journaled events matches the offline FleetController on "
+            "every interval"
         )
     return 0
 
@@ -532,21 +535,6 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="FILE",
-        help="write a versioned, checksummed control-plane checkpoint "
-        "(at every --checkpoint-every steps, plus a final one at "
-        "shutdown for gateway sessions)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=0, dest="checkpoint_every",
-        metavar="N",
-        help="checkpoint cadence in control-loop steps (0 = only where "
-        "the session flushes on its own; requires --checkpoint)",
-    )
-
-
 def _add_geometry_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--geometry",
@@ -630,7 +618,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="export the span tree as JSON Lines, one span per line "
         "(same determinism contract as --trace)",
     )
-    _add_resilience_flags(p)
+    p.add_argument(
+        "--checkpoint", default=None, metavar="FILE",
+        help="write a versioned, checksummed control-plane checkpoint "
+        "(every --checkpoint-every intervals; every interval when 0)",
+    )
+    p.add_argument(
+        "--checkpoint-every", type=int, default=0, dest="checkpoint_every",
+        metavar="N",
+        help="checkpoint cadence in intervals (0 = every interval; "
+        "requires --checkpoint)",
+    )
     p.add_argument(
         "--resume", default=None, metavar="FILE",
         help="resume an interrupted run from a checkpoint written by "
@@ -691,22 +689,17 @@ def build_parser() -> argparse.ArgumentParser:
         "the base fleet and horizon)",
     )
     p.add_argument(
-        "--record", default=None, metavar="FILE",
-        help="write the driver's emitted session as line-delimited JSON "
-        "(replayable with --clock virtual via the recorded timeline)",
+        "--journal", default=None, metavar="DIR",
+        help="write-ahead journal directory: every admitted intake "
+        "event is persisted in wire format before use — the session's "
+        "one record, replayable bit-identically",
     )
     p.add_argument(
         "--check-offline", action="store_true", dest="check_offline",
-        help="after the session, replay it through the virtual-clock "
-        "gateway and assert per-interval fingerprint identity against "
-        "the offline FleetController",
-    )
-    _add_resilience_flags(p)
-    p.add_argument(
-        "--journal", default=None, metavar="DIR",
-        help="write-ahead journal directory: every admitted intake "
-        "event is persisted in wire format before use, so a crashed "
-        "gateway session can be replayed bit-identically",
+        help="after the session, replay its journal through the "
+        "virtual-clock gateway and assert per-interval fingerprint "
+        "identity against the offline FleetController (requires "
+        "--journal DIR, an empty directory)",
     )
     p.set_defaults(func=_cmd_serve)
 

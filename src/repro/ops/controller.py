@@ -557,9 +557,7 @@ class FleetController:
             "spare_shadow_gpus": self.spare_shadow_gpus,
         }
 
-    def checkpoint(
-        self, cursor: int = 0, timeline_sha: Optional[str] = None
-    ) -> dict[str, Any]:
+    def checkpoint(self, cursor: int, timeline_sha: str) -> dict[str, Any]:
         """Freeze the active run's full control-plane state as a document.
 
         Everything a resumed run needs to be bit-identical to an
@@ -567,11 +565,12 @@ class FleetController:
         order — full replans iterate it), the deployed placement and the
         spare/retired GPU ledgers, the pending (controller-scheduled)
         event heap with its tie-break sequence, the live report with
-        every accumulator, and the caller's timeline ``cursor``.  Memo
-        caches are *not* captured — a rewarmed memo is bit-identical to
-        a restored one by purity.  Pass the result to
-        :func:`~repro.ops.checkpoint.write_checkpoint` (or use the
-        ``run(..., checkpoint_path=...)`` wiring).
+        every accumulator, the caller's timeline ``cursor`` and the
+        digest of that timeline (``timeline_sha``), which resume
+        re-verifies.  Memo caches are *not* captured — a rewarmed memo
+        is bit-identical to a restored one by purity.  :meth:`run` is
+        the one writer (``run(..., checkpoint_path=...)``); pass the
+        result to :func:`~repro.ops.checkpoint.write_checkpoint`.
         """
         run = self._require_run()
         state: dict[str, Any] = {
@@ -821,7 +820,12 @@ class FleetController:
             params,
         )
         stored_sha = state.get("timeline_sha")
-        if stored_sha is not None and stored_sha != timeline_sha:
+        if stored_sha is None:
+            raise CheckpointError(
+                "checkpoint carries no timeline digest — it cannot be "
+                "checked against the resume timeline"
+            )
+        if stored_sha != timeline_sha:
             raise CheckpointError(
                 "resume timeline differs from the checkpointed run's "
                 "(digest mismatch) — continuing would silently diverge"

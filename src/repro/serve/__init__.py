@@ -19,14 +19,15 @@ the :class:`~repro.ops.report.OpsReport` while it grows:
   (:func:`~repro.ops.events.timeline_key` semantics over a live
   stream);
 - :mod:`repro.serve.journal` — the write-ahead journal: admitted
-  events are persisted in wire format before use, so a crashed
-  session replays bit-identically (:func:`~repro.serve.journal.replay_journal`);
+  events are persisted in wire format before use; it is the one record
+  a session leaves, so a crashed session replays bit-identically
+  (:func:`~repro.serve.journal.replay_journal`);
 - :mod:`repro.serve.gateway` — the
   :class:`~repro.serve.gateway.ServeGateway` control loop, its deadline
   scheduler, and the replay-identity helpers;
 - :mod:`repro.serve.status` — the local HTTP status surface;
-- :mod:`repro.serve.driver` — scripted drivers for steering and
-  recording live sessions (the S16 flash-crowd demo).
+- :mod:`repro.serve.driver` — scripted drivers for steering live
+  sessions (the S16 flash-crowd demo).
 
 The identity contract: under the virtual clock the gateway's report is
 bit-identical to ``FleetController.run`` on the same timeline —
@@ -35,7 +36,7 @@ property suite fuzzes it, and CI runs it fatally on an S12 slice.
 """
 
 from repro.serve.clock import Clock, VirtualClock
-from repro.serve.driver import ScriptedDriver, scripted_source
+from repro.serve.driver import ScriptedDriver
 from repro.serve.gateway import (
     GatewayHealth,
     ServeGateway,
@@ -77,7 +78,6 @@ __all__ = [
     "replay_identity_checked",
     "StatusServer",
     "ScriptedDriver",
-    "scripted_source",
     "EVENT_TYPES",
     "event_to_doc",
     "event_from_doc",

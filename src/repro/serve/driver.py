@@ -1,13 +1,14 @@
-"""Scripted drivers: steering (and recording) a live gateway session.
+"""Scripted drivers: steering a live gateway session.
 
 A :class:`ScriptedDriver` turns a prepared timeline into a *stream*:
 each event is emitted when the session clock reaches its stamp, which
 is how the flash-crowd demo (scenario S16) steers a live gateway in
-session time.  The driver remembers exactly what it sent, and
-:meth:`ScriptedDriver.recorded_jsonl` renders the session in the wire
-format — so a live run leaves behind a recording that the virtual-clock
-gateway replays bit-identically against the offline controller (the
-acceptance check the perf harness's serve suite automates).
+session time.  The driver remembers exactly what it sent
+(:attr:`ScriptedDriver.sent`).  The session's own record is the
+gateway's write-ahead journal (:mod:`repro.serve.journal`): it holds
+every admitted event in the wire format, whatever the source, and
+``serve --journal DIR --check-offline`` replays it through the
+virtual-clock gateway against the offline controller.
 """
 
 from __future__ import annotations
@@ -16,20 +17,10 @@ from typing import AsyncIterator, Iterable
 
 from repro.ops.events import OpsEvent, timeline_key
 from repro.serve.clock import Clock
-from repro.serve.sources import encode_event
-
-
-async def scripted_source(
-    events: Iterable[OpsEvent], clock: Clock
-) -> AsyncIterator[OpsEvent]:
-    """Emit ``events`` in timeline order as the clock reaches each stamp."""
-    for event in sorted(events, key=timeline_key):
-        await clock.sleep_until(event.time_s)
-        yield event
 
 
 class ScriptedDriver:
-    """Replays a prepared timeline as a live stream and records it."""
+    """Replays a prepared timeline as a live stream, paced by a clock."""
 
     def __init__(self, events: Iterable[OpsEvent]) -> None:
         self.events: tuple[OpsEvent, ...] = tuple(
@@ -47,7 +38,3 @@ class ScriptedDriver:
             await clock.sleep_until(event.time_s)
             self.sent.append(event)
             yield event
-
-    def recorded_jsonl(self) -> list[str]:
-        """The emitted session as wire-format lines (one event each)."""
-        return [encode_event(event) for event in self.sent]

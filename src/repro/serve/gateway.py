@@ -39,12 +39,10 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import AsyncIterator, ClassVar, Iterable, Optional, Sequence
 
 from repro.core.service import Service
 from repro.obs import fields_doc
-from repro.ops.checkpoint import write_checkpoint
 from repro.ops.controller import FleetController, assert_reports_identical
 from repro.ops.events import (
     GpuFailure,
@@ -101,12 +99,8 @@ class GatewayHealth:
     rejected_events: int = 0
     #: transport errors swallowed while serving the status surface
     http_errors: int = 0
-    #: control-plane checkpoints flushed (periodic + shutdown)
-    checkpoint_writes: int = 0
-    #: checkpoint flushes that failed (counted, never fatal mid-run)
-    checkpoint_errors: int = 0
     #: the intake source is gone; the loop is draining what it has and
-    #: will flush a final checkpoint at shutdown
+    #: will close the journal at shutdown
     safe_mode: bool = False
     #: per-step reaction latency in real seconds: work-stopwatch span
     #: from the batch's earliest enqueue to step completion (live only)
@@ -129,8 +123,6 @@ class GatewayHealth:
         "injected_events": "counter",
         "rejected_events": "counter",
         "http_errors": "counter",
-        "checkpoint_writes": "counter",
-        "checkpoint_errors": "counter",
         "safe_mode": "gauge",
     }
 
@@ -168,8 +160,6 @@ class ServeGateway:
         max_deferrals: int = 8,
         snapshot_every: int = 0,
         journal: Optional[Journal] = None,
-        checkpoint_path: Optional[str | Path] = None,
-        checkpoint_every: int = 0,
     ) -> None:
         if deadline_budget_s is not None and deadline_budget_s <= 0:
             raise ValueError("deadline budget must be positive")
@@ -177,10 +167,6 @@ class ServeGateway:
             raise ValueError("max_deferrals must be >= 1")
         if snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        if checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if checkpoint_every and checkpoint_path is None:
-            raise ValueError("checkpoint_every requires checkpoint_path")
         self.controller = controller
         self.services = list(services)
         self.horizon_s = horizon_s
@@ -196,10 +182,6 @@ class ServeGateway:
         #: write-ahead journal: every admitted event is persisted before
         #: it enters the intake queue, so a crashed session replays
         self.journal = journal
-        self.checkpoint_path = (
-            None if checkpoint_path is None else Path(checkpoint_path)
-        )
-        self.checkpoint_every = checkpoint_every
         self.intake = IntakeQueue()
         self.health = GatewayHealth()
         # The gateway shares its controller's hub and binds the wall
@@ -253,9 +235,6 @@ class ServeGateway:
                     await feeder
                 except asyncio.CancelledError:
                     pass
-            # Always flush a final checkpoint — the safe-mode shutdown
-            # contract — before the run closes and state is torn down.
-            self._write_checkpoint()
             self.report = self.controller.finish()
             if self.journal is not None:
                 self.journal.close()
@@ -271,7 +250,7 @@ class ServeGateway:
             # skips and source reconnects happen upstream (``sources``);
             # an error surfacing *here* means the stream is gone for
             # good.  Enter safe mode: drain what was admitted, then shut
-            # down through the normal path (final checkpoint included).
+            # down through the normal path, which closes the journal.
             self.health.source_failures += 1
             self.health.safe_mode = True
             self._source_error = f"{type(exc).__name__}: {exc}"
@@ -281,7 +260,13 @@ class ServeGateway:
             self.intake.close()
 
     def _admit(self, event: OpsEvent) -> bool:
-        """Horizon-check, journal (write-ahead), and enqueue one event."""
+        """Horizon-check, journal (write-ahead), and enqueue one event.
+
+        A closed intake refuses before anything is journaled, so the
+        journal never holds an event the session did not act on.
+        """
+        if self.intake.closed:
+            raise RuntimeError("intake queue is closed")
         if event.time_s >= self.horizon_s:
             self.health.dropped_beyond_horizon += 1
             return False
@@ -316,17 +301,6 @@ class ServeGateway:
         """``on_retry`` hook for :func:`resilient_source`."""
         del exc
         self.health.source_retries += 1
-
-    def _write_checkpoint(self) -> None:
-        """Flush the controller's full state; failure is counted, not fatal."""
-        if self.checkpoint_path is None:
-            return
-        try:
-            write_checkpoint(self.checkpoint_path, self.controller.checkpoint())
-        except OSError:
-            self.health.checkpoint_errors += 1
-        else:
-            self.health.checkpoint_writes += 1
 
     async def _loop(self, feeder: Optional[asyncio.Task[None]]) -> None:
         t = 0.0  # the bootstrap interval exists even on an empty stream
@@ -466,11 +440,6 @@ class ServeGateway:
             record.obs_sidecar["reaction_s"] = reaction
         if self.snapshot_every and self.health.steps % self.snapshot_every == 0:
             self._refresh_snapshot()
-        if (
-            self.checkpoint_every
-            and self.health.steps % self.checkpoint_every == 0
-        ):
-            self._write_checkpoint()
 
     def _flush_deferred(self) -> None:
         """Force-apply anything still parked when the run winds down."""

@@ -9,16 +9,10 @@ bit-identically (:func:`replay_journal`): the wire codec round-trips
 exactly and the virtual clock regroups instants exactly like the
 offline run loop.
 
-Durability is a policy knob, not a promise baked in:
-
-- ``fsync="always"`` — fsync after every append (maximum durability,
-  one syscall per event);
-- ``fsync="interval"`` — fsync every ``fsync_every`` appends (the
-  default: bounded loss window, amortized cost);
-- ``fsync="close"`` — fsync only on rotation and close (OS page cache
-  decides; cheapest).
-
-Segments rotate every ``rotate_every`` appends (``segment-000000.jsonl``,
+Durability is bounded, not absolute: the live segment is fsynced every
+:data:`FSYNC_EVERY` appends and on every rotation and close, so a crash
+loses at most the last :data:`FSYNC_EVERY` appends.  Segments rotate
+every :data:`ROTATE_EVERY` appends (``segment-000000.jsonl``,
 ``segment-000001.jsonl``, ...), so recovery after a torn write loses at
 most the tail of the *last* segment — :func:`read_journal` tolerates a
 partial final line (the expected crash artifact, reported as
@@ -42,7 +36,11 @@ if TYPE_CHECKING:
 SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".jsonl"
 
-FSYNC_POLICIES = ("always", "interval", "close")
+#: appends between fsyncs of the live segment (rotation and close
+#: always fsync)
+FSYNC_EVERY = 64
+#: appends per segment file
+ROTATE_EVERY = 10_000
 
 
 def segment_name(index: int) -> str:
@@ -87,27 +85,9 @@ class JournalStats:
 class Journal:
     """Append-only, segment-rotated write-ahead log of intake events."""
 
-    def __init__(
-        self,
-        dir_path: str | Path,
-        *,
-        fsync: str = "interval",
-        fsync_every: int = 64,
-        rotate_every: int = 10_000,
-    ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(
-                f"unknown fsync policy {fsync!r}; one of {FSYNC_POLICIES}"
-            )
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
-        if rotate_every < 1:
-            raise ValueError("rotate_every must be >= 1")
+    def __init__(self, dir_path: str | Path) -> None:
         self.dir = Path(dir_path)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
-        self.fsync_every = fsync_every
-        self.rotate_every = rotate_every
         existing = journal_segments(self.dir)
         # Appends to an existing journal dir continue the segment
         # numbering — never overwrite what a previous run persisted.
@@ -124,23 +104,20 @@ class Journal:
         return self._fh is None and self.stats.appends > 0
 
     def append(self, event: OpsEvent) -> None:
-        """Durably record one event (per the fsync policy) before use."""
-        if self._fh is None or self._lines >= self.rotate_every:
+        """Record one event before use (fsynced every FSYNC_EVERY appends)."""
+        if self._fh is None or self._lines >= ROTATE_EVERY:
             self._open_segment()
         assert self._fh is not None
         self._fh.write(encode_event(event))
         self._fh.write("\n")
         self._lines += 1
         self.stats.appends += 1
-        if self.fsync == "always":
+        self._since_sync += 1
+        if self._since_sync >= FSYNC_EVERY:
             self._sync()
-        elif self.fsync == "interval":
-            self._since_sync += 1
-            if self._since_sync >= self.fsync_every:
-                self._sync()
 
     def flush(self) -> None:
-        """Flush and fsync the live segment regardless of policy."""
+        """Flush and fsync the live segment now."""
         if self._fh is not None:
             self._sync()
 
@@ -271,10 +248,11 @@ def replay_journal(
 
 
 __all__ = [
-    "FSYNC_POLICIES",
+    "FSYNC_EVERY",
     "Journal",
     "JournalRecovery",
     "JournalStats",
+    "ROTATE_EVERY",
     "journal_segments",
     "read_journal",
     "replay_journal",

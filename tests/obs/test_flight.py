@@ -13,6 +13,7 @@ import pytest
 from repro.core.service import Service
 from repro.obs import FlightRecorder, ObsHub, Span
 from repro.ops import CheckpointError, FleetController
+from repro.ops.checkpoint import timeline_digest
 from repro.serve import ServeGateway, VirtualClock
 
 
@@ -121,7 +122,7 @@ class TestCheckpointErrorDump:
         ctrl = FleetController()
         ctrl.begin(services, 50.0)
         ctrl.step(10.0, [])
-        doc = ctrl.checkpoint()
+        doc = ctrl.checkpoint(cursor=0, timeline_sha=timeline_digest([]))
         # no dump happened: the breadcrumb is present but empty
         assert doc["flight_dump"] is None
         ctrl.finish()

@@ -17,6 +17,7 @@ from repro.ops import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.ops.checkpoint import timeline_digest
 from repro.ops.controller import assert_reports_identical
 from repro.resilience import flip_bit, truncate_tail
 from repro.scenarios.ops import bench_ops_run
@@ -33,6 +34,11 @@ def workload():
 
 def controller():
     return FleetController(seed=SEED)
+
+
+def bootstrap_checkpoint(ctrl):
+    """The state document after the bootstrap step of an empty timeline."""
+    return ctrl.checkpoint(cursor=0, timeline_sha=timeline_digest([]))
 
 
 def full_run(run, **kwargs):
@@ -54,7 +60,7 @@ class TestFileFormat:
         ctrl.begin(workload.services, workload.horizon_s,
                    measure_s=MEASURE_S, sim_seed=SIM_SEED)
         ctrl.step(0.0, [])
-        state = ctrl.checkpoint()
+        state = bootstrap_checkpoint(ctrl)
         path = tmp_path / "ck.json"
         write_checkpoint(path, state)
         assert read_checkpoint(path) == state
@@ -66,7 +72,7 @@ class TestFileFormat:
                    measure_s=MEASURE_S, sim_seed=SIM_SEED)
         ctrl.step(0.0, [])
         path = tmp_path / "ck.json"
-        write_checkpoint(path, ctrl.checkpoint())
+        write_checkpoint(path, bootstrap_checkpoint(ctrl))
         ctrl.finish()
         # any single-bit flip must be caught by the checksum (or fail
         # JSON parsing outright) — try several seeded offsets
@@ -83,7 +89,7 @@ class TestFileFormat:
                    measure_s=MEASURE_S, sim_seed=SIM_SEED)
         ctrl.step(0.0, [])
         path = tmp_path / "ck.json"
-        write_checkpoint(path, ctrl.checkpoint())
+        write_checkpoint(path, bootstrap_checkpoint(ctrl))
         ctrl.finish()
         truncate_tail(path, 16)
         with pytest.raises(CheckpointError):
@@ -215,6 +221,19 @@ class TestResumeValidation:
         naive["run"]["sim_fast"] = True
         with pytest.raises(CheckpointError, match="sim_fast"):
             FleetController(seed=SEED, fast_path=False).restore(naive)
+
+    def test_digestless_checkpoint_is_refused(self, checkpoint_path, workload):
+        """A document without a timeline digest cannot be checked against
+        the resume timeline, so resume refuses it instead of trusting it."""
+        state = read_checkpoint(checkpoint_path)
+        state["timeline_sha"] = None
+        unset = {k: v for k, v in state.items() if k != "timeline_sha"}
+        for doc in (state, unset):
+            with pytest.raises(CheckpointError, match="no timeline digest"):
+                controller().run(
+                    workload.services, workload.timeline, workload.horizon_s,
+                    measure_s=MEASURE_S, sim_seed=SIM_SEED, resume=doc,
+                )
 
     def test_timeline_mismatch_is_refused(self, checkpoint_path, workload):
         shorter = [e for e in workload.timeline][:-2]

@@ -3,10 +3,10 @@
 Rung by rung: a malformed line is skipped and counted; a transient
 source stall is retried with the already-delivered prefix deduplicated;
 an exhausted retry budget ends the session in *safe mode* — counted,
-stamped with the terminal error, final checkpoint flushed — and in
-every recovered case the session's report is bit-identical to a clean
-run over the same events, because resilience that changes results is
-just corruption with better manners.
+stamped with the terminal error, journal closed over the received
+prefix — and in every recovered case the session's report is
+bit-identical to a clean run over the same events, because resilience
+that changes results is just corruption with better manners.
 """
 
 import asyncio
@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.core.service import Service
-from repro.ops import FleetController, read_checkpoint
+from repro.ops import FleetController
 from repro.ops.controller import assert_reports_identical
 from repro.ops.events import RateEpoch, merge_timeline
 from repro.resilience import stalling_source_factory, truncate_journal
@@ -117,8 +117,7 @@ class TestSourceStalls:
     def test_exhausted_budget_enters_safe_mode(
         self, profiles, services, tmp_path
     ):
-        ck = tmp_path / "final.json"
-        gateway = make_gateway(profiles, services, checkpoint_path=ck)
+        gateway = make_gateway(profiles, services, journal=Journal(tmp_path))
         source = resilient_source(
             stalling_source_factory(timeline(), fail_after=3, failures=99),
             max_retries=2,
@@ -133,9 +132,9 @@ class TestSourceStalls:
         assert "ConnectionError" in doc["source_error"]
         # the session still closed cleanly over what it did receive...
         assert report.intervals
-        # ...and the terminal flush left a restorable checkpoint behind
-        assert gateway.health.checkpoint_writes >= 1
-        assert read_checkpoint(ck)
+        # ...and its journal is closed over exactly the received prefix
+        assert gateway.journal.closed
+        assert read_journal(tmp_path).events == list(timeline())[:3]
 
 
 class TestJournalReplay:

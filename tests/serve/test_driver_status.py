@@ -1,4 +1,4 @@
-"""Scripted drivers (record + replay) and the HTTP status surface."""
+"""Scripted drivers (journaled + replayed) and the HTTP status surface."""
 
 import asyncio
 import json
@@ -9,14 +9,14 @@ from repro.core.service import Service
 from repro.ops import FleetController
 from repro.ops.events import RateEpoch, ServiceArrival, merge_timeline
 from repro.serve import (
+    Journal,
     ScriptedDriver,
     ServeGateway,
     StatusServer,
     VirtualClock,
-    decode_event,
     encode_event,
+    read_journal,
     replay_identity_checked,
-    scripted_source,
     timeline_source,
 )
 
@@ -52,7 +52,7 @@ class TestScriptedDriver:
 
     def test_scripted_source_paces_by_clock(self):
         clock = VirtualClock()
-        emitted = drain(scripted_source(timeline(), clock))
+        emitted = drain(ScriptedDriver(timeline()).source(clock))
         assert [e.time_s for e in emitted] == [10.0, 30.0, 50.0]
         assert clock.now() == 50.0  # slept up to the last stamp
 
@@ -62,24 +62,31 @@ class TestScriptedDriver:
         emitted = drain(driver.source(clock))
         assert driver.sent == emitted == list(driver.events)
 
-    def test_recorded_jsonl_round_trips(self):
-        driver = ScriptedDriver(timeline())
-        drain(driver.source(VirtualClock()))
-        decoded = [decode_event(line) for line in driver.recorded_jsonl()]
-        assert decoded == driver.sent
-
-    def test_recorded_session_replays_identically(self, profiles, services):
-        """The full loop: drive a session, record it, and verify the
-        recording against the offline controller."""
+    def test_recorded_jsonl_round_trips(self, profiles, services, tmp_path):
+        """The session's journal is its wire-format recording: it
+        decodes back to exactly what the driver sent."""
         driver = ScriptedDriver(timeline())
         gateway = ServeGateway(
             FleetController(profiles), services, 100.0, VirtualClock(),
-            measure_s=0.1,
+            journal=Journal(tmp_path),
         )
         asyncio.run(gateway.run(driver.source(gateway.clock)))
-        recorded = [decode_event(line) for line in driver.recorded_jsonl()]
+        assert read_journal(tmp_path).events == driver.sent
+
+    def test_recorded_session_replays_identically(
+        self, profiles, services, tmp_path
+    ):
+        """The full loop: drive a journaled session, and verify the
+        journal against the offline controller."""
+        driver = ScriptedDriver(timeline())
+        gateway = ServeGateway(
+            FleetController(profiles), services, 100.0, VirtualClock(),
+            measure_s=0.1, journal=Journal(tmp_path),
+        )
+        asyncio.run(gateway.run(driver.source(gateway.clock)))
         replay_identity_checked(
-            services, recorded, 100.0, measure_s=0.1, profiles=profiles
+            services, read_journal(tmp_path).events, 100.0,
+            measure_s=0.1, profiles=profiles,
         )
 
 
@@ -298,10 +305,10 @@ class TestPostEvents:
         assert status == 400
         assert "empty" in doc["error"]
 
-    def test_closed_intake_conflicts(self, profiles, services):
+    def test_closed_intake_conflicts(self, profiles, services, tmp_path):
         gateway = ServeGateway(
             FleetController(profiles), services, 100.0, VirtualClock(),
-            measure_s=0.1,
+            measure_s=0.1, journal=Journal(tmp_path),
         )
         asyncio.run(gateway.run(timeline_source(timeline())))
 
@@ -319,6 +326,10 @@ class TestPostEvents:
         status, doc = asyncio.run(scenario())
         assert status == 409
         assert gateway.health.rejected_events == 1
+        # a refused event is never journaled: the journal stays the
+        # record of what the session acted on
+        assert gateway.journal.stats.appends == len(timeline())
+        assert read_journal(tmp_path).events == list(timeline())
 
     def test_get_on_events_is_405(self, profiles, services):
         gateway = ServeGateway(

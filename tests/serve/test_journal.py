@@ -10,8 +10,6 @@ the two corruption modes recovery distinguishes: a torn final line
 (counted in ``skipped_lines``, never fatal).
 """
 
-import pytest
-
 from repro.ops.events import RateEpoch, ServiceDeparture, SloChange
 from repro.resilience import corrupt_journal, truncate_journal
 from repro.serve import (
@@ -21,7 +19,8 @@ from repro.serve import (
     journal_segments,
     read_journal,
 )
-from repro.serve.journal import FSYNC_POLICIES, segment_name
+from repro.serve import journal as journal_mod
+from repro.serve.journal import segment_name
 
 
 def make_events(n):
@@ -31,8 +30,8 @@ def make_events(n):
     ]
 
 
-def write_all(dir_path, events, **kwargs):
-    with Journal(dir_path, **kwargs) as journal:
+def write_all(dir_path, events):
+    with Journal(dir_path) as journal:
         for event in events:
             journal.append(event)
         return journal.stats
@@ -74,8 +73,9 @@ class TestAppend:
 
 
 class TestRotation:
-    def test_rotation_splits_segments(self, tmp_path):
-        stats = write_all(tmp_path, make_events(25), rotate_every=10)
+    def test_rotation_splits_segments(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_mod, "ROTATE_EVERY", 10)
+        stats = write_all(tmp_path, make_events(25))
         assert stats.rotations == 2
         assert stats.segments == 3
         names = [p.name for p in journal_segments(tmp_path)]
@@ -84,10 +84,11 @@ class TestRotation:
         assert recovery.events == make_events(25)
         assert recovery.segments == 3
 
-    def test_reopen_continues_numbering(self, tmp_path):
+    def test_reopen_continues_numbering(self, tmp_path, monkeypatch):
         """A restarted gateway must never overwrite a prior segment."""
-        write_all(tmp_path, make_events(5), rotate_every=3)
-        write_all(tmp_path, make_events(5), rotate_every=3)
+        monkeypatch.setattr(journal_mod, "ROTATE_EVERY", 3)
+        write_all(tmp_path, make_events(5))
+        write_all(tmp_path, make_events(5))
         names = [p.name for p in journal_segments(tmp_path)]
         assert names[0] == segment_name(0)
         assert names == sorted(set(names))  # no collisions
@@ -95,26 +96,18 @@ class TestRotation:
 
 
 class TestFsync:
-    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
-    def test_policies_all_persist(self, tmp_path, policy):
-        events = make_events(10)
-        write_all(tmp_path / policy, events, fsync=policy, fsync_every=4)
-        assert read_journal(tmp_path / policy).events == events
-
-    def test_always_syncs_every_append(self, tmp_path):
-        stats = write_all(tmp_path, make_events(6), fsync="always")
-        assert stats.fsyncs >= 6
-
-    def test_interval_syncs_batched(self, tmp_path):
-        stats = write_all(
-            tmp_path, make_events(10), fsync="interval", fsync_every=4
-        )
+    def test_interval_syncs_batched(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_mod, "FSYNC_EVERY", 4)
+        stats = write_all(tmp_path, make_events(10))
         # syncs at appends 4 and 8, plus the close() flush
-        assert 0 < stats.fsyncs < 10
+        assert stats.fsyncs == 3
 
-    def test_unknown_policy_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="fsync"):
-            Journal(tmp_path, fsync="sometimes")
+    def test_rotation_and_close_sync(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal_mod, "ROTATE_EVERY", 3)
+        stats = write_all(tmp_path, make_events(7))
+        # two rotations (after appends 3 and 6) plus the close() flush
+        assert stats.rotations == 2
+        assert stats.fsyncs == 3
 
 
 class TestRecovery:

@@ -138,10 +138,11 @@ class TestCommands:
 
 
 class TestServeGateway:
-    def test_serve_virtual_replay_with_identity_check(self, capsys):
+    def test_serve_virtual_replay_with_identity_check(self, capsys, tmp_path):
         assert (
             main(["serve", "--scenario", "s12", "--clock", "virtual",
                   "--horizon", "3000", "--measure", "0.1",
+                  "--journal", str(tmp_path / "journal"),
                   "--check-offline"]) == 0
         )
         out = capsys.readouterr().out
@@ -150,22 +151,90 @@ class TestServeGateway:
         assert "matches the offline FleetController" in out
 
     def test_serve_live_session_records_and_verifies(self, capsys, tmp_path):
-        rec = tmp_path / "session.jsonl"
+        journal = tmp_path / "journal"
         assert (
             main(["serve", "--scenario", "s12", "--horizon", "600",
                   "--time-scale", "3000", "--measure", "0.05",
-                  "--no-status", "--record", str(rec),
+                  "--no-status", "--journal", str(journal),
                   "--check-offline"]) == 0
         )
         out = capsys.readouterr().out
         assert "live x3000" in out
-        assert "recorded session:" in out
-        assert "matches the offline FleetController" in out
-        from repro.serve import decode_event
+        from repro.scenarios.ops import ops_run
+        from repro.serve import read_journal
 
-        events = [decode_event(line)
-                  for line in rec.read_text().splitlines()]
-        assert all(e.time_s < 600.0 for e in events)
+        events = read_journal(journal).events
+        scripted = [e for e in ops_run("s12").timeline if e.time_s < 600.0]
+        assert events == scripted
+        assert f"journal: {len(events)} events" in out
+        assert (
+            f"replay of the {len(events)} journaled events matches the "
+            "offline FleetController" in out
+        )
+
+    def test_serve_stdin_check_offline_replays_the_journal(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``--check-offline`` verifies the events a stdin session
+        consumed — its journal — not the scenario's scripted timeline."""
+        import repro.serve
+        from repro.serve import decode_event, read_journal
+
+        lines = [
+            '{"kind": "RateEpoch", "time_s": 1.0, "service_id": '
+            '"bert-large", "rate": 120.0}',
+            '{"kind": "SloChange", "time_s": 5.0, "service_id": '
+            '"bert-large", "slo_latency_ms": 0.5}',
+        ]
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, ("\n".join(lines) + "\n").encode())
+        os.close(write_fd)
+        stdin = os.fdopen(read_fd)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        checked = []
+        real_check = repro.serve.replay_identity_checked
+
+        def spy(services, timeline, *args, **kwargs):
+            checked.append(list(timeline))
+            return real_check(services, checked[-1], *args, **kwargs)
+
+        monkeypatch.setattr(repro.serve, "replay_identity_checked", spy)
+        journal = tmp_path / "journal"
+        try:
+            assert main(["serve", "--scenario", "S16", "--stdin",
+                         "--clock", "virtual", "--no-status",
+                         "--measure", "0", "--journal", str(journal),
+                         "--check-offline"]) == 0
+        finally:
+            stdin.close()
+        sent = [decode_event(line) for line in lines]
+        assert read_journal(journal).events == sent
+        assert checked == [sent]
+        out = capsys.readouterr().out
+        assert "S16: 100 services, events from stdin" in out
+        assert "replay of the 2 journaled events matches" in out
+
+    def test_serve_check_offline_requires_a_fresh_journal(
+        self, capsys, tmp_path
+    ):
+        assert main(["serve", "--scenario", "s12", "--clock", "virtual",
+                     "--check-offline"]) == 2
+        assert "requires --journal DIR" in capsys.readouterr().err
+        journal = tmp_path / "journal"
+        args = ["serve", "--scenario", "s12", "--clock", "virtual",
+                "--horizon", "300", "--measure", "0",
+                "--journal", str(journal)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main([*args, "--check-offline"]) == 2
+        assert "already holds segments" in capsys.readouterr().err
+
+    def test_serve_has_no_checkpoint_or_record_flags(self):
+        """The journal is a session's one record."""
+        for flags in (["--checkpoint", "ck.json"], ["--checkpoint-every", "1"],
+                      ["--record", "session.jsonl"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", *flags])
 
     def test_serve_live_serves_status_endpoint(self, capsys):
         assert (
