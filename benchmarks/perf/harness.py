@@ -31,9 +31,10 @@ The suites, selected with ``--suite``:
 - ``serve``: the virtual-clock gateway vs the offline controller on an
   S12 slice and the S16 session; a live S16 session on a scaled
   monotonic clock, whose recording must replay identically offline.
-- ``resilience``: a run checkpointed every :data:`CKPT_EVERY` intervals
-  and a run killed mid-way and resumed, each vs the uninterrupted run;
-  the S13 week killed and resumed twice (chained).
+- ``resilience``: a run writing its run record (flushed every
+  :data:`CKPT_EVERY` intervals) and a run killed mid-way and resumed by
+  replaying its record, each vs the uninterrupted run; the S13 week
+  killed and resumed twice (chained).
 - ``obs``: the observability plane on vs off.
 
 S10 runs at the smallest selected tier.  Run from the repository root::
@@ -140,7 +141,7 @@ OPS_WARMUP_S = 0.1
 SERVE_SLICES = (("S12", 3 * 3600.0), ("S16", None))
 SERVE_TIME_SCALE = 600.0
 SERVE_DEADLINE_S = 0.25
-#: resilience suite: checkpoint cadence of the overhead case
+#: resilience suite: run-record flush cadence of the overhead case
 CKPT_EVERY = 5
 
 #: a prepared run: returns ``(result, counts)`` when called (timed)
@@ -376,11 +377,11 @@ def _in_tempdir(legs: list[Prepared], ck_dir: str) -> Prepared:
 
 
 def _killed(run: OpsRun, kills: tuple[int, ...]) -> Prepared:
-    """``run`` killed after each step count in ``kills`` (a checkpoint
-    flushed at each), every restart resumed from the last checkpoint,
-    and the last one run to the end."""
+    """``run`` killed after each step count in ``kills`` (its run record
+    flushed every interval), every restart resumed from the record and
+    appending to it, and the last one run to the end."""
     td = tempfile.mkdtemp()
-    ck = os.path.join(td, "checkpoint.json")
+    ck = os.path.join(td, "run.jsonl")
     legs = [
         _ops(
             run, OPS_MEASURE_S, checkpoint_every=1, checkpoint_path=ck,
@@ -395,7 +396,7 @@ def _checkpointed(run: OpsRun) -> Prepared:
     td = tempfile.mkdtemp()
     return _in_tempdir([_ops(
         run, OPS_MEASURE_S, checkpoint_every=CKPT_EVERY,
-        checkpoint_path=os.path.join(td, "checkpoint.json"),
+        checkpoint_path=os.path.join(td, "run.jsonl"),
     )], td)
 
 

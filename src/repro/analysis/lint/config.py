@@ -44,7 +44,6 @@ DEFAULT_IDENTITY_MODULES: tuple[str, ...] = (
     "src/repro/profiler/*",
     "src/repro/models/*",
     "src/repro/serve/*",
-    "src/repro/resilience/*",
     "src/repro/obs/*",
 )
 

@@ -452,7 +452,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
             )
         else:
             ctrl = FleetController(fast_path=args.engine == "fast", seed=seed)
-            # a bare --checkpoint means "checkpoint every interval"
+            # a bare --checkpoint means "flush every interval"
             ckpt_every = args.checkpoint_every or (1 if args.checkpoint else 0)
             report = ctrl.run(
                 run.services, run.timeline, horizon,
@@ -523,11 +523,11 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         print(f"trace: {args.trace_jsonl} "
               f"({len(ctrl.obs.tracer.spans)} spans, JSONL)")
     if args.resume:
-        print(f"resumed: {args.resume} (intervals before the checkpoint "
-              "cursor restored verbatim)")
+        print(f"resumed: {args.resume} (recorded intervals replayed and "
+              "verified against their fingerprints)")
     if args.checkpoint:
-        print(f"checkpoint: {args.checkpoint} "
-              f"(every {args.checkpoint_every or 1} interval(s))")
+        print(f"run record: {args.checkpoint} "
+              f"(flushed every {args.checkpoint_every or 1} interval(s))")
     checks = "state round-trip + cluster mirror"
     if args.verify:
         checks += " + fast-vs-naive replay"
@@ -620,19 +620,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoint", default=None, metavar="FILE",
-        help="write a versioned, checksummed control-plane checkpoint "
-        "(every --checkpoint-every intervals; every interval when 0)",
+        help="append the run's record to FILE: a header, then one "
+        "checksummed line per interval (fingerprint and measurement), "
+        "flushed every --checkpoint-every intervals",
     )
     p.add_argument(
         "--checkpoint-every", type=int, default=0, dest="checkpoint_every",
         metavar="N",
-        help="checkpoint cadence in intervals (0 = every interval; "
+        help="run-record flush cadence in intervals (0 = every interval; "
         "requires --checkpoint)",
     )
     p.add_argument(
         "--resume", default=None, metavar="FILE",
-        help="resume an interrupted run from a checkpoint written by "
-        "--checkpoint; the resumed report is bit-identical to an "
+        help="resume an interrupted run from its --checkpoint record: the "
+        "recorded intervals are replayed and checked against their "
+        "fingerprints, then the run continues (appending to FILE when "
+        "--checkpoint names it); the report is bit-identical to an "
         "uninterrupted run",
     )
     p.set_defaults(func=_cmd_ops)

@@ -43,8 +43,7 @@ A delta is written once, over a
 through the slot index, handed the rebuilt list it runs the naive scan.
 
 :meth:`deploy` of any placement the live state did not produce (a full
-schedule, a restored checkpoint) takes the full cluster diff and drops
-the live state.
+schedule) takes the full cluster diff and drops the live state.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ class DeploymentManager:
     def set_ledgers(
         self, spares: Mapping[int, str], retired: Mapping[int, str]
     ) -> None:
-        """Replace both ledgers (checkpoint restore, a full re-plan)."""
+        """Replace both ledgers (a full re-plan)."""
         self._spares = dict(spares)
         self._retired = dict(retired)
         self._live = None

@@ -407,16 +407,21 @@ def enumerate_layouts(
 
     The DFS that regenerates the paper's Figure 1 for MIG (19 layouts), and
     the four device-wide modes (SPX/DPX/QPX/CPX) for an MI300X.
+
+    Each partial layout is expanded once: a repeat (the same instances
+    reached in another insertion order) can only rediscover leaves its
+    first visit already found, so pruning it keeps the discovery order.
     """
-    seen: set[tuple[tuple[int, int], ...]] = set()
+    visited: set[tuple[tuple[int, int], ...]] = set()
     results: list[PartitionLayout] = []
 
     def dfs(layout: PartitionLayout) -> None:
+        sig = layout.signature()
+        if sig in visited:
+            return
+        visited.add(sig)
         if layout.is_maximal(extended=extended):
-            sig = layout.signature()
-            if sig not in seen:
-                seen.add(sig)
-                results.append(PartitionLayout(geometry, layout.instances))
+            results.append(PartitionLayout(geometry, layout.instances))
             return
         for size in sorted(geometry.instance_sizes, reverse=True):
             for start in geometry.legal_starts(size, extended=extended):

@@ -12,8 +12,8 @@ never perturbs the identity contract*:
   (``parvagpu ops --trace out.json``, Perfetto-loadable), span trees
   byte-identical across replays under ``VirtualClock``;
 - :mod:`repro.obs.flight` — a bounded ring of recent spans and
-  decisions, dumped automatically on ``CheckpointError`` or safe-mode
-  entry;
+  decisions, dumped automatically when a run record fails (a write
+  error or a ``CheckpointError`` on resume) or on safe-mode entry;
 - :mod:`repro.obs.prometheus` — the ``GET /metrics`` text exposition;
 - :mod:`repro.obs.wallclock` — the package's only wall-clock read
   (D002-allowlisted); everywhere else time is a scenario instant or a

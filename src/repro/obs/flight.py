@@ -5,10 +5,10 @@ the last ``capacity`` observability entries — closed spans plus
 explicit decision notes (path choices, safe-mode entries) — in a ring
 that costs one deque append per entry: a closed span is kept as the
 :class:`Span` itself and rendered only when the ring is read, so no
-rendering happens inside the span that encloses it.  On a
-``CheckpointError`` or safe-mode entry the ring is dumped to a JSON
-document (and optionally a file referenced from the crash checkpoint)
-for post-mortem.
+rendering happens inside the span that encloses it.  When a run record
+fails (a write error, or a ``CheckpointError`` on resume) or the gateway
+enters safe mode, the ring is dumped to a JSON document (and optionally
+to a file) for post-mortem.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class FlightRecorder:
     ) -> dict[str, object] | None:
         """Dump the ring; returns the document (``None`` if disabled).
 
-        With ``path`` the document is also written to disk so a crash
-        checkpoint can reference it.  Write failures are swallowed —
+        With ``path`` the document is also written to disk, and
+        ``last_dump_path`` names the file.  Write failures are swallowed —
         the flight recorder must never turn a degradation into a
         crash — but leave ``last_dump_path`` unset.
         """

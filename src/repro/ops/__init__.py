@@ -24,18 +24,15 @@ controller's GPU loss, the SLO-update path — into one operable system:
   :class:`~repro.ops.verify.StateVerifier`, the controller's
   per-interval state check;
 - :mod:`repro.ops.report` — the :class:`~repro.ops.report.OpsReport` of
-  what tenants actually experienced.
+  what tenants actually experienced;
+- :mod:`repro.ops.checkpoint` — the append-only run record an
+  interrupted run resumes from by replay.
 
 Scenarios S12-S14 (:mod:`repro.scenarios.ops`) package ready-made runs;
 ``parvagpu ops --scenario s13`` drives one from the CLI.
 """
 
-from repro.ops.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    read_checkpoint,
-    write_checkpoint,
-)
+from repro.ops.checkpoint import CheckpointError, read_record
 from repro.ops.controller import (
     FleetController,
     OpsIdentityError,
@@ -57,10 +54,8 @@ from repro.ops.events import (
 from repro.ops.report import FailureRecord, IntervalRecord, OpsReport
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "CheckpointError",
-    "read_checkpoint",
-    "write_checkpoint",
+    "read_record",
     "FleetController",
     "OpsIdentityError",
     "OutOfOrderEventError",

@@ -1,29 +1,30 @@
-"""Versioned, checksummed control-plane checkpoints.
+"""The append-only run record an interrupted ``ops`` run resumes from.
 
-A checkpoint freezes everything a :class:`~repro.ops.controller.
-FleetController` run carries between interval boundaries — the deployed
-placement, the spare/retired GPU ledgers, the live
-:class:`~repro.ops.report.OpsReport` accumulators, the pending
-(controller-scheduled) event heap, and the offline run loop's static
-timeline cursor — as one JSON document.  Restoring it and continuing
-the run is **bit-identical** to never having stopped: every value that
-feeds a fingerprint round-trips exactly (JSON floats serialize via
-``repr`` and parse back to the same IEEE-754 double), and everything
-that is *derived* (triplet memos, the segment memo, slot indexes)
-is deliberately left out and rewarmed, because a memo hit is by
-construction bit-identical to a fresh computation.
+Every step of a :class:`~repro.ops.controller.FleetController` run is a
+pure function of the initial services, the static timeline, the
+controller configuration and the run parameters — except the serving
+measurement, which is a read-only readout of the deployed placement.
+So a run is recorded as what it cannot recompute without serving again,
+and a resume *replays* the rest.
 
-File format::
+File format — JSON Lines, one sealed object per line::
 
-    {"format": "parvagpu-checkpoint", "version": 1,
-     "sha256": <hex digest of the canonical state payload>,
-     "state": {...}}
+    {"format": "parvagpu-run-record", "version": 1, <controller config>,
+     <run parameters>, "services_sha": ..., "timeline_sha": ...,
+     "sha256": ...}
+    {"t": ..., "fingerprint": ..., "compliance": ..., "worst_service": ...,
+     "worst_service_compliance": ..., "sim_fingerprint": ...,
+     "per_service_compliance": {...}, "sha256": ...}
+    ...
 
-The digest is computed over the canonical compact-JSON rendering of
-``state`` (sorted keys, no whitespace), so any bit flip in the payload
-— the fault injector's favourite — fails verification before a single
-field is trusted.  Writes are atomic (temp file + fsync + rename): a
-crash mid-write leaves the previous checkpoint intact.
+The header is the first line; then one line per closed interval: its
+instant, its placement fingerprint digest and its measured fields.
+Each line's ``sha256`` is the digest of the line's JSON without it, so
+any bit flip is caught before a field is trusted.  Lines are only ever
+appended.  :func:`decode_lines` holds the one torn-tail rule this and
+the gateway's journal share: a partial final line (a write cut short by
+a crash) is dropped and flagged; any other bad line is corruption, which
+the run record refuses.
 """
 
 from __future__ import annotations
@@ -31,291 +32,131 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Generic, Mapping, Optional, Sequence, TypeVar
 
-from repro.core.placement import GPUPlan, PlacedSegment, Placement
-from repro.core.segments import Segment
 from repro.core.service import Service
-from repro.gpu.geometry import get_geometry
 from repro.ops.events import OpsEvent, event_to_doc
-from repro.ops.report import FailureRecord, IntervalRecord, OpsReport
-from repro.profiler.table import ProfileEntry
+from repro.ops.report import IntervalRecord, OpsReport
 
-#: Bump on any incompatible change to the state payload layout.
-CHECKPOINT_VERSION = 1
+#: Bump on any incompatible change to the line layout.
+RECORD_VERSION = 1
 
-_FORMAT = "parvagpu-checkpoint"
+RECORD_FORMAT = "parvagpu-run-record"
+
+#: the interval fields a replay cannot recompute without serving again
+MEASURED_FIELDS = (
+    "compliance",
+    "worst_service",
+    "worst_service_compliance",
+    "sim_fingerprint",
+    "per_service_compliance",
+)
+_INTERVAL_KEYS = frozenset(("t", "fingerprint") + MEASURED_FIELDS)
+
+_SEAL = ',"sha256":"'
+
+T = TypeVar("T")
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint is unreadable, corrupt, or from an incompatible run."""
+    """A run record is unreadable, corrupt, or from a different run."""
 
 
 # --------------------------------------------------------------------- #
-# scalar / structural codecs (exact round-trips, no lossy conversions)
+# lines
 # --------------------------------------------------------------------- #
 
 
-def _entry_to_doc(entry: ProfileEntry) -> dict[str, Any]:
-    return {
-        "model": entry.model,
-        "instance_size": entry.instance_size,
-        "batch_size": entry.batch_size,
-        "num_processes": entry.num_processes,
-        "latency_ms": entry.latency_ms,
-        "throughput": entry.throughput,
-        "memory_gb": entry.memory_gb,
-        "sm_activity": entry.sm_activity,
-    }
+@dataclass
+class DecodedLines(Generic[T]):
+    """What :func:`decode_lines` read back — and what it had to tolerate."""
+
+    items: list[T]
+    #: 1-based numbers of the lines that failed to decode, torn tail aside
+    bad: list[int]
+    #: the final line was partial — the expected torn-write artifact
+    torn: bool
+    #: non-blank lines seen (decoded + bad + the torn tail)
+    seen: int
 
 
-def _entry_from_doc(doc: Mapping[str, Any]) -> ProfileEntry:
-    return ProfileEntry(
-        model=doc["model"],
-        instance_size=doc["instance_size"],
-        batch_size=doc["batch_size"],
-        num_processes=doc["num_processes"],
-        latency_ms=doc["latency_ms"],
-        throughput=doc["throughput"],
-        memory_gb=doc["memory_gb"],
-        sm_activity=doc["sm_activity"],
-    )
+def decode_lines(text: str, decode: Callable[[str], T]) -> DecodedLines[T]:
+    """Decode every non-blank line of ``text``.
 
-
-def _plan_segment_to_doc(seg: Segment) -> dict[str, Any]:
-    return {
-        "service_id": seg.service_id,
-        "model": seg.model,
-        "instance_size": seg.instance_size,
-        "batch_size": seg.batch_size,
-        "num_processes": seg.num_processes,
-        "throughput": seg.throughput,
-        "latency_ms": seg.latency_ms,
-        "sm_activity": seg.sm_activity,
-        "geometry": seg.geometry.name,
-    }
-
-
-def _plan_segment_from_doc(doc: Mapping[str, Any]) -> Segment:
-    return Segment(
-        service_id=doc["service_id"],
-        model=doc["model"],
-        instance_size=doc["instance_size"],
-        batch_size=doc["batch_size"],
-        num_processes=doc["num_processes"],
-        throughput=doc["throughput"],
-        latency_ms=doc["latency_ms"],
-        sm_activity=doc["sm_activity"],
-        geometry=get_geometry(doc["geometry"]),
-    )
-
-
-def service_to_doc(svc: Service) -> dict[str, Any]:
-    """The identity-bearing service fields *including* Configurator state.
-
-    The Algorithm-1 outputs (``opt_tri_array``/``opt_seg``/``num_opt_seg``/
-    ``last_seg``) are not scratch: the SIII-F incremental paths read the
-    previous plan between intervals, so a resumed run without them would
-    take different placement decisions than the uninterrupted one.
+    A final line without its newline that does not decode (``decode``
+    raises :class:`ValueError`) is a write the crash cut short: it is
+    dropped and flagged ``torn``.  Any other line that does not decode is
+    listed in ``bad``; the caller refuses or counts it.
     """
-    return {
-        "id": svc.id,
-        "model": svc.model,
-        "slo_latency_ms": svc.slo_latency_ms,
-        "request_rate": svc.request_rate,
-        "slo_factor": svc.slo_factor,
-        "opt_tri_array": [
-            [size, _entry_to_doc(entry)]
-            for size, entry in svc.opt_tri_array.items()
-        ],
-        "opt_seg": (
-            None if svc.opt_seg is None else _plan_segment_to_doc(svc.opt_seg)
-        ),
-        "num_opt_seg": svc.num_opt_seg,
-        "last_seg": (
-            None
-            if svc.last_seg is None
-            else _plan_segment_to_doc(svc.last_seg)
-        ),
-    }
+    pieces = text.split("\n")
+    items: list[T] = []
+    bad: list[int] = []
+    torn = False
+    seen = 0
+    for number, piece in enumerate(pieces, 1):
+        if not piece.strip():
+            continue
+        seen += 1
+        try:
+            items.append(decode(piece))
+        except ValueError:
+            if number == len(pieces):
+                torn = True
+            else:
+                bad.append(number)
+    return DecodedLines(items, bad, torn, seen)
 
 
-def service_from_doc(doc: Mapping[str, Any]) -> Service:
-    svc = Service(
-        id=doc["id"],
-        model=doc["model"],
-        slo_latency_ms=doc["slo_latency_ms"],
-        request_rate=doc["request_rate"],
-        slo_factor=doc["slo_factor"],
-    )
-    svc.opt_tri_array = {
-        int(size): _entry_from_doc(entry)
-        for size, entry in doc["opt_tri_array"]
-    }
-    if doc["opt_seg"] is not None:
-        svc.opt_seg = _plan_segment_from_doc(doc["opt_seg"])
-    svc.num_opt_seg = doc["num_opt_seg"]
-    if doc["last_seg"] is not None:
-        svc.last_seg = _plan_segment_from_doc(doc["last_seg"])
-    return svc
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _segment_to_doc(seg: PlacedSegment) -> dict[str, Any]:
-    return seg._asdict()
+def seal(doc: Mapping[str, Any]) -> str:
+    """One record line: ``doc``'s JSON with its own digest appended."""
+    body = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    return f'{body[:-1]}{_SEAL}{_sha256(body)}"}}'
 
 
-def _segment_from_doc(doc: Mapping[str, Any]) -> PlacedSegment:
-    return PlacedSegment(*(doc[name] for name in PlacedSegment._fields))
+def unseal(line: str) -> dict[str, Any]:
+    """The object :func:`seal` wrote; :class:`ValueError` unless the
+    line's digest matches its content."""
+    head, sep, tail = line.rpartition(_SEAL)
+    body = head + "}"
+    if not sep or tail[-2:] != '"}' or tail[:-2] != _sha256(body):
+        raise ValueError("not a sealed record line")
+    doc = json.loads(body)
+    if not isinstance(doc, dict):
+        raise ValueError("a record line must be a JSON object")
+    return doc
 
 
-def placement_to_doc(placement: Placement) -> dict[str, Any]:
-    """Every fingerprint-bearing field of a deployment map, in order."""
-    return {
-        "framework": placement.framework,
-        "scheduling_delay_ms": placement.scheduling_delay_ms,
-        "rates_assigned": placement.rates_assigned,
-        "gpus": [
-            {
-                "gpu_id": plan.gpu_id,
-                "geometry": plan.geometry,
-                "segments": [_segment_to_doc(s) for s in plan.segments],
-            }
-            for plan in placement.gpus
-        ],
-    }
+def interval_doc(rec: IntervalRecord) -> dict[str, Any]:
+    """An interval's record line: instant, fingerprint, measured fields."""
+    doc: dict[str, Any] = {"t": rec.time_s, "fingerprint": rec.fingerprint}
+    for name in MEASURED_FIELDS:
+        doc[name] = getattr(rec, name)
+    return doc
 
 
-def placement_from_doc(doc: Mapping[str, Any]) -> Placement:
-    gpus = [
-        GPUPlan(
-            gpu_id=g["gpu_id"],
-            geometry=g["geometry"],
-            segments=tuple(_segment_from_doc(s) for s in g["segments"]),
-        )
-        for g in doc["gpus"]
-    ]
-    return Placement(
-        framework=doc["framework"],
-        gpus=gpus,
-        scheduling_delay_ms=doc["scheduling_delay_ms"],
-        rates_assigned=doc["rates_assigned"],
-    )
+# --------------------------------------------------------------------- #
+# digests of what a run starts from
+# --------------------------------------------------------------------- #
 
 
-def _interval_to_doc(rec: IntervalRecord) -> dict[str, Any]:
-    # Full fidelity — unlike IntervalRecord.to_doc(), which is a summary
-    # view: per_service_compliance is in-memory-only there but feeds the
-    # restored report's slo_attainment, so it must survive here.
-    return {
-        "time_s": rec.time_s,
-        "duration_s": rec.duration_s,
-        "path": rec.path,
-        "events": dict(rec.events),
-        "skipped": rec.skipped,
-        "services": rec.services,
-        "num_gpus": rec.num_gpus,
-        "spare_gpus": rec.spare_gpus,
-        "reconfig_ops": rec.reconfig_ops,
-        "reconfig_work_s": rec.reconfig_work_s,
-        "max_downtime_s": rec.max_downtime_s,
-        "downtime_total_s": rec.downtime_total_s,
-        "zero_downtime": rec.zero_downtime,
-        "compliance": rec.compliance,
-        "worst_service": rec.worst_service,
-        "worst_service_compliance": rec.worst_service_compliance,
-        "fingerprint": rec.fingerprint,
-        "sim_fingerprint": rec.sim_fingerprint,
-        "per_service_compliance": (
-            None
-            if rec.per_service_compliance is None
-            else dict(rec.per_service_compliance)
-        ),
-    }
-
-
-def _interval_from_doc(doc: Mapping[str, Any]) -> IntervalRecord:
-    return IntervalRecord(
-        time_s=doc["time_s"],
-        duration_s=doc["duration_s"],
-        path=doc["path"],
-        events=dict(doc["events"]),
-        skipped=doc["skipped"],
-        services=doc["services"],
-        num_gpus=doc["num_gpus"],
-        spare_gpus=doc["spare_gpus"],
-        reconfig_ops=doc["reconfig_ops"],
-        reconfig_work_s=doc["reconfig_work_s"],
-        max_downtime_s=doc["max_downtime_s"],
-        downtime_total_s=doc["downtime_total_s"],
-        zero_downtime=doc["zero_downtime"],
-        compliance=doc["compliance"],
-        worst_service=doc["worst_service"],
-        worst_service_compliance=doc["worst_service_compliance"],
-        fingerprint=doc["fingerprint"],
-        sim_fingerprint=doc["sim_fingerprint"],
-        per_service_compliance=doc["per_service_compliance"],
-    )
-
-
-def _failure_to_doc(rec: FailureRecord) -> dict[str, Any]:
-    return {
-        "time_s": rec.time_s,
-        "gpu_id": rec.gpu_id,
-        "kind": rec.kind,
-        "event_id": rec.event_id,
-        "affected_services": list(rec.affected_services),
-        "lost_capacity": rec.lost_capacity,
-        "replan_work_s": rec.replan_work_s,
-        "max_downtime_s": rec.max_downtime_s,
-        "restored_at_s": rec.restored_at_s,
-    }
-
-
-def _failure_from_doc(doc: Mapping[str, Any]) -> FailureRecord:
-    return FailureRecord(
-        time_s=doc["time_s"],
-        gpu_id=doc["gpu_id"],
-        kind=doc["kind"],
-        event_id=doc["event_id"],
-        affected_services=tuple(doc["affected_services"]),
-        lost_capacity=doc["lost_capacity"],
-        replan_work_s=doc["replan_work_s"],
-        max_downtime_s=doc["max_downtime_s"],
-        restored_at_s=doc["restored_at_s"],
-    )
-
-
-def report_to_doc(report: OpsReport) -> dict[str, Any]:
-    """Full-fidelity report state (richer than ``OpsReport.to_doc``)."""
-    return {
-        "horizon_s": report.horizon_s,
-        "geometry": report.geometry,
-        "fast_path": report.fast_path,
-        "intervals": [_interval_to_doc(r) for r in report.intervals],
-        "failures": [_failure_to_doc(r) for r in report.failures],
-    }
-
-
-def report_from_doc(doc: Mapping[str, Any]) -> OpsReport:
-    """The report :func:`report_to_doc` wrote.  A ``workers`` key (the
-    process fan-out older checkpoints recorded) is ignored: no result
-    ever depended on it."""
-    return OpsReport(
-        horizon_s=doc["horizon_s"],
-        geometry=doc["geometry"],
-        fast_path=doc["fast_path"],
-        intervals=[_interval_from_doc(r) for r in doc["intervals"]],
-        failures=[_failure_from_doc(r) for r in doc["failures"]],
-    )
+def _canonical(doc: object) -> bytes:
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
 
 
 def timeline_digest(events: Sequence[OpsEvent]) -> str:
     """Order-sensitive digest of a (sorted, filtered) static timeline.
 
-    Stored in every checkpoint and re-verified on resume: resuming
-    against a *different* timeline would not crash — it would silently
-    diverge from the uninterrupted run, which is worse.
+    Stored in every record header and re-verified on resume: replaying
+    against a *different* timeline would diverge, which the per-interval
+    check would only catch later and less clearly.
     """
     h = hashlib.sha256()
     for event in events:
@@ -324,116 +165,162 @@ def timeline_digest(events: Sequence[OpsEvent]) -> str:
     return h.hexdigest()
 
 
+def services_digest(services: Sequence[Service]) -> str:
+    """Order-sensitive digest of a run's initial services."""
+    return hashlib.sha256(_canonical([
+        [s.id, s.model, s.slo_latency_ms, s.request_rate, s.slo_factor]
+        for s in services
+    ])).hexdigest()
+
+
 # --------------------------------------------------------------------- #
-# the checkpoint file
+# the record file
 # --------------------------------------------------------------------- #
 
 
-def _canonical(state: Mapping[str, Any]) -> bytes:
-    """The canonical byte rendering the checksum is computed over."""
-    return json.dumps(
-        state, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+@dataclass
+class RunRecord:
+    """A run record read back: its header and its whole interval lines."""
+
+    path: Path
+    header: dict[str, Any]
+    intervals: list[dict[str, Any]]
+    #: what followed the last newline (a partial line) was dropped
+    torn: bool
+    #: bytes of the whole lines, where appending continues
+    size: int
 
 
-def state_digest(state: Mapping[str, Any]) -> str:
-    return hashlib.sha256(_canonical(state)).hexdigest()
+def read_record(
+    path: str | Path, expect: Optional[Mapping[str, Any]] = None
+) -> RunRecord:
+    """Read and verify a run record.
 
-
-def write_checkpoint(path: str | Path, state: Mapping[str, Any]) -> None:
-    """Atomically write ``state`` as a versioned, checksummed checkpoint.
-
-    The document is staged to a temp file in the target directory,
-    flushed and fsynced, then renamed over ``path`` — a crash at any
-    point leaves either the old checkpoint or the new one, never a torn
-    hybrid (which the checksum would reject anyway).
-    """
-    target = Path(path)
-    # Serialize the state payload exactly once: the canonical rendering
-    # both feeds the digest and is spliced verbatim into the envelope.
-    # (The payload dominates write cost; a second json.dumps of the
-    # envelope-with-state would double it.)
-    payload = _canonical(state)
-    digest = hashlib.sha256(payload).hexdigest()
-    head = json.dumps(
-        {"format": _FORMAT, "version": CHECKPOINT_VERSION, "sha256": digest},
-        separators=(",", ":"),
-    )
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(head[:-1].encode("ascii"))
-        fh.write(b',"state":')
-        fh.write(payload)
-        fh.write(b"}\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
-
-
-def read_checkpoint(path: str | Path) -> dict[str, Any]:
-    """Read, verify, and return a checkpoint's state payload.
-
-    Raises :class:`CheckpointError` on a missing file, unparseable
-    JSON, wrong format marker, unsupported version, or — the case the
-    fault injector drills — a checksum mismatch.
+    Raises :class:`CheckpointError` on a missing file, a line that fails
+    its checksum (a torn final line aside, which is dropped), a foreign
+    header or — with ``expect`` — any header field that differs from the
+    run about to resume (all of them named).
     """
     target = Path(path)
     try:
-        raw = target.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint {target} is not valid UTF-8: the file is corrupt"
-        ) from exc
+        raw = target.read_bytes()
     except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {target}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:
+        raise CheckpointError(f"cannot read run record {target}: {exc}") from exc
+    lines = decode_lines(raw.decode("utf-8", errors="replace"), unseal)
+    if lines.bad:
         raise CheckpointError(
-            f"checkpoint {target} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise CheckpointError(f"{target} is not a {_FORMAT} file")
-    version = doc.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {target} has version {version!r}; this build "
-            f"reads version {CHECKPOINT_VERSION}"
+            f"run record {target}: line {lines.bad[0]} fails its checksum "
+            "— the file is corrupt"
         )
-    state = doc.get("state")
-    if not isinstance(state, dict):
-        raise CheckpointError(f"checkpoint {target} carries no state payload")
-    digest = state_digest(state)
-    if digest != doc.get("sha256"):
+    # Appending continues after the last newline, so a whole final line
+    # that lost only its newline is dropped too (and re-run live).
+    size = raw.rfind(b"\n") + 1
+    torn = bool(raw[size:].strip())
+    if torn and not lines.torn:
+        lines.items.pop()
+    if not lines.items:
+        raise CheckpointError(f"{target} holds no {RECORD_FORMAT} header")
+    header, *intervals = lines.items
+    if (header.get("format"), header.get("version")) != (
+        RECORD_FORMAT, RECORD_VERSION,
+    ):
         raise CheckpointError(
-            f"checkpoint {target} failed checksum verification "
-            f"(expected {doc.get('sha256')!r}, computed {digest!r}): "
-            "the file is corrupt"
+            f"{target} is not a version-{RECORD_VERSION} {RECORD_FORMAT}"
         )
-    return state
+    if any(set(doc) != _INTERVAL_KEYS for doc in intervals):
+        raise CheckpointError(f"run record {target} has a malformed interval")
+    if expect is not None:
+        differ = [
+            f"{name} (record {header.get(name)!r} != {value!r})"
+            for name, value in expect.items()
+            if header.get(name) != value
+        ]
+        if differ:
+            raise CheckpointError(
+                "the run record was written by a different run: "
+                + ", ".join(differ)
+            )
+    return RunRecord(target, header, intervals, torn, size)
 
 
-def resolve_resume(
-    resume: str | Path | Mapping[str, Any],
-) -> dict[str, Any]:
-    """A resume argument is either a checkpoint path or an in-memory state."""
-    if isinstance(resume, Mapping):
-        return dict(resume)
-    return read_checkpoint(resume)
+class RecordWriter:
+    """Appends interval lines to a run record, fsyncing every ``every``
+    lines (and on :meth:`flush`; ``every=0`` only there)."""
+
+    def __init__(
+        self,
+        path: str | Path,
+        header: Mapping[str, Any],
+        every: int,
+        record: Optional[RunRecord] = None,
+    ) -> None:
+        """Start a record at ``path`` with ``header``, or — given the
+        ``record`` read back from ``path`` itself — continue it after its
+        last whole line."""
+        self.path = Path(path)
+        self.every = every
+        self.flushes = 0
+        self._pending: list[str] = []
+        if record is None:
+            #: interval lines written or pending
+            self.lines = 0
+            self._write("w", [seal(header) + "\n"])
+        else:
+            self.lines = len(record.intervals)
+            os.truncate(self.path, record.size)
+
+    def append(self, rec: IntervalRecord) -> None:
+        self._pending.append(seal(interval_doc(rec)) + "\n")
+        self.lines += 1
+        if self.every and len(self._pending) >= self.every:
+            self.flush()
+
+    def flush(self) -> None:
+        self._write("a", self._pending)
+        self._pending = []
+        self.flushes += 1
+
+    def _write(self, mode: str, lines: list[str]) -> None:
+        with open(self.path, mode, encoding="utf-8") as fh:
+            fh.writelines(lines)
+            fh.flush()
+            os.fsync(fh.fileno())
+
+
+# --------------------------------------------------------------------- #
+# the full-fidelity report document (the perf harness compares it)
+# --------------------------------------------------------------------- #
+
+
+def report_to_doc(report: OpsReport) -> dict[str, Any]:
+    """Full-fidelity report state (richer than ``OpsReport.to_doc``):
+    every interval and failure field but the wall-clock sidecar."""
+    intervals = [asdict(r) for r in report.intervals]
+    for doc in intervals:
+        del doc["obs_sidecar"]
+    return {
+        "horizon_s": report.horizon_s,
+        "geometry": report.geometry,
+        "fast_path": report.fast_path,
+        "intervals": intervals,
+        "failures": [asdict(r) for r in report.failures],
+    }
 
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "CheckpointError",
-    "placement_from_doc",
-    "placement_to_doc",
-    "read_checkpoint",
-    "report_from_doc",
+    "DecodedLines",
+    "MEASURED_FIELDS",
+    "RECORD_FORMAT",
+    "RECORD_VERSION",
+    "RecordWriter",
+    "RunRecord",
+    "decode_lines",
+    "interval_doc",
+    "read_record",
     "report_to_doc",
-    "resolve_resume",
-    "service_from_doc",
-    "service_to_doc",
-    "state_digest",
+    "seal",
+    "services_digest",
     "timeline_digest",
-    "write_checkpoint",
+    "unseal",
 ]

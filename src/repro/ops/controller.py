@@ -21,7 +21,7 @@ Two identity checks guard every run:
   interval the placement must survive the allocator-state round trip
   and mirror the live allocator state and cluster exactly — the
   :class:`~repro.ops.verify.StateVerifier`, incremental on the fast
-  path, rebuilt (cold) at every :meth:`begin` and :meth:`restore`;
+  path, rebuilt (cold) at every :meth:`begin`;
 - **fast vs naive replay** (:func:`run_identity_checked`): the same
   timeline replayed from scratch on the naive reference machinery
   (unindexed allocator, unmemoized configurator, per-request event-driven
@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
@@ -63,16 +65,14 @@ from repro.gpu.cluster import ReconfigurationPlan
 from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, ShadowBudget, price_plan
 from repro.ops.checkpoint import (
+    MEASURED_FIELDS,
+    RECORD_FORMAT,
+    RECORD_VERSION,
     CheckpointError,
-    placement_from_doc,
-    placement_to_doc,
-    report_from_doc,
-    report_to_doc,
-    resolve_resume,
-    service_from_doc,
-    service_to_doc,
+    RecordWriter,
+    read_record,
+    services_digest,
     timeline_digest,
-    write_checkpoint,
 )
 from repro.ops.events import (
     GpuFailure,
@@ -83,8 +83,6 @@ from repro.ops.events import (
     ServiceDeparture,
     SloChange,
     SpotPreemptionWave,
-    event_from_doc,
-    event_to_doc,
     timeline_key,
 )
 from repro.obs import ObsHub, Span
@@ -103,23 +101,9 @@ def _record_digest(canonical: str) -> str:
     renderings: identity checks only ever compare fingerprints for
     equality (between replays, across resume, fast vs. naive), and a
     digest comparison is the same check — while keeping fleet-scale
-    reports and their checkpoints a couple of MB instead of hundreds.
+    reports and their run records a couple of MB instead of hundreds.
     """
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _refuse_mismatches(
-    what: str, stored: Mapping[str, Any], wanted: Mapping[str, Any]
-) -> None:
-    """Raise :class:`CheckpointError` (prefixed ``what``) naming every
-    field whose ``stored`` value differs from the ``wanted`` one."""
-    mismatched = [
-        f"{name} (checkpoint {stored.get(name)!r} != {value!r})"
-        for name, value in wanted.items()
-        if stored.get(name) != value
-    ]
-    if mismatched:
-        raise CheckpointError(f"{what}: " + ", ".join(mismatched))
 
 
 class OutOfOrderEventError(ValueError):
@@ -130,17 +114,6 @@ class OutOfOrderEventError(ValueError):
     applied at — the two ways an unsorted input stream would silently
     corrupt a replay.
     """
-
-
-#: the run parameters :meth:`FleetController.begin` takes, which a
-#: checkpoint stores and a resume must repeat exactly
-_RUN_PARAMS = ("horizon_s", "measure_s", "warmup_s", "sim_seed", "check")
-
-#: the run-document fields :meth:`FleetController.checkpoint` writes;
-#: :meth:`FleetController.restore` refuses a run document with any other
-_RUN_DOC_FIELDS = frozenset(
-    _RUN_PARAMS + ("last_t", "steps", "services", "pending")
-)
 
 
 @dataclass
@@ -246,8 +219,8 @@ class FleetController:
         self._m_spares = self.obs.gauge(
             "ops_spare_gpus", "spare GPUs held back for failover"
         )
-        self._m_ckpt_writes = self.obs.counter(
-            "ops_checkpoint_writes_total", "checkpoints flushed to disk"
+        self._m_record_flushes = self.obs.counter(
+            "ops_checkpoint_writes_total", "run-record flushes to disk"
         )
         self._m_stage_wall = self.obs.histogram(
             "ops_stage_wall_seconds",
@@ -345,7 +318,19 @@ class FleetController:
         )
         self._pending_seq = 0
         self._eid_to_gpu = {}
-        self._open_plan_memo()
+        # The run's measurement engine: on the fast path a per-plan layer
+        # over a segment memo, carried across intervals (an event perturbs
+        # a handful of services, so most segments resolve from cache); on
+        # the reference path none (the event engine measures).  A resumed
+        # run starts it cold: a hit is bit-identical to a fresh kernel run.
+        self.segment_memo = self._plans = None
+        if self.fast_path:
+            from repro.sim.fastpath import PlanMemo
+
+            plans = PlanMemo()
+            self.obs.registry.attach("sim_memo", plans.memo)
+            self.segment_memo = plans.memo
+            self._plans = plans
         self._run = _RunState(
             work=work,
             by_id=by_id,
@@ -357,27 +342,6 @@ class FleetController:
             check=check,
         )
         return report
-
-    def _open_plan_memo(self) -> None:
-        """The run's measurement engine, for :meth:`begin` and
-        :meth:`restore` alike: on the fast path a per-plan layer over a
-        segment memo; on the reference path none (the event engine
-        measures).
-
-        The memo carries across intervals (an event perturbs a handful
-        of services, so most segments resolve from cache).  It is not
-        checkpointed: a resumed run rewarms it, and a hit is
-        bit-identical to a fresh kernel run.
-        """
-        if not self.fast_path:
-            self.segment_memo = self._plans = None
-            return
-        from repro.sim.fastpath import PlanMemo
-
-        plans = PlanMemo()
-        self.obs.registry.attach("sim_memo", plans.memo)
-        self.segment_memo = plans.memo
-        self._plans = plans
 
     def _require_run(self) -> _RunState:
         if self._run is None:
@@ -401,6 +365,17 @@ class FleetController:
         accounting therefore never looks ahead, which is what lets a
         live gateway drive this API one instant at a time.
         """
+        return self._step(t, events, None)
+
+    def _step(
+        self,
+        t: float,
+        events: Sequence[OpsEvent],
+        recorded: Optional[Mapping[str, Any]],
+    ) -> IntervalRecord:
+        """:meth:`step`, or with ``recorded`` (a run record's interval
+        line) a replayed step: the recorded measurement stands in for
+        serving the interval again (:meth:`_replayed`)."""
         run = self._require_run()
         if t < 0:
             raise ValueError("step instant must be non-negative")
@@ -452,7 +427,9 @@ class FleetController:
                 )
                 record.fingerprint = _record_digest(fp)
             stages.append(sp)
-            if run.measure_s > 0:
+            if recorded is not None:
+                self._replayed(record, recorded)
+            elif run.measure_s > 0:
                 with self.obs.span(
                     "measure", t_s=t, cat="interval",
                     services=len(run.work),
@@ -542,158 +519,6 @@ class FleetController:
         return run.report
 
     # ------------------------------------------------------------------ #
-    # checkpoint / restore
-    # ------------------------------------------------------------------ #
-
-    def _config_doc(self) -> dict[str, Any]:
-        """The configuration a checkpoint must match to be restorable."""
-        return {
-            "geometry": self.geometry.name,
-            "seed": self.seed,
-            "fast_path": self.fast_path,
-            "use_mps": self.scheduler.use_mps,
-            "optimize": self.scheduler.optimize,
-            "full_replan_fraction": self.full_replan_fraction,
-            "spare_shadow_gpus": self.spare_shadow_gpus,
-        }
-
-    def checkpoint(self, cursor: int, timeline_sha: str) -> dict[str, Any]:
-        """Freeze the active run's full control-plane state as a document.
-
-        Everything a resumed run needs to be bit-identical to an
-        uninterrupted one is captured: the fleet's services (in work-list
-        order — full replans iterate it), the deployed placement and the
-        spare/retired GPU ledgers, the pending (controller-scheduled)
-        event heap with its tie-break sequence, the live report with
-        every accumulator, the caller's timeline ``cursor`` and the
-        digest of that timeline (``timeline_sha``), which resume
-        re-verifies.  Memo caches are *not* captured — a rewarmed memo
-        is bit-identical to a restored one by purity.  :meth:`run` is
-        the one writer (``run(..., checkpoint_path=...)``); pass the
-        result to :func:`~repro.ops.checkpoint.write_checkpoint`.
-        """
-        run = self._require_run()
-        state: dict[str, Any] = {
-            "kind": "fleet-controller",
-            "config": self._config_doc(),
-            "cursor": cursor,
-            "timeline_sha": timeline_sha,
-            # post-mortem breadcrumb only: where the last automatic
-            # flight-recorder dump landed (None almost always); restore
-            # ignores it, so it never influences a resumed run
-            "flight_dump": self.obs.flight.last_dump_path,
-            "pending_seq": self._pending_seq,
-            "eid_to_gpu": sorted(self._eid_to_gpu.items()),
-            "run": {
-                **{name: getattr(run, name) for name in _RUN_PARAMS},
-                "last_t": run.last_t,
-                "steps": run.steps,
-                "services": [service_to_doc(s) for s in run.work],
-                "pending": [
-                    {"seq": seq, "event": event_to_doc(ev)}
-                    for _key, seq, ev in sorted(run.pending)
-                ],
-            },
-            "manager": {
-                "placement": (
-                    None
-                    if self.manager.current is None
-                    else placement_to_doc(self.manager.current)
-                ),
-                "spare_gpus": sorted(self.manager.spare_gpus.items()),
-                "retired_gpus": sorted(self.manager.retired_gpus.items()),
-            },
-            "report": report_to_doc(run.report),
-        }
-        return state
-
-    def restore(self, state: Mapping[str, Any]) -> OpsReport:
-        """Rehydrate a checkpointed run; the next :meth:`step` continues it.
-
-        The checkpoint's controller configuration must match this
-        controller exactly (geometry, seed, path flags, replan fraction,
-        shadow budget) — anything less would diverge silently; a
-        mismatch raises :class:`~repro.ops.checkpoint.CheckpointError`.
-
-        Restore order matters: the placement is re-deployed onto a
-        fresh cluster first (``deploy`` prunes drafted spares), *then*
-        the spare/retired ledgers are overlaid, then the pending heap
-        and the live report.  The returned report is the same live
-        object later steps append to.
-        """
-        if self._run is not None:
-            raise RuntimeError(
-                "a run is already active on this controller; call finish()"
-            )
-        if state.get("kind") != "fleet-controller":
-            raise CheckpointError(
-                f"not a fleet-controller checkpoint: kind={state.get('kind')!r}"
-            )
-        _refuse_mismatches(
-            "checkpoint was taken under a different controller "
-            "configuration",
-            state["config"],
-            self._config_doc(),
-        )
-        run_doc = dict(state["run"])
-        # Older builds wrote the serving engine as its own switch; this
-        # build serves on the controller's path, so only a match resumes.
-        legacy = run_doc.pop("sim_fast", self.fast_path)
-        if legacy != self.fast_path:
-            raise CheckpointError(
-                f"checkpoint run measured with sim_fast={legacy!r}; this "
-                f"controller measures with fast_path={self.fast_path!r}"
-            )
-        unknown = sorted(set(run_doc) - _RUN_DOC_FIELDS)
-        if unknown:
-            # e.g. a sampling knob an older build wrote: resuming without
-            # it would silently change what the run measures
-            raise CheckpointError(
-                "checkpoint run carries fields this build does not read: "
-                + ", ".join(unknown)
-            )
-        work = [service_from_doc(d) for d in run_doc["services"]]
-        by_id = {s.id: s for s in work}
-        if len(by_id) != len(work):
-            raise CheckpointError("checkpoint carries duplicate service ids")
-        mgr_doc = state["manager"]
-        placement = None
-        if mgr_doc["placement"] is not None:
-            try:
-                placement = placement_from_doc(mgr_doc["placement"])
-            except (TypeError, ValueError) as exc:
-                raise CheckpointError(
-                    f"checkpoint carries an invalid placement: {exc}"
-                ) from exc
-        self._reset_deployment()
-        if placement is not None:
-            self.manager.deploy(placement)
-        self.manager.set_ledgers(
-            {int(gid): name for gid, name in mgr_doc["spare_gpus"]},
-            {int(gid): name for gid, name in mgr_doc["retired_gpus"]},
-        )
-        self._eid_to_gpu = {
-            eid: int(gid) for eid, gid in state["eid_to_gpu"]
-        }
-        self._pending_seq = int(state["pending_seq"])
-        pending: list[tuple[tuple[float, int, str], int, OpsEvent]] = []
-        for entry in run_doc["pending"]:
-            ev = event_from_doc(entry["event"])
-            heappush(pending, (timeline_key(ev), int(entry["seq"]), ev))
-        report = report_from_doc(state["report"])
-        self._open_plan_memo()
-        self._run = _RunState(
-            work=work,
-            by_id=by_id,
-            report=report,
-            **{name: run_doc[name] for name in _RUN_PARAMS},
-            pending=pending,
-            last_t=run_doc["last_t"],
-            steps=run_doc["steps"],
-        )
-        return report
-
-    # ------------------------------------------------------------------ #
     # the offline run loop (a driver over the step API)
     # ------------------------------------------------------------------ #
 
@@ -709,7 +534,7 @@ class FleetController:
         *,
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str | Path] = None,
-        resume: Optional[str | Path | Mapping[str, Any]] = None,
+        resume: Optional[str | Path] = None,
         max_steps: Optional[int] = None,
     ) -> OpsReport:
         """Drive ``services`` through ``timeline`` until ``horizon_s``.
@@ -720,15 +545,19 @@ class FleetController:
         controller through its run's memo, a naive reference on the
         event-driven simulation engine.
 
-        Crash resilience: ``checkpoint_path`` (with ``checkpoint_every=N``)
-        writes an atomic checkpoint after every Nth interval boundary, and
-        ``resume`` (a checkpoint path or an in-memory state document)
-        restores one and continues — bit-identical, interval for
-        interval, to the run that was never interrupted.  The resume's
-        run parameters and timeline must match the checkpointed run's
-        (verified; the timeline via a stored digest).  ``max_steps``
-        stops after that many total intervals, flushing a final
-        checkpoint first — the planned-drain counterpart of a crash.
+        Crash resilience: with ``checkpoint_path`` the run appends one
+        line per closed interval to a run record
+        (:mod:`repro.ops.checkpoint`), written and fsynced every
+        ``checkpoint_every`` lines and when the run stops.  ``resume``
+        (a record's path) re-drives the recorded prefix through this
+        loop — the recorded measurements stand in for serving it again,
+        and every replayed interval's instant and placement fingerprint
+        must equal the record's — then continues live, appending to the
+        record when ``checkpoint_path`` names the same file.  The
+        record's controller configuration, run parameters, services and
+        timeline must match this run's (verified against its header).
+        ``max_steps`` stops after that many total intervals — the
+        planned-drain counterpart of a crash.
         """
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
@@ -737,62 +566,95 @@ class FleetController:
         static = sorted(
             (e for e in timeline if e.time_s < horizon_s), key=timeline_key
         )
-        digest = timeline_digest(static)
         params: dict[str, Any] = dict(
             horizon_s=horizon_s, measure_s=measure_s, warmup_s=warmup_s,
             sim_seed=sim_seed, check=check,
         )
-        if resume is not None:
-            try:
-                state = resolve_resume(resume)
-                self._check_resume_args(state, params, digest)
-                report = self.restore(state)
-            except CheckpointError:
-                self.obs.dump_flight("checkpoint-error")
-                raise
-            si = int(state["cursor"])
-            t = self._next_instant(static, si)
-        else:
-            report = self.begin(services, **params)
-            si = 0
-            # the bootstrap interval exists even on an empty timeline
-            t = 0.0
-        def flush_checkpoint() -> None:
-            assert checkpoint_path is not None
-            try:
-                write_checkpoint(
-                    checkpoint_path,
-                    self.checkpoint(cursor=si, timeline_sha=digest),
-                )
-            except (CheckpointError, OSError):
-                # Post-mortem evidence first, then the crash proceeds.
-                self.obs.dump_flight("checkpoint-error")
-                raise
-            self._m_ckpt_writes.inc()
-
+        header = {
+            "format": RECORD_FORMAT,
+            "version": RECORD_VERSION,
+            **self._config_doc(),
+            **params,
+            "services_sha": services_digest(services),
+            "timeline_sha": timeline_digest(static),
+        }
+        writer: Optional[RecordWriter] = None
         try:
-            while t is not None:
-                batch: list[OpsEvent] = []
-                while si < len(static) and static[si].time_s <= t:
-                    batch.append(static[si])
-                    si += 1
-                batch.extend(self.pending_due(t))
-                self.step(t, batch)
-                steps = self._require_run().steps
-                if (
-                    checkpoint_path is not None
-                    and checkpoint_every
-                    and steps % checkpoint_every == 0
-                ):
-                    flush_checkpoint()
-                if max_steps is not None and steps >= max_steps:
-                    if checkpoint_path is not None:
-                        flush_checkpoint()
-                    break
-                t = self._next_instant(static, si)
-        finally:
-            report = self.finish()
+            recorded = None if resume is None else read_record(resume, header)
+            self.begin(services, **params)
+            try:
+                if checkpoint_path is not None:
+                    same = recorded is not None and os.path.exists(
+                        checkpoint_path
+                    ) and os.path.samefile(checkpoint_path, recorded.path)
+                    writer = RecordWriter(
+                        checkpoint_path, header, checkpoint_every,
+                        recorded if same else None,
+                    )
+                replay: deque[dict[str, Any]] = deque(
+                    () if recorded is None else recorded.intervals
+                )
+                si = 0
+                # the bootstrap interval exists even on an empty timeline
+                t: Optional[float] = 0.0
+                while t is not None:
+                    batch: list[OpsEvent] = []
+                    while si < len(static) and static[si].time_s <= t:
+                        batch.append(static[si])
+                        si += 1
+                    batch.extend(self.pending_due(t))
+                    # Replayed steps bypass the public step(), which
+                    # drivers and probes wrap to observe live steps only.
+                    if replay:
+                        record = self._step(t, batch, replay.popleft())
+                    else:
+                        record = self.step(t, batch)
+                    steps = self._require_run().steps
+                    if writer is not None and steps > writer.lines:
+                        writer.append(record)
+                    if max_steps is not None and steps >= max_steps:
+                        break
+                    t = self._next_instant(static, si)
+                if writer is not None:
+                    writer.flush()
+            finally:
+                report = self.finish()
+                if writer is not None:
+                    self._m_record_flushes.inc(writer.flushes)
+        except (CheckpointError, OSError):
+            # Post-mortem evidence first, then the error proceeds.
+            self.obs.dump_flight("checkpoint-error")
+            raise
         return report
+
+    def _replayed(
+        self, record: IntervalRecord, recorded: Mapping[str, Any]
+    ) -> None:
+        """Check that a replayed step reached the recorded instant and
+        placement, then copy in the recorded measurement."""
+        if (recorded["t"], recorded["fingerprint"]) != (
+            record.time_s, record.fingerprint,
+        ):
+            raise CheckpointError(
+                f"replay diverges from the run record at t={record.time_s!r}"
+                f" (the record has t={recorded['t']!r}, fingerprint "
+                f"{str(recorded['fingerprint'])[:12]} against "
+                f"{record.fingerprint[:12]})"
+            )
+        for name in MEASURED_FIELDS:
+            setattr(record, name, recorded[name])
+
+    def _config_doc(self) -> dict[str, Any]:
+        """The configuration a run record must match to resume."""
+        return {
+            "geometry": self.geometry.name,
+            "seed": self.seed,
+            "fast_path": self.fast_path,
+            "use_mps": self.scheduler.use_mps,
+            "optimize": self.scheduler.optimize,
+            "full_replan_fraction": self.full_replan_fraction,
+            "spare_shadow_gpus": self.spare_shadow_gpus,
+        }
 
     def _next_instant(
         self, static: Sequence[OpsEvent], si: int
@@ -805,31 +667,6 @@ class FleetController:
         if pt is not None:
             next_times.append(pt)
         return min(next_times) if next_times else None
-
-    @staticmethod
-    def _check_resume_args(
-        state: Mapping[str, Any],
-        params: Mapping[str, Any],
-        timeline_sha: str,
-    ) -> None:
-        """Resuming under different run parameters (``params``, one per
-        :data:`_RUN_PARAMS` name) would diverge silently."""
-        _refuse_mismatches(
-            "resume parameters differ from the checkpointed run",
-            state.get("run", {}),
-            params,
-        )
-        stored_sha = state.get("timeline_sha")
-        if stored_sha is None:
-            raise CheckpointError(
-                "checkpoint carries no timeline digest — it cannot be "
-                "checked against the resume timeline"
-            )
-        if stored_sha != timeline_sha:
-            raise CheckpointError(
-                "resume timeline differs from the checkpointed run's "
-                "(digest mismatch) — continuing would silently diverge"
-            )
 
     # ------------------------------------------------------------------ #
     # event application

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, ClassVar, Optional
 
+from repro.ops.checkpoint import decode_lines
 from repro.ops.events import OpsEvent
 from repro.serve.sources import decode_event, encode_event
 
@@ -189,7 +190,8 @@ class JournalRecovery:
 def read_journal(dir_path: str | Path) -> JournalRecovery:
     """Read every recoverable event back from a journal directory.
 
-    A partial *final* line (crash mid-append) is dropped and flagged as
+    The torn-tail rule of :func:`~repro.ops.checkpoint.decode_lines`: a
+    partial *final* line (crash mid-append) is dropped and flagged as
     ``truncated_tail``; any other undecodable line is counted in
     ``skipped_lines`` — corruption is surfaced, never absorbed.
     """
@@ -199,23 +201,19 @@ def read_journal(dir_path: str | Path) -> JournalRecovery:
     skipped = 0
     truncated = False
     for seg_pos, segment in enumerate(segments):
-        raw = segment.read_text(encoding="utf-8", errors="replace")
-        lines = raw.split("\n")
-        for line_pos, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            lines_seen += 1
-            final = (
-                seg_pos == len(segments) - 1 and line_pos == len(lines) - 1
-            )
-            try:
-                events.append(decode_event(line))
-            except ValueError:
-                if final:
-                    truncated = True
-                else:
-                    skipped += 1
+        lines = decode_lines(
+            segment.read_text(encoding="utf-8", errors="replace"),
+            decode_event,
+        )
+        events += lines.items
+        lines_seen += lines.seen
+        skipped += len(lines.bad)
+        if lines.torn:
+            # only the last segment can end in a write cut short
+            if seg_pos == len(segments) - 1:
+                truncated = True
+            else:
+                skipped += 1
     return JournalRecovery(
         events=events,
         segments=len(segments),

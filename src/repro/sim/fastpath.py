@@ -728,7 +728,7 @@ class PlanMemo:
     stay warm from one interval to the next.  The layer holds one entry
     per live GPU id (a GPU that leaves the placement is evicted) and one
     per live service, so unlike the segment memo it does not grow over a
-    run.  Neither is checkpointed: a resumed run rewarms them.
+    run.  Neither is recorded: a resumed run rewarms them.
     """
 
     def __init__(self) -> None:

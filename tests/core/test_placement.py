@@ -7,7 +7,6 @@ from repro.core.hetero import GeometryPool, HeterogeneousParvaGPU
 from repro.core.parvagpu import ParvaGPU
 from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.gpu.geometry import get_geometry
-from repro.ops.checkpoint import placement_from_doc, placement_to_doc
 from repro.profiler import profile_workloads
 from repro.scenarios import scenario_services
 
@@ -287,8 +286,8 @@ class TestImmutablePlans:
 
 @pytest.fixture(scope="module")
 def placements(profiles):
-    """Placements from every scheduler, the hetero merge and a
-    checkpoint round trip, each with its lines already rendered once."""
+    """Placements from every scheduler and the hetero merge, each with
+    its lines already rendered once."""
     services = scenario_services("S1")
     out = {"parvagpu": ParvaGPU(profiles).schedule(services)}
     for name in ("gpulet", "igniter", "mig-serving", "gslice", "paris-elsa"):
@@ -298,7 +297,6 @@ def placements(profiles):
         GeometryPool(get_geometry("mig"), profiles),
         GeometryPool(mi300x, profile_workloads(geometry=mi300x)),
     ]).schedule(scenario_services("S7"))
-    out["checkpoint"] = placement_from_doc(placement_to_doc(out["parvagpu"]))
     for placement in out.values():
         placement.fingerprint()
     return out
@@ -306,7 +304,7 @@ def placements(profiles):
 
 @pytest.mark.parametrize("source", [
     "parvagpu", "gpulet", "igniter", "mig-serving", "gslice", "paris-elsa",
-    "hetero", "checkpoint",
+    "hetero",
 ])
 def test_cached_line_equals_fresh_render(placements, source):
     placement = placements[source]

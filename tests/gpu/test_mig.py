@@ -160,6 +160,31 @@ class TestFigure1:
         for c in configs:
             assert c.is_maximal()
 
+    def test_signatures_in_discovery_order(self):
+        # The enumeration expands each partial layout once; the layouts
+        # and their order must be those of the exhaustive search.
+        assert [c.signature() for c in enumerate_configurations()] == [
+            ((0, 7),),
+            ((0, 4), (4, 3)),
+            ((0, 4), (4, 2), (6, 1)),
+            ((0, 4), (4, 1), (5, 1), (6, 1)),
+            ((0, 3), (4, 3)),
+            ((0, 2), (2, 2), (4, 3)),
+            ((0, 3), (4, 2), (6, 1)),
+            ((0, 2), (2, 1), (3, 1), (4, 3)),
+            ((0, 1), (1, 1), (2, 2), (4, 3)),
+            ((0, 3), (4, 1), (5, 1), (6, 1)),
+            ((0, 1), (1, 1), (2, 1), (3, 1), (4, 3)),
+            ((0, 2), (2, 2), (4, 2), (6, 1)),
+            ((0, 2), (2, 2), (4, 1), (5, 1), (6, 1)),
+            ((0, 2), (2, 1), (3, 1), (4, 2), (6, 1)),
+            ((0, 1), (1, 1), (2, 2), (4, 2), (6, 1)),
+            ((0, 2), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)),
+            ((0, 1), (1, 1), (2, 2), (4, 1), (5, 1), (6, 1)),
+            ((0, 1), (1, 1), (2, 1), (3, 1), (4, 2), (6, 1)),
+            ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)),
+        ]
+
     def test_no_config_exceeds_seven_gpcs(self):
         for c in enumerate_configurations():
             assert c.used_gpcs <= 7

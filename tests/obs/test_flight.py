@@ -1,8 +1,9 @@
-"""The flight recorder: ring bound, dump triggers, crash breadcrumbs.
+"""The flight recorder: ring bound, dump triggers.
 
 Dumps must fire automatically on the two degradation signals the
-control plane defines — checkpoint failure and gateway safe-mode entry
-— and the recorder itself must never turn a degradation into a crash.
+control plane defines — a run-record failure and gateway safe-mode
+entry — and the recorder itself must never turn a degradation into a
+crash.
 """
 
 import asyncio
@@ -12,8 +13,8 @@ import pytest
 
 from repro.core.service import Service
 from repro.obs import FlightRecorder, ObsHub, Span
-from repro.ops import CheckpointError, FleetController
-from repro.ops.checkpoint import timeline_digest
+from repro.ops import CheckpointError, FleetController, RateEpoch
+from repro.ops.checkpoint import seal, unseal
 from repro.serve import ServeGateway, VirtualClock
 
 
@@ -118,11 +119,18 @@ class TestCheckpointErrorDump:
         assert ctrl.obs.flight.dumps >= 1
         assert ctrl.obs.flight.last_dump["reason"] == "checkpoint-error"
 
-    def test_crash_checkpoint_references_last_dump(self, services):
+    def test_replay_divergence_dumps_flight(self, services, tmp_path):
+        """A recorded fingerprint the replay does not reach is refused,
+        naming the instant, with the flight recorder dumped first."""
+        timeline = [RateEpoch(time_s=10.0, service_id="a", rate=3000.0)]
+        path = tmp_path / "run.jsonl"
+        FleetController().run(services, timeline, 50.0, checkpoint_path=path)
+        lines = path.read_text().splitlines()
+        doc = unseal(lines[2])
+        doc["fingerprint"] = "0" * 64
+        lines[2] = seal(doc)
+        path.write_text("\n".join(lines) + "\n")
         ctrl = FleetController()
-        ctrl.begin(services, 50.0)
-        ctrl.step(10.0, [])
-        doc = ctrl.checkpoint(cursor=0, timeline_sha=timeline_digest([]))
-        # no dump happened: the breadcrumb is present but empty
-        assert doc["flight_dump"] is None
-        ctrl.finish()
+        with pytest.raises(CheckpointError, match=r"t=10\.0"):
+            ctrl.run(services, timeline, 50.0, resume=path)
+        assert ctrl.obs.flight.last_dump["reason"] == "checkpoint-error"

@@ -1,26 +1,22 @@
-"""Controller checkpoint/restore: bit-identical resume, hostile files.
+"""The run record: bit-identical resume by replay, hostile files.
 
 The contract under test: a run killed at *any* interval boundary and
-resumed from its checkpoint produces the same per-interval fingerprints
+resumed from its run record produces the same per-interval fingerprints
 and the same final ``OpsReport.to_doc()`` as the run that was never
-interrupted — and a damaged or mismatched checkpoint is refused loudly
-(:class:`~repro.ops.checkpoint.CheckpointError`), never half-restored.
+interrupted — and a damaged or mismatched record is refused loudly
+(:class:`~repro.ops.checkpoint.CheckpointError`), never half-replayed.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.ops import (
-    CheckpointError,
-    FleetController,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.ops.checkpoint import timeline_digest
+from repro.ops import CheckpointError, FleetController, read_record
+from repro.ops.checkpoint import interval_doc, seal, unseal
 from repro.ops.controller import assert_reports_identical
-from repro.resilience import flip_bit, truncate_tail
 from repro.scenarios.ops import bench_ops_run
+from resilience.faults import truncate_tail
 
 SEED = 7
 SIM_SEED = 3
@@ -36,11 +32,6 @@ def controller():
     return FleetController(seed=SEED)
 
 
-def bootstrap_checkpoint(ctrl):
-    """The state document after the bootstrap step of an empty timeline."""
-    return ctrl.checkpoint(cursor=0, timeline_sha=timeline_digest([]))
-
-
 def full_run(run, **kwargs):
     return controller().run(
         run.services, run.timeline, run.horizon_s,
@@ -53,62 +44,82 @@ def reference(workload):
     return full_run(workload)
 
 
+def recorded(path, workload, steps):
+    full_run(
+        workload, checkpoint_every=1, checkpoint_path=path, max_steps=steps,
+    )
+    return path
+
+
 class TestFileFormat:
-    def test_write_read_round_trip(self, tmp_path, workload):
-        ctrl = controller()
-        full_run(workload)  # warm nothing; just build a state to save
-        ctrl.begin(workload.services, workload.horizon_s,
-                   measure_s=MEASURE_S, sim_seed=SIM_SEED)
-        ctrl.step(0.0, [])
-        state = bootstrap_checkpoint(ctrl)
-        path = tmp_path / "ck.json"
-        write_checkpoint(path, state)
-        assert read_checkpoint(path) == state
-        ctrl.finish()
+    def test_write_read_round_trip(self, tmp_path, workload, reference):
+        record = read_record(recorded(tmp_path / "run.jsonl", workload, 4))
+        assert not record.torn
+        assert record.header["format"] == "parvagpu-run-record"
+        assert record.intervals == [
+            interval_doc(r) for r in reference.intervals[:4]
+        ]
 
     def test_bit_flip_is_caught(self, tmp_path, workload):
-        ctrl = controller()
-        ctrl.begin(workload.services, workload.horizon_s,
-                   measure_s=MEASURE_S, sim_seed=SIM_SEED)
-        ctrl.step(0.0, [])
-        path = tmp_path / "ck.json"
-        write_checkpoint(path, bootstrap_checkpoint(ctrl))
-        ctrl.finish()
-        # any single-bit flip must be caught by the checksum (or fail
-        # JSON parsing outright) — try several seeded offsets
+        """A single-bit flip anywhere in any line is refused, whichever
+        line it hits: the last one keeps its newline, so it is not torn."""
+        path = recorded(tmp_path / "run.jsonl", workload, 3)
         pristine = path.read_bytes()
-        for seed in range(8):
-            path.write_bytes(pristine)
-            flip_bit(path, seed=seed)
-            with pytest.raises(CheckpointError):
-                read_checkpoint(path)
+        start = 0
+        for line in pristine.splitlines(keepends=True):
+            content = len(line) - 1  # the newline is not the line's
+            for k in range(8):
+                data = bytearray(pristine)
+                data[start + k * content // 8] ^= 1 << k
+                path.write_bytes(bytes(data))
+                with pytest.raises(CheckpointError, match="checksum"):
+                    read_record(path)
+            start += len(line)
 
     def test_truncation_is_caught(self, tmp_path, workload):
-        ctrl = controller()
-        ctrl.begin(workload.services, workload.horizon_s,
-                   measure_s=MEASURE_S, sim_seed=SIM_SEED)
-        ctrl.step(0.0, [])
-        path = tmp_path / "ck.json"
-        write_checkpoint(path, bootstrap_checkpoint(ctrl))
-        ctrl.finish()
-        truncate_tail(path, 16)
-        with pytest.raises(CheckpointError):
-            read_checkpoint(path)
+        """A torn final line is dropped, and so is a whole one that lost
+        only its newline: appending continues after the last newline."""
+        path = recorded(tmp_path / "run.jsonl", workload, 3)
+        pristine = path.read_bytes()
+        kept = pristine[:-1].rfind(b"\n") + 1
+        for nbytes in (16, 1):
+            path.write_bytes(pristine)
+            truncate_tail(path, nbytes)
+            record = read_record(path)
+            assert record.torn
+            assert len(record.intervals) == 2
+            assert record.size == kept
 
     def test_unknown_version_is_refused(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text(json.dumps({
-            "format": "parvagpu-checkpoint", "version": 999,
-            "sha256": "0" * 64, "state": {},
-        }))
+        path = tmp_path / "run.jsonl"
+        path.write_text(seal({
+            "format": "parvagpu-run-record", "version": 999,
+        }) + "\n")
         with pytest.raises(CheckpointError, match="version"):
-            read_checkpoint(path)
+            read_record(path)
 
     def test_foreign_file_is_refused(self, tmp_path):
-        path = tmp_path / "ck.json"
-        path.write_text(json.dumps({"hello": "world"}))
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps({"hello": "world"}) + "\n")
         with pytest.raises(CheckpointError):
-            read_checkpoint(path)
+            read_record(path)
+
+    def test_snapshot_checkpoint_is_refused(self, tmp_path, workload):
+        """A whole-state snapshot of the older checkpoint format (one
+        checksummed JSON document) is not a run record."""
+        state = {"kind": "fleet-controller", "cursor": 0, "run": {}}
+        payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps({
+            "format": "parvagpu-checkpoint", "version": 1,
+            "sha256": hashlib.sha256(payload.encode()).hexdigest(),
+            "state": state,
+        }) + "\n")
+        with pytest.raises(CheckpointError):
+            controller().run(
+                workload.services, workload.timeline, workload.horizon_s,
+                measure_s=MEASURE_S, sim_seed=SIM_SEED, resume=path,
+            )
 
 
 class TestKillResume:
@@ -125,21 +136,38 @@ class TestKillResume:
         assert_reports_identical(resumed, reference)
         assert resumed.to_doc() == reference.to_doc()
 
-    def test_resume_across_worker_counts(self, tmp_path, workload, reference):
-        # Older checkpoints record the run's process fan-out as the
-        # report's "workers".  No result depended on it: a checkpoint
-        # written by a 2-worker run resumes bit-identically.
-        path = tmp_path / "ck.json"
+    def test_torn_tail_resumes_and_appends(
+        self, tmp_path, workload, reference
+    ):
+        """A crash mid-write tears the final line: resume drops it,
+        replays the whole intervals before it and appends after them."""
+        path = tmp_path / "run.jsonl"
         full_run(
-            workload, checkpoint_every=1, checkpoint_path=path, max_steps=3,
+            workload, checkpoint_every=1, checkpoint_path=path, max_steps=5,
         )
-        state = read_checkpoint(path)
-        assert "workers" not in state["report"]
-        state["report"]["workers"] = 2
-        write_checkpoint(path, state)
-        resumed = full_run(workload, resume=path)
+        truncate_tail(path, 16)
+        resumed = full_run(
+            workload, checkpoint_every=1, checkpoint_path=path, resume=path,
+        )
         assert_reports_identical(resumed, reference)
         assert resumed.to_doc() == reference.to_doc()
+        record = read_record(path)
+        assert not record.torn
+        assert record.intervals == [
+            interval_doc(r) for r in reference.intervals
+        ]
+
+    def test_resume_into_another_record(self, tmp_path, workload, reference):
+        """Resuming with a different record path writes the whole record
+        there, replayed lines included, and leaves the old one alone."""
+        old = recorded(tmp_path / "old.jsonl", workload, 4)
+        before = old.read_bytes()
+        new = tmp_path / "new.jsonl"
+        full_run(workload, checkpoint_path=new, resume=old)
+        assert old.read_bytes() == before
+        assert read_record(new).intervals == [
+            interval_doc(r) for r in reference.intervals
+        ]
 
 
 class TestResumeValidation:
@@ -168,72 +196,27 @@ class TestResumeValidation:
                 resume=checkpoint_path,
             )
 
-    def test_string_start_is_refused(self, checkpoint_path, workload):
-        """A ``"4"`` start renders the same fingerprint line as ``4``:
-        the restore refuses it and deploys nothing."""
-        state = read_checkpoint(checkpoint_path)
-        seg = next(
-            s for g in state["manager"]["placement"]["gpus"]
-            for s in g["segments"] if s["start"] == 4
-        )
-        seg["start"] = "4"
-        ctrl = controller()
-        with pytest.raises(CheckpointError, match="start"):
-            ctrl.run(
-                workload.services, workload.timeline, workload.horizon_s,
-                measure_s=MEASURE_S, sim_seed=SIM_SEED, resume=state,
-            )
-        assert ctrl.manager.current is None
-        with pytest.raises(RuntimeError, match="no active run"):
-            ctrl.step(workload.horizon_s / 2)
-
-    def test_unknown_run_field_is_refused(self, checkpoint_path):
-        """Older builds could sample serving measurement (``measure_every``
-        N > 1): this build does not read the knob, so it refuses it."""
-        state = read_checkpoint(checkpoint_path)
-        controller().restore(dict(state))
-        for value in (3, 1):
-            state["run"]["measure_every"] = value
-            with pytest.raises(CheckpointError, match="measure_every"):
-                controller().restore(state)
-
-    def test_legacy_sim_fast_matching_fast_path_resumes(
-        self, checkpoint_path, workload, reference
-    ):
-        """Older builds stored the serving engine as ``sim_fast``; one
-        equal to the controller's ``fast_path`` resumes bit-identically."""
-        state = read_checkpoint(checkpoint_path)
-        state["run"]["sim_fast"] = True
-        resumed = controller().run(
-            workload.services, workload.timeline, workload.horizon_s,
-            measure_s=MEASURE_S, sim_seed=SIM_SEED, resume=state,
-        )
-        assert_reports_identical(resumed, reference)
-        assert resumed.to_doc() == reference.to_doc()
-
-    def test_legacy_sim_fast_mismatch_is_refused(self, checkpoint_path):
-        state = read_checkpoint(checkpoint_path)
-        state["run"]["sim_fast"] = False
-        with pytest.raises(CheckpointError, match="sim_fast"):
-            controller().restore(state)
-        naive = read_checkpoint(checkpoint_path)
-        naive["config"]["fast_path"] = False
-        naive["run"]["sim_fast"] = True
-        with pytest.raises(CheckpointError, match="sim_fast"):
-            FleetController(seed=SEED, fast_path=False).restore(naive)
-
     def test_digestless_checkpoint_is_refused(self, checkpoint_path, workload):
-        """A document without a timeline digest cannot be checked against
+        """A header without a timeline digest cannot be checked against
         the resume timeline, so resume refuses it instead of trusting it."""
-        state = read_checkpoint(checkpoint_path)
-        state["timeline_sha"] = None
-        unset = {k: v for k, v in state.items() if k != "timeline_sha"}
-        for doc in (state, unset):
-            with pytest.raises(CheckpointError, match="no timeline digest"):
-                controller().run(
-                    workload.services, workload.timeline, workload.horizon_s,
-                    measure_s=MEASURE_S, sim_seed=SIM_SEED, resume=doc,
-                )
+        lines = checkpoint_path.read_text().splitlines(keepends=True)
+        header = unseal(lines[0].rstrip("\n"))
+        del header["timeline_sha"]
+        checkpoint_path.write_text(seal(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(CheckpointError, match="timeline_sha"):
+            controller().run(
+                workload.services, workload.timeline, workload.horizon_s,
+                measure_s=MEASURE_S, sim_seed=SIM_SEED,
+                resume=checkpoint_path,
+            )
+
+    def test_services_mismatch_is_refused(self, checkpoint_path, workload):
+        with pytest.raises(CheckpointError, match="services_sha"):
+            controller().run(
+                workload.services[:-1], workload.timeline,
+                workload.horizon_s, measure_s=MEASURE_S, sim_seed=SIM_SEED,
+                resume=checkpoint_path,
+            )
 
     def test_timeline_mismatch_is_refused(self, checkpoint_path, workload):
         shorter = [e for e in workload.timeline][:-2]

@@ -11,9 +11,10 @@ faults the control plane claims to survive:
   replay must *count*, not silently absorb);
 - **source stalls** — :func:`stalling_source_factory` builds intake
   sources that die mid-stream, for the gateway's retry/backoff ladder;
-- **checkpoint bit-flips** — :func:`flip_bit` damages one bit of a
-  checkpoint file, which the checksum in
-  :mod:`repro.ops.checkpoint` must catch before any field is trusted.
+- **run-record bit-flips and torn writes** — :func:`flip_bit` damages
+  one bit of a file and :func:`truncate_tail` tears its end off; the
+  per-line checksums of :mod:`repro.ops.checkpoint` must catch the
+  first, and resume must drop a torn final line.
 
 Every fault site is drawn from a seeded ``random.Random`` stream —
 two runs of one plan inject identically.
@@ -27,14 +28,14 @@ from pathlib import Path
 from typing import Any, AsyncIterator, Callable, Sequence
 
 # --------------------------------------------------------------------- #
-# file faults: checkpoints and journal segments
+# file faults: run records and journal segments
 # --------------------------------------------------------------------- #
 
 
 def flip_bit(path: str | Path, *, seed: int = 0) -> int:
     """Flip one seeded-random bit of ``path``; returns the byte offset.
 
-    The canonical checkpoint-corruption fault: exactly one bit differs,
+    The canonical file-corruption fault: exactly one bit differs,
     which only a real checksum (not a length or version check) catches.
     """
     target = Path(path)

@@ -17,7 +17,7 @@ from repro.core.service import Service
 from repro.ops import FleetController
 from repro.ops.controller import assert_reports_identical
 from repro.ops.events import RateEpoch, merge_timeline
-from repro.resilience import stalling_source_factory, truncate_journal
+from resilience.faults import stalling_source_factory, truncate_journal
 from repro.serve import (
     Journal,
     ServeGateway,

@@ -11,7 +11,7 @@ the two corruption modes recovery distinguishes: a torn final line
 """
 
 from repro.ops.events import RateEpoch, ServiceDeparture, SloChange
-from repro.resilience import corrupt_journal, truncate_journal
+from resilience.faults import corrupt_journal, truncate_journal
 from repro.serve import (
     Journal,
     decode_event,
