@@ -33,7 +33,8 @@ The suites, selected with ``--suite``:
   monotonic clock, whose recording must replay identically offline.
 - ``resilience``: a run writing its run record (flushed every
   :data:`CKPT_EVERY` intervals) and a run killed mid-way and resumed by
-  replaying its record, each vs the uninterrupted run; the S13 week
+  replaying its record, each vs the uninterrupted run (one set of
+  timed uninterrupted runs per tier serves both rows); the S13 week
   killed and resumed twice (chained).
 - ``obs``: the observability plane on vs off.
 
@@ -219,24 +220,48 @@ def compare(label: str, got: object, want: object) -> None:
         raise SystemExit(f"FATAL: {label} diverges from its reference: {exc}")
 
 
-def run_case(case: Case) -> dict:
+class ReferenceRuns:
+    """The timed runs of the last reference thunk: its walls, one per
+    repeat, and its latest result.  Consecutive cases that share one
+    thunk (a resilience tier's rows) and one ``ReferenceRuns`` read the
+    thunk's runs from here, so each repeat times the reference once
+    however many rows compare with it, and those rows report the same
+    reference wall."""
+
+    def __init__(self) -> None:
+        self.thunk: Optional[Thunk] = None
+        self.walls: list[float] = []
+        self.result: object = None
+
+    def ensure(self, thunk: Thunk, repeat: int) -> None:
+        """Make sure ``thunk`` has been timed ``repeat + 1`` times."""
+        if thunk is not self.thunk:
+            self.thunk, self.walls, self.result = thunk, [], None
+        if repeat < len(self.walls):
+            return
+        go = thunk()
+        t0 = time.perf_counter()
+        self.result, _ = go()
+        self.walls.append(time.perf_counter() - t0)
+
+
+def run_case(case: Case, refs: Optional[ReferenceRuns] = None) -> dict:
     """Time ``case`` and its reference alternately, best of
-    ``case.repeats`` each; compare the two; return the row."""
-    wall = ref_wall = math.inf
-    want = None
-    for _ in range(case.repeats):
+    ``case.repeats`` each; compare the two; return the row.  A reference
+    thunk that ``refs`` already timed for the previous case is not timed
+    again (see :class:`ReferenceRuns`)."""
+    wall = math.inf
+    refs = refs if refs is not None else ReferenceRuns()
+    for i in range(case.repeats):
         go = case.run()
         t0 = time.perf_counter()
         got, counts = go()
         wall = min(wall, time.perf_counter() - t0)
         if case.reference is not None:
-            go = case.reference()
-            t0 = time.perf_counter()
-            want, _ = go()
-            ref_wall = min(ref_wall, time.perf_counter() - t0)
+            refs.ensure(case.reference, i)
     label = f"{case.suite}/{case.case} n={case.tier} {case.geometry}"
     if case.reference is not None:
-        compare(label, got, want)
+        compare(label, got, refs.result)
     row = {
         "suite": case.suite,
         "case": case.case,
@@ -244,7 +269,8 @@ def run_case(case: Case) -> dict:
         "geometry": case.geometry,
         "wall_s": round(wall, 6),
         "reference_wall_s": (
-            None if case.reference is None else round(ref_wall, 6)
+            None if case.reference is None
+            else round(min(refs.walls[:case.repeats]), 6)
         ),
         "identical": None if case.reference is None else True,
         "digest": digest(got),
@@ -346,12 +372,9 @@ def _make_scheduler(geometry: str, fast_path: bool):
     if geometry == "mixed":
         return make_mixed_scheduler(fast_path=fast_path)
     geo = get_geometry(geometry)
-    profiles = (
-        profile_workloads()
-        if geo.name == "mig"
-        else profile_workloads(geometry=geo)
+    return ParvaGPU(
+        profile_workloads(geometry=geo), geometry=geo, fast_path=fast_path
     )
-    return ParvaGPU(profiles, geometry=geo, fast_path=fast_path)
 
 
 def _simulate(placement, services, duration_s, fast_path) -> Prepared:
@@ -546,13 +569,16 @@ def resilience_cases(tiers: list[int]) -> list[Case]:
     for tier in tiers:
         run = bench_ops_run(tier)
         kill_at = max(1, _steps(run) // 2)
+        # one reference per tier: both rows' ratios read the same
+        # uninterrupted runs
+        reference = uninterrupted(run)
         cases += [
             Case("resilience", "checkpoint", tier, "mig",
                  run=lambda run=run: _checkpointed(run),
-                 reference=uninterrupted(run), repeats=REPEATS),
+                 reference=reference, repeats=REPEATS),
             Case("resilience", "kill-resume", tier, "mig",
                  run=lambda run=run, k=kill_at: _killed(run, (k,)),
-                 reference=uninterrupted(run), repeats=REPEATS),
+                 reference=reference, repeats=REPEATS),
         ]
     s13 = ops_run("S13")
     n = _steps(s13)
@@ -675,7 +701,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     out = args.out or HERE / f"BENCH_{args.suite}.local.json"
 
     print(f"{args.suite}: tiers={tiers}")
-    rows = [run_case(case) for case in SUITE_CASES[args.suite](tiers)]
+    refs = ReferenceRuns()
+    rows = [run_case(case, refs) for case in SUITE_CASES[args.suite](tiers)]
     doc = {
         "version": 3,
         "suite": args.suite,

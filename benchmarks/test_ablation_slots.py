@@ -9,7 +9,8 @@ slice 3 and keep room for size-3 segments, which saves whole GPUs.
 from repro.core.allocator import SegmentAllocator, _GPUState
 from repro.core.segments import Segment
 from repro.experiments.registry import ExperimentResult
-from repro.gpu.mig import PlacedInstance, legal_starts
+from repro.gpu.geometry import PartitionLayout
+from repro.gpu.mig import MIG_GEOMETRY
 
 
 def seg(size: int, i: int) -> Segment:
@@ -45,22 +46,21 @@ def _paper_allocation(sizes: list[int]) -> int:
 
 def _naive_allocation(sizes: list[int]) -> int:
     """First legal start slot (ascending), first GPU with room."""
-    layouts: list = []
+    layouts: list[PartitionLayout] = []
     for i, size in enumerate(sorted(sizes, reverse=True)):
+        starts = MIG_GEOMETRY.legal_starts(size)
         placed = False
         for layout in layouts:
-            for start in legal_starts(size):
+            for start in starts:
                 if layout.can_add(size, start):
-                    layout.add(PlacedInstance(size, start))
+                    layout.add(MIG_GEOMETRY.place(size, start))
                     placed = True
                     break
             if placed:
                 break
         if not placed:
-            from repro.gpu.mig import MigLayout
-
-            layout = MigLayout()
-            layout.add(PlacedInstance(size, legal_starts(size)[0]))
+            layout = PartitionLayout(MIG_GEOMETRY)
+            layout.add(MIG_GEOMETRY.place(size, starts[0]))
             layouts.append(layout)
     return len(layouts)
 

@@ -11,22 +11,24 @@ a new accelerator.
 Run:  python examples/custom_hardware_study.py
 """
 
-from repro.gpu import GPU, Cluster, enumerate_configurations
-from repro.gpu.mig import PROFILES
+from repro.gpu import GPU, MIG_GEOMETRY, Cluster, enumerate_layouts
 from repro.gpu.slices import largest_free_run
 
 
 def main() -> None:
     print("=== the 19 legal A100 MIG configurations (Figure 1) ===")
-    for idx, layout in enumerate(enumerate_configurations(), start=1):
+    for idx, layout in enumerate(enumerate_layouts(MIG_GEOMETRY), start=1):
         sizes = "+".join(str(s) for s in layout.sizes())
         wasted = 7 - layout.used_gpcs
         note = f"  ({wasted} GPC unusable)" if wasted else ""
         print(f"  config {idx:>2}: {sizes:<14}{note}")
 
     print("\n=== instance profiles ===")
-    for size, profile in sorted(PROFILES.items()):
-        print(f"  {profile.name}: {size} GPC, {profile.memory_gb} GB")
+    for size in MIG_GEOMETRY.instance_sizes:
+        print(
+            f"  {MIG_GEOMETRY.profile_name(size)}: {size} GPC, "
+            f"{MIG_GEOMETRY.instance_memory_gb(size)} GB"
+        )
 
     print("\n=== why a size-3 at slot 0 is poison (SIII-E1) ===")
     gpu = GPU(0)

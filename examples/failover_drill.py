@@ -28,7 +28,7 @@ def main() -> None:
         f"({len(victim.segments)} segments, {victim.used_gpcs:g} GPCs) ***"
     )
 
-    ctrl = FailoverController(profiles, manager)
+    ctrl = FailoverController(manager)
     result = ctrl.fail_gpu(victim.gpu_id, services)
 
     print(f"affected services : {', '.join(result.affected_services)}")

@@ -11,8 +11,7 @@ and what does a ParvaGPU-style segment plan look like on each board?
 Run:  python examples/llm_feasibility.py
 """
 
-from repro.gpu.generations import GENERATIONS
-from repro.gpu.mig import INSTANCE_SIZES
+from repro.gpu.generations import geometry_for_generation
 from repro.models.perf import PerfModel
 from repro.models.zoo import ModelSpec
 
@@ -44,9 +43,12 @@ def main() -> None:
         need = PerfModel(spec).memory_gb(BATCH, PROCS)
         row.append(f"{need:>7.1f}")
         for gen_name in order:
-            gen = GENERATIONS[gen_name]
-            perf = PerfModel(spec, generation=gen)
-            sizes = [s for s in INSTANCE_SIZES if perf.fits(s, BATCH, PROCS)]
+            geometry = geometry_for_generation(gen_name)
+            perf = PerfModel(spec, geometry=geometry)
+            sizes = [
+                s for s in geometry.instance_sizes
+                if perf.fits(s, BATCH, PROCS)
+            ]
             row.append(f"{('/'.join(map(str, sizes)) or '-'): >12}")
         print(" ".join(row))
 
@@ -61,8 +63,9 @@ def main() -> None:
     # How many concurrent tenants per GPU does each generation admit?
     print(f"\n{'generation':<12} {'max 7GB-LLM tenants/GPU':>25}")
     for gen_name in order:
-        gen = GENERATIONS[gen_name]
-        perf = PerfModel(LLAMA_7B_LIGHT, generation=gen)
+        perf = PerfModel(
+            LLAMA_7B_LIGHT, geometry=geometry_for_generation(gen_name)
+        )
         tenants = 7 if perf.fits(1, BATCH, PROCS) else (
             3 if perf.fits(2, BATCH, PROCS) else
             2 if perf.fits(3, BATCH, PROCS) else

@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 from repro.baselines.base import Framework, InfeasibleScheduleError
 from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.service import Service
-from repro.gpu.mig import enumerate_configurations
+from repro.gpu.geometry import enumerate_layouts
+from repro.gpu.mig import MIG_GEOMETRY
 from repro.profiler.table import ProfileEntry
 
 #: Over-allocation bias: fraction of an instance's *raw* throughput counted
@@ -57,7 +58,7 @@ class MigServing(Framework):
 
     def __init__(self, profiles):
         super().__init__(profiles)
-        self._configs = enumerate_configurations()
+        self._configs = enumerate_layouts(MIG_GEOMETRY)
 
     @property
     def name(self) -> str:

@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 from repro.baselines.base import Framework, InfeasibleScheduleError
 from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.service import Service
-from repro.gpu.mig import INSTANCE_SIZES, MigLayout, PlacedInstance, legal_starts
+from repro.gpu.geometry import PartitionLayout
+from repro.gpu.mig import MIG_GEOMETRY
 from repro.profiler.table import ProfileEntry
 
 #: PARIS sizes against this percentile of the batch-size distribution: the
@@ -55,7 +56,7 @@ class ParisElsa(Framework):
         larger; the instance must satisfy the SLO at the tail too.
         """
         table = self._table(service)
-        for size in INSTANCE_SIZES:
+        for size in MIG_GEOMETRY.instance_sizes:
             best: Optional[ProfileEntry] = None
             for e in table.entries_for_size(size):
                 if e.num_processes != 1:
@@ -87,18 +88,19 @@ class ParisElsa(Framework):
         # largest instances first (plain FFD, no slot preferences)
         demands.sort(key=lambda d: d[1], reverse=True)
 
-        layouts: list[MigLayout] = []
+        layouts: list[PartitionLayout] = []
         segments: list[list[PlacedSegment]] = []  # per GPU
 
         def place(size: int) -> tuple[int, int]:
+            starts = MIG_GEOMETRY.legal_starts(size, extended=False)
             for gpu_id, layout in enumerate(layouts):
-                for start in legal_starts(size, extended=False):
+                for start in starts:
                     if layout.can_add(size, start, extended=False):
-                        layout.add(PlacedInstance(size, start))
+                        layout.add(MIG_GEOMETRY.place(size, start))
                         return gpu_id, start
-            layout = MigLayout()
-            start = legal_starts(size, extended=False)[0]
-            layout.add(PlacedInstance(size, start))
+            layout = PartitionLayout(MIG_GEOMETRY)
+            start = starts[0]
+            layout.add(MIG_GEOMETRY.place(size, start))
             layouts.append(layout)
             segments.append([])
             return len(layouts) - 1, start

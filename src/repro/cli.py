@@ -44,6 +44,7 @@ from repro.core.parvagpu import ParvaGPU
 from repro.core.service import InfeasibleServiceError
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.gpu.geometry import available_geometries, get_geometry
+from repro.gpu.mig import MIG_GEOMETRY
 from repro.metrics import external_fragmentation, internal_slack
 from repro.profiler import profile_workloads
 from repro.scenarios import scenario_services
@@ -66,14 +67,14 @@ def _make_scheduler(framework: str, geometry: str):
             )
         return make_mixed_scheduler()
     geo = get_geometry(geometry)
-    if geo.name == "mig":
-        return make_framework(framework, profile_workloads())
-    if key not in _PARVAGPU_FAMILY:
+    if key not in _PARVAGPU_FAMILY and geo is not MIG_GEOMETRY:
         raise ValueError(
             f"framework {framework!r} only supports the MIG geometry; "
             f"on {geo.name} use one of {', '.join(_PARVAGPU_FAMILY)}"
         )
     profiles = profile_workloads(geometry=geo)
+    if key not in _PARVAGPU_FAMILY:
+        return make_framework(framework, profiles)
     return ParvaGPU(
         profiles,
         use_mps=key != "parvagpu-single",
@@ -152,7 +153,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "profiles are measured per geometry; pick one "
                 f"({', '.join(available_geometries())})"
             )
-        geometry = None if args.geometry == "mig" else get_geometry(args.geometry)
+        geometry = get_geometry(args.geometry)
         table = profile_workloads([args.model], geometry=geometry)[args.model]
     except (KeyError, ValueError) as exc:
         print(f"error: {_unquote(exc)}", file=sys.stderr)

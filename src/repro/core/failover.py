@@ -33,7 +33,6 @@ from repro.core.segments import Segment
 from repro.core.service import Services, service_index
 from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, price_plan
-from repro.profiler.table import ProfileTable
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,10 @@ class FailoverController:
 
     def __init__(
         self,
-        profiles: Mapping[str, ProfileTable],
         manager: DeploymentManager,
         optimize: bool = True,
         fast_path: bool = True,
     ) -> None:
-        self.profiles = profiles
         self.manager = manager
         self.optimize = optimize
         # fast_path=False recovers on the naive scans — identical

@@ -41,10 +41,7 @@ def _profiles_for(geometry_name: str) -> Mapping[str, ProfileTable]:
     from repro.gpu.geometry import get_geometry
     from repro.profiler import profile_workloads
 
-    geometry = get_geometry(geometry_name)
-    if geometry.name == "mig":
-        return profile_workloads()
-    return profile_workloads(geometry=geometry)
+    return profile_workloads(geometry=get_geometry(geometry_name))
 
 
 def make_mixed_scheduler(

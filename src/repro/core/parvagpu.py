@@ -18,7 +18,7 @@ then have been measured on that geometry
 from __future__ import annotations
 
 import time
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.allocator import OPTIMIZATION_GPC_THRESHOLD, SegmentAllocator
 from repro.core.configurator import SegmentConfigurator
@@ -38,13 +38,13 @@ class ParvaGPU:
         use_mps: bool = True,
         optimize: bool = True,
         threshold: int = OPTIMIZATION_GPC_THRESHOLD,
-        geometry: Optional[PartitionGeometry] = None,
+        geometry: PartitionGeometry = MIG_GEOMETRY,
         fast_path: bool = True,
     ) -> None:
         self.profiles = profiles
         self.use_mps = use_mps
         self.optimize = optimize
-        self.geometry = geometry or MIG_GEOMETRY
+        self.geometry = geometry
         # ``fast_path`` turns on the indexed allocator and memoized
         # configurator together; placements are byte-identical either way,
         # so False exists only as the reference baseline for the perf

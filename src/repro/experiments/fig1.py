@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro.experiments.registry import ExperimentResult
-from repro.gpu.mig import enumerate_configurations
+from repro.gpu.geometry import enumerate_layouts
+from repro.gpu.mig import MIG_GEOMETRY
 from repro.gpu.slices import NUM_SLICES
 
 
@@ -13,7 +14,7 @@ def run() -> ExperimentResult:
         title="Supported MIG configurations on the NVIDIA A100 GPU",
         columns=("config", *[f"slice{i}" for i in range(NUM_SLICES)], "sizes"),
     )
-    configs = enumerate_configurations()
+    configs = enumerate_layouts(MIG_GEOMETRY)
     for idx, layout in enumerate(configs, start=1):
         cells: list[str] = ["."] * NUM_SLICES
         for inst in layout.instances:

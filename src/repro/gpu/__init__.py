@@ -6,13 +6,13 @@ paper runs on, generalized behind a pluggable partition-geometry contract:
 - :mod:`repro.gpu.slices`   -- compute-slice bitmask arithmetic (any width).
 - :mod:`repro.gpu.geometry` -- the :class:`PartitionGeometry` contract,
   generic layouts, and the geometry registry.
-- :mod:`repro.gpu.mig`      -- NVIDIA MIG: instance profiles, placement rules,
-  and the 19 legal A100 configurations of the paper's Figure 1.
+- :mod:`repro.gpu.mig`      -- NVIDIA MIG as :data:`MIG_GEOMETRY`: instance
+  sizes, memory map, placement rules (Figure 1's 19 layouts are
+  ``enumerate_layouts(MIG_GEOMETRY)``).
 - :mod:`repro.gpu.amd`      -- AMD MI300X: XCD compute-partition modes
   (SPX/DPX/QPX/CPX) and NPS memory interleaving.
 - :mod:`repro.gpu.gpu`      -- a single GPU: slice slots, instance lifecycle.
 - :mod:`repro.gpu.mps`      -- the MPS control daemon attached to an instance.
-- :mod:`repro.gpu.memory`   -- per-instance framebuffer capacity and OOM checks.
 - :mod:`repro.gpu.telemetry`-- DCGM-style SM-activity accounting (Eq. 3 input).
 - :mod:`repro.gpu.cluster`  -- a (possibly heterogeneous) multi-GPU cluster
   with reconfiguration diffs.
@@ -31,21 +31,10 @@ from repro.gpu.geometry import (
     get_geometry,
     register_geometry,
 )
-from repro.gpu.mig import (
-    INSTANCE_SIZES,
-    InstanceProfile,
-    MIG_GEOMETRY,
-    MigLayout,
-    PROFILES,
-    PlacedInstance,
-    enumerate_configurations,
-    legal_starts,
-    occupied_mask,
-)
+from repro.gpu.mig import INSTANCE_SIZES, MIG_GEOMETRY
 from repro.gpu.amd import MI300X_GEOMETRY, compute_mode_for, legal_memory_modes
 from repro.gpu.gpu import GPU, GPUError, NUM_SLICES
 from repro.gpu.mps import MPSContext, MPSError
-from repro.gpu.memory import MemoryError_, instance_memory_gb, fits_in_memory
 from repro.gpu.telemetry import SMActivityTracker, ActivitySample
 from repro.gpu.cluster import Cluster, ReconfigurationPlan
 
@@ -59,14 +48,7 @@ __all__ = [
     "get_geometry",
     "register_geometry",
     "INSTANCE_SIZES",
-    "InstanceProfile",
     "MIG_GEOMETRY",
-    "MigLayout",
-    "PROFILES",
-    "PlacedInstance",
-    "enumerate_configurations",
-    "legal_starts",
-    "occupied_mask",
     "MI300X_GEOMETRY",
     "compute_mode_for",
     "legal_memory_modes",
@@ -75,9 +57,6 @@ __all__ = [
     "NUM_SLICES",
     "MPSContext",
     "MPSError",
-    "MemoryError_",
-    "instance_memory_gb",
-    "fits_in_memory",
     "SMActivityTracker",
     "ActivitySample",
     "Cluster",

@@ -25,7 +25,11 @@ from repro.gpu.mig import INSTANCE_SIZES, MIG_GEOMETRY
 
 @dataclass(frozen=True)
 class GPUGeneration:
-    """One MIG-capable GPU model."""
+    """One MIG-capable GPU model.
+
+    Its memory questions (per-size framebuffer, the sizes a footprint
+    fits) are answered by :func:`geometry_for_generation`.
+    """
 
     name: str
     architecture: str
@@ -37,18 +41,6 @@ class GPUGeneration:
             raise ValueError(f"{self.name}: memory map must cover {INSTANCE_SIZES}")
         if self.memory_map[7] != self.total_memory_gb:
             raise ValueError(f"{self.name}: 7-GPC instance owns the whole board")
-
-    def instance_memory_gb(self, size: int) -> float:
-        try:
-            return self.memory_map[size]
-        except KeyError:
-            raise ValueError(f"no MIG profile of size {size}") from None
-
-    def feasible_sizes(self, required_gb: float) -> tuple[int, ...]:
-        """Instance sizes whose framebuffer fits ``required_gb``."""
-        return tuple(
-            s for s in INSTANCE_SIZES if self.memory_map[s] >= required_gb
-        )
 
 
 def _gen(name: str, arch: str, total: int, per_slice: float) -> GPUGeneration:

@@ -243,8 +243,8 @@ class PlacedPartition:
                 f"size-{self.size} instance may not start at slot {self.start}"
             )
 
-    # identity is (size, start, geometry) regardless of subclass, so layout
-    # bookkeeping works across PlacedPartition/PlacedInstance mixes.
+    # identity is (size, start, geometry name): a geometry's shared
+    # ``place`` instances and directly constructed ones compare equal.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlacedPartition):
             return NotImplemented
@@ -279,8 +279,8 @@ class PlacedPartition:
 class PartitionLayout:
     """A set of non-overlapping placed instances on one device.
 
-    The geometry-generic core behind :class:`repro.gpu.mig.MigLayout`; it
-    enforces mask disjointness *and* the geometry's coexistence rule (AMD
+    One class for every geometry (MIG is ``PartitionLayout(MIG_GEOMETRY)``);
+    it enforces mask disjointness *and* the geometry's coexistence rule (AMD
     devices are single-mode, so mixed sizes are rejected there).
     """
 
@@ -312,8 +312,8 @@ class PartitionLayout:
         """Total slices of *compute* allocated (blocked slices don't count)."""
         return sum(i.size for i in self._instances)
 
-    # historical name from the MIG-only layer; kept as the primary spelling
-    # because every caller reads "GPCs" even for non-NVIDIA geometries.
+    # kept as the primary spelling because every caller reads "GPCs" even
+    # for non-NVIDIA geometries.
     @property
     def used_gpcs(self) -> int:
         return self.used_slices

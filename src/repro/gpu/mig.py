@@ -20,29 +20,21 @@ when MIG is enabled.  The combinatorial structure behind that table is:
   1     0-6                 any slice
   ====  ==================  =============================================
 
-Since the pluggable-geometry refactor these rules are packaged as
-:data:`MIG_GEOMETRY` — the NVIDIA instantiation of
-:class:`repro.gpu.geometry.PartitionGeometry` — and everything below
-(``legal_starts``, ``occupied_mask``, :class:`MigLayout`) delegates to it.
+These rules are :data:`MIG_GEOMETRY` — the NVIDIA instantiation of
+:class:`repro.gpu.geometry.PartitionGeometry` — and every layer reaches
+MIG through it (``MIG_GEOMETRY.legal_starts``/``.place``,
+``PartitionLayout(MIG_GEOMETRY)``); there is no second, MIG-only API.
 The AMD counterpart lives in :mod:`repro.gpu.amd`.
 
-``enumerate_configurations()`` regenerates Figure 1 exactly: the 18 maximal
-layouts composed from the lower region (slices 0-3) and the upper region
-(slices 4-6), plus the full-GPU size-7 layout, i.e. 19 configurations.
+``enumerate_layouts(MIG_GEOMETRY)`` regenerates Figure 1 exactly: the 18
+maximal layouts composed from the lower region (slices 0-3) and the upper
+region (slices 4-6), plus the full-GPU size-7 layout, i.e. 19
+configurations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
-
-from repro.gpu.geometry import (
-    PartitionGeometry,
-    PartitionLayout,
-    PlacedPartition,
-    enumerate_layouts,
-    register_geometry,
-)
+from repro.gpu.geometry import PartitionGeometry, register_geometry
 from repro.gpu.slices import NUM_SLICES, mask_of
 
 #: Instance sizes that exist on A100/H100-class hardware, ascending.
@@ -111,100 +103,3 @@ MIG_GEOMETRY: PartitionGeometry = register_geometry(
     ),
     aliases=("nvidia", "a100", "a100-80gb", "h100", "h100-80gb"),
 )
-
-
-@dataclass(frozen=True)
-class InstanceProfile:
-    """Immutable description of one MIG instance size."""
-
-    size: int  #: number of GPC slices of compute
-    memory_gb: int  #: framebuffer capacity
-    name: str  #: ``nvidia-smi`` style profile name
-
-    def __post_init__(self) -> None:
-        if self.size not in INSTANCE_SIZES:
-            raise ValueError(f"no MIG profile of size {self.size}")
-
-
-#: Profile lookup by size.
-PROFILES: dict[int, InstanceProfile] = {
-    s: InstanceProfile(size=s, memory_gb=MEMORY_GB[s], name=PROFILE_NAMES[s])
-    for s in INSTANCE_SIZES
-}
-
-
-def legal_starts(size: int, extended: bool = True) -> tuple[int, ...]:
-    """Start slots where an instance of ``size`` GPCs may be created.
-
-    ``extended=True`` (default) applies the paper's allocator rules, which
-    additionally allow a size-2 instance at slot 5.  ``extended=False`` gives
-    the canonical rule set used to enumerate Figure 1.
-    """
-    try:
-        return MIG_GEOMETRY.legal_starts(size, extended=extended)
-    except ValueError:
-        raise ValueError(f"no MIG profile of size {size}") from None
-
-
-def occupied_mask(size: int, start: int) -> int:
-    """Slice bitmask an instance *occupies plus blocks* at ``start``.
-
-    A size-3 instance at slot 0 occupies slices 0-2 **and blocks slice 3**
-    (configurations 5-7 of Figure 1 make slice 3 unusable in that case), so
-    its mask covers slices 0-3.  Everything else occupies exactly
-    ``[start, start+size)``.
-    """
-    return MIG_GEOMETRY.occupied_mask(size, start)
-
-
-@dataclass(frozen=True, eq=False)
-class PlacedInstance(PlacedPartition):
-    """A MIG instance size pinned to a start slot (NVIDIA geometry)."""
-
-    geometry: PartitionGeometry = field(
-        default=MIG_GEOMETRY, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.size not in INSTANCE_SIZES:
-            raise ValueError(f"no MIG profile of size {self.size}")
-        if self.start not in legal_starts(self.size, extended=True):
-            raise ValueError(
-                f"size-{self.size} instance may not start at slot {self.start}"
-            )
-
-    @property
-    def profile(self) -> InstanceProfile:
-        return PROFILES[self.size]
-
-
-class MigLayout(PartitionLayout):
-    """A set of non-overlapping placed instances on one MIG-capable GPU.
-
-    The layout is the *shape* of a MIG partitioning; it knows nothing about
-    which service runs where (that is :class:`repro.gpu.gpu.GPU`'s job).
-    All legality logic lives in :class:`~repro.gpu.geometry.PartitionLayout`
-    parameterized by :data:`MIG_GEOMETRY`.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, instances: Iterable[PlacedInstance] = ()) -> None:
-        super().__init__(MIG_GEOMETRY, tuple(instances))
-
-
-def enumerate_configurations() -> list[MigLayout]:
-    """Regenerate the 19 legal A100 MIG configurations of Figure 1.
-
-    Enumerates every maximal layout under the canonical placement rules via
-    depth-first search over start slots, deduplicated by signature.  The
-    result is sorted largest-instance-first to match the paper's ordering
-    (config 1 = one size-7 instance ... config 19 = seven size-1 instances).
-    """
-    return [
-        MigLayout(
-            PlacedInstance(size=i.size, start=i.start)
-            for i in layout.instances
-        )
-        for layout in enumerate_layouts(MIG_GEOMETRY, extended=False)
-    ]

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpu.mig import INSTANCE_SIZES
-from repro.gpu.memory import instance_memory_gb
+from repro.gpu.geometry import PartitionGeometry
+from repro.gpu.mig import MIG_GEOMETRY
 from repro.models.zoo import ModelSpec
 
 #: Batch sizes the profiler sweeps (SIII-C: eight common sizes, 1..128).
@@ -81,31 +81,26 @@ class OperatingPoint:
 class PerfModel:
     """Evaluate the analytic model for one workload.
 
-    ``generation`` optionally selects a
-    :class:`~repro.gpu.generations.GPUGeneration` whose memory map replaces
-    the default A100-80GB one — compute behaviour is generation-invariant
-    in this model within the NVIDIA line (the paper's Discussion:
-    identical MIG configurations across Ampere/Hopper/Blackwell), only OOM
-    boundaries move.
-
-    ``geometry`` optionally retargets the model at another
-    :class:`~repro.gpu.geometry.PartitionGeometry` entirely (e.g. the
-    MI300X): instance sizes are then that geometry's slice counts, memory
-    capacities come from its memory map, and compute scales through its
-    ``gpc_equiv_per_slice`` (an XCD is worth ~1.4 A100 GPCs here), so one
-    analytic surface serves every backend.
+    ``geometry`` is the :class:`~repro.gpu.geometry.PartitionGeometry` the
+    model runs on (default: the A100-80GB :data:`MIG_GEOMETRY`): instance
+    sizes are its slice counts, memory capacities come from its memory
+    map, and compute scales through its ``gpc_equiv_per_slice`` (an XCD
+    is worth ~1.4 A100 GPCs here), so one analytic surface serves every
+    backend.  Another NVIDIA generation is
+    ``geometry_for_generation(name)``: compute is generation-invariant
+    within the NVIDIA line (the paper's Discussion: identical MIG
+    configurations across Ampere/Hopper/Blackwell), only OOM boundaries
+    move.
     """
 
     def __init__(
         self,
         spec: ModelSpec,
         contention: float = MPS_CONTENTION,
-        generation=None,
-        geometry=None,
+        geometry: PartitionGeometry = MIG_GEOMETRY,
     ):
         self.spec = spec
         self.contention = contention
-        self.generation = generation
         self.geometry = geometry
 
     # ------------------------------------------------------------------ #
@@ -134,18 +129,11 @@ class PerfModel:
 
     def fits(self, size: int, batch: int, procs: int) -> bool:
         """Whether the operating point avoids OOM on a size-``size`` instance."""
-        if self.geometry is not None:
-            capacity = self.geometry.instance_memory_gb(size)
-        elif self.generation is not None:
-            capacity = self.generation.instance_memory_gb(size)
-        else:
-            capacity = instance_memory_gb(size)
+        capacity = self.geometry.instance_memory_gb(size)
         return self.memory_gb(batch, procs) <= capacity
 
     def effective_gpcs(self, size: float) -> float:
         """``size`` slices of the active geometry in A100-GPC equivalents."""
-        if self.geometry is None:
-            return float(size)
         return self.geometry.gpc_equivalent(size)
 
     # ------------------------------------------------------------------ #
@@ -206,11 +194,7 @@ class PerfModel:
     ) -> list[OperatingPoint]:
         """Evaluate the full profiling grid, dropping OOM points by default."""
         if sizes is None:
-            sizes = (
-                self.geometry.instance_sizes
-                if self.geometry is not None
-                else INSTANCE_SIZES
-            )
+            sizes = self.geometry.instance_sizes
         points: list[OperatingPoint] = []
         for g in sizes:
             for b in batches:

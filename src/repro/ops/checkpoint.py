@@ -198,8 +198,9 @@ def read_record(
 
     Raises :class:`CheckpointError` on a missing file, a line that fails
     its checksum (a torn final line aside, which is dropped), a foreign
-    header or — with ``expect`` — any header field that differs from the
-    run about to resume (all of them named).
+    header or — with ``expect`` — any expected field the header lacks or
+    holds differently from the run about to resume (all of them named;
+    header fields the run does not expect are ignored).
     """
     target = Path(path)
     try:

@@ -17,7 +17,7 @@ state in place (O(touched GPUs) per event, see
 
 Two identity checks guard every run:
 
-- **state round-trip** (always on with ``check=True``): after each
+- **state round-trip** (every interval of every run): after each
   interval the placement must survive the allocator-state round trip
   and mirror the live allocator state and cluster exactly — the
   :class:`~repro.ops.verify.StateVerifier`, incremental on the fast
@@ -127,7 +127,6 @@ class _RunState:
     measure_s: float
     warmup_s: float
     sim_seed: int
-    check: bool
     #: controller-scheduled events (wave restores): (key, seq, event)
     pending: list[tuple[tuple[float, int, str], int, OpsEvent]] = field(
         default_factory=list
@@ -155,11 +154,7 @@ class FleetController:
         if profiles is None:
             from repro.profiler import profile_workloads
 
-            profiles = (
-                profile_workloads()
-                if geo.name == "mig"
-                else profile_workloads(geometry=geo)
-            )
+            profiles = profile_workloads(geometry=geo)
         self.profiles = profiles
         self.geometry = geo
         self.fast_path = fast_path
@@ -248,7 +243,6 @@ class FleetController:
         """
         self.manager = DeploymentManager(self.profiles, geometry=self.geometry)
         self.failover = FailoverController(
-            self.profiles,
             self.manager,
             optimize=self.scheduler.optimize,
             fast_path=self.fast_path,
@@ -272,7 +266,6 @@ class FleetController:
         measure_s: float = 0.0,
         warmup_s: float = 0.1,
         sim_seed: int = 0,
-        check: bool = True,
     ) -> OpsReport:
         """Open a run: fresh deployment state, an empty report, no steps.
 
@@ -339,7 +332,6 @@ class FleetController:
             measure_s=measure_s,
             warmup_s=warmup_s,
             sim_seed=sim_seed,
-            check=check,
         )
         return report
 
@@ -390,42 +382,38 @@ class FleetController:
                 f"t={run.last_t:g}; instants must be monotonically "
                 "non-decreasing"
             )
-        batch = sorted(events, key=timeline_key)
-        for e in batch:
-            if e.time_s > t:
-                raise OutOfOrderEventError(
-                    f"{e.kind} stamped time_s={e.time_s:g} cannot apply at "
-                    f"the earlier instant t={t:g}"
-                )
+        late = [e for e in events if e.time_s > t]
+        if late:
+            e = min(late, key=timeline_key)
+            raise OutOfOrderEventError(
+                f"{e.kind} stamped time_s={e.time_s:g} cannot apply at "
+                f"the earlier instant t={t:g}"
+            )
         if run.report.intervals:
             prev = run.report.intervals[-1]
             prev.duration_s = t - prev.time_s
         failures_before = len(run.report.failures)
         with self.obs.span(
             "interval", t_s=t, cat="interval", step=run.steps,
-            events=len(batch),
+            events=len(events),
         ) as interval_span:
             with self.obs.span("apply", t_s=t, cat="interval") as sp:
+                # the batch applies in timeline order
                 record = self._apply_batch(
-                    t, batch, run.work, run.by_id, run.report, run.pending
+                    t, sorted(events, key=timeline_key), run.work,
+                    run.by_id, run.report, run.pending,
                 )
                 sp.args["path"] = record.path
             stages = [sp]
             placement = self.manager.current
             # One rendering of the unchanged map serves the check and the
             # interval record.
-            lines: Optional[list[str]] = None
-            if run.check:
-                with self.obs.span("check", t_s=t, cat="interval") as sp:
-                    lines, counts = self.verifier.verify(run.work)
-                    sp.args.update(counts)
-                stages.append(sp)
+            with self.obs.span("check", t_s=t, cat="interval") as sp:
+                lines, counts = self.verifier.verify(run.work)
+                sp.args.update(counts)
+            stages.append(sp)
             with self.obs.span("fingerprint", t_s=t, cat="interval") as sp:
-                fp = (
-                    placement.fingerprint() if lines is None
-                    else "\n".join(lines)
-                )
-                record.fingerprint = _record_digest(fp)
+                record.fingerprint = _record_digest("\n".join(lines))
             stages.append(sp)
             if recorded is not None:
                 self._replayed(record, recorded)
@@ -439,16 +427,16 @@ class FleetController:
             with self.obs.span("report", t_s=t, cat="interval") as sp:
                 record.duration_s = run.horizon_s - t
                 run.report.intervals.append(record)
-            interval_span.args["path"] = record.path
+            new_failures = len(run.report.failures) - failures_before
+            # The interval span is the step's decision record (the flight
+            # ring keeps it): the path taken and what could not apply.
+            interval_span.args.update(
+                path=record.path, skipped=record.skipped,
+                failures=new_failures,
+            )
         stages.append(interval_span)
-        new_failures = len(run.report.failures) - failures_before
         if self.obs.enabled:
             self._step_log.append((record, new_failures, stages))
-        self.obs.note(
-            "decision", t_s=t, step=run.steps, path=record.path,
-            events=dict(record.events), skipped=record.skipped,
-            failures=new_failures,
-        )
         run.last_t = t
         run.steps += 1
         return record
@@ -530,7 +518,6 @@ class FleetController:
         measure_s: float = 0.0,
         warmup_s: float = 0.1,
         sim_seed: int = 0,
-        check: bool = True,
         *,
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str | Path] = None,
@@ -568,7 +555,7 @@ class FleetController:
         )
         params: dict[str, Any] = dict(
             horizon_s=horizon_s, measure_s=measure_s, warmup_s=warmup_s,
-            sim_seed=sim_seed, check=check,
+            sim_seed=sim_seed,
         )
         header = {
             "format": RECORD_FORMAT,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from repro.gpu.geometry import PartitionGeometry
+from repro.gpu.mig import MIG_GEOMETRY
 from repro.models.perf import (
     PROFILE_BATCH_SIZES,
     PROFILE_PROCESS_COUNTS,
@@ -44,32 +45,26 @@ class Profiler:
 
     ``noise`` is the relative amplitude of simulated measurement jitter
     (default 1%).  Zero gives the exact analytic surface, which the
-    calibration tests use.  ``geometry=None`` keeps the historical
-    MIG sweep (and its exact noise stream) bit-for-bit.
+    calibration tests use.  ``geometry`` defaults to the A100 MIG grid.
     """
 
     instance_sizes: Optional[tuple[int, ...]] = None
     batch_sizes: tuple[int, ...] = PROFILE_BATCH_SIZES
     process_counts: tuple[int, ...] = PROFILE_PROCESS_COUNTS
     noise: float = 0.01
-    geometry: Optional[PartitionGeometry] = None
+    geometry: PartitionGeometry = MIG_GEOMETRY
     _cache: dict[str, ProfileTable] = field(default_factory=dict)
 
     def _sizes(self) -> tuple[int, ...]:
         if self.instance_sizes is not None:
             return self.instance_sizes
-        if self.geometry is not None:
-            return self.geometry.instance_sizes
-        from repro.gpu.mig import INSTANCE_SIZES
-
-        return INSTANCE_SIZES
+        return self.geometry.instance_sizes
 
     def _perf(self, spec: ModelSpec) -> PerfModel:
         return PerfModel(spec, geometry=self.geometry)
 
     def _cache_key(self, spec: ModelSpec) -> str:
-        geo = self.geometry.name if self.geometry is not None else "mig"
-        return f"{geo}/{spec.name}"
+        return f"{self.geometry.name}/{spec.name}"
 
     def profile(self, spec: ModelSpec) -> ProfileTable:
         """Measure the full grid for one workload (cached)."""
@@ -128,12 +123,13 @@ class Profiler:
 def profile_workloads(
     names: Iterable[str] | None = None,
     noise: float = 0.01,
-    geometry: Optional[PartitionGeometry] = None,
+    geometry: PartitionGeometry = MIG_GEOMETRY,
 ) -> Mapping[str, ProfileTable]:
     """Profile a set of workloads (default: the full Table-IV zoo).
 
     ``geometry`` retargets the sweep (sizes + memory maps + compute scale)
-    at another partition geometry; omit it for the paper's A100 MIG grid.
+    at another partition geometry; the default is the paper's A100 MIG
+    grid.
     """
     profiler = Profiler(noise=noise, geometry=geometry)
     selected = list(names) if names is not None else sorted(WORKLOADS)

@@ -19,18 +19,18 @@ def deployed(profiles):
 
 
 class TestFailover:
-    def test_capacity_restored(self, profiles, deployed):
+    def test_capacity_restored(self, deployed):
         services, placement, manager = deployed
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         result = ctrl.fail_gpu(0, services)
         for svc in services:
             assert result.placement.total_capacity(svc.id) >= svc.request_rate * (
                 1 - 1e-9
             ), svc.id
 
-    def test_result_bookkeeping(self, profiles, deployed):
+    def test_result_bookkeeping(self, deployed):
         services, placement, manager = deployed
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         result = ctrl.fail_gpu(0, services)
         assert result.failed_gpu == 0
         assert result.affected_services
@@ -38,33 +38,33 @@ class TestFailover:
         assert result.reconfig_ops > 0
         result.placement.validate()
 
-    def test_untouched_services_keep_instances(self, profiles, deployed):
+    def test_untouched_services_keep_instances(self, deployed):
         services, placement, manager = deployed
         victims = {s.service_id for s in placement.gpus[0].segments}
         survivors = set(placement.service_ids()) - victims
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         result = ctrl.fail_gpu(0, services)
         for sid in survivors:
             assert result.cost.downtime_s.get(sid, 0.0) == 0.0, sid
 
-    def test_failing_empty_gpu_rejected(self, profiles, deployed):
+    def test_failing_empty_gpu_rejected(self, deployed):
         services, placement, manager = deployed
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         with pytest.raises(ValueError):
             ctrl.fail_gpu(99, services)
 
     def test_without_deployment_rejected(self, profiles):
-        ctrl = FailoverController(profiles, DeploymentManager(profiles))
+        ctrl = FailoverController(DeploymentManager(profiles))
         with pytest.raises(RuntimeError):
             ctrl.fail_gpu(0, [])
 
-    def test_hosted_service_missing_from_argument(self, profiles, deployed):
+    def test_hosted_service_missing_from_argument(self, deployed):
         """Regression: a hosted service absent from ``services`` used to
         surface as a bare KeyError deep inside allocation optimization;
         it must be a ValueError naming the missing service id.  The
         up-front guard covers the failed GPU's services."""
         services, placement, manager = deployed
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         victims = {seg.service_id for seg in placement.gpus[0].segments}
         dropped = [s for s in services if s.id in victims][-1]
         subset = [s for s in services if s.id != dropped.id]
@@ -73,14 +73,14 @@ class TestFailover:
 
     @pytest.mark.parametrize("fast_path", [True, False])
     def test_victim_service_missing_from_argument_is_named(
-        self, profiles, deployed, fast_path
+        self, deployed, fast_path
     ):
         """Every service on the failed GPU must be in ``services``: each
         missing one is named in one ValueError, before anything moves."""
         services, placement, manager = deployed
         victims = sorted({s.service_id for s in placement.gpus[0].segments})
         subset = [s for s in services if s.id not in victims[:2]]
-        ctrl = FailoverController(profiles, manager, fast_path=fast_path)
+        ctrl = FailoverController(manager, fast_path=fast_path)
         with pytest.raises(
             ValueError,
             match="deployment hosts services missing from the `services` "
@@ -90,15 +90,15 @@ class TestFailover:
         assert manager.current is placement
         assert not manager.retired_gpus
 
-    def test_restore_unknown_gpu_rejected(self, profiles, deployed):
+    def test_restore_unknown_gpu_rejected(self, deployed):
         services, placement, manager = deployed
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         with pytest.raises(ValueError):
             ctrl.restore_gpu(0)  # never failed
 
-    def test_restore_registers_spare(self, profiles, deployed):
+    def test_restore_registers_spare(self, deployed):
         services, placement, manager = deployed
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         ctrl.fail_gpu(0, services)
         assert ctrl.failed == {0: "mig"}
         assert ctrl.restore_gpu(0) == "mig"
@@ -108,11 +108,11 @@ class TestFailover:
         with pytest.raises(ValueError):
             ctrl.restore_gpu(0)
 
-    def test_restored_capacity_visible_to_next_replan(self, profiles, deployed):
+    def test_restored_capacity_visible_to_next_replan(self, deployed):
         """A restored GPU rejoins the free pool: the next re-plan drafts it
         (by its original id) before opening a fresh GPU."""
         services, placement, manager = deployed
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         ctrl.fail_gpu(0, services)
         ctrl.restore_gpu(0)
         grown = next(s for s in services if s.model == "mobilenetv2")
@@ -125,12 +125,12 @@ class TestFailover:
             g.gpu_id == 0 and not g.is_empty for g in new_placement.gpus
         )
 
-    def test_failed_gpu_id_reserved_until_restore(self, profiles, deployed):
+    def test_failed_gpu_id_reserved_until_restore(self, deployed):
         """Regression: growth after failing the highest-id GPU used to hand
         the dead device's id to a fresh GPU (`next_gpu_id = max + 1`), so
         a later restore collided with live capacity."""
         services, placement, manager = deployed
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         victim = max(g.gpu_id for g in manager.current.gpus if not g.is_empty)
         ctrl.fail_gpu(victim, services)
         grown = next(s for s in services if s.model == "mobilenetv2")
@@ -148,7 +148,7 @@ class TestFailover:
         services = scenario_services("S4")
         manager = DeploymentManager(profiles)
         manager.deploy(ParvaGPU(profiles).schedule(services))
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         r1 = ctrl.fail_gpu(manager.current.gpus[0].gpu_id, services)
         # GPU ids are preserved, so the failed id is gone; hit the next one.
         r2 = ctrl.fail_gpu(r1.placement.gpus[0].gpu_id, services)
@@ -168,7 +168,7 @@ class TestFailover:
         services = scenario_services("S3")
         manager = DeploymentManager(profiles)
         manager.deploy(ParvaGPU(profiles).schedule(services))
-        ctrl = FailoverController(profiles, manager)
+        ctrl = FailoverController(manager)
         rng = random.Random(0)
         held = []
         for _ in range(6):

@@ -6,12 +6,13 @@ from repro.gpu.amd import MI300X_GEOMETRY
 from repro.gpu.generations import geometry_for_generation
 from repro.gpu.geometry import (
     PartitionLayout,
+    PlacedPartition,
     available_geometries,
     default_geometry,
     get_geometry,
 )
 from repro.gpu.gpu import GPU, GPUError
-from repro.gpu.mig import MEMORY_GB, MIG_GEOMETRY, PlacedInstance
+from repro.gpu.mig import MEMORY_GB, MIG_GEOMETRY
 
 
 class TestRegistry:
@@ -63,8 +64,11 @@ class TestPlacedPartition:
         mig = MIG_GEOMETRY.place(4, 0)
         amd = MI300X_GEOMETRY.place(4, 0)
         assert mig != amd
-        assert mig == PlacedInstance(4, 0)  # MIG subclass interoperates
-        assert hash(mig) == hash(PlacedInstance(4, 0))
+        # the shared ``place`` instance equals a directly built one
+        direct = PlacedPartition(size=4, start=0, geometry=MIG_GEOMETRY)
+        assert mig is not direct
+        assert mig == direct
+        assert hash(mig) == hash(direct)
 
     def test_cross_geometry_layouts_reject_foreign_instances(self):
         layout = PartitionLayout(MIG_GEOMETRY)
@@ -73,7 +77,7 @@ class TestPlacedPartition:
 
     def test_memory_property(self):
         assert MI300X_GEOMETRY.place(1, 0).memory_gb == 24.0
-        assert PlacedInstance(1, 0).memory_gb == 10
+        assert MIG_GEOMETRY.place(1, 0).memory_gb == 10
 
 
 class TestGenerationGeometries:

@@ -1,37 +1,53 @@
-"""Unit tests for the framebuffer capacity model."""
+"""Unit tests for the framebuffer capacity model.
+
+Capacity is part of the :class:`~repro.gpu.geometry.PartitionGeometry`
+contract, so each rule is checked on every built-in geometry and every
+derived NVIDIA generation.
+"""
 
 import pytest
 
-from repro.gpu.memory import (
-    MemoryError_,
-    check_fits,
-    fits_in_memory,
-    instance_memory_gb,
+from repro.gpu.amd import MI300X_GEOMETRY
+from repro.gpu.generations import (
+    DEFAULT_GENERATION,
+    GENERATIONS,
+    geometry_for_generation,
 )
+from repro.gpu.mig import MIG_GEOMETRY
+
+#: the built-in geometries plus every derived NVIDIA generation (the
+#: default generation is MIG_GEOMETRY itself)
+GEOMETRIES = [MIG_GEOMETRY, MI300X_GEOMETRY] + [
+    geometry_for_generation(name)
+    for name in sorted(GENERATIONS)
+    if name != DEFAULT_GENERATION
+]
 
 
 def test_capacity_map():
-    assert instance_memory_gb(1) == 10
-    assert instance_memory_gb(3) == 40
-    assert instance_memory_gb(7) == 80
+    assert MIG_GEOMETRY.instance_memory_gb(1) == 10
+    assert MIG_GEOMETRY.instance_memory_gb(3) == 40
+    assert MIG_GEOMETRY.instance_memory_gb(7) == 80
 
 
 def test_unknown_size():
+    for geo in GEOMETRIES:
+        bad = max(geo.instance_sizes) + 1
+        with pytest.raises(ValueError, match=f"size {bad}"):
+            geo.instance_memory_gb(bad)
     with pytest.raises(ValueError):
-        instance_memory_gb(5)
+        MIG_GEOMETRY.instance_memory_gb(5)  # no 5-GPC MIG profile
 
 
 def test_fits_boundary():
-    assert fits_in_memory(10.0, 1)
-    assert not fits_in_memory(10.1, 1)
+    for geo in GEOMETRIES:
+        for size in geo.instance_sizes:
+            gb = geo.instance_memory_gb(size)
+            assert geo.fits_in_memory(gb, size), (geo.name, size)
+            assert not geo.fits_in_memory(gb + 0.1, size), (geo.name, size)
 
 
 def test_fits_negative_requirement():
-    with pytest.raises(ValueError):
-        fits_in_memory(-1.0, 1)
-
-
-def test_check_fits_raises():
-    with pytest.raises(MemoryError_):
-        check_fits(11.0, 1)
-    check_fits(9.0, 1)  # no raise
+    for geo in GEOMETRIES:
+        with pytest.raises(ValueError):
+            geo.fits_in_memory(-1.0, geo.instance_sizes[0])

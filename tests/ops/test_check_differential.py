@@ -153,9 +153,9 @@ Verdict = tuple[int, bool, bool, Optional[type], Optional[type]]
 def dual_checked(
     ctrl: FleetController, corrupt_at: int, kind: str, pick: int
 ) -> list[Verdict]:
-    """Check every step of ``ctrl``'s next run (which runs with
-    ``check=False``) with the full reference, then the fast-path verifier
-    under test, on the same state; the state is corrupted right before
+    """Check every step of ``ctrl``'s next run (after the controller's own
+    check) with the full reference, then the fast-path verifier under
+    test, on the same state; the state is corrupted right before
     the check of step ``corrupt_at``, and the first check that raises ends
     the run.  Returns the verdict log: ``(step, memo cold?, fast verifier
     ran the full reference?, reference exception class, fast verifier
@@ -215,7 +215,7 @@ def _steps_at_least(timeline) -> int:
 
 def _replay(ctrl, services, timeline, **kw):
     try:
-        ctrl.run(services, timeline, HORIZON_S, check=False, **kw)
+        ctrl.run(services, timeline, HORIZON_S, **kw)
     except Exception as exc:  # noqa: BLE001 - a raised check ends the run
         if exc is not getattr(ctrl, "raised_by_check", None):
             raise
@@ -274,7 +274,7 @@ def test_first_check_after_restore_matches_reference(
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.json"
         FleetController(PROFILES).run(
-            services, timeline, HORIZON_S, check=False,
+            services, timeline, HORIZON_S,
             checkpoint_path=path, max_steps=kill_at,
         )
         ctrl = FleetController(PROFILES)

@@ -210,6 +210,19 @@ class TestResumeValidation:
                 resume=checkpoint_path,
             )
 
+    def test_unexpected_header_field_is_ignored(
+        self, checkpoint_path, workload, reference
+    ):
+        """Only the fields this run expects are compared: a record whose
+        header still carries the retired ``check`` parameter resumes."""
+        lines = checkpoint_path.read_text().splitlines(keepends=True)
+        header = unseal(lines[0].rstrip("\n"))
+        assert "check" not in header
+        header["check"] = True
+        checkpoint_path.write_text(seal(header) + "\n" + "".join(lines[1:]))
+        resumed = full_run(workload, resume=checkpoint_path)
+        assert_reports_identical(resumed, reference)
+
     def test_services_mismatch_is_refused(self, checkpoint_path, workload):
         with pytest.raises(CheckpointError, match="services_sha"):
             controller().run(

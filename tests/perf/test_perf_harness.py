@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,31 @@ class TestRowSchema:
         assert len(row["digest"]) == 64
         assert (row["identical"] is None) == (case.reference is None)
         assert (row["reference_wall_s"] is None) == (case.reference is None)
+
+    def test_shared_reference_is_timed_once_per_repeat(self):
+        """Consecutive cases sharing one reference thunk (a resilience
+        tier's two rows) time it once per repeat and report one wall."""
+        calls = []
+
+        def run():
+            time.sleep(0.001)  # a row's wall must not round to zero
+            return _report(), {}
+
+        def reference():
+            calls.append(1)
+            return lambda: (_report(), {})
+
+        refs = harness.ReferenceRuns()
+        rows = [
+            harness.run_case(harness.Case(
+                "resilience", name, 2, "mig", run=lambda: run,
+                reference=reference, repeats=3,
+            ), refs)
+            for name in ("checkpoint", "kill-resume")
+        ]
+        assert len(calls) == 3
+        assert rows[0]["reference_wall_s"] == rows[1]["reference_wall_s"]
+        assert all(row["identical"] for row in rows)
 
     def test_digest_tracks_fingerprints(self):
         a = harness.run_case(_case(_report()))

@@ -109,7 +109,7 @@ def test_incremental_paths_fast_path_identity():
             fast_path=fast_path,
         )
         recovered = FailoverController(
-            PROFILES["mig"], manager, fast_path=fast_path
+            manager, fast_path=fast_path
         ).fail_gpu(manager.current.gpus[0].gpu_id, services)
         return updated.fingerprint(), recovered.placement.fingerprint()
 

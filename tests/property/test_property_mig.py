@@ -3,13 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpu.geometry import PartitionLayout
 from repro.gpu.gpu import GPU, GPUError
-from repro.gpu.mig import (
-    INSTANCE_SIZES,
-    MigLayout,
-    legal_starts,
-    occupied_mask,
-)
+from repro.gpu.mig import INSTANCE_SIZES, MIG_GEOMETRY
 from repro.gpu.slices import popcount
 
 placements = st.lists(
@@ -27,11 +23,11 @@ def test_gpu_accepts_only_legal_non_overlapping(ops):
     gpu = GPU(0)
     mask = 0
     for size, start in ops:
-        legal = start in legal_starts(size)
-        free = legal and not mask & occupied_mask(size, start)
+        legal = start in MIG_GEOMETRY.legal_starts(size)
+        free = legal and not mask & MIG_GEOMETRY.occupied_mask(size, start)
         if legal and free:
             gpu.create_instance(size, start)
-            mask |= occupied_mask(size, start)
+            mask |= MIG_GEOMETRY.occupied_mask(size, start)
         else:
             try:
                 gpu.create_instance(size, start)
@@ -63,10 +59,8 @@ def test_destroy_is_inverse_of_create(ops):
 @given(placements)
 @settings(max_examples=50)
 def test_layout_used_gpcs_never_exceeds_unblocked(ops):
-    layout = MigLayout()
+    layout = PartitionLayout(MIG_GEOMETRY)
     for size, start in ops:
         if layout.can_add(size, start):
-            from repro.gpu.mig import PlacedInstance
-
-            layout.add(PlacedInstance(size, start))
+            layout.add(MIG_GEOMETRY.place(size, start))
     assert layout.used_gpcs <= popcount(layout.mask) <= 7
