@@ -260,27 +260,33 @@ def run_case(case: Case, refs: Optional[ReferenceRuns] = None) -> dict:
         if case.reference is not None:
             refs.ensure(case.reference, i)
     label = f"{case.suite}/{case.case} n={case.tier} {case.geometry}"
+    ref_wall = None
     if case.reference is not None:
         compare(label, got, refs.result)
+        ref_wall = min(refs.walls[:case.repeats])
     row = {
         "suite": case.suite,
         "case": case.case,
         "tier": case.tier,
         "geometry": case.geometry,
         "wall_s": round(wall, 6),
-        "reference_wall_s": (
-            None if case.reference is None
-            else round(min(refs.walls[:case.repeats]), 6)
-        ),
+        "reference_wall_s": None if ref_wall is None else round(ref_wall, 6),
         "identical": None if case.reference is None else True,
         "digest": digest(got),
         "counts": dict(sorted(counts.items())),
     }
-    print(_describe(row))
+    # the speedup from the unrounded walls; none beside a wall shown as 0
+    speedup = (
+        f"{ref_wall / wall:.2f}x" if ref_wall is not None and row["wall_s"]
+        else "n/a"
+    )
+    print(_describe(row, speedup))
     return row
 
 
-def _describe(row: dict) -> str:
+def _describe(row: dict, speedup: str) -> str:
+    """The row as one line; ``speedup`` is the reference wall over the
+    row's, printed beside the reference wall."""
     line = (
         f"  {row['case']:<13} n={row['tier']:<6} {row['geometry']:<6} "
         f"{row['wall_s'] * 1e3:10.1f} ms"
@@ -288,7 +294,7 @@ def _describe(row: dict) -> str:
     if row["reference_wall_s"] is not None:
         line += (
             f"  ref {row['reference_wall_s'] * 1e3:10.1f} ms "
-            f"({row['reference_wall_s'] / row['wall_s']:.2f}x)  identical"
+            f"({speedup})  identical"
         )
     return line + f"  {row['digest'][:12]}"
 

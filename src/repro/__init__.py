@@ -30,55 +30,101 @@ Retarget the same pipeline at an MI300X fleet::
     placement = ParvaGPU(
         profile_workloads(geometry=amd), geometry=amd
     ).schedule(services)
+
+Importing ``repro`` loads no subsystem: every name below is imported
+from its defining module on first access, so ``import repro.<module>``
+costs only what that module needs.
 """
 
-from repro.core import (
-    DeploymentManager,
-    GeometryPool,
-    HeterogeneousParvaGPU,
-    ParvaGPU,
-    Placement,
-    Prediction,
-    Predictor,
-    Segment,
-    SegmentAllocator,
-    SegmentConfigurator,
-    Service,
-)
-from repro.baselines import (
-    Gpulet,
-    IGniter,
-    InfeasibleScheduleError,
-    MigServing,
-    all_frameworks,
-    make_framework,
-)
-from repro.gpu import (
-    GPU,
-    Cluster,
-    MI300X_GEOMETRY,
-    MIG_GEOMETRY,
-    PartitionGeometry,
-    available_geometries,
-    get_geometry,
-)
-from repro.metrics import external_fragmentation, internal_slack
-from repro.ops import (
-    FleetController,
-    OpsReport,
-    merge_timeline,
-    run_identity_checked,
-)
-from repro.profiler import ProfileTable, Profiler, profile_workloads
-from repro.scenarios import (
-    get_scenario,
-    ops_run,
-    scaled_scenario,
-    scenario_services,
-)
-from repro.sim import simulate_placement, simulate_placement_fast
+from typing import TYPE_CHECKING
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.baselines.base import InfeasibleScheduleError
+    from repro.baselines.gpulet import Gpulet
+    from repro.baselines.igniter import IGniter
+    from repro.baselines.mig_serving import MigServing
+    from repro.baselines.variants import all_frameworks, make_framework
+    from repro.core.allocator import SegmentAllocator
+    from repro.core.configurator import SegmentConfigurator
+    from repro.core.deployment import DeploymentManager
+    from repro.core.hetero import GeometryPool, HeterogeneousParvaGPU
+    from repro.core.parvagpu import ParvaGPU
+    from repro.core.placement import Placement
+    from repro.core.predictor import Prediction, Predictor
+    from repro.core.segments import Segment
+    from repro.core.service import Service
+    from repro.gpu.amd import MI300X_GEOMETRY
+    from repro.gpu.cluster import Cluster
+    from repro.gpu.geometry import (
+        PartitionGeometry,
+        available_geometries,
+        get_geometry,
+    )
+    from repro.gpu.gpu import GPU
+    from repro.gpu.mig import MIG_GEOMETRY
+    from repro.metrics.fragmentation import external_fragmentation
+    from repro.metrics.slack import internal_slack
+    from repro.ops.controller import FleetController, run_identity_checked
+    from repro.ops.events import merge_timeline
+    from repro.ops.report import OpsReport
+    from repro.profiler.profiler import Profiler, profile_workloads
+    from repro.profiler.table import ProfileTable
+    from repro.scenarios.ops import ops_run
+    from repro.scenarios.registry import get_scenario, scenario_services
+    from repro.scenarios.scaling import scaled_scenario
+    from repro.sim.fastpath import simulate_placement_fast
+    from repro.sim.runner import simulate_placement
 
 __version__ = "1.0.0"
+
+#: Every public name, by defining module: importing ``repro`` loads none
+#: of them, so a run pays only for the subsystems it touches (see
+#: "Imports" in docs/architecture.md).
+_LAZY: _lazy.LazyTable = {
+    "repro.baselines.base": ("InfeasibleScheduleError",),
+    "repro.baselines.gpulet": ("Gpulet",),
+    "repro.baselines.igniter": ("IGniter",),
+    "repro.baselines.mig_serving": ("MigServing",),
+    "repro.baselines.variants": ("all_frameworks", "make_framework"),
+    "repro.core.allocator": ("SegmentAllocator",),
+    "repro.core.configurator": ("SegmentConfigurator",),
+    "repro.core.deployment": ("DeploymentManager",),
+    "repro.core.hetero": ("GeometryPool", "HeterogeneousParvaGPU"),
+    "repro.core.parvagpu": ("ParvaGPU",),
+    "repro.core.placement": ("Placement",),
+    "repro.core.predictor": ("Prediction", "Predictor"),
+    "repro.core.segments": ("Segment",),
+    "repro.core.service": ("Service",),
+    "repro.gpu.amd": ("MI300X_GEOMETRY",),
+    "repro.gpu.cluster": ("Cluster",),
+    "repro.gpu.geometry": (
+        "PartitionGeometry", "available_geometries", "get_geometry",
+    ),
+    "repro.gpu.gpu": ("GPU",),
+    "repro.gpu.mig": ("MIG_GEOMETRY",),
+    "repro.metrics.fragmentation": ("external_fragmentation",),
+    "repro.metrics.slack": ("internal_slack",),
+    "repro.ops.controller": ("FleetController", "run_identity_checked"),
+    "repro.ops.events": ("merge_timeline",),
+    "repro.ops.report": ("OpsReport",),
+    "repro.profiler.profiler": ("Profiler", "profile_workloads"),
+    "repro.profiler.table": ("ProfileTable",),
+    "repro.scenarios.ops": ("ops_run",),
+    "repro.scenarios.registry": ("get_scenario", "scenario_services"),
+    "repro.scenarios.scaling": ("scaled_scenario",),
+    "repro.sim.fastpath": ("simulate_placement_fast",),
+    "repro.sim.runner": ("simulate_placement",),
+}
+
+
+def __getattr__(name: str) -> object:
+    return _lazy.load(__name__, globals(), _LAZY, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(globals(), _LAZY)
 
 __all__ = [
     "DeploymentManager",

@@ -31,6 +31,10 @@ paper's A100 fleet, default), any other registered geometry name (e.g.
 ``mi300x``), or ``mixed`` for a heterogeneous A100+MI300X cluster.
 Non-MIG geometries are ParvaGPU-only — the baselines are tied to
 NVIDIA-specific mechanisms (MPS percentages, MIG configurations).
+
+Each subcommand imports what it runs inside its handler, so ``--help``,
+``ops`` and ``serve`` never load the experiments, the baselines or the
+evaluation metrics.
 """
 
 from __future__ import annotations
@@ -38,17 +42,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.baselines import InfeasibleScheduleError, make_framework
-from repro.core.hetero import make_mixed_scheduler
-from repro.core.parvagpu import ParvaGPU
-from repro.core.service import InfeasibleServiceError
-from repro.experiments import EXPERIMENTS, run_experiment
 from repro.gpu.geometry import available_geometries, get_geometry
-from repro.gpu.mig import MIG_GEOMETRY
-from repro.metrics import external_fragmentation, internal_slack
-from repro.profiler import profile_workloads
-from repro.scenarios import scenario_services
-from repro.sim import simulate_placement
 
 #: Geometry names whose fleets mix MIG A100s and MI300Xs.
 MIXED_GEOMETRY = "mixed"
@@ -58,6 +52,10 @@ _PARVAGPU_FAMILY = ("parvagpu", "parvagpu-single", "parvagpu-unoptimized")
 
 def _make_scheduler(framework: str, geometry: str):
     """Build a scheduler for a framework + geometry choice."""
+    from repro.core.parvagpu import ParvaGPU
+    from repro.gpu.mig import MIG_GEOMETRY
+    from repro.profiler import profile_workloads
+
     key = framework.strip().lower()
     if geometry == MIXED_GEOMETRY:
         if key != "parvagpu":
@@ -65,6 +63,8 @@ def _make_scheduler(framework: str, geometry: str):
                 "mixed-geometry clusters are scheduled by the heterogeneous "
                 "ParvaGPU pipeline; use --framework parvagpu"
             )
+        from repro.core.hetero import make_mixed_scheduler
+
         return make_mixed_scheduler()
     geo = get_geometry(geometry)
     if key not in _PARVAGPU_FAMILY and geo is not MIG_GEOMETRY:
@@ -74,6 +74,8 @@ def _make_scheduler(framework: str, geometry: str):
         )
     profiles = profile_workloads(geometry=geo)
     if key not in _PARVAGPU_FAMILY:
+        from repro.baselines import make_framework
+
         return make_framework(framework, profiles)
     return ParvaGPU(
         profiles,
@@ -92,6 +94,8 @@ def _unquote(exc: BaseException) -> str:
 
 def _schedule(args: argparse.Namespace):
     """Shared schedule step; returns (services, placement) or exits."""
+    from repro.scenarios import scenario_services
+
     services = scenario_services(args.scenario)
     fw = _make_scheduler(args.framework, args.geometry)
     placement = fw.schedule(services)
@@ -99,6 +103,10 @@ def _schedule(args: argparse.Namespace):
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    from repro.baselines import InfeasibleScheduleError
+    from repro.core.service import InfeasibleServiceError
+    from repro.metrics import external_fragmentation, internal_slack
+
     try:
         _, placement = _schedule(args)
     except (InfeasibleScheduleError, InfeasibleServiceError) as exc:
@@ -129,9 +137,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS, run_experiment
     from repro.experiments.charts import render_bar_chart, render_series
 
-    for experiment_id in args.ids:
+    for experiment_id in args.ids or EXPERIMENTS:
         result = run_experiment(experiment_id)
         if args.chart:
             render = (
@@ -147,6 +156,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.profiler import profile_workloads
+
     try:
         if args.geometry == MIXED_GEOMETRY:
             raise ValueError(
@@ -169,6 +180,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.baselines import InfeasibleScheduleError
+    from repro.core.service import InfeasibleServiceError
+    from repro.sim import simulate_placement
+
     try:
         services, placement = _schedule(args)
         report = simulate_placement(
@@ -267,7 +282,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         MonotonicClock,
         ScriptedDriver,
         ServeGateway,
-        StatusServer,
         VirtualClock,
         journal_segments,
         read_journal,
@@ -324,6 +338,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def session():
         server = None
         if not args.no_status and not virtual:
+            from repro.serve.status import StatusServer
+
             server = StatusServer(gateway, port=args.port)
             await server.start()
             print(
@@ -561,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("experiment", help="regenerate paper tables/figures")
-    p.add_argument("ids", nargs="*", default=list(EXPERIMENTS))
+    p.add_argument("ids", nargs="*",
+                   help="experiment ids (default: every experiment)")
     p.add_argument("--chart", action="store_true",
                    help="render as terminal bars/series instead of a table")
     p.set_defaults(func=_cmd_experiment)

@@ -16,8 +16,14 @@
 - :mod:`repro.core.hetero`       -- ParvaGPU over heterogeneous clusters
   mixing partition geometries (A100 MIG + MI300X XCD).
 - :mod:`repro.core.predictor`    -- the SIV-D predictor (no physical GPUs).
+
+The control plane never runs the last two, so their names are imported
+on first access.
 """
 
+from typing import TYPE_CHECKING
+
+from repro import _lazy
 from repro.core.service import Service, InfeasibleServiceError
 from repro.core.segments import Segment
 from repro.core.placement import GPUPlan, Placement, PlacedSegment
@@ -25,9 +31,17 @@ from repro.core.configurator import SegmentConfigurator
 from repro.core.allocator import SegmentAllocator, OPTIMIZATION_GPC_THRESHOLD
 from repro.core.slotindex import SlotIndex
 from repro.core.parvagpu import ParvaGPU
-from repro.core.hetero import GeometryPool, HeterogeneousParvaGPU
 from repro.core.deployment import DeploymentManager
-from repro.core.predictor import Prediction, Predictor
+
+if TYPE_CHECKING:
+    from repro.core.hetero import GeometryPool, HeterogeneousParvaGPU
+    from repro.core.predictor import Prediction, Predictor
+
+#: Re-exports no control-plane run uses, imported on first access.
+_LAZY: _lazy.LazyTable = {
+    "repro.core.hetero": ("GeometryPool", "HeterogeneousParvaGPU"),
+    "repro.core.predictor": ("Prediction", "Predictor"),
+}
 
 __all__ = [
     "GeometryPool",
@@ -47,3 +61,11 @@ __all__ = [
     "Prediction",
     "Predictor",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return _lazy.load(__name__, globals(), _LAZY, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(globals(), _LAZY)

@@ -10,9 +10,13 @@ package replaces that hardware layer with a calibrated analytic model:
   against the InceptionV3 anchor measurements quoted in SIII-B.
 - :mod:`repro.models.interference` -- cross-workload slowdowns for
   *heterogeneous* MPS sharing (used only by the gpulet/iGniter baselines;
-  ParvaGPU's homogeneous segments avoid it by construction).
+  ParvaGPU's homogeneous segments avoid it by construction), so its
+  names are imported on first access.
 """
 
+from typing import TYPE_CHECKING
+
+from repro import _lazy
 from repro.models.zoo import ModelSpec, WORKLOADS, get_model, model_names
 from repro.models.perf import (
     MAX_BATCH,
@@ -21,7 +25,14 @@ from repro.models.perf import (
     PROFILE_BATCH_SIZES,
     PROFILE_PROCESS_COUNTS,
 )
-from repro.models.interference import InterferenceModel, InterferenceOracle
+
+if TYPE_CHECKING:
+    from repro.models.interference import InterferenceModel, InterferenceOracle
+
+#: Only the MPS-sharing baselines use the interference model.
+_LAZY: _lazy.LazyTable = {
+    "repro.models.interference": ("InterferenceModel", "InterferenceOracle"),
+}
 
 __all__ = [
     "ModelSpec",
@@ -36,3 +47,11 @@ __all__ = [
     "InterferenceModel",
     "InterferenceOracle",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return _lazy.load(__name__, globals(), _LAZY, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(globals(), _LAZY)

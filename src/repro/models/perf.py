@@ -140,14 +140,20 @@ class PerfModel:
     # the model
     # ------------------------------------------------------------------ #
 
-    def latency_ms(self, gpcs: float, batch: int, procs: int) -> float:
-        """Per-batch latency with ``procs`` homogeneous MPS processes."""
+    def _compute_and_latency(
+        self, gpcs: float, batch: int, procs: int
+    ) -> tuple[float, float]:
+        """``(C, L)``: one batch's SM compute time and its latency."""
         if procs < 1:
             raise ValueError("process count must be >= 1")
         c = self.compute_ms(gpcs, batch)
         o = self.overhead_ms(batch)
         base = max(procs * c, c + o)
-        return base * (1.0 + self.contention * (procs - 1))
+        return c, base * (1.0 + self.contention * (procs - 1))
+
+    def latency_ms(self, gpcs: float, batch: int, procs: int) -> float:
+        """Per-batch latency with ``procs`` homogeneous MPS processes."""
+        return self._compute_and_latency(gpcs, batch, procs)[1]
 
     def throughput(self, gpcs: float, batch: int, procs: int) -> float:
         """Aggregate requests/s of the segment."""
@@ -159,26 +165,28 @@ class PerfModel:
         The SMs are busy for ``procs * C`` out of every ``L`` milliseconds
         (each process contributes one compute phase per batch period).
         """
-        c = self.compute_ms(gpcs, batch)
-        lat = self.latency_ms(gpcs, batch, procs)
+        c, lat = self._compute_and_latency(gpcs, batch, procs)
         return min(1.0, procs * c / lat)
 
     def evaluate(self, size: float, batch: int, procs: int) -> OperatingPoint:
         """Full :class:`OperatingPoint` for an instance size (or fraction).
 
         ``instance_size`` is recorded in the active geometry's own slices;
-        latency/throughput are computed on the GPC-equivalent compute.
+        latency/throughput are computed on the GPC-equivalent compute, in
+        one pass with :meth:`throughput` and :meth:`sm_activity`'s
+        expressions.
         """
-        gpcs = self.effective_gpcs(size)
+        c, lat = self._compute_and_latency(self.effective_gpcs(size), batch,
+                                           procs)
         return OperatingPoint(
             model=self.spec.name,
             instance_size=size,
             batch_size=batch,
             num_processes=procs,
-            latency_ms=self.latency_ms(gpcs, batch, procs),
-            throughput=self.throughput(gpcs, batch, procs),
+            latency_ms=lat,
+            throughput=1000.0 * procs * batch / lat,
             memory_gb=self.memory_gb(batch, procs),
-            sm_activity=self.sm_activity(gpcs, batch, procs),
+            sm_activity=min(1.0, procs * c / lat),
         )
 
     # ------------------------------------------------------------------ #

@@ -14,7 +14,8 @@ never perturbs the identity contract*:
 - :mod:`repro.obs.flight` — a bounded ring of recent spans and
   decisions, dumped automatically when a run record fails (a write
   error or a ``CheckpointError`` on resume) or on safe-mode entry;
-- :mod:`repro.obs.prometheus` — the ``GET /metrics`` text exposition;
+- :mod:`repro.obs.prometheus` — the ``GET /metrics`` text exposition
+  (imported on first access: only the status endpoint renders it);
 - :mod:`repro.obs.wallclock` — the package's only wall-clock read
   (D002-allowlisted); everywhere else time is a scenario instant or a
   caller-observed duration.
@@ -23,9 +24,11 @@ The two-track clock rule, in one line: *scenario instants are
 identity, wall durations are sidecars* — see ``docs/observability.md``.
 """
 
+from typing import TYPE_CHECKING
+
+from repro import _lazy
 from repro.obs.flight import FlightRecorder
 from repro.obs.hub import ObsHub
-from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -35,6 +38,14 @@ from repro.obs.registry import (
     fields_doc,
 )
 from repro.obs.trace import Span, Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
+
+#: Only the status endpoint renders the exposition.
+_LAZY: _lazy.LazyTable = {
+    "repro.obs.prometheus": ("PROMETHEUS_CONTENT_TYPE", "render_prometheus"),
+}
 
 __all__ = [
     "ObsHub",
@@ -50,3 +61,11 @@ __all__ = [
     "render_prometheus",
     "PROMETHEUS_CONTENT_TYPE",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return _lazy.load(__name__, globals(), _LAZY, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(globals(), _LAZY)

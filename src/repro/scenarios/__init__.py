@@ -6,7 +6,9 @@ fleet-operations runs S12-S14.
 *all* registered scenario tables (S1-S6 from Table IV, S7/S8 from
 :mod:`repro.scenarios.extended`, S9-S11 from
 :mod:`repro.scenarios.fleet`, S12-S14 from :mod:`repro.scenarios.ops`)
-via :mod:`repro.scenarios.registry`.
+via :mod:`repro.scenarios.registry`.  Every table but Table IV is a
+:class:`~repro.scenarios.table4.ScenarioTable`: a scenario's loads are
+drawn when it is first resolved, not at import.
 """
 
 from repro.scenarios.registry import (

@@ -22,7 +22,7 @@ mixed fleets, so they serve as the work-loads for the
 
 from __future__ import annotations
 
-from repro.scenarios.table4 import Scenario, WorkloadLoad
+from repro.scenarios.table4 import Scenario, ScenarioTable, WorkloadLoad
 
 
 def _scenario(
@@ -34,8 +34,8 @@ def _scenario(
     return Scenario(name=name, description=description, loads=loads)
 
 
-EXTENDED_SCENARIOS: dict[str, Scenario] = {
-    "S7": _scenario(
+EXTENDED_SCENARIOS = ScenarioTable({
+    "S7": lambda: _scenario(
         "S7",
         "Memory-heavy batching: big-footprint models, relaxed SLOs, high rates",
         {
@@ -48,7 +48,7 @@ EXTENDED_SCENARIOS: dict[str, Scenario] = {
             "inceptionv3": (1200.0, 900.0),
         },
     ),
-    "S8": _scenario(
+    "S8": lambda: _scenario(
         "S8",
         "Latency-critical interactive: lightweight models, tight SLOs",
         {
@@ -60,6 +60,6 @@ EXTENDED_SCENARIOS: dict[str, Scenario] = {
             "densenet-169": (600.0, 105.0),
         },
     ),
-}
+})
 
 EXTENDED_SCENARIO_NAMES: tuple[str, ...] = tuple(EXTENDED_SCENARIOS)

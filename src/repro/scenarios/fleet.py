@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from repro.core.service import Service
 from repro.scenarios.table4 import SCENARIOS as TABLE4_SCENARIOS
-from repro.scenarios.table4 import Scenario, WorkloadLoad
+from repro.scenarios.table4 import Scenario, ScenarioTable, WorkloadLoad
 from repro.sim.traces import RateTrace, diurnal_trace
 
 #: Service counts the perf harness sweeps (S9 is the middle tier).
@@ -153,9 +153,10 @@ def fleet_traces(
     ]
 
 
-#: The registered fleet scenarios (picked up by the scenario registry).
-FLEET_SCENARIOS: dict[str, Scenario] = {
-    "S9": Scenario(
+#: The registered fleet scenarios (picked up by the scenario registry),
+#: each drawn when first resolved.
+FLEET_SCENARIOS = ScenarioTable({
+    "S9": lambda: Scenario(
         name="S9",
         description=(
             f"Fleet-scale sweep anchor: {S9_FLEET_SIZE} synthetic services "
@@ -163,7 +164,7 @@ FLEET_SCENARIOS: dict[str, Scenario] = {
         ),
         loads=fleet_loads(S9_FLEET_SIZE),
     ),
-    "S10": Scenario(
+    "S10": lambda: Scenario(
         name="S10",
         description=(
             f"Fleet-scale diurnal autoscaling: {S10_FLEET_SIZE} synthetic "
@@ -172,7 +173,7 @@ FLEET_SCENARIOS: dict[str, Scenario] = {
         ),
         loads=fleet_loads(S10_FLEET_SIZE),
     ),
-    "S11": Scenario(
+    "S11": lambda: Scenario(
         name="S11",
         description=(
             f"Million-request replay: the S9 fleet at {S11_RATE_SCALE}x "
@@ -181,6 +182,6 @@ FLEET_SCENARIOS: dict[str, Scenario] = {
         ),
         loads=fleet_loads(S11_FLEET_SIZE, rate_scale=S11_RATE_SCALE),
     ),
-}
+})
 
 FLEET_SCENARIO_NAMES: tuple[str, ...] = tuple(FLEET_SCENARIOS)

@@ -31,7 +31,7 @@ from repro.ops.chaos import (
 )
 from repro.ops.events import OpsEvent, merge_timeline
 from repro.scenarios.fleet import fleet_loads, fleet_traces
-from repro.scenarios.table4 import Scenario
+from repro.scenarios.table4 import Scenario, ScenarioTable
 
 #: Default deterministic seed for every ops scenario and bench run.
 OPS_SEED = 20240802
@@ -328,9 +328,10 @@ def bench_ops_run(num_services: int, seed: int = OPS_SEED) -> OpsRun:
     )
 
 
-#: The registered base fleets (picked up by the scenario registry).
-OPS_SCENARIOS: dict[str, Scenario] = {
-    "S12": Scenario(
+#: The registered base fleets (picked up by the scenario registry), each
+#: drawn when first resolved.
+OPS_SCENARIOS = ScenarioTable({
+    "S12": lambda: Scenario(
         name="S12",
         description=(
             f"Tenant-churn fleet: {S12_FLEET_SIZE} base services with "
@@ -340,7 +341,7 @@ OPS_SCENARIOS: dict[str, Scenario] = {
         ),
         loads=fleet_loads(S12_FLEET_SIZE, seed=OPS_SEED),
     ),
-    "S13": Scenario(
+    "S13": lambda: Scenario(
         name="S13",
         description=(
             f"Chaos week: {S13_FLEET_SIZE} services on diurnal traces "
@@ -349,7 +350,7 @@ OPS_SCENARIOS: dict[str, Scenario] = {
         ),
         loads=fleet_loads(S13_FLEET_SIZE, seed=OPS_SEED),
     ),
-    "S14": Scenario(
+    "S14": lambda: Scenario(
         name="S14",
         description=(
             f"Spot fleet with recovery: {S14_FLEET_SIZE} services riding "
@@ -358,7 +359,7 @@ OPS_SCENARIOS: dict[str, Scenario] = {
         ),
         loads=fleet_loads(S14_FLEET_SIZE, seed=OPS_SEED),
     ),
-    "S15": Scenario(
+    "S15": lambda: Scenario(
         name="S15",
         description=(
             f"10k-service chaos week: {S15_FLEET_SIZE} services through "
@@ -368,7 +369,7 @@ OPS_SCENARIOS: dict[str, Scenario] = {
         ),
         loads=fleet_loads(S15_FLEET_SIZE, seed=OPS_SEED),
     ),
-    "S16": Scenario(
+    "S16": lambda: Scenario(
         name="S16",
         description=(
             f"Live flash-crowd session: {S16_FLEET_SIZE} services through "
@@ -379,6 +380,6 @@ OPS_SCENARIOS: dict[str, Scenario] = {
         ),
         loads=fleet_loads(S16_FLEET_SIZE, seed=OPS_SEED),
     ),
-}
+})
 
 OPS_SCENARIO_NAMES: tuple[str, ...] = tuple(OPS_SCENARIOS)

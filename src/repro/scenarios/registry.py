@@ -8,19 +8,24 @@ new scenario tables register once and are visible everywhere.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.service import Service
 from repro.scenarios.extended import EXTENDED_SCENARIOS
 from repro.scenarios.fleet import FLEET_SCENARIOS
 from repro.scenarios.ops import OPS_SCENARIOS
-from repro.scenarios.table4 import SCENARIOS as TABLE4_SCENARIOS, Scenario
+from repro.scenarios.table4 import SCENARIOS as TABLE4_SCENARIOS
+from repro.scenarios.table4 import Scenario, ScenarioTable
 
-#: Every registered scenario, Table-IV columns first.
-SCENARIOS: dict[str, Scenario] = {
-    **TABLE4_SCENARIOS,
-    **EXTENDED_SCENARIOS,
-    **FLEET_SCENARIOS,
-    **OPS_SCENARIOS,
-}
+#: Every registered scenario, Table-IV columns first; a scenario is
+#: built the first time it is resolved, by whichever table holds it.
+SCENARIOS = ScenarioTable({
+    name: partial(table.__getitem__, name)
+    for table in (
+        TABLE4_SCENARIOS, EXTENDED_SCENARIOS, FLEET_SCENARIOS, OPS_SCENARIOS,
+    )
+    for name in table
+})
 
 SCENARIO_NAMES: tuple[str, ...] = tuple(SCENARIOS)
 

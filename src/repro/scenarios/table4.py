@@ -9,7 +9,7 @@ computational power (tight SLOs or very high rates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from repro.core.service import Service
 from repro.models.zoo import TABLE_IV_ORDER
@@ -45,6 +45,35 @@ class Scenario:
             if l.model == model:
                 return l
         return None
+
+
+class ScenarioTable(Mapping[str, Scenario]):
+    """Scenarios by name, each built the first time it is looked up.
+
+    A synthetic fleet draws hundreds to thousands of loads, so a table
+    holds one builder per scenario instead of the scenario: importing a
+    table costs nothing, and a process pays only for the scenarios it
+    resolves.  Every lookup of a name returns the same object.
+    """
+
+    def __init__(self, builders: Mapping[str, Callable[[], Scenario]]):
+        self._builders = dict(builders)
+        self._built: dict[str, Scenario] = {}
+
+    def __getitem__(self, name: str) -> Scenario:
+        scenario = self._built.get(name)
+        if scenario is None:
+            scenario = self._built[name] = self._builders[name]()
+        return scenario
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._builders
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
 
 
 def _scenario(

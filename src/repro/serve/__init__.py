@@ -25,7 +25,8 @@ the :class:`~repro.ops.report.OpsReport` while it grows:
 - :mod:`repro.serve.gateway` — the
   :class:`~repro.serve.gateway.ServeGateway` control loop, its deadline
   scheduler, and the replay-identity helpers;
-- :mod:`repro.serve.status` — the local HTTP status surface;
+- :mod:`repro.serve.status` — the local HTTP status surface (imported
+  on first access: only a live ``parvagpu serve`` starts it);
 - :mod:`repro.serve.driver` — scripted drivers for steering live
   sessions (the S16 flash-crowd demo).
 
@@ -35,6 +36,9 @@ bit-identical to ``FleetController.run`` on the same timeline —
 property suite fuzzes it, and CI runs it fatally on an S12 slice.
 """
 
+from typing import TYPE_CHECKING
+
+from repro import _lazy
 from repro.serve.clock import Clock, VirtualClock
 from repro.serve.driver import ScriptedDriver
 from repro.serve.gateway import (
@@ -64,7 +68,12 @@ from repro.serve.sources import (
     stream_source,
     timeline_source,
 )
-from repro.serve.status import StatusServer
+
+if TYPE_CHECKING:
+    from repro.serve.status import StatusServer
+
+#: The HTTP status surface is started only by ``parvagpu serve``.
+_LAZY: _lazy.LazyTable = {"repro.serve.status": ("StatusServer",)}
 
 __all__ = [
     "Clock",
@@ -94,3 +103,11 @@ __all__ = [
     "read_journal",
     "replay_journal",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return _lazy.load(__name__, globals(), _LAZY, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(globals(), _LAZY)

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.gpu.mig import INSTANCE_SIZES
+from repro.gpu.amd import MI300X_GEOMETRY
+from repro.gpu.mig import INSTANCE_SIZES, MIG_GEOMETRY
 from repro.models.perf import (
     MAX_BATCH,
     PROFILE_BATCH_SIZES,
     PROFILE_PROCESS_COUNTS,
     PerfModel,
 )
-from repro.models.zoo import get_model
+from repro.models.zoo import get_model, model_names
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,33 @@ class TestOperatingPoint:
             1000.0 * 2 * 16 / pt.latency_ms
         )
         assert pt.throughput_per_gpc == pytest.approx(pt.throughput / 2)
+
+    @pytest.mark.parametrize(
+        "geometry", [MIG_GEOMETRY, MI300X_GEOMETRY], ids=lambda g: g.name
+    )
+    def test_evaluate_equals_the_separate_methods(self, geometry):
+        """``evaluate`` computes in one pass what the per-quantity methods
+        compute separately, bit for bit, over every model's full grid."""
+        for name in model_names():
+            model = PerfModel(get_model(name), geometry=geometry)
+            for size in geometry.instance_sizes:
+                gpcs = model.effective_gpcs(size)
+                for b in PROFILE_BATCH_SIZES:
+                    for p in PROFILE_PROCESS_COUNTS:
+                        pt = model.evaluate(size, b, p)
+                        assert (
+                            pt.latency_ms, pt.throughput, pt.sm_activity,
+                            pt.memory_gb,
+                        ) == (
+                            model.latency_ms(gpcs, b, p),
+                            model.throughput(gpcs, b, p),
+                            model.sm_activity(gpcs, b, p),
+                            model.memory_gb(b, p),
+                        ), (name, size, b, p)
+
+    def test_evaluate_rejects_zero_processes(self, perf):
+        with pytest.raises(ValueError, match="process count"):
+            perf.evaluate(1, 1, 0)
 
     def test_max_single_gpu_throughput_monotone_in_slo(self, perf):
         loose = perf.max_single_gpu_throughput(500.0)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -123,7 +122,6 @@ class TestRowSchema:
         calls = []
 
         def run():
-            time.sleep(0.001)  # a row's wall must not round to zero
             return _report(), {}
 
         def reference():
@@ -141,6 +139,14 @@ class TestRowSchema:
         assert len(calls) == 3
         assert rows[0]["reference_wall_s"] == rows[1]["reference_wall_s"]
         assert all(row["identical"] for row in rows)
+
+    def test_wall_that_rounds_to_zero_prints_no_speedup(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: 1.0)
+        row = harness.run_case(_case(_report(), _report()))
+        assert row["wall_s"] == row["reference_wall_s"] == 0.0
+        assert "ref        0.0 ms (n/a)  identical" in capsys.readouterr().out
 
     def test_digest_tracks_fingerprints(self):
         a = harness.run_case(_case(_report()))

@@ -1,5 +1,7 @@
 """Unit tests: Table IV transcription and the scaling sweep."""
 
+import hashlib
+
 import pytest
 
 from repro.scenarios import get_scenario, scaled_scenario, scenario_services
@@ -162,3 +164,35 @@ class TestFleetScenarios:
         """The id-uniquifier must not rename Table-IV services."""
         services = scenario_services("S2")
         assert [s.id for s in services] == [s.model for s in services]
+
+
+class TestScenarioTables:
+    #: sha256 over every registered scenario's (name, description, loads)
+    #: reprs, in registry order, recorded when every table was built at
+    #: import: building on first lookup must not move a single load.
+    DIGEST = "5bda7ab8c4be7a78acddcea142fc8412fb4d3805923c9086067b7435b97f3ac1"
+
+    def test_every_scenario_keeps_its_loads(self):
+        from repro.scenarios import SCENARIO_NAMES as ALL
+
+        h = hashlib.sha256()
+        for name in ALL:
+            sc = get_scenario(name)
+            h.update(repr((sc.name, sc.description, sc.loads)).encode())
+        assert h.hexdigest() == self.DIGEST
+
+    def test_lookup_returns_one_object_per_name(self):
+        from repro.scenarios import SCENARIOS as ALL
+
+        assert get_scenario("s9") is get_scenario("S9") is ALL["S9"]
+
+    def test_membership_and_listing_build_nothing(self):
+        from repro.scenarios.table4 import ScenarioTable
+
+        calls = []
+        table = ScenarioTable({"A": lambda: calls.append("A") or SCENARIOS["S1"]})
+        assert "A" in table and "B" not in table
+        assert list(table) == ["A"] and len(table) == 1
+        assert calls == []
+        assert table["A"] is table["A"] is SCENARIOS["S1"]
+        assert calls == ["A"]
