@@ -189,10 +189,25 @@ class _FrozenGPUState(_GPUState):
     __setattr__ = try_place = free_all = _refuse_write  # type: ignore[assignment]
 
 
+def placed_to_segment(
+    seg: PlacedSegment, geometry: PartitionGeometry
+) -> Segment:
+    """The allocator :class:`Segment` a placed segment was planned from."""
+    return Segment(
+        service_id=seg.service_id,
+        model=seg.model,
+        instance_size=int(seg.gpcs),
+        batch_size=seg.batch_size,
+        num_processes=seg.num_processes,
+        throughput=seg.capacity,
+        latency_ms=seg.latency_ms,
+        sm_activity=seg.sm_activity,
+        geometry=geometry,
+    )
+
+
 def states_from_placement(
-    placement: Placement,
-    exclude_service: Optional[str] = None,
-    skip_gpu: Optional[int] = None,
+    placement: Placement, exclude_service: Optional[str] = None
 ) -> list[_GPUState]:
     """Rebuild allocator build-state from a live deployment map.
 
@@ -206,30 +221,13 @@ def states_from_placement(
 
     states: list[_GPUState] = []
     for plan in placement.gpus:
-        if skip_gpu is not None and plan.gpu_id == skip_gpu:
-            continue
         geometry = get_geometry(plan.geometry)
         state = _GPUState(gpu_id=plan.gpu_id, geometry=geometry)
         for seg in plan.segments:
             if exclude_service is not None and seg.service_id == exclude_service:
                 continue
             state.layout.add(geometry.place(int(seg.gpcs), seg.start))
-            state.placed.append(
-                (
-                    Segment(
-                        service_id=seg.service_id,
-                        model=seg.model,
-                        instance_size=int(seg.gpcs),
-                        batch_size=seg.batch_size,
-                        num_processes=seg.num_processes,
-                        throughput=seg.capacity,
-                        latency_ms=seg.latency_ms,
-                        sm_activity=seg.sm_activity,
-                        geometry=geometry,
-                    ),
-                    seg.start,
-                )
-            )
+            state.placed.append((placed_to_segment(seg, geometry), seg.start))
         states.append(state)
     return states
 
@@ -336,12 +334,16 @@ class LiveFleet:
         for gid in sorted(spares):
             if gid not in self._key_of:
                 self.add_spare(gid, spares[gid])
+        # A retired GPU still in ``states`` (a failed GPU whose segments
+        # are about to move) leaves the order at the first commit.
         for gid, name in retired.items():
-            self._reserve(gid, name)
+            self.retire(gid, name)
         # An empty plan in the published map leaves the order at the
         # first commit, exactly as the next rebuild would drop it.
         self.index.touched = {
-            key for key in self._order if self[key].is_empty
+            key
+            for key in self._order
+            if key in self.index and self[key].is_empty
         }
 
     # ------------------------------------------------------------------ #

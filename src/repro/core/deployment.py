@@ -13,9 +13,10 @@ currently host nothing, e.g. a preempted spot GPU that came back
 **retired GPUs** whose ids stay reserved while they are down.  Both
 ledgers change only through manager methods.
 
-Incremental deltas (SLO/rate updates, departures, failover) have two
-entry points into one placement state, the full schedule being the
-third (:meth:`deploy`):
+Incremental deltas (SLO/rate updates, departures, failover) enter one
+placement state through one method, :meth:`DeploymentManager.apply`;
+the full schedule (:meth:`deploy`) is the other way in.  The manager's
+``fast_path`` picks what ``apply`` runs a delta on:
 
 - the **live state** (``fast_path=True``, the default): a
   :class:`~repro.core.allocator.LiveFleet` plus the published placement's
@@ -29,14 +30,14 @@ third (:meth:`deploy`):
   a touched GPU gets a new plan, and re-routing replaces only the plans
   whose shares moved.  The fleet's committed per-GPU states are frozen
   the same way;
-- the **rebuild** (``fast_path=False``): :meth:`apply_rebuilt` runs a
-  delta on the plain list :meth:`build_states` rebuilds from the current
+- the **rebuild** (``fast_path=False``): the plain list
+  :meth:`~DeploymentManager.build_states` rebuilds from the current
   placement — spares appended as empty GPUs after the live fleet and
   retired ids as blocked sentinels, so restored capacity is drafted only
-  when no hole in the live fleet fits — then re-rates and deploys the
-  whole map.  It is the naive reference the live state is replayed
-  against, and the fleet controller's per-interval check compares the
-  two.
+  when no hole in the live fleet fits — after which the whole map is
+  re-rated and deployed.  It is the naive reference the live state is
+  replayed against, and the fleet controller's per-interval check
+  compares the two.
 
 A delta is written once, over a
 :data:`~repro.core.allocator.GPUOrder`: handed the live fleet it probes
@@ -121,18 +122,23 @@ class DeploymentManager:
     ``geometry`` is the geometry of the *profiles* handed in — the one the
     SLO-update path re-plans with (MIG by default).  Per-GPU state during
     incremental re-planning always follows each plan's own geometry.
+    ``fast_path`` picks the state every incremental delta runs on: the
+    live state (True) or the rebuild reference (False).  The SLO-update
+    path always plans with MPS and Allocation Optimization.
     """
 
     def __init__(
         self,
         profiles: Mapping[str, ProfileTable],
-        cluster: Optional[Cluster] = None,
         geometry: PartitionGeometry = MIG_GEOMETRY,
+        fast_path: bool = True,
     ) -> None:
         self.profiles = profiles
         self.geometry = geometry
-        self.cluster = (
-            cluster if cluster is not None else Cluster(geometry=geometry)
+        self.fast_path = fast_path
+        self.cluster = Cluster(geometry=geometry)
+        self.configurator = SegmentConfigurator(
+            profiles, geometry=geometry, memoize=fast_path
         )
         self.current: Optional[Placement] = None
         self.stats = AllocatorStats()
@@ -186,21 +192,43 @@ class DeploymentManager:
         self._retired = dict(retired)
         self._live = None
 
+    def _synced(self) -> Optional[LiveState]:
+        """The live state, if it is the current placement's."""
+        live = self._live
+        if live is None or live.placement is not self.current:
+            return None
+        return live
+
+    def plan_of(self, gpu_id: int) -> Optional[GPUPlan]:
+        """The current placement's plan for ``gpu_id``, if it has one: a
+        lookup in the live state, a scan without one."""
+        live = self._synced()
+        if live is not None:
+            return live.plans.get(gpu_id)
+        if self.current is None:
+            return None
+        return next((g for g in self.current.gpus if g.gpu_id == gpu_id), None)
+
     def hosts_segments(self, gpu_id: int) -> bool:
         """Does ``gpu_id`` host segments in the current placement?"""
-        if self._live is not None and self._live.placement is self.current:
-            plan = self._live.plans.get(gpu_id)
-            return plan is not None and not plan.is_empty
-        return self.current is not None and any(
-            g.gpu_id == gpu_id and not g.is_empty for g in self.current.gpus
+        plan = self.plan_of(gpu_id)
+        return plan is not None and not plan.is_empty
+
+    def hosts_service(self, service_id: str) -> bool:
+        """Does ``service_id`` have segments in the current placement?"""
+        live = self._synced()
+        if live is not None:
+            return service_id in live.hosts
+        return self.current is not None and bool(
+            self.current.segments_of(service_id)
         )
 
     def occupied_gpus(self) -> list[int]:
         """Ids of the GPUs hosting segments in the current placement,
         ascending: a copy of the list the live state maintains, a recount
         without one."""
-        live = self._live
-        if live is not None and live.placement is self.current:
+        live = self._synced()
+        if live is not None:
             return list(live.occupied)
         if self.current is None:
             return []
@@ -211,8 +239,8 @@ class DeploymentManager:
         """GPUs hosting segments in the current placement (0 before the
         first deploy); maintained by the live state, counted without
         one."""
-        live = self._live
-        if live is not None and live.placement is self.current:
+        live = self._synced()
+        if live is not None:
             return len(live.occupied)
         return 0 if self.current is None else self.current.num_gpus
 
@@ -245,13 +273,51 @@ class DeploymentManager:
         return plan
 
     # ------------------------------------------------------------------ #
-    # incremental allocator state: the rebuild reference
+    # incremental deltas
     # ------------------------------------------------------------------ #
 
-    def build_states(
+    def apply(
         self,
-        exclude_service: Optional[str] = None,
-        skip_gpu: Optional[int] = None,
+        services: Services,
+        delta: Callable[[GPUOrder], None],
+        leaving: Optional[str] = None,
+    ) -> tuple[Placement, ReconfigurationPlan]:
+        """Run one incremental delta, then publish and deploy its map.
+
+        ``leaving`` names a service whose segments are dropped before
+        ``delta`` runs (it is being re-planned or departs).  On the fast
+        path ``delta`` runs on the live fleet and only what it touched is
+        published; a delta that raises drops the live state (the
+        placement and the cluster are untouched until publication), so
+        the next delta rebuilds it from the unchanged current placement.
+        On the reference path it runs on :meth:`build_states`, and the
+        whole map is assembled, re-rated and deployed.
+        """
+        if self.current is None:
+            raise RuntimeError("nothing deployed yet")
+        if not self.fast_path:
+            gpus = self.build_states(exclude_service=leaving)
+            delta(gpus)
+            placement = SegmentAllocator._to_placement(gpus)
+            placement.framework = self.current.framework
+            placement.assign_rates({
+                sid: s.request_rate
+                for sid, s in service_index(services).items()
+            })
+            return placement, self.deploy(placement)
+        live = self.live_state()
+        try:
+            if leaving is not None:
+                for gid in sorted(live.hosts.get(leaving, ())):
+                    live.fleet.remove_segments(gid, leaving)
+            delta(live.fleet)
+            return self._publish(live, services, live.fleet.commit())
+        except BaseException:
+            self._live = None
+            raise
+
+    def build_states(
+        self, exclude_service: Optional[str] = None
     ) -> list[_GPUState]:
         """Allocator build-state of the live map, spares included.
 
@@ -265,29 +331,32 @@ class DeploymentManager:
         sentinel states: first-fit can never place on them and
         ``_to_placement`` drops them, but their presence keeps the
         allocator's fresh-GPU id counter above every dead device's id —
-        so a later restore never collides with live capacity.
+        so a later restore never collides with live capacity.  A retired
+        GPU the placement still lists (a failed GPU whose segments are
+        being relocated) is left out of the placement's states.
         """
         if self.current is None:
             raise RuntimeError("nothing deployed yet")
-        states = states_from_placement(
-            self.current, exclude_service=exclude_service, skip_gpu=skip_gpu
-        )
-        states += self.ledger_states(
-            {s.gpu_id for s in states}, skip_gpu=skip_gpu
-        )
+        retired = self._retired
+        states = [
+            state
+            for state in states_from_placement(
+                self.current, exclude_service=exclude_service
+            )
+            if state.gpu_id not in retired
+        ]
+        states += self.ledger_states({s.gpu_id for s in states})
         self.stats.states_rebuilt += 1
         self.stats.gpus_rebuilt += len(states)
         return states
 
-    def ledger_states(
-        self, live: Collection[int], skip_gpu: Optional[int] = None
-    ) -> list[_GPUState]:
+    def ledger_states(self, live: Collection[int]) -> list[_GPUState]:
         """What :meth:`build_states` appends after the placement's GPUs
         ``live``: an empty state per spare, then a blocked sentinel per
         retired id, each in gpu-id order."""
         states: list[_GPUState] = []
         for gid in sorted(self._spares):
-            if gid in live or gid == skip_gpu:
+            if gid in live:
                 continue
             states.append(
                 _GPUState(gpu_id=gid, geometry=get_geometry(self._spares[gid]))
@@ -304,39 +373,12 @@ class DeploymentManager:
             )
         return states
 
-    def apply_rebuilt(
-        self,
-        services: Services,
-        delta: Callable[[list[_GPUState]], None],
-        exclude_service: Optional[str] = None,
-        skip_gpu: Optional[int] = None,
-    ) -> tuple[Placement, ReconfigurationPlan]:
-        """Run ``delta`` on a rebuilt state, then assemble, re-rate and
-        deploy the whole map — the reference twin of :meth:`apply_live`.
-        """
-        gpus = self.build_states(
-            exclude_service=exclude_service, skip_gpu=skip_gpu
-        )
-        assert self.current is not None
-        delta(gpus)
-        placement = SegmentAllocator._to_placement(gpus)
-        placement.framework = self.current.framework
-        placement.assign_rates({
-            sid: s.request_rate
-            for sid, s in service_index(services).items()
-        })
-        return placement, self.deploy(placement)
-
-    # ------------------------------------------------------------------ #
-    # incremental allocator state: the live state
-    # ------------------------------------------------------------------ #
-
     def live_state(self) -> LiveState:
         """The live state of the current placement, built on first use."""
         if self.current is None:
             raise RuntimeError("nothing deployed yet")
-        live = self._live
-        if live is None or live.placement is not self.current:
+        live = self._synced()
+        if live is None:
             states = states_from_placement(self.current)
             self.stats.states_rebuilt += 1
             self.stats.gpus_rebuilt += len(states)
@@ -347,29 +389,8 @@ class DeploymentManager:
     def live_states(self) -> Optional[list[_GPUState]]:
         """The live state in :meth:`build_states` order, or None if the
         current placement has none (nothing incremental since a deploy)."""
-        live = self._live
-        if live is None or live.placement is not self.current:
-            return None
-        return live.fleet.states_in_order()
-
-    def apply_live(
-        self,
-        services: Services,
-        delta: Callable[[LiveState], None],
-    ) -> tuple[Placement, ReconfigurationPlan]:
-        """Run ``delta`` on the live state, then publish and deploy.
-
-        A delta that raises drops the live state (the placement and the
-        cluster are untouched until publication), so the next delta
-        rebuilds it from the unchanged current placement.
-        """
-        live = self.live_state()
-        try:
-            delta(live)
-            return self._publish(live, services, live.fleet.commit())
-        except BaseException:
-            self._live = None
-            raise
+        live = self._synced()
+        return None if live is None else live.fleet.states_in_order()
 
     def _publish(
         self, live: LiveState, services: Services, commit: Commit
@@ -482,10 +503,7 @@ class DeploymentManager:
     # ------------------------------------------------------------------ #
 
     def remove_service(
-        self,
-        services: Services,
-        departed_id: str,
-        fast_path: bool = True,
+        self, services: Services, departed_id: str
     ) -> tuple[Placement, ReconfigurationPlan]:
         """Tear down one service, leaving every other segment in place.
 
@@ -493,25 +511,13 @@ class DeploymentManager:
         excluded) — its rates are re-assigned over the surviving map.
         GPUs fully emptied by the departure are released (scale-in), not
         kept as spares: a spare records restored capacity, not a tenant
-        leaving.  ``fast_path=False`` takes the rebuild reference.
+        leaving.
         """
         if self.current is None:
             raise RuntimeError("nothing deployed yet")
-        if not fast_path:
-            if not self.current.segments_of(departed_id):
-                raise ValueError(f"service {departed_id!r} hosts no segments")
-            return self.apply_rebuilt(
-                services, lambda gpus: None, exclude_service=departed_id
-            )
-
-        if departed_id not in self.live_state().hosts:
+        if not self.hosts_service(departed_id):
             raise ValueError(f"service {departed_id!r} hosts no segments")
-
-        def depart(live: LiveState) -> None:
-            for gid in sorted(live.hosts[departed_id]):
-                live.fleet.remove_segments(gid, departed_id)
-
-        return self.apply_live(services, depart)
+        return self.apply(services, lambda gpus: None, leaving=departed_id)
 
     # ------------------------------------------------------------------ #
     # SLO update (SIII-F)
@@ -523,18 +529,13 @@ class DeploymentManager:
         changed: Service,
         new_slo_ms: Optional[float] = None,
         new_rate: Optional[float] = None,
-        use_mps: bool = True,
-        optimize: bool = True,
-        fast_path: bool = True,
     ) -> tuple[Placement, ReconfigurationPlan]:
         """Re-plan one service without re-profiling or moving the others.
 
         Implements SIII-F: the Segment Configurator reconstructs only the
         changed service's segments; the deployment map keeps every other
         service where it is; relocation + optimization run for the changed
-        service's segments only.  ``fast_path=False`` re-plans on the
-        naive scans over a rebuilt state (identical placements, reference
-        baseline).
+        service's segments only.
         """
         if self.current is None:
             raise RuntimeError("nothing deployed yet")
@@ -543,14 +544,8 @@ class DeploymentManager:
         if new_rate is not None:
             changed.request_rate = new_rate
         changed.reset_plan()
-
-        configurator = SegmentConfigurator(
-            self.profiles, max_processes=3 if use_mps else 1,
-            geometry=self.geometry, memoize=fast_path,
-        )
-        configurator.configure([changed])
-
-        allocator = SegmentAllocator(optimize=optimize, geometry=self.geometry)
+        self.configurator.configure([changed])
+        allocator = SegmentAllocator(geometry=self.geometry)
         by_id = service_index(services)
 
         def replan(gpus: GPUOrder) -> None:
@@ -558,17 +553,6 @@ class DeploymentManager:
             for seg in changed.segments():
                 allocator._enqueue(queues, seg)
             allocator._allocation(queues, gpus, self.geometry)
-            if optimize:
-                allocator.allocation_optimization(gpus, by_id)
+            allocator.allocation_optimization(gpus, by_id)
 
-        if not fast_path:
-            return self.apply_rebuilt(
-                by_id, replan, exclude_service=changed.id
-            )
-
-        def replan_live(live: LiveState) -> None:
-            for gid in sorted(live.hosts.get(changed.id, ())):
-                live.fleet.remove_segments(gid, changed.id)
-            replan(live.fleet)
-
-        return self.apply_live(by_id, replan_live)
+        return self.apply(by_id, replan, leaving=changed.id)

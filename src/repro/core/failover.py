@@ -7,11 +7,12 @@ services' lost segments are re-enqueued and relocated into the surviving
 map (growing the fleet only if no hole fits), while untouched services keep
 serving.
 
-On the fast path a failure is a delta on the deployment manager's live
-allocator state: the victim leaves the order, its segments are relocated
-and the optimization pass runs over the GPUs that can have changed, so
-recovery costs O(touched GPUs) rather than a rebuild of the fleet
-(``fast_path=False`` keeps the rebuild as the reference).
+A failure is one delta through :meth:`DeploymentManager.apply
+<repro.core.deployment.DeploymentManager.apply>`: the victim is retired,
+its segments are relocated and the optimization pass runs.  On the
+manager's fast path that is an update of its live allocator state that
+costs O(touched GPUs); on its reference path the same delta runs on a
+rebuild of the fleet.
 
 Failures are not permanent: a preempted spot GPU that comes back (or a
 failed device that is repaired) rejoins the fleet through
@@ -26,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.allocator import GPUOrder, SegmentAllocator
+from repro.core.allocator import GPUOrder, SegmentAllocator, placed_to_segment
 from repro.core.deployment import DeploymentManager
 from repro.core.placement import Placement
-from repro.core.segments import Segment
 from repro.core.service import Services, service_index
 from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, price_plan
@@ -50,17 +50,8 @@ class FailoverResult:
 class FailoverController:
     """Recovers deployments from GPU failures (and takes GPUs back)."""
 
-    def __init__(
-        self,
-        manager: DeploymentManager,
-        optimize: bool = True,
-        fast_path: bool = True,
-    ) -> None:
+    def __init__(self, manager: DeploymentManager) -> None:
         self.manager = manager
-        self.optimize = optimize
-        # fast_path=False recovers on the naive scans — identical
-        # placements, kept as the reference baseline.
-        self.fast_path = fast_path
 
     @property
     def failed(self) -> Mapping[int, str]:
@@ -80,15 +71,9 @@ class FailoverController:
         a sequence, see :func:`~repro.core.service.service_index`).
         """
         manager = self.manager
-        current = manager.current
-        if current is None:
+        if manager.current is None:
             raise RuntimeError("nothing deployed yet")
-        live = manager.live_state() if self.fast_path else None
-        victim = (
-            live.plans.get(gpu_id)
-            if live is not None
-            else next((g for g in current.gpus if g.gpu_id == gpu_id), None)
-        )
+        victim = manager.plan_of(gpu_id)
         if victim is None or victim.is_empty:
             raise ValueError(f"GPU {gpu_id} hosts no segments")
 
@@ -110,51 +95,27 @@ class FailoverController:
 
         victim_geometry = get_geometry(victim.geometry)
         lost: dict[str, float] = {}
-        lost_segments: list[Segment] = []
         for seg in victim.segments:
             lost[seg.service_id] = lost.get(seg.service_id, 0.0) + seg.capacity
-            lost_segments.append(
-                Segment(
-                    service_id=seg.service_id,
-                    model=seg.model,
-                    instance_size=int(seg.gpcs),
-                    batch_size=seg.batch_size,
-                    num_processes=seg.num_processes,
-                    throughput=seg.capacity,
-                    latency_ms=seg.latency_ms,
-                    sm_activity=seg.sm_activity,
-                    geometry=victim_geometry,
-                )
-            )
+        lost_segments = [
+            placed_to_segment(seg, victim_geometry) for seg in victim.segments
+        ]
 
         # Retire the victim first: its id must stay reserved (a blocked
         # sentinel in the rebuilt state, a retired id in the live one) so
         # relocation can neither place on the dead device nor hand its id
         # to a fresh GPU.
         manager.retire_gpu(gpu_id, victim.geometry)
-        allocator = SegmentAllocator(
-            optimize=self.optimize, geometry=victim_geometry
-        )
+        allocator = SegmentAllocator(geometry=victim_geometry)
 
         def relocate(gpus: GPUOrder) -> None:
             queues = allocator._new_queues(victim_geometry.instance_sizes)
             for seg in lost_segments:
                 allocator._enqueue(queues, seg)
             allocator._allocation(queues, gpus, victim_geometry)
-            if self.optimize:
-                allocator.allocation_optimization(gpus, by_id)
+            allocator.allocation_optimization(gpus, by_id)
 
-        if live is not None:
-            placement, plan = manager.apply_live(
-                by_id, lambda state: relocate(state.fleet)
-            )
-        else:
-            # The rebuild reference: allocator state from every surviving
-            # GPU (plus any registered spares), each under its own
-            # geometry.
-            placement, plan = manager.apply_rebuilt(
-                by_id, relocate, skip_gpu=gpu_id
-            )
+        placement, plan = manager.apply(by_id, relocate)
         return FailoverResult(
             failed_gpu=gpu_id,
             affected_services=tuple(sorted(lost)),

@@ -303,7 +303,12 @@ class Placement:
         return sum(g.total_sms for g in self.gpus if not g.is_empty)
 
     def validate(self) -> None:
+        """Check every GPU plan, and that no GPU id is listed twice."""
+        seen: set[int] = set()
         for g in self.gpus:
+            if g.gpu_id in seen:
+                raise ValueError(f"GPU {g.gpu_id} is listed twice")
+            seen.add(g.gpu_id)
             g.validate()
 
     def fingerprint(self) -> str:

@@ -62,7 +62,6 @@ from repro.core.service import (
     Service,
 )
 from repro.gpu.cluster import ReconfigurationPlan
-from repro.gpu.geometry import get_geometry
 from repro.gpu.reconfig import ReconfigurationCost, ShadowBudget, price_plan
 from repro.ops.checkpoint import (
     MEASURED_FIELDS,
@@ -141,22 +140,17 @@ class FleetController:
     def __init__(
         self,
         profiles: Optional[Mapping[str, ProfileTable]] = None,
-        geometry: str = "mig",
-        use_mps: bool = True,
-        optimize: bool = True,
         fast_path: bool = True,
         seed: int = 0,
         spare_shadow_gpus: int = 4,
         full_replan_fraction: float = 0.5,
         obs: Optional[ObsHub] = None,
     ) -> None:
-        geo = get_geometry(geometry)
         if profiles is None:
             from repro.profiler import profile_workloads
 
-            profiles = profile_workloads(geometry=geo)
+            profiles = profile_workloads()
         self.profiles = profiles
-        self.geometry = geo
         self.fast_path = fast_path
         self.seed = seed
         if not 0.0 < full_replan_fraction <= 1.0:
@@ -164,13 +158,7 @@ class FleetController:
         #: fraction of the fleet an interval's arrivals+departures must
         #: exceed before a full re-schedule replaces per-service updates
         self.full_replan_fraction = full_replan_fraction
-        self.scheduler = ParvaGPU(
-            profiles,
-            use_mps=use_mps,
-            optimize=optimize,
-            geometry=geo,
-            fast_path=fast_path,
-        )
+        self.scheduler = ParvaGPU(profiles, fast_path=fast_path)
         self.spare_shadow_gpus = spare_shadow_gpus
         #: the run-scoped per-plan layer and its segment memo; live
         #: only inside a fast run
@@ -241,12 +229,10 @@ class FleetController:
         state of the last run stays inspectable on ``self.manager``
         until the next run begins.
         """
-        self.manager = DeploymentManager(self.profiles, geometry=self.geometry)
-        self.failover = FailoverController(
-            self.manager,
-            optimize=self.scheduler.optimize,
-            fast_path=self.fast_path,
+        self.manager = DeploymentManager(
+            self.profiles, fast_path=self.fast_path
         )
+        self.failover = FailoverController(self.manager)
         self.shadows = ShadowBudget(spare_gpus=self.spare_shadow_gpus)
         self._eid_to_gpu = {}
         self.obs.registry.attach("alloc", self.manager.stats)
@@ -306,7 +292,7 @@ class FleetController:
             raise ValueError("duplicate service ids")
         report = OpsReport(
             horizon_s=horizon_s,
-            geometry=self.geometry.name,
+            geometry=self.manager.geometry.name,
             fast_path=self.fast_path,
         )
         self._pending_seq = 0
@@ -634,11 +620,8 @@ class FleetController:
     def _config_doc(self) -> dict[str, Any]:
         """The configuration a run record must match to resume."""
         return {
-            "geometry": self.geometry.name,
             "seed": self.seed,
             "fast_path": self.fast_path,
-            "use_mps": self.scheduler.use_mps,
-            "optimize": self.scheduler.optimize,
             "full_replan_fraction": self.full_replan_fraction,
             "spare_shadow_gpus": self.spare_shadow_gpus,
         }
@@ -790,9 +773,7 @@ class FleetController:
             del by_id[svc.id]
             if not replan:
                 return True, None
-            _, plan = self.manager.remove_service(
-                by_id, svc.id, fast_path=self.fast_path
-            )
+            _, plan = self.manager.remove_service(by_id, svc.id)
             return True, plan
         elif isinstance(e, SloChange):
             if replan and svc.slo_latency_ms == e.slo_latency_ms:
@@ -811,13 +792,7 @@ class FleetController:
             raise TypeError(f"not a service-level event: {e!r}")
         if not replan:
             return True, None
-        _, plan = self.manager.update_slo(
-            by_id,
-            svc,
-            use_mps=self.scheduler.use_mps,
-            optimize=self.scheduler.optimize,
-            fast_path=self.fast_path,
-        )
+        _, plan = self.manager.update_slo(by_id, svc)
         return True, plan
 
     def _plannable(

@@ -21,6 +21,12 @@ def poisson_arrivals(
 
     Vectorized: draws ~``rate*duration`` exponential gaps in one shot and
     tops up in the rare case the cumulative sum falls short.
+
+    Every gap is clipped to ``duration`` before the sum.  A clipped gap
+    was at least ``duration`` long, so every arrival from it on lies past
+    the window either way, and the arrivals before it keep their bits;
+    but the sum stays below ``n * duration``, so a rate so small that its
+    gaps near the float maximum cannot overflow it.
     """
     if rate < 0:
         raise ValueError("rate must be non-negative")
@@ -29,9 +35,10 @@ def poisson_arrivals(
     expected = rate * duration
     n = int(expected + 4.0 * np.sqrt(expected) + 16)
     gaps = rng.exponential(1.0 / rate, size=n)
-    times = np.cumsum(gaps)
+    times = np.cumsum(np.minimum(gaps, duration, out=gaps))
     while times[-1] < duration:  # pragma: no cover - statistically rare
         extra = rng.exponential(1.0 / rate, size=max(16, n // 4))
+        np.minimum(extra, duration, out=extra)
         times = np.concatenate([times, times[-1] + np.cumsum(extra)])
     return times[times < duration]
 

@@ -755,13 +755,13 @@ class PlanMemo:
         services: Iterable[Service],
         duration_s: float,
         warmup_s: float,
-    ) -> Optional[tuple[float, str, dict[str, float]]]:
+    ) -> tuple[float, str, dict[str, float]]:
         """``(compliance, fingerprint, per-service compliance)`` of
         serving ``placement`` under uniform arrivals: bit-identical to
         the full report's ``overall_compliance``, ``fingerprint()`` and
-        per-service ``compliance`` (in ``services`` order).  Returns
-        None, and forgets everything, for a placement that lists one
-        GPU id twice; the caller then measures it whole.
+        per-service ``compliance`` (in ``services`` order).  Raises
+        ``ValueError``, and forgets everything, for a placement that
+        lists one GPU id twice (no valid placement does).
         """
         from repro.sim.runner import segment_key
 
@@ -798,7 +798,7 @@ class PlanMemo:
             gid = plan.gpu_id
             if gid in present:
                 self._reset(None)
-                return None
+                raise ValueError(f"GPU {gid} is listed twice")
             present[gid] = None
             entry = gpus.get(gid)
             if entry is not None and entry.plan is plan and gid not in stale:

@@ -72,28 +72,19 @@ def measure_interval(
     identity checks compare, as :func:`simulate_placement` (warmup +
     measurement window) reports them.  With ``plans`` (a
     :class:`~repro.sim.fastpath.PlanMemo`) every unchanged GPU plan is
-    served from its last measurement, bit-identically, and a placement
-    that lists one GPU id twice falls back to a walk over the layer's
-    segment memo.  Without it, the event-driven reference engine serves
-    the whole placement.
+    served from its last measurement, bit-identically; a placement that
+    lists one GPU id twice raises ``ValueError``.  Without it, the
+    event-driven reference engine serves the whole placement.
     """
     duration_s = warmup_s + measure_s
-    if plans is None:
-        sim = simulate_placement(
-            placement, services, duration_s=duration_s, warmup_s=warmup_s,
-            seed=seed, fast_path=False,
+    if plans is not None:
+        return IntervalMeasurement(
+            *plans.measure(placement, list(services), duration_s, warmup_s)
         )
-    else:
-        from repro.sim.fastpath import simulate_placement_fast
-
-        services = list(services)
-        measured = plans.measure(placement, services, duration_s, warmup_s)
-        if measured is not None:
-            return IntervalMeasurement(*measured)
-        sim = simulate_placement_fast(
-            placement, services, duration_s=duration_s, warmup_s=warmup_s,
-            seed=seed, memo=plans.memo,
-        )
+    sim = simulate_placement(
+        placement, services, duration_s=duration_s, warmup_s=warmup_s,
+        seed=seed, fast_path=False,
+    )
     return IntervalMeasurement(
         compliance=sim.overall_compliance,
         fingerprint=sim.fingerprint(),

@@ -73,14 +73,16 @@ class TestFailover:
 
     @pytest.mark.parametrize("fast_path", [True, False])
     def test_victim_service_missing_from_argument_is_named(
-        self, deployed, fast_path
+        self, deployed, profiles, fast_path
     ):
         """Every service on the failed GPU must be in ``services``: each
         missing one is named in one ValueError, before anything moves."""
-        services, placement, manager = deployed
+        services, placement, _ = deployed
+        manager = DeploymentManager(profiles, fast_path=fast_path)
+        manager.deploy(placement)
         victims = sorted({s.service_id for s in placement.gpus[0].segments})
         subset = [s for s in services if s.id not in victims[:2]]
-        ctrl = FailoverController(manager, fast_path=fast_path)
+        ctrl = FailoverController(manager)
         with pytest.raises(
             ValueError,
             match="deployment hosts services missing from the `services` "

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import DeploymentManager, ParvaGPU, Predictor, Service
+from repro.core.failover import FailoverController
 from repro.core.segments import Segment
+from repro.scenarios import scenario_services
 
 
 class TestFacade:
@@ -102,6 +104,41 @@ class TestDeploymentManager:
         }
         assert b_before == b_after
         assert new_placement.total_capacity("a") >= 2100.0
+
+    def test_reference_manager_runs_every_delta_on_the_rebuild(
+        self, profiles
+    ):
+        """``fast_path`` is the manager's: a reference manager runs each
+        delta on a rebuild and never builds a live state, a fast one
+        builds it once, and both publish the same maps."""
+        def deployed(fast_path):
+            services = scenario_services("S2")
+            manager = DeploymentManager(profiles, fast_path=fast_path)
+            manager.deploy(ParvaGPU(profiles).schedule(services))
+            return services, manager
+
+        def deltas(services, manager):
+            svc = services[0]
+            yield manager.update_slo(
+                services, svc, new_rate=svc.request_rate * 2.5
+            )[0]
+            remaining = services[:-1]
+            yield manager.remove_service(remaining, services[-1].id)[0]
+            victim = manager.occupied_gpus()[0]
+            failover = FailoverController(manager)
+            yield failover.fail_gpu(victim, remaining).placement
+
+        ref_services, ref = deployed(False)
+        fast_services, fast = deployed(True)
+        steps = zip(deltas(ref_services, ref), deltas(fast_services, fast))
+        for n, (ref_map, fast_map) in enumerate(steps, start=1):
+            assert ref.live_states() is None
+            assert ref.stats.states_rebuilt == n
+            assert fast.live_states() is not None
+            assert fast.stats.states_rebuilt == 1
+            assert ref.current is ref_map and fast.current is fast_map
+            assert ref_map.fingerprint() == fast_map.fingerprint()
+        assert n == 3
 
     def test_update_before_deploy_raises(self, profiles, make_service):
         mgr = DeploymentManager(profiles)

@@ -133,6 +133,17 @@ class TestPlacement:
     def test_service_ids(self):
         assert self.build().service_ids() == ("a", "b")
 
+    def test_repeated_gpu_id_rejected(self):
+        p = Placement(
+            framework="test",
+            gpus=[
+                GPUPlan(0, [mig_seg(sid="a", gpcs=4.0, start=0)]),
+                GPUPlan(0, [mig_seg(sid="b", gpcs=3.0, start=4)]),
+            ],
+        )
+        with pytest.raises(ValueError, match="GPU 0 is listed twice"):
+            p.validate()
+
     def test_sm_accounting(self):
         p = self.build()
         assert p.allocated_sms() == pytest.approx((4 + 3 + 2) * 14)

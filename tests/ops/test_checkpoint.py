@@ -214,11 +214,14 @@ class TestResumeValidation:
         self, checkpoint_path, workload, reference
     ):
         """Only the fields this run expects are compared: a record whose
-        header still carries the retired ``check`` parameter resumes."""
+        header still carries the retired ``check`` parameter, or the
+        retired ``geometry``/``use_mps``/``optimize`` configuration,
+        resumes."""
         lines = checkpoint_path.read_text().splitlines(keepends=True)
         header = unseal(lines[0].rstrip("\n"))
-        assert "check" not in header
-        header["check"] = True
+        retired = dict(check=True, geometry="mig", use_mps=True, optimize=True)
+        assert not set(retired) & set(header)
+        header.update(retired)
         checkpoint_path.write_text(seal(header) + "\n" + "".join(lines[1:]))
         resumed = full_run(workload, resume=checkpoint_path)
         assert_reports_identical(resumed, reference)

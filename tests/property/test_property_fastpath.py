@@ -100,17 +100,16 @@ def test_incremental_paths_fast_path_identity():
 
     def run(fast_path):
         services = scenario_services("S2")
-        manager = DeploymentManager(PROFILES["mig"])
+        manager = DeploymentManager(PROFILES["mig"], fast_path=fast_path)
         manager.deploy(
             ParvaGPU(PROFILES["mig"], fast_path=fast_path).schedule(services)
         )
         updated, _ = manager.update_slo(
-            services, services[0], new_rate=services[0].request_rate * 2.5,
-            fast_path=fast_path,
+            services, services[0], new_rate=services[0].request_rate * 2.5
         )
-        recovered = FailoverController(
-            manager, fast_path=fast_path
-        ).fail_gpu(manager.current.gpus[0].gpu_id, services)
+        recovered = FailoverController(manager).fail_gpu(
+            manager.current.gpus[0].gpu_id, services
+        )
         return updated.fingerprint(), recovered.placement.fingerprint()
 
     assert run(True) == run(False)

@@ -170,13 +170,13 @@ def test_restore_mid_run_matches_rebuild(services, raw, kill_at):
     assert_reports_identical(resumed, naive)
 
 
-def _mixed_deployment(params):
+def _mixed_deployment(params, fast_path):
     services = [
         _service(f"m{i}", model, slo, rate)
         for i, (model, slo, rate) in enumerate(params)
     ]
     placement = make_mixed_scheduler().schedule(services)
-    manager = DeploymentManager(PROFILES)
+    manager = DeploymentManager(PROFILES, fast_path=fast_path)
     manager.deploy(placement)
     return services, manager
 
@@ -205,18 +205,15 @@ def _mixed_deployment(params):
 def test_update_slo_on_mixed_placement(params, updates):
     """SIII-F updates over a MIG+MI300X map: the live state follows each
     plan's own geometry exactly like the rebuild."""
-    fast_services, fast = _mixed_deployment(params)
-    naive_services, naive = _mixed_deployment(params)
+    fast_services, fast = _mixed_deployment(params, fast_path=True)
+    naive_services, naive = _mixed_deployment(params, fast_path=False)
     for idx, slo, rate in updates:
         idx %= len(params)
         outcomes = []
-        for manager, services, fast_path in (
-            (fast, fast_services, True), (naive, naive_services, False),
-        ):
+        for manager, services in ((fast, fast_services), (naive, naive_services)):
             try:
                 placement, plan = manager.update_slo(
-                    services, services[idx], new_slo_ms=slo, new_rate=rate,
-                    fast_path=fast_path,
+                    services, services[idx], new_slo_ms=slo, new_rate=rate
                 )
             except GPUError as exc:
                 # Both paths share a cluster limitation: a fresh GPU may

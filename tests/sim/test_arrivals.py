@@ -33,6 +33,35 @@ class TestPoisson:
         b = poisson_arrivals(100.0, 1.0, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [1e-307, 1e-300, 5e-324])
+    def test_vanishing_rate_is_empty_without_overflow(self, rate):
+        # Gaps near the float maximum used to overflow the cumulative sum
+        # (numpy warned "overflow encountered in accumulate").
+        times = poisson_arrivals(rate, 1.0, np.random.default_rng(0))
+        assert times.dtype == np.float64
+        assert len(times) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "rate, duration",
+        [(1000.0, 2.0), (3.5, 0.4), (0.25, 1.0), (1e-3, 5.0), (40.0, 0.05)],
+    )
+    def test_draws_unchanged_by_gap_clipping(self, seed, rate, duration):
+        # The unclipped sum, for rates it cannot overflow: clipping gaps
+        # to the window moves no arrival and no later draw.
+        ref_rng = np.random.default_rng(seed)
+        expected = rate * duration
+        n = int(expected + 4.0 * np.sqrt(expected) + 16)
+        ref = np.cumsum(ref_rng.exponential(1.0 / rate, size=n))
+        while ref[-1] < duration:
+            extra = ref_rng.exponential(1.0 / rate, size=max(16, n // 4))
+            ref = np.concatenate([ref, ref[-1] + np.cumsum(extra)])
+        rng = np.random.default_rng(seed)
+        times = poisson_arrivals(rate, duration, rng)
+        assert times.tobytes() == ref[ref < duration].tobytes()
+        assert rng.random() == ref_rng.random()
+
     def test_exponential_gaps(self):
         rng = np.random.default_rng(3)
         times = poisson_arrivals(2000.0, 10.0, rng)

@@ -118,6 +118,17 @@ class TestRunner:
                 plans=PlanMemo(),
             )
 
+    def test_plan_layer_refuses_a_repeated_gpu_id(self):
+        """No valid placement lists a GPU twice; the per-plan layer
+        refuses one and forgets what it held."""
+        twice = toy_placement()
+        twice.gpus.append(toy_placement(served=100.0).gpus[0])
+        plans = PlanMemo()
+        measure_interval(toy_placement(), [toy_service()], 1.0, plans=plans)
+        with pytest.raises(ValueError, match="GPU 0 is listed twice"):
+            measure_interval(twice, [toy_service()], 1.0, plans=plans)
+        assert not plans.gpus and not plans.services
+
     def test_unknown_service_rejected(self):
         placement = toy_placement()
         other = Service("other", "vgg-16", slo_latency_ms=100, request_rate=10)
