@@ -51,7 +51,7 @@ from typing import (
 from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.segments import Segment
 from repro.core.service import Service, Services, service_index
-from repro.core.slotindex import SlotIndex
+from repro.core.slotindex import CompactionHeads, SlotIndex
 from repro.gpu.geometry import PartitionGeometry, PartitionLayout, get_geometry
 from repro.gpu.mig import MIG_GEOMETRY
 from repro.profiler.table import ProfileEntry
@@ -232,27 +232,32 @@ def states_from_placement(
     return states
 
 
+def placed_segment(
+    seg: Segment, start: int, geometry: PartitionGeometry
+) -> PlacedSegment:
+    """The deployment-map segment of one placed allocator segment (rate
+    unassigned): :func:`placed_to_segment` inverted."""
+    return PlacedSegment(
+        service_id=seg.service_id,
+        model=seg.model,
+        kind=geometry.kind,
+        gpcs=float(seg.instance_size),
+        batch_size=seg.batch_size,
+        num_processes=seg.num_processes,
+        capacity=seg.throughput,
+        latency_ms=seg.latency_ms,
+        sm_activity=seg.sm_activity,
+        start=start,
+        geometry=geometry.name,
+    )
+
+
 def plan_from_state(state: _GPUState) -> GPUPlan:
     """The deployment-map plan of one build state (rates unassigned)."""
     geometry = state.geometry
     return GPUPlan(
         state.gpu_id,
-        tuple(
-            PlacedSegment(
-                service_id=seg.service_id,
-                model=seg.model,
-                kind=geometry.kind,
-                gpcs=float(seg.instance_size),
-                batch_size=seg.batch_size,
-                num_processes=seg.num_processes,
-                capacity=seg.throughput,
-                latency_ms=seg.latency_ms,
-                sm_activity=seg.sm_activity,
-                start=start,
-                geometry=geometry.name,
-            )
-            for seg, start in state.placed
-        ),
+        tuple(placed_segment(seg, start, geometry) for seg, start in state.placed),
         geometry.name,
     )
 
@@ -269,6 +274,10 @@ class Commit(NamedTuple):
     drafted: list[int]
     #: the positions the leaving GPUs held in the live section, last first
     left_at: list[int]
+    #: GPUs the operation's compaction walks visited, and the segments
+    #: they moved
+    compact_visits: int
+    compact_moves: int
 
 
 #: Order-key sections of a :class:`LiveFleet`.  Live GPUs take keys from
@@ -322,6 +331,13 @@ class LiveFleet:
         self._ids: list[int] = []  # max-heap (negated) of held ids
         # live keys at/below the default drain threshold
         self._light: set[int] = set()
+        # (geometry name, size) -> live keys hosting a compactable
+        # segment of that size, and each such key's (name, size) pairs
+        self._hosting: dict[tuple[str, int], set[int]] = {}
+        self._sizes: dict[int, frozenset[tuple[str, int]]] = {}
+        #: this operation's compaction work (see ``Commit``)
+        self.compact_visits = 0
+        self.compact_moves = 0
         self._left: list[int] = []  # live gpu ids that left this operation
         self._gone: list[int] = []  # ... and their keys
         for state in states:
@@ -330,7 +346,7 @@ class LiveFleet:
             state.freeze()
             self._register(key, state)
             self._order.append(key)
-            self._track_light(key, state)
+            self._track(key, state)
         for gid in sorted(spares):
             if gid not in self._key_of:
                 self.add_spare(gid, spares[gid])
@@ -389,12 +405,28 @@ class LiveFleet:
             keys = self._light | self.index.touched
         return sorted((k for k in keys if k in self.index), reverse=True)
 
-    def compact_order(self) -> Iterator[int]:
-        """Every key, last first (the compaction cursor's walk)."""
-        yield from sorted(self._tail, reverse=True)
-        for key in reversed(self._order):
-            if key in self.index:
-                yield key
+    def compact_order(self, heads: CompactionHeads) -> list[int]:
+        """Keys that may move a compactable segment forward, last first:
+        the stops of the compaction cursor's walk.
+
+        A GPU's contents only change where the operation touched it, so
+        those are the committed GPUs hosting a segment of a size with a
+        hole in front of them, plus every touched key behind the lowest
+        hole (every spare or fresh GPU that hosts anything was touched).
+        Holes only shrink during the walk, which re-checks each stop.
+        """
+        keys: set[int] = set()
+        for (name, size), hosting in self._hosting.items():
+            head = heads.lowest(name, size)
+            if head is not None:
+                keys.update(k for k in hosting if k > head)
+        floor = heads.floor()
+        if floor is not None:
+            keys.update(
+                k for k in self.index.touched
+                if k > floor and k in self.index
+            )
+        return sorted(keys, reverse=True)
 
     # ------------------------------------------------------------------ #
     # deltas
@@ -472,7 +504,7 @@ class LiveFleet:
             if not state.frozen:
                 state.freeze()
             changed.append(state.gpu_id)
-            self._track_light(key, state)
+            self._track(key, state)
         order = self._order
         left_at = sorted(
             (bisect_left(order, key) for key in gone), reverse=True
@@ -493,9 +525,11 @@ class LiveFleet:
             changed.append(state.gpu_id)
             if old < _FRESH_KEYS:
                 drafted.append(state.gpu_id)
-            self._track_light(key, state)
+            self._track(key, state)
         index.touched.clear()
-        return Commit(changed, left, drafted, left_at)
+        visits, self.compact_visits = self.compact_visits, 0
+        moves, self.compact_moves = self.compact_moves, 0
+        return Commit(changed, left, drafted, left_at, visits, moves)
 
     def live_keys(self) -> list[int]:
         """Live-section keys in first-fit (= placement) order."""
@@ -536,8 +570,12 @@ class LiveFleet:
         self.index.discard(key)
         self._tail.discard(key)
         self._light.discard(key)
+        for size in self._sizes.pop(key, ()):
+            self._hosting[size].discard(key)
 
-    def _track_light(self, key: int, state: _GPUState) -> None:
+    def _track(self, key: int, state: _GPUState) -> None:
+        """File a committed live GPU under the light set and under the
+        compactable sizes it hosts."""
         if (
             not state.is_empty
             and state.used_gpcs <= OPTIMIZATION_GPC_THRESHOLD
@@ -545,6 +583,21 @@ class LiveFleet:
             self._light.add(key)
         else:
             self._light.discard(key)
+        name = state.geometry.name
+        largest = state.geometry.compact_max_size
+        sizes = frozenset(
+            (name, seg.instance_size)
+            for seg, _ in state.placed
+            if seg.instance_size <= largest
+        )
+        before = self._sizes.get(key, frozenset())
+        if sizes == before:
+            return
+        for size in before - sizes:
+            self._hosting[size].discard(key)
+        for size in sizes - before:
+            self._hosting.setdefault(size, set()).add(key)
+        self._sizes[key] = sizes
 
 
 #: what the allocator's relocation and optimization passes operate on: a
@@ -698,34 +751,24 @@ class SegmentAllocator:
         frontier instead of lingering as external fragmentation (and a
         fully-drained tail GPU is released).
 
-        Indexed, the walk stops at the first GPU with no compactable hole
-        in front of it: moves only fill holes in front of the cursor, so
-        no GPU further forward could move anything either.
+        The list path is the reference: it visits every GPU from the back
+        and probes every earlier one.  Over a :class:`LiveFleet` the walk
+        makes the same moves in the same order but stops only where one
+        can happen: it visits only GPUs that host a compactable segment
+        (:meth:`LiveFleet.compact_order`), answers each probe from the
+        cached lowest feasible GPU per slot key
+        (:class:`~repro.core.slotindex.CompactionHeads`), and ends at the
+        lowest of those heads — moves only fill holes in front of the
+        cursor, so no GPU at or in front of it could move anything.
         """
-        index = gpus.index if isinstance(gpus, LiveFleet) else None
-        order: Iterable[int] = (
-            gpus.compact_order()
-            if isinstance(gpus, LiveFleet)
-            else range(len(gpus) - 1, 0, -1)
-        )
-        for gi in order:
-            if index is not None and not index.has_hole_below(gi):
-                break
+        if isinstance(gpus, LiveFleet):
+            self._compact_indexed(gpus)
+            return
+        for gi in range(len(gpus) - 1, 0, -1):
             state = gpus[gi]
             for seg, start in sorted(state.placed, key=lambda p: p[0].instance_size):
                 if seg.instance_size > state.geometry.compact_max_size:
                     continue
-                if index is not None:
-                    moved = index.place(seg, limit=gi, interleave=True)
-                    if moved is not None:
-                        state = index.writable(gi)
-                        state.placed.remove((seg, start))
-                        state.layout.remove(
-                            state.geometry.place(seg.instance_size, start)
-                        )
-                        index.touch(gi)
-                    continue
-                assert isinstance(gpus, list)
                 for earlier in gpus[:gi]:
                     if (
                         earlier.try_place(seg) is not None
@@ -736,6 +779,29 @@ class SegmentAllocator:
                             state.geometry.place(seg.instance_size, start)
                         )
                         break
+
+    @staticmethod
+    def _compact_indexed(gpus: LiveFleet) -> None:
+        """:meth:`_compact`'s walk over a :class:`LiveFleet`."""
+        index = gpus.index
+        heads = CompactionHeads(index)
+        for gi in gpus.compact_order(heads):
+            floor = heads.floor()
+            if floor is None or gi <= floor:
+                break
+            gpus.compact_visits += 1
+            state = gpus[gi]
+            for seg, start in sorted(state.placed, key=lambda p: p[0].instance_size):
+                if seg.instance_size > state.geometry.compact_max_size:
+                    continue
+                if heads.place(seg, limit=gi) is not None:
+                    gpus.compact_moves += 1
+                    state = index.writable(gi)
+                    state.placed.remove((seg, start))
+                    state.layout.remove(
+                        state.geometry.place(seg.instance_size, start)
+                    )
+                    index.touch(gi)
 
     # ------------------------------------------------------------------ #
     # ALLOCATION (shared by both stages)

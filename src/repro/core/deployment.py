@@ -23,8 +23,9 @@ the full schedule (:meth:`deploy`) is the other way in.  The manager's
   per-GPU plans (by id and in order), a service->GPU map and the ids of
   the occupied GPUs.  It is built lazily from the placement on the first
   delta after a full deploy and then updated in place: a delta re-plans,
-  re-rates, validates and diffs only the GPUs (and services) it touched,
-  and publishes a new :class:`Placement` whose ``gpus`` list shares every
+  validates and diffs only the GPUs it touched, re-routes only the
+  services whose segments it moved (and the one it re-planned), and
+  publishes a new :class:`Placement` whose ``gpus`` list shares every
   untouched :class:`GPUPlan` — and its cached fingerprint line.  Plans
   are immutable by type, so publishing is copy-on-write by construction:
   a touched GPU gets a new plan, and re-routing replaces only the plans
@@ -52,7 +53,15 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, ClassVar, Collection, Mapping, Optional
+from typing import (
+    Callable,
+    ClassVar,
+    Collection,
+    Mapping,
+    Optional,
+    Sequence,
+    cast,
+)
 
 from repro.core.allocator import (
     Commit,
@@ -60,11 +69,13 @@ from repro.core.allocator import (
     LiveFleet,
     SegmentAllocator,
     _GPUState,
+    placed_segment,
     plan_from_state,
     states_from_placement,
 )
 from repro.core.configurator import SegmentConfigurator
-from repro.core.placement import GPUPlan, Placement
+from repro.core.placement import GPUPlan, PlacedSegment, Placement
+from repro.core.segments import Segment
 from repro.core.service import Service, Services, service_index
 from repro.gpu.cluster import Cluster, ReconfigurationPlan
 from repro.gpu.geometry import PartitionGeometry, get_geometry
@@ -86,12 +97,26 @@ class AllocatorStats:
     gpus_rebuilt: int = 0
     #: GPUs live deltas updated in place (changed or left the order)
     gpus_touched: int = 0
+    #: GPUs the live deltas' compaction walks visited, and the segments
+    #: those walks moved
+    compact_visits: int = 0
+    compact_moves: int = 0
 
     OBS_FIELDS: ClassVar[dict[str, str]] = {
         "states_rebuilt": "counter",
         "gpus_rebuilt": "counter",
         "gpus_touched": "counter",
+        "compact_visits": "counter",
+        "compact_moves": "counter",
     }
+
+
+def _positions(pairs: Sequence[tuple[Segment, int]]) -> dict[str, list[int]]:
+    """Where each service's (Segment, start) pairs sit on one GPU."""
+    at: dict[str, list[int]] = {}
+    for i, (seg, _) in enumerate(pairs):
+        at.setdefault(seg.service_id, []).append(i)
+    return at
 
 
 class LiveState:
@@ -109,6 +134,14 @@ class LiveState:
         self.occupied: list[int] = sorted(
             g.gpu_id for g in placement.gpus if not g.is_empty
         )
+        #: gpu_id -> the committed allocator state its plan was built
+        #: from: ``states[g].placed[i]`` is ``plans[g].segments[i]``
+        self.states: dict[int, _GPUState] = {
+            state.gpu_id: state
+            for state in fleet.index.states(
+                key for key in fleet.live_keys() if key in fleet.index
+            )
+        }
         #: service -> ids of the GPUs hosting it
         self.hosts: dict[str, set[int]] = {}
         for g in placement.gpus:
@@ -311,7 +344,7 @@ class DeploymentManager:
                 for gid in sorted(live.hosts.get(leaving, ())):
                     live.fleet.remove_segments(gid, leaving)
             delta(live.fleet)
-            return self._publish(live, services, live.fleet.commit())
+            return self._publish(live, services, live.fleet.commit(), leaving)
         except BaseException:
             self._live = None
             raise
@@ -393,20 +426,33 @@ class DeploymentManager:
         return None if live is None else live.fleet.states_in_order()
 
     def _publish(
-        self, live: LiveState, services: Services, commit: Commit
+        self,
+        live: LiveState,
+        services: Services,
+        commit: Commit,
+        leaving: Optional[str] = None,
     ) -> tuple[Placement, ReconfigurationPlan]:
         """Publish a committed delta: plans, rates, scoped cluster diff.
 
         Equal, byte for byte, to ``_to_placement`` + ``assign_rates`` +
-        :meth:`deploy` over the whole fleet, in O(what the delta
-        touched): untouched GPUs keep their plans, every service with a
-        segment on a touched GPU is re-routed at its current rate with
-        the full placement-order summation, the plan list is patched at
-        the positions that changed, and only touched GPUs are validated
-        and diffed.  A delta re-plans every service whose rate it
-        changes, so the services it did not touch kept the rates they
-        were routed with (a rate changed behind the manager's back is
-        what the fleet controller's state check reports as stale).
+        :meth:`deploy` over the whole fleet, in O(what the delta moved).
+        A service's shares depend only on its rate and on its segments'
+        (gpu, start, capacity) sequence in placement order, which is the
+        sequence ``assign_rates`` sums.  The live section keeps its order,
+        so that sequence moved only if the service's segments on some
+        changed or departed GPU did.  Only those services, and
+        ``leaving`` (the service the delta re-planned or removed: a
+        re-planned one's rate may have changed even where its segments
+        did not), are re-routed at their current rate over every GPU
+        hosting them.  Every other
+        service keeps its shares exactly: on a changed GPU its segments
+        take the served rates its old plan carried.  Untouched GPUs keep
+        their plans, the plan list is patched at the positions that
+        changed, and only changed GPUs are validated and diffed.  A delta
+        re-plans every service whose rate it changes, so the others kept
+        the rates they were routed with (a rate changed behind the
+        manager's back is what the fleet controller's state check reports
+        as stale).
         """
         assert self.current is not None
         fleet = live.fleet
@@ -414,52 +460,109 @@ class DeploymentManager:
         hosts = live.hosts
         occupied = live.occupied
         changed = commit.changed
-        rerate: set[str] = set()  # services whose routing may move
+        moved: set[str] = set()  # services whose shares may move
+        if leaving is not None:
+            moved.add(leaving)
+        states = live.states
         for gid in commit.left:
             old = plans.pop(gid, None)
+            states.pop(gid, None)
             if old is None or old.is_empty:
                 continue
             del occupied[bisect_left(occupied, gid)]
             for seg in old.segments:
-                rerate.add(seg.service_id)
+                moved.add(seg.service_id)
                 hosts[seg.service_id].discard(gid)
+        # Each changed GPU's segments, service by service, against its old
+        # plan's through the allocator state that plan was built from
+        # (``states[g].placed[i]`` is ``plans[g].segments[i]``).  A
+        # service whose (Segment, start) pairs on the GPU are equal, in
+        # order, keeps its published segments (a drained GPU mostly takes
+        # back what it held); one whose (start, capacity) sequence is
+        # equal gets new segments at its old served rates; any other one
+        # moved.
+        fresh: list[tuple[int, list[PlacedSegment], list[int], str]] = []
         for gid in changed:
+            state = fleet[fleet.key_of(gid)]
+            geometry = state.geometry
+            old_state = states.get(gid)
+            states[gid] = state
             old = plans.get(gid)
             if old is None or old.is_empty:
                 insort(occupied, gid)
-                before: set[str] = set()
-            else:
-                before = {s.service_id for s in old.segments}
-            plan = plans[gid] = plan_from_state(fleet[fleet.key_of(gid)])
-            after = {s.service_id for s in plan.segments}
-            for sid in before - after:
+                plans[gid] = plan_from_state(state)
+                for seg, _ in state.placed:
+                    hosts.setdefault(seg.service_id, set()).add(gid)
+                    moved.add(seg.service_id)
+                continue
+            assert old_state is not None
+            olds = old.segments
+            pairs = state.placed
+            was = _positions(old_state.placed)
+            segs: list[Optional[PlacedSegment]] = [None] * len(pairs)
+            carried: list[int] = []  # positions holding an old served rate
+            for sid, now in _positions(pairs).items():
+                then = was.pop(sid, None)
+                if then is not None and len(then) == len(now) and all(
+                    old_state.placed[i] == pairs[j] for i, j in zip(then, now)
+                ):
+                    for i, j in zip(then, now):
+                        segs[j] = olds[i]
+                    carried += now
+                    continue
+                made = [placed_segment(*pairs[j], geometry) for j in now]
+                if then is None:
+                    hosts.setdefault(sid, set()).add(gid)
+                    moved.add(sid)
+                elif [(olds[i].start, olds[i].capacity) for i in then] == [
+                    (seg.start, seg.capacity) for seg in made
+                ]:
+                    made = [
+                        seg.with_served_rate(olds[i].served_rate)
+                        for i, seg in zip(then, made)
+                    ]
+                    carried += now
+                else:
+                    moved.add(sid)
+                for j, seg in zip(now, made):
+                    segs[j] = seg
+            for sid in was:  # gone from this GPU
                 hosts[sid].discard(gid)
-            for sid in after - before:
-                hosts.setdefault(sid, set()).add(gid)
-            rerate |= before | after
+                moved.add(sid)
+            fresh.append((
+                gid, cast(list[PlacedSegment], segs),  # every one filled
+                carried, geometry.name,
+            ))
+        # A moved service restarts from the rebuild's unrouted 0.0 and is
+        # re-routed below; every other service keeps its served rates.
+        for gid, placed, carried, name in fresh:
+            for j in carried:
+                if placed[j].service_id in moved:
+                    placed[j] = placed[j].with_served_rate(0.0)
+            plans[gid] = GPUPlan(gid, tuple(placed), name)
         by_id = service_index(services)
         emptied = []
-        for sid in rerate:
-            if not hosts[sid]:
+        for sid in moved:
+            if sid in hosts and not hosts[sid]:
                 del hosts[sid]
                 emptied.append(sid)
         lost = sorted(sid for sid in emptied if sid in by_id)
         if lost:
             raise ValueError(f"no partitions for service {lost[0]!r}")
 
-        # Re-route every plan hosting a re-routed service, in placement
+        # Re-route every plan hosting a moved service, in placement
         # order: assign_rates then sums each service's capacity exactly
         # as over the whole map, and replaces only the plans whose
         # shares moved (the others keep their cached lines).  A hosted
         # service without a rate carries rate 0, as on a rebuilt plan.
         key_of = fleet.key_of
         rerouted = sorted(
-            {gid for sid in rerate for gid in hosts.get(sid, ())},
+            {gid for sid in moved for gid in hosts.get(sid, ())},
             key=key_of,
         )
         routed = Placement(framework="", gpus=[plans[gid] for gid in rerouted])
         rates: dict[str, float] = {}
-        for sid in sorted(rerate):
+        for sid in sorted(moved):
             if sid in hosts:
                 svc = by_id.get(sid)
                 rates[sid] = 0.0 if svc is None else svc.request_rate
@@ -495,7 +598,10 @@ class DeploymentManager:
         self.current = live.placement = placement
         for gid in commit.drafted:
             self._spares.pop(gid, None)
-        self.stats.gpus_touched += len(changed) + len(commit.left)
+        stats = self.stats
+        stats.gpus_touched += len(changed) + len(commit.left)
+        stats.compact_visits += commit.compact_visits
+        stats.compact_moves += commit.compact_moves
         return placement, plan
 
     # ------------------------------------------------------------------ #

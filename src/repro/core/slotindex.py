@@ -29,10 +29,9 @@ stale and are dropped lazily, exactly like infeasible ones.
 
 Both of Algorithm 2's probe orders are supported: ``ALLOCATION`` exhausts
 preferred slots across the whole fleet before trying any fallback slot
-(``interleave=False``), while the compaction pass tries preferred-then-
-fallback per GPU (``interleave=True``).  A ``limit`` bounds the search to
-keys below a cutoff, which is how compaction only looks at GPUs in
-front of the segment being moved.
+(:meth:`SlotIndex.place`), while the compaction pass tries
+preferred-then-fallback per GPU, only on GPUs in front of the segment
+being moved (:class:`CompactionHeads`).
 
 Amortized cost: each GPU is pushed O(sizes) times per capacity-growing
 event and popped at most once per push, so a schedule of S segments over
@@ -49,9 +48,25 @@ from repro.gpu.geometry import get_geometry
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.allocator import _GPUState
     from repro.core.segments import Segment
+    from repro.gpu.geometry import PartitionGeometry
 
 #: Heap key: (geometry registry name, instance size, is_fallback).
 _Key = tuple[str, int, bool]
+
+
+def _slot_keys(geometry: "PartitionGeometry") -> tuple[_Key, ...]:
+    """The keys a GPU of ``geometry`` can host through: every (size,
+    preferred/fallback) pair with a non-empty slot tuple."""
+    return tuple(
+        (geometry.name, size, fallback)
+        for size in geometry.instance_sizes
+        for fallback in (False, True)
+        if (
+            geometry.fallback_slots(size)
+            if fallback
+            else geometry.preferred_slots(size)
+        )
+    )
 
 
 class SlotIndex:
@@ -67,6 +82,8 @@ class SlotIndex:
         self._states: dict[int, "_GPUState"] = {}
         self._heaps: dict[_Key, list[int]] = {}
         self._members: dict[_Key, set[int]] = {}
+        #: geometry name -> the keys ``touch`` registers a GPU under
+        self._keys: dict[str, tuple[_Key, ...]] = {}
         #: keys whose state changed since the owner last cleared the set
         self.touched: set[int] = set()
 
@@ -111,16 +128,19 @@ class SlotIndex:
         time anyway.  Probing here would cost O(sizes x slots) per GPU on
         every index build — most of which pays for keys the allocation
         never queries (a failover replan only places the victim's sizes).
-        Idempotent; shrinking events need no call.
+        Keys whose slot tuple is empty (on MIG the fallbacks of sizes 3,
+        4 and 7, on MI300X every fallback) are skipped: no GPU ever
+        hosts through them.  Idempotent; shrinking events need no call.
         """
         self.touched.add(pos)
         state = self._states[pos]
         if state.blocked:  # retired id sentinels never host anything
             return
-        geometry = state.geometry
-        for size in geometry.instance_sizes:
-            for fallback in (False, True):
-                self._push((geometry.name, size, fallback), pos)
+        keys = self._keys.get(state.geometry.name)
+        if keys is None:
+            keys = self._keys[state.geometry.name] = _slot_keys(state.geometry)
+        for key in keys:
+            self._push(key, pos)
 
     def _push(self, key: _Key, pos: int) -> None:
         members = self._members.setdefault(key, set())
@@ -133,18 +153,12 @@ class SlotIndex:
     # ------------------------------------------------------------------ #
 
     def first_candidate(
-        self,
-        geometry_name: str,
-        size: int,
-        fallback: bool = False,
-        limit: Optional[int] = None,
+        self, geometry_name: str, size: int, fallback: bool = False
     ) -> Optional[int]:
         """Lowest GPU key that can host ``size`` right now, or None.
 
-        ``limit`` restricts the answer to keys strictly below it.
         Infeasible (or discarded) heap heads are popped for good —
-        feasibility only returns via ``touch``/``add``; a feasible head
-        at/beyond ``limit`` stays.
+        feasibility only returns via ``touch``/``add``.
         """
         key = (geometry_name, size, fallback)
         heap = self._heaps.get(key)
@@ -158,63 +172,102 @@ class SlotIndex:
             if state is not None and state.has_free_slot(
                 size, fallback=fallback
             ):
-                if limit is not None and pos >= limit:
-                    return None
                 return pos
             heapq.heappop(heap)
             members.discard(pos)
         return None
 
-    def has_hole_below(self, limit: int) -> bool:
-        """Can any GPU keyed below ``limit`` take a compactable segment?
-
-        Compactable means no larger than its geometry's
-        ``compact_max_size`` — the segments compaction moves.  Holes in
-        front of a compaction cursor only ever shrink, so once this is
-        False it stays False for every smaller ``limit``.
-        """
-        for name, size, fallback in self._heaps:
-            if size > get_geometry(name).compact_max_size:
-                continue
-            if self.first_candidate(name, size, fallback, limit) is not None:
-                return True
-        return False
-
-    def place(
-        self,
-        seg: "Segment",
-        limit: Optional[int] = None,
-        interleave: bool = False,
-    ) -> Optional[int]:
-        """First-fit ``seg`` onto an existing GPU; its key, or None.
-
-        ``interleave=False`` replays ``ALLOCATION``'s order: any preferred
-        slot anywhere beats every fallback slot.  ``interleave=True``
-        replays the compaction order: the first GPU with *either* kind of
-        slot wins, preferring its preferred slot on a tie.
-        """
+    def place(self, seg: "Segment") -> Optional[int]:
+        """First-fit ``seg`` onto an existing GPU in ``ALLOCATION``'s
+        order — any preferred slot anywhere beats every fallback slot;
+        its key, or None."""
         name = seg.geometry.name
         size = seg.instance_size
-        preferred = self.first_candidate(name, size, False, limit)
-        if interleave:
-            fb = self.first_candidate(name, size, True, limit)
-            if preferred is None or (fb is not None and fb < preferred):
-                pos, use_fallback = fb, True
-            else:
-                pos, use_fallback = preferred, False
-        else:
-            if preferred is not None:
-                pos, use_fallback = preferred, False
-            else:
-                pos = self.first_candidate(name, size, True, limit)
-                use_fallback = True
+        pos = self.first_candidate(name, size)
+        fallback = pos is None
+        if fallback:
+            pos = self.first_candidate(name, size, True)
         if pos is None:
             return None
-        start = self.writable(pos).try_place(seg, fallback=use_fallback)
-        if start is None:  # pragma: no cover - candidates are validated
-            raise RuntimeError(
+        self.put(pos, seg, fallback)
+        return pos
+
+    def put(self, pos: int, seg: "Segment", fallback: bool) -> None:
+        """Place ``seg`` on the GPU under ``pos``, a candidate a query
+        returned for its size and slot kind."""
+        if self.writable(pos).try_place(seg, fallback=fallback) is None:
+            raise RuntimeError(  # pragma: no cover - candidates are validated
                 f"slot index returned infeasible GPU {pos} for "
                 f"{seg.describe()}"
             )
         self.touched.add(pos)
+
+
+class CompactionHeads:
+    """The lowest feasible key of every compactable slot key, cached over
+    one compaction walk.
+
+    A compaction cursor walks the keys from the back and only pulls
+    segments forward, so the holes in front of it only ever shrink: a
+    key's lowest feasible GPU stays its lowest feasible GPU until a
+    segment lands *on* it, when :meth:`place` re-resolves every key that
+    GPU headed.  A GPU the cursor frees (``SlotIndex.touch``) sits at or
+    behind every later cursor, so a head cached in front of it stays
+    exact and one cached behind it answers "nothing in front" either way.
+    Each query is then a dict lookup instead of a feasibility probe.
+    """
+
+    def __init__(self, index: SlotIndex) -> None:
+        self.index = index
+        #: slot key -> its lowest feasible GPU key (None: no GPU)
+        self._heads: dict[_Key, Optional[int]] = {
+            key: index.first_candidate(*key)
+            for key in index._heaps
+            if key[1] <= get_geometry(key[0]).compact_max_size
+        }
+
+    def floor(self) -> Optional[int]:
+        """The lowest head: a cursor at or in front of it can move
+        nothing (None: no GPU can take a compactable segment)."""
+        return min(
+            (h for h in self._heads.values() if h is not None), default=None
+        )
+
+    def lowest(self, name: str, size: int) -> Optional[int]:
+        """The lowest GPU that can take a ``size`` segment of geometry
+        ``name`` in either kind of slot (None: no GPU)."""
+        heads = [
+            h for h in (
+                self._heads.get((name, size, False)),
+                self._heads.get((name, size, True)),
+            )
+            if h is not None
+        ]
+        return min(heads, default=None)
+
+    def place(self, seg: "Segment", limit: int) -> Optional[int]:
+        """Place ``seg`` in compaction's probe order, answered from the
+        cached heads: the first GPU keyed below ``limit`` with either
+        kind of slot wins, its preferred slot on a tie; its key, or
+        None."""
+        name = seg.geometry.name
+        size = seg.instance_size
+        heads = self._heads
+        preferred = heads.get((name, size, False))
+        fb = heads.get((name, size, True))
+        if preferred is not None and preferred >= limit:
+            preferred = None
+        if fb is not None and fb >= limit:
+            fb = None
+        if preferred is None or (fb is not None and fb < preferred):
+            pos, use_fallback = fb, True
+        else:
+            pos, use_fallback = preferred, False
+        if pos is None:
+            return None
+        index = self.index
+        index.put(pos, seg, use_fallback)
+        for key, head in heads.items():
+            if head == pos:
+                heads[key] = index.first_candidate(*key)
         return pos

@@ -12,8 +12,10 @@ incremental, and every Python-level pass costs O(what changed): a memo
 of the last verified interval (per GPU its plan object, its rebuilt
 state and the live allocator state found equal to it) lets it rebuild
 only the GPUs whose plan is a new object, re-rate only the services
-whose shares may have moved, and compare element-wise only the live
-states that are not the objects it verified last.  Coverage stays
+whose shares may have moved (comparing their served rates on the plans
+it verified before instead of rendering those lines again), and compare
+element-wise only the live states that are not the objects it verified
+last.  Coverage stays
 whole-fleet at pointer cost: plans are immutable, and the live fleet
 freezes every state it commits (a later write replaces the object), so
 an unchanged object is an unchanged value; finding the changed ones is
@@ -39,7 +41,7 @@ from repro.core.allocator import (
     states_from_placement,
 )
 from repro.core.deployment import DeploymentManager
-from repro.core.placement import GPUPlan, Placement
+from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.service import Service
 from repro.gpu.geometry import get_geometry
 from repro.gpu.gpu import InstanceKey
@@ -65,8 +67,11 @@ class CheckStats:
     #: intervals checked by the full reference rather than the memo
     full_fallbacks: int = 0
     #: fingerprint lines the check rendered (cache misses: changed
-    #: published plans plus the check's own round-trip plans)
+    #: published plans plus the check's own round-trip plans of them)
     lines_rendered: int = 0
+    #: served rates of re-rated services the check compared on plans it
+    #: verified before (their lines are not rendered again)
+    rates_compared: int = 0
     #: live allocator states the check compared element-wise with their
     #: rebuild (the whole fleet on a full check; the rest are the very
     #: objects it verified last)
@@ -78,6 +83,7 @@ class CheckStats:
         "full_fallbacks": "counter",
         "lines_rendered": "counter",
         "live_compared": "counter",
+        "rates_compared": "counter",
     }
 
 
@@ -209,7 +215,7 @@ class StateVerifier:
         stats = self.stats
         if counts is not None:
             self.memo = memo
-            rebuilt, rerated, own, compared = counts
+            rebuilt, rerated, own, compared, rates_compared = counts
         else:
             stats.full_fallbacks += 1  # counted even if the check raises
             states, want, own = self._check_state(work, lines)
@@ -238,20 +244,22 @@ class StateVerifier:
                 )
             rebuilt, rerated = len(states), len(rates)
             compared = 0 if live is None else len(live)
+            rates_compared = 0
         rendered += own
         stats.gpus_rebuilt += rebuilt
         stats.services_rerated += rerated
         stats.lines_rendered += rendered
         stats.live_compared += compared
+        stats.rates_compared += rates_compared
         return lines, {
             "gpus_rebuilt": rebuilt, "services_rerated": rerated,
             "lines_rendered": rendered, "live_compared": compared,
-            "full": int(counts is None),
+            "rates_compared": rates_compared, "full": int(counts is None),
         }
 
     def _check_incremental(
         self, memo: _CheckMemo, work: Sequence[Service], lines: list[str]
-    ) -> Optional[tuple[int, int, int, int]]:
+    ) -> Optional[tuple[int, int, int, int, int]]:
         """:meth:`_check_state`'s verdict, re-verifying only what changed.
 
         Only GPUs whose plan is not the object the memo verified take the
@@ -259,11 +267,18 @@ class StateVerifier:
         services on a changed or vanished GPU, with a new rate object, or
         that joined or left ``work`` get their shares recomputed — over
         all their segments, in placement order, as ``assign_rates`` does.
+        A changed plan's line is rendered from its round trip and
+        compared in full.  On a plan the memo verified, every field but
+        a re-rated segment's served rate is the object the memo already
+        verified, so only those rates are compared, by ``repr`` — what
+        the line renders: -0.0 is not 0.0, an int is not its float, and
+        one nan is another.
         The live allocator state is compared element-wise only where it
         is not the object the memo verified or where the GPU's plan
         changed; the cluster mirror still compares every instance.
         Updates ``memo`` to this interval and returns ``(GPUs rebuilt,
-        services re-rated, lines rendered, live states compared)``;
+        services re-rated, lines rendered, live states compared, served
+        rates compared)``;
         raises as the reference would; returns None, touching nothing,
         where only the reference can decide: unchanged plans changed
         relative order (every share may sum in a new order), or the map
@@ -327,39 +342,11 @@ class StateVerifier:
         for sid in rerated:
             if sid in hosts and not hosts[sid]:
                 del hosts[sid]
-        changed_ids = set(changed)
-        plans: list[GPUPlan] = []
-        for gid in sorted(
-            {gid for sid in rerated for gid in hosts.get(sid, ())},
-            key=pos.__getitem__,
-        ):
-            if gid in changed_ids:
-                plans.append(plan_from_state(memo.states[gid]))
-                continue
-            # An unchanged plan renders as its verified rebuild did: the
-            # other services keep their shares, and the re-rated ones
-            # restart from the rebuild's unrouted 0.0.
-            shared = gpus[pos[gid]]
-            plans.append(GPUPlan(
-                gid,
-                tuple(
-                    s.with_served_rate(0.0) if s.service_id in rerate else s
-                    for s in shared.segments
-                ),
-                shared.geometry,
-            ))
-        routed = Placement(framework="", gpus=plans)
-        routed.assign_rates(
-            {sid: rates[sid] for sid in rerated if sid in rates}
+        rendered, rates_compared = self._check_rates(
+            {state.gpu_id: plan_from_state(state) for state in rebuilt},
+            gpus, pos, lines, hosts, rerated,
+            {sid: rates[sid] for sid in rerated if sid in rates},
         )
-        if any(
-            plan.fingerprint() != lines[pos[plan.gpu_id]]
-            for plan in routed.gpus
-        ):
-            raise OpsIdentityError(
-                "incremental placement does not survive the allocator-state "
-                "round trip (build_states -> _to_placement)"
-            )
 
         # 3. the live allocator state, every GPU
         compared = self._check_live(memo, order, pos, at, vanished)
@@ -387,7 +374,81 @@ class StateVerifier:
         memo.pos = pos
         memo.rates = rates
         memo.rate_list = rate_list
-        return len(changed), len(rerated), len(routed.gpus), compared
+        return len(changed), len(rerated), rendered, compared, rates_compared
+
+    @staticmethod
+    def _check_rates(
+        round_trip: dict[int, GPUPlan],
+        gpus: list[GPUPlan],
+        pos: dict[int, int],
+        lines: list[str],
+        hosts: dict[str, set[int]],
+        rerated: list[str],
+        rates: dict[str, float],
+    ) -> tuple[int, int]:
+        """Step 2 of :meth:`_check_incremental`: the re-rated services'
+        shares, as the rebuild routes them, against the published map.
+
+        ``round_trip`` holds the changed GPUs' rebuilt plans (rates
+        unassigned); every other GPU hosting a re-rated service is a plan
+        the memo verified.  Each service in ``rates`` sums its capacity
+        over all its segments in placement order, as ``assign_rates``
+        does; a re-rated service without a rate keeps the rebuild's
+        unrouted 0.0.  Returns ``(lines rendered, served rates
+        compared)``.
+        """
+        order = sorted(
+            {gid for sid in rerated for gid in hosts.get(sid, ())},
+            key=pos.__getitem__,
+        )
+        plans = [
+            round_trip[gid] if gid in round_trip else gpus[pos[gid]]
+            for gid in order
+        ]
+        capacities: dict[str, list[float]] = {sid: [] for sid in rates}
+        for plan in plans:
+            for seg in plan.segments:
+                caps = capacities.get(seg.service_id)
+                if caps is not None:
+                    caps.append(seg.capacity)
+        totals: dict[str, float] = {}
+        for sid, caps in capacities.items():
+            if not caps:
+                raise ValueError(f"no partitions for service {sid!r}")
+            totals[sid] = sum(caps)
+
+        def served(seg: PlacedSegment) -> float:
+            # the rebuild's served rate: assign_rates writes the share
+            # over the unrouted 0.0 only where it differs
+            sid = seg.service_id
+            if sid not in rates:
+                return 0.0
+            share = rates[sid] * seg.capacity / totals[sid]
+            return share if share != 0.0 else 0.0
+
+        rerate = set(rerated)
+        rendered = compared = 0
+        for gid, plan in zip(order, plans):
+            published = gpus[pos[gid]]
+            if plan is not published:
+                rendered += 1
+                check = GPUPlan(gid, tuple(
+                    seg.with_served_rate(served(seg)) for seg in plan.segments
+                ), plan.geometry)
+                same = check.fingerprint() == lines[pos[gid]]
+            else:
+                segs = [s for s in plan.segments if s.service_id in rerate]
+                compared += len(segs)
+                same = all(
+                    repr(served(seg)) == repr(seg.served_rate) for seg in segs
+                )
+            if not same:
+                raise OpsIdentityError(
+                    "incremental placement does not survive the "
+                    "allocator-state round trip (build_states -> "
+                    "_to_placement)"
+                )
+        return rendered, compared
 
     @staticmethod
     def _rates(

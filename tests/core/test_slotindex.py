@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.allocator import _GPUState
 from repro.core.segments import Segment
-from repro.core.slotindex import SlotIndex
+from repro.core.slotindex import CompactionHeads, SlotIndex
 from repro.gpu.geometry import get_geometry
 
 MIG = get_geometry("mig")
@@ -35,11 +35,9 @@ def _segment(size, geometry=MIG, sid="svc"):
     )
 
 
-def _naive_first_fit(gpus, size, fallback, geometry, limit=None, gone=()):
+def _naive_first_fit(gpus, size, fallback, geometry, gone=()):
     """Reference: lowest list position with a feasible slot."""
     for pos, state in enumerate(gpus):
-        if limit is not None and pos >= limit:
-            break
         if pos in gone or state.geometry.name != geometry.name:
             continue
         if state.has_free_slot(size, fallback=fallback):
@@ -100,13 +98,14 @@ class TestSlotIndex:
         index.add(1, _GPUState(gpu_id=1))
         assert index.place(_segment(7)) == 1
 
-    def test_limit_bounds_the_search(self):
+    def test_compaction_heads_bound_the_search(self):
         gpus = [_GPUState(gpu_id=i) for i in range(3)]
         index = _keyed(gpus)
         index.place(_segment(7))  # occupies position 0
-        assert index.first_candidate("mig", 1, limit=1) is None
-        assert index.first_candidate("mig", 1, limit=2) == 1
-        assert index.place(_segment(1), limit=1) is None
+        heads = CompactionHeads(index)
+        assert heads.lowest("mig", 1) == heads.floor() == 1
+        assert heads.place(_segment(1), limit=1) is None
+        assert heads.place(_segment(1), limit=2) == 1
 
     def test_foreign_geometry_never_matches(self):
         gpus = [

@@ -21,6 +21,7 @@ published.
 from __future__ import annotations
 
 import importlib.util
+import math
 import tempfile
 from pathlib import Path
 from typing import Callable, Optional
@@ -371,3 +372,82 @@ def test_reference_controller_runs_the_full_check_every_interval():
     assert ctrl.verifier.memo is None
     assert ctrl.verifier.stats.full_fallbacks == len(report.intervals)
     assert ctrl.manager.stats.states_rebuilt >= len(report.intervals)
+
+
+def _co_hosted(rate_b: float):
+    """A deployment where B shares GPU 0 with A and GPU 1 with C.  A
+    departs, so GPU 0 gets a new plan; B stays put, so publication leaves
+    its shares alone and GPU 1 keeps its plan object.  The check still
+    re-rates B (it is on a changed GPU): GPU 1 is a re-routed plan that
+    did not change.  Returns the manager, a warm fast verifier and the
+    remaining services."""
+    from repro.core.deployment import DeploymentManager
+    from repro.core.placement import PlacedSegment, Placement
+
+    def seg(sid, size, start, capacity):
+        return PlacedSegment(
+            service_id=sid, model="resnet-50", kind="mig", gpcs=float(size),
+            batch_size=4, num_processes=1, capacity=capacity,
+            latency_ms=10.0, sm_activity=0.5, start=start,
+        )
+
+    services = {
+        sid: Service(sid, "resnet-50", slo_latency_ms=250.0, request_rate=1.0)
+        for sid in "ABC"
+    }
+    for sid, rate in (("A", 50.0), ("B", rate_b), ("C", 25.0)):
+        services[sid].request_rate = rate
+    placement = Placement(framework="parvagpu", gpus=[
+        GPUPlan(0, (seg("A", 3, 4, 100.0), seg("B", 2, 0, 100.0))),
+        GPUPlan(1, (seg("B", 2, 0, 100.0), seg("C", 3, 4, 50.0))),
+    ])
+    placement.assign_rates({s.id: s.request_rate for s in services.values()})
+    manager = DeploymentManager(PROFILES)
+    manager.deploy(placement)
+    fast = StateVerifier(manager)
+    work = [services["B"], services["C"]]
+    fast.verify(list(services.values()))  # cold: seeds the memo
+    kept = manager.current.gpus[1]
+    manager.remove_service(work, "A")
+    assert manager.current.gpus[1] is kept  # B did not move
+    return manager, fast, work
+
+
+#: a co-hosted service's served rate on a re-routed plan that did not
+#: change: (B's request rate, the published served rate replaced by)
+SERVED_RATE_CORRUPTIONS = {
+    "signed-zero": (0.0, lambda x: -0.0),
+    "zero-for-signed": (0.0, lambda x: 0.0),  # the same bits: no change
+    "equal-int": (100.0, lambda x: int(x)),
+    "one-ulp": (100.0, lambda x: math.nextafter(x, math.inf)),
+    "nan": (100.0, lambda x: math.nan),
+    "nan-for-nan": (math.nan, lambda x: float("nan")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SERVED_RATE_CORRUPTIONS))
+def test_served_rate_on_unchanged_rerouted_plan(kind):
+    """The incremental check compares a re-rated segment's served rate on
+    a plan it verified before by ``repr``, as the reference compares the
+    rendered line: -0.0 is not 0.0, an int is not its float, one ulp
+    counts and a nan matches a nan.  The corrupted plan stands in for the
+    verified one in the memo too, so only that compare can see it."""
+    rate_b, corrupted = SERVED_RATE_CORRUPTIONS[kind]
+    manager, fast, work = _co_hosted(rate_b)
+    gpus = manager.current.gpus
+    plan = gpus[1]
+    segs = list(plan.segments)
+    b = segs[0]
+    assert b.service_id == "B"
+    segs[0] = b.with_served_rate(corrupted(b.served_rate))
+    gpus[1] = fast.memo.plans[1] = GPUPlan(1, tuple(segs), plan.geometry)
+    compared = fast.stats.rates_compared
+    reference = StateVerifier(manager, fast_path=False)
+    ref = _outcome(lambda: reference.verify(work))
+    mine = _outcome(lambda: fast.verify(work))
+    assert fast.stats.full_fallbacks == 1  # the incremental path ran
+    assert type(ref) is type(mine), (ref, mine)
+    same = repr(segs[0].served_rate) == repr(b.served_rate)
+    assert (ref is None) is same
+    if mine is None:
+        assert fast.stats.rates_compared > compared

@@ -627,6 +627,9 @@ class TestLiveAllocatorState:
         # one build_states (the bootstrap check) + one live-state build
         assert (stats.states_rebuilt, stats.gpus_rebuilt) == (2, 4)
         assert stats.gpus_touched == 6
+        # compaction stops only at GPUs hosting a compactable segment
+        # behind the lowest hole: 2 visits over the two re-plans, 3 moves
+        assert (stats.compact_visits, stats.compact_moves) == (2, 3)
         check = ctrl.verifier.stats
         assert check.full_fallbacks == 1
         # 2 bootstrap GPUs, then 2 (failover) + 3 (rate re-plan) changed
@@ -634,24 +637,29 @@ class TestLiveAllocatorState:
         assert check.gpus_rebuilt == 2 + 2 + 3 + 0
         assert check.services_rerated == 3 + 3 + 3 + 0
         # lines rendered (cache misses): each changed published plan once,
-        # plus the check's own round-trip plans; the recovery interval
+        # plus the check's round-trip plan of it; the recovery interval
         # reads every line from its plan's cache
         assert check.lines_rendered == 4 + 4 + 6 + 0
+        # on three GPUs every plan hosting a re-rated service changed, so
+        # no served rate is compared on a plan verified before
+        assert check.rates_compared == 0
         spans = [
             sp.args for sp in ctrl.obs.tracer.spans if sp.name == "check"
         ]
         assert [a["gpus_rebuilt"] for a in spans] == [2, 2, 3, 0]
         assert [a["lines_rendered"] for a in spans] == [4, 4, 6, 0]
         assert [a["full"] for a in spans] == [1, 0, 0, 0]
+        assert [a["rates_compared"] for a in spans] == [0, 0, 0, 0]
         scraped = {
             m.name: m for m in ctrl.obs.registry.collect()
             if m.name.startswith(("alloc_", "check_", "sim_memo_"))
         }
         assert sorted(scraped) == [
+            "alloc_compact_moves", "alloc_compact_visits",
             "alloc_gpus_rebuilt", "alloc_gpus_touched", "alloc_states_rebuilt",
             "check_full_fallbacks", "check_gpus_rebuilt",
             "check_lines_rendered", "check_live_compared",
-            "check_services_rerated",
+            "check_rates_compared", "check_services_rerated",
             "sim_memo_closed_form_total", "sim_memo_hits_total",
             "sim_memo_misses_total",
         ]
@@ -686,6 +694,36 @@ class TestLiveAllocatorState:
         reference.verify(ctrl._run.work)
         live = ctrl.manager.live_states()
         assert reference.stats.live_compared == len(live) > 100
+        ctrl.finish()
+
+    def test_rate_replan_reroutes_only_what_moved(self, profiles):
+        """A rate re-plan on a 100+ GPU fleet re-routes only the services
+        whose segments moved: a co-hosted service keeps its shares, so
+        the plans hosting it elsewhere stay the same objects.  The check
+        still re-rates it and compares its served rates there by value
+        instead of rendering those lines again: it renders exactly two
+        lines per changed plan (the published one and its round trip)."""
+        from repro.scenarios.fleet import fleet_services
+
+        fleet = fleet_services(200)
+        ctrl = controller(profiles)
+        ctrl.begin(fleet, horizon_s=100.0)
+        ctrl.step(0.0)
+        assert ctrl.manager.num_gpus >= 100
+        compared = 0
+        for k, svc in enumerate(fleet[:6]):
+            ctrl.step(1.0 + k, [RateEpoch(
+                time_s=1.0 + k, service_id=svc.id,
+                rate=svc.request_rate * 1.7,
+            )])
+            args = [
+                sp.args for sp in ctrl.obs.tracer.spans if sp.name == "check"
+            ][-1]
+            assert args["full"] == 0
+            assert args["lines_rendered"] == 2 * args["gpus_rebuilt"]
+            compared += args["rates_compared"]
+        assert compared > 0
+        assert ctrl.verifier.stats.rates_compared == compared
         ctrl.finish()
 
     def test_step_metrics_fold_in_at_collect(self, profiles, services):
