@@ -235,6 +235,22 @@ class GPUPlan:
             )
 
 
+def render_lines(plans: Iterable[GPUPlan]) -> tuple[list[str], int]:
+    """One :meth:`GPUPlan.fingerprint` line per non-empty plan, in
+    order, and how many of those lines were rendered now (cache misses):
+    every other plan returns the line it cached."""
+    lines: list[str] = []
+    rendered = 0
+    for g in plans:
+        if g.segments:
+            line = g._line
+            if line is None:
+                line = g.fingerprint()
+                rendered += 1
+            lines.append(line)
+    return lines, rendered
+
+
 @dataclass
 class Placement:
     """A full deployment map plus scheduling metadata."""
@@ -322,20 +338,9 @@ class Placement:
         return "\n".join(self.render_lines()[0])
 
     def render_lines(self) -> tuple[list[str], int]:
-        """:meth:`fingerprint` before the join — one
-        :meth:`GPUPlan.fingerprint` line per non-empty plan, in order —
-        and how many of those lines were rendered now (cache misses):
-        every other plan returns the line it cached."""
-        lines: list[str] = []
-        rendered = 0
-        for g in self.gpus:
-            if g.segments:
-                line = g._line
-                if line is None:
-                    line = g.fingerprint()
-                    rendered += 1
-                lines.append(line)
-        return lines, rendered
+        """:meth:`fingerprint` before the join: :func:`render_lines` of
+        the plans."""
+        return render_lines(self.gpus)
 
     # ------------------------------------------------------------------ #
     # traffic assignment

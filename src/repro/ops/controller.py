@@ -934,14 +934,15 @@ class FleetController:
         self, record: IntervalRecord, placement: Placement, run: _RunState
     ) -> dict[str, int]:
         """Serve ``placement`` into ``record``; returns the measure
-        span's work counts: memo hits, misses the closed form resolved
-        and plans reused whole out of the segments served."""
+        span's work counts: memo hits, misses the closed form resolved,
+        plans reused whole and plans re-resolved out of the segments
+        served, and services re-aggregated (the reference engine
+        resolves every plan and aggregates every service)."""
         from repro.sim.runner import measure_interval
 
         plans = self._plans
-        memo = plans.memo if plans is not None else None
-        before = (0, 0) if memo is None else (
-            memo.hits_total, memo.closed_form_total
+        before = (0, 0) if plans is None else (
+            plans.memo.hits_total, plans.memo.closed_form_total
         )
         m = measure_interval(
             placement,
@@ -957,14 +958,21 @@ class FleetController:
         if m.per_service:
             record.worst_service = m.worst_service
             record.worst_service_compliance = m.worst_compliance
-        after = (0, 0) if memo is None else (
-            memo.hits_total, memo.closed_form_total
-        )
+        if plans is None:
+            return {
+                "memo_hits": 0, "closed_form": 0, "plans_reused": 0,
+                "plans_resolved": len(placement.gpus),
+                "services_reaggregated": len(m.per_service),
+                "segments": sum(len(g.segments) for g in placement.gpus),
+            }
+        memo = plans.memo
         return {
-            "memo_hits": after[0] - before[0],
-            "closed_form": after[1] - before[1],
-            "plans_reused": plans.reused if plans is not None else 0,
-            "segments": sum(len(g.segments) for g in placement.gpus),
+            "memo_hits": memo.hits_total - before[0],
+            "closed_form": memo.closed_form_total - before[1],
+            "plans_reused": plans.reused,
+            "plans_resolved": plans.resolved,
+            "services_reaggregated": plans.reaggregated,
+            "segments": plans.segments,
         }
 
 

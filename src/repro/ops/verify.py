@@ -9,19 +9,20 @@ mirror the map exactly.
 
 :class:`StateVerifier` runs that check.  On the fast path it is
 incremental, and every Python-level pass costs O(what changed): a memo
-of the last verified interval (per GPU its plan object, its rebuilt
-state and the live allocator state found equal to it) lets it rebuild
-only the GPUs whose plan is a new object, re-rate only the services
-whose shares may have moved (comparing their served rates on the plans
-it verified before instead of rendering those lines again), and compare
-element-wise only the live states that are not the objects it verified
-last.  Coverage stays
-whole-fleet at pointer cost: plans are immutable, and the live fleet
-freezes every state it commits (a later write replaces the object), so
-an unchanged object is an unchanged value; finding the changed ones is
-a C-level identity scan.  The rate-identity scan over every service,
-the cluster-mirror compare and the fingerprint render stay whole-fleet
-on purpose.
+of the last verified interval (its plans, lines and live states as
+lists aligned with the placement, and per GPU its rebuilt state) lets
+it rebuild only the GPUs whose plan is a new object, re-rate only the
+services whose shares may have moved (comparing their served rates on
+the plans it verified before instead of rendering those lines again),
+and compare element-wise only the live states and cluster GPUs that are
+not the objects it verified last.  Coverage stays whole-fleet at
+pointer cost: plans are immutable, the live fleet freezes every state
+it commits (a later write replaces the object) and a cluster GPU
+replaces its instance-key tuple on every change, so an unchanged object
+is an unchanged value; finding the changed ones is one C-level aligned
+identity scan per list (:func:`~repro.core.align.aligned`) — over every
+plan, service rate, live state and cluster GPU — with Python work only
+where it finds a difference.
 A cold memo (a fresh verifier) or reordered GPUs run the full rebuild
 (:meth:`StateVerifier._check_state`, the ``fast_path=False`` reference),
 which seeds the memo; both raise on the same corrupted states.
@@ -30,8 +31,7 @@ which seeds the memo; both raise on the same corrupted states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse
-from operator import is_not
+from itertools import filterfalse
 from typing import ClassVar, Optional, Sequence
 
 from repro.core.allocator import (
@@ -40,11 +40,14 @@ from repro.core.allocator import (
     plan_from_state,
     states_from_placement,
 )
+from repro.core.align import Run, aligned, changed_at, spliced
 from repro.core.deployment import DeploymentManager
-from repro.core.placement import GPUPlan, PlacedSegment, Placement
+from repro.core.placement import (
+    GPUPlan, PlacedSegment, Placement, render_lines,
+)
 from repro.core.service import Service
 from repro.gpu.geometry import get_geometry
-from repro.gpu.gpu import InstanceKey
+from repro.gpu.gpu import GPU, InstanceKey
 
 
 class OpsIdentityError(RuntimeError):
@@ -127,29 +130,36 @@ def _live_matches(
     return len(live) == len(states) and all(map(_same_state, live, states))
 
 
-def _changed_at(new: Sequence[object], old: Sequence[object]) -> list[int]:
-    """Positions where two aligned lists hold different objects (a
-    C-level identity scan)."""
-    return list(compress(range(len(new)), map(is_not, new, old)))
+def _not_mirrored() -> OpsIdentityError:
+    return OpsIdentityError(
+        "live cluster instances do not mirror the deployment map"
+    )
 
 
 @dataclass
 class _CheckMemo:
-    """The last interval the state check verified, per GPU.
+    """The last interval the state check verified.
 
-    For every GPU of the verified placement: its plan object and the
-    ``_GPUState`` the check rebuilt from it (which also carries the
-    GPU's instance specs and services).  Built by the check itself —
-    never shared with the live fleet, so comparing the two stays a real
-    comparison.
+    Its lists are aligned with the verified placement's plans, so the
+    next check finds what changed with one aligned identity scan
+    (:func:`~repro.core.align.aligned`) and patches only those
+    positions.  Built by the check itself — never shared with the live
+    fleet, so comparing the two stays a real comparison.
     """
 
-    #: gpu ids in placement order, and each one's position
-    order: list[int]
-    pos: dict[int, int]
+    #: the verified plans in placement order, and each one's line
+    gpus: list[GPUPlan]
+    lines: list[str]
     #: gpu_id -> the verified plan (immutable: the same object is the
     #: same line)
     plans: dict[int, GPUPlan]
+    #: gpu_id -> an order key, ascending in placement order: a GPU that
+    #: left leaves a gap, a replacement takes a key of the gap it fills
+    #: and an appended GPU one past every key given out (``next_rank``)
+    rank: dict[int, int]
+    next_rank: int
+    #: gpu_id -> the ``_GPUState`` the check rebuilt from the verified
+    #: plan (which also carries the GPU's instance specs and services)
     states: dict[int, _GPUState]
     #: every instance the map deploys, per GPU
     want: _InstanceMap
@@ -159,15 +169,21 @@ class _CheckMemo:
     #: ``work`` order
     work: list[Service]
     rate_list: list[float]
-    #: gpu_id -> the live allocator state found equal to ``states``
-    #: (frozen, so still equal while it is the same object); empty when
-    #: the manager had no live state
-    live: dict[int, _GPUState]
-    #: the same for the spares and retired sentinels after the live
-    #: GPUs, with the manager's ledgers they were verified against
+    #: the live allocator states found equal to ``states``, aligned with
+    #: ``gpus`` (frozen, so still equal while the same object); empty
+    #: when the manager had no live state
+    live: list[_GPUState]
+    #: gpu_id -> the same for the spares and retired sentinels after the
+    #: live GPUs, in order, with the manager's ledgers they were verified
+    #: against (all empty when none was)
     ledger: dict[int, _GPUState]
     spares: dict[int, str]
     retired: dict[int, str]
+    #: the cluster's GPUs, each one's instance-key tuple as last
+    #: compared, and gpu_id -> position
+    cluster: tuple[GPU, ...]
+    cluster_keys: list[tuple[InstanceKey, ...]]
+    cluster_at: dict[int, int]
     #: service -> ids of the GPUs hosting it (built by the first
     #: incremental check, keeping the cold check as cheap as the reference)
     hosts: Optional[dict[str, set[int]]] = None
@@ -203,49 +219,61 @@ class StateVerifier:
         the full reference :meth:`_check_state`, whose by-products seed
         the memo.  Published plans cache their lines, so the render costs
         O(changed plans); ``lines_rendered`` counts the lines the check
-        rendered (cache misses), its own round-trip plans included.
+        rendered (cache misses), its own round-trip plans included, and
+        ``positions_compared`` the list positions (plans, live states,
+        cluster GPUs, services) its identity scans flagged and compared
+        element-wise — the whole of each list on a full check.  The memo
+        keeps the lines list it returns; no check edits it in place.
         """
         placement = self.manager.current
         assert placement is not None
-        lines, rendered = placement.render_lines()
         memo, self.memo = self.memo, None  # kept if verified
-        counts = (
-            None if memo is None else self._check_incremental(memo, work, lines)
-        )
+        counts = None if memo is None else self._check_incremental(memo, work)
         stats = self.stats
         if counts is not None:
             self.memo = memo
-            rebuilt, rerated, own, compared, rates_compared = counts
+            assert memo is not None
+            lines = memo.lines
+            rebuilt, rerated, rendered, compared, rates_compared, positions = (
+                counts
+            )
         else:
             stats.full_fallbacks += 1  # counted even if the check raises
+            lines, rendered = placement.render_lines()
             states, want, own = self._check_state(work, lines)
+            rendered += own
             live = self.manager.live_states()
             rates = {s.id: s.request_rate for s in work}
             gpus = placement.gpus
             order = [g.gpu_id for g in gpus]
-            pos = dict(zip(order, range(len(order))))
-            if self.fast_path and len(lines) == len(gpus) == len(pos):
-                self.memo = _CheckMemo(
-                    order=order,
-                    pos=pos,
+            cluster = self.manager.cluster.gpus
+            if self.fast_path and len(lines) == len(gpus) == len(set(order)):
+                n = len(order)
+                self.memo = memo = _CheckMemo(
+                    gpus=list(gpus),
+                    lines=lines,
                     plans=dict(zip(order, gpus)),
+                    rank=dict(zip(order, range(n))),
+                    next_rank=n,
                     states=dict(zip(order, states)),
                     want=want,
                     rates=rates,
                     work=list(work),
                     rate_list=[s.request_rate for s in work],
-                    live={} if live is None else dict(zip(order, live)),
-                    ledger=(
-                        {} if live is None
-                        else {s.gpu_id: s for s in live[len(order):]}
-                    ),
-                    spares=dict(self.manager.spare_gpus),
-                    retired=dict(self.manager.retired_gpus),
+                    live=[], ledger={}, spares={}, retired={},
+                    cluster=cluster,
+                    cluster_keys=[g.instance_keys for g in cluster],
+                    cluster_at={g.gpu_id: i for i, g in enumerate(cluster)},
                 )
+                if live is not None:
+                    memo.live = live[:n]
+                    memo.ledger = {s.gpu_id: s for s in live[n:]}
+                    memo.spares = dict(self.manager.spare_gpus)
+                    memo.retired = dict(self.manager.retired_gpus)
             rebuilt, rerated = len(states), len(rates)
             compared = 0 if live is None else len(live)
             rates_compared = 0
-        rendered += own
+            positions = len(gpus) + compared + len(cluster) + len(work)
         stats.gpus_rebuilt += rebuilt
         stats.services_rerated += rerated
         stats.lines_rendered += rendered
@@ -254,80 +282,85 @@ class StateVerifier:
         return lines, {
             "gpus_rebuilt": rebuilt, "services_rerated": rerated,
             "lines_rendered": rendered, "live_compared": compared,
-            "rates_compared": rates_compared, "full": int(counts is None),
+            "rates_compared": rates_compared,
+            "positions_compared": positions, "full": int(counts is None),
         }
 
     def _check_incremental(
-        self, memo: _CheckMemo, work: Sequence[Service], lines: list[str]
-    ) -> Optional[tuple[int, int, int, int, int]]:
+        self, memo: _CheckMemo, work: Sequence[Service]
+    ) -> Optional[tuple[int, int, int, int, int, int]]:
         """:meth:`_check_state`'s verdict, re-verifying only what changed.
 
-        Only GPUs whose plan is not the object the memo verified take the
-        ``states_from_placement -> plan_from_state`` round trip, and only
-        services on a changed or vanished GPU, with a new rate object, or
-        that joined or left ``work`` get their shares recomputed — over
-        all their segments, in placement order, as ``assign_rates`` does.
-        A changed plan's line is rendered from its round trip and
-        compared in full.  On a plan the memo verified, every field but
-        a re-rated segment's served rate is the object the memo already
-        verified, so only those rates are compared, by ``repr`` — what
-        the line renders: -0.0 is not 0.0, an int is not its float, and
-        one nan is another.
-        The live allocator state is compared element-wise only where it
-        is not the object the memo verified or where the GPU's plan
-        changed; the cluster mirror still compares every instance.
+        One aligned identity scan of the placement's plans against the
+        memo's finds the plans that are not the objects it verified
+        (replaced, appended) and the positions that left; the memo's
+        lines are patched at just those positions.  Only the new plans
+        take the ``states_from_placement -> plan_from_state`` round trip,
+        and only services on a new or vanished plan, with a new rate
+        object, or that joined or left ``work`` get their shares
+        recomputed — over all their segments, in placement order, as
+        ``assign_rates`` does.  A changed plan's line is rendered from
+        its round trip and compared in full.  On a plan the memo
+        verified, every field but a re-rated segment's served rate is
+        the object the memo already verified, so only those rates are
+        compared, by ``repr`` — what the line renders: -0.0 is not 0.0,
+        an int is not its float, and one nan is another.
+        The live allocator state and the cluster's instances are compared
+        element-wise only where the same aligned scans find an object
+        that is not the one verified, or where the GPU's plan changed.
         Updates ``memo`` to this interval and returns ``(GPUs rebuilt,
         services re-rated, lines rendered, live states compared, served
-        rates compared)``;
-        raises as the reference would; returns None, touching nothing,
-        where only the reference can decide: unchanged plans changed
-        relative order (every share may sum in a new order), or the map
-        holds an empty plan or a repeated GPU id.
+        rates compared, positions compared)``; raises as the reference
+        would; returns None where only the reference can decide: a plan
+        the memo verified moved relative to the others (every share may
+        sum in a new order), a plan joined between two kept ones, the map
+        holds an empty plan, a repeated GPU id or a repeated service id.
         """
         placement = self.manager.current
         assert placement is not None
         gpus = placement.gpus
-        n = len(gpus)
-        order = [g.gpu_id for g in gpus]
-        pos = dict(zip(order, range(n)))
-        if not len(lines) == n == len(pos):
-            return None
+        runs, added, dropped = aligned(gpus, memo.gpus)
         verified = memo.plans
-        at = _changed_at(gpus, list(map(verified.get, order)))
-        changed = [order[i] for i in at]
-        vanished = (
-            list(verified.keys() - pos.keys())
-            if len(verified) + sum(g not in verified for g in changed) != n
-            else []
-        )
-        # Plans that did not change must keep their relative order.
-        kept = list(order)
-        for i in reversed(at):
-            del kept[i]
-        before = list(memo.order)
-        old_pos = memo.pos
-        for i in sorted(
-            (old_pos[gid] for gid in changed + vanished if gid in old_pos),
-            reverse=True,
-        ):
-            del before[i]
-        if kept != before:
+        fresh = [gpus[i] for i in added]
+        freed = dict.fromkeys(memo.gpus[j].gpu_id for j in dropped)
+        changed: dict[int, None] = {}
+        for plan in fresh:
+            gid = plan.gpu_id
+            if (
+                not plan.segments or gid in changed
+                or verified.get(gid) is plan  # moved
+                or (gid in verified and gid not in freed)  # repeated
+            ):
+                return None
+            changed[gid] = None
+        vanished = [gid for gid in freed if gid not in changed]
+        ranks = self._ranks(memo, gpus, runs, added, dropped)
+        if ranks is None:
             return None
+        fresh_lines, rendered = render_lines(fresh)
+        lines = (
+            spliced(memo.lines, runs, fresh_lines) if added or dropped
+            else memo.lines
+        )
 
         # 1. the allocator-state round trip, for the changed GPUs only
         rebuilt = states_from_placement(
-            Placement(framework="", gpus=[gpus[i] for i in at])
+            Placement(framework="", gpus=fresh)
         )
 
         # 2. re-rate the services whose shares may have moved
         hosts = memo.hosts
         if hosts is None:
             hosts = memo.hosts = {}
-            for gid in memo.order:
-                for seg, _ in memo.states[gid].placed:
-                    hosts.setdefault(seg.service_id, set()).add(gid)
-        rates, rerate, rate_list = self._rates(memo, work)
-        for gid in vanished + changed:
+            for plan in memo.gpus:
+                for seg, _ in memo.states[plan.gpu_id].placed:
+                    hosts.setdefault(seg.service_id, set()).add(plan.gpu_id)
+        scanned = self._rates(memo, work)
+        if scanned is None:
+            return None
+        rerate, flagged = scanned
+        rates = memo.rates
+        for gid in vanished + list(changed):
             old = memo.states.pop(gid, None)
             if old is not None:
                 for seg, _ in old.placed:
@@ -342,46 +375,74 @@ class StateVerifier:
         for sid in rerated:
             if sid in hosts and not hosts[sid]:
                 del hosts[sid]
-        rendered, rates_compared = self._check_rates(
+        for gid in vanished:
+            del verified[gid], memo.rank[gid]
+        for plan in fresh:
+            verified[plan.gpu_id] = plan
+        memo.rank.update(ranks)
+        own, rates_compared = self._check_rates(
             {state.gpu_id: plan_from_state(state) for state in rebuilt},
-            gpus, pos, lines, hosts, rerated,
+            verified, memo.rank, hosts, rerated,
             {sid: rates[sid] for sid in rerated if sid in rates},
         )
 
         # 3. the live allocator state, every GPU
-        compared = self._check_live(memo, order, pos, at, vanished)
+        compared = self._check_live(
+            memo, gpus, runs, added, changed.keys() == freed.keys()
+        )
 
         # 4. the cluster mirror, every instance
-        want = memo.want
-        for gid in vanished:
-            want.pop(gid, None)
-        for state in rebuilt:
-            want[state.gpu_id] = _instance_keys(state)
-        mirror = self._cluster_instances()
-        if want != mirror:
-            raise OpsIdentityError(
-                "live cluster instances do not mirror the deployment map"
-            )
-        # Equal values; keeping the cluster's own key tuples lets the next
-        # compare skip every GPU whose tuple is still the same object.
-        memo.want = mirror
+        mirrored = self._check_cluster(memo, rebuilt, vanished)
 
-        for gid in vanished:
-            del verified[gid]
-        for i in at:
-            verified[order[i]] = gpus[i]
-        memo.order = order
-        memo.pos = pos
-        memo.rates = rates
-        memo.rate_list = rate_list
-        return len(changed), len(rerated), rendered, compared, rates_compared
+        memo.gpus = list(gpus)
+        memo.lines = lines
+        return (
+            len(changed), len(rerated), rendered + own, compared,
+            rates_compared, len(added) + compared + mirrored + flagged,
+        )
+
+    @staticmethod
+    def _ranks(
+        memo: _CheckMemo,
+        gpus: list[GPUPlan],
+        runs: list[Run],
+        added: list[int],
+        dropped: list[int],
+    ) -> Optional[dict[int, int]]:
+        """Order keys for the plans at ``added``, ascending in placement
+        order with the kept plans' keys: each gap between two matched
+        runs hands its dropped plans' keys to its added ones, and the
+        gap at the end counts on from ``memo.next_rank``.  None where a
+        gap before a kept plan added more plans than it dropped."""
+        old = memo.gpus
+        rank = memo.rank
+        out: dict[int, int] = {}
+        ai = di = 0
+        ends = [(a, b) for a, b, _ in runs] + [(len(gpus), len(old))]
+        for r, (a, b) in enumerate(ends):
+            new = []
+            while ai < len(added) and added[ai] < a:
+                new.append(added[ai])
+                ai += 1
+            keys = []
+            while di < len(dropped) and dropped[di] < b:
+                keys.append(rank[old[dropped[di]].gpu_id])
+                di += 1
+            if len(new) > len(keys):
+                if r < len(ends) - 1:
+                    return None
+                start = memo.next_rank
+                memo.next_rank += len(new) - len(keys)
+                keys.extend(range(start, memo.next_rank))
+            for i, key in zip(new, keys):
+                out[gpus[i].gpu_id] = key
+        return out
 
     @staticmethod
     def _check_rates(
         round_trip: dict[int, GPUPlan],
-        gpus: list[GPUPlan],
-        pos: dict[int, int],
-        lines: list[str],
+        published: dict[int, GPUPlan],
+        rank: dict[int, int],
         hosts: dict[str, set[int]],
         rerated: list[str],
         rates: dict[str, float],
@@ -392,17 +453,17 @@ class StateVerifier:
         ``round_trip`` holds the changed GPUs' rebuilt plans (rates
         unassigned); every other GPU hosting a re-rated service is a plan
         the memo verified.  Each service in ``rates`` sums its capacity
-        over all its segments in placement order, as ``assign_rates``
-        does; a re-rated service without a rate keeps the rebuild's
-        unrouted 0.0.  Returns ``(lines rendered, served rates
-        compared)``.
+        over all its segments in placement order (``rank`` order), as
+        ``assign_rates`` does; a re-rated service without a rate keeps
+        the rebuild's unrouted 0.0.  Returns ``(lines rendered, served
+        rates compared)``.
         """
         order = sorted(
             {gid for sid in rerated for gid in hosts.get(sid, ())},
-            key=pos.__getitem__,
+            key=rank.__getitem__,
         )
         plans = [
-            round_trip[gid] if gid in round_trip else gpus[pos[gid]]
+            round_trip[gid] if gid in round_trip else published[gid]
             for gid in order
         ]
         capacities: dict[str, list[float]] = {sid: [] for sid in rates}
@@ -429,13 +490,13 @@ class StateVerifier:
         rerate = set(rerated)
         rendered = compared = 0
         for gid, plan in zip(order, plans):
-            published = gpus[pos[gid]]
-            if plan is not published:
+            line = published[gid].fingerprint()
+            if plan is not published[gid]:
                 rendered += 1
                 check = GPUPlan(gid, tuple(
                     seg.with_served_rate(served(seg)) for seg in plan.segments
                 ), plan.geometry)
-                same = check.fingerprint() == lines[pos[gid]]
+                same = check.fingerprint() == line
             else:
                 segs = [s for s in plan.segments if s.service_id in rerate]
                 compared += len(segs)
@@ -453,93 +514,136 @@ class StateVerifier:
     @staticmethod
     def _rates(
         memo: _CheckMemo, work: Sequence[Service]
-    ) -> tuple[dict[str, float], set[str], list[float]]:
-        """The rate-identity scan over every service: ``work``'s rates,
-        the services whose rate object is not the one the memo verified
-        (or that joined or left), and the rate objects in ``work`` order.
+    ) -> Optional[tuple[set[str], int]]:
+        """The rate-identity scan over every service: patches
+        ``memo.rates`` (``work``'s rates) and ``memo.rate_list`` (the
+        rate objects in ``work`` order), and returns the services whose
+        rate object is not the one the memo verified (or that joined or
+        left) with how many positions the scan flagged; None for a
+        repeated service id.
 
         Identity, not ==: -0.0 == 0.0 and nan != nan, but an unchanged
-        rate object is sure to route exactly as it did.  While ``work``
-        holds the memo's services in its order, the scan compares rate
-        objects position by position and patches the memo's map.
+        rate object is sure to route exactly as it did.  The scan
+        compares rate objects position by position over the runs ``work``
+        shares with the memo's services; services that joined or left
+        ``work`` (or moved in it) are looked up by id.
         """
+        rates = memo.rates
+        if len(rates) != len(memo.work):
+            return None
         rate_list = [s.request_rate for s in work]
-        if work == memo.work and len(memo.rates) == len(work):
-            rates = memo.rates
-            moved = _changed_at(rate_list, memo.rate_list)
-            for i in moved:
-                rates[work[i].id] = rate_list[i]
-            return rates, {work[i].id for i in moved}, rate_list
-        rates = {s.id: s.request_rate for s in work}
-        rerate = {
-            sid for sid, rate in rates.items()
-            if memo.rates.get(sid) is not rate
-        }
-        rerate.update(sid for sid in memo.rates if sid not in rates)
+        if work == memo.work:
+            runs: list[Run] = [(0, 0, len(work))]
+            added: list[int] = []
+            dropped: list[int] = []
+        else:
+            runs, added, dropped = aligned(work, memo.work)
+        rerate: set[str] = set()
+        flagged = 0
+        old_rates = memo.rate_list
+        for a, b, k in runs:
+            moved = changed_at(rate_list[a:a + k], old_rates[b:b + k])
+            flagged += len(moved)
+            for d in moved:
+                svc = work[a + d]
+                rerate.add(svc.id)
+                rates[svc.id] = rate_list[a + d]
+        if added or dropped:
+            left = dict.fromkeys(memo.work[j].id for j in dropped)
+            joined = {work[i].id: rate_list[i] for i in added}
+            if len(joined) != len(added) or any(
+                sid in rates and sid not in left for sid in joined
+            ):
+                return None
+            for sid in left:
+                if sid not in joined:
+                    rerate.add(sid)
+                    del rates[sid]
+            for sid, rate in joined.items():
+                if rates.get(sid) is not rate:
+                    rerate.add(sid)
+                rates[sid] = rate
+            flagged += len(added) + len(dropped)
         memo.work = list(work)
-        return rates, rerate, rate_list
+        memo.rate_list = rate_list
+        return rerate, flagged
 
     def _check_live(
         self,
         memo: _CheckMemo,
-        order: list[int],
-        pos: dict[int, int],
-        at: list[int],
-        vanished: list[int],
+        gpus: list[GPUPlan],
+        runs: list[Run],
+        added: list[int],
+        same_ids: bool,
     ) -> int:
         """Step 3 of :meth:`_check_incremental`: the live allocator state
         equals the rebuild GPU for GPU.
 
-        A live state that is the object the memo verified for its GPU,
-        on a GPU whose plan did not change (``at`` lists the positions
-        whose did), still equals its rebuild: committed states are
-        frozen.  Every other one is compared element-wise, and so are the
-        spares and retired sentinels after it (see :meth:`_check_ledger`);
-        returns how many were.
+        A live state that is the object the memo verified at the aligned
+        position of an unchanged plan still equals its rebuild: committed
+        states are frozen.  A run of such positions whose states compare
+        equal to the verified ones (C-level: the same object, or equal
+        field for field) is done; in any other run, every state that is
+        not the verified object is compared element-wise with its
+        rebuild, as is every state whose plan changed (``added``).  So
+        are the spares and retired sentinels after them (see
+        :meth:`_check_ledger`; ``same_ids``: the placement holds the GPU
+        ids it held).  Returns how many were.
         """
         live = self.manager.live_states()
-        verified = memo.live
         if live is None:
-            verified.clear()
-            memo.ledger.clear()
+            # no ledger verified: the next one compares every state
+            memo.live, memo.ledger, memo.spares, memo.retired = [], {}, {}, {}
             return 0
-        n = len(order)
+        n = len(gpus)
         section = live[:n]
-        suspect = set(_changed_at(section, list(map(verified.get, order))))
-        suspect.update(at)
+        old = memo.live
+        if not old:
+            suspect = list(range(n))
+        else:
+            suspect = list(added)
+            for a, b, k in runs:
+                now, then = section[a:a + k], old[b:b + k]
+                if now != then:
+                    suspect += [a + d for d in changed_at(now, then)]
         states = memo.states
         if len(section) != n or not all(
-            _same_state(section[i], states[order[i]]) for i in suspect
+            _same_state(section[i], states[gpus[i].gpu_id]) for i in suspect
         ):
             raise _live_diverged()
-        compared = self._check_ledger(memo, live[n:], pos)
-        for gid in vanished:
-            verified.pop(gid, None)
-        for i in suspect:
-            verified[order[i]] = section[i]
+        compared = self._check_ledger(memo, live[n:], same_ids)
+        memo.live = section
         return len(suspect) + compared
 
     def _check_ledger(
-        self, memo: _CheckMemo, tail: list[_GPUState], pos: dict[int, int]
+        self, memo: _CheckMemo, tail: list[_GPUState], same_ids: bool
     ) -> int:
         """The live states after the placement's GPUs equal what
         :meth:`DeploymentManager.ledger_states` lists: an empty state per
         spare, then a blocked sentinel per retired id, in gpu-id order.
 
-        The gpu ids are compared in one C-level list compare; a state is
-        compared element-wise only where it is not the object the memo
-        verified for its GPU or where the GPU's ledger entry changed.
-        Returns how many were.
+        While the placement holds the GPU ids it held (``same_ids``) and
+        both ledgers are the ones verified, states equal to the verified
+        ones are done.  Otherwise the gpu ids are compared in one C-level
+        list compare, and a state is compared element-wise only where it
+        is not the object the memo verified for its GPU or where the
+        GPU's ledger entry changed.  Returns how many were.
         """
         spares = self.manager.spare_gpus
         retired = self.manager.retired_gpus
-        free = list(filterfalse(pos.__contains__, sorted(spares)))
-        ids = free + list(filterfalse(pos.__contains__, sorted(retired)))
+        if (
+            same_ids and spares == memo.spares and retired == memo.retired
+            and tail == list(memo.ledger.values())
+        ):
+            return 0
+        placed = memo.plans.__contains__
+        free = list(filterfalse(placed, sorted(spares)))
+        ids = free + list(filterfalse(placed, sorted(retired)))
         if [state.gpu_id for state in tail] != ids:
             raise _live_diverged()
         verified = memo.ledger
         index = dict(zip(ids, range(len(ids))))
-        suspect = set(_changed_at(tail, list(map(verified.get, ids))))
+        suspect = set(changed_at(tail, list(map(verified.get, ids))))
         moved = {gid for gid, _ in spares.items() ^ memo.spares.items()}
         moved.update(gid for gid, _ in retired.items() ^ memo.retired.items())
         suspect.update(index[gid] for gid in moved if gid in index)
@@ -554,13 +658,60 @@ class StateVerifier:
                 )
             if not _same_state(tail[i], want):
                 raise _live_diverged()
-        for gid in verified.keys() - index.keys():
-            del verified[gid]
-        for i in suspect:
-            verified[ids[i]] = tail[i]
+        memo.ledger = dict(zip(ids, tail))
         memo.spares = dict(spares)
         memo.retired = dict(retired)
         return len(suspect)
+
+    def _check_cluster(
+        self,
+        memo: _CheckMemo,
+        rebuilt: list[_GPUState],
+        vanished: list[int],
+    ) -> int:
+        """Step 4 of :meth:`_check_incremental`: the live cluster's
+        instances mirror the map, every instance.
+
+        The map's instances change only on the GPUs whose plan changed
+        or vanished; the cluster's only where a GPU's instance-key tuple
+        (replaced on every create and destroy) is not the one the memo
+        compared, or where a GPU joined the pool.  Those GPUs are
+        compared; any other change to the pool's GPUs compares the whole
+        mirror.  Returns how many cluster GPUs were compared.
+        """
+        want = memo.want
+        for gid in vanished:
+            want.pop(gid, None)
+        for state in rebuilt:
+            want[state.gpu_id] = _instance_keys(state)
+        cluster = self.manager.cluster.gpus
+        keys = [g.instance_keys for g in cluster]
+        m = len(memo.cluster)
+        at = memo.cluster_at
+        if cluster[:m] == memo.cluster:  # GPUs compare by identity
+            flagged = (
+                [] if keys[:m] == memo.cluster_keys
+                else changed_at(keys, memo.cluster_keys)
+            )
+            flagged += range(m, len(cluster))
+            for i in range(m, len(cluster)):
+                at[cluster[i].gpu_id] = i
+            gids = dict.fromkeys(cluster[i].gpu_id for i in flagged)
+            gids.update(dict.fromkeys(vanished))
+            gids.update(dict.fromkeys(s.gpu_id for s in rebuilt))
+            for gid in gids:
+                i = at.get(gid)
+                if want.get(gid, ()) != (() if i is None else keys[i]):
+                    raise _not_mirrored()
+            compared = len(flagged)
+        else:
+            if want != self._cluster_instances():
+                raise _not_mirrored()
+            memo.cluster_at = {g.gpu_id: i for i, g in enumerate(cluster)}
+            compared = len(cluster)
+        memo.cluster = cluster
+        memo.cluster_keys = keys
+        return compared
 
     def _check_state(
         self, work: Sequence[Service], lines: list[str]
@@ -602,9 +753,7 @@ class StateVerifier:
             )
         want = {gid: tuple(sorted(k)) for gid, k in keys.items()}
         if want != self._cluster_instances():
-            raise OpsIdentityError(
-                "live cluster instances do not mirror the deployment map"
-            )
+            raise _not_mirrored()
         return states, want, rendered
 
     def _cluster_instances(self) -> _InstanceMap:

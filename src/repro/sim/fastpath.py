@@ -62,12 +62,15 @@ that did change.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from heapq import heappush, heappop
-from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional
+# ``json.dumps`` of a string, without the encoder object around it
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from repro.core.align import aligned, changed_at
 from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.service import Service
 from repro.models.perf import PerfModel
@@ -683,7 +686,7 @@ class _ServiceEntry:
     """One service's totals over the plans hosting it."""
 
     __slots__ = ("slo_ms", "hosts", "batches", "violations", "compliance",
-                 "fragment")
+                 "fragment", "seq")
 
     def __init__(self, slo_ms: float) -> None:
         #: the SLO the hosting plans were measured under
@@ -696,21 +699,90 @@ class _ServiceEntry:
         self.compliance = 1.0
         #: this service's ``"sid": [...]`` entry of the fingerprint
         self.fragment = ""
+        #: ascending in ``services`` order (not dense): breaks ties
+        #: between equally compliant services as the reference's order
+        self.seq = 0
+
+
+class _Fragments:
+    """One part of the stats fingerprint: fragments in sorted-key order,
+    patched in place, and their join."""
+
+    __slots__ = ("keys", "frags", "joined")
+
+    def __init__(self) -> None:
+        self.keys: list[str] = []
+        self.frags: list[str] = []
+        #: the fragments, comma-joined; None when one changed since
+        self.joined: Optional[str] = ""
+
+    def patch(
+        self,
+        edits: dict[str, str],
+        everything: Callable[[], Iterable[tuple[str, str]]],
+    ) -> None:
+        """Apply ``edits`` (key -> fragment; an empty fragment drops the
+        key).  Past a few edits per hundred keys (the cold layer, a full
+        re-plan), rebuild from ``everything`` with one sort instead."""
+        if not edits:
+            return
+        self.joined = None
+        if len(edits) > 16 + len(self.keys) // 8:
+            pairs = sorted(kv for kv in everything() if kv[1])
+            self.keys = [k for k, _ in pairs]
+            self.frags = [f for _, f in pairs]
+            return
+        keys, frags = self.keys, self.frags
+        for key, frag in edits.items():
+            i = bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                if frag:
+                    frags[i] = frag
+                else:
+                    del keys[i], frags[i]
+            elif frag:
+                keys.insert(i, key)
+                frags.insert(i, frag)
+
+    def join(self) -> str:
+        if self.joined is None:
+            self.joined = ", ".join(self.frags)
+        return self.joined
+
+
+def _repeated_gpu(placement: Placement) -> ValueError:
+    """The error for the first GPU id, in placement order, listed twice."""
+    seen: set[int] = set()
+    for plan in placement.gpus:
+        if plan.gpu_id in seen:
+            break
+        seen.add(plan.gpu_id)
+    return ValueError(f"GPU {plan.gpu_id} is listed twice")
 
 
 class PlanMemo:
     """Per-plan layer over the :class:`SegmentMemo`: serving measurement
-    in O(changed GPU plans).
+    in O(changed GPU plans and services).
 
     A published :class:`~repro.core.placement.GPUPlan` is frozen, so a
     GPU no delta touched keeps the *same plan object* from one interval
     to the next.  For each GPU id the layer keeps the last measured plan,
     its per-service integer contribution and its segment-key fragment of
     the fingerprint; for each service its totals, compliance and
-    fingerprint fragment; and the fleet's running batch and violation
-    totals.  :meth:`measure` re-resolves a plan only when
+    fingerprint fragment; the fleet's running batch, violation and
+    segment totals; the per-service compliance map in ``services`` order
+    and its least compliant service; and both fingerprint parts as
+    fragment lists in sorted-key order.
 
-    - it is not the same object as last time,
+    :meth:`measure` finds what changed with aligned scans
+    (:func:`~repro.core.align.aligned`) of the plan list, the service ids
+    and their SLOs against the lists it was last handed: C-level passes
+    over the fleet, then Python work only where they differ.  Arrivals
+    (appends), departures anywhere in the list and in-place SLO edits
+    are patched in; an arrival anywhere but at the end rebuilds the
+    per-service order.  A plan is re-resolved only when
+
+    - it is not the object measured last for its GPU,
     - it hosts a service whose SLO changed (the SLO is in the kernel key
       but not in the plan), or
     - it hosts a service that has left (which raises the reference's
@@ -721,7 +793,9 @@ class PlanMemo:
     are re-aggregated.  Every segment on a reused plan counts as a memo
     hit, which is what its lookup would have been, so the memo counters
     equal a plain per-segment walk's.  A change of measurement window
-    resets the layer.
+    resets the layer.  :attr:`resolved` and :attr:`reaggregated` count
+    the last measure's plans and services: both 0 on an interval
+    nothing changed in.
 
     The layer owns the segment memo below it (:attr:`memo`).  Held open
     across a :class:`~repro.ops.controller.FleetController` run, both
@@ -738,16 +812,32 @@ class PlanMemo:
 
     def _reset(self, window: Optional[tuple[float, float]]) -> None:
         self.window = window
-        #: plans resolved whole from the layer by the last measure
+        #: the last measure's plans served whole from the layer, plans
+        #: re-resolved and services re-aggregated
         self.reused = 0
+        self.resolved = 0
+        self.reaggregated = 0
+        #: segments on the last measured placement
+        self.segments = 0
         self.gpus: dict[int, _PlanEntry] = {}
         self.services: dict[str, _ServiceEntry] = {}
         self.batches = 0
         self.violations = 0
-        #: the fingerprint's joined segment and service parts; None when
-        #: a fragment or the key set changed since they were joined
-        self._segments: Optional[str] = None
-        self._services: Optional[str] = None
+        #: what the last measure was handed: the plans, and the service
+        #: ids (first occurrence of each) with their SLOs, in order
+        self._plans: list[GPUPlan] = []
+        self._ids: list[str] = []
+        self._slos: list[float] = []
+        #: service id -> compliance in ``_ids`` order, the least
+        #: compliant service, and the next ``_ServiceEntry.seq``
+        self._compliance: dict[str, float] = {}
+        self._worst: Optional[str] = None
+        self._seq = 0
+        #: the fingerprint's segment part (keyed "{gpu id}/") and service
+        #: part (keyed by service id), and the fingerprint they joined to
+        self._segment_part = _Fragments()
+        self._service_part = _Fragments()
+        self._fingerprint: Optional[str] = None
 
     def measure(
         self,
@@ -755,58 +845,109 @@ class PlanMemo:
         services: Iterable[Service],
         duration_s: float,
         warmup_s: float,
-    ) -> tuple[float, str, dict[str, float]]:
-        """``(compliance, fingerprint, per-service compliance)`` of
-        serving ``placement`` under uniform arrivals: bit-identical to
-        the full report's ``overall_compliance``, ``fingerprint()`` and
-        per-service ``compliance`` (in ``services`` order).  Raises
-        ``ValueError``, and forgets everything, for a placement that
-        lists one GPU id twice (no valid placement does).
+    ) -> tuple[float, str, dict[str, float], Optional[str]]:
+        """``(compliance, fingerprint, per-service compliance, worst
+        service)`` of serving ``placement`` under uniform arrivals:
+        bit-identical to the full report's ``overall_compliance``,
+        ``fingerprint()`` and per-service ``compliance`` (in ``services``
+        order; a fresh dict per call), and the least compliant service
+        (the first in that order on a tie; None without services).
+        Raises ``ValueError``, and forgets everything, for a placement
+        that lists one GPU id twice (no valid placement does).
         """
         from repro.sim.runner import segment_key
 
         check_window(duration_s, warmup_s)
         if (duration_s, warmup_s) != self.window:
             self._reset((duration_s, warmup_s))
-        svc_by_id = {s.id: s for s in services}
+        work = services if isinstance(services, list) else list(services)
+        ids = [s.id for s in work]
+        slos = [s.slo_latency_ms for s in work]
         known = self.services
         gpus = self.gpus
 
-        # Services to re-aggregate, and GPUs whose plans must be
-        # re-resolved even if unchanged.
-        changed: dict[str, None] = {}
-        stale: dict[int, None] = {}
-        arrived: list[str] = []
-        retuned: list[tuple[_ServiceEntry, float]] = []
-        for sid, svc in svc_by_id.items():
-            entry = known.get(sid)
-            if entry is None:
-                arrived.append(sid)
-            elif entry.slo_ms != svc.slo_latency_ms:
-                retuned.append((entry, svc.slo_latency_ms))
-                stale.update(entry.hosts)
-        departed: list[str] = []
-        if len(svc_by_id) - len(arrived) != len(known):
-            departed = [sid for sid in known if sid not in svc_by_id]
-            for sid in departed:
-                stale.update(known[sid].hosts)
-
-        present: dict[int, None] = {}
-        resolve: list[GPUPlan] = []
-        reused_segments = 0
-        for plan in placement.gpus:
-            gid = plan.gpu_id
-            if gid in present:
-                self._reset(None)
-                raise ValueError(f"GPU {gid} is listed twice")
-            present[gid] = None
-            entry = gpus.get(gid)
-            if entry is not None and entry.plan is plan and gid not in stale:
-                reused_segments += len(plan.segments)
+        # 1. The services: who joined or left the list (``joined`` and
+        # ``left``: arrivals, departures, and services that moved in it)
+        # and whose SLO changed.  Nothing is written until step 4.
+        retuned: dict[str, float] = {}
+        joined: dict[str, float] = {}
+        left: dict[str, None] = {}
+        added: list[int] = []
+        if ids != self._ids:
+            runs, added, dropped = aligned(ids, self._ids)
+            left = dict.fromkeys(self._ids[j] for j in dropped)
+            joined = {ids[i]: slos[i] for i in added}
+            # A repeated id is an added one (the last list had none).
+            if len(joined) != len(added) or any(
+                sid in known and sid not in left for sid in joined
+            ):
+                # the reference keys services by id: first place, last SLO
+                view = dict(zip(ids, slos))
+                ids, slos = list(view), list(view.values())
+                runs, added, dropped = aligned(ids, self._ids)
+                left = dict.fromkeys(self._ids[j] for j in dropped)
+                joined = {ids[i]: slos[i] for i in added}
+            for sid, slo in joined.items():
+                if sid in left and known[sid].slo_ms != slo:
+                    retuned[sid] = slo
+        else:
+            runs = [(0, 0, len(ids))]
+        old_slos = self._slos
+        for a, b, k in runs:
+            if k == len(slos) == len(old_slos):
+                now, then = slos, old_slos
             else:
-                resolve.append(plan)
-        gone = [gid for gid in gpus if gid not in present]
+                now, then = slos[a:a + k], old_slos[b:b + k]
+            if now != then:
+                for d in changed_at(now, then):
+                    if now[d] != then[d]:
+                        retuned[ids[a + d]] = now[d]
+        departed = [sid for sid in left if sid not in joined]
 
+        # GPUs whose plans must be re-resolved even if unchanged.
+        stale: dict[int, None] = {}
+        for sid in retuned:
+            stale.update(known[sid].hosts)
+        for sid in departed:
+            stale.update(known[sid].hosts)
+
+        # 2. The plans: new objects, GPUs that left, and what to resolve.
+        plans = placement.gpus
+        _, fresh_at, dropped_at = aligned(plans, self._plans)
+        fresh = [plans[i] for i in fresh_at]
+        freed = {self._plans[j].gpu_id: None for j in dropped_at}
+        fresh_ids: dict[int, None] = {}
+        for plan in fresh:
+            gid = plan.gpu_id
+            if gid in fresh_ids or (gid in gpus and gid not in freed):
+                self._reset(None)
+                raise _repeated_gpu(placement)
+            fresh_ids[gid] = None
+        evicted = [gid for gid in freed if gid not in fresh_ids]
+        resolve: list[GPUPlan] = []
+        for plan in fresh:
+            entry = gpus.get(plan.gpu_id)
+            if entry is None or entry.plan is not plan or plan.gpu_id in stale:
+                resolve.append(plan)
+        resolve += [
+            gpus[gid].plan for gid in stale
+            if gid not in fresh_ids and gid not in freed
+        ]
+
+        # 3. Every service a re-resolved plan serves must be present.
+        gone = set(departed)
+        for plan in resolve:
+            for seg in plan.segments:
+                sid = seg.service_id
+                if sid in gone or (sid not in known and sid not in joined):
+                    raise _unknown_service(placement, dict.fromkeys(ids))
+
+        # 4. Commit: service entries first, so every host update finds one.
+        for sid, slo in joined.items():
+            if sid not in known:
+                known[sid] = _ServiceEntry(slo)
+        for sid, slo in retuned.items():
+            known[sid].slo_ms = slo
         segs: list[_SegmentRun] = []
         plan_keys: list[list[str]] = []
         for plan in resolve:
@@ -814,41 +955,32 @@ class PlanMemo:
             keys = []
             sm_counts: dict[str, int] = {}
             for seg in plan.segments:
-                if seg.service_id not in svc_by_id:
-                    raise _unknown_service(placement, svc_by_id)
                 key = segment_key(gid, seg.service_id, seg.start)
                 keys.append(key)
                 # Last register wins, as in SMActivityTracker.register.
                 sm_counts[key] = max(1, round(seg.sm_count))
             segs.extend(
-                (seg, svc_by_id[seg.service_id].slo_latency_ms,
-                 sm_counts[key], None)
+                (seg, known[seg.service_id].slo_ms, sm_counts[key], None)
                 for seg, key in zip(plan.segments, keys)
             )
             plan_keys.append(keys)
-
-        self.memo.hits_total += reused_segments
         rows = _resolve_rows(
             segs, "uniform", duration_s, warmup_s, self.memo
         )
-        self.reused = len(placement.gpus) - len(resolve)
 
-        # Commit: service entries first, so every host update finds one.
-        for sid in arrived:
-            known[sid] = _ServiceEntry(svc_by_id[sid].slo_latency_ms)
-            changed[sid] = None
-        for entry, slo_ms in retuned:
-            entry.slo_ms = slo_ms
-        if arrived or departed:
-            self._services = None
-        for gid in gone:
+        changed: dict[str, None] = dict.fromkeys(
+            sid for sid in joined if sid not in left
+        )
+        segment_edits: dict[str, str] = {}
+        for gid in evicted:
             old = gpus.pop(gid)
+            self.segments -= len(old.plan.segments)
             for sid in old.contrib:
                 del known[sid].hosts[gid]
             changed.update(old.contrib)
-            if old.keys:
-                self._segments = None
+            segment_edits[f"{gid}/"] = ""
         it = iter(rows)
+        resolved_segments = 0
         for plan, keys in zip(resolve, plan_keys):
             gid = plan.gpu_id
             contrib: dict[str, list] = {}
@@ -862,73 +994,121 @@ class PlanMemo:
                 c[2] += int(requests)
                 if lat_max > c[3]:
                     c[3] = lat_max
-            frag = ", ".join(map(json.dumps, sorted(dict.fromkeys(keys))))
+            frag = ", ".join(map(_json_str, sorted(dict.fromkeys(keys))))
             old = gpus.get(gid)
-            if old is None:
-                self._segments = None
-            else:
+            if old is not None:
+                self.segments -= len(old.plan.segments)
                 for sid in old.contrib:
                     del known[sid].hosts[gid]
                 changed.update(old.contrib)
-                if old.keys != frag:
-                    self._segments = None
+            if old is None or old.keys != frag:
+                segment_edits[f"{gid}/"] = frag
             for sid in contrib:
                 known[sid].hosts[gid] = None
             changed.update(contrib)
             gpus[gid] = _PlanEntry(plan, contrib, frag)
-        for sid in departed:
-            changed[sid] = None
+            self.segments += len(plan.segments)
+            resolved_segments += len(plan.segments)
+        self.memo.hits_total += self.segments - resolved_segments
+        changed.update(dict.fromkeys(departed))
+        self._plans = list(plans)
+        self.resolved = len(resolve)
+        self.reused = len(plans) - len(resolve)
 
+        # 5. Re-aggregate the services the changed plans touch.  The
+        # compliance map keeps ``services`` order: a departure deletes in
+        # place and an arrival at the end appends; anything else
+        # rebuilds it.
+        per = self._compliance
+        reorder = bool(added) and added[0] != len(ids) - len(added)
+        worst = self._worst
+        worst_before = None if worst is None else per.get(worst)
+        for sid in left:
+            del per[sid]
+        for sid in joined:
+            entry = known[sid]
+            per[sid] = entry.compliance
+            entry.seq = self._seq
+            self._seq += 1
+        service_edits: dict[str, str] = {}
+        reaggregated = 0
         for sid in changed:
             entry = known[sid]
-            if sid not in svc_by_id:
+            if sid in gone:
                 self.batches -= entry.batches
                 self.violations -= entry.violations
                 del known[sid]
+                service_edits[sid] = ""
                 continue
+            reaggregated += 1
             batches = violations = requests = 0
-            worst = 0.0
+            worst_ms = 0.0
             for gid in entry.hosts:
                 c = gpus[gid].contrib[sid]
                 batches += c[0]
                 violations += c[1]
                 requests += c[2]
-                if c[3] > worst:
-                    worst = c[3]
+                if c[3] > worst_ms:
+                    worst_ms = c[3]
             self.batches += batches - entry.batches
             self.violations += violations - entry.violations
             entry.batches, entry.violations = batches, violations
-            entry.compliance = (
+            entry.compliance = per[sid] = (
                 1.0 - violations / batches if batches else 1.0
             )
             frag = (
-                f"{json.dumps(sid)}: [{batches}, {violations}, {requests}, "
-                f"{requests}, {json.dumps(format(worst, '.17g'))}]"
+                f"{_json_str(sid)}: [{batches}, {violations}, {requests}, "
+                f"{requests}, {_json_str(format(worst_ms, '.17g'))}]"
             )
             if frag != entry.fragment:
                 entry.fragment = frag
-                self._services = None
+                service_edits[sid] = frag
+        self.reaggregated = reaggregated
+        if reorder:
+            per = {sid: known[sid].compliance for sid in ids}
+            self._compliance = per
+            for seq, sid in enumerate(ids):
+                known[sid].seq = seq
+            self._seq = len(ids)
+        if (
+            reorder or worst is None or worst_before is None
+            or worst not in per or worst in left or per[worst] > worst_before
+        ):
+            worst = min(per, key=per.__getitem__) if per else None
+        else:
+            # Only a re-aggregated service can now be less compliant, or
+            # as compliant and first.
+            w, w_seq = per[worst], known[worst].seq
+            for sid in changed:
+                if sid in per:
+                    c, seq = per[sid], known[sid].seq
+                    if c < w or (c == w and seq < w_seq):
+                        worst, w, w_seq = sid, c, seq
+        self._worst = worst
+        self._ids, self._slos = ids, slos
 
         # Segment keys "gpu{N}/..." sort in contiguous per-GPU blocks
         # ordered by "{N}/", so the per-GPU fragments join in that order.
-        if self._segments is None:
-            self._segments = ", ".join(
-                gpus[gid].keys
-                for gid in sorted(gpus, key="{}/".format)
-                if gpus[gid].keys
-            )
-        if self._services is None:
-            self._services = ", ".join(
-                known[sid].fragment for sid in sorted(known)
-            )
-        fingerprint = (
-            f'{{"duration_s": {json.dumps(duration_s)}, '
-            f'"segments": [{self._segments}], '
-            f'"services": {{{self._services}}}, '
-            f'"warmup_s": {json.dumps(warmup_s)}}}'
+        segment_part, service_part = self._segment_part, self._service_part
+        segment_part.patch(
+            segment_edits,
+            lambda: ((f"{gid}/", e.keys) for gid, e in gpus.items()),
         )
+        service_part.patch(
+            service_edits,
+            lambda: ((sid, e.fragment) for sid, e in known.items()),
+        )
+        if (
+            self._fingerprint is None or segment_part.joined is None
+            or service_part.joined is None
+        ):
+            self._fingerprint = (
+                f'{{"duration_s": {json.dumps(duration_s)}, '
+                f'"segments": [{segment_part.join()}], '
+                f'"services": {{{service_part.join()}}}, '
+                f'"warmup_s": {json.dumps(warmup_s)}}}'
+            )
         compliance = (
             1.0 - self.violations / self.batches if self.batches else 1.0
         )
-        per_service = {sid: known[sid].compliance for sid in svc_by_id}
-        return compliance, fingerprint, per_service
+        return compliance, self._fingerprint, per.copy(), worst

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 import numpy as np
@@ -41,11 +41,12 @@ class IntervalMeasurement:
     #: service id -> measured compliance, in simulator insertion order
     per_service: Mapping[str, float]
     #: the least compliant service (the first in insertion order on a
-    #: tie), found once at construction; None without services
-    worst_service: Optional[str] = field(init=False, default=None)
+    #: tie; None without services): given by a measurement that keeps
+    #: it, else found once at construction
+    worst_service: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.per_service:
+        if self.worst_service is None and self.per_service:
             object.__setattr__(
                 self,
                 "worst_service",
@@ -79,7 +80,7 @@ def measure_interval(
     duration_s = warmup_s + measure_s
     if plans is not None:
         return IntervalMeasurement(
-            *plans.measure(placement, list(services), duration_s, warmup_s)
+            *plans.measure(placement, services, duration_s, warmup_s)
         )
     sim = simulate_placement(
         placement, services, duration_s=duration_s, warmup_s=warmup_s,

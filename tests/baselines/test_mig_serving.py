@@ -1,5 +1,7 @@
 """Unit tests for the MIG-serving (fast algorithm) baseline."""
 
+import statistics
+
 import pytest
 
 from repro.baselines.base import InfeasibleScheduleError
@@ -57,10 +59,18 @@ class TestPaperBehaviours:
         assert external_fragmentation(placement) < 0.05
 
     def test_slower_than_parvagpu(self, migserving, profiles):
-        placement = migserving.schedule(scenario_services("S3"))
-        parva = ParvaGPU(profiles).schedule(scenario_services("S3"))
-        assert (
-            placement.scheduling_delay_ms > 3 * parva.scheduling_delay_ms
+        """MIG-serving takes more than 3x ParvaGPU's scheduling delay on
+        S3.  The delays are wall clock, so each side is the median of
+        five calls, taken in alternation: one call slowed by a loaded
+        box cannot decide the comparison."""
+        parvagpu = ParvaGPU(profiles)
+        delays: dict = {migserving: [], parvagpu: []}
+        for _ in range(5):
+            for scheduler, got in delays.items():
+                placement = scheduler.schedule(scenario_services("S3"))
+                got.append(placement.scheduling_delay_ms)
+        assert statistics.median(delays[migserving]) > 3 * statistics.median(
+            delays[parvagpu]
         )
 
     def test_handles_high_rates(self, migserving):

@@ -440,7 +440,11 @@ def test_served_rate_on_unchanged_rerouted_plan(kind):
     b = segs[0]
     assert b.service_id == "B"
     segs[0] = b.with_served_rate(corrupted(b.served_rate))
-    gpus[1] = fast.memo.plans[1] = GPUPlan(1, tuple(segs), plan.geometry)
+    memo = fast.memo
+    assert memo.gpus[1] is plan  # the memo's plans align with the map's
+    gpus[1] = memo.gpus[1] = memo.plans[1] = GPUPlan(
+        1, tuple(segs), plan.geometry
+    )
     compared = fast.stats.rates_compared
     reference = StateVerifier(manager, fast_path=False)
     ref = _outcome(lambda: reference.verify(work))
@@ -451,3 +455,46 @@ def test_served_rate_on_unchanged_rerouted_plan(kind):
     assert (ref is None) is same
     if mine is None:
         assert fast.stats.rates_compared > compared
+
+
+def test_shares_sum_in_placement_order_after_a_replacement():
+    """B is on GPUs 0, 1 and 2, in that order.  C leaves GPU 1, whose
+    plan is replaced in place; B's shares do not move, so GPUs 0 and 2
+    keep their plans.  The check re-rates B over all three, in placement
+    order: its capacities sum to a different last bit in another order
+    (0.1 + 0.2 + 2.3 against 0.1 + 2.3 + 0.2, left to right), and the
+    served rates it compares on the kept plans must match that sum."""
+    from repro.core.deployment import DeploymentManager
+    from repro.core.placement import PlacedSegment, Placement
+
+    def seg(sid, size, start, capacity):
+        return PlacedSegment(
+            service_id=sid, model="resnet-50", kind="mig", gpcs=float(size),
+            batch_size=4, num_processes=1, capacity=capacity,
+            latency_ms=10.0, sm_activity=0.5, start=start,
+        )
+
+    services = {
+        sid: Service(sid, "resnet-50", slo_latency_ms=250.0, request_rate=r)
+        for sid, r in (("A", 50.0), ("B", 30.0), ("C", 25.0), ("D", 40.0))
+    }
+    placement = Placement(framework="parvagpu", gpus=[
+        GPUPlan(0, (seg("B", 3, 4, 0.1), seg("A", 4, 0, 100.0))),
+        GPUPlan(1, (seg("B", 3, 4, 0.2), seg("C", 4, 0, 50.0))),
+        GPUPlan(2, (seg("B", 3, 4, 2.3), seg("D", 4, 0, 60.0))),
+    ])
+    placement.assign_rates({s.id: s.request_rate for s in services.values()})
+    manager = DeploymentManager(PROFILES)
+    manager.deploy(placement)
+    fast = StateVerifier(manager)
+    fast.verify(list(services.values()))  # cold: seeds the memo
+    before = list(manager.current.gpus)
+    work = [services[sid] for sid in "ABD"]
+    manager.remove_service(work, "C")
+    after = manager.current.gpus
+    assert [a is b for a, b in zip(before, after)] == [True, False, True]
+    reference = StateVerifier(manager, fast_path=False)
+    assert _outcome(lambda: reference.verify(work)) is None
+    assert _outcome(lambda: fast.verify(work)) is None
+    assert fast.stats.full_fallbacks == 1  # the incremental path ran
+    assert fast.stats.rates_compared == 2  # B on GPUs 0 and 2

@@ -726,6 +726,54 @@ class TestLiveAllocatorState:
         assert ctrl.verifier.stats.rates_compared == compared
         ctrl.finish()
 
+    def test_quiet_interval_costs_nothing_per_plan(self, profiles):
+        """On a 100+ GPU fleet, an interval without events resolves no
+        plan, re-aggregates no service and compares no position of the
+        check's lists element-wise; the bootstrap interval did all of
+        it."""
+        from repro.scenarios.fleet import fleet_services
+
+        fleet = fleet_services(200)
+        ctrl = controller(profiles)
+        ctrl.begin(fleet, horizon_s=100.0, measure_s=0.1, warmup_s=0.05)
+        ctrl.step(0.0)
+        ctrl.step(1.0, [GpuFailure(time_s=1.0, event_id="f0", draw=0.5)])
+        ctrl.step(2.0)
+        ctrl.finish()
+        gpus = ctrl.manager.num_gpus
+        assert gpus >= 100
+        measure = [sp.args for sp in ctrl.obs.tracer.spans
+                   if sp.name == "measure"]
+        check = [sp.args for sp in ctrl.obs.tracer.spans
+                 if sp.name == "check"]
+        boot, _, quiet = measure
+        assert boot["plans_resolved"] >= 100 and boot["plans_reused"] == 0
+        assert boot["services_reaggregated"] == len(fleet)
+        assert quiet["plans_resolved"] == 0
+        assert quiet["services_reaggregated"] == 0
+        assert quiet["plans_reused"] == gpus
+        assert quiet["memo_hits"] == quiet["segments"]
+        assert check[0]["full"] == 1 and check[0]["positions_compared"] > 0
+        assert check[2]["full"] == 0
+        assert check[2]["positions_compared"] == 0
+        assert check[2]["gpus_rebuilt"] == check[2]["lines_rendered"] == 0
+
+    def test_per_service_maps_are_per_interval(self, profiles, services):
+        """Each measured interval records its own per-service map: the
+        measurement layer keeps one across intervals and hands out
+        copies, so editing one record moves no other."""
+        ctrl = controller(profiles)
+        ctrl.begin(services, horizon_s=60.0, measure_s=0.1)
+        first, second = ctrl.step(0.0), ctrl.step(1.0)
+        third = ctrl.step(2.0)
+        ctrl.finish()
+        maps = [r.per_service_compliance for r in (first, second, third)]
+        assert len({id(m) for m in maps}) == 3
+        assert maps[0] == maps[1] == maps[2]
+        assert list(maps[1]) == ["a", "b", "c"]
+        maps[0]["a"] = -1.0
+        assert maps[1]["a"] == maps[2]["a"] != -1.0
+
     def test_step_metrics_fold_in_at_collect(self, profiles, services):
         """Steps queue their ``ops_*`` updates; a collect folds each
         closed step in exactly once, in step order."""

@@ -10,14 +10,19 @@ worst service; and the layer's memo counters must equal a plain
 per-segment memo walk's.
 
 The sequences cover the layer's invalidation rules: the same
-``Placement`` object re-measured after only a service's SLO changed,
-arrivals and departures, rate changes, a GPU failure renumbered away by
-``drop_empty_gpus``, a change of measurement window on the same layer,
-and a departed service still placed (both must raise the same
-``ValueError``).  A segment memo reused across plain placement walks is
-bit-identical too, float sums included.
+``Placement`` object re-measured after only a service's SLO changed
+(the same ``services`` list, one ``Service`` mutated in place), arrivals
+appended and departures from anywhere in the list, rate changes, a GPU
+failure renumbered away by ``drop_empty_gpus``, a plan moved to an
+unused GPU id in a list of the same length, ``services`` passed as a
+generator, a change of measurement window on the same layer, and a
+departed service still placed (both must raise the same
+``ValueError``).  A replaced plan that repeats a GPU id raises the
+layer's ``ValueError`` and resets it.  A segment memo reused across
+plain placement walks is bit-identical too, float sums included.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +52,7 @@ ops = st.lists(
     st.tuples(
         st.sampled_from([
             "slo", "rate", "arrive", "depart", "fail", "window", "ghost",
-            "reorder",
+            "reorder", "renumber", "repeat", "generator",
         ]),
         st.integers(min_value=0, max_value=11),
         st.sampled_from([0.5, 1.0, 1.7]),
@@ -79,6 +84,27 @@ def _rescaled(plan, factor):
         tuple(s.with_served_rate(s.served_rate * factor)
               for s in plan.segments),
         plan.geometry,
+    )
+
+
+def _repeat(placement, i, j):
+    """``placement`` with its plan ``i`` replaced by one that repeats
+    plan ``j``'s GPU id, and the error the layer must raise for it."""
+    gpus = placement.gpus
+    gid = gpus[j].gpu_id
+    twice = _republish(
+        placement, gpus[:i] + [gpus[i].renumbered(gid)] + gpus[i + 1:]
+    )
+    return twice, repr(ValueError(f"GPU {gid} is listed twice"))
+
+
+def _renumbered(placement, i):
+    """``placement`` with plan ``i`` moved to an unused GPU id: a list
+    of the same length whose ids no longer match position for position."""
+    gpus = placement.gpus
+    unused = max(g.gpu_id for g in gpus) + 1
+    return _republish(
+        placement, gpus[:i] + [gpus[i].renumbered(unused)] + gpus[i + 1:]
     )
 
 
@@ -155,6 +181,14 @@ def test_plan_layer_matches_memo_free_reference(cells, steps):
     check()
     for kind, a, factor in steps:
         gpus = placement.gpus
+        if kind == "generator":  # the layer takes any iterable
+            _same(
+                _measure(placement, (s for s in services), window, ctx),
+                _reference(placement, services, window),
+            )
+            _walk(placement, services, window, walk)
+            assert counts(ctx) == counts(walk)
+            continue
         if kind == "slo":  # the same Placement object is re-measured
             svc = services[a % len(services)]
             svc.slo_latency_ms = SLOS[(SLOS.index(svc.slo_latency_ms) + 1)
@@ -174,9 +208,9 @@ def test_plan_layer_matches_memo_free_reference(cells, steps):
             )
             services.append(svc)
             own = SCHEDULER.schedule([svc]).gpus
+            base = max((g.gpu_id for g in gpus), default=-1) + 1
             placement = _republish(placement, gpus + [
-                plan.renumbered(len(gpus) + k)
-                for k, plan in enumerate(own)
+                plan.renumbered(base + k) for k, plan in enumerate(own)
             ])
         elif kind == "depart" and len(services) > 1:
             sid = services.pop(a % len(services)).id
@@ -208,6 +242,13 @@ def test_plan_layer_matches_memo_free_reference(cells, steps):
         elif kind == "reorder":
             k = a % len(services)
             services[:] = services[k:] + services[:k]
+        elif kind == "renumber" and gpus:
+            placement = _renumbered(placement, a % len(gpus))
+        elif kind == "repeat" and len(gpus) > 1:
+            i = a % len(gpus)
+            twice, error = _repeat(placement, i, (i + 1) % len(gpus))
+            assert _measure(twice, services, window, ctx) == error
+            assert ctx.window is None and not ctx.gpus  # forgot everything
         check()
 
 
@@ -268,3 +309,95 @@ def test_context_reuse_keeps_identity():
         assert got.completed == serial.completed
         assert got.segment_activity == serial.segment_activity
         assert got.events_processed == serial.events_processed
+
+
+def _edit_fleet():
+    """Eight services on a few GPUs, and their placement."""
+    services = [
+        Service(f"s{i}", MODELS[i % 4], slo_latency_ms=SLOS[i % 4],
+                request_rate=RATES[i % 3])
+        for i in range(8)
+    ]
+    return services, SCHEDULER.schedule(services)
+
+
+def _hosts(placement, sid):
+    return {gid for gid, seg in placement.iter_segments()
+            if seg.service_id == sid}
+
+
+def _tenants(placement, gids):
+    return {seg.service_id for gid, seg in placement.iter_segments()
+            if gid in gids}
+
+
+@pytest.mark.parametrize("edit", [
+    "mutate", "arrive", "depart", "renumber", "repeat", "generator",
+])
+def test_list_edits_match_the_reference(edit):
+    """Each edit a live fleet makes between two intervals, on a warm
+    layer: the result equals the memo-free reference, and the layer
+    re-resolves only the plans the edit touched."""
+    services, placement = _edit_fleet()
+    window = WINDOWS[0]
+    ctx = PlanMemo()
+    _same(_measure(placement, services, window, ctx),
+          _reference(placement, services, window))
+    gpus = placement.gpus
+    given_services = services
+    if edit == "mutate":  # the same list, one Service edited in place
+        svc = services[3]
+        svc.slo_latency_ms = 800.0 if svc.slo_latency_ms != 800.0 else 150.0
+        resolved = len(_hosts(placement, svc.id))
+    elif edit == "arrive":
+        svc = Service("n1", "resnet-50", slo_latency_ms=400.0,
+                      request_rate=1500.0)
+        services.append(svc)
+        own = [plan.renumbered(len(gpus) + k)
+               for k, plan in enumerate(SCHEDULER.schedule([svc]).gpus)]
+        placement = _republish(placement, gpus + own)
+        resolved = len(own)
+    elif edit == "depart":  # from the middle of the list
+        sid = services.pop(4).id
+        resolved = len(_hosts(placement, sid))
+        placement = _republish(placement, [
+            _without(plan, sid) if any(s.service_id == sid
+                                       for s in plan.segments) else plan
+            for plan in gpus
+        ])
+    elif edit == "renumber":
+        placement = _renumbered(placement, 0)
+        resolved = 1
+    elif edit == "repeat":
+        twice, error = _repeat(placement, 0, len(gpus) - 1)
+        assert _measure(twice, services, window, ctx) == error
+        assert ctx.window is None and not ctx.gpus and not ctx.services
+        resolved = len(gpus)  # the layer starts cold
+    else:  # "generator"
+        given_services = (s for s in services)
+        resolved = 0
+    _same(_measure(placement, given_services, window, ctx),
+          _reference(placement, services, window))
+    assert ctx.resolved == resolved
+    assert ctx.reused == len(placement.gpus) - resolved
+
+
+def test_counts_follow_what_changed():
+    """An unchanged interval resolves no plan and re-aggregates no
+    service; one SLO change re-aggregates exactly that service and the
+    other tenants of the GPUs hosting it."""
+    services, placement = _edit_fleet()
+    ctx = PlanMemo()
+    _measure(placement, services, WINDOWS[0], ctx)
+    assert (ctx.resolved, ctx.reaggregated) == (len(placement.gpus), 8)
+    _measure(placement, services, WINDOWS[0], ctx)
+    assert (ctx.resolved, ctx.reaggregated) == (0, 0)
+    hosts = _hosts(placement, "s2")
+    tenants = _tenants(placement, hosts)
+    assert len(tenants) < len(services)
+    services[2].slo_latency_ms = 800.0
+    _same(_measure(placement, services, WINDOWS[0], ctx),
+          _reference(placement, services, WINDOWS[0]))
+    assert ctx.resolved == len(hosts)
+    assert ctx.reaggregated == len(tenants)
+
