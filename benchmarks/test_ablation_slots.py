@@ -37,10 +37,9 @@ MIXES = {
 
 def _paper_allocation(sizes: list[int]) -> int:
     gpus: list[_GPUState] = []
-    queues = SegmentAllocator._new_queues()
-    for i, size in enumerate(sorted(sizes, reverse=True)):
-        SegmentAllocator._enqueue(queues, seg(size, i))
-    SegmentAllocator._allocation(queues, gpus)
+    SegmentAllocator().relocate(
+        gpus, [seg(size, i) for i, size in enumerate(sorted(sizes, reverse=True))]
+    )
     return sum(1 for g in gpus if not g.is_empty)
 
 

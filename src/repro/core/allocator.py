@@ -38,6 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
     ClassVar,
+    Collection,
     Iterable,
     Iterator,
     Mapping,
@@ -61,31 +62,9 @@ from repro.profiler.table import ProfileEntry
 #: heuristically; the same default serves the 8-XCD MI300X well).
 OPTIMIZATION_GPC_THRESHOLD = 4
 
-#: MIG slot preferences per segment size (SIII-E1) — retained as module
-#: constants for historical callers; the geometry object is the source of
-#: truth (``MIG_GEOMETRY.slot_preferences``).
-SLOT_PREFERENCES: dict[int, tuple[int, ...]] = dict(
-    MIG_GEOMETRY.slot_preferences
-)
-
-#: MIG fallback slots, used only when no preferred slot exists on any GPU.
-#: Size 3 has none: slot 0 would block slice 3 outright (configurations 5-7
-#: of Figure 1), so the allocator opens a new GPU instead — the paper's
-#: "the decision is made to place it in that GPU or in the next available
-#: GPU, taking into account the constraints of the MIG configurations".
-SLOT_FALLBACKS: dict[int, tuple[int, ...]] = dict(MIG_GEOMETRY.slot_fallbacks)
-
-
 @dataclass(slots=True)
 class _GPUState:
     """Mutable per-GPU build state during allocation.
-
-    ``blocked`` marks a GPU that exists only to reserve its id — a
-    failed/preempted device that may come back.  First-fit never places
-    on it (both the linear scan and the slot index probe through
-    ``first_free_slot``), it stays empty so placement assembly drops it,
-    but its presence keeps the allocator's fresh-GPU id counter above
-    the dead device's id.
 
     A :class:`LiveFleet` freezes every state it commits (:meth:`freeze`)
     and replaces a frozen state by its :meth:`thawed` copy before the
@@ -98,7 +77,6 @@ class _GPUState:
     geometry: PartitionGeometry = MIG_GEOMETRY
     layout: PartitionLayout = None  # type: ignore[assignment]
     placed: list[tuple[Segment, int]] = field(default_factory=list)
-    blocked: bool = False
 
     #: set on committed states (see :meth:`freeze`)
     frozen: ClassVar[bool] = False
@@ -116,8 +94,7 @@ class _GPUState:
     def thawed(self) -> "_GPUState":
         """A mutable copy (the layout copied, ``placed`` a fresh list)."""
         return _GPUState(
-            self.gpu_id, self.geometry, self.layout.copy(),
-            list(self.placed), self.blocked,
+            self.gpu_id, self.geometry, self.layout.copy(), list(self.placed)
         )
 
     @property
@@ -130,8 +107,6 @@ class _GPUState:
 
     def first_free_slot(self, size: int, fallback: bool = False) -> Optional[int]:
         """First preference-ordered slot that can host ``size``, or None."""
-        if self.blocked:
-            return None
         slots = (
             self.geometry.fallback_slots(size)
             if fallback
@@ -299,8 +274,10 @@ class LiveFleet:
     fleet holds what
     :meth:`~repro.core.deployment.DeploymentManager.build_states`
     rebuilds from a published placement — live GPUs in placement order,
-    then spares in gpu-id order, then the reserved ids of retired GPUs —
-    and keeps it across incremental operations.  Keys replace list
+    then spares in gpu-id order — and keeps it across incremental
+    operations.  Retired GPUs are not held: their ids stay reserved on
+    the manager's retired ledger, which the allocator reads
+    (``SegmentAllocator(reserved=...)``).  Keys replace list
     positions: a GPU leaving the order drops its key without shifting
     anyone else's, so incremental operations cost O(touched GPUs)
     instead of a rebuild.
@@ -317,12 +294,9 @@ class LiveFleet:
         self,
         states: Iterable[_GPUState],
         spares: Mapping[int, str],
-        retired: Mapping[int, str],
+        retired: Collection[int],
     ) -> None:
         self.index = SlotIndex()
-        #: retired GPUs (never in the order): gpu_id -> the frozen blocked
-        #: sentinel :meth:`states_in_order` lists for it
-        self.retired: dict[int, _GPUState] = {}
         self._key_of: dict[int, int] = {}
         self._order: list[int] = []  # live keys, ascending
         self._tail: set[int] = set()  # spare and fresh keys
@@ -352,8 +326,8 @@ class LiveFleet:
                 self.add_spare(gid, spares[gid])
         # A retired GPU still in ``states`` (a failed GPU whose segments
         # are about to move) leaves the order at the first commit.
-        for gid, name in retired.items():
-            self.retire(gid, name)
+        for gid in retired:
+            self.retire(gid)
         # An empty plan in the published map leaves the order at the
         # first commit, exactly as the next rebuild would drop it.
         self.index.touched = {
@@ -385,10 +359,10 @@ class LiveFleet:
         self._tail.add(key)
 
     def next_gpu_id(self) -> int:
-        """One past the largest id held (live, spare, fresh or retired)."""
+        """One past the largest id held (live, spare or fresh)."""
         ids = self._ids
         held = self._key_of
-        while ids and -ids[0] not in held and -ids[0] not in self.retired:
+        while ids and -ids[0] not in held:
             heapq.heappop(ids)
         return (-ids[0] if ids else -1) + 1
 
@@ -453,19 +427,18 @@ class LiveFleet:
         state.placed[:] = kept
         self.index.touch(key)
 
-    def retire(self, gpu_id: int, geometry: str) -> None:
-        """Take ``gpu_id`` out of the order and keep its id reserved."""
+    def retire(self, gpu_id: int) -> None:
+        """Take ``gpu_id`` out of the order (its id stays reserved on the
+        retired ledger, not here)."""
         key = self._key_of.get(gpu_id)
         if key is not None:
             self._unregister(key)
             if key < _SPARE_KEYS:
                 self._left.append(gpu_id)
                 self._gone.append(key)
-        self._reserve(gpu_id, geometry)
 
     def add_spare(self, gpu_id: int, geometry: str) -> None:
         """Register an empty known-good GPU in the spare section."""
-        self.retired.pop(gpu_id, None)
         key = _SPARE_KEYS + gpu_id
         state = _GPUState(gpu_id=gpu_id, geometry=get_geometry(geometry))
         state.freeze()
@@ -541,24 +514,9 @@ class LiveFleet:
 
     def states_in_order(self) -> list[_GPUState]:
         """The committed state as ``build_states`` lays it out: live GPUs,
-        spares, then a blocked sentinel per retired id."""
+        then spares."""
         index = self.index
-        states = index.states(self._order)
-        states += index.states(sorted(self._tail))
-        states += [
-            sentinel
-            for gid, sentinel in sorted(self.retired.items())
-            if gid not in self._key_of
-        ]
-        return states
-
-    def _reserve(self, gpu_id: int, geometry: str) -> None:
-        sentinel = _GPUState(
-            gpu_id=gpu_id, geometry=get_geometry(geometry), blocked=True
-        )
-        sentinel.freeze()
-        self.retired[gpu_id] = sentinel
-        heapq.heappush(self._ids, -gpu_id)
+        return index.states(self._order) + index.states(sorted(self._tail))
 
     def _register(self, key: int, state: _GPUState) -> None:
         self.index.add(key, state)
@@ -639,6 +597,12 @@ class SegmentAllocator:
     probes slots in the same preference order — so ``indexed=False``
     exists only as the reference path for the identity property test and
     the perf harness's naive baseline.
+
+    ``reserved`` holds GPU ids that no GPU in the order carries but that
+    a fresh GPU must not take: the deployment manager's retired ledger
+    (failed or preempted devices that may come back), passed by the
+    incremental callers.  A fresh GPU takes one past the largest id in
+    the order or in ``reserved``.
     """
 
     def __init__(
@@ -647,6 +611,7 @@ class SegmentAllocator:
         threshold: int = OPTIMIZATION_GPC_THRESHOLD,
         geometry: PartitionGeometry = MIG_GEOMETRY,
         indexed: bool = True,
+        reserved: Collection[int] = (),
     ) -> None:
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
@@ -654,6 +619,8 @@ class SegmentAllocator:
         self.threshold = threshold
         self.geometry = geometry
         self.indexed = indexed
+        #: the lowest id a fresh GPU may take whatever the order holds
+        self._fresh_floor = max(reserved, default=-1) + 1
 
     # ------------------------------------------------------------------ #
     # public API
@@ -668,7 +635,7 @@ class SegmentAllocator:
         or from its rebuilt list instead.
         """
         if self.indexed:
-            return LiveFleet((), {}, {})
+            return LiveFleet((), {}, ())
         return []
 
     def allocate(self, services: Sequence[Service]) -> Placement:
@@ -681,11 +648,7 @@ class SegmentAllocator:
     def segment_relocation(self, services: Sequence[Service]) -> GPUOrder:
         """``SEGMENTRELOCATION`` (Algorithm 2 lines 3-10)."""
         gpus = self.make_index()
-        queues = self._new_queues(self.geometry.instance_sizes)
-        for svc in services:
-            for seg in svc.segments():
-                self._enqueue(queues, seg)
-        self._allocation(queues, gpus, self.geometry)
+        self.relocate(gpus, (seg for svc in services for seg in svc.segments()))
         return gpus
 
     def allocation_optimization(
@@ -726,18 +689,18 @@ class SegmentAllocator:
                 for svc in owners
             ):
                 continue  # some service cannot be expressed as small segments
-            queues = self._new_queues(self.geometry.instance_sizes)
             if isinstance(gpus, LiveFleet):
                 state = gpus.index.writable(pos)
                 gpus.index.touch(pos)  # the drained GPU can host again
+            smalls: list[Segment] = []
             for seg, svc in zip(state.free_all(), owners):
                 freed_rate[svc.id] = freed_rate.get(svc.id, 0.0) + seg.throughput
                 for small in self._small_segments(
                     svc, freed_rate[svc.id], self.geometry
                 ):
                     freed_rate[svc.id] -= small.throughput
-                    self._enqueue(queues, small)
-            self._allocation(queues, gpus, self.geometry)
+                    smalls.append(small)
+            self.relocate(gpus, smalls)
         self._compact(gpus)
         return gpus
 
@@ -807,23 +770,11 @@ class SegmentAllocator:
     # ALLOCATION (shared by both stages)
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _new_queues(
-        instance_sizes: tuple[int, ...] = MIG_GEOMETRY.instance_sizes,
-    ) -> dict[int, list[Segment]]:
-        return {size: [] for size in sorted(instance_sizes, reverse=True)}
-
-    @staticmethod
-    def _enqueue(queues: dict[int, list[Segment]], seg: Segment) -> None:
-        queues[seg.instance_size].append(seg)
-
-    @staticmethod
-    def _allocation(
-        queues: dict[int, list[Segment]],
-        gpus: GPUOrder,
-        geometry: PartitionGeometry = MIG_GEOMETRY,
-    ) -> None:
-        """Drain queues largest-size first onto the GPU order.
+    def relocate(self, gpus: GPUOrder, segments: Iterable[Segment]) -> None:
+        """``ALLOCATION``: enqueue ``segments`` per size and drain the
+        queues largest-size first onto the GPU order — the step every
+        relocation shares (a full schedule's, the optimization pass's, an
+        SIII-F update's and a failover's).
 
         Per segment: first-fit over every GPU's *preferred* slots, then over
         fallback slots, then a fresh GPU — so (on MIG) a size-2 only
@@ -831,15 +782,23 @@ class SegmentAllocator:
         exists anywhere, and a size-3 never blocks slice 3 by sitting at
         slot 0.  On a :class:`LiveFleet` the probe is a slot-index lookup
         instead of a linear scan; the winning GPU and slot are identical.
+        Fresh GPUs are numbered past every id in the order and every
+        reserved one.
         """
+        sizes = sorted(self.geometry.instance_sizes, reverse=True)
+        queues: dict[int, list[Segment]] = {size: [] for size in sizes}
+        for seg in segments:
+            queues[seg.instance_size].append(seg)
         index: Optional[SlotIndex] = None
         if isinstance(gpus, LiveFleet):
             index = gpus.index
             next_gpu_id = gpus.next_gpu_id()
         else:
             next_gpu_id = max((g.gpu_id for g in gpus), default=-1) + 1
-        for size in sorted(queues, reverse=True):
-            for seg in queues[size]:
+        next_gpu_id = max(next_gpu_id, self._fresh_floor)
+        geometry = self.geometry
+        for queue in queues.values():
+            for seg in queue:
                 if index is not None:
                     placed = index.place(seg) is not None
                 else:
@@ -857,7 +816,6 @@ class SegmentAllocator:
                         raise RuntimeError(
                             f"segment {seg.describe()} unplaceable on empty GPU"
                         )
-            queues[size] = []
 
     # ------------------------------------------------------------------ #
     # SMALLSEGMENTS

@@ -11,7 +11,9 @@ The manager also tracks **spare GPUs**: devices that are known-good but
 currently host nothing, e.g. a preempted spot GPU that came back
 (:meth:`~repro.core.failover.FailoverController.restore_gpu`), and
 **retired GPUs** whose ids stay reserved while they are down.  Both
-ledgers change only through manager methods.
+ledgers change only through manager methods, and the retired ledger is
+the one record of reserved ids: every incremental re-plan's allocator
+numbers fresh GPUs past it (``SegmentAllocator(reserved=...)``).
 
 Incremental deltas (SLO/rate updates, departures, failover) enter one
 placement state through one method, :meth:`DeploymentManager.apply`;
@@ -33,12 +35,11 @@ the full schedule (:meth:`deploy`) is the other way in.  The manager's
   the same way;
 - the **rebuild** (``fast_path=False``): the plain list
   :meth:`~DeploymentManager.build_states` rebuilds from the current
-  placement — spares appended as empty GPUs after the live fleet and
-  retired ids as blocked sentinels, so restored capacity is drafted only
-  when no hole in the live fleet fits — after which the whole map is
-  re-rated and deployed.  It is the naive reference the live state is
-  replayed against, and the fleet controller's per-interval check
-  compares the two.
+  placement — spares appended as empty GPUs after the live fleet, so
+  restored capacity is drafted only when no hole in the live fleet
+  fits — after which the whole map is re-rated and deployed.  It is the
+  naive reference the live state is replayed against, and the fleet
+  controller's per-interval check compares the two.
 
 A delta is written once, over a
 :data:`~repro.core.allocator.GPUOrder`: handed the live fleet it probes
@@ -56,7 +57,6 @@ from types import MappingProxyType
 from typing import (
     Callable,
     ClassVar,
-    Collection,
     Mapping,
     Optional,
     Sequence,
@@ -201,7 +201,7 @@ class DeploymentManager:
         """Take a hosting GPU out of service, reserving its id."""
         self._retired[gpu_id] = geometry
         if self._live is not None:
-            self._live.fleet.retire(gpu_id, geometry)
+            self._live.fleet.retire(gpu_id)
 
     def fail_spare(self, gpu_id: int) -> str:
         """A spare GPU failed: move it to the retired ledger."""
@@ -360,13 +360,10 @@ class DeploymentManager:
         GPUs are appended as empty states in gpu-id order, so restored
         capacity is drafted only when no hole in the live fleet fits.
 
-        Retired GPUs (failed, not yet restored) are appended as *blocked*
-        sentinel states: first-fit can never place on them and
-        ``_to_placement`` drops them, but their presence keeps the
-        allocator's fresh-GPU id counter above every dead device's id —
-        so a later restore never collides with live capacity.  A retired
+        Retired GPUs (failed, not yet restored) hold no state: a retired
         GPU the placement still lists (a failed GPU whose segments are
-        being relocated) is left out of the placement's states.
+        being relocated) is left out, and the re-plan's allocator keeps
+        fresh ids above every retired one (its ``reserved`` ids).
         """
         if self.current is None:
             raise RuntimeError("nothing deployed yet")
@@ -378,32 +375,14 @@ class DeploymentManager:
             )
             if state.gpu_id not in retired
         ]
-        states += self.ledger_states({s.gpu_id for s in states})
+        live = {s.gpu_id for s in states}
+        states += [
+            _GPUState(gpu_id=gid, geometry=get_geometry(name))
+            for gid, name in sorted(self._spares.items())
+            if gid not in live
+        ]
         self.stats.states_rebuilt += 1
         self.stats.gpus_rebuilt += len(states)
-        return states
-
-    def ledger_states(self, live: Collection[int]) -> list[_GPUState]:
-        """What :meth:`build_states` appends after the placement's GPUs
-        ``live``: an empty state per spare, then a blocked sentinel per
-        retired id, each in gpu-id order."""
-        states: list[_GPUState] = []
-        for gid in sorted(self._spares):
-            if gid in live:
-                continue
-            states.append(
-                _GPUState(gpu_id=gid, geometry=get_geometry(self._spares[gid]))
-            )
-        for gid in sorted(self._retired):
-            if gid in live:
-                continue
-            states.append(
-                _GPUState(
-                    gpu_id=gid,
-                    geometry=get_geometry(self._retired[gid]),
-                    blocked=True,
-                )
-            )
         return states
 
     def live_state(self) -> LiveState:
@@ -651,14 +630,13 @@ class DeploymentManager:
             changed.request_rate = new_rate
         changed.reset_plan()
         self.configurator.configure([changed])
-        allocator = SegmentAllocator(geometry=self.geometry)
+        allocator = SegmentAllocator(
+            geometry=self.geometry, reserved=self._retired
+        )
         by_id = service_index(services)
 
         def replan(gpus: GPUOrder) -> None:
-            queues = allocator._new_queues(self.geometry.instance_sizes)
-            for seg in changed.segments():
-                allocator._enqueue(queues, seg)
-            allocator._allocation(queues, gpus, self.geometry)
+            allocator.relocate(gpus, changed.segments())
             allocator.allocation_optimization(gpus, by_id)
 
         return self.apply(by_id, replan, leaving=changed.id)

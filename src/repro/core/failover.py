@@ -101,18 +101,17 @@ class FailoverController:
             placed_to_segment(seg, victim_geometry) for seg in victim.segments
         ]
 
-        # Retire the victim first: its id must stay reserved (a blocked
-        # sentinel in the rebuilt state, a retired id in the live one) so
-        # relocation can neither place on the dead device nor hand its id
-        # to a fresh GPU.
+        # Retire the victim first: the retired ledger takes the dead
+        # device out of both allocator states and reserves its id, so
+        # relocation can neither place on it nor hand its id to a fresh
+        # GPU.
         manager.retire_gpu(gpu_id, victim.geometry)
-        allocator = SegmentAllocator(geometry=victim_geometry)
+        allocator = SegmentAllocator(
+            geometry=victim_geometry, reserved=manager.retired_gpus
+        )
 
         def relocate(gpus: GPUOrder) -> None:
-            queues = allocator._new_queues(victim_geometry.instance_sizes)
-            for seg in lost_segments:
-                allocator._enqueue(queues, seg)
-            allocator._allocation(queues, gpus, victim_geometry)
+            allocator.relocate(gpus, lost_segments)
             allocator.allocation_optimization(gpus, by_id)
 
         placement, plan = manager.apply(by_id, relocate)

@@ -134,8 +134,6 @@ class SlotIndex:
         """
         self.touched.add(pos)
         state = self._states[pos]
-        if state.blocked:  # retired id sentinels never host anything
-            return
         keys = self._keys.get(state.geometry.name)
         if keys is None:
             keys = self._keys[state.geometry.name] = _slot_keys(state.geometry)

@@ -114,25 +114,31 @@ class Cluster:
     # ------------------------------------------------------------------ #
 
     def apply_specs(self, specs: Iterable[InstanceSpec]) -> list[Instance]:
-        """Instantiate a full allocation map onto an empty cluster.
+        """Create the instances ``specs`` describe.
 
         GPUs created to host a spec take the spec's geometry, so a
-        heterogeneous placement materializes a heterogeneous pool; a spec
-        targeting an existing GPU of another geometry is an error.
+        heterogeneous placement materializes a heterogeneous pool.  An
+        empty GPU of another geometry is re-provisioned to the spec's: a
+        re-plan may hand a released GPU's id to a fresh GPU of the other
+        geometry.  A spec targeting a GPU of another geometry that still
+        hosts instances is an error.
         """
         from repro.gpu.geometry import get_geometry
 
         created: list[Instance] = []
         for spec in specs:
             self.ensure_capacity(spec.gpu_id)  # default-geometry gap fill
+            geometry = get_geometry(spec.geometry)
             if len(self._gpus) == spec.gpu_id:
-                self.add_gpu(geometry=get_geometry(spec.geometry))
+                self.add_gpu(geometry=geometry)
             g = self.gpu(spec.gpu_id)
-            if g.geometry.name != get_geometry(spec.geometry).name:
-                raise GPUError(
-                    f"GPU {spec.gpu_id} is {g.geometry.name}; spec wants "
-                    f"{spec.geometry}"
-                )
+            if g.geometry.name != geometry.name:
+                if not g.is_empty:
+                    raise GPUError(
+                        f"GPU {spec.gpu_id} is {g.geometry.name}; spec wants "
+                        f"{spec.geometry}"
+                    )
+                g = self._gpus[spec.gpu_id] = GPU(spec.gpu_id, geometry=geometry)
             inst = g.create_instance(spec.size, spec.start, owner=spec.owner)
             for _ in range(spec.num_processes):
                 inst.mps.launch(spec.owner)

@@ -63,7 +63,7 @@ class CheckStats:
     """
 
     #: GPUs the check rebuilt from the placement (the whole fleet, spares
-    #: and retired sentinels included, on a full check)
+    #: included, on a full check)
     gpus_rebuilt: int = 0
     #: services whose proportional shares the check recomputed
     services_rerated: int = 0
@@ -112,7 +112,6 @@ def _same_state(a: _GPUState, b: _GPUState) -> bool:
     return (
         a.gpu_id == b.gpu_id
         and a.geometry.name == b.geometry.name
-        and a.blocked == b.blocked
         and a.placed == b.placed
     )
 
@@ -173,12 +172,11 @@ class _CheckMemo:
     #: ``gpus`` (frozen, so still equal while the same object); empty
     #: when the manager had no live state
     live: list[_GPUState]
-    #: gpu_id -> the same for the spares and retired sentinels after the
-    #: live GPUs, in order, with the manager's ledgers they were verified
-    #: against (all empty when none was)
+    #: gpu_id -> the same for the spares after the live GPUs, in order,
+    #: with the spare ledger they were verified against (both empty when
+    #: none was)
     ledger: dict[int, _GPUState]
     spares: dict[int, str]
-    retired: dict[int, str]
     #: the cluster's GPUs, each one's instance-key tuple as last
     #: compared, and gpu_id -> position
     cluster: tuple[GPU, ...]
@@ -260,7 +258,7 @@ class StateVerifier:
                     rates=rates,
                     work=list(work),
                     rate_list=[s.request_rate for s in work],
-                    live=[], ledger={}, spares={}, retired={},
+                    live=[], ledger={}, spares={},
                     cluster=cluster,
                     cluster_keys=[g.instance_keys for g in cluster],
                     cluster_at={g.gpu_id: i for i, g in enumerate(cluster)},
@@ -269,7 +267,6 @@ class StateVerifier:
                     memo.live = live[:n]
                     memo.ledger = {s.gpu_id: s for s in live[n:]}
                     memo.spares = dict(self.manager.spare_gpus)
-                    memo.retired = dict(self.manager.retired_gpus)
             rebuilt, rerated = len(states), len(rates)
             compared = 0 if live is None else len(live)
             rates_compared = 0
@@ -586,14 +583,14 @@ class StateVerifier:
         field for field) is done; in any other run, every state that is
         not the verified object is compared element-wise with its
         rebuild, as is every state whose plan changed (``added``).  So
-        are the spares and retired sentinels after them (see
-        :meth:`_check_ledger`; ``same_ids``: the placement holds the GPU
-        ids it held).  Returns how many were.
+        are the spares after them (see :meth:`_check_ledger`;
+        ``same_ids``: the placement holds the GPU ids it held).  Returns
+        how many were.
         """
         live = self.manager.live_states()
         if live is None:
             # no ledger verified: the next one compares every state
-            memo.live, memo.ledger, memo.spares, memo.retired = [], {}, {}, {}
+            memo.live, memo.ledger, memo.spares = [], {}, {}
             return 0
         n = len(gpus)
         section = live[:n]
@@ -619,48 +616,37 @@ class StateVerifier:
         self, memo: _CheckMemo, tail: list[_GPUState], same_ids: bool
     ) -> int:
         """The live states after the placement's GPUs equal what
-        :meth:`DeploymentManager.ledger_states` lists: an empty state per
-        spare, then a blocked sentinel per retired id, in gpu-id order.
+        :meth:`DeploymentManager.build_states` appends: an empty state per
+        spare the placement does not list, in gpu-id order.
 
         While the placement holds the GPU ids it held (``same_ids``) and
-        both ledgers are the ones verified, states equal to the verified
+        the spare ledger is the one verified, states equal to the verified
         ones are done.  Otherwise the gpu ids are compared in one C-level
         list compare, and a state is compared element-wise only where it
         is not the object the memo verified for its GPU or where the
         GPU's ledger entry changed.  Returns how many were.
         """
         spares = self.manager.spare_gpus
-        retired = self.manager.retired_gpus
         if (
-            same_ids and spares == memo.spares and retired == memo.retired
+            same_ids and spares == memo.spares
             and tail == list(memo.ledger.values())
         ):
             return 0
-        placed = memo.plans.__contains__
-        free = list(filterfalse(placed, sorted(spares)))
-        ids = free + list(filterfalse(placed, sorted(retired)))
+        ids = list(filterfalse(memo.plans.__contains__, sorted(spares)))
         if [state.gpu_id for state in tail] != ids:
             raise _live_diverged()
         verified = memo.ledger
         index = dict(zip(ids, range(len(ids))))
         suspect = set(changed_at(tail, list(map(verified.get, ids))))
         moved = {gid for gid, _ in spares.items() ^ memo.spares.items()}
-        moved.update(gid for gid, _ in retired.items() ^ memo.retired.items())
         suspect.update(index[gid] for gid in moved if gid in index)
         for i in suspect:
             gid = ids[i]
-            if i < len(free):
-                want = _GPUState(gpu_id=gid, geometry=get_geometry(spares[gid]))
-            else:
-                want = _GPUState(
-                    gpu_id=gid, geometry=get_geometry(retired[gid]),
-                    blocked=True,
-                )
+            want = _GPUState(gpu_id=gid, geometry=get_geometry(spares[gid]))
             if not _same_state(tail[i], want):
                 raise _live_diverged()
         memo.ledger = dict(zip(ids, tail))
         memo.spares = dict(spares)
-        memo.retired = dict(retired)
         return len(suspect)
 
     def _check_cluster(

@@ -4,13 +4,12 @@ import pytest
 
 from repro.core.allocator import (
     OPTIMIZATION_GPC_THRESHOLD,
-    SLOT_FALLBACKS,
-    SLOT_PREFERENCES,
     SegmentAllocator,
     _GPUState,
 )
 from repro.core.configurator import SegmentConfigurator
 from repro.core.segments import Segment
+from repro.gpu.mig import MIG_GEOMETRY
 from repro.metrics import external_fragmentation
 
 
@@ -35,14 +34,16 @@ def configured(profiles, make_service, **kwargs):
 
 class TestSlotRules:
     def test_preference_tables_match_paper(self):
-        assert SLOT_PREFERENCES[7] == (0,)
-        assert SLOT_PREFERENCES[4] == (0,)
-        assert SLOT_PREFERENCES[3] == (4,)  # "priority to slot 4"
-        assert SLOT_PREFERENCES[2] == (0, 2)  # "preferably slots 0 or 2"
-        assert SLOT_PREFERENCES[1] == (0, 1, 2, 3)  # "initially 0-3"
-        assert SLOT_FALLBACKS[3] == ()  # never block slice 3
-        assert SLOT_FALLBACKS[2] == (4, 5)
-        assert SLOT_FALLBACKS[1] == (4, 5, 6)
+        preferences = MIG_GEOMETRY.slot_preferences
+        fallbacks = MIG_GEOMETRY.slot_fallbacks
+        assert preferences[7] == (0,)
+        assert preferences[4] == (0,)
+        assert preferences[3] == (4,)  # "priority to slot 4"
+        assert preferences[2] == (0, 2)  # "preferably slots 0 or 2"
+        assert preferences[1] == (0, 1, 2, 3)  # "initially 0-3"
+        assert fallbacks[3] == ()  # never block slice 3
+        assert fallbacks[2] == (4, 5)
+        assert fallbacks[1] == (4, 5, 6)
 
     def test_gpustate_prefers_slot4_for_threes(self):
         state = _GPUState(gpu_id=0)

@@ -127,11 +127,15 @@ class TestFailover:
             g.gpu_id == 0 and not g.is_empty for g in new_placement.gpus
         )
 
-    def test_failed_gpu_id_reserved_until_restore(self, deployed):
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_failed_gpu_id_reserved_until_restore(self, profiles, fast_path):
         """Regression: growth after failing the highest-id GPU used to hand
         the dead device's id to a fresh GPU (`next_gpu_id = max + 1`), so
-        a later restore collided with live capacity."""
-        services, placement, manager = deployed
+        a later restore collided with live capacity.  Both paths draw the
+        reservation from the manager's retired ledger."""
+        services = scenario_services("S2")
+        manager = DeploymentManager(profiles, fast_path=fast_path)
+        manager.deploy(ParvaGPU(profiles).schedule(services))
         ctrl = FailoverController(manager)
         victim = max(g.gpu_id for g in manager.current.gpus if not g.is_empty)
         ctrl.fail_gpu(victim, services)

@@ -53,6 +53,31 @@ class TestApplySpecs:
         owners = sorted(i.owner for _, i in c.instances())
         assert owners == ["a", "b"]
 
+    def test_empty_gpu_reprovisioned_to_spec_geometry(self):
+        """A re-plan may hand a released GPU's id to a fresh GPU of the
+        other geometry: the emptied GPU takes the spec's geometry."""
+        c = Cluster()
+        c.apply_specs([
+            spec(0, 7, 0, "a"),
+            InstanceSpec(gpu_id=1, size=8, start=0, owner="b", geometry="mi300x"),
+        ])
+        assert c.gpu(1).geometry.name == "mi300x"
+        plan = c.plan_reconfiguration([spec(0, 7, 0, "a"), spec(1, 4, 0, "c")])
+        c.execute(plan)
+        assert c.gpu(1).geometry.name == "mig"
+        assert c.gpu(1).snapshot() == ((0, 4, "c"),)
+        assert c.gpu(0).snapshot() == ((0, 7, "a"),)
+
+    def test_hosting_gpu_of_other_geometry_refused(self):
+        c = Cluster()
+        c.apply_specs([spec(0, 4, 0, "a")])
+        foreign = InstanceSpec(
+            gpu_id=0, size=2, start=4, owner="b", geometry="mi300x"
+        )
+        with pytest.raises(GPUError, match="GPU 0 is mig; spec wants mi300x"):
+            c.apply_specs([foreign])
+        assert c.gpu(0).snapshot() == ((0, 4, "a"),)
+
 
 class TestReconfiguration:
     def test_noop_plan(self):

@@ -12,7 +12,7 @@ after ``restore()`` (cold memo) and the first after a full re-plan (warm
 memo, replaced map).  Published segments are immutable, so the in-place
 kinds assert that the write raises, and ``replace-plan`` swaps an
 untouched GPU's plan for one with an altered segment instead.  Committed
-live allocator states are frozen too: ``flip-blocked`` and
+live allocator states are frozen too: ``flip-geometry`` and
 ``drop-placed`` assert that the write to one raises, then make it
 through ``SlotIndex.writable`` — a copy-on-write that no commit
 published.
@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core.placement import GPUPlan
 from repro.core.service import Service
+from repro.gpu.geometry import get_geometry
 from repro.ops import FleetController
 from repro.ops.events import GpuFailure, ServiceArrival
 from repro.ops.verify import StateVerifier
@@ -55,7 +56,7 @@ fleets, raw_events, timeline_of = _suite.fleets, _suite.raw_events, _suite._time
 
 CORRUPTIONS = (
     "capacity", "start", "served_rate", "replace-plan", "stale-rate",
-    "swap-gpus", "flip-blocked", "drop-placed", "destroy-instance",
+    "swap-gpus", "flip-geometry", "drop-placed", "destroy-instance",
     "add-instance", "drop-service",
 )
 SEGMENT_FIELDS = ("capacity", "start", "served_rate")
@@ -109,14 +110,15 @@ def corrupt(ctrl: FleetController, memo, kind: str, pick: int) -> None:
             i = pick % len(gpus)
             j = (i + 1 + pick // len(gpus) % (len(gpus) - 1)) % len(gpus)
             gpus[i], gpus[j] = gpus[j], gpus[i]
-    elif kind in ("flip-blocked", "drop-placed"):
+    elif kind in ("flip-geometry", "drop-placed"):
         fleet = ctrl.manager.live_state().fleet
         keys = fleet.live_keys()
         key = keys[pick % len(keys)]
 
         def write(state) -> None:
-            if kind == "flip-blocked":
-                state.blocked = not state.blocked
+            if kind == "flip-geometry":
+                other = "mi300x" if state.geometry.name == "mig" else "mig"
+                state.geometry = get_geometry(other)
             else:
                 state.placed.pop(pick % len(state.placed))
 

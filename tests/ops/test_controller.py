@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.service import Service
+from repro.gpu.geometry import get_geometry
 from repro.ops import FleetController, merge_timeline, run_identity_checked
 from repro.ops.events import (
     GpuFailure,
@@ -830,18 +831,20 @@ class TestLiveAllocatorState:
         ctrl.step(10.0, [GpuFailure(time_s=10.0, event_id="f0", draw=0.0)])
         fleet = ctrl.manager.live_state().fleet
         key = fleet.live_keys()[0]
+        mi300x = get_geometry("mi300x")
         with pytest.raises(AttributeError, match="frozen"):
-            fleet[key].blocked = True
-        fleet.index.writable(key).blocked = True
+            fleet[key].geometry = mi300x
+        fleet.index.writable(key).geometry = mi300x
         with pytest.raises(OpsIdentityError, match="live allocator state"):
             ctrl.step(20.0)
         ctrl.finish()
 
     @pytest.mark.parametrize("which", ["spare", "retired"])
     def test_check_catches_ledger_divergence(self, profiles, services, which):
-        """The spares and retired sentinels after the live GPUs are
-        checked too: one that no longer matches the manager's ledger
-        fails the check though the placement is intact."""
+        """The spares after the live GPUs are checked too: a spare state
+        that no longer matches the manager's spare ledger, or a retired
+        id the fleet holds again, fails the check though the placement
+        is intact."""
         from repro.ops import OpsIdentityError
 
         ctrl = controller(profiles)
@@ -857,12 +860,11 @@ class TestLiveAllocatorState:
         fleet = manager.live_state().fleet
         if which == "spare":
             (gid,) = manager.spare_gpus
-            fleet.index.writable(fleet.key_of(gid)).blocked = True
-        else:
-            (gid,) = manager.retired_gpus
-            sentinel = fleet.retired[gid].thawed()
-            sentinel.blocked = False
-            fleet.retired[gid] = sentinel
+            state = fleet.index.writable(fleet.key_of(gid))
+            state.geometry = get_geometry("mi300x")
+        else:  # a retired id back in the fleet behind the ledger's back
+            ((gid, name),) = manager.retired_gpus.items()
+            fleet.add_spare(gid, name)
         with pytest.raises(OpsIdentityError, match="live allocator state"):
             ctrl.step(40.0)
         ctrl.finish()

@@ -6,8 +6,8 @@ cached lowest feasible GPU per slot key
 (:class:`~repro.core.slotindex.CompactionHeads`); over a plain list it
 is the reference, probing every earlier GPU.  On generated MIG and MI300X
 fleets — live GPUs, spares, fresh tail GPUs opened during the operation,
-retired ids (blocked sentinels in the list) and holes opened by removals
-— both must end in the same states, GPU for GPU.
+reserved ids that fresh GPUs are numbered past, and holes opened by
+removals — both must end in the same states, GPU for GPU.
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ def _build(spec, geometry: PartitionGeometry) -> LiveFleet:
     n = len(states)
     spares = {n + k: geometry.name for k in range(spec["spares"])}
     n += spec["spares"]
-    retired = {n + k: geometry.name for k in range(spec["retired"])}
+    retired = range(n, n + spec["retired"])
     fleet = LiveFleet(states, spares, retired)
-    next_id = fleet.next_gpu_id()
+    # as ``SegmentAllocator(reserved=retired)`` numbers fresh GPUs
+    next_id = max(fleet.next_gpu_id(), n + spec["retired"])
     for cells in spec["fresh"]:  # opened by this operation's allocation
         state = _GPUState(gpu_id=next_id, geometry=geometry)
         next_id += 1
@@ -88,7 +89,7 @@ def _build(spec, geometry: PartitionGeometry) -> LiveFleet:
 
 
 def _view(states):
-    return [(s.gpu_id, s.geometry.name, s.blocked, list(s.placed)) for s in states]
+    return [(s.gpu_id, s.geometry.name, list(s.placed)) for s in states]
 
 
 def _compacted(spec, geometry: PartitionGeometry) -> tuple[list, list, int]:
@@ -138,6 +139,6 @@ def test_head_gpu_fills_mid_walk():
     assert indexed == reference
     assert moved >= 2
     hosts = {gid: [seg.service_id for seg, _ in placed]
-             for gid, _, _, placed in indexed}
+             for gid, _, placed in indexed}
     assert "s5" in hosts[0]  # the fresh GPU's segment filled the head
     assert len(hosts[1]) == 4  # ... and the next one GPU 1's hole
