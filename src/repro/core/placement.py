@@ -165,6 +165,23 @@ if len(PlacedSegment._fields) != _SEGMENT_LINE.count("%"):
         "PlacedSegment grew a field; extend _SEGMENT_LINE to cover it"
     )
 
+#: the conversion ``_SEGMENT_LINE`` applies to each field
+_CONVERSIONS = tuple(
+    str if part[1] == "s" else repr for part in _SEGMENT_LINE[1:].split(",")
+)
+
+
+def same_segment_line(a: PlacedSegment, b: PlacedSegment) -> bool:
+    """Whether ``a`` and ``b`` render the same part of a fingerprint
+    line, compared field by field without rendering it: each pair of
+    fields is the same object or converts alike (``str`` where the line
+    has ``%s``, ``repr`` where it has ``%r``), so -0.0 is not 0.0 and an
+    int is not its float."""
+    for conv, x, y in zip(_CONVERSIONS, a, b):
+        if x is not y and conv(x) != conv(y):
+            return False
+    return True
+
 
 @dataclass(frozen=True, slots=True)
 class GPUPlan:

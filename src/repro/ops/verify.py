@@ -43,7 +43,7 @@ from repro.core.allocator import (
 from repro.core.align import Run, aligned, changed_at, spliced
 from repro.core.deployment import DeploymentManager
 from repro.core.placement import (
-    GPUPlan, PlacedSegment, Placement, render_lines,
+    GPUPlan, PlacedSegment, Placement, render_lines, same_segment_line,
 )
 from repro.core.service import Service
 from repro.gpu.geometry import get_geometry
@@ -70,7 +70,8 @@ class CheckStats:
     #: intervals checked by the full reference rather than the memo
     full_fallbacks: int = 0
     #: fingerprint lines the check rendered (cache misses: changed
-    #: published plans plus the check's own round-trip plans of them)
+    #: published plans; the full reference also renders its round-trip
+    #: plans of them)
     lines_rendered: int = 0
     #: served rates of re-rated services the check compared on plans it
     #: verified before (their lines are not rendered again)
@@ -217,7 +218,9 @@ class StateVerifier:
         the full reference :meth:`_check_state`, whose by-products seed
         the memo.  Published plans cache their lines, so the render costs
         O(changed plans); ``lines_rendered`` counts the lines the check
-        rendered (cache misses), its own round-trip plans included, and
+        rendered (cache misses) — on a full check its own round-trip
+        plans too; the incremental check compares those field by field —
+        and
         ``positions_compared`` the list positions (plans, live states,
         cluster GPUs, services) its identity scans flagged and compared
         element-wise — the whole of each list on a full check.  The memo
@@ -296,8 +299,8 @@ class StateVerifier:
         and only services on a new or vanished plan, with a new rate
         object, or that joined or left ``work`` get their shares
         recomputed — over all their segments, in placement order, as
-        ``assign_rates`` does.  A changed plan's line is rendered from
-        its round trip and compared in full.  On a plan the memo
+        ``assign_rates`` does.  A changed plan's round trip is compared
+        with the published plan in full, field by field.  On a plan the memo
         verified, every field but a re-rated segment's served rate is
         the object the memo already verified, so only those rates are
         compared, by ``repr`` — what the line renders: -0.0 is not 0.0,
@@ -377,7 +380,7 @@ class StateVerifier:
         for plan in fresh:
             verified[plan.gpu_id] = plan
         memo.rank.update(ranks)
-        own, rates_compared = self._check_rates(
+        rates_compared = self._check_rates(
             {state.gpu_id: plan_from_state(state) for state in rebuilt},
             verified, memo.rank, hosts, rerated,
             {sid: rates[sid] for sid in rerated if sid in rates},
@@ -394,7 +397,7 @@ class StateVerifier:
         memo.gpus = list(gpus)
         memo.lines = lines
         return (
-            len(changed), len(rerated), rendered + own, compared,
+            len(changed), len(rerated), rendered, compared,
             rates_compared, len(added) + compared + mirrored + flagged,
         )
 
@@ -443,7 +446,7 @@ class StateVerifier:
         hosts: dict[str, set[int]],
         rerated: list[str],
         rates: dict[str, float],
-    ) -> tuple[int, int]:
+    ) -> int:
         """Step 2 of :meth:`_check_incremental`: the re-rated services'
         shares, as the rebuild routes them, against the published map.
 
@@ -452,8 +455,11 @@ class StateVerifier:
         the memo verified.  Each service in ``rates`` sums its capacity
         over all its segments in placement order (``rank`` order), as
         ``assign_rates`` does; a re-rated service without a rate keeps
-        the rebuild's unrouted 0.0.  Returns ``(lines rendered, served
-        rates compared)``.
+        the rebuild's unrouted 0.0.  A changed GPU's round trip is
+        compared with its published plan field by field, as the line
+        renders each field (:func:`~repro.core.placement.same_segment_line`),
+        so the check renders no line of its own.  Returns the served
+        rates compared on plans the memo verified.
         """
         order = sorted(
             {gid for sid in rerated for gid in hosts.get(sid, ())},
@@ -485,15 +491,22 @@ class StateVerifier:
             return share if share != 0.0 else 0.0
 
         rerate = set(rerated)
-        rendered = compared = 0
+        compared = 0
         for gid, plan in zip(order, plans):
-            line = published[gid].fingerprint()
-            if plan is not published[gid]:
-                rendered += 1
-                check = GPUPlan(gid, tuple(
-                    seg.with_served_rate(served(seg)) for seg in plan.segments
-                ), plan.geometry)
-                same = check.fingerprint() == line
+            ref = published[gid]
+            if plan is not ref:
+                # the re-rated round trip against the published plan,
+                # field by field as its line renders them
+                same = (
+                    str(plan.geometry) == str(ref.geometry)
+                    and len(plan.segments) == len(ref.segments)
+                    and all(
+                        same_segment_line(
+                            seg.with_served_rate(served(seg)), want
+                        )
+                        for seg, want in zip(plan.segments, ref.segments)
+                    )
+                )
             else:
                 segs = [s for s in plan.segments if s.service_id in rerate]
                 compared += len(segs)
@@ -506,7 +519,7 @@ class StateVerifier:
                     "allocator-state round trip (build_states -> "
                     "_to_placement)"
                 )
-        return rendered, compared
+        return compared
 
     @staticmethod
     def _rates(

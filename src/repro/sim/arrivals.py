@@ -52,7 +52,13 @@ def uniform_arrivals(rate: float, duration: float) -> np.ndarray:
     low, and a segment with ``0 < rate * duration < 1`` received zero
     traffic even though it was provisioned for some.
     """
-    if rate <= 0 or duration <= 0:
-        return np.empty(0, dtype=np.float64)
-    n = int(math.floor(rate * duration + 0.5))
+    n = uniform_count(rate, duration)
     return (np.arange(n, dtype=np.float64) + 0.5) / rate
+
+
+def uniform_count(rate: float, duration: float) -> int:
+    """How many arrivals :func:`uniform_arrivals` generates; arrival
+    ``i`` is at ``(i + 0.5) / rate``."""
+    if rate <= 0 or duration <= 0:
+        return 0
+    return int(math.floor(rate * duration + 0.5))

@@ -28,15 +28,14 @@ For arrival arrays where every full batch fills before its flush
 deadline, every fill finds a free process and any trailing partial
 batch flushes on time (the uniform-arrival unsaturated regime),
 dispatch and completion times vectorise in numpy
-(:func:`_simulate_segment_vectorized`): dispatches sit at the fill
-instants, and when batches overlap — MPS processes pipelining batches
-within one instance — each batch's concurrency is the fixed point of a
-count over the computed completions.  Saturated segments (a fill that
-finds every process busy, as in most Poisson bursts), flushes that fire
-before a batch fills and overlapping segments too short to repay the
-fixed-point iteration (:data:`_CLOSED_FORM_MIN_BATCHES`) run on the
-per-batch kernel (:func:`_simulate_segment`), which stays the
-reference.
+(:func:`_closed_form`): dispatches sit at the fill instants, and when
+batches overlap — MPS processes pipelining batches within one instance —
+each batch's concurrency is the fixed point of a count over the
+computed completions.  One closed-form pass solves every miss of a call
+together, short segments included.  Saturated segments (a fill that
+finds every process busy, as in most Poisson bursts) and flushes that
+fire before a batch fills run on the per-batch kernel
+(:func:`_simulate_segment`), which stays the reference.
 
 The kernel replicates the event engine's semantics decision-for-decision
 (same dispatch times, batch compositions, concurrencies, warmup gating
@@ -66,7 +65,9 @@ from bisect import bisect_left, bisect_right
 from heapq import heappush, heappop
 # ``json.dumps`` of a string, without the encoder object around it
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Optional
+from typing import (
+    Callable, ClassVar, Iterable, Mapping, NamedTuple, Optional, cast,
+)
 
 import numpy as np
 
@@ -75,7 +76,11 @@ from repro.core.placement import GPUPlan, PlacedSegment, Placement
 from repro.core.service import Service
 from repro.models.perf import PerfModel
 from repro.models.zoo import get_model
-from repro.sim.arrivals import poisson_arrivals, uniform_arrivals
+from repro.sim.arrivals import (
+    poisson_arrivals,
+    uniform_arrivals,
+    uniform_count,
+)
 from repro.sim.batching import BatchPolicy
 from repro.sim.metrics import ServiceStats, SimulationReport, check_window
 
@@ -103,6 +108,14 @@ class _SegmentResult:
         self.latency_max_ms = 0.0
         self.busy_sm_s = 0.0
         self.steps = 0
+
+    def row(self) -> tuple:
+        """The result row :func:`_resolve_rows` returns."""
+        return (
+            self.batches, self.violations, self.requests,
+            self.latency_sum_ms, self.latency_max_ms, self.busy_sm_s,
+            self.steps,
+        )
 
 
 class _SegmentKernel:
@@ -139,33 +152,15 @@ class _SegmentKernel:
             slo_ms=slo_ms,
             exec_estimate_ms=segment_latency_ms,
         )
+        self.flush_wait_ms = self.policy.flush_wait_ms
         self.sm_count = sm_count
         self._lat: dict[tuple[int, int], float] = {}
         self._busy: dict[int, float] = {}
-
-    @classmethod
-    def from_segment(
-        cls,
-        segment: PlacedSegment,
-        slo_ms: float,
-        sm_count: int | None = None,
-    ) -> "_SegmentKernel":
-        """Kernel parameters as the fast path derives them.
-
-        ``sm_count`` overrides the segment's own compute-unit count with
-        the activity tracker's registered value (last register wins when
-        segment keys collide).
-        """
-        return cls(
-            model=segment.model,
-            gpcs=segment.effective_gpcs,
-            batch_size=segment.batch_size,
-            num_processes=segment.num_processes,
-            segment_latency_ms=segment.latency_ms,
-            slo_ms=slo_ms,
-            sm_count=(
-                max(1, round(segment.sm_count)) if sm_count is None else sm_count
-            ),
+        #: a full batch's execution seconds at concurrency 1, 2, ...,
+        #: ``num_processes``
+        self.exec_s = tuple(
+            self.latency_ms(batch_size, c) / 1e3
+            for c in range(1, num_processes + 1)
         )
 
     def latency_ms(self, batch: int, concurrency: int) -> float:
@@ -194,169 +189,276 @@ class _SegmentKernel:
         return out
 
 
-#: Full batches a segment needs before the closed form may solve
-#: overlapping batches: below it the per-batch kernel is cheaper than the
-#: fixed-point iteration (crossover table in docs/architecture.md).
-_CLOSED_FORM_MIN_BATCHES = 32
-
 #: fixed-point rounds before the closed form leaves a segment to the
 #: per-batch kernel
 _CLOSED_FORM_ROUNDS = 8
 
+#: full batches a call's misses need in total before they take the
+#: closed-form pass: below it the per-batch kernel (~2-3 us a batch)
+#: costs less than the pass's fixed cost (~170-290 us), measured in
+#: docs/architecture.md
+_PASS_MIN_BATCHES = 32
 
-def _simulate_segment_vectorized(
-    kernel: _SegmentKernel,
-    arrivals: np.ndarray,
+#: full batches one closed-form pass lays out at most: a call with more
+#: is solved in several passes, which bounds the pass's memory (rows are
+#: per segment, so where a call is split does not change them)
+_CLOSED_FORM_CHUNK = 1 << 16
+
+#: one segment for the closed form: its kernel, its offered rate and its
+#: arrival times (None: uniform arrivals at that rate, never generated)
+_Miss = tuple[_SegmentKernel, float, Optional[np.ndarray]]
+
+
+def _arrival_counts(misses: list[_Miss], duration_s: float) -> list[int]:
+    """Each miss's arrival count: its array's length, or what
+    :func:`~repro.sim.arrivals.uniform_arrivals` generates."""
+    return [
+        len(times) if times is not None else uniform_count(rate, duration_s)
+        for _kernel, rate, times in misses
+    ]
+
+
+def _closed_form(
+    misses: list[_Miss],
+    counts: list[int],
     warmup_s: float,
     until: float,
-) -> _SegmentResult | None:
-    """Numpy closed form for the fill-dominated regime.
+) -> list[Optional[tuple]]:
+    """The closed form's row for each of ``misses`` (with ``counts``
+    arrivals, from :func:`_arrival_counts`), in order, and None for each
+    segment outside its regime (the per-batch kernel's).
 
     Every full batch ``k`` dispatches at its fill instant
     ``A[k*b + b-1]`` and completes at ``dispatch + latency(b, c_k)``,
     where ``c_k`` is 1 plus the number of earlier batches still running
     at the fill (a completion exactly at a fill is still running:
-    arrivals run first).  Valid when (checked on the actual float
-    arrays): every full batch fills before its head's flush deadline,
-    no completion finds a waiting head overdue, every fill finds a free
-    process, and the trailing partial batch — if any — collects all its
-    requests before its own flush deadline and finds a free process
-    there.  Overlapping batches (MPS pipelining) need a fixed-point
-    solve of ``c`` and are tried only for segments of at least
-    :data:`_CLOSED_FORM_MIN_BATCHES` full batches.  Returns ``None``
-    when the regime does not apply.
+    arrivals run first).  A segment is in the regime when (checked on
+    the actual floats) every full batch fills before its head's flush
+    deadline, no completion finds a waiting head overdue, every fill
+    finds a free process, the fixed point of ``c`` settles, and the
+    trailing partial batch — if any — collects all its requests before
+    its own flush deadline and finds a free process there.  The misses
+    are solved together, in passes of at most
+    :data:`_CLOSED_FORM_CHUNK` full batches; every check and reduction
+    is per segment, so a row does not depend on which segments shared
+    its pass.
     """
-    batch = kernel.batch_size
-    procs = kernel.num_processes
-    n = len(arrivals)
-    if n == 0:
-        return _SegmentResult()
-    if float(arrivals[-1]) > until:
-        return None  # the run stops before some batch fills
-    full = n // batch
-    rest = n - full * batch
-    flush_wait_ms = kernel.policy.flush_wait_ms
-    flush_wait_s = flush_wait_ms / 1e3
-
-    heads = arrivals[: full * batch : batch]
-    dispatches = arrivals[batch - 1 : full * batch : batch]
-    if full and not (dispatches <= heads + flush_wait_s).all():
-        return None  # a flush would fire before some batch fills
-    exec_s = kernel.latency_ms(batch, 1) / 1e3 if full else 0.0
-    completions = dispatches + exec_s
-    ordered = completions  # sorted: concurrency 1 keeps fill order
-    if full > 1 and not (completions[:-1] < dispatches[1:]).all():
-        # Batches overlap: concurrency exceeds 1 somewhere.
-        if full < _CLOSED_FORM_MIN_BATCHES:
-            return None
-        # Latency grows with concurrency, so concurrency-1 completions
-        # are lower bounds: when batch k-procs still runs at fill k, so
-        # do the procs-1 batches dispatched after it.
-        if (completions[:-procs] >= dispatches[procs:]).any():
-            return None  # some fill finds no free process
-        solved = _pipelined_completions(kernel, dispatches, completions)
-        if solved is None:
-            return None
-        completions, ordered = solved
-    if flush_wait_ms > 0 and not (
-        (dispatches - heads) * 1e3 < flush_wait_ms
-    ).all():
-        # A completion before a fill could pass the per-batch kernel's
-        # float overdue test and flush the batch early; only a fill
-        # within ulps of its flush deadline leaves room for that.
-        return None
-
-    tail = None  # (dispatch_time, completion_time, size)
-    if rest:
-        head = float(arrivals[full * batch])
-        deadline = kernel.policy.flush_deadline(head)
-        if float(arrivals[-1]) > deadline:
-            return None  # the tail spans several flush windows
-        running = 0
-        if full and float(ordered[-1]) >= head:
-            # Completions while the tail waits: batches still running at
-            # the last fill, so at most `procs` of them.
-            for done in ordered[np.searchsorted(ordered, head):].tolist():
-                if done == deadline or (
-                    done < deadline and (done - head) * 1e3 >= flush_wait_ms
-                ):
-                    return None  # a completion would dispatch the tail
-                running += done > deadline
-        if running >= procs:
-            return None  # tail would dispatch at a completion instead
-        if deadline <= until:
-            tail = (
-                deadline,
-                deadline + kernel.latency_ms(rest, running + 1) / 1e3,
-                rest,
+    rows: list[Optional[tuple]] = []
+    lo = batches = 0
+    for i, (kernel, _rate, _times) in enumerate(misses):
+        full = counts[i] // kernel.batch_size
+        if batches and batches + full > _CLOSED_FORM_CHUNK:
+            rows += _closed_form_pass(
+                misses[lo:i], counts[lo:i], warmup_s, until
             )
-
-    out = _SegmentResult()
-    if full:
-        measured = (dispatches >= warmup_s) & (completions <= until)
-        worst = (completions - heads) * 1e3
-        worst = worst[measured]
-        out.batches = int(measured.sum())
-        out.violations = int(np.count_nonzero(worst > kernel.slo_ms))
-        out.requests = out.batches * batch
-        out.latency_sum_ms = float(worst.sum()) * batch
-        out.latency_max_ms = float(worst.max()) if len(worst) else 0.0
-        busy_dispatches = int(np.count_nonzero(dispatches >= warmup_s))
-        out.busy_sm_s = kernel.busy_sm_s(batch) * busy_dispatches
-        out.steps = full + int(np.count_nonzero(completions <= until))
-    if tail is not None:
-        t_disp, t_comp, size = tail
-        out.steps += 1
-        if t_disp >= warmup_s:
-            out.busy_sm_s += kernel.busy_sm_s(size)
-        if t_comp <= until:
-            out.steps += 1
-            if t_disp >= warmup_s:
-                worst_ms = (t_comp - float(arrivals[full * batch])) * 1e3
-                out.batches += 1
-                out.violations += int(worst_ms > kernel.slo_ms)
-                out.requests += size
-                out.latency_sum_ms += worst_ms * size
-                if worst_ms > out.latency_max_ms:
-                    out.latency_max_ms = worst_ms
-    return out
+            lo = i
+            batches = 0
+        batches += full
+    rows += _closed_form_pass(misses[lo:], counts[lo:], warmup_s, until)
+    return rows
 
 
-def _pipelined_completions(
-    kernel: _SegmentKernel,
-    dispatches: np.ndarray,
-    completions: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Completions of full batches dispatched at ``dispatches`` with up
-    to ``num_processes`` in flight, solved from the concurrency-1
-    ``completions``, and the same completions sorted; None when some
-    fill finds no free process or the solve does not settle within
-    :data:`_CLOSED_FORM_ROUNDS` rounds.
+def _closed_form_pass(
+    misses: list[_Miss],
+    counts: list[int],
+    warmup_s: float,
+    until: float,
+) -> list[Optional[tuple]]:
+    """One pass of :func:`_closed_form`: the segments' full batches laid
+    out end to end, each with its segment's index.  Arrival ``i`` of a
+    uniform segment is ``(i + 0.5) / rate``, the expression
+    :func:`~repro.sim.arrivals.uniform_arrivals` evaluates, so only the
+    heads, fills and tail instants are computed, with the same bits."""
+    S = len(misses)
+    if not S:
+        return []
+    kernels = [kernel for kernel, _rate, _times in misses]
+    n, size, procs = np.array(
+        [(c, k.batch_size, k.num_processes) for k, c in zip(kernels, counts)],
+        dtype=np.intp,
+    ).T
+    wait_ms, slo_ms, rates = np.array([
+        (k.flush_wait_ms, k.slo_ms, 1.0 if times is not None else rate)
+        for k, rate, times in misses
+    ]).T
+    wait_s = wait_ms / 1e3
+    # execution seconds of a full batch at concurrency c + 1:
+    # exec_s[exec_at[s] + c]
+    exec_s = np.fromiter(
+        (e for k in kernels for e in k.exec_s), dtype=np.float64
+    )
+    exec_at = np.cumsum(procs) - procs
+    given = [times for _k, _rate, times in misses if times is not None]
+    if given:
+        flat = np.concatenate(given)
+        explicit = np.array([times is not None for _k, _r, times in misses])
+        given_n = np.where(explicit, n, 0)
+        first = np.cumsum(given_n) - given_n
 
-    The concurrencies are a fixed point: ``c_k - 1`` counts earlier
-    completions at or after fill ``k``.  No later batch completes
-    before fill ``k``, so that count is ``k`` minus the completions
-    strictly before it.  ``c_k`` depends only on earlier batches, so the
-    fixed point is unique and equals the per-batch kernel's sequence.
-    """
-    procs = kernel.num_processes
-    exec_s = np.array([
-        kernel.latency_ms(kernel.batch_size, c) / 1e3
-        for c in range(1, procs + 1)
-    ])
-    earlier = np.arange(len(dispatches))
-    running = np.zeros(len(dispatches), dtype=np.intp)
-    ordered = completions  # concurrency-1 completions are in fill order
+    def arrival(seg: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Arrival ``i`` of segment ``seg``, elementwise."""
+        t = (i + 0.5) / rates[seg]
+        if given:
+            m = explicit[seg]
+            t[m] = flat[first[seg[m]] + i[m]]
+        return t
+
+    live = np.flatnonzero(n)
+    last = np.zeros(S)
+    last[live] = arrival(live, n[live] - 1)
+    ok = ~(last > until)  # the run stops before some batch fills
+
+    full = n // size
+    rest = n - full * size
+    start = np.cumsum(full) - full
+    seg = np.repeat(np.arange(S), full)
+    k = np.arange(len(seg)) - start[seg]
+    first_i = k * size[seg]
+    heads = arrival(seg, first_i)
+    fills = arrival(seg, first_i + (size[seg] - 1))
+
+    # a flush would fire before a batch fills
+    bad = ~(fills <= heads + wait_s[seg])
+    # A completion before a fill could pass the per-batch kernel's float
+    # overdue test and flush the batch early; only a fill within ulps of
+    # its flush deadline leaves room for that.
+    wait = wait_ms[seg]
+    bad |= (wait > 0) & ~((fills - heads) * 1e3 < wait)
+    ok &= np.bincount(seg[bad], minlength=S) == 0
+    comp = fills + exec_s[exec_at[seg]]
+
+    # Batches overlap (MPS pipelining): concurrency exceeds 1 somewhere,
+    # and c is the fixed point of a count over the completions.  Its
+    # first round finds every fill with no free process at concurrency
+    # 1; latency grows with concurrency, so those segments are saturated.
+    overlap = (k[1:] > 0) & ~(comp[:-1] < fills[1:])
+    active = ok & (np.bincount(seg[1:][overlap], minlength=S) > 0)
+    running = np.zeros(len(seg), dtype=np.intp)
     for _ in range(_CLOSED_FORM_ROUNDS):
-        found = earlier - np.searchsorted(ordered, dispatches)
-        if (found == running).all():
-            return completions, ordered
-        if found.max() >= procs:
-            return None  # some fill finds no free process
-        running = found
-        completions = dispatches + exec_s[running]
-        ordered = np.sort(completions)
-    return None
+        if not active.any():
+            break
+        sel = np.flatnonzero(active[seg])
+        sg = seg[sel]
+        back = k[sel]
+        filled = fills[sel]
+        cap = procs[sg]
+        # earlier batches still running at the fill, among the procs
+        # before it: a completion exactly at a fill is still running
+        # (arrivals run first)
+        found = np.zeros(len(sel), dtype=np.intp)
+        for w in range(1, int(cap.max()) + 1):
+            found += (back >= w) & (
+                np.take(comp, sel - w, mode="wrap") >= filled
+            )
+        moved = np.bincount(sg[found != running[sel]], minlength=S) > 0
+        saturated = np.bincount(sg[found >= cap], minlength=S) > 0
+        ok &= ~(active & moved & saturated)  # a fill finds no process
+        active &= moved & ~saturated
+        again = active[sg]
+        j = sel[again]
+        running[j] = found[again]
+        comp[j] = fills[j] + exec_s[exec_at[seg[j]] + running[j]]
+    ok &= ~active  # the fixed point did not settle
+    # The count looks back procs batches.  Fills are sorted, so it is
+    # exact where batch k-procs-1 completes before fill k even at the
+    # slowest concurrency its segment settled on; a segment with a fill
+    # too close to the one procs+1 batches before it is left to the
+    # per-batch kernel.
+    batched = np.flatnonzero(full)
+    slowest = exec_s[exec_at]
+    if len(batched):
+        slowest[batched] = exec_s[
+            exec_at[batched] + np.maximum.reduceat(running, start[batched])
+        ]
+    behind = np.flatnonzero(k > procs[seg])
+    crowded = (
+        fills[behind - procs[seg[behind]] - 1] + slowest[seg[behind]]
+        >= fills[behind]
+    )
+    ok &= np.bincount(seg[behind[crowded]], minlength=S) == 0
+
+    # The trailing partial batch flushes at its deadline: every request
+    # has arrived by then, and no completion dispatches it earlier.
+    tail = np.flatnonzero(ok & (rest > 0))
+    head = np.full(S, np.inf)
+    deadline = np.full(S, np.inf)
+    head[tail] = arrival(tail, full[tail] * size[tail])
+    deadline[tail] = head[tail] + wait_s[tail]
+    ok &= ~(last > deadline)  # the tail spans several flush windows
+    # completions while the tail waits: batches still running at the
+    # last fill, so at most `procs` of them
+    waits = comp >= head[seg]
+    tail_deadline = deadline[seg]
+    dispatches_tail = waits & (
+        (comp == tail_deadline)
+        | ((comp < tail_deadline) & ((comp - head[seg]) * 1e3 >= wait))
+    )
+    ok &= np.bincount(seg[dispatches_tail], minlength=S) == 0
+    tail_running = np.bincount(seg[waits & (comp > tail_deadline)],
+                               minlength=S)
+    ok &= tail_running < procs  # the tail dispatches at a completion
+
+    measured = (fills >= warmup_s) & (comp <= until)
+    worst = (comp - heads) * 1e3
+    at = seg[measured]
+    worst_measured = worst[measured]
+    latency_max = np.zeros(S)
+    if len(batched):
+        # worst latencies are positive: an unmeasured batch's 0 is no max
+        latency_max[batched] = np.maximum.reduceat(
+            np.where(measured, worst, 0.0), start[batched]
+        )
+    columns = zip(
+        ok.tolist(),
+        full.tolist(),
+        rest.tolist(),
+        np.bincount(at, minlength=S).tolist(),
+        np.bincount(at[worst_measured > slo_ms[at]], minlength=S).tolist(),
+        # per segment in batch order: a row is its segment's alone
+        np.bincount(at, weights=worst_measured, minlength=S).tolist(),
+        latency_max.tolist(),
+        np.bincount(seg[fills >= warmup_s], minlength=S).tolist(),
+        np.bincount(seg[comp <= until], minlength=S).tolist(),
+        tail_running.tolist(),
+        head.tolist(),
+        deadline.tolist(),
+    )
+    rows: list[Optional[tuple]] = []
+    for kernel, (
+        solved, n_full, n_rest, batches, violations, latency_sum,
+        worst_ms, busy_dispatches, completed, t_running, t_head, t_disp,
+    ) in zip(kernels, columns):
+        if not solved:
+            rows.append(None)
+            continue
+        batch = kernel.batch_size
+        requests = batches * batch
+        steps = n_full + completed
+        if n_full:
+            latency_sum *= batch
+            busy_sm_s = kernel.busy_sm_s(batch) * busy_dispatches
+        else:
+            busy_sm_s = 0.0
+        if n_rest and t_disp <= until:
+            t_comp = t_disp + kernel.latency_ms(n_rest, t_running + 1) / 1e3
+            steps += 1
+            if t_disp >= warmup_s:
+                busy_sm_s += kernel.busy_sm_s(n_rest)
+            if t_comp <= until:
+                steps += 1
+                if t_disp >= warmup_s:
+                    tail_ms = (t_comp - t_head) * 1e3
+                    batches += 1
+                    violations += int(tail_ms > kernel.slo_ms)
+                    requests += n_rest
+                    latency_sum += tail_ms * n_rest
+                    if tail_ms > worst_ms:
+                        worst_ms = tail_ms
+        rows.append((
+            batches, violations, requests, latency_sum, worst_ms,
+            busy_sm_s, steps,
+        ))
+    return rows
 
 
 def _simulate_segment(
@@ -383,7 +485,7 @@ def _simulate_segment(
     batch_size = kernel.batch_size
     procs = kernel.num_processes
     slo_ms = kernel.slo_ms
-    flush_wait_ms = kernel.policy.flush_wait_ms
+    flush_wait_ms = kernel.flush_wait_ms
     flush_wait_s = flush_wait_ms / 1e3
     latency_ms = kernel.latency_ms
     busy_sm_s = kernel.busy_sm_s
@@ -504,7 +606,8 @@ class SegmentMemo:
 
 
 #: one segment to resolve: ``(segment, slo_ms, sm_count, times)``;
-#: ``times`` is None for uniform arrivals (regenerated where simulated)
+#: ``times`` is None for uniform arrivals (generated only where the
+#: per-batch kernel runs)
 _SegmentRun = tuple[PlacedSegment, float, int, Optional[np.ndarray]]
 
 
@@ -517,61 +620,70 @@ def _resolve_rows(
 ) -> list[tuple]:
     """Result rows of ``segs``, in order: the memo lookup and miss path.
 
-    Each segment is looked up in ``memo`` (uniform arrivals only); a
-    miss is simulated by the numpy closed form where its regime applies,
-    by the per-batch kernel otherwise.  A row is batches, violations,
-    requests, latency_sum_ms, latency_max_ms, busy_sm_s, steps.  Memo
-    writes wait until every segment is looked up, so a signature repeated
-    within one call counts one miss per occurrence.
+    Each segment is looked up in ``memo`` (uniform arrivals only); the
+    misses are solved together by the numpy closed form
+    (:func:`_closed_form`), and each miss outside its regime by the
+    per-batch kernel — as are all of them when they hold fewer than
+    :data:`_PASS_MIN_BATCHES` full batches.  A row is batches, violations, requests,
+    latency_sum_ms, latency_max_ms, busy_sm_s, steps.  Memo writes wait
+    until every segment is looked up, so a signature repeated within one
+    call counts one miss per occurrence.  Misses sharing a kernel
+    signature share one kernel.
     """
     if arrivals != "uniform":
         memo = None
     until = duration_s + 1.0
-    rows: list[tuple] = []
-    computed: list[tuple[tuple, tuple]] = []
+    rows: list[Optional[tuple]] = []
+    at: list[int] = []  # positions of the misses
+    missed: list[tuple] = []  # their memo keys
+    misses: list[_Miss] = []
+    kernels: dict[tuple, _SegmentKernel] = {}
     for seg, slo_ms, sm_count, times in segs:
+        mk = (
+            seg.model,
+            seg.effective_gpcs,
+            seg.batch_size,
+            seg.num_processes,
+            seg.latency_ms,
+            slo_ms,
+            sm_count,
+            seg.served_rate,
+            duration_s,
+            warmup_s,
+        )
         if memo is not None:
-            mk = (
-                seg.model,
-                seg.effective_gpcs,
-                seg.batch_size,
-                seg.num_processes,
-                seg.latency_ms,
-                slo_ms,
-                sm_count,
-                seg.served_rate,
-                duration_s,
-                warmup_s,
-            )
             row = memo.rows.get(mk)
             if row is not None:
                 rows.append(row)
                 memo.hits_total += 1
                 continue
             memo.misses_total += 1
-        kernel = _SegmentKernel.from_segment(seg, slo_ms, sm_count=sm_count)
-        if times is None:
-            times = uniform_arrivals(seg.served_rate, duration_s)
-        res = _simulate_segment_vectorized(kernel, times, warmup_s, until)
-        if res is None:
-            res = _simulate_segment(kernel, times, warmup_s, until)
+        kernel = kernels.get(mk[:7])
+        if kernel is None:
+            kernel = kernels[mk[:7]] = _SegmentKernel(*mk[:7])
+        at.append(len(rows))
+        missed.append(mk)
+        misses.append((kernel, seg.served_rate, times))
+        rows.append(None)
+    counts = _arrival_counts(misses, duration_s)
+    batches = sum(
+        n // kernel.batch_size for (kernel, _r, _t), n in zip(misses, counts)
+    )
+    solved = (
+        _closed_form(misses, counts, warmup_s, until)
+        if batches >= _PASS_MIN_BATCHES else [None] * len(misses)
+    )
+    for i, (kernel, rate, times), row in zip(at, misses, solved):
+        if row is None:
+            if times is None:
+                times = uniform_arrivals(rate, duration_s)
+            row = _simulate_segment(kernel, times, warmup_s, until).row()
         elif memo is not None:
             memo.closed_form_total += 1
-        row = (
-            res.batches,
-            res.violations,
-            res.requests,
-            res.latency_sum_ms,
-            res.latency_max_ms,
-            res.busy_sm_s,
-            res.steps,
-        )
-        if memo is not None:
-            computed.append((mk, row))
-        rows.append(row)
+        rows[i] = row
     if memo is not None:
-        memo.rows.update(computed)
-    return rows
+        memo.rows.update(zip(missed, (rows[i] for i in at)))
+    return cast(list[tuple], rows)  # every miss's None is filled
 
 
 def _unknown_service(

@@ -638,9 +638,10 @@ class TestLiveAllocatorState:
         assert check.gpus_rebuilt == 2 + 2 + 3 + 0
         assert check.services_rerated == 3 + 3 + 3 + 0
         # lines rendered (cache misses): each changed published plan once,
-        # plus the check's round-trip plan of it; the recovery interval
-        # reads every line from its plan's cache
-        assert check.lines_rendered == 4 + 4 + 6 + 0
+        # plus, on the full bootstrap check only, the check's round-trip
+        # plan of it; the recovery interval reads every line from its
+        # plan's cache
+        assert check.lines_rendered == 4 + 2 + 3 + 0
         # on three GPUs every plan hosting a re-rated service changed, so
         # no served rate is compared on a plan verified before
         assert check.rates_compared == 0
@@ -648,7 +649,7 @@ class TestLiveAllocatorState:
             sp.args for sp in ctrl.obs.tracer.spans if sp.name == "check"
         ]
         assert [a["gpus_rebuilt"] for a in spans] == [2, 2, 3, 0]
-        assert [a["lines_rendered"] for a in spans] == [4, 4, 6, 0]
+        assert [a["lines_rendered"] for a in spans] == [4, 2, 3, 0]
         assert [a["full"] for a in spans] == [1, 0, 0, 0]
         assert [a["rates_compared"] for a in spans] == [0, 0, 0, 0]
         scraped = {
@@ -702,8 +703,9 @@ class TestLiveAllocatorState:
         whose segments moved: a co-hosted service keeps its shares, so
         the plans hosting it elsewhere stay the same objects.  The check
         still re-rates it and compares its served rates there by value
-        instead of rendering those lines again: it renders exactly two
-        lines per changed plan (the published one and its round trip)."""
+        instead of rendering those lines again: it renders exactly one
+        line per changed plan (the published one; its round trip is
+        compared field by field)."""
         from repro.scenarios.fleet import fleet_services
 
         fleet = fleet_services(200)
@@ -721,7 +723,7 @@ class TestLiveAllocatorState:
                 sp.args for sp in ctrl.obs.tracer.spans if sp.name == "check"
             ][-1]
             assert args["full"] == 0
-            assert args["lines_rendered"] == 2 * args["gpus_rebuilt"]
+            assert args["lines_rendered"] == args["gpus_rebuilt"]
             compared += args["rates_compared"]
         assert compared > 0
         assert ctrl.verifier.stats.rates_compared == compared
@@ -919,3 +921,42 @@ class TestLiveAllocatorState:
         with pytest.raises(OpsIdentityError, match="do not mirror"):
             ctrl.step(20.0)
         ctrl.finish()
+
+
+@pytest.mark.parametrize("field, published, round_trip", [
+    ("sm_activity", 0.0, -0.0),
+    ("capacity", 500.0, 500),
+    ("batch_size", 8, 8.0),
+])
+def test_round_trip_compare_is_as_strict_as_the_line(
+    field, published, round_trip
+):
+    """The incremental check compares a changed GPU's round trip with
+    its published plan field by field instead of rendering both lines:
+    a field equal by ``==`` but rendered otherwise by the line (-0.0 and
+    0.0 by ``%r``, 500 and 500.0 by ``%r``, 8 and 8.0 by ``%s``) still
+    fails the round trip, and an equal copy passes."""
+    from repro.core.placement import GPUPlan, PlacedSegment
+    from repro.ops import OpsIdentityError
+    from repro.ops.verify import StateVerifier
+
+    def segment(**fields):
+        base = dict(
+            service_id="a", model="resnet-50", kind="mig", gpcs=2.0,
+            batch_size=8, num_processes=1, capacity=500.0, latency_ms=25.0,
+            sm_activity=0.5, start=0, served_rate=100.0, geometry="mig",
+        )
+        base.update(fields)
+        # tuple.__new__, as with_served_rate does: no validation
+        return tuple.__new__(PlacedSegment, tuple(base.values()))
+
+    pub = GPUPlan(0, (segment(**{field: published}),))
+
+    def check(plan):
+        return StateVerifier._check_rates(
+            {0: plan}, {0: pub}, {0: 0}, {"a": {0}}, ["a"], {"a": 100.0}
+        )
+
+    assert check(GPUPlan(0, (segment(**{field: published}),))) == 0
+    with pytest.raises(OpsIdentityError, match="round trip"):
+        check(GPUPlan(0, (segment(**{field: round_trip}),)))

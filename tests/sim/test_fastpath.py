@@ -6,10 +6,14 @@ import pytest
 from repro.core.placement import PlacedSegment, Placement
 from repro.core.service import Service
 from repro.sim import simulate_placement, simulate_placement_fast
+from repro.sim.arrivals import uniform_arrivals
 from repro.sim.fastpath import (
+    _arrival_counts,
+    _closed_form,
+    _resolve_rows,
     _SegmentKernel,
     _simulate_segment,
-    _simulate_segment_vectorized,
+    SegmentMemo,
 )
 
 
@@ -46,6 +50,12 @@ def one_segment(
 
 def service(slo=300.0, rate=400.0):
     return Service("svc", "resnet-50", slo_latency_ms=slo, request_rate=rate)
+
+
+def solve(misses, duration_s, warmup_s, until):
+    """One call of the closed form, as ``_resolve_rows`` makes it."""
+    counts = _arrival_counts(misses, duration_s)
+    return _closed_form(misses, counts, warmup_s, until)
 
 
 def both(placement, services, **kw):
@@ -157,56 +167,91 @@ class TestValidation:
 
 
 class TestVectorizedPath:
-    """The numpy closed form agrees with the scalar kernel where it applies."""
+    """The batched numpy closed form agrees with the scalar kernel where
+    it applies."""
 
-    def kernel(self, batch=8, procs=1, served=400.0):
-        seg = one_segment(
-            served=served, batch=batch, procs=procs
-        ).gpus[0].segments[0]
-        return _SegmentKernel.from_segment(seg, 300.0)
+    def kernel(self, batch=8, procs=1):
+        return _SegmentKernel("resnet-50", 2.0, batch, procs, 25.0, 300.0, 42)
 
     def test_vectorizes_uniform_unsaturated(self):
-        from repro.sim.arrivals import uniform_arrivals
-
         # (procs, rate): one process never overlaps; two and three MPS
         # processes pipeline batches (a batch dispatches while the last
-        # one still runs) without ever running out of processes.
+        # one still runs) without ever running out of processes.  All
+        # three are solved in one call.
+        misses = []
         for procs, rate in ((1, 200.0), (2, 500.0), (3, 800.0)):
-            kernel = self.kernel(batch=8, procs=procs, served=rate)
+            kernel = self.kernel(batch=8, procs=procs)
             times = uniform_arrivals(rate, 2.0)
             fills = times[7::8]
-            overlap = fills[:-1] + kernel.latency_ms(8, 1) / 1e3 >= fills[1:]
+            overlap = fills[:-1] + kernel.exec_s[0] >= fills[1:]
             assert overlap.any() == (procs > 1)
-            vec = _simulate_segment_vectorized(kernel, times, 0.5, 3.0)
+            misses.append((kernel, rate, None))
+        rows = solve(misses, 2.0, 0.5, 3.0)
+        for (kernel, rate, _), vec in zip(misses, rows):
             assert vec is not None  # the regime applies
-            scalar = _simulate_segment(kernel, times, 0.5, 3.0)
-            assert (vec.batches, vec.violations, vec.requests, vec.steps) == (
-                scalar.batches, scalar.violations, scalar.requests,
-                scalar.steps,
-            )
-            assert vec.latency_max_ms == scalar.latency_max_ms
-            assert vec.latency_sum_ms == pytest.approx(
-                scalar.latency_sum_ms, rel=1e-12
-            )
-            assert vec.busy_sm_s == pytest.approx(scalar.busy_sm_s, rel=1e-12)
+            scalar = _simulate_segment(
+                kernel, uniform_arrivals(rate, 2.0), 0.5, 3.0
+            ).row()
+            assert vec[:3] == scalar[:3] and vec[6] == scalar[6]
+            assert vec[4] == scalar[4]
+            assert vec[3] == pytest.approx(scalar[3], rel=1e-12)
+            assert vec[5] == pytest.approx(scalar[5], rel=1e-12)
 
     def test_declines_saturated(self):
-        from repro.sim.arrivals import uniform_arrivals
-
         # Fills arrive faster than `procs` batches complete: some fill
         # finds every process busy, which only the per-batch kernel models.
-        for procs, rate in ((1, 1500.0), (2, 1000.0), (3, 1000.0)):
-            kernel = self.kernel(batch=8, procs=procs, served=rate)
-            times = uniform_arrivals(rate, 1.0)
-            vec = _simulate_segment_vectorized(kernel, times, 0.25, 2.0)
-            assert vec is None
+        misses = [
+            (self.kernel(batch=8, procs=procs), rate, None)
+            for procs, rate in ((1, 1500.0), (2, 1000.0), (3, 1000.0))
+        ]
+        assert solve(misses, 1.0, 0.25, 2.0) == [None, None, None]
 
     def test_empty_arrivals(self):
-        kernel = self.kernel()
-        res = _simulate_segment_vectorized(
-            kernel, np.empty(0, dtype=np.float64), 0.5, 3.0
+        rows = solve(
+            [(self.kernel(), 0.0, np.empty(0, dtype=np.float64)),
+             (self.kernel(), 0.0, None)],
+            2.0, 0.5, 3.0,
         )
-        assert res is not None and res.batches == 0
+        assert rows == [(0, 0, 0, 0.0, 0.0, 0.0, 0)] * 2
+
+    def test_memo_counts_each_miss_once(self):
+        # A signature repeated within one call is a miss per occurrence,
+        # and the closed form's count is per occurrence too; the next
+        # call hits.
+        seg = one_segment(served=500.0).gpus[0].segments[0]
+        memo = SegmentMemo()
+        runs = [(seg, 300.0, 42, None), (seg, 300.0, 42, None)]
+        rows = _resolve_rows(runs, "uniform", 2.0, 0.5, memo)
+        assert rows[0] == rows[1]
+        assert (memo.misses_total, memo.closed_form_total) == (2, 2)
+        assert _resolve_rows(runs, "uniform", 2.0, 0.5, memo) == rows
+        assert (memo.hits_total, memo.misses_total) == (2, 2)
+
+    def test_small_calls_skip_the_pass(self):
+        # Misses holding fewer full batches than the pass's threshold run
+        # on the per-batch kernel; the same segment in a larger call is
+        # solved by the closed form, with the same exact fields.
+        from repro.sim.fastpath import _PASS_MIN_BATCHES
+
+        short = one_segment(served=100.0).gpus[0].segments[0]
+        run = (short, 300.0, 42, None)
+        memo = SegmentMemo()
+        (alone,) = _resolve_rows([run], "uniform", 1.0, 0.25, memo)
+        assert 0 < alone[0] < _PASS_MIN_BATCHES
+        assert memo.closed_form_total == 0
+        kernel = _SegmentKernel("resnet-50", 2.0, 8, 2, 25.0, 300.0, 42)
+        times = uniform_arrivals(100.0, 1.0)
+        assert alone == _simulate_segment(kernel, times, 0.25, 2.0).row()
+        many = [
+            (one_segment(served=100.0 + i).gpus[0].segments[0], 300.0, 42,
+             None)
+            for i in range(_PASS_MIN_BATCHES // alone[0] + 1)
+        ] + [run]
+        memo = SegmentMemo()
+        together = _resolve_rows(many, "uniform", 1.0, 0.25, memo)
+        assert memo.closed_form_total == len(many)
+        assert together[-1][:3] == alone[:3]
+        assert together[-1][4] == alone[4] and together[-1][6] == alone[6]
 
 
 class TestReportFingerprint:
