@@ -30,7 +30,6 @@ ALL_FRAMEWORKS: tuple[str, ...] = (
 def run(
     scenario: str = "S1",
     duration_s: float = 1.5,
-    fast_path: bool = True,
 ) -> ExperimentResult:
     profiles = cached_profiles()
     result = ExperimentResult(
@@ -48,9 +47,7 @@ def run(
         except InfeasibleScheduleError:
             result.add(name, None, None, None, None, None)
             continue
-        report = simulate_placement(
-            placement, services, duration_s=duration_s, fast_path=fast_path
-        )
+        report = simulate_placement(placement, services, duration_s=duration_s)
         result.add(
             name,
             placement.num_gpus,

@@ -23,7 +23,6 @@ def run(
     simulate: bool = False,
     duration_s: float = 2.0,
     seed: int = 0,
-    fast_path: bool = True,
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig6",
@@ -44,7 +43,6 @@ def run(
                     services,
                     duration_s=duration_s,
                     seed=seed,
-                    fast_path=fast_path,
                 )
                 slack = internal_slack(placement, report.segment_activity)
             else:

@@ -16,7 +16,6 @@ def run(
     duration_s: float = 2.0,
     warmup_s: float = 0.5,
     seed: int = 0,
-    fast_path: bool = True,
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="fig8",
@@ -36,7 +35,6 @@ def run(
                 duration_s=duration_s,
                 warmup_s=warmup_s,
                 seed=seed,
-                fast_path=fast_path,
             )
             row.append(100.0 * report.overall_compliance)
         result.add(*row)

@@ -55,7 +55,6 @@ def _allocated_gpc_equiv(placement: Placement) -> float:
 def run(
     scenarios: tuple[str, ...] = GEO_SCENARIOS,
     duration_s: float = 1.5,
-    fast_path: bool = True,
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="geo",
@@ -80,7 +79,7 @@ def run(
                 result.add(scenario, fleet, None, None, None)
                 continue
             report = simulate_placement(
-                placement, services, duration_s=duration_s, fast_path=fast_path
+                placement, services, duration_s=duration_s
             )
             result.add(
                 scenario,

@@ -236,8 +236,8 @@ class FleetController:
         self.shadows = ShadowBudget(spare_gpus=self.spare_shadow_gpus)
         self._eid_to_gpu = {}
         self.obs.registry.attach("alloc", self.manager.stats)
-        #: the per-interval state check (cold: its first check runs the
-        #: full reference)
+        #: the per-interval state check (no memo yet: its first check
+        #: starts from an empty one)
         self.verifier = StateVerifier(self.manager, fast_path=self.fast_path)
         self.obs.registry.attach("check", self.verifier.stats)
 

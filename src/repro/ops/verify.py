@@ -23,14 +23,19 @@ is an unchanged value; finding the changed ones is one C-level aligned
 identity scan per list (:func:`~repro.core.align.aligned`) — over every
 plan, service rate, live state and cluster GPU — with Python work only
 where it finds a difference.
-A cold memo (a fresh verifier) or reordered GPUs run the full rebuild
-(:meth:`StateVerifier._check_state`, the ``fast_path=False`` reference),
-which seeds the memo; both raise on the same corrupted states.
+A cold memo is an empty memo: the first check of a verifier rebuilds
+every GPU through the same incremental path, and a warm memo that
+cannot follow the placement (a plan it verified moved, or a plan joined
+between two kept ones) is retried once from an empty memo.  Only what
+no memo can follow — an empty plan, a repeated GPU id or a repeated
+service id — runs the full rebuild (:meth:`StateVerifier._check_state`,
+the ``fast_path=False`` reference); both raise on the same corrupted
+states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import filterfalse
 from typing import ClassVar, Optional, Sequence
 
@@ -67,7 +72,9 @@ class CheckStats:
     gpus_rebuilt: int = 0
     #: services whose proportional shares the check recomputed
     services_rerated: int = 0
-    #: intervals checked by the full reference rather than the memo
+    #: intervals the full reference decided (every interval with
+    #: ``fast_path=False``; on the fast path only a map no memo can
+    #: follow)
     full_fallbacks: int = 0
     #: fingerprint lines the check rendered (cache misses: changed
     #: published plans; the full reference also renders its round-trip
@@ -130,6 +137,13 @@ def _live_matches(
     return len(live) == len(states) and all(map(_same_state, live, states))
 
 
+def _round_trip_failed() -> OpsIdentityError:
+    return OpsIdentityError(
+        "incremental placement does not survive the allocator-state "
+        "round trip (build_states -> _to_placement)"
+    )
+
+
 def _not_mirrored() -> OpsIdentityError:
     return OpsIdentityError(
         "live cluster instances do not mirror the deployment map"
@@ -138,62 +152,62 @@ def _not_mirrored() -> OpsIdentityError:
 
 @dataclass
 class _CheckMemo:
-    """The last interval the state check verified.
+    """The last interval the state check verified; empty when built.
 
     Its lists are aligned with the verified placement's plans, so the
     next check finds what changed with one aligned identity scan
     (:func:`~repro.core.align.aligned`) and patches only those
-    positions.  Built by the check itself — never shared with the live
-    fleet, so comparing the two stays a real comparison.
+    positions — on an empty memo, every position.  Built by the check
+    itself — never shared with the live fleet, so comparing the two
+    stays a real comparison.
     """
 
     #: the verified plans in placement order, and each one's line
-    gpus: list[GPUPlan]
-    lines: list[str]
+    gpus: list[GPUPlan] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
     #: gpu_id -> the verified plan (immutable: the same object is the
     #: same line)
-    plans: dict[int, GPUPlan]
+    plans: dict[int, GPUPlan] = field(default_factory=dict)
     #: gpu_id -> an order key, ascending in placement order: a GPU that
     #: left leaves a gap, a replacement takes a key of the gap it fills
     #: and an appended GPU one past every key given out (``next_rank``)
-    rank: dict[int, int]
-    next_rank: int
+    rank: dict[int, int] = field(default_factory=dict)
+    next_rank: int = 0
     #: gpu_id -> the ``_GPUState`` the check rebuilt from the verified
     #: plan (which also carries the GPU's instance specs and services)
-    states: dict[int, _GPUState]
+    states: dict[int, _GPUState] = field(default_factory=dict)
+    #: service -> ids of the GPUs hosting it
+    hosts: dict[str, set[int]] = field(default_factory=dict)
     #: every instance the map deploys, per GPU
-    want: _InstanceMap
+    want: _InstanceMap = field(default_factory=dict)
     #: the request rates the verified map was routed with
-    rates: dict[str, float]
+    rates: dict[str, float] = field(default_factory=dict)
     #: the services they were read from, and each one's rate object, in
     #: ``work`` order
-    work: list[Service]
-    rate_list: list[float]
+    work: list[Service] = field(default_factory=list)
+    rate_list: list[float] = field(default_factory=list)
     #: the live allocator states found equal to ``states``, aligned with
     #: ``gpus`` (frozen, so still equal while the same object); empty
     #: when the manager had no live state
-    live: list[_GPUState]
+    live: list[_GPUState] = field(default_factory=list)
     #: gpu_id -> the same for the spares after the live GPUs, in order,
     #: with the spare ledger they were verified against (both empty when
     #: none was)
-    ledger: dict[int, _GPUState]
-    spares: dict[int, str]
+    ledger: dict[int, _GPUState] = field(default_factory=dict)
+    spares: dict[int, str] = field(default_factory=dict)
     #: the cluster's GPUs, each one's instance-key tuple as last
     #: compared, and gpu_id -> position
-    cluster: tuple[GPU, ...]
-    cluster_keys: list[tuple[InstanceKey, ...]]
-    cluster_at: dict[int, int]
-    #: service -> ids of the GPUs hosting it (built by the first
-    #: incremental check, keeping the cold check as cheap as the reference)
-    hosts: Optional[dict[str, set[int]]] = None
+    cluster: tuple[GPU, ...] = ()
+    cluster_keys: list[tuple[InstanceKey, ...]] = field(default_factory=list)
+    cluster_at: dict[int, int] = field(default_factory=dict)
 
 
 class StateVerifier:
     """Checks one deployment manager's state, interval after interval.
 
-    Owns the memo of the last verified interval (cold when built) and
-    the check's :class:`CheckStats`.  ``fast_path=False`` keeps the memo
-    cold, so every interval runs the full reference.
+    Owns the memo of the last verified interval (None until a check
+    passes) and the check's :class:`CheckStats`.  ``fast_path=False``
+    keeps no memo, so every interval runs the full reference.
     """
 
     def __init__(
@@ -202,8 +216,8 @@ class StateVerifier:
         self.manager = manager
         self.fast_path = fast_path
         self.stats = CheckStats()
-        #: the last verified interval (None: the next check runs the full
-        #: reference)
+        #: the last verified interval (None: the next check starts from
+        #: an empty memo)
         self.memo: Optional[_CheckMemo] = None
 
     def verify(
@@ -213,14 +227,15 @@ class StateVerifier:
         lines and the check span's counts.
 
         The fast path checks incrementally against the memo of the last
-        verified interval (:meth:`_check_incremental`); a cold memo, a
-        structural change it cannot follow, and ``fast_path=False`` run
-        the full reference :meth:`_check_state`, whose by-products seed
-        the memo.  Published plans cache their lines, so the render costs
-        O(changed plans); ``lines_rendered`` counts the lines the check
-        rendered (cache misses) — on a full check its own round-trip
-        plans too; the incremental check compares those field by field —
-        and
+        verified interval (:meth:`_check_incremental`), or against an
+        empty memo when there is none or the memo cannot follow the
+        placement.  The full reference :meth:`_check_state` decides only
+        what no memo can follow, and every interval with
+        ``fast_path=False``; it leaves no memo.  Published plans cache
+        their lines, so the render costs O(changed plans);
+        ``lines_rendered`` counts the lines the check rendered (cache
+        misses) — the reference renders its own round-trip plans too;
+        the incremental check compares those field by field — and
         ``positions_compared`` the list positions (plans, live states,
         cluster GPUs, services) its identity scans flagged and compared
         element-wise — the whole of each list on a full check.  The memo
@@ -229,51 +244,32 @@ class StateVerifier:
         placement = self.manager.current
         assert placement is not None
         memo, self.memo = self.memo, None  # kept if verified
-        counts = None if memo is None else self._check_incremental(memo, work)
+        counts = None
+        if self.fast_path:
+            if memo is not None:
+                counts = self._check_incremental(memo, work)
+            if counts is None:
+                memo = _CheckMemo()
+                counts = self._check_incremental(memo, work)
         stats = self.stats
         if counts is not None:
-            self.memo = memo
             assert memo is not None
+            self.memo = memo
             lines = memo.lines
             rebuilt, rerated, rendered, compared, rates_compared, positions = (
                 counts
             )
         else:
             stats.full_fallbacks += 1  # counted even if the check raises
-            lines, rendered = placement.render_lines()
-            states, want, own = self._check_state(work, lines)
-            rendered += own
+            lines, rendered, rebuilt = self._check_state(work)
             live = self.manager.live_states()
-            rates = {s.id: s.request_rate for s in work}
-            gpus = placement.gpus
-            order = [g.gpu_id for g in gpus]
-            cluster = self.manager.cluster.gpus
-            if self.fast_path and len(lines) == len(gpus) == len(set(order)):
-                n = len(order)
-                self.memo = memo = _CheckMemo(
-                    gpus=list(gpus),
-                    lines=lines,
-                    plans=dict(zip(order, gpus)),
-                    rank=dict(zip(order, range(n))),
-                    next_rank=n,
-                    states=dict(zip(order, states)),
-                    want=want,
-                    rates=rates,
-                    work=list(work),
-                    rate_list=[s.request_rate for s in work],
-                    live=[], ledger={}, spares={},
-                    cluster=cluster,
-                    cluster_keys=[g.instance_keys for g in cluster],
-                    cluster_at={g.gpu_id: i for i, g in enumerate(cluster)},
-                )
-                if live is not None:
-                    memo.live = live[:n]
-                    memo.ledger = {s.gpu_id: s for s in live[n:]}
-                    memo.spares = dict(self.manager.spare_gpus)
-            rebuilt, rerated = len(states), len(rates)
+            rerated = len({s.id for s in work})
             compared = 0 if live is None else len(live)
             rates_compared = 0
-            positions = len(gpus) + compared + len(cluster) + len(work)
+            positions = (
+                len(placement.gpus) + compared
+                + len(self.manager.cluster.gpus) + len(work)
+            )
         stats.gpus_rebuilt += rebuilt
         stats.services_rerated += rerated
         stats.lines_rendered += rendered
@@ -308,13 +304,16 @@ class StateVerifier:
         The live allocator state and the cluster's instances are compared
         element-wise only where the same aligned scans find an object
         that is not the one verified, or where the GPU's plan changed.
+        On an empty memo every plan, service, live state and cluster GPU
+        is new, so the whole fleet is checked.
         Updates ``memo`` to this interval and returns ``(GPUs rebuilt,
         services re-rated, lines rendered, live states compared, served
         rates compared, positions compared)``; raises as the reference
-        would; returns None where only the reference can decide: a plan
-        the memo verified moved relative to the others (every share may
-        sum in a new order), a plan joined between two kept ones, the map
-        holds an empty plan, a repeated GPU id or a repeated service id.
+        would; returns None where this memo cannot follow the map: a
+        plan it verified moved relative to the others (every share may
+        sum in a new order) or a plan joined between two kept ones — an
+        empty memo follows both — and where no memo can: the map holds
+        an empty plan, a repeated GPU id or a repeated service id.
         """
         placement = self.manager.current
         assert placement is not None
@@ -350,11 +349,6 @@ class StateVerifier:
 
         # 2. re-rate the services whose shares may have moved
         hosts = memo.hosts
-        if hosts is None:
-            hosts = memo.hosts = {}
-            for plan in memo.gpus:
-                for seg, _ in memo.states[plan.gpu_id].placed:
-                    hosts.setdefault(seg.service_id, set()).add(plan.gpu_id)
         scanned = self._rates(memo, work)
         if scanned is None:
             return None
@@ -380,6 +374,16 @@ class StateVerifier:
         for plan in fresh:
             verified[plan.gpu_id] = plan
         memo.rank.update(ranks)
+        # a retired GPU holds no state: the rebuild leaves it out, so a
+        # service only it hosts has no partitions to route over
+        retired = [gid for gid in self.manager.retired_gpus if gid in verified]
+        for gid in retired:
+            for seg, _ in memo.states[gid].placed:
+                sid = seg.service_id
+                if sid in rates and hosts[sid].issubset(retired):
+                    raise ValueError(f"no partitions for service {sid!r}")
+        if retired:
+            raise _round_trip_failed()
         rates_compared = self._check_rates(
             {state.gpu_id: plan_from_state(state) for state in rebuilt},
             verified, memo.rank, hosts, rerated,
@@ -514,11 +518,7 @@ class StateVerifier:
                     repr(served(seg)) == repr(seg.served_rate) for seg in segs
                 )
             if not same:
-                raise OpsIdentityError(
-                    "incremental placement does not survive the "
-                    "allocator-state round trip (build_states -> "
-                    "_to_placement)"
-                )
+                raise _round_trip_failed()
         return compared
 
     @staticmethod
@@ -713,38 +713,32 @@ class StateVerifier:
         return compared
 
     def _check_state(
-        self, work: Sequence[Service], lines: list[str]
-    ) -> tuple[list[_GPUState], _InstanceMap, int]:
+        self, work: Sequence[Service]
+    ) -> tuple[list[str], int, int]:
         """The per-interval round-trip + cluster-mirror identity check.
 
-        ``lines`` are the current placement's fingerprint lines; the
-        rebuilt map's plans are fresh, so its lines render from scratch
-        and a stale cached line cannot pass.  The rebuild runs
+        The rebuilt map's plans are fresh, so its lines render from
+        scratch and a stale cached line cannot pass.  The rebuild runs
         over the whole fleet on every interval; the live allocator state
         (when the last delta left one) must equal it GPU for GPU.  The
-        full reference of :meth:`_check_incremental`: returns its
-        by-products, the rebuilt states and the deployed instances, and
-        the number of lines it rendered.
+        full reference of :meth:`_check_incremental`: returns the
+        placement's fingerprint lines, the number of lines it rendered
+        and the number of GPUs it rebuilt.
         """
         placement = self.manager.current
         assert placement is not None
+        lines, rendered = placement.render_lines()
         states = self.manager.build_states()
         allocator = SegmentAllocator(geometry=self.manager.geometry)
         rebuilt = allocator._to_placement(states)
         rebuilt.framework = placement.framework
         rebuilt.assign_rates({s.id: s.request_rate for s in work})
-        rebuilt_lines, rendered = rebuilt.render_lines()
+        rebuilt_lines, own = rebuilt.render_lines()
         if rebuilt_lines != lines:
-            raise OpsIdentityError(
-                "incremental placement does not survive the allocator-state "
-                "round trip (build_states -> _to_placement)"
-            )
+            raise _round_trip_failed()
         live = self.manager.live_states()
         if live is not None and not _live_matches(live, states):
-            raise OpsIdentityError(
-                "live allocator state diverged from its rebuild "
-                "(build_states)"
-            )
+            raise _live_diverged()
         keys: dict[int, set[InstanceKey]] = {}
         for s in placement.to_instance_specs():
             keys.setdefault(s.gpu_id, set()).add(
@@ -753,7 +747,7 @@ class StateVerifier:
         want = {gid: tuple(sorted(k)) for gid, k in keys.items()}
         if want != self._cluster_instances():
             raise _not_mirrored()
-        return states, want, rendered
+        return lines, rendered + own, len(states)
 
     def _cluster_instances(self) -> _InstanceMap:
         """Every instance on the live cluster, keyed as the map's are: a

@@ -1,21 +1,25 @@
 """Differential verdict: the incremental state check vs the full reference.
 
 A fast-path :class:`~repro.ops.verify.StateVerifier` re-verifies only the
-GPUs and services that changed since the last verified interval; one
-built with ``fast_path=False`` rebuilds the whole fleet every interval.
+GPUs and services that changed since the last verified interval (all of
+them from an empty memo); one built with ``fast_path=False`` rebuilds the
+whole fleet every interval.
 The controller runs with its own check off, and after every step both
 verifiers check its deployment, on the same state.  Over generated
 timelines (the live-state property suite's generators) one corruption is
 injected right before a drawn interval's check: the two must both pass,
 or both raise the same exception class.  Covered too: the first check
-after ``restore()`` (cold memo) and the first after a full re-plan (warm
-memo, replaced map).  Published segments are immutable, so the in-place
+after ``restore()`` (empty memo), the first after a full re-plan (warm
+memo, replaced map) and reordered GPUs (a warm memo retried from an empty
+one).  Published segments are immutable, so the in-place
 kinds assert that the write raises, and ``replace-plan`` swaps an
 untouched GPU's plan for one with an altered segment instead.  Committed
 live allocator states are frozen too: ``flip-geometry`` and
 ``drop-placed`` assert that the write to one raises, then make it
 through ``SlotIndex.writable`` — a copy-on-write that no commit
-published.
+published.  ``retire-listed`` retires a GPU the map still lists, with
+the manager's live state kept or dropped (as a delta that raises drops
+it).
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ fleets, raw_events, timeline_of = _suite.fleets, _suite.raw_events, _suite._time
 CORRUPTIONS = (
     "capacity", "start", "served_rate", "replace-plan", "stale-rate",
     "swap-gpus", "flip-geometry", "drop-placed", "destroy-instance",
-    "add-instance", "drop-service",
+    "add-instance", "drop-service", "retire-listed",
 )
 SEGMENT_FIELDS = ("capacity", "start", "served_rate")
 
@@ -138,6 +142,20 @@ def corrupt(ctrl: FleetController, memo, kind: str, pick: int) -> None:
     elif kind == "drop-service":
         svc = run.work.pop(pick % len(run.work))
         del run.by_id[svc.id]
+    elif kind == "retire-listed":
+        manager = ctrl.manager
+        plan = placement.gpus[pick % len(placement.gpus)]
+        if pick % 2:
+            manager.live_state()  # kept: the live fleet retires it too
+        manager.retire_gpu(plan.gpu_id, plan.geometry)
+        if not pick % 2:
+
+            def failed(order) -> None:
+                raise RuntimeError("relocation failed")
+
+            with pytest.raises(RuntimeError):
+                manager.apply(run.work, failed)
+            assert manager.live_states() is None
     else:  # pragma: no cover
         raise AssertionError(kind)
 
@@ -198,12 +216,11 @@ def dual_checked(
 
 def _assert_same_verdicts(verdicts, corrupt_at):
     assert verdicts, "no interval was checked"
-    for step, cold, full, ref, mine in verdicts:
+    for step, _, _, ref, mine in verdicts:
         assert ref is mine, (
             f"step {step} (corrupted at {corrupt_at}): reference "
             f"{ref and ref.__name__} vs incremental {mine and mine.__name__}"
         )
-        assert full or not cold, f"step {step}: a cold memo skipped the reference"
 
 
 def _ran_incremental(verdicts, corrupt_at) -> bool:
@@ -227,7 +244,8 @@ def _replay(ctrl, services, timeline, **kw):
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 def test_incremental_check_matches_reference(kind):
     """Corrupted after the bootstrap, so the memo is warm and the
-    corrupted interval runs the incremental path (a GPU swap aside)."""
+    corrupted interval runs the incremental path (a GPU swap retries
+    it from an empty memo)."""
     incremental: list[bool] = []
 
     @given(
@@ -249,15 +267,11 @@ def test_incremental_check_matches_reference(kind):
 
     example()
     # The verdicts are only worth comparing where the incremental path ran:
-    # every corruption but a GPU swap leaves the memo usable, and a swap
-    # of two surviving GPUs must hand the interval to the reference.
-    if kind == "swap-gpus":
-        assert not all(incremental), "no swap reached the reference"
-    else:
-        assert all(incremental), (
-            f"{incremental.count(False)} of {len(incremental)} corrupted "
-            "intervals fell back to the reference"
-        )
+    # no corruption leaves a map that an empty memo cannot follow.
+    assert all(incremental), (
+        f"{incremental.count(False)} of {len(incremental)} corrupted "
+        "intervals fell back to the reference"
+    )
 
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
@@ -271,7 +285,7 @@ def test_incremental_check_matches_reference(kind):
 def test_first_check_after_restore_matches_reference(
     kind, services, raw, at, pick
 ):
-    """The first check of a restored run has a cold memo."""
+    """The first check of a restored run starts from an empty memo."""
     timeline = timeline_of(raw)
     kill_at = 1 + at % (_steps_at_least(timeline) - 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -284,7 +298,7 @@ def test_first_check_after_restore_matches_reference(
         verdicts = dual_checked(ctrl, kill_at, kind, pick)
         _replay(ctrl, services, timeline, resume=path)
     _assert_same_verdicts(verdicts, kill_at)
-    assert verdicts[0][:3] == (kill_at, True, True)
+    assert verdicts[0][:3] == (kill_at, True, False)
 
 
 def _churn_burst():
@@ -322,7 +336,7 @@ def test_first_check_after_full_replan_matches_reference(kind):
     _replay(ctrl, services, timeline)
     _assert_same_verdicts(verdicts, 2)
     assert [v[:3] for v in verdicts][:3] == [
-        (0, True, True), (1, False, False), (2, False, False),
+        (0, True, False), (1, False, False), (2, False, False),
     ]
 
 
@@ -339,7 +353,7 @@ def test_memo_never_aliases_the_live_fleet():
     services, _ = _churn_burst()
     ctrl = _warm(services)
     memo = ctrl.verifier.memo
-    assert memo is not None and ctrl.verifier.stats.full_fallbacks == 1
+    assert memo is not None and ctrl.verifier.stats.full_fallbacks == 0
     live = ctrl.manager.live_states()
     assert live is not None
     live_ids = {id(s) for s in live} | {id(s.placed) for s in live}
@@ -347,9 +361,10 @@ def test_memo_never_aliases_the_live_fleet():
     assert not live_ids & ({id(s) for s in mine} | {id(s.placed) for s in mine})
 
 
-def test_reordered_gpus_take_the_reference():
+def test_reordered_gpus_retry_from_an_empty_memo():
     """Surviving GPUs that changed relative order re-sum every share in a
-    new order: the check hands the interval to the full reference."""
+    new order: the warm memo cannot follow them, so the check starts over
+    from an empty memo and rebuilds every GPU, without the reference."""
     services = [
         Service(f"s{i}", model, slo_latency_ms=250.0, request_rate=3000.0)
         for i, model in enumerate(("resnet-50", "mobilenetv2", "vgg-16"))
@@ -360,11 +375,52 @@ def test_reordered_gpus_take_the_reference():
     assert len(gpus) > 1
     gpus[0], gpus[-1] = gpus[-1], gpus[0]
     ctrl.manager.deploy(placement)  # drops the live state's order
+    stats = ctrl.verifier.stats
+    rebuilt = stats.gpus_rebuilt
     ctrl.step(2.0)
-    assert ctrl.verifier.stats.full_fallbacks == 2
-    ctrl.step(3.0)  # the reference re-seeded the memo
-    assert ctrl.verifier.stats.full_fallbacks == 2
+    assert stats.full_fallbacks == 0
+    assert stats.gpus_rebuilt - rebuilt == len(gpus)
+    rebuilt = stats.gpus_rebuilt
+    ctrl.step(3.0)  # the retry left a warm memo
+    assert stats.full_fallbacks == 0
+    assert stats.gpus_rebuilt == rebuilt
     ctrl.finish()
+
+
+#: the maps no memo can follow, so the fast path hands them to the
+#: reference
+REFERENCE_ONLY = ("empty-plan", "repeated-gpu", "repeated-service")
+
+
+@pytest.mark.parametrize("shape", REFERENCE_ONLY)
+def test_what_no_memo_follows_takes_the_reference(shape):
+    services, _ = _churn_burst()
+    ctrl = _warm(services)
+    verifier = ctrl.verifier
+    gpus = ctrl.manager.current.gpus
+    work = list(ctrl._run.work)
+    if shape == "empty-plan":
+        last = gpus[-1]
+        gpus.append(GPUPlan(last.gpu_id + 1, (), last.geometry))
+    elif shape == "repeated-gpu":
+        gpus.append(gpus[0])
+    else:
+        work.append(work[0])
+    calls = []
+    check_state = verifier._check_state
+
+    def spied(work):
+        calls.append(work)
+        return check_state(work)
+
+    verifier._check_state = spied
+    reference = StateVerifier(ctrl.manager, fast_path=False)
+    ref = _outcome(lambda: reference.verify(work))
+    mine = _outcome(lambda: verifier.verify(work))
+    assert type(ref) is type(mine), (ref, mine)
+    assert calls == [work]
+    assert verifier.stats.full_fallbacks == 1
+    assert verifier.memo is None
 
 
 def test_reference_controller_runs_the_full_check_every_interval():
@@ -408,7 +464,7 @@ def _co_hosted(rate_b: float):
     manager.deploy(placement)
     fast = StateVerifier(manager)
     work = [services["B"], services["C"]]
-    fast.verify(list(services.values()))  # cold: seeds the memo
+    fast.verify(list(services.values()))  # fills an empty memo
     kept = manager.current.gpus[1]
     manager.remove_service(work, "A")
     assert manager.current.gpus[1] is kept  # B did not move
@@ -451,7 +507,7 @@ def test_served_rate_on_unchanged_rerouted_plan(kind):
     reference = StateVerifier(manager, fast_path=False)
     ref = _outcome(lambda: reference.verify(work))
     mine = _outcome(lambda: fast.verify(work))
-    assert fast.stats.full_fallbacks == 1  # the incremental path ran
+    assert fast.stats.full_fallbacks == 0  # the incremental path ran
     assert type(ref) is type(mine), (ref, mine)
     same = repr(segs[0].served_rate) == repr(b.served_rate)
     assert (ref is None) is same
@@ -489,7 +545,7 @@ def test_shares_sum_in_placement_order_after_a_replacement():
     manager = DeploymentManager(PROFILES)
     manager.deploy(placement)
     fast = StateVerifier(manager)
-    fast.verify(list(services.values()))  # cold: seeds the memo
+    fast.verify(list(services.values()))  # fills an empty memo
     before = list(manager.current.gpus)
     work = [services[sid] for sid in "ABD"]
     manager.remove_service(work, "C")
@@ -498,5 +554,5 @@ def test_shares_sum_in_placement_order_after_a_replacement():
     reference = StateVerifier(manager, fast_path=False)
     assert _outcome(lambda: reference.verify(work)) is None
     assert _outcome(lambda: fast.verify(work)) is None
-    assert fast.stats.full_fallbacks == 1  # the incremental path ran
+    assert fast.stats.full_fallbacks == 0  # the incremental path ran
     assert fast.stats.rates_compared == 2  # B on GPUs 0 and 2

@@ -614,8 +614,9 @@ class TestLiveAllocatorState:
 
     def test_work_counters(self, profiles, services):
         """alloc_* and check_* counters: the check rebuilds the whole
-        fleet once (the cold bootstrap check) and afterwards only the
-        GPUs a delta changed; the live state is rebuilt once per deploy."""
+        fleet once (the bootstrap check, from an empty memo) and
+        afterwards only the GPUs a delta changed; the live state is
+        rebuilt once per deploy, and no check runs build_states."""
         timeline = [
             GpuFailure(time_s=10.0, event_id="f0", draw=0.3),
             RateEpoch(time_s=20.0, service_id="a", rate=6000.0),
@@ -625,23 +626,22 @@ class TestLiveAllocatorState:
         report = ctrl.run(services, timeline, horizon_s=60.0)
         assert [r.num_gpus for r in report.intervals] == [2, 2, 3, 3]
         stats = ctrl.manager.stats
-        # one build_states (the bootstrap check) + one live-state build
-        assert (stats.states_rebuilt, stats.gpus_rebuilt) == (2, 4)
+        # one live-state build; the full reference never ran
+        assert (stats.states_rebuilt, stats.gpus_rebuilt) == (1, 2)
         assert stats.gpus_touched == 6
         # compaction stops only at GPUs hosting a compactable segment
         # behind the lowest hole: 2 visits over the two re-plans, 3 moves
         assert (stats.compact_visits, stats.compact_moves) == (2, 3)
         check = ctrl.verifier.stats
-        assert check.full_fallbacks == 1
+        assert check.full_fallbacks == 0
         # 2 bootstrap GPUs, then 2 (failover) + 3 (rate re-plan) changed
         # GPUs; the recovery only turns a retired id into a spare
         assert check.gpus_rebuilt == 2 + 2 + 3 + 0
         assert check.services_rerated == 3 + 3 + 3 + 0
-        # lines rendered (cache misses): each changed published plan once,
-        # plus, on the full bootstrap check only, the check's round-trip
-        # plan of it; the recovery interval reads every line from its
-        # plan's cache
-        assert check.lines_rendered == 4 + 2 + 3 + 0
+        # lines rendered (cache misses): each changed published plan
+        # once; the recovery interval reads every line from its plan's
+        # cache
+        assert check.lines_rendered == 2 + 2 + 3 + 0
         # on three GPUs every plan hosting a re-rated service changed, so
         # no served rate is compared on a plan verified before
         assert check.rates_compared == 0
@@ -649,8 +649,8 @@ class TestLiveAllocatorState:
             sp.args for sp in ctrl.obs.tracer.spans if sp.name == "check"
         ]
         assert [a["gpus_rebuilt"] for a in spans] == [2, 2, 3, 0]
-        assert [a["lines_rendered"] for a in spans] == [4, 2, 3, 0]
-        assert [a["full"] for a in spans] == [1, 0, 0, 0]
+        assert [a["lines_rendered"] for a in spans] == [2, 2, 3, 0]
+        assert [a["full"] for a in spans] == [0, 0, 0, 0]
         assert [a["rates_compared"] for a in spans] == [0, 0, 0, 0]
         scraped = {
             m.name: m for m in ctrl.obs.registry.collect()
@@ -756,7 +756,7 @@ class TestLiveAllocatorState:
         assert quiet["services_reaggregated"] == 0
         assert quiet["plans_reused"] == gpus
         assert quiet["memo_hits"] == quiet["segments"]
-        assert check[0]["full"] == 1 and check[0]["positions_compared"] > 0
+        assert check[0]["full"] == 0 and check[0]["positions_compared"] > 0
         assert check[2]["full"] == 0
         assert check[2]["positions_compared"] == 0
         assert check[2]["gpus_rebuilt"] == check[2]["lines_rendered"] == 0
